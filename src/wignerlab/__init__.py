@@ -6,7 +6,6 @@ positivity/faithfulness, lifted and transported symmetries, and the
 covariant-uniqueness solver with machine-checkable certificates.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .exact import (
     Feasible,
     Infeasible,

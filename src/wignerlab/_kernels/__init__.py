@@ -1,29 +1,5 @@
-"""Kernel backend selection.
+"""Exact pivot kernels, pure Python (see ``pybackend``)."""
 
-Imports the compiled pivot kernels when the extension was built,
-otherwise the pure-Python fallback.  Set ``WIGNERLAB_PURE_PYTHON=1`` to
-force the fallback (used by the test suite and the benchmark to compare
-both backends).
-"""
+from .pybackend import bareiss_rank, rref, simplex_phase1
 
-import os
-
-from . import pybackend
-
-if os.environ.get("WIGNERLAB_PURE_PYTHON"):
-    _impl = pybackend
-    BACKEND = "python"
-else:
-    try:
-        from . import _cykernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = pybackend
-        BACKEND = "python"
-
-rref = _impl.rref
-bareiss_rank = _impl.bareiss_rank
-simplex_phase1 = _impl.simplex_phase1
-
-__all__ = ["BACKEND", "rref", "bareiss_rank", "simplex_phase1", "pybackend"]
+__all__ = ["rref", "bareiss_rank", "simplex_phase1"]

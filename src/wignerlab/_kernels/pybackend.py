@@ -1,12 +1,24 @@
-"""Pure-Python pivot kernels.
+"""Pivot kernels.
 
 These three loops are where the engine spends essentially all of its
 time: reduced row echelon form, fraction-free (Bareiss) integer
-elimination, and the Bland-rule phase-1 simplex iteration.  The
-compiled module ``_cykernels`` implements the same functions with the
-same semantics; either backend must produce bit-identical results
-because every operand is an exact Python number (``int`` or
-``fractions.Fraction``) and the pivot order is fully deterministic.
+elimination, and the Bland-rule phase-1 simplex iteration.
+
+The simplex works on Python ints only.  Its tableau is kept over one
+common positive denominator ``D``: every stored entry is ``D`` times the
+true entry, so ``D`` is what each row holds at its basic column.  A
+pivot on ``pv`` updates every other row by the Edmonds/Bareiss rule
+``(pv*row - f*prow) // D`` and then sets ``D = pv``; the division is
+exact because each stored entry is a minor of the starting tableau
+(Sylvester's identity), provided that tableau is integral with an
+identity basis, i.e. starts at ``D = 1``.  No ``Fraction`` is built
+inside the loop.
+
+``exact._phase_one`` builds that tableau.  Its ``x_j >= 0`` bounds only
+drop columns and rows before the kernel runs, and it reads witnesses and
+Farkas multipliers back as ``entry / D``, so the certificates keep the
+format of the rational simplex and re-check with the same
+``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -91,19 +103,27 @@ def bareiss_rank(rows):
 
 
 def simplex_phase1(tab, obj, basis):
-    """Run Bland-rule phase-1 simplex pivots until optimality.
+    """Run Bland-rule phase-1 simplex pivots on an integer tableau.
 
     ``tab`` is the m x (N+1) constraint tableau (rhs in the last
     column), ``obj`` the reduced-cost row of length N+1, and ``basis``
-    the list of basic column indices, all mutated in place.  Entering
-    variable: smallest column index with negative reduced cost; leaving
-    variable: lexicographically smallest basic index among the minimum
-    ratios.  Bland's rule guarantees termination.  Returns the pivot
-    count.
+    the list of basic column indices.  All entries are ints; ``tab``
+    must be ``D`` times the true tableau, where ``D`` is the common
+    value of ``tab[i][basis[i]]`` (1 for a starting tableau whose basic
+    columns are unit vectors), and ``obj`` any positive multiple of the
+    true reduced costs times ``D``.  ``basis`` and ``obj`` are mutated
+    in place and the rows of ``tab`` are replaced; afterwards the true
+    tableau is ``tab / D`` with ``D = tab[i][basis[i]]``.
+
+    Entering variable: smallest column index with negative reduced
+    cost; leaving variable: lexicographically smallest basic index
+    among the minimum ratios, compared by cross-multiplying.  Bland's
+    rule guarantees termination, and the pivot sequence is the one the
+    same rule takes on the rational tableau.  Returns the pivot count.
     """
     m = len(tab)
-    width = len(obj)
-    rhs = width - 1
+    rhs = len(obj) - 1
+    d = tab[0][basis[0]] if m else 1
     npiv = 0
     while True:
         enter = -1
@@ -114,33 +134,33 @@ def simplex_phase1(tab, obj, basis):
         if enter < 0:
             return npiv
         leave = -1
-        best = None
         for i in range(m):
-            tij = tab[i][enter]
-            if tij > 0:
-                ratio = tab[i][rhs] / tij
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            t = tab[i][enter]
+            if t > 0:
+                r = tab[i][rhs]
+                if leave < 0:
+                    leave, best_r, best_t = i, r, t
+                    continue
+                new, old = r * best_t, best_r * t
+                if new < old or (new == old and basis[i] < basis[leave]):
+                    leave, best_r, best_t = i, r, t
         if leave < 0:
             # phase-1 objective is bounded below by 0, so this is unreachable
             # for any tableau produced by the feasibility frontend
             raise ArithmeticError("unbounded phase-1 tableau")
         prow = tab[leave]
         pv = prow[enter]
-        if pv != 1:
-            for k in range(width):
-                prow[k] = prow[k] / pv
         for i in range(m):
-            if i != leave:
-                f = tab[i][enter]
-                if f:
-                    row = tab[i]
-                    for k in range(width):
-                        row[k] = row[k] - f * prow[k]
+            if i == leave:
+                continue
+            row = tab[i]
+            f = row[enter]
+            if f:
+                tab[i] = [(pv * a - f * b) // d for a, b in zip(row, prow)]
+            elif pv != d:
+                tab[i] = [pv * a // d for a in row]
         f = obj[enter]
-        if f:
-            for k in range(width):
-                obj[k] = obj[k] - f * prow[k]
+        obj[:] = [(pv * a - f * b) // d for a, b in zip(obj, prow)]
         basis[leave] = enter
+        d = pv
         npiv += 1

@@ -1,18 +1,37 @@
 """Exact rational linear algebra and LP feasibility.
 
-Every scalar in the engine is a ``fractions.Fraction``; nothing in a
+Every scalar in the engine is a ``fractions.Fraction`` (the LP tableau
+holds them as Python ints over common denominators); nothing in a
 decision path ever touches floating point.  The module provides dense
 rational matrices, exact rank (fraction-free over integers), affine
 system solving with nullspace bases, and LP feasibility with verified
 witnesses or Farkas infeasibility certificates.
 
 Feasibility is decided by a phase-1 simplex with Bland's anti-cycling
-rule.  Free variables are split into positive parts, inequality rows
-get slacks, and every row gets an artificial variable; the phase-1
-optimum is zero exactly when the program is feasible.  On infeasibility
-the dual values read off the final tableau are the Farkas multipliers:
-nonnegative on inequality rows, free on equality rows, combining the
-constraints into the contradiction 0 >= gap with gap > 0.
+rule.  A row ``c * x_j >= 0`` (one nonzero ``c > 0``, rhs 0) is taken as
+the sign bound ``x_j >= 0``; every other variable is split into positive
+parts, the remaining inequality rows get slacks, and every remaining row
+gets an artificial variable.  The phase-1 optimum is zero exactly when
+the program is feasible.
+
+The tableau is built from Python ints: each row is scaled by the lcm of
+its own denominators while its artificial keeps coefficient 1 (the
+artificial is rescaled), so the starting basis is the identity, and the
+objective is the unscaled phase-1 reduced-cost row times its own lcm
+``L``.  These scalings are positive and per row or per column, so
+Bland's choices, and hence the pivots, witnesses and multipliers, are
+those of the rational tableau; ``_kernels.simplex_phase1`` then pivots
+with exact integer division over a common denominator ``D``.
+
+On infeasibility the dual values read off the final tableau are the
+Farkas multipliers: nonnegative on inequality rows, free on equality
+rows, combining the constraints into the contradiction 0 >= gap with
+gap > 0.  A bound row has no artificial to read; its multiplier is
+whatever cancels the other rows' combination on ``x_j`` (0 for a
+duplicate bound), which is nonnegative because ``x_j``'s column prices
+at >= 0 at the optimum.  So every row of the program still gets a
+multiplier and the certificate format, and ``verify_certificate``, are
+the same with or without bounds.
 """
 
 from __future__ import annotations
@@ -278,62 +297,88 @@ def lp_feasible(lp: LinearProgram) -> FeasibilityResult:
 
 def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     n = lp.n_vars
+    # a row c * x_j >= 0 with c > 0 is the sign bound x_j >= 0: no row,
+    # slack, artificial or x- column
+    bound_rows: dict[int, tuple[int, QQ]] = {}
     rows = [("eq", row, rhs) for row, rhs in lp.equalities]
-    rows += [("ineq", row, rhs) for row, rhs in lp.inequalities]
+    for k, (row, rhs) in enumerate(lp.inequalities):
+        if not rhs:
+            nonzero = [j for j, a in enumerate(row) if a]
+            if len(nonzero) == 1 and row[nonzero[0]] > 0:
+                bound_rows[k] = (nonzero[0], row[nonzero[0]])
+                continue
+        rows.append(("ineq", row, rhs))
     m = len(rows)
     if m == 0:
         return Feasible(zeros(n))
-    n_ineq = len(lp.inequalities)
-    # columns: x+ | x- | slacks | artificials | rhs
-    n_cols = 2 * n + n_ineq + m
-    art0 = 2 * n + n_ineq
+    bounded = {j for j, _ in bound_rows.values()}
+    # columns: x+ | x- of unbounded variables | slacks | artificials | rhs
+    minus = {j: n + i for i, j in enumerate(j for j in range(n) if j not in bounded)}
+    slack_at = n + len(minus)
+    art0 = slack_at + len(lp.inequalities) - len(bound_rows)
+    n_cols = art0 + m
+    # row k is sigma_k * scale_k times the rational row, with its
+    # artificial coefficient left at 1 (the artificial is rescaled), so
+    # the tableau is integral and starts from the identity basis, D = 1
     tab = []
     flips = []
-    slack_at = 2 * n
+    scales = []
     for k, (kind, row, rhs) in enumerate(rows):
-        sigma = QQ(1) if rhs >= 0 else QQ(-1)
-        flips.append(sigma)
-        line = [QQ(0)] * (n_cols + 1)
+        sigma = 1 if rhs >= 0 else -1
+        scale = math.lcm(rhs.denominator, *(a.denominator for a in row))
+        line = [0] * (n_cols + 1)
         for j, a in enumerate(row):
             if a:
-                line[j] = sigma * a
-                line[n + j] = -sigma * a
+                line[j] = sigma * a.numerator * (scale // a.denominator)
+                if j in minus:
+                    line[minus[j]] = -line[j]
         if kind == "ineq":
-            line[slack_at] = -sigma
+            line[slack_at] = -sigma * scale
             slack_at += 1
-        line[art0 + k] = QQ(1)
-        line[n_cols] = sigma * rhs
+        line[art0 + k] = 1
+        line[n_cols] = sigma * rhs.numerator * (scale // rhs.denominator)
         tab.append(line)
+        flips.append(sigma)
+        scales.append(scale)
     basis = [art0 + k for k in range(m)]
-    # phase-1 reduced costs with the all-artificial basis: cost 1 on
-    # artificials minus the column sums of the tableau
-    obj = [QQ(0)] * (n_cols + 1)
-    for j in range(n_cols + 1):
-        s = QQ(0)
-        for i in range(m):
-            s += tab[i][j]
-        obj[j] = -s
-    for k in range(m):
-        obj[art0 + k] += QQ(1)
+    # phase-1 reduced costs of the unscaled program (artificials cost 1
+    # and are basic, so they price at 0): minus the column sums of the
+    # rational rows, times their least common denominator L
+    common = math.lcm(*scales)
+    weights = [common // s for s in scales]
+    obj = [0] * (n_cols + 1)
+    for j in [*range(art0), n_cols]:
+        obj[j] = -sum(w * r[j] for w, r in zip(weights, tab))
+    g = math.gcd(common, *obj)
+    obj = [c // g for c in obj]
+    big_l = common // g
     simplex_phase1(tab, obj, basis)
-    optimum = -obj[n_cols]
-    if optimum == 0:
-        values = {}
-        for i, col in enumerate(basis):
-            values[col] = tab[i][n_cols]
+    d = tab[0][basis[0]]
+    if not obj[n_cols]:
+        values = {col: QQ(tab[i][n_cols], d) for i, col in enumerate(basis)}
         witness = tuple(
-            values.get(j, QQ(0)) - values.get(n + j, QQ(0)) for j in range(n)
+            values.get(j, QQ(0)) - values.get(minus.get(j), QQ(0)) for j in range(n)
         )
         return Feasible(witness)
     # Farkas multipliers: y_k = cost(artificial_k) - reduced cost of its
-    # column, mapped back through the row sign flips
-    eq_mult = []
+    # column, undoing the artificial's rescaling and the row sign flip
+    mults = [
+        flips[k] * (1 - QQ(scales[k] * obj[art0 + k], big_l * d)) for k in range(m)
+    ]
+    # a bound row's multiplier cancels what the other rows leave on x_j;
+    # it is >= 0 because x_j's column prices at >= 0 at the optimum, and a
+    # duplicate bound row gets 0
+    left = {
+        j: sum((y * row[j] for y, (_, row, _) in zip(mults, rows) if y and row[j]), QQ(0))
+        for j in bounded
+    }
+    kept = iter(mults[len(lp.equalities):])
     ineq_mult = []
-    for k, (kind, _, _) in enumerate(rows):
-        y = QQ(1) - obj[art0 + k]
-        mult = flips[k] * y
-        if kind == "eq":
-            eq_mult.append(mult)
+    for k in range(len(lp.inequalities)):
+        if k in bound_rows:
+            j, c = bound_rows[k]
+            ineq_mult.append(-left.pop(j, QQ(0)) / c)
         else:
-            ineq_mult.append(mult)
-    return Infeasible(tuple(eq_mult), tuple(ineq_mult), optimum)
+            ineq_mult.append(next(kept))
+    gap = QQ(-obj[n_cols], big_l * d)
+    return Infeasible(tuple(mults[: len(lp.equalities)]), tuple(ineq_mult), gap)

@@ -35,6 +35,7 @@ from .geometry import (
     Ball,
     Polytope,
     StateSpace,
+    _in_hull,
     affine_basis,
     affine_map_with_orthogonal_extension,
     contains,
@@ -190,16 +191,6 @@ def _grid_of_flat(flat: Vec, shape) -> Optional[SignedGrid]:
         return None
 
 
-def _flat_in_hull(flat: Vec, hull_pts: list[Vec]) -> bool:
-    n = len(hull_pts)
-    eqs = [(tuple(p[k] for p in hull_pts), flat[k]) for k in range(len(flat))]
-    eqs.append(((QQ(1),) * n, QQ(1)))
-    ineqs = [
-        (tuple(QQ(1) if j == i else QQ(0) for j in range(n)), QQ(0)) for i in range(n)
-    ]
-    return isinstance(lp_feasible(LinearProgram(n, tuple(eqs), tuple(ineqs))), Feasible)
-
-
 def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     """Does ``lam`` send the image W(K) into itself?
 
@@ -243,7 +234,7 @@ def _polytope_symmetry(rep, m, image_pts, vertices) -> SymmetryCheck:
         # vertex images are in W(K) by definition; LP only for new points
         if mapped in known:
             continue
-        if not _flat_in_hull(mapped, image_pts):
+        if _in_hull(mapped, image_pts) is None:
             return SymmetryCheck(False, v, _grid_of_flat(mapped, rep.shape))
     return SymmetryCheck(True)
 
@@ -322,7 +313,7 @@ def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
                 mapped = tuple(mapped)
                 if mapped in known:
                     continue
-                if not _flat_in_hull(mapped, image_pts):
+                if _in_hull(mapped, image_pts) is None:
                     ok = False
                     break
             if ok:
