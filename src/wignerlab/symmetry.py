@@ -8,14 +8,26 @@ representations every symmetry is transported.  The covariant solver
 combines two exact stages: permutation channels for the outcome
 translation groups, then the linear covariance system over the grid
 functionals.
+
+A lifted permutation P has finite order, so P(W(K)) inside W(K) already
+forces P(W(K)) = W(K): permutation symmetries are the relabellings of
+phase points that fix an invariant of W(K), built once per
+representation (``_permutation_test``), with no LP per permutation.  On
+a polytope the invariant is the set ext W(K) of extreme points.  On a
+ball with faithful W, W(K) is the ellipsoid {g0 + G t : |t| <= 1} with
+g0 = W(center) and columns W(center + r e_i) - g0 of G; P fixes it iff
+P g0 = g0 and P S P^T = S for S = G H^-2 G^T, H = G^T G.  S is the
+pseudo-inverse of G G^T, so its kernel is span(G)-perp and the second
+identity also says that P preserves span(G).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
+from ._kernels import rref
 from .errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from .exact import (
     QQ,
@@ -26,6 +38,9 @@ from .exact import (
     Vec,
     lp_feasible,
     solve_affine,
+    vec_add,
+    vec_dot,
+    vec_scale,
     vec_sub,
     zeros,
 )
@@ -53,11 +68,15 @@ from .theory import (
 )
 from .wigner import SignedGrid, WignerRep, evaluate, is_faithful
 
-ENUMERATION_GUARD = 8  # phase points; 8! permutations is the ceiling
+# phase points; 8! permutations is the ceiling.  A permutation has finite
+# order, so it is a symmetry iff it fixes an invariant of W(K) built once
+# (ext W(K) on polytopes; the center and G H^-2 G^T on balls): each one
+# costs entry comparisons, no LP.
+ENUMERATION_GUARD = 8
 GROUP_GUARD = 10_000  # closed group elements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhasePointMap:
     """Total map on the product phase space, stored over flat indices."""
 
@@ -208,13 +227,13 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
         raise UnsupportedGeometryError(
             "unsupported: ball symmetry testing needs a faithful representation"
         )
-    pulled = _pull_back(rep, m)
+    chart = _chart(rep)
+    pulled = _pull_back(chart, m)
     if pulled is None:
         # some mapped image point left the affine hull of W(K)
-        basis = affine_basis(space)
-        for p in basis:
-            target = m(evaluate(rep, p).flatten())
-            if _solve_state(rep, target) is None:
+        for p, w in zip(chart.basis, chart.images):
+            target = m(w)
+            if _solve_state(chart, target) is None:
                 return SymmetryCheck(False, p, _grid_of_flat(target, rep.shape))
         raise ArithmeticError("pull-back failed without witness")  # pragma: no cover
     result = map_into(space, pulled, space)
@@ -239,52 +258,91 @@ def _polytope_symmetry(rep, m, image_pts, vertices) -> SymmetryCheck:
     return SymmetryCheck(True)
 
 
-def _grid_system(rep: WignerRep):
-    """Coefficient matrix and constants of x -> flat(W(x))."""
-    funcs = rep.functionals()
-    rows = [list(f.linear) for f in funcs]
-    consts = [f.constant for f in funcs]
-    return rows, consts
+class _Chart(NamedTuple):
+    """W on aff(K) over an affine basis: W(p0 + sum c_i (p_i - p0)) = g0 + G c.
 
-
-def _solve_state(rep: WignerRep, target: Vec) -> Optional[Vec]:
-    """A state y in aff(K) with W(y) = target, or None.
-
-    Parametrized over the affine basis of K, so the solution (unique for
-    faithful representations) always lies in the affine hull.
+    ``images`` are the W(p_i), ``cols`` the columns W(p_i) - g0 of G and
+    ``gplus`` the rows of its left inverse G+ = (G^T G)^-1 G^T.  Valid for
+    faithful representations, where G has full column rank.
     """
+
+    basis: tuple[Vec, ...]
+    images: list[Vec]
+    cols: list[Vec]
+    gplus: list[Vec]
+
+
+def _chart(rep: WignerRep) -> _Chart:
     basis = affine_basis(rep.state_space)
-    p0 = basis[0]
-    dirs = [vec_sub(p, p0) for p in basis[1:]]
-    rows_full, consts = _grid_system(rep)
-    base_val = [sum((r[k] * p0[k] for k in range(len(p0))), QQ(0)) + c
-                for r, c in zip(rows_full, consts)]
-    cols = []
-    for d in dirs:
-        cols.append([sum((r[k] * d[k] for k in range(len(d))), QQ(0)) for r in rows_full])
-    system = [[cols[j][i] for j in range(len(dirs))] for i in range(len(rows_full))]
-    rhs = [t - b for t, b in zip(target, base_val)]
-    sol = solve_affine(system, rhs)
-    if sol is None:
+    funcs = rep.functionals()
+    images = [tuple(f(p) for f in funcs) for p in basis]
+    cols = [vec_sub(w, images[0]) for w in images[1:]]
+    aug = [[vec_dot(u, v) for v in cols] + list(u) for u in cols]  # [G^T G | G^T]
+    rref(aug, len(cols))
+    return _Chart(basis, images, cols, [tuple(row[len(cols):]) for row in aug])
+
+
+def _solve_state(chart: _Chart, target: Vec) -> Optional[Vec]:
+    """The state y in aff(K) with W(y) = target, or None."""
+    rhs = vec_sub(target, chart.images[0])
+    coeffs = [vec_dot(row, rhs) for row in chart.gplus]
+    if any(sum((c * col[i] for c, col in zip(coeffs, chart.cols)), QQ(0)) != r
+           for i, r in enumerate(rhs)):
         return None
-    y = list(p0)
-    for coeff, d in zip(sol.particular, dirs):
-        for k in range(len(y)):
-            y[k] += coeff * d[k]
-    return tuple(y)
+    p0 = chart.basis[0]
+    y = p0
+    for c, p in zip(coeffs, chart.basis[1:]):
+        y = vec_add(y, vec_scale(c, vec_sub(p, p0)))
+    return y
 
 
-def _pull_back(rep: WignerRep, m: AffineMap) -> Optional[AffineMap]:
+def _pull_back(chart: _Chart, m: AffineMap) -> Optional[AffineMap]:
     """The channel candidate W^-1 . m . W on the affine hull of K."""
-    basis = affine_basis(rep.state_space)
     images = []
-    for p in basis:
-        target = m(evaluate(rep, p).flatten())
-        y = _solve_state(rep, target)
+    for w in chart.images:
+        y = _solve_state(chart, m(w))
         if y is None:
             return None
         images.append(y)
-    return affine_map_with_orthogonal_extension(basis, images)
+    return affine_map_with_orthogonal_extension(chart.basis, images)
+
+
+def _permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
+    """Exact predicate on permutation tables: is the lift a symmetry of W?
+
+    Builds the invariant of W(K) from the module docstring once; each
+    call then only compares entries under the relabelling.  Balls need a
+    faithful representation.
+    """
+    space = rep.state_space
+    funcs = rep.functionals()
+    n = len(funcs)
+    if isinstance(space, Polytope):
+        images = [tuple(f(v) for f in funcs) for v in space.vertices]
+        ext = set(Polytope.hull_of(images).vertices)
+
+        def fixes_ext(perm: Sequence[int]) -> bool:
+            for point in ext:
+                mapped = [QQ(0)] * n
+                for j, value in enumerate(point):
+                    mapped[perm[j]] = value
+                if tuple(mapped) not in ext:
+                    return False
+            return True
+
+        return fixes_ext
+    if not is_faithful(rep):
+        raise UnsupportedGeometryError(
+            "unsupported: ball symmetry testing needs a faithful representation"
+        )
+    chart = _chart(rep)
+    g0 = chart.images[0]
+    gplus_cols = [tuple(row[i] for row in chart.gplus) for i in range(n)]
+    s = [[vec_dot(u, v) for v in gplus_cols] for u in gplus_cols]  # G H^-2 G^T
+    return lambda perm: all(
+        g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
+        for i in range(n)
+    )
 
 
 def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
@@ -292,39 +350,16 @@ def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
 
     Guarded at 8 phase points (40320 permutations).
     """
-    n_a, n_b = rep.shape
-    n = n_a * n_b
+    shape = rep.shape
+    n = shape[0] * shape[1]
     if n > ENUMERATION_GUARD:
         raise SizeGuardError(
             f"{n} phase points exceed the enumeration guard of {ENUMERATION_GUARD}"
         )
-    space = rep.state_space
-    if isinstance(space, Polytope):
-        image_pts = [evaluate(rep, v).flatten() for v in space.vertices]
-        known = set(image_pts)
-        found = []
-        for perm in itertools.permutations(range(n)):
-            phi = PhasePointMap((n_a, n_b), perm)
-            ok = True
-            for img in image_pts:
-                mapped = [QQ(0)] * n
-                for j, value in enumerate(img):
-                    mapped[perm[j]] += value
-                mapped = tuple(mapped)
-                if mapped in known:
-                    continue
-                if _in_hull(mapped, image_pts) is None:
-                    ok = False
-                    break
-            if ok:
-                found.append(phi)
-        return tuple(found)
-    found = []
-    for perm in itertools.permutations(range(n)):
-        phi = PhasePointMap((n_a, n_b), perm)
-        if is_symmetry(rep, lift(phi)).ok:
-            found.append(phi)
-    return tuple(found)
+    test = _permutation_test(rep)
+    return tuple(
+        PhasePointMap(shape, perm) for perm in itertools.permutations(range(n)) if test(perm)
+    )
 
 
 def composed_with_rep(rep: WignerRep, m: AffineMap) -> list[AffineFunctional]:
@@ -400,19 +435,10 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
     lifted = lift(phi)
     if not is_symmetry(rep, lifted).ok:
         raise PreconditionError("the lifted map is not a symmetry of W")
-    space = rep.state_space
-    basis = affine_basis(space)
-    images = []
-    for p in basis:
-        target = lifted.apply(evaluate(rep, p)).flatten()
-        y = _solve_state(rep, target)
-        if y is None:  # pragma: no cover - symmetry guarantees solvability
-            raise ArithmeticError("symmetric image left the representation span")
-        images.append(y)
-    m = affine_map_with_orthogonal_extension(basis, images)
-    if m is None:  # pragma: no cover - basis is affinely independent
-        raise ArithmeticError("induced action interpolation failed")
-    return Channel(m, space, space)
+    m = _pull_back(_chart(rep), lifted.as_affine_map())
+    if m is None:  # pragma: no cover - symmetry guarantees solvability
+        raise ArithmeticError("symmetric image left the representation span")
+    return Channel(m, rep.state_space, rep.state_space)
 
 
 def close_group(
@@ -452,10 +478,9 @@ def is_g_symmetric(rep: WignerRep, generators: Sequence[PhasePointMap]) -> bool:
     """
     if not generators:
         return True
-    for element in sorted(close_group(generators), key=lambda e: e.table):
-        if not is_symmetry(rep, lift(element)).ok:
-            return False
-    return True
+    group = close_group(generators)
+    test = _permutation_test(rep)
+    return all(test(element.table) for element in group)
 
 
 @dataclass(frozen=True)
@@ -772,10 +797,8 @@ def solve_covariant(
 
 
 def _verify_covariant(rep: WignerRep, generators) -> bool:
+    tables = [gen.phase_point_map().table for gen in generators]
     try:
-        for gen in generators:
-            if not is_symmetry(rep, lift(gen.phase_point_map())).ok:
-                return False
+        return not tables or all(map(_permutation_test(rep), tables))
     except UnsupportedGeometryError:
         return False
-    return True

@@ -8,8 +8,11 @@ convex position, observables with effects in [0, 1] summing to one).
 from fractions import Fraction as F
 import random
 
-from wignerlab.geometry import AffineFunctional, Polytope, extremal_range
+from wignerlab import catalog
+from wignerlab.exact import solve_affine, unit
+from wignerlab.geometry import AffineFunctional, Ball, Polytope, extremal_range
 from wignerlab.theory import Observable, Theory
+from wignerlab.wigner import WignerRep, construct_family
 
 
 def random_fraction(rng: random.Random, lo=-3, hi=3, den=4) -> F:
@@ -79,3 +82,47 @@ def random_free_block(rng: random.Random, space, obs_a, obs_b, anchor=None):
                     random_fraction(rng, -1, 1),
                 )
     return free
+
+
+def random_rotation(rng: random.Random):
+    """Rational orthogonal 3x3 matrix (I - S)(I + S)^-1 for a random skew S."""
+    a, b, c = (random_fraction(rng, -1, 1, 2) for _ in range(3))
+    skew = [[F(0), a, b], [-a, F(0), c], [-b, -c, F(0)]]
+    plus = [[int(i == j) + skew[i][j] for j in range(3)] for i in range(3)]
+    inv_cols = [solve_affine(plus, unit(3, j)).particular for j in range(3)]
+    return [
+        [sum((int(i == k) - skew[i][k]) * inv_cols[j][k] for k in range(3))
+         for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def qubit_ball_image(rng: random.Random, random_member: bool = False) -> WignerRep:
+    """The catalog qubit-ball representation W under x -> s Q x + t.
+
+    Q is a random rational rotation, s a rational scale and t a rational
+    shift; with ``random_member`` the result is instead the family member
+    on the image theory with a random functional in the free slot (0, 0).
+    """
+    entry = catalog.load("qubit_ball")
+    q = random_rotation(rng)
+    scale = F(rng.randint(1, 8), 4)
+    shift = tuple(random_fraction(rng, -1, 1) for _ in range(3))
+
+    def push(f: AffineFunctional) -> AffineFunctional:
+        # f(T^-1 y) with T^-1 y = Q^T (y - t) / s
+        lin = tuple(sum(q[i][k] * f.linear[k] for k in range(3)) / scale for i in range(3))
+        return AffineFunctional(lin, f.constant - sum(x * t for x, t in zip(lin, shift)))
+
+    theory = entry.theory
+    space = Ball(shift, scale)
+    obs_a, obs_b = (
+        Observable(o.name, o.outcomes, tuple(push(e) for e in o.effects))
+        for o in (theory.obs_a, theory.obs_b)
+    )
+    if random_member:
+        lin = tuple(random_fraction(rng, -1, 1) for _ in range(3))
+        free = AffineFunctional(lin, random_fraction(rng, -1, 1))
+        return construct_family(obs_a, obs_b, space, {(0, 0): free})
+    grid = tuple(tuple(push(f) for f in row) for row in entry.representations["W"].grid)
+    return WignerRep(space, obs_a, obs_b, grid)

@@ -2,11 +2,20 @@
 actions, permutation channels and the covariant solver."""
 
 from fractions import Fraction as F
+import itertools
 import random
 
 import pytest
 
-from wignerlab.errors import PreconditionError, SizeGuardError
+from helpers import (
+    qubit_ball_image,
+    random_free_block,
+    random_observable,
+    random_polygon,
+    random_theory,
+)
+from wignerlab import exact, geometry, symmetry, theory, wigner
+from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import verify_certificate
 from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope
 from wignerlab.symmetry import (
@@ -26,7 +35,14 @@ from wignerlab.symmetry import (
     solve_covariant,
 )
 from wignerlab.theory import Channel, Observable
-from wignerlab.wigner import SignedGrid, WignerRep, construct_family, evaluate
+from wignerlab.wigner import (
+    SignedGrid,
+    WignerRep,
+    construct_family,
+    degenerate_rep,
+    evaluate,
+    is_faithful,
+)
 
 ONE2 = AffineFunctional.one(2)
 SQUARE = Polytope([(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -271,3 +287,130 @@ def test_covariant_family_when_symmetry_is_scarce():
     result = solve_covariant(OBS_A, obs_unit, SQUARE, channels={})
     # the pair is not info-complete, and channels were supplied explicitly
     assert result.kind in ("family", "unique")
+
+
+def _symmetries_by_is_symmetry(rep):
+    """The permutations phi with is_symmetry(rep, lift(phi)).ok, in order."""
+    n_a, n_b = rep.shape
+    maps = (PhasePointMap(rep.shape, p) for p in itertools.permutations(range(n_a * n_b)))
+    return tuple(phi for phi in maps if is_symmetry(rep, lift(phi)).ok)
+
+
+def _polygon_reps():
+    """2x2 polygon representations, some not faithful, and one 2x3 grid."""
+    rng = random.Random(97)
+    reps = [W0, WHALF]
+    for k in range(12):
+        th = random_theory(rng, max_points=3, outcome_choices=(2,))
+        a, b, space = th.obs_a, th.obs_b, th.state_space
+        if k % 3 == 0:
+            reps.append(degenerate_rep(a, b, space))
+        else:
+            reps.append(construct_family(a, b, space, random_free_block(rng, space, a, b)))
+    space = random_polygon(rng, max_points=2)
+    while len(space.vertices) != 2:
+        space = random_polygon(rng, max_points=2)
+    a = random_observable(rng, space, "A", 2)
+    b = random_observable(rng, space, "B", 3)
+    reps.append(degenerate_rep(a, b, space))
+    return reps
+
+
+def _ball_reps():
+    """Images of the qubit-ball W, random family members, and one member
+    with W's linear part but a moved center W(c)."""
+    rng = random.Random(31)
+    reps = [qubit_ball_image(rng, random_member=k % 2 == 1) for k in range(6)]
+    w = reps[0]
+    shifted = {(0, 0): w.grid[0][0].shift(F(1, 8))}
+    return reps + [construct_family(w.obs_a, w.obs_b, w.state_space, shifted)]
+
+
+def test_enumeration_matches_is_symmetry_on_polygons():
+    reps = _polygon_reps()
+    assert any(not is_faithful(rep) for rep in reps)
+    assert reps[-1].shape == (2, 3)
+    for rep in reps:
+        found = enumerate_lifted_symmetries(rep)
+        assert found == _symmetries_by_is_symmetry(rep)
+        assert found[0] == PhasePointMap.identity(rep.shape)
+
+
+def test_enumeration_matches_is_symmetry_on_ball_images():
+    sizes = []
+    for rep in _ball_reps():
+        assert is_faithful(rep)
+        found = enumerate_lifted_symmetries(rep)
+        assert found == _symmetries_by_is_symmetry(rep)
+        sizes.append(len(found))
+    # images of W keep all of S_4; moving the center keeps the 4 maps
+    # that send {(0,0), (1,1)} onto itself
+    assert sizes[0:6:2] == [24, 24, 24] and sizes[6] == 4
+
+
+def test_ball_witness_when_the_image_leaves_the_affine_hull():
+    rep = _ball_reps()[0]
+    center = rep.state_space.center
+    shift = AffineMap(AffineMap.identity(4).matrix, (1, 0, 0, 0))
+    check = is_symmetry(rep, shift)
+    assert not check.ok and check.counterexample == center
+    assert check.image is None  # the escaping image has mass 2, not a grid
+
+
+def test_g_symmetric_is_is_symmetry_over_the_closed_group():
+    rng = random.Random(17)
+    for rep in _polygon_reps()[:6] + _ball_reps()[:2]:
+        found = list(enumerate_lifted_symmetries(rep))
+        n = rep.shape[0] * rep.shape[1]
+        perms = [PhasePointMap(rep.shape, p) for p in itertools.permutations(range(n))]
+        for gens in (found, rng.sample(found, 1) + rng.sample(perms, 1), rng.sample(perms, 2)):
+            expected = all(is_symmetry(rep, lift(g)).ok for g in close_group(gens))
+            assert is_g_symmetric(rep, gens) == expected
+
+
+def test_non_faithful_ball_is_still_unsupported():
+    rep = qubit_ball_image(random.Random(3))
+    lossy = degenerate_rep(rep.obs_a, rep.obs_b, rep.state_space)
+    assert not is_faithful(lossy)
+    with pytest.raises(UnsupportedGeometryError):
+        enumerate_lifted_symmetries(lossy)
+    with pytest.raises(UnsupportedGeometryError):
+        is_g_symmetric(lossy, [PhasePointMap.identity(lossy.shape)])
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts lp_feasible calls; per-permutation tests raise if reached."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration tested a permutation one by one")
+
+    monkeypatch.setattr(symmetry, "map_into", forbidden)
+    monkeypatch.setattr(symmetry, "is_symmetry", forbidden)
+    calls = []
+    real = exact.lp_feasible
+
+    def counting(lp):
+        calls.append(lp)
+        return real(lp)
+
+    for module in (exact, geometry, symmetry, theory, wigner):
+        monkeypatch.setattr(module, "lp_feasible", counting)
+    return calls
+
+
+def test_enumeration_on_a_ball_makes_no_lp(lp_calls):
+    assert len(enumerate_lifted_symmetries(_ball_reps()[0])) == 24
+    assert lp_calls == []
+
+
+def test_enumeration_on_a_polytope_makes_only_the_hull_lps(lp_calls):
+    reps = _polygon_reps()
+    for rep in (WHALF, reps[-1]):  # 24 and 720 permutations
+        images = [evaluate(rep, v).flatten() for v in rep.state_space.vertices]
+        lp_calls.clear()
+        Polytope.hull_of(images)
+        hull_lps = len(lp_calls)
+        lp_calls.clear()
+        enumerate_lifted_symmetries(rep)
+        assert len(lp_calls) == hull_lps > 0
