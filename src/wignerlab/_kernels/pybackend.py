@@ -4,15 +4,19 @@ These three loops are where the engine spends essentially all of its
 time: reduced row echelon form, fraction-free (Bareiss) integer
 elimination, and the Bland-rule phase-1 simplex iteration.
 
-The simplex works on Python ints only.  Its tableau is kept over one
-common positive denominator ``D``: every stored entry is ``D`` times the
-true entry, so ``D`` is what each row holds at its basic column.  A
-pivot on ``pv`` updates every other row by the Edmonds/Bareiss rule
-``(pv*row - f*prow) // D`` and then sets ``D = pv``; the division is
-exact because each stored entry is a minor of the starting tableau
-(Sylvester's identity), provided that tableau is integral with an
-identity basis, i.e. starts at ``D = 1``.  No ``Fraction`` is built
-inside the loop.
+The simplex works on Python ints only.  Its tableau is kept over a
+common positive denominator ``D``: on return every entry is ``D`` times
+the true entry, so ``D`` is what each row holds at its basic column.  A
+pivot on ``pv`` updates each row the entering column meets (``f != 0``)
+by the Edmonds/Bareiss rule ``(pv*row - f*prow) // D`` and then sets
+``D = pv``; the division is exact because each stored entry is a minor
+of the starting tableau (Sylvester's identity), provided that tableau is
+integral with an identity basis, i.e. starts at ``D = 1``.  No
+``Fraction`` is built inside the loop.  A row the column misses keeps
+its true entries and is not touched: it remembers the ``D`` it was last
+written at, ``s_i``, and a later update divides by ``s_i`` instead
+(still exact: the result is ``pv`` times the new true row).  A stale
+pivot row is brought to ``D`` first, and every stale row at return.
 
 ``exact._phase_one`` builds that tableau.  Its ``x_j >= 0`` bounds only
 drop columns and rows before the kernel runs, and it reads witnesses and
@@ -124,6 +128,9 @@ def simplex_phase1(tab, obj, basis):
     m = len(tab)
     rhs = len(obj) - 1
     d = tab[0][basis[0]] if m else 1
+    # row i is den[i] times its true row; den[i] falls behind D while the
+    # entering columns miss the row
+    den = [d] * m
     npiv = 0
     while True:
         enter = -1
@@ -132,6 +139,9 @@ def simplex_phase1(tab, obj, basis):
                 enter = j
                 break
         if enter < 0:
+            for i, s in enumerate(den):
+                if s != d:
+                    tab[i] = [a * d // s for a in tab[i]]
             return npiv
         leave = -1
         for i in range(m):
@@ -149,6 +159,8 @@ def simplex_phase1(tab, obj, basis):
             # for any tableau produced by the feasibility frontend
             raise ArithmeticError("unbounded phase-1 tableau")
         prow = tab[leave]
+        if den[leave] != d:
+            prow = tab[leave] = [a * d // den[leave] for a in prow]
         pv = prow[enter]
         for i in range(m):
             if i == leave:
@@ -156,11 +168,12 @@ def simplex_phase1(tab, obj, basis):
             row = tab[i]
             f = row[enter]
             if f:
-                tab[i] = [(pv * a - f * b) // d for a, b in zip(row, prow)]
-            elif pv != d:
-                tab[i] = [pv * a // d for a in row]
+                s = den[i]
+                tab[i] = [(pv * a - f * b) // s for a, b in zip(row, prow)]
+                den[i] = pv
         f = obj[enter]
         obj[:] = [(pv * a - f * b) // d for a, b in zip(obj, prow)]
+        den[leave] = pv
         basis[leave] = enter
         d = pv
         npiv += 1

@@ -11,6 +11,7 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -68,6 +69,7 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache  # built on first use, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignerlab",

@@ -10,33 +10,43 @@ witnesses or Farkas infeasibility certificates.
 Feasibility is decided by a phase-1 simplex with Bland's anti-cycling
 rule.  A row ``c * x_j >= 0`` (one nonzero ``c > 0``, rhs 0) is taken as
 the sign bound ``x_j >= 0``; every other variable is split into positive
-parts, the remaining inequality rows get slacks, and every remaining row
-gets an artificial variable.  The phase-1 optimum is zero exactly when
-the program is feasible.
+parts and the remaining inequality rows get slacks.  Phase 1 starts from
+the slack basis where it can (Chvatal, *Linear Programming*, ch. 8): a
+row ``a.x >= b`` with ``b <= 0`` is stored as ``-a.x + slack = -b`` with
+its slack basic, and only the other rows get artificials, which the
+phase-1 objective sums.  Its optimum is zero exactly when the program is
+feasible; with no artificial, ``x = 0`` is the witness.
 
-The tableau is built from Python ints: each row is scaled by the lcm of
-its own denominators while its artificial keeps coefficient 1 (the
-artificial is rescaled), so the starting basis is the identity, and the
-objective is the unscaled phase-1 reduced-cost row times its own lcm
-``L``.  These scalings are positive and per row or per column, so
-Bland's choices, and hence the pivots, witnesses and multipliers, are
-those of the rational tableau; ``_kernels.simplex_phase1`` then pivots
-with exact integer division over a common denominator ``D``.
+``LinearProgram`` keeps each row once over the integers, times the lcm
+``s`` of its denominators.  The tableau is built from these rows with
+each starting basic column kept at coefficient 1 (rescaled by ``s``), so
+the starting basis is the identity, and the objective is the unscaled
+phase-1 reduced-cost row times its own lcm ``L``.  These scalings are
+positive and per row or per column, so Bland's choices, and hence the
+pivots, witnesses and multipliers, are those of the rational tableau;
+``_kernels.simplex_phase1`` pivots with exact integer division over a
+common denominator ``D``.
 
 On infeasibility the dual values read off the final tableau are the
 Farkas multipliers: nonnegative on inequality rows, free on equality
 rows, combining the constraints into the contradiction 0 >= gap with
-gap > 0.  A bound row has no artificial to read; its multiplier is
-whatever cancels the other rows' combination on ``x_j`` (0 for a
-duplicate bound), which is nonnegative because ``x_j``'s column prices
-at >= 0 at the optimum.  So every row of the program still gets a
-multiplier and the certificate format, and ``verify_certificate``, are
-the same with or without bounds.
+gap > 0.  An artificial row's is ``1 - s*obj[art]/(L*D)`` (with the
+row's sign), a slack-basic row's ``s*obj[slack]/(L*D)``, >= 0 since the
+slack prices at >= 0 at the optimum.  A bound row's multiplier cancels
+the other rows' combination on ``x_j`` (0 for a duplicate bound); it is
+nonnegative because ``x_j``'s column prices at >= 0 at the optimum.
+
+The guards, ``LinearProgram.check`` and ``verify_certificate``, re-check
+every answer of ``lp_feasible`` and every LP claim of a report.  They
+run on the same integer rows, with the witness or the certificate's
+weights over one common denominator: integer dot products, no
+``Fraction`` arithmetic per entry (Edmonds' fraction-free arithmetic).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -228,15 +238,32 @@ class LinearProgram:
         for row, _ in self.equalities + self.inequalities:
             if len(row) != self.n_vars:
                 raise ValueError("constraint row has wrong length")
+        # equalities then inequalities as (s*row, s*rhs, s) over the ints,
+        # s the lcm of the row's denominators; not a field, so eq, hash
+        # and repr see the rational rows only
+        rows = self.equalities + self.inequalities
+        object.__setattr__(self, "_scaled", tuple(_scaled_row(r, c) for r, c in rows))
 
     def check(self, x: Sequence) -> bool:
-        """Exact satisfaction check for a candidate point."""
+        """Exact satisfaction check for a candidate point: with ``x`` over
+        one denominator ``q``, ``row . x >= rhs`` iff ``(s*row) . (q*x) >= s*rhs*q``."""
         x = vec(x)
         if len(x) != self.n_vars:
             return False
-        return all(vec_dot(r, x) == c for r, c in self.equalities) and all(
-            vec_dot(r, x) >= c for r, c in self.inequalities
-        )
+        q = math.lcm(*(v.denominator for v in x))
+        xq = [v.numerator * (q // v.denominator) for v in x]
+        excess = [sum(map(operator.mul, row, xq)) - rhs * q for row, rhs, _ in self._scaled]
+        n_eq = len(self.equalities)
+        return not any(excess[:n_eq]) and all(e >= 0 for e in excess[n_eq:])
+
+
+def _scaled_row(row: Vec, rhs: QQ) -> tuple[tuple[int, ...], int, int]:
+    scale = math.lcm(rhs.denominator, *(a.denominator for a in row))
+    return (
+        tuple(a.numerator * (scale // a.denominator) for a in row),
+        rhs.numerator * (scale // rhs.denominator),
+        scale,
+    )
 
 
 @dataclass(frozen=True)
@@ -261,26 +288,28 @@ FeasibilityResult = Union[Feasible, Infeasible]
 
 
 def verify_certificate(lp: LinearProgram, cert: Infeasible) -> bool:
-    """Re-check an infeasibility certificate by pure arithmetic."""
+    """Re-check an infeasibility certificate by pure arithmetic.
+
+    With the weights ``y_k / s_k`` of the integer rows over one common
+    denominator ``Q``, the combination must vanish and its right-hand
+    side must be ``gap * Q``.
+    """
     if len(cert.eq_multipliers) != len(lp.equalities):
         return False
     if len(cert.ineq_multipliers) != len(lp.inequalities):
         return False
-    if any(m < 0 for m in cert.ineq_multipliers):
+    if any(m < 0 for m in cert.ineq_multipliers) or not cert.gap > 0:
         return False
-    combo = [QQ(0)] * lp.n_vars
-    total = QQ(0)
-    for m, (row, rhs) in zip(cert.eq_multipliers, lp.equalities):
-        if m:
-            for k in range(lp.n_vars):
-                combo[k] += m * row[k]
-            total += m * rhs
-    for m, (row, rhs) in zip(cert.ineq_multipliers, lp.inequalities):
-        if m:
-            for k in range(lp.n_vars):
-                combo[k] += m * row[k]
-            total += m * rhs
-    return total == cert.gap and cert.gap > 0 and all(c == 0 for c in combo)
+    mults = (*cert.eq_multipliers, *cert.ineq_multipliers)
+    weights = [(QQ(m, s), row, rhs) for m, (row, rhs, s) in zip(mults, lp._scaled) if m]
+    q = math.lcm(*(w.denominator for w, _, _ in weights))
+    combo = [0] * lp.n_vars
+    total = 0
+    for w, row, rhs in weights:
+        wq = w.numerator * (q // w.denominator)
+        combo = [c + wq * a for c, a in zip(combo, row)]
+        total += wq * rhs
+    return total == cert.gap * q and not any(combo)
 
 
 def lp_feasible(lp: LinearProgram) -> FeasibilityResult:
@@ -297,61 +326,67 @@ def lp_feasible(lp: LinearProgram) -> FeasibilityResult:
 
 def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     n = lp.n_vars
+    n_eq = len(lp.equalities)
     # a row c * x_j >= 0 with c > 0 is the sign bound x_j >= 0: no row,
     # slack, artificial or x- column
     bound_rows: dict[int, tuple[int, QQ]] = {}
-    rows = [("eq", row, rhs) for row, rhs in lp.equalities]
-    for k, (row, rhs) in enumerate(lp.inequalities):
-        if not rhs:
+    rows = []
+    for k, (row, rhs, scale) in enumerate(lp._scaled):
+        if k >= n_eq and not rhs:
             nonzero = [j for j, a in enumerate(row) if a]
             if len(nonzero) == 1 and row[nonzero[0]] > 0:
-                bound_rows[k] = (nonzero[0], row[nonzero[0]])
+                bound_rows[k - n_eq] = (nonzero[0], QQ(row[nonzero[0]], scale))
                 continue
-        rows.append(("ineq", row, rhs))
-    m = len(rows)
-    if m == 0:
+        # an inequality with rhs <= 0 holds at x = 0: its slack starts basic
+        rows.append((row, rhs, scale, k >= n_eq, k >= n_eq and rhs <= 0))
+    n_art = sum(1 for *_, slack_basic in rows if not slack_basic)
+    if not n_art:
         return Feasible(zeros(n))
     bounded = {j for j, _ in bound_rows.values()}
     # columns: x+ | x- of unbounded variables | slacks | artificials | rhs
     minus = {j: n + i for i, j in enumerate(j for j in range(n) if j not in bounded)}
     slack_at = n + len(minus)
-    art0 = slack_at + len(lp.inequalities) - len(bound_rows)
-    n_cols = art0 + m
-    # row k is sigma_k * scale_k times the rational row, with its
-    # artificial coefficient left at 1 (the artificial is rescaled), so
-    # the tableau is integral and starts from the identity basis, D = 1
-    tab = []
-    flips = []
-    scales = []
-    for k, (kind, row, rhs) in enumerate(rows):
-        sigma = 1 if rhs >= 0 else -1
-        scale = math.lcm(rhs.denominator, *(a.denominator for a in row))
+    art_at = art0 = slack_at + len(rows) - n_eq
+    n_cols = art0 + n_art
+    # each row is the integer row times sigma = +-1, so that its rhs is
+    # >= 0, and its basic column (artificial, or the slack of a row with
+    # rhs <= 0) has coefficient 1, i.e. is rescaled by the row's scale: the
+    # tableau is integral and starts from the identity basis, D = 1
+    tab, basis, flips = [], [], []
+    for row, rhs, scale, ineq, slack_basic in rows:
+        sigma = -1 if rhs < 0 or slack_basic else 1
         line = [0] * (n_cols + 1)
         for j, a in enumerate(row):
             if a:
-                line[j] = sigma * a.numerator * (scale // a.denominator)
+                line[j] = sigma * a
                 if j in minus:
                     line[minus[j]] = -line[j]
-        if kind == "ineq":
-            line[slack_at] = -sigma * scale
+        if ineq:
+            line[slack_at] = 1 if slack_basic else -sigma * scale
+            if slack_basic:
+                basis.append(slack_at)
             slack_at += 1
-        line[art0 + k] = 1
-        line[n_cols] = sigma * rhs.numerator * (scale // rhs.denominator)
+        if not slack_basic:
+            line[art_at] = 1
+            basis.append(art_at)
+            art_at += 1
+        line[n_cols] = sigma * rhs
         tab.append(line)
         flips.append(sigma)
-        scales.append(scale)
-    basis = [art0 + k for k in range(m)]
-    # phase-1 reduced costs of the unscaled program (artificials cost 1
-    # and are basic, so they price at 0): minus the column sums of the
-    # rational rows, times their least common denominator L
-    common = math.lcm(*scales)
-    weights = [common // s for s in scales]
+    # phase-1 reduced costs of the unscaled program (artificials cost 1,
+    # and they and the basic slacks price at 0): minus the column sums of
+    # the rational rows with an artificial, times their lcm L
+    art_rows = [(scale, line) for (*_, scale, _, slack_basic), line in zip(rows, tab)
+                if not slack_basic]
+    common = math.lcm(*(s for s, _ in art_rows))
+    weighted = [(common // s, line) for s, line in art_rows]
     obj = [0] * (n_cols + 1)
     for j in [*range(art0), n_cols]:
-        obj[j] = -sum(w * r[j] for w, r in zip(weights, tab))
+        obj[j] = -sum(w * line[j] for w, line in weighted)
     g = math.gcd(common, *obj)
     obj = [c // g for c in obj]
     big_l = common // g
+    start = list(basis)
     simplex_phase1(tab, obj, basis)
     d = tab[0][basis[0]]
     if not obj[n_cols]:
@@ -360,19 +395,22 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
             values.get(j, QQ(0)) - values.get(minus.get(j), QQ(0)) for j in range(n)
         )
         return Feasible(witness)
-    # Farkas multipliers: y_k = cost(artificial_k) - reduced cost of its
-    # column, undoing the artificial's rescaling and the row sign flip
-    mults = [
-        flips[k] * (1 - QQ(scales[k] * obj[art0 + k], big_l * d)) for k in range(m)
-    ]
+    # Farkas multipliers from the reduced cost of each row's starting basic
+    # column, undoing its rescaling and the row's sign: y_k = 1 - reduced
+    # cost for an artificial, y_k = reduced cost (>= 0) for a basic slack
+    mults = []
+    for (_, _, scale, _, slack_basic), sigma, col in zip(rows, flips, start):
+        price = QQ(scale * obj[col], big_l * d)
+        mults.append(price if slack_basic else sigma * (1 - price))
     # a bound row's multiplier cancels what the other rows leave on x_j;
     # it is >= 0 because x_j's column prices at >= 0 at the optimum, and a
     # duplicate bound row gets 0
     left = {
-        j: sum((y * row[j] for y, (_, row, _) in zip(mults, rows) if y and row[j]), QQ(0))
+        j: sum((y * QQ(row[j], scale) for y, (row, _, scale, *_) in zip(mults, rows)
+                if y and row[j]), QQ(0))
         for j in bounded
     }
-    kept = iter(mults[len(lp.equalities):])
+    kept = iter(mults[n_eq:])
     ineq_mult = []
     for k in range(len(lp.inequalities)):
         if k in bound_rows:
@@ -381,4 +419,4 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
         else:
             ineq_mult.append(next(kept))
     gap = QQ(-obj[n_cols], big_l * d)
-    return Infeasible(tuple(mults[: len(lp.equalities)]), tuple(ineq_mult), gap)
+    return Infeasible(tuple(mults[:n_eq]), tuple(ineq_mult), gap)

@@ -423,12 +423,7 @@ class Polytope:
     vertices: tuple[Vec, ...]
 
     def __post_init__(self):
-        vertices = tuple(vec(v) for v in self.vertices)
-        if not vertices:
-            raise ValueError("a polytope needs at least one vertex")
-        dim = len(vertices[0])
-        if any(len(v) != dim for v in vertices):
-            raise ValueError("vertices have mixed dimensions")
+        vertices = _points(self.vertices)
         object.__setattr__(self, "vertices", vertices)
         for i, v in enumerate(vertices):
             others = vertices[:i] + vertices[i + 1 :]
@@ -441,11 +436,7 @@ class Polytope:
     @classmethod
     def hull_of(cls, points: Sequence[Sequence]) -> "Polytope":
         """Polytope spanned by arbitrary points; redundant ones dropped."""
-        pts = []
-        for p in (vec(q) for q in points):
-            if p not in pts:
-                pts.append(p)
-        keep = list(pts)
+        keep = list(dict.fromkeys(_points(points)))
         changed = True
         while changed:
             changed = False
@@ -454,7 +445,11 @@ class Polytope:
                 if rest and _in_hull(p, rest) is not None:
                     keep.remove(p)
                     changed = True
-        return cls(tuple(keep))
+        # the last sweep removed nothing: it has run __post_init__'s
+        # irredundancy LPs on these very vertices, so skip them
+        hull = object.__new__(cls)
+        object.__setattr__(hull, "vertices", tuple(keep))
+        return hull
 
     @property
     def ambient_dim(self) -> int:
@@ -480,6 +475,16 @@ class Ball:
 
 
 StateSpace = Union[Polytope, Ball]
+
+
+def _points(points: Sequence[Sequence]) -> tuple[Vec, ...]:
+    """Coerced points of one dimension; at least one."""
+    pts = tuple(vec(p) for p in points)
+    if not pts:
+        raise ValueError("a polytope needs at least one vertex")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("vertices have mixed dimensions")
+    return pts
 
 
 def _in_hull(x: Vec, points: Sequence[Vec]) -> Optional[Vec]:

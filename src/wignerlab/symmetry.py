@@ -432,10 +432,9 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
         raise PreconditionError("induced actions need permutation phase maps")
     if not is_faithful(rep):
         raise PreconditionError("induced actions need a faithful representation")
-    lifted = lift(phi)
-    if not is_symmetry(rep, lifted).ok:
+    if not _permutation_test(rep)(phi.table):
         raise PreconditionError("the lifted map is not a symmetry of W")
-    m = _pull_back(_chart(rep), lifted.as_affine_map())
+    m = _pull_back(_chart(rep), lift(phi).as_affine_map())
     if m is None:  # pragma: no cover - symmetry guarantees solvability
         raise ArithmeticError("symmetric image left the representation span")
     return Channel(m, rep.state_space, rep.state_space)

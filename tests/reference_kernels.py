@@ -1,15 +1,62 @@
-"""Test-only oracle: the Fraction phase-1 simplex and LP frontend.
+"""Test-only oracles: the Fraction phase-1 simplex, LP frontends and guards.
 
-This is the engine's former LP path, kept verbatim so that the integer
-kernel and the bounded frontend in ``wignerlab.exact`` can be checked
-against it.  Every row, including each ``x_j >= 0`` row, gets a slack
-and an artificial, every variable is split into ``x+ - x-``, and the
-tableau holds ``fractions.Fraction`` entries.
+``simplex_phase1``, ``_phase_one``, ``check`` and ``verify_certificate``
+are the engine's former LP path, kept verbatim so that the integer
+kernel, the bounded frontend and the integer guards in ``wignerlab.exact``
+can be checked against them.  In ``_phase_one`` every row, including each
+``x_j >= 0`` row, gets a slack and an artificial, every variable is split
+into ``x+ - x-``, and the tableau holds ``fractions.Fraction`` entries.
+
+``slack_phase_one`` is the engine's frontend on programs without bound
+rows, in the same Fraction arithmetic: an inequality row with rhs <= 0
+starts with its slack basic and gets no artificial.
 """
 
 from __future__ import annotations
 
-from wignerlab.exact import QQ, Feasible, FeasibilityResult, Infeasible, LinearProgram, zeros
+from wignerlab.exact import (
+    QQ,
+    Feasible,
+    FeasibilityResult,
+    Infeasible,
+    LinearProgram,
+    vec,
+    vec_dot,
+    zeros,
+)
+
+
+def check(lp: LinearProgram, x) -> bool:
+    """Exact satisfaction check for a candidate point."""
+    x = vec(x)
+    if len(x) != lp.n_vars:
+        return False
+    return all(vec_dot(r, x) == c for r, c in lp.equalities) and all(
+        vec_dot(r, x) >= c for r, c in lp.inequalities
+    )
+
+
+def verify_certificate(lp: LinearProgram, cert: Infeasible) -> bool:
+    """Re-check an infeasibility certificate by pure arithmetic."""
+    if len(cert.eq_multipliers) != len(lp.equalities):
+        return False
+    if len(cert.ineq_multipliers) != len(lp.inequalities):
+        return False
+    if any(m < 0 for m in cert.ineq_multipliers):
+        return False
+    combo = [QQ(0)] * lp.n_vars
+    total = QQ(0)
+    for m, (row, rhs) in zip(cert.eq_multipliers, lp.equalities):
+        if m:
+            for k in range(lp.n_vars):
+                combo[k] += m * row[k]
+            total += m * rhs
+    for m, (row, rhs) in zip(cert.ineq_multipliers, lp.inequalities):
+        if m:
+            for k in range(lp.n_vars):
+                combo[k] += m * row[k]
+            total += m * rhs
+    return total == cert.gap and cert.gap > 0 and all(c == 0 for c in combo)
 
 
 def simplex_phase1(tab, obj, basis):
@@ -129,3 +176,64 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
         else:
             ineq_mult.append(mult)
     return Infeasible(tuple(eq_mult), tuple(ineq_mult), optimum)
+
+
+def slack_phase_one(lp: LinearProgram) -> FeasibilityResult:
+    n = lp.n_vars
+    rows = [(row, rhs, False) for row, rhs in lp.equalities]
+    rows += [(row, rhs, True) for row, rhs in lp.inequalities]
+    needs_art = [not ineq or rhs > 0 for _, rhs, ineq in rows]
+    if not any(needs_art):
+        return Feasible(zeros(n))
+    # columns: x+ | x- | slacks | artificials | rhs
+    art0 = 2 * n + len(lp.inequalities)
+    n_cols = art0 + sum(needs_art)
+    tab = []
+    flips = []
+    basis = []
+    slack_at, art_at = 2 * n, art0
+    for (row, rhs, ineq), art in zip(rows, needs_art):
+        # a row without artificial is a.x >= b with b <= 0, stored negated
+        # as -a.x + slack = -b with its slack basic
+        sigma = QQ(1) if art and rhs >= 0 else QQ(-1)
+        flips.append(sigma)
+        line = [QQ(0)] * (n_cols + 1)
+        for j, a in enumerate(row):
+            if a:
+                line[j] = sigma * a
+                line[n + j] = -sigma * a
+        if ineq:
+            line[slack_at] = -sigma
+            if not art:
+                basis.append(slack_at)
+            slack_at += 1
+        if art:
+            line[art_at] = QQ(1)
+            basis.append(art_at)
+            art_at += 1
+        line[n_cols] = sigma * rhs
+        tab.append(line)
+    start = list(basis)
+    # phase-1 reduced costs: cost 1 on artificials minus the column sums
+    # of the rows with an artificial (basic slacks cost 0)
+    obj = [QQ(0)] * (n_cols + 1)
+    for j in range(n_cols + 1):
+        obj[j] = -sum((line[j] for line, art in zip(tab, needs_art) if art), QQ(0))
+    for col in range(art0, n_cols):
+        obj[col] += QQ(1)
+    simplex_phase1(tab, obj, basis)
+    optimum = -obj[n_cols]
+    if optimum == 0:
+        values = {col: tab[i][n_cols] for i, col in enumerate(basis)}
+        witness = tuple(
+            values.get(j, QQ(0)) - values.get(n + j, QQ(0)) for j in range(n)
+        )
+        return Feasible(witness)
+    # Farkas multipliers: 1 - reduced cost of an artificial, mapped back
+    # through the sign flip; the reduced cost of a basic slack's column
+    mults = [
+        flips[k] * (QQ(1) - obj[col]) if art else obj[col]
+        for k, (col, art) in enumerate(zip(start, needs_art))
+    ]
+    n_eq = len(lp.equalities)
+    return Infeasible(tuple(mults[:n_eq]), tuple(mults[n_eq:]), optimum)

@@ -1,7 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, verifiable reports."""
 
 import json
-
+from fractions import Fraction
 
 from wignerlab.cli import main
 from wignerlab.report import load_report, verify_report
@@ -73,7 +73,8 @@ def test_verify_subcommand_and_tamper_detection(tmp_path, capsys):
     data = json.loads(report_path.read_text())
     for claim in data["claims"]:
         if claim["kind"] == "lp_infeasible":
-            claim["certificate"]["gap"] = "2"
+            cert = claim["certificate"]
+            cert["gap"] = str(Fraction(cert["gap"]) + 1)
     report_path.write_text(json.dumps(data))
     code, out3, _ = run(capsys, "verify", str(report_path))
     assert code == 1 and "FAIL" in out3

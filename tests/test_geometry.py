@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wignerlab import geometry
 from wignerlab.errors import UnsupportedGeometryError
 from wignerlab.geometry import (
     AffineFunctional,
@@ -68,6 +69,26 @@ def test_redundant_vertex_rejected():
 def test_hull_of_filters():
     p = Polytope.hull_of([(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4)), (1, 0)])
     assert len(p.vertices) == 3
+
+
+def test_hull_of_runs_each_irredundancy_lp_once(monkeypatch):
+    calls = []
+    in_hull = geometry._in_hull
+
+    def counting(x, points):
+        calls.append(x)
+        return in_hull(x, points)
+
+    monkeypatch.setattr(geometry, "_in_hull", counting)
+    points = [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 3))]
+    hull = Polytope.hull_of(points)
+    # one sweep drops the inner point, the next finds the square irredundant
+    assert len(calls) == 5 + 4
+    assert hull == Polytope(points[:4]) and len(calls) == 9 + 4
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        Polytope.hull_of([(0, 0), (1,)])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Polytope.hull_of([])
 
 
 def test_extremal_range_square():

@@ -1,9 +1,12 @@
-"""Integer pivot kernels against the Fraction oracle.
+"""Integer pivot kernels, frontend and guards against the Fraction oracles.
 
-``reference_kernels`` holds the former Fraction simplex and LP frontend.
-Without ``x_j >= 0`` rows the integer path must take the same pivots and
-reach the same tableau (stored entries over ``D``); with them, the
-verdicts must agree and every certificate must re-verify.
+``reference_kernels`` holds the former Fraction simplex, LP frontend and
+guards, and the slack-start frontend in Fraction arithmetic.  Without
+``x_j >= 0`` rows the integer path must take the slack-start oracle's
+pivots and reach its tableau (stored entries over ``D``); against the
+former all-artificial frontend, and with bound rows, the verdicts must
+agree and every certificate must re-verify.  The integer guards must
+give the Fraction guards' answers, also on tampered data.
 """
 
 from fractions import Fraction as F
@@ -14,8 +17,10 @@ import pytest
 
 import reference_kernels as ref
 import wignerlab.exact as exact_mod
+from wignerlab import catalog
 from wignerlab._kernels import bareiss_rank, rref, simplex_phase1
 from wignerlab.exact import Feasible, Infeasible, LinearProgram, lp_feasible, verify_certificate
+from wignerlab.theory import Incompatible, are_compatible
 
 
 def _rational(rng):
@@ -27,14 +32,17 @@ def _is_bound(row, rhs):
     return rhs == 0 and len(nonzero) == 1 and nonzero[0] > 0
 
 
-def _random_program(rng, with_bounds):
+def _random_program(rng, with_bounds, nonpositive=False):
     n = rng.randint(1, 4)
 
     def row():
         return tuple(_rational(rng) for _ in range(n))
 
+    def ineq_rhs():
+        return -abs(_rational(rng)) if nonpositive else _rational(rng)
+
     eqs = [(row(), _rational(rng)) for _ in range(rng.randint(0, 3))]
-    ineqs = [(row(), _rational(rng)) for _ in range(rng.randint(0, 4))]
+    ineqs = [(row(), ineq_rhs()) for _ in range(rng.randint(0, 4))]
     if eqs and rng.random() < 0.3:
         eqs.append(eqs[0])  # duplicate rows make tied ratios
     if ineqs and rng.random() < 0.3:
@@ -62,34 +70,58 @@ def _capture(kernel, calls):
     return recording
 
 
+def _kernel_matches_oracle(tab, n, m):
+    """Phase 1 on ``[A | I | b]``: same pivots, basis and ``T/D == T``."""
+    obj = [-sum(r[j] for r in tab) for j in range(n)] + [0] * m
+    obj.append(-sum(r[-1] for r in tab))
+    basis = [n + k for k in range(m)]
+    frac_tab = [[F(x) for x in r] for r in tab]
+    frac_obj = [F(x) for x in obj]
+    frac_basis = list(basis)
+    npiv = simplex_phase1(tab, obj, basis)
+    assert npiv == ref.simplex_phase1(frac_tab, frac_obj, frac_basis)
+    assert basis == frac_basis
+    d = tab[0][basis[0]]
+    assert d > 0 and all(tab[i][basis[i]] == d for i in range(m))
+    assert [[F(x, d) for x in r] for r in tab] == frac_tab
+    assert [F(x, d) for x in obj] == frac_obj
+    return npiv
+
+
 def test_kernel_matches_oracle_on_integer_tableaux():
     rng = random.Random(71)
     for _ in range(300):
         m, n = rng.randint(1, 4), rng.randint(1, 5)
-        # [A | I | b] with b >= 0 and a phase-1 style objective row
+        # [A | I | b] with b >= 0
         tab = [
             [rng.randint(-3, 3) for _ in range(n)]
             + [int(i == k) for i in range(m)]
             + [rng.randint(0, 3)]
             for k in range(m)
         ]
-        obj = [-sum(r[j] for r in tab) for j in range(n)] + [0] * m
-        obj.append(-sum(r[-1] for r in tab))
-        basis = [n + k for k in range(m)]
-        frac_tab = [[F(x) for x in r] for r in tab]
-        frac_obj = [F(x) for x in obj]
-        frac_basis = list(basis)
-        npiv = simplex_phase1(tab, obj, basis)
-        assert npiv == ref.simplex_phase1(frac_tab, frac_obj, frac_basis)
-        assert basis == frac_basis
-        d = tab[0][basis[0]]
-        assert d > 0 and all(tab[i][basis[i]] == d for i in range(m))
-        assert [[F(x, d) for x in r] for r in tab] == frac_tab
-        assert [F(x, d) for x in obj] == frac_obj
+        _kernel_matches_oracle(tab, n, m)
+
+
+def _column_scales(lp, width):
+    """Integer-frontend column j is p_j times the oracle's column j.
+
+    Row k is stored as s_k times the rational row with its basic column
+    (artificial, or the slack of an inequality with rhs <= 0) kept at
+    coefficient 1, so that column is 1/s_k times the oracle's.
+    """
+    scales = [math.lcm(c.denominator, *(a.denominator for a in r)) for r, c in
+              lp.equalities + lp.inequalities]
+    n_eq = len(lp.equalities)
+    slack_basic = [k >= n_eq and c <= 0 for k, (_, c) in
+                   enumerate(lp.equalities + lp.inequalities)]
+    slacks = [F(1, s) if b else F(1) for s, b in zip(scales[n_eq:], slack_basic[n_eq:])]
+    arts = [F(1, s) for s, b in zip(scales, slack_basic) if not b]
+    lead = width - 1 - len(slacks) - len(arts)
+    return [F(1)] * lead + slacks + arts + [F(1)]
 
 
 def test_simplex_equivalence_on_random_programs():
-    """Same pivots, same T/D up to the artificials' rescaling, same answer."""
+    """Same pivots, same T/D up to the basic columns' rescaling, same answer."""
     rng = random.Random(73)
     pivots = 0
     for _ in range(300):
@@ -99,21 +131,17 @@ def test_simplex_equivalence_on_random_programs():
         try:
             exact_mod.simplex_phase1 = _capture(saved_new, new_calls)
             ref.simplex_phase1 = _capture(saved_old, old_calls)
-            assert exact_mod._phase_one(lp) == ref._phase_one(lp)
+            assert exact_mod._phase_one(lp) == ref.slack_phase_one(lp)
         finally:
             exact_mod.simplex_phase1, ref.simplex_phase1 = saved_new, saved_old
         if not old_calls:
+            assert not new_calls
             continue
         (tab, obj, basis, npiv, _), = new_calls
         (frac_tab, frac_obj, frac_basis, frac_npiv, frac_start_obj), = old_calls
         assert (basis, npiv) == (frac_basis, frac_npiv)
         pivots += npiv
-        # row k was scaled by s_k with its artificial coefficient kept at
-        # 1, so artificial column k is 1/s_k times the oracle's
-        rows = lp.equalities + lp.inequalities
-        scales = [math.lcm(c.denominator, *(a.denominator for a in r)) for r, c in rows]
-        art0 = len(obj) - 1 - len(rows)
-        col_scale = [F(1)] * art0 + [F(1, s) for s in scales] + [F(1)]
+        col_scale = _column_scales(lp, len(obj))
         d = tab[0][basis[0]]
         lcm_obj = math.lcm(*(x.denominator for x in frac_start_obj))
         for i, row in enumerate(tab):
@@ -125,6 +153,91 @@ def test_simplex_equivalence_on_random_programs():
             x * p for x, p in zip(frac_obj, col_scale)
         ]
     assert pivots > 300  # the programs exercise the kernel
+
+
+@pytest.mark.parametrize("with_bounds", [False, True])
+def test_slack_start_keeps_the_former_verdicts(with_bounds):
+    """Programs whose inequalities have rhs <= 0, mostly slack-basic rows."""
+    rng = random.Random(89 + with_bounds)
+    kinds = set()
+    for _ in range(300):
+        lp = _random_program(rng, with_bounds, nonpositive=True)
+        result = lp_feasible(lp)
+        assert type(result) is type(ref._phase_one(lp))
+        if isinstance(result, Feasible):
+            assert lp.check(result.witness)
+        else:
+            assert verify_certificate(lp, result)
+        kinds.add(type(result))
+    assert kinds == {Feasible, Infeasible}
+
+
+def _tampered(rng, values):
+    """``values`` with one entry moved, or all of them scaled."""
+    values = list(values)
+    if not values:
+        return values
+    how = rng.randrange(4)
+    if how == 3:
+        return [v * 2 for v in values]
+    i = rng.randrange(len(values))
+    values[i] = (values[i] + 1, -values[i] - 1, values[i] + F(1, 7))[how]
+    return values
+
+
+def test_integer_guards_match_the_fraction_guards():
+    rng = random.Random(97)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        lp = _random_program(rng, with_bounds=rng.random() < 0.5)
+        result = lp_feasible(lp)
+        if isinstance(result, Feasible):
+            candidates = [result.witness, _tampered(rng, result.witness)]
+            candidates.append([_rational(rng) for _ in range(lp.n_vars)])
+            candidates.append(result.witness[:-1])
+            for x in candidates:
+                ok = lp.check(x)
+                assert ok == ref.check(lp, x)
+                seen[ok] += 1
+            continue
+        eq, ineq, gap = result.eq_multipliers, result.ineq_multipliers, result.gap
+        certs = [
+            result,
+            Infeasible(tuple(_tampered(rng, eq)), ineq, gap),
+            Infeasible(eq, tuple(_tampered(rng, ineq)), gap),
+            Infeasible(eq, ineq, _tampered(rng, [gap])[0]),
+            Infeasible(eq, ineq, F(0)),
+            Infeasible(eq, ineq[1:], gap),
+        ]
+        for cert in certs:
+            ok = verify_certificate(lp, cert)
+            assert ok == ref.verify_certificate(lp, cert)
+            seen[ok] += 1
+    assert min(seen.values()) > 200
+
+
+def test_kernel_leaves_rows_the_entering_column_misses():
+    """Block-diagonal tableaux: the pivots of one block miss the other's rows."""
+    rng = random.Random(101)
+    pivots = 0
+    for _ in range(200):
+        blocks = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
+        m = sum(b[0] for b in blocks)
+        n = sum(b[1] for b in blocks)
+        tab = []
+        col = 0
+        for rows, cols in blocks:
+            for _ in range(rows):
+                line = [0] * (n + m + 1)
+                for j in range(col, col + cols):
+                    if rng.random() < 0.8:
+                        line[j] = rng.randint(-4, 5)
+                line[n + len(tab)] = 1
+                line[-1] = rng.randint(0, 4)
+                tab.append(line)
+            col += cols
+        pivots += _kernel_matches_oracle(tab, n, m)
+    assert pivots > 200
 
 
 @pytest.mark.parametrize("seed", [79, 83])
@@ -173,6 +286,22 @@ def test_bound_edge_cases():
     assert isinstance(lp_feasible(LinearProgram(0, (((), zero),), (((), zero),))), Feasible)
     cert = lp_feasible(LinearProgram(0, (), (((), one),)))
     assert isinstance(cert, Infeasible) and cert.gap == 1
+
+
+def test_deformed_12gon_compatibility_lp_work():
+    """12 equalities and 32 rows p.x >= 0: the slack start skips most of
+    the 444 pivots that an artificial on every row took."""
+    theory = catalog.load("deformed_12gon").theory
+    calls = []
+    saved = exact_mod.simplex_phase1
+    try:
+        exact_mod.simplex_phase1 = _capture(saved, calls)
+        result = are_compatible(theory.obs_a, theory.obs_b, theory.state_space)
+    finally:
+        exact_mod.simplex_phase1 = saved
+    assert isinstance(result, Incompatible)
+    (tab, _, _, npiv, _), = calls
+    assert len(tab) == 44 and npiv <= 40
 
 
 def test_bareiss_equivalence_and_rank_vs_rref():

@@ -14,7 +14,7 @@ from helpers import (
     random_polygon,
     random_theory,
 )
-from wignerlab import exact, geometry, symmetry, theory, wigner
+from wignerlab import catalog, exact, geometry, symmetry, theory, wigner
 from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import verify_certificate
 from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope
@@ -207,6 +207,42 @@ def test_induced_action_on_bloch_ball():
         (F(0), F(-1), F(0)), (F(-1), F(0), F(0)), (F(0), F(0), F(1))
     )
     assert chan.map.offset == (F(0), F(0), F(0))
+
+
+def test_induced_action_precondition_needs_no_is_symmetry(monkeypatch):
+    """The precondition is the permutation invariant, not ``is_symmetry``."""
+    rng = random.Random(109)
+    cases = []
+    while len(cases) < 6:
+        t = random_theory(rng, max_points=4, outcome_choices=(2,))
+        rep = wigner.faithful_member(t.obs_a, t.obs_b, t.state_space)
+        if rep is not None:
+            cases.append(rep)
+    entry = catalog.load("qubit_ball")
+    cases.append(entry.representations["W"])
+    perms = [PhasePointMap(SHAPE, p) for p in itertools.permutations(range(4))]
+    verdicts = {(i, phi): is_symmetry(rep, lift(phi)).ok
+                for i, rep in enumerate(cases) for phi in perms}
+
+    def forbidden(*args):
+        raise AssertionError("is_symmetry called")
+
+    monkeypatch.setattr(symmetry, "is_symmetry", forbidden)
+    for ex in entry.expected:
+        if ex.kind == "induced_action":
+            assert catalog._replay_one(entry, ex)
+    for (i, phi), ok in verdicts.items():
+        rep = cases[i]
+        if not ok:
+            with pytest.raises(PreconditionError):
+                induced_action(rep, phi)
+            continue
+        chan = induced_action(rep, phi)
+        if isinstance(rep.state_space, Polytope):
+            for v in rep.state_space.vertices:
+                assert (lift(phi).as_affine_map()(evaluate(rep, v).flatten())
+                        == evaluate(rep, chan(v)).flatten())
+    assert sum(verdicts.values()) > len(cases)
 
 
 def test_group_closure_and_g_symmetry():
