@@ -17,8 +17,13 @@ its slack basic, and only the other rows get artificials, which the
 phase-1 objective sums.  Its optimum is zero exactly when the program is
 feasible; with no artificial, ``x = 0`` is the witness.
 
-``LinearProgram`` keeps each row once over the integers, times the lcm
-``s`` of its denominators.  The tableau is built from these rows with
+``LinearProgram`` has one storage: each row once over the integers,
+times the lcm ``s`` of its reduced denominators (so the row, its
+right-hand side and ``s`` have gcd 1 and the form is unique).  It is
+built from rational rows or, for a report's program, straight from
+(numerator, denominator) pairs; the rational rows ``equalities`` and
+``inequalities`` are views built on demand, which the solver and the
+guards never read.  The tableau is built from these rows with
 each starting basic column kept at coefficient 1 (rescaled by ``s``), so
 the starting basis is the identity, and the objective is the unscaled
 phase-1 reduced-cost row times its own lcm ``L``.  These scalings are
@@ -216,33 +221,55 @@ def solve_affine(a: Union[Matrix, Sequence[Sequence]], b: Sequence) -> Optional[
     return AffineSolution(tuple(particular), tuple(basis))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class LinearProgram:
-    """Feasibility program: ``row . x = rhs`` and ``row . x >= rhs`` rows."""
+    """Feasibility program: ``row . x = rhs`` and ``row . x >= rhs`` rows.
+
+    Built from rational rows (ints, Fractions or strings; no floats) or,
+    by ``from_ratios``, from (numerator, denominator) pairs, and stored
+    only as ``_scaled``: equalities then inequalities as ``(s*row, s*rhs,
+    s)``, the unique integer form of each row, which ``eq`` and ``hash``
+    compare.
+    """
 
     n_vars: int
-    equalities: tuple[tuple[Vec, QQ], ...] = ()
-    inequalities: tuple[tuple[Vec, QQ], ...] = ()
+    _scaled: tuple[tuple[tuple[int, ...], int, int], ...]
+    _n_eq: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "equalities",
-            tuple((vec(r), qq(c)) for r, c in self.equalities),
-        )
-        object.__setattr__(
-            self,
-            "inequalities",
-            tuple((vec(r), qq(c)) for r, c in self.inequalities),
-        )
-        for row, _ in self.equalities + self.inequalities:
-            if len(row) != self.n_vars:
-                raise ValueError("constraint row has wrong length")
-        # equalities then inequalities as (s*row, s*rhs, s) over the ints,
-        # s the lcm of the row's denominators; not a field, so eq, hash
-        # and repr see the rational rows only
-        rows = self.equalities + self.inequalities
-        object.__setattr__(self, "_scaled", tuple(_scaled_row(r, c) for r, c in rows))
+    def __init__(self, n_vars: int, equalities=(), inequalities=()):
+        eqs = [_scaled_row(row, rhs) for row, rhs in equalities]
+        ineqs = [_scaled_row(row, rhs) for row, rhs in inequalities]
+        self._store(n_vars, eqs + ineqs, len(eqs))
+
+    @classmethod
+    def from_ratios(cls, n_vars: int, equalities=(), inequalities=()) -> "LinearProgram":
+        """The program of rows ``(row, rhs)`` whose entries are pairs
+        ``(numerator, denominator)`` of ints, denominators positive."""
+        eqs = [_ratio_row(row, rhs) for row, rhs in equalities]
+        ineqs = [_ratio_row(row, rhs) for row, rhs in inequalities]
+        lp = object.__new__(cls)
+        lp._store(n_vars, eqs + ineqs, len(eqs))
+        return lp
+
+    def _store(self, n_vars, rows, n_eq):
+        if any(len(row) != n_vars for row, _, _ in rows):
+            raise ValueError("constraint row has wrong length")
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "_scaled", tuple(rows))
+        object.__setattr__(self, "_n_eq", n_eq)
+
+    @property
+    def equalities(self) -> tuple[tuple[Vec, QQ], ...]:
+        """The equality rows as Fractions, built on each access."""
+        return _rational_rows(self._scaled[:self._n_eq])
+
+    @property
+    def inequalities(self) -> tuple[tuple[Vec, QQ], ...]:
+        """The inequality rows as Fractions, built on each access."""
+        return _rational_rows(self._scaled[self._n_eq:])
+
+    def __repr__(self):
+        return f"LinearProgram({self.n_vars}, {self.equalities!r}, {self.inequalities!r})"
 
     def check(self, x: Sequence) -> bool:
         """Exact satisfaction check for a candidate point: with ``x`` over
@@ -253,17 +280,39 @@ class LinearProgram:
         q = math.lcm(*(v.denominator for v in x))
         xq = [v.numerator * (q // v.denominator) for v in x]
         excess = [sum(map(operator.mul, row, xq)) - rhs * q for row, rhs, _ in self._scaled]
-        n_eq = len(self.equalities)
+        n_eq = self._n_eq
         return not any(excess[:n_eq]) and all(e >= 0 for e in excess[n_eq:])
 
 
-def _scaled_row(row: Vec, rhs: QQ) -> tuple[tuple[int, ...], int, int]:
-    scale = math.lcm(rhs.denominator, *(a.denominator for a in row))
+def _scaled_row(row, rhs) -> tuple[tuple[int, ...], int, int]:
+    """``(s*row, s*rhs, s)``, s the lcm of the reduced denominators."""
+    entries = [qq(a) for a in row]
+    rhs = qq(rhs)
+    scale = math.lcm(rhs.denominator, *(a.denominator for a in entries))
     return (
-        tuple(a.numerator * (scale // a.denominator) for a in row),
+        tuple(a.numerator * (scale // a.denominator) for a in entries),
         rhs.numerator * (scale // rhs.denominator),
         scale,
     )
+
+
+def _ratio_row(row, rhs) -> tuple[tuple[int, ...], int, int]:
+    """``_scaled_row`` of a row of (numerator, denominator) pairs, which
+    need not be in lowest terms: scale by the lcm, then divide out the gcd."""
+    nums, dens = zip(rhs, *row)
+    if min(dens) <= 0:
+        raise ValueError("denominators must be positive")
+    scale = math.lcm(*dens)
+    if scale > 1:
+        nums = [n * (scale // d) for n, d in zip(nums, dens)]
+        g = math.gcd(scale, *nums)
+        nums = [n // g for n in nums]
+        scale //= g
+    return tuple(nums[1:]), nums[0], scale
+
+
+def _rational_rows(rows) -> tuple[tuple[Vec, QQ], ...]:
+    return tuple((tuple(QQ(a, s) for a in row), QQ(rhs, s)) for row, rhs, s in rows)
 
 
 @dataclass(frozen=True)
@@ -294,9 +343,9 @@ def verify_certificate(lp: LinearProgram, cert: Infeasible) -> bool:
     denominator ``Q``, the combination must vanish and its right-hand
     side must be ``gap * Q``.
     """
-    if len(cert.eq_multipliers) != len(lp.equalities):
+    if len(cert.eq_multipliers) != lp._n_eq:
         return False
-    if len(cert.ineq_multipliers) != len(lp.inequalities):
+    if len(cert.ineq_multipliers) != len(lp._scaled) - lp._n_eq:
         return False
     if any(m < 0 for m in cert.ineq_multipliers) or not cert.gap > 0:
         return False
@@ -326,7 +375,7 @@ def lp_feasible(lp: LinearProgram) -> FeasibilityResult:
 
 def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     n = lp.n_vars
-    n_eq = len(lp.equalities)
+    n_eq = lp._n_eq
     # a row c * x_j >= 0 with c > 0 is the sign bound x_j >= 0: no row,
     # slack, artificial or x- column
     bound_rows: dict[int, tuple[int, QQ]] = {}
@@ -412,7 +461,7 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     }
     kept = iter(mults[n_eq:])
     ineq_mult = []
-    for k in range(len(lp.inequalities)):
+    for k in range(len(lp._scaled) - n_eq):
         if k in bound_rows:
             j, c = bound_rows[k]
             ineq_mult.append(-left.pop(j, QQ(0)) / c)

@@ -19,6 +19,8 @@ from .exact import Infeasible, LinearProgram, Matrix, rank, vec_dot, verify_cert
 from .geometry import AffineFunctional, AffineMap, ExtremalValue
 from .theory import are_complementary, jointly_info_complete, validate
 from .theoryfile import (
+    parse_ratio,
+    parse_ratios,
     parse_rational,
     rational_to_str,
     theory_from_dict,
@@ -85,16 +87,14 @@ def _de_functional(obj, path) -> AffineFunctional:
 
 
 def _de_program(obj, path="program") -> LinearProgram:
-    return LinearProgram(
-        int(obj["n_vars"]),
-        tuple(
-            (_de_vec(row, path), parse_rational(rhs, path))
-            for row, rhs in obj.get("equalities", [])
-        ),
-        tuple(
-            (_de_vec(row, path), parse_rational(rhs, path))
-            for row, rhs in obj.get("inequalities", [])
-        ),
+    def rows(key):
+        return [
+            (parse_ratios(row, f"{path}.{key}[{k}]"), parse_ratio(rhs, f"{path}.{key}[{k}]"))
+            for k, (row, rhs) in enumerate(obj.get(key, []))
+        ]
+
+    return LinearProgram.from_ratios(
+        int(obj["n_vars"]), rows("equalities"), rows("inequalities")
     )
 
 

@@ -307,12 +307,15 @@ def _pull_back(chart: _Chart, m: AffineMap) -> Optional[AffineMap]:
     return affine_map_with_orthogonal_extension(chart.basis, images)
 
 
-def _permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
+def _permutation_test(
+    rep: WignerRep, chart: Optional[_Chart] = None
+) -> Callable[[Sequence[int]], bool]:
     """Exact predicate on permutation tables: is the lift a symmetry of W?
 
     Builds the invariant of W(K) from the module docstring once; each
     call then only compares entries under the relabelling.  Balls need a
-    faithful representation.
+    faithful representation; a caller that has already checked that and
+    built the chart passes it in.
     """
     space = rep.state_space
     funcs = rep.functionals()
@@ -331,11 +334,12 @@ def _permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
             return True
 
         return fixes_ext
-    if not is_faithful(rep):
-        raise UnsupportedGeometryError(
-            "unsupported: ball symmetry testing needs a faithful representation"
-        )
-    chart = _chart(rep)
+    if chart is None:
+        if not is_faithful(rep):
+            raise UnsupportedGeometryError(
+                "unsupported: ball symmetry testing needs a faithful representation"
+            )
+        chart = _chart(rep)
     g0 = chart.images[0]
     gplus_cols = [tuple(row[i] for row in chart.gplus) for i in range(n)]
     s = [[vec_dot(u, v) for v in gplus_cols] for u in gplus_cols]  # G H^-2 G^T
@@ -432,9 +436,10 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
         raise PreconditionError("induced actions need permutation phase maps")
     if not is_faithful(rep):
         raise PreconditionError("induced actions need a faithful representation")
-    if not _permutation_test(rep)(phi.table):
+    chart = _chart(rep)
+    if not _permutation_test(rep, chart)(phi.table):
         raise PreconditionError("the lifted map is not a symmetry of W")
-    m = _pull_back(_chart(rep), lift(phi).as_affine_map())
+    m = _pull_back(chart, lift(phi).as_affine_map())
     if m is None:  # pragma: no cover - symmetry guarantees solvability
         raise ArithmeticError("symmetric image left the representation span")
     return Channel(m, rep.state_space, rep.state_space)

@@ -403,6 +403,11 @@ class Channel:
                 f"map does not send the source into the target"
                 f" (witness {result.witness_point})"
             )
+        if not result.exact:
+            raise PreconditionError(
+                "containment of the image was decided only by the numeric"
+                " fallback, not exactly"
+            )
 
     def __call__(self, x: Sequence) -> Vec:
         return self.map(x)

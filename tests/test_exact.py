@@ -1,6 +1,7 @@
 """Exact-core unit tests: rank, affine solving, LP feasibility."""
 
 from fractions import Fraction as F
+import math
 import random
 
 import pytest
@@ -153,3 +154,78 @@ def test_matrix_shape_validation():
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         LinearProgram(2, equalities=[((F(1),), F(0))])
+
+
+def _random_program(rng, n):
+    def row():
+        return (tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)),
+                F(rng.randint(-6, 6), rng.randint(1, 4)))
+    return LinearProgram(n, [row() for _ in range(rng.randint(0, 3))],
+                         [row() for _ in range(rng.randint(0, 5))])
+
+
+def test_program_keeps_one_canonical_integer_form():
+    """Any pair form of the same rows gives the same program: equal, equal
+    hash, the same ``_scaled`` rows with gcd 1, and the same views."""
+    rng = random.Random(31)
+    for _ in range(60):
+        lp = _random_program(rng, rng.randint(0, 4))
+
+        def pairs(rows, k):
+            # unreduced pairs: numerator and denominator times k
+            return [([(a.numerator * k, a.denominator * k) for a in row],
+                     (rhs.numerator * k, rhs.denominator * k)) for row, rhs in rows]
+
+        k = rng.randint(1, 5)
+        twin = LinearProgram.from_ratios(lp.n_vars, pairs(lp.equalities, k),
+                                         pairs(lp.inequalities, k))
+        strings = LinearProgram(
+            lp.n_vars,
+            [([str(a) for a in row], str(rhs)) for row, rhs in lp.equalities],
+            [([str(a) for a in row], str(rhs)) for row, rhs in lp.inequalities],
+        )
+        for other in (twin, strings):
+            assert other == lp and hash(other) == hash(lp)
+            assert other._scaled == lp._scaled
+            assert other.equalities == lp.equalities
+            assert other.inequalities == lp.inequalities
+        for row, rhs, scale in lp._scaled:
+            assert scale > 0 and math.gcd(scale, rhs, *row) == 1
+    assert LinearProgram(1, [((F(1, 2),), F(1))]) != LinearProgram(1, (), [((F(1, 2),), F(1))])
+
+
+def test_program_views_return_fractions_as_given():
+    lp = LinearProgram(2, [((1, "1/2"), F(3, 4))], [(("-2/6", 0), 0)])
+    assert lp.equalities == (((F(1), F(1, 2)), F(3, 4)),)
+    assert lp.inequalities == (((F(-1, 3), F(0)), F(0)),)
+    assert all(type(x) is F for row, rhs in lp.equalities + lp.inequalities
+               for x in (*row, rhs))
+    with pytest.raises(TypeError):
+        LinearProgram(1, [((0.5,), 0)])
+    with pytest.raises(ValueError):
+        LinearProgram.from_ratios(2, [([(1, 1)], (0, 1))])
+    with pytest.raises(ValueError):
+        LinearProgram.from_ratios(1, [([(1, 0)], (0, 1))])
+
+
+def test_guards_never_read_the_rational_views(monkeypatch):
+    """lp_feasible, check and verify_certificate run on the integer rows."""
+    rng = random.Random(37)
+    programs = [_random_program(rng, rng.randint(1, 4)) for _ in range(40)]
+
+    def forbidden(self):
+        raise AssertionError("rational view built")
+
+    monkeypatch.setattr(LinearProgram, "equalities", property(forbidden))
+    monkeypatch.setattr(LinearProgram, "inequalities", property(forbidden))
+    kinds = set()
+    for lp in programs:
+        result = lp_feasible(lp)
+        kinds.add(type(result))
+        if isinstance(result, Feasible):
+            assert lp.check(result.witness)
+        else:
+            assert verify_certificate(lp, result)
+            bad = Infeasible(result.eq_multipliers, result.ineq_multipliers, result.gap + 1)
+            assert not verify_certificate(lp, bad)
+    assert kinds == {Feasible, Infeasible}

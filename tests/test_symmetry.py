@@ -450,3 +450,28 @@ def test_enumeration_on_a_polytope_makes_only_the_hull_lps(lp_calls):
         lp_calls.clear()
         enumerate_lifted_symmetries(rep)
         assert len(lp_calls) == hull_lps > 0
+
+
+def test_induced_action_builds_the_chart_once(monkeypatch):
+    """On a ball the precondition and the pull-back share one chart and
+    one faithfulness test."""
+    entry = catalog.load("qubit_ball")
+    rep = entry.representations["W"]
+    calls = {"chart": 0, "faithful": 0}
+    chart, faithful = symmetry._chart, symmetry.is_faithful
+
+    def counted_chart(r):
+        calls["chart"] += 1
+        return chart(r)
+
+    def counted_faithful(r):
+        calls["faithful"] += 1
+        return faithful(r)
+
+    monkeypatch.setattr(symmetry, "_chart", counted_chart)
+    monkeypatch.setattr(symmetry, "is_faithful", counted_faithful)
+    chan = induced_action(rep, entry.named_maps["phi01"])
+    assert calls == {"chart": 1, "faithful": 1}
+    assert chan.map.matrix.entries == (
+        (F(0), F(-1), F(0)), (F(-1), F(0), F(0)), (F(0), F(0), F(1))
+    )

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from helpers import random_theory
-from wignerlab.errors import DomainError, UnsupportedGeometryError
-from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope
+from wignerlab.errors import DomainError, PreconditionError, UnsupportedGeometryError
+from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope, map_into
 from wignerlab.theory import (
     Channel,
     ChannelInfeasible,
@@ -311,3 +311,18 @@ def test_find_channel_candidate_verification_on_ball():
         find_channel(disk, disk, [(a.effects[0], a.effects[0])], candidate=flip)
     with pytest.raises(UnsupportedGeometryError):
         find_channel(disk, disk, [])
+
+
+def test_channel_rejects_containment_decided_by_the_numeric_fallback():
+    """x -> x/2 + (1/2 + 10^-14, 0) sends (1, 0) outside the unit disk, but
+    the float fallback of the ball test accepts it; Channel must not."""
+    disk = Ball((0, 0), 1)
+    shift = F(1, 2) + F(1, 10 ** 14)
+    m = AffineMap.from_rows([[F(1, 2), 0], [0, F(1, 2)]], [shift, 0])
+    assert m((1, 0)) == (1 + F(1, 10 ** 14), F(0))
+    result = map_into(disk, m, disk)
+    assert result.ok and not result.exact
+    with pytest.raises(PreconditionError, match="numeric fallback"):
+        Channel(m, disk, disk)
+    # an exactly certified off-center map still passes
+    Channel(AffineMap.from_rows([[F(1, 2), 0], [0, F(1, 2)]], [F(1, 4), 0]), disk, disk)
