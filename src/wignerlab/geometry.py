@@ -1,19 +1,28 @@
 """State-space geometry: functionals, affine maps, polytopes and balls.
 
 Polytopes are stored by their vertex list (which must be irredundant:
-every listed point is extreme), balls by center and radius.  Extremal
-values of affine functionals over balls are irrational in general, so
-they are carried symbolically as ``rational + rational * sqrt(radicand)``
-and compared by exact sign analysis, never through floats.
+every listed point is extreme) together with an exact facet description
+built once at construction: integer equalities cutting out the affine
+hull and integer facet inequalities on coordinates onto which the hull
+projects injectively (the double-description view of Fukuda and Prodon,
+1996).  Membership, irredundancy and polytope containment are integer
+dot products against it, never LPs.  Balls are stored by center and
+radius.  Extremal values of affine functionals over balls are irrational
+in general, so they are carried symbolically as ``rational + rational *
+sqrt(radicand)`` and compared by exact sign analysis, never through
+floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
+from ._kernels import bareiss_rank, rref
 from .errors import UnsupportedGeometryError
 from .exact import (
     QQ,
@@ -364,10 +373,16 @@ class ExtremalValue:
             if self.is_rational:
                 return -other._compare_rational(self.rational_part)
             if self.radicand != other.radicand:
-                raise NotImplementedError(
-                    "comparison of values with different radicands is not needed"
-                    " by any engine operation"
-                )
+                # a + b1 sqrt(s1) against b2 sqrt(s2), a = a1 - a2: by signs,
+                # then by squares (a value with radicand s1 against a rational)
+                a = self.rational_part - other.rational_part
+                b, s = self.radical_part, self.radicand
+                left = ExtremalValue(a, b, s)._compare_rational(QQ(0))
+                right = 1 if other.radical_part > 0 else -1
+                if left != right:
+                    return (left > right) - (left < right)
+                square = ExtremalValue(a * a + b * b * s, 2 * a * b, s)
+                return left * square._compare_rational(other.radical_part ** 2 * other.radicand)
             diff = ExtremalValue(
                 self.rational_part - other.rational_part,
                 self.radical_part - other.radical_part,
@@ -416,39 +431,147 @@ class ExtremalValue:
         return f"{self.rational_part} + {self.radical_part}*sqrt({self.radicand})"
 
 
+class _Facets(NamedTuple):
+    """Exact H-description of a polytope K in the integer coordinates
+    ``X = scale * x``: ``c . X = e`` for each of ``equalities`` cuts out
+    aff(K), and on it K is ``a . X[coords] >= b`` for each of ``facets``;
+    aff(K) projects injectively onto ``coords``."""
+
+    scale: int
+    coords: tuple[int, ...]
+    equalities: tuple[tuple[tuple[int, ...], int], ...]
+    facets: tuple[tuple[tuple[int, ...], int], ...]
+
+    def holds(self, x: Vec) -> bool:
+        """Is the rational point ``x`` in K?  With ``x`` over one
+        denominator ``q``, ``c . X = e`` iff ``scale * (c . qx) = e * q``."""
+        q = math.lcm(*(v.denominator for v in x))
+        xq = [v.numerator * (q // v.denominator) for v in x]
+        s = self.scale
+        if any(s * sum(map(operator.mul, c, xq)) != e * q for c, e in self.equalities):
+            return False
+        xs = [xq[i] for i in self.coords]
+        return all(s * sum(map(operator.mul, a, xs)) >= b * q for a, b in self.facets)
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (Bareiss elimination)."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p], sign = m[p], m[c], -sign
+        for i in range(c + 1, n):
+            for k in range(c + 1, n):
+                m[i][k] = (m[c][c] * m[i][k] - m[i][c] * m[c][k]) // prev
+        prev = m[c][c]
+    return sign * prev
+
+
+def _normal(spans: list[list[int]]) -> list[int]:
+    """The cofactor vector of d-1 integer rows in Z^d (the cross product
+    for d = 3): orthogonal to each row, zero iff they are dependent."""
+    if len(spans) == 1:
+        (a, b), = spans
+        return [b, -a]
+    if len(spans) == 2:
+        (a0, a1, a2), (b0, b1, b2) = spans
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    return [(-1) ** k * _int_det([r[:k] + r[k + 1:] for r in spans])
+            for k in range(len(spans) + 1)]
+
+
+def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
+    """The facet description of conv(points), and for each point whether
+    it is a vertex that occurs once.
+
+    The points are scaled to integers over one denominator; one rref of
+    their differences gives the equalities of the affine hull (its
+    nullspace) and d pivot coordinates.  There every d-subset of points
+    spanning a hyperplane gives an integer cofactor normal, kept (with
+    the sign that makes it >= on every point, over its gcd) when no
+    point lies strictly on each side.  A point is a vertex iff the
+    normals of its tight facets have rank d.
+    """
+    scale = math.lcm(*(v.denominator for p in points for v in p))
+    ints = [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points]
+    p0 = ints[0]
+    diffs = [[QQ(a - b) for a, b in zip(p, p0)] for p in ints[1:]]
+    n = len(p0)
+    coords = tuple(rref(diffs, n))
+    equalities = []
+    for free in (j for j in range(n) if j not in coords):
+        c = [QQ(0)] * n
+        c[free] = QQ(1)
+        for r, j in enumerate(coords):
+            c[j] = -diffs[r][free]
+        den = math.lcm(*(a.denominator for a in c))
+        c = tuple(int(a * den) for a in c)
+        g = math.gcd(*c)
+        c = tuple(a // g for a in c)
+        equalities.append((c, sum(map(operator.mul, c, p0))))
+    d = len(coords)
+    distinct = list(dict.fromkeys(ints))
+    ys = [tuple(p[j] for j in coords) for p in distinct]
+    facets: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for subset in itertools.combinations(range(len(ys)), d) if d else ():
+        base = ys[subset[0]]
+        normal = _normal([[a - b for a, b in zip(ys[i], base)] for i in subset[1:]])
+        if not any(normal):
+            continue
+        offset = sum(map(operator.mul, normal, base))
+        side = [sum(map(operator.mul, normal, y)) - offset for y in ys]
+        lo, hi = min(side), max(side)
+        if lo < 0 < hi:
+            continue
+        g = math.gcd(*normal) if lo >= 0 else -math.gcd(*normal)
+        key = (tuple(a // g for a in normal), offset // g)
+        if key not in facets:
+            facets[key] = [i for i, v in enumerate(side) if not v]
+    tight: list[list[tuple[int, ...]]] = [[] for _ in ys]
+    for (a, _), on in facets.items():
+        for i in on:
+            tight[i].append(a)
+    extreme = {
+        p: len(t) >= d and bareiss_rank([list(a) for a in t]) == d
+        for p, t in zip(distinct, tight)
+    }
+    flags = [extreme[p] and ints.count(p) == 1 for p in ints]
+    return _Facets(scale, coords, tuple(equalities), tuple(facets)), flags
+
+
 @dataclass(frozen=True)
 class Polytope:
-    """Convex hull of an irredundant vertex list."""
+    """Convex hull of an irredundant vertex list, with its facet
+    description (``_facets``, not a field: ``eq``, ``hash`` and ``repr``
+    see only the vertices)."""
 
     vertices: tuple[Vec, ...]
 
     def __post_init__(self):
         vertices = _points(self.vertices)
         object.__setattr__(self, "vertices", vertices)
-        for i, v in enumerate(vertices):
-            others = vertices[:i] + vertices[i + 1 :]
-            if others and _in_hull(v, others) is not None:
+        facets, flags = _describe(vertices)
+        for v, ok in zip(vertices, flags):
+            if not ok:
                 raise ValueError(
                     f"vertex {tuple(map(str, v))} is redundant (inside the hull"
                     " of the remaining points)"
                 )
+        object.__setattr__(self, "_facets", facets)
 
     @classmethod
     def hull_of(cls, points: Sequence[Sequence]) -> "Polytope":
-        """Polytope spanned by arbitrary points; redundant ones dropped."""
-        keep = list(dict.fromkeys(_points(points)))
-        changed = True
-        while changed:
-            changed = False
-            for p in list(keep):
-                rest = [q for q in keep if q != p]
-                if rest and _in_hull(p, rest) is not None:
-                    keep.remove(p)
-                    changed = True
-        # the last sweep removed nothing: it has run __post_init__'s
-        # irredundancy LPs on these very vertices, so skip them
+        """Polytope spanned by arbitrary points; redundant ones dropped,
+        the vertices kept in input order."""
+        points = tuple(dict.fromkeys(_points(points)))
+        facets, flags = _describe(points)
         hull = object.__new__(cls)
-        object.__setattr__(hull, "vertices", tuple(keep))
+        object.__setattr__(hull, "vertices", tuple(p for p, ok in zip(points, flags) if ok))
+        object.__setattr__(hull, "_facets", facets)
         return hull
 
     @property
@@ -504,9 +627,7 @@ def dimension(space: StateSpace) -> int:
     """Dimension of the affine hull."""
     if isinstance(space, Ball):
         return space.ambient_dim
-    v0 = space.vertices[0]
-    diffs = [vec_sub(v, v0) for v in space.vertices[1:]]
-    return rank(diffs) if diffs else 0
+    return len(space._facets.coords)
 
 
 def affine_basis(space: StateSpace) -> tuple[Vec, ...]:
@@ -540,7 +661,7 @@ def contains(space: StateSpace, x: Sequence) -> bool:
     if isinstance(space, Ball):
         d = vec_sub(x, space.center)
         return vec_dot(d, d) <= space.radius * space.radius
-    return _in_hull(x, space.vertices) is not None
+    return space._facets.holds(x)
 
 
 def membership_weights(space: Polytope, x: Sequence) -> Optional[Vec]:
@@ -603,7 +724,8 @@ class Containment:
 def map_into(source: StateSpace, m: AffineMap, target: StateSpace) -> Containment:
     """Does ``m`` send ``source`` into ``target``?
 
-    Supported pairs: polytope -> polytope (vertex images; exact) and
+    Supported pairs: polytope -> polytope (vertex images against the
+    target's facets; exact) and
     ball -> ball (centered maps decided exactly through a rational PSD
     test, off-center maps through an exact sufficient bound with a
     numeric fallback).
@@ -613,7 +735,7 @@ def map_into(source: StateSpace, m: AffineMap, target: StateSpace) -> Containmen
     if isinstance(source, Polytope) and isinstance(target, Polytope):
         for v in source.vertices:
             img = m(v)
-            if _in_hull(img, target.vertices) is None:
+            if not target._facets.holds(img):
                 return Containment(False, v, img)
         return Containment(True)
     if isinstance(source, Ball) and isinstance(target, Ball):
@@ -671,38 +793,17 @@ def _is_psd(s: list[list[QQ]]) -> bool:
     """Exact PSD test for a symmetric rational matrix.
 
     Checks every principal minor (not only the leading ones, which do
-    not characterize semidefiniteness on the boundary).
+    not characterize semidefiniteness on the boundary), on the matrix
+    scaled to integers by a positive common denominator.
     """
     n = len(s)
-    import itertools
-
+    den = math.lcm(*(x.denominator for row in s for x in row))
+    ints = [[int(x * den) for x in row] for row in s]
     for size in range(1, n + 1):
         for idx in itertools.combinations(range(n), size):
-            sub = [[s[i][j] for j in idx] for i in idx]
-            if _det(sub) < 0:
+            if _int_det([[ints[i][j] for j in idx] for i in idx]) < 0:
                 return False
     return True
-
-
-def _det(rows: list[list[QQ]]) -> QQ:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = QQ(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
-        if p is None:
-            return QQ(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if f:
-                for k in range(c, n):
-                    rows[i][k] -= f * rows[c][k]
-    return det
 
 
 def _negative_direction(s: list[list[QQ]]) -> Optional[Vec]:
@@ -717,8 +818,6 @@ def _negative_direction(s: list[list[QQ]]) -> Optional[Vec]:
         e[i] = QQ(1)
         if quad(e) < 0:
             return tuple(e)
-    import itertools
-
     for i, j in itertools.combinations(range(n), 2):
         for si, sj in ((1, 1), (1, -1)):
             e = [QQ(0)] * n

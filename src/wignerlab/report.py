@@ -12,6 +12,7 @@ subcommand.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from .errors import ParseError
@@ -49,11 +50,21 @@ def ser_functional(f: AffineFunctional) -> dict:
     return {"linear": ser_vec(f.linear), "constant": ser_q(f.constant)}
 
 
+def _ser_ratio(a: int, s: int) -> str:
+    """``a/s`` in lowest terms, as ``rational_to_str`` writes it."""
+    g = math.gcd(a, s)
+    return str(a // g) if g == s else f"{a // g}/{s // g}"
+
+
 def ser_program(lp: LinearProgram) -> dict:
+    """The program written straight from its integer rows ``(s*row, s*rhs, s)``."""
+    rows = [
+        [[_ser_ratio(a, s) for a in row], _ser_ratio(rhs, s)] for row, rhs, s in lp._scaled
+    ]
     return {
         "n_vars": lp.n_vars,
-        "equalities": [[ser_vec(row), ser_q(rhs)] for row, rhs in lp.equalities],
-        "inequalities": [[ser_vec(row), ser_q(rhs)] for row, rhs in lp.inequalities],
+        "equalities": rows[:lp._n_eq],
+        "inequalities": rows[lp._n_eq:],
     }
 
 
@@ -149,12 +160,6 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
         theory, wigner = theory_from_dict(report["theory"])
         if wigner is not None:
             wigner_reps[wigner[0]] = wigner[1]
-    for name, obj in (report.get("wigner_grids") or {}).items():
-        data = dict(report["theory"])
-        data["wigner"] = obj
-        _, extra = theory_from_dict(data)
-        if extra is not None:
-            wigner_reps[extra[0]] = extra[1]
     rows = []
     for claim in report.get("claims", []):
         cid = claim.get("id", "?")

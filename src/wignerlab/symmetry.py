@@ -50,7 +50,6 @@ from .geometry import (
     Ball,
     Polytope,
     StateSpace,
-    _in_hull,
     affine_basis,
     affine_map_with_orthogonal_extension,
     contains,
@@ -213,8 +212,8 @@ def _grid_of_flat(flat: Vec, shape) -> Optional[SignedGrid]:
 def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     """Does ``lam`` send the image W(K) into itself?
 
-    Polytopes: exact convex-hull membership of each mapped image vertex
-    (affine images of polytopes are hulls of vertex images).  Balls need
+    Polytopes: each mapped image vertex is tested against the facets of
+    W(K) (affine images of polytopes are hulls of vertex images).  Balls need
     a faithful representation: the map is pulled back through the
     inverse of W and tested as a ball self-map.
     """
@@ -248,12 +247,13 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
 
 def _polytope_symmetry(rep, m, image_pts, vertices) -> SymmetryCheck:
     known = set(image_pts)
+    hull = Polytope.hull_of(image_pts)
     for v, img in zip(vertices, image_pts):
         mapped = m(img)
-        # vertex images are in W(K) by definition; LP only for new points
+        # vertex images are in W(K) by definition; facets only for new points
         if mapped in known:
             continue
-        if _in_hull(mapped, image_pts) is None:
+        if not contains(hull, mapped):
             return SymmetryCheck(False, v, _grid_of_flat(mapped, rep.shape))
     return SymmetryCheck(True)
 

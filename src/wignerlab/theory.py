@@ -428,16 +428,6 @@ class ChannelInfeasible:
     witness_image: Optional[Vec] = None
 
 
-def _barycentric(basis: Sequence[Vec], point: Vec) -> Vec:
-    """Affine combination of basis points giving ``point`` (exact)."""
-    rows = [[b[k] for b in basis] for k in range(len(point))]
-    rows.append([QQ(1)] * len(basis))
-    sol = solve_affine(rows, list(point) + [QQ(1)])
-    if sol is None:  # pragma: no cover - basis spans by construction
-        raise ArithmeticError("point outside the affine hull of the basis")
-    return sol.particular
-
-
 def find_channel(
     source: StateSpace,
     target: StateSpace,
@@ -447,11 +437,15 @@ def find_channel(
     """Affine map ``m: source -> target`` with ``g(m(x)) = h(x)`` on the
     source for every pair ``(g, h)``.
 
-    Polytope pairs are solved as one LP whose unknowns are the images of
-    all source vertices (tied together by one equality row per affine
-    dependency) plus convex-combination weights placing each image
-    inside the target.  For ball backends a candidate map must be
-    supplied and is verified exactly.
+    Polytope pairs are solved as one LP in facet form: the unknowns are
+    the matrix ``M`` (row-major) and offset ``t`` of ``m(x) = M x + t``.
+    The equations and the equalities of the target's affine hull are
+    imposed at an affine basis of the source, which makes them hold on
+    its hull, and there is one inequality per source vertex and target
+    facet.  The channel is rebuilt from the images of that basis, so a
+    map the equations fix on aff(source) does not depend on the LP's
+    choice off it.  For ball backends a candidate map must be supplied
+    and is verified exactly.
     """
     if candidate is not None or not (
         isinstance(source, Polytope) and isinstance(target, Polytope)
@@ -462,64 +456,40 @@ def find_channel(
                 " for ball backends"
             )
         return _verify_candidate(source, target, equations, candidate)
-    verts = source.vertices
     basis = affine_basis(source)
-    basis_idx = [verts.index(b) for b in basis]
-    d2 = target.ambient_dim
-    n_src = len(verts)
-    n_tgt = len(target.vertices)
-    n_vars = n_src * d2 + n_src * n_tgt
+    d1, d2 = source.ambient_dim, target.ambient_dim
+    n_vars = d2 * d1 + d2
+    hrep = target._facets
 
-    def idx_y(i: int, k: int) -> int:
-        return i * d2 + k
-
-    def idx_lam(i: int, j: int) -> int:
-        return n_src * d2 + i * n_tgt + j
-
-    eqs = []
-    for i in range(n_src):
-        for k in range(d2):
-            row = [QQ(0)] * n_vars
-            row[idx_y(i, k)] = QQ(1)
-            for j, w in enumerate(target.vertices):
-                row[idx_lam(i, j)] = -w[k]
-            eqs.append((tuple(row), QQ(0)))
+    def image_row(p: Vec, c: Sequence, coords=range(d2)) -> tuple:
+        """Coefficients of ``c . (M p + t)[coords]`` in the unknowns."""
         row = [QQ(0)] * n_vars
-        for j in range(n_tgt):
-            row[idx_lam(i, j)] = QQ(1)
-        eqs.append((tuple(row), QQ(1)))
-    basis_set = set(basis_idx)
-    for i, v in enumerate(verts):
-        if i in basis_set:
-            continue
-        coeffs = _barycentric(basis, v)
-        for k in range(d2):
-            row = [QQ(0)] * n_vars
-            row[idx_y(i, k)] = QQ(1)
-            for c, bi in zip(coeffs, basis_idx):
-                row[idx_y(bi, k)] -= c
-            eqs.append((tuple(row), QQ(0)))
-    for g, h in equations:
-        for i, v in enumerate(verts):
-            row = [QQ(0)] * n_vars
-            for k in range(d2):
-                row[idx_y(i, k)] = g.linear[k]
-            eqs.append((tuple(row), h(v) - g.constant))
+        for k, ck in zip(coords, c):
+            if ck:
+                row[k * d1:(k + 1) * d1] = [ck * x for x in p]
+                row[d2 * d1 + k] = ck
+        return tuple(row)
+
+    eqs = [(image_row(p, g.linear), h(p) - g.constant) for g, h in equations for p in basis]
+    # c . (scale * y) = e on the target's hull, a . (scale * y[coords]) >= b
+    eqs += [(image_row(p, c), QQ(e, hrep.scale)) for c, e in hrep.equalities for p in basis]
     ineqs = [
-        (unit(n_vars, idx_lam(i, j)), QQ(0))
-        for i in range(n_src)
-        for j in range(n_tgt)
+        (image_row(v, a, hrep.coords), QQ(b, hrep.scale))
+        for v in source.vertices
+        for a, b in hrep.facets
     ]
     lp = LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
     result = lp_feasible(lp)
     if isinstance(result, Infeasible):
         wp, wi = _unconstrained_witness(source, target, equations)
         return ChannelInfeasible(lp, result, wp, wi)
+    w = result.witness
     images = [
-        tuple(result.witness[idx_y(i, k)] for k in range(d2)) for i in range(n_src)
+        tuple(vec_dot(w[k * d1:(k + 1) * d1], p) + w[d2 * d1 + k] for k in range(d2))
+        for p in basis
     ]
-    m = affine_map_from_points(basis, [images[i] for i in basis_idx])
-    if m is None or any(m(v) != images[i] for i, v in enumerate(verts)):
+    m = affine_map_from_points(basis, images)
+    if m is None:
         raise ArithmeticError("inconsistent channel reconstruction")  # pragma: no cover
     return Channel(m, source, target)
 

@@ -10,6 +10,10 @@ into ``x+ - x-``, and the tableau holds ``fractions.Fraction`` entries.
 ``slack_phase_one`` is the engine's frontend on programs without bound
 rows, in the same Fraction arithmetic: an inequality row with rhs <= 0
 starts with its slack basic and gets no artificial.
+
+``vertex_image_channel`` is the former LP of ``theory.find_channel`` on
+polytope pairs, over vertex images and convex weights, against which
+the facet form is checked.
 """
 
 from __future__ import annotations
@@ -20,10 +24,14 @@ from wignerlab.exact import (
     FeasibilityResult,
     Infeasible,
     LinearProgram,
+    lp_feasible,
+    solve_affine,
+    unit,
     vec,
     vec_dot,
     zeros,
 )
+from wignerlab.geometry import affine_basis, affine_map_from_points
 
 
 def check(lp: LinearProgram, x) -> bool:
@@ -237,3 +245,61 @@ def slack_phase_one(lp: LinearProgram) -> FeasibilityResult:
     ]
     n_eq = len(lp.equalities)
     return Infeasible(tuple(mults[:n_eq]), tuple(mults[n_eq:]), optimum)
+
+
+def vertex_image_channel(source, target, equations):
+    """The former ``find_channel`` LP on a polytope pair: the unknowns are
+    the images of all source vertices, tied together by one equality row
+    per affine dependency, plus convex weights over the target vertices
+    placing each image inside the target.  Returns ``(program, result,
+    map)``, the map rebuilt from the basis images, ``None`` when
+    infeasible."""
+    verts = source.vertices
+    basis = affine_basis(source)
+    basis_idx = [verts.index(b) for b in basis]
+    d2 = target.ambient_dim
+    n_src, n_tgt = len(verts), len(target.vertices)
+    n_vars = n_src * d2 + n_src * n_tgt
+
+    def idx_y(i, k):
+        return i * d2 + k
+
+    def idx_lam(i, j):
+        return n_src * d2 + i * n_tgt + j
+
+    eqs = []
+    for i in range(n_src):
+        for k in range(d2):
+            row = [QQ(0)] * n_vars
+            row[idx_y(i, k)] = QQ(1)
+            for j, w in enumerate(target.vertices):
+                row[idx_lam(i, j)] = -w[k]
+            eqs.append((tuple(row), QQ(0)))
+        row = [QQ(0)] * n_vars
+        for j in range(n_tgt):
+            row[idx_lam(i, j)] = QQ(1)
+        eqs.append((tuple(row), QQ(1)))
+    for i, v in enumerate(verts):
+        if i in basis_idx:
+            continue
+        rows = [[b[k] for b in basis] for k in range(len(v))] + [[QQ(1)] * len(basis)]
+        coeffs = solve_affine(rows, list(v) + [QQ(1)]).particular
+        for k in range(d2):
+            row = [QQ(0)] * n_vars
+            row[idx_y(i, k)] = QQ(1)
+            for c, bi in zip(coeffs, basis_idx):
+                row[idx_y(bi, k)] -= c
+            eqs.append((tuple(row), QQ(0)))
+    for g, h in equations:
+        for i, v in enumerate(verts):
+            row = [QQ(0)] * n_vars
+            for k in range(d2):
+                row[idx_y(i, k)] = g.linear[k]
+            eqs.append((tuple(row), h(v) - g.constant))
+    ineqs = [(unit(n_vars, idx_lam(i, j)), QQ(0)) for i in range(n_src) for j in range(n_tgt)]
+    lp = LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
+    result = lp_feasible(lp)
+    if isinstance(result, Infeasible):
+        return lp, result, None
+    images = [tuple(result.witness[idx_y(i, k)] for k in range(d2)) for i in basis_idx]
+    return lp, result, affine_map_from_points(basis, images)

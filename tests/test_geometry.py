@@ -1,11 +1,13 @@
 """Geometry tests: state spaces, ranges, radical values, containment."""
 
 from fractions import Fraction as F
+import math
 import random
+import re
 
 import pytest
 
-from wignerlab import geometry
+from wignerlab import exact, geometry
 from wignerlab.errors import UnsupportedGeometryError
 from wignerlab.geometry import (
     AffineFunctional,
@@ -21,6 +23,8 @@ from wignerlab.geometry import (
     map_into,
     membership_weights,
 )
+
+from helpers import random_fraction
 
 SQUARE = Polytope([(0, 0), (0, 1), (1, 0), (1, 1)])
 CUBE = Polytope([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
@@ -72,23 +76,150 @@ def test_hull_of_filters():
 
 
 def test_hull_of_runs_each_irredundancy_lp_once(monkeypatch):
-    calls = []
-    in_hull = geometry._in_hull
+    """Stricter than its name: the hull, the irredundancy test, membership
+    and containment are read off the facet description and run no LP."""
 
-    def counting(x, points):
-        calls.append(x)
-        return in_hull(x, points)
+    def forbidden(lp):
+        raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(geometry, "_in_hull", counting)
+    monkeypatch.setattr(exact, "_phase_one", forbidden)
     points = [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 3))]
     hull = Polytope.hull_of(points)
-    # one sweep drops the inner point, the next finds the square irredundant
-    assert len(calls) == 5 + 4
-    assert hull == Polytope(points[:4]) and len(calls) == 9 + 4
+    assert hull == Polytope(points[:4])
+    assert contains(hull, points[4]) and not contains(hull, (2, 0))
+    assert map_into(hull, AffineMap.identity(2), SQUARE).ok
+    with pytest.raises(ValueError, match="redundant"):
+        Polytope(points)
     with pytest.raises(ValueError, match="mixed dimensions"):
         Polytope.hull_of([(0, 0), (1,)])
     with pytest.raises(ValueError, match="at least one vertex"):
         Polytope.hull_of([])
+
+
+def _random_point_set(rng, n):
+    """Rational points spanning a random affine subspace of Q^n, with
+    duplicates and points inside edges and faces mixed in."""
+    k = min(n, rng.randint(0, n + 1))
+    base = [random_fraction(rng) for _ in range(n)]
+    dirs = [[random_fraction(rng) for _ in range(n)] for _ in range(k)]
+    points = []
+    for _ in range(rng.randint(k + 1, k + 5)):
+        c = [random_fraction(rng, -2, 2, 2) for _ in dirs]
+        points.append(
+            tuple(b + sum(ci * d[j] for ci, d in zip(c, dirs)) for j, b in enumerate(base))
+        )
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.4:
+            points.append(rng.choice(points))
+        else:
+            a, b = rng.choice(points), rng.choice(points)
+            t = F(rng.randint(1, 3), 4)
+            points.append(tuple(t * x + (1 - t) * y for x, y in zip(a, b)))
+        rng.shuffle(points)
+    return points
+
+
+def _query_points(rng, points, n):
+    distinct = list(dict.fromkeys(points))
+    center = tuple(sum(v[j] for v in distinct) / len(distinct) for j in range(n))
+    queries = [center, rng.choice(distinct)]
+    for _ in range(3):
+        a, b = rng.choice(distinct), rng.choice(distinct)
+        mid = tuple((x + y) / 2 for x, y in zip(a, b))  # on an edge, a face or inside
+        step = F(rng.randint(1, 4), 8)
+        queries.append(mid)
+        queries.append(tuple(m + step * (m - c) for m, c in zip(mid, center)))
+    queries.append(tuple(random_fraction(rng) for _ in range(n)))  # mostly off aff(K)
+    queries.append(tuple(c + F(1, 7) * (j + 1) for j, c in enumerate(center)))
+    return queries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_facets_agree_with_the_hull_lp_oracle(n):
+    """Differential test of the facet description against ``_in_hull``:
+    redundancy, ``hull_of``'s vertices and order, and ``contains``."""
+    rng = random.Random(100 + n)
+    seen = {"inside": 0, "outside": 0, "raises": 0, "lower_dim": 0}
+    for _ in range(30):
+        points = _random_point_set(rng, n)
+        pts = [tuple(F(x) for x in p) for p in points]
+        redundant = [
+            geometry._in_hull(p, pts[:i] + pts[i + 1:]) is not None if len(pts) > 1 else False
+            for i, p in enumerate(pts)
+        ]
+        if any(redundant):
+            seen["raises"] += 1
+            first = pts[redundant.index(True)]
+            with pytest.raises(ValueError, match=f"vertex {re.escape(str(tuple(map(str, first))))}"
+                               " is redundant"):
+                Polytope(points)
+        else:
+            assert Polytope(points).vertices == tuple(pts)
+        distinct = list(dict.fromkeys(pts))
+        expected = [
+            p for i, p in enumerate(distinct)
+            if len(distinct) == 1
+            or geometry._in_hull(p, distinct[:i] + distinct[i + 1:]) is None
+        ]
+        hull = Polytope.hull_of(points)
+        assert list(hull.vertices) == expected
+        seen["lower_dim"] += dimension(hull) < n
+        for x in _query_points(rng, pts, n):
+            truth = geometry._in_hull(x, hull.vertices) is not None
+            seen["inside" if truth else "outside"] += 1
+            assert contains(hull, x) == truth
+    assert all(seen.values()), seen
+
+
+def test_extremal_values_compare_across_radicands():
+    sqrt2, sqrt3, sqrt10 = (ExtremalValue(F(0), F(1), s) for s in (2, 3, 10))
+    assert sqrt3.compare(sqrt2) == 1 and sqrt2.compare(sqrt3) == -1
+    # (sqrt2 + sqrt3)^2 = 5 + 2 sqrt6 = 9.899 against sqrt 98 = 9.8995
+    assert ExtremalValue(F(5), F(2), 6) < ExtremalValue(F(0), F(1), 98)
+    assert ExtremalValue(F(5), F(2), 6) > ExtremalValue(F(0), F(1), 97)
+    # 1 + sqrt2 = 2.4142 against sqrt5 + 1/10 = 2.3361
+    assert ExtremalValue(F(1), F(1), 2) > ExtremalValue(F(1, 10), F(1), 5)
+    # opposite signs, and both negative: 1 - sqrt2 < sqrt3 - 2 < 0
+    assert ExtremalValue(F(0), F(-1), 2) < sqrt3
+    assert ExtremalValue(F(1), F(-1), 2) < ExtremalValue(F(-2), F(1), 3) < 0
+    assert ExtremalValue(F(-2), F(1), 3) > ExtremalValue(F(1), F(-1), 2)
+    # equal values spelled with different radicands share the normal form
+    assert ExtremalValue(F(1), F(1), 8).compare(ExtremalValue(F(1), F(2), 2)) == 0
+    assert ExtremalValue(F(0), F(1), F(1, 3)).compare(ExtremalValue(F(0), F(1, 3), 3)) == 0
+    # sqrt3 - sqrt2 = 0.31783724...: shifts on either side of it
+    for shift, sign in ((F(31783724, 10 ** 8), -1), (F(31783725, 10 ** 8), 1)):
+        assert ExtremalValue(shift, F(1), 2).compare(sqrt3) == sign
+        assert sqrt3.compare(ExtremalValue(shift, F(1), 2)) == -sign
+    assert sqrt10 < ExtremalValue(F(1), F(1), 5)  # 3.1623 < 1 + sqrt5 = 3.2361
+
+
+def _bounds(v: ExtremalValue, digits: int) -> tuple[F, F]:
+    """Rational bounds lo <= v <= hi, 10^-digits apart, from integer square roots."""
+    b, s = v.radical_part, v.radicand
+    scale = 10 ** digits
+    r = math.isqrt(b.numerator ** 2 * int(s) * scale ** 2)
+    lo, hi = F(r, b.denominator * scale), F(r + 1, b.denominator * scale)
+    if b < 0:
+        lo, hi = -hi, -lo
+    return v.rational_part + lo, v.rational_part + hi
+
+
+def test_extremal_value_comparison_matches_integer_square_root_bounds():
+    rng = random.Random(17)
+    for _ in range(300):
+        u, w = (
+            ExtremalValue(F(rng.randint(-9, 9), rng.randint(1, 5)),
+                          F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)),
+                          rng.randint(2, 40))
+            for _ in range(2)
+        )
+        if u.is_rational or w.is_rational or u.radicand == w.radicand:
+            continue
+        u_lo, u_hi = _bounds(u, 40)
+        w_lo, w_hi = _bounds(w, 40)
+        assert u_hi < w_lo or w_hi < u_lo  # distinct radicands never tie
+        expected = 1 if u_lo > w_hi else -1
+        assert u.compare(w) == expected and w.compare(u) == -expected
 
 
 def test_extremal_range_square():

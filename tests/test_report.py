@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from wignerlab import catalog
+from wignerlab import catalog, exact
 from wignerlab.cli import main
 from wignerlab.exact import LinearProgram
 from wignerlab.report import _de_program, load_report, ser_program, verify_report
@@ -92,3 +92,32 @@ def test_bad_program_fails_only_its_claim(tmp_path, capsys, damage):
             assert detail.startswith("verification error")
         else:
             assert row == before
+
+
+def test_verify_runs_no_lp(tmp_path, capsys, monkeypatch):
+    """Every catalog report of analyze, wigner, covariant and symmetries
+    verifies with the simplex patched to raise: parsing a theory builds
+    its polytope from facets, and LP claims replay by arithmetic."""
+    reports = _catalog_reports(tmp_path, capsys)
+    for name in catalog.CATALOG_NAMES:
+        path = str(tmp_path / f"{name}.json")
+        for flag in ("--faithful", "--degenerate"):
+            main(["wigner", path, flag])
+            out = capsys.readouterr().out
+            if out:
+                reports.append(load_report(out))
+        for rep in catalog.load(name).representations:
+            rep_path = str(tmp_path / f"{name}.{rep.replace('/', '_')}.json")
+            main(["example", name, "--rep", rep, "--out", rep_path])
+            capsys.readouterr()
+            reports.append(_report(capsys, ["symmetries", rep_path]))
+    commands = {r["command"] for r in reports}
+    assert {"analyze", "wigner", "covariant", "symmetries"} <= commands
+
+    def forbidden(lp):
+        raise AssertionError("verify solved an LP")
+
+    monkeypatch.setattr(exact, "_phase_one", forbidden)
+    rows = [(r["command"], row) for r in reports for row in verify_report(r)]
+    assert len(rows) > 100
+    assert all(ok for _, (_, ok, _) in rows), [r for r in rows if not r[1][1]]

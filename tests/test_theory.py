@@ -6,9 +6,19 @@ import random
 
 import pytest
 
-from helpers import random_theory
+from helpers import random_fraction, random_polygon, random_theory
+from reference_kernels import vertex_image_channel
+from wignerlab import catalog, cli, symmetry
 from wignerlab.errors import DomainError, PreconditionError, UnsupportedGeometryError
-from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope, map_into
+from wignerlab.exact import Feasible, solve_affine, verify_certificate
+from wignerlab.geometry import (
+    AffineFunctional,
+    AffineMap,
+    Ball,
+    Polytope,
+    affine_basis,
+    map_into,
+)
 from wignerlab.theory import (
     Channel,
     ChannelInfeasible,
@@ -326,3 +336,104 @@ def test_channel_rejects_containment_decided_by_the_numeric_fallback():
         Channel(m, disk, disk)
     # an exactly certified off-center map still passes
     Channel(AffineMap.from_rows([[F(1, 2), 0], [0, F(1, 2)]], [F(1, 4), 0]), disk, disk)
+
+
+def _fixed_on_hull(source, target, equations) -> bool:
+    """Do the equations alone fix the images of an affine basis of the
+    source, hence the map on its affine hull?"""
+    basis = affine_basis(source)
+    d2 = target.ambient_dim
+    rows = []
+    for g, _ in equations:
+        for i in range(len(basis)):
+            row = [F(0)] * (len(basis) * d2)
+            row[i * d2:(i + 1) * d2] = g.linear
+            rows.append(row)
+    if not rows:
+        return False
+    sol = solve_affine(rows, [F(0)] * len(rows))
+    return not sol.nullspace
+
+
+def _assert_matches_vertex_image_lp(source, target, equations) -> tuple[bool, bool]:
+    """The facet-form channel against the former vertex-image LP: the same
+    verdict, and the same map where the equations fix it on aff(source).
+    Returns whether a channel exists and whether its map was compared."""
+    result = find_channel(source, target, equations)
+    _, ref, ref_map = vertex_image_channel(source, target, equations)
+    assert isinstance(result, Channel) == isinstance(ref, Feasible)
+    if isinstance(result, ChannelInfeasible):
+        assert verify_certificate(result.program, result.certificate)
+        return False, False
+    for g, h in equations:
+        assert all(g(result(v)) == h(v) for v in source.vertices)
+    fixed = _fixed_on_hull(source, target, equations)
+    if fixed:
+        assert result.map == ref_map
+    return True, fixed
+
+
+def test_find_channel_matches_the_vertex_image_lp_on_random_polygons():
+    rng = random.Random(61)
+    outcomes = []
+    for _ in range(40):
+        source, target = random_polygon(rng, 6), random_polygon(rng, 6)
+        equations = []
+        if rng.random() < 0.3:
+            # the coordinates of a map t that sends the source into the target
+            t = AffineMap.from_rows(
+                [[random_fraction(rng, -1, 1) for _ in range(2)] for _ in range(2)],
+                [random_fraction(rng, -1, 1) for _ in range(2)],
+            )
+            target = Polytope.hull_of(
+                [t(v) for v in source.vertices] + list(target.vertices)
+            )
+            equations = [
+                (AffineFunctional.coordinate(2, k), AffineFunctional(t.matrix.row(k), t.offset[k]))
+                for k in range(2)
+            ]
+        for _ in range(rng.randint(0, 2 - len(equations))):
+            g = AffineFunctional(
+                tuple(random_fraction(rng, -1, 1) for _ in range(2)), random_fraction(rng, -1, 1)
+            )
+            h = AffineFunctional(
+                tuple(random_fraction(rng, -1, 1, 8) for _ in range(2)),
+                random_fraction(rng, -1, 1),
+            )
+            equations.append((g, h))
+        outcomes.append(_assert_matches_vertex_image_lp(source, target, equations))
+    assert outcomes.count((False, False)) > 5 and outcomes.count((True, False)) > 5
+    assert outcomes.count((True, True)) > 5
+
+
+def test_find_channel_matches_the_vertex_image_lp_on_every_catalog_call(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    solve = symmetry.find_channel
+
+    def recording(source, target, equations, candidate=None):
+        if candidate is None and isinstance(source, Polytope):
+            calls.append((source, target, list(equations)))
+        return solve(source, target, equations, candidate)
+
+    monkeypatch.setattr(symmetry, "find_channel", recording)
+    for name in catalog.CATALOG_NAMES:
+        entry = catalog.load(name)
+        path = str(tmp_path / f"{name}.json")
+        argv = ["example", name, "--out", path]
+        covariant = ["covariant", path]
+        if entry.channels:
+            channels = str(tmp_path / f"{name}.channels.json")
+            argv += ["--channels-out", channels]
+            covariant += ["--channels", channels]
+        cli.main(argv)
+        cli.main(covariant)
+        for rep in entry.representations:
+            rep_path = str(tmp_path / f"{name}.{rep.replace('/', '_')}.json")
+            cli.main(["example", name, "--rep", rep, "--out", rep_path])
+            cli.main(["symmetries", rep_path])
+    capsys.readouterr()
+    assert len(calls) >= 25
+    outcomes = {_assert_matches_vertex_image_lp(*call) for call in calls}
+    assert {(True, True), (False, False)} <= outcomes
