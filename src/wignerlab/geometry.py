@@ -32,7 +32,6 @@ from .exact import (
     LinearProgram,
     lp_feasible,
     qq,
-    rank,
     solve_affine,
     unit,
     vec,
@@ -159,44 +158,40 @@ def affine_map_from_points(
 ) -> Optional[AffineMap]:
     """Some affine map sending each domain point to its image, or ``None``.
 
+    Row k of the map and its offset solve ``[p, 1] . x = img[k]`` over
+    the domain points: one rref of ``[p, 1 | img]`` solves all of them.
     When the domain points do not affinely span the ambient space the
-    interpolation problem is underdetermined and an arbitrary exact
-    solution is returned.
+    problem is underdetermined and the free unknowns are set to 0.
     """
     domain = [vec(p) for p in domain]
     images = [vec(p) for p in images]
     if len(domain) != len(images) or not domain:
         raise ValueError("need equally many domain and image points")
     src = len(domain[0])
-    tgt = len(images[0])
-    system = Matrix.from_rows([list(p) + [QQ(1)] for p in domain])
-    rows = []
-    offset = []
-    for i in range(tgt):
-        sol = solve_affine(system, [img[i] for img in images])
-        if sol is None:
-            return None
-        rows.append(sol.particular[:src])
-        offset.append(sol.particular[src])
-    return AffineMap(Matrix.from_rows(rows, cols=src), tuple(offset))
+    system = [list(p) + [QQ(1)] + list(img) for p, img in zip(domain, images)]
+    pivots = rref(system, src + 1)
+    if any(any(row[src + 1:]) for row in system[len(pivots):]):
+        return None
+    sols = [[QQ(0)] * (src + 1) for _ in images[0]]
+    for row, c in zip(system, pivots):
+        for sol, value in zip(sols, row[src + 1:]):
+            sol[c] = value
+    return AffineMap(
+        Matrix.from_rows([sol[:src] for sol in sols], cols=src),
+        tuple(sol[src] for sol in sols),
+    )
 
 
 def independent_affine_subset(points: Sequence[Vec]) -> list[int]:
-    """Indices of a greedy maximal affinely independent subset."""
+    """Indices of a greedy maximal affinely independent subset: the first
+    point and each later one whose difference from it is independent of
+    the earlier differences, i.e. the pivot columns of their matrix."""
     points = [vec(p) for p in points]
     if not points:
         return []
-    chosen = [0]
-    diffs: list[Vec] = []
-    current = 0
-    for i, p in enumerate(points[1:], start=1):
-        candidate = diffs + [vec_sub(p, points[chosen[0]])]
-        r = rank(candidate)
-        if r > current:
-            chosen.append(i)
-            diffs = candidate
-            current = r
-    return chosen
+    p0 = points[0]
+    diffs = [[p[k] - p0[k] for p in points[1:]] for k in range(len(p0))]
+    return [0] + [j + 1 for j in rref(diffs, len(points) - 1)]
 
 
 def projection_matrix(directions: Sequence[Vec], n: int) -> Matrix:
@@ -252,17 +247,10 @@ def affine_map_with_orthogonal_extension(
         )
         if predicted != images[j]:
             return None
-    interp = Matrix.from_rows([list(p) + [QQ(1)] for p in base_dom])
-    rows = []
-    offs = []
-    for i in range(n2):
-        sol = solve_affine(interp, [img[i] for img in base_img])
-        if sol is None:  # pragma: no cover - basis is affinely independent
-            raise ArithmeticError("interpolation failed on an affine basis")
-        rows.append(sol.particular[:n1])
-        offs.append(sol.particular[n1])
-    m0 = Matrix.from_rows(rows, cols=n1)
-    t0 = vec(offs)
+    interp = affine_map_from_points(base_dom, base_img)
+    if interp is None:  # pragma: no cover - basis is affinely independent
+        raise ArithmeticError("interpolation failed on an affine basis")
+    m0, t0 = interp.matrix, interp.offset
     proj = projection_matrix([vec_sub(p, base_dom[0]) for p in base_dom[1:]], n1)
     if n1 == n2:
         ext = Matrix.from_rows(
@@ -546,8 +534,9 @@ def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
 @dataclass(frozen=True)
 class Polytope:
     """Convex hull of an irredundant vertex list, with its facet
-    description (``_facets``, not a field: ``eq``, ``hash`` and ``repr``
-    see only the vertices)."""
+    description (``_facets``) and, once asked for, its affine basis
+    (``_basis``); neither is a field, so ``eq``, ``hash`` and ``repr``
+    see only the vertices."""
 
     vertices: tuple[Vec, ...]
 
@@ -633,25 +622,21 @@ def dimension(space: StateSpace) -> int:
 def affine_basis(space: StateSpace) -> tuple[Vec, ...]:
     """dim(space) + 1 affinely independent points of the space.
 
-    For polytopes the points are vertices; for balls the center plus the
-    axis points center + radius * e_i.
+    For polytopes the points are the greedy choice among the vertices, in
+    vertex order (``independent_affine_subset``), found on the first call
+    and kept as ``_basis``; for balls the center plus the axis points
+    center + radius * e_i.
     """
     if isinstance(space, Ball):
         return (space.center,) + tuple(
             tuple(c + (space.radius if k == i else 0) for k, c in enumerate(space.center))
             for i in range(space.ambient_dim)
         )
-    basis = [space.vertices[0]]
-    diffs: list[Vec] = []
-    current = 0
-    for v in space.vertices[1:]:
-        candidate = diffs + [vec_sub(v, basis[0])]
-        r = rank(candidate)
-        if r > current:
-            basis.append(v)
-            diffs = candidate
-            current = r
-    return tuple(basis)
+    basis = space.__dict__.get("_basis")
+    if basis is None:
+        basis = tuple(space.vertices[i] for i in independent_affine_subset(space.vertices))
+        object.__setattr__(space, "_basis", basis)
+    return basis
 
 
 def contains(space: StateSpace, x: Sequence) -> bool:

@@ -4,10 +4,13 @@ Lifted maps push signed distributions forward along a map of the phase
 space; a lifted symmetry keeps the representation's image inside
 itself.  Transported symmetries are the ones realized by a channel on
 the state space (the commuting square), and for faithful
-representations every symmetry is transported.  The covariant solver
-combines two exact stages: permutation channels for the outcome
-translation groups, then the linear covariance system over the grid
-functionals.
+representations every symmetry is transported.  There the square fixes
+the channel on aff(K), F = W^-1 . Psi . W, so ``find_channel`` finds it
+by one elimination of the square's equations, with no LP.  An LP runs
+only when W forgets part of the state, or when Psi is no symmetry and
+the fixed map leaves K.  The covariant solver combines two exact
+stages: permutation channels for the outcome translation groups, then
+the linear covariance system over the grid functionals.
 
 A lifted permutation P has finite order, so P(W(K)) inside W(K) already
 forces P(W(K)) = W(K): permutation symmetries are the relabellings of
@@ -383,7 +386,11 @@ def composed_with_rep(rep: WignerRep, m: AffineMap) -> list[AffineFunctional]:
 def find_transported_channel(
     rep: WignerRep, psi: GridMap
 ) -> Union[Channel, ChannelInfeasible]:
-    """A channel F with psi . W = W . F, or an infeasibility certificate."""
+    """A channel F with psi . W = W . F, or an infeasibility certificate.
+
+    The equations are W's functionals paired with psi . W; for faithful W
+    they fix F on aff(K), and ``find_channel`` solves them without an LP.
+    """
     space = rep.state_space
     if not isinstance(space, Polytope):
         raise UnsupportedGeometryError("transported-channel solving needs a polytope")

@@ -3,10 +3,11 @@
 An observable is a finite outcome list with one affine effect per
 outcome; validity on a state space means every effect stays in [0, 1]
 and the effects sum to the constant-one functional coefficient-wise.
-Compatibility of two observables, surjectivity and channel existence
-are all exact LP feasibility questions; joint informational
-completeness and complementarity reduce to exact rank and face
-computations.
+Compatibility of two observables and surjectivity are exact LP
+feasibility questions, and so is channel existence unless the channel's
+equations fix the map on the source's hull (one elimination then finds
+it); joint informational completeness and complementarity reduce to
+exact rank and face computations.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from ._kernels import rref
 from .errors import DomainError, PreconditionError, UnsupportedGeometryError
 from .exact import (
     QQ,
@@ -22,7 +24,6 @@ from .exact import (
     Vec,
     lp_feasible,
     rank,
-    solve_affine,
     unit,
     vec,
     vec_dot,
@@ -437,14 +438,15 @@ def find_channel(
     """Affine map ``m: source -> target`` with ``g(m(x)) = h(x)`` on the
     source for every pair ``(g, h)``.
 
-    Polytope pairs are solved as one LP in facet form: the unknowns are
-    the matrix ``M`` (row-major) and offset ``t`` of ``m(x) = M x + t``.
-    The equations and the equalities of the target's affine hull are
-    imposed at an affine basis of the source, which makes them hold on
-    its hull, and there is one inequality per source vertex and target
-    facet.  The channel is rebuilt from the images of that basis, so a
-    map the equations fix on aff(source) does not depend on the LP's
-    choice off it.  For ball backends a candidate map must be supplied
+    On polytope pairs the images ``y_i`` of an affine basis ``p_i`` of
+    the source decide the map, and each solves one system: ``g . y_i =
+    h(p_i)`` per equation and the target's hull equalities.  If one rref
+    of it, with a right-hand side per basis point, fixes them and their
+    map sends the source into the target, that map is the channel.
+    Otherwise one LP in facet form decides, over ``M`` and ``t`` of
+    ``m(x) = M x + t``: the system at the basis and one inequality per
+    source vertex and target facet; its channel is rebuilt from the basis
+    images as well.  For ball backends a candidate map must be supplied
     and is verified exactly.
     """
     if candidate is not None or not (
@@ -460,6 +462,17 @@ def find_channel(
     d1, d2 = source.ambient_dim, target.ambient_dim
     n_vars = d2 * d1 + d2
     hrep = target._facets
+    # c . y_i = rhs[i]: the equations, then c . (scale * y) = e on the hull
+    system = [(g.linear, [h(p) - g.constant for p in basis]) for g, h in equations]
+    system += [
+        (tuple(map(QQ, c)), [QQ(e, hrep.scale)] * len(basis)) for c, e in hrep.equalities
+    ]
+    fixed = _fixed_map(basis, system, d2)
+    if fixed is not None:
+        try:
+            return Channel(fixed, source, target)
+        except PreconditionError:
+            pass  # the fixed map leaves the target; the LP certifies that
 
     def image_row(p: Vec, c: Sequence, coords=range(d2)) -> tuple:
         """Coefficients of ``c . (M p + t)[coords]`` in the unknowns."""
@@ -470,9 +483,8 @@ def find_channel(
                 row[d2 * d1 + k] = ck
         return tuple(row)
 
-    eqs = [(image_row(p, g.linear), h(p) - g.constant) for g, h in equations for p in basis]
-    # c . (scale * y) = e on the target's hull, a . (scale * y[coords]) >= b
-    eqs += [(image_row(p, c), QQ(e, hrep.scale)) for c, e in hrep.equalities for p in basis]
+    eqs = [(image_row(p, c), r) for c, rhs in system for p, r in zip(basis, rhs)]
+    # a . (scale * y[coords]) >= b at every vertex image
     ineqs = [
         (image_row(v, a, hrep.coords), QQ(b, hrep.scale))
         for v in source.vertices
@@ -481,7 +493,7 @@ def find_channel(
     lp = LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
     result = lp_feasible(lp)
     if isinstance(result, Infeasible):
-        wp, wi = _unconstrained_witness(source, target, equations)
+        wp, wi = _unconstrained_witness(source, target, basis, system[:len(equations)])
         return ChannelInfeasible(lp, result, wp, wi)
     w = result.witness
     images = [
@@ -492,6 +504,17 @@ def find_channel(
     if m is None:
         raise ArithmeticError("inconsistent channel reconstruction")  # pragma: no cover
     return Channel(m, source, target)
+
+
+def _fixed_map(basis, system, d2) -> Optional[AffineMap]:
+    """The map whose basis images ``y_i`` in Q^d2 solve ``c . y_i =
+    rhs[i]`` for every row ``(c, rhs)`` of ``system``, if there is exactly
+    one: the ``c`` have rank d2 and each right-hand side is consistent."""
+    aug = [list(c) + list(rhs) for c, rhs in system]
+    if len(rref(aug, d2)) < d2 or any(any(row[d2:]) for row in aug[d2:]):
+        return None
+    images = [tuple(row[d2 + i] for row in aug[:d2]) for i in range(len(basis))]
+    return affine_map_from_points(basis, images)
 
 
 def _verify_candidate(source, target, equations, candidate) -> Channel:
@@ -505,33 +528,11 @@ def _verify_candidate(source, target, equations, candidate) -> Channel:
     return Channel(candidate, source, target)
 
 
-def _unconstrained_witness(source, target, equations):
-    """Diagnose infeasibility: if the equations alone pin down the map on
-    the affine hull, report a vertex whose image leaves the target."""
-    basis = affine_basis(source)
-    d2 = target.ambient_dim
-    n = len(basis) * d2
-
-    def idx(i, k):
-        return i * d2 + k
-
-    rows = []
-    rhs = []
-    for g, h in equations:
-        for i, p in enumerate(basis):
-            row = [QQ(0)] * n
-            for k in range(d2):
-                row[idx(i, k)] = g.linear[k]
-            rows.append(row)
-            rhs.append(h(p) - g.constant)
-    sol = solve_affine(rows, rhs) if rows else None
-    if sol is None or sol.nullspace:
-        return None, None
-    images = [tuple(sol.particular[idx(i, k)] for k in range(d2)) for i in range(len(basis))]
-    m = affine_map_from_points(basis, images)
-    if m is None:
-        return None, None
-    if isinstance(source, Polytope):
+def _unconstrained_witness(source, target, basis, system):
+    """Diagnose infeasibility: if the equations' rows of ``system`` alone
+    fix the map, report a vertex whose image leaves the target."""
+    m = _fixed_map(basis, system, target.ambient_dim)
+    if m is not None:
         for v in source.vertices:
             img = m(v)
             if not contains(target, img):

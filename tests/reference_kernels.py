@@ -13,7 +13,11 @@ starts with its slack basic and gets no artificial.
 
 ``vertex_image_channel`` is the former LP of ``theory.find_channel`` on
 polytope pairs, over vertex images and convex weights, against which
-the facet form is checked.
+the facet form is checked.  ``unconstrained_witness`` is the former
+diagnosis of an infeasible channel, one block system over all basis
+images; ``per_column_affine_map`` the former ``affine_map_from_points``,
+one ``solve_affine`` per target coordinate; ``rank_greedy_subset`` the
+former greedy affine basis, one exact rank per point.
 """
 
 from __future__ import annotations
@@ -24,14 +28,16 @@ from wignerlab.exact import (
     FeasibilityResult,
     Infeasible,
     LinearProgram,
+    Matrix,
     lp_feasible,
+    rank,
     solve_affine,
     unit,
     vec,
     vec_dot,
     zeros,
 )
-from wignerlab.geometry import affine_basis, affine_map_from_points
+from wignerlab.geometry import AffineMap, affine_basis, affine_map_from_points, contains
 
 
 def check(lp: LinearProgram, x) -> bool:
@@ -303,3 +309,57 @@ def vertex_image_channel(source, target, equations):
         return lp, result, None
     images = [tuple(result.witness[idx_y(i, k)] for k in range(d2)) for i in basis_idx]
     return lp, result, affine_map_from_points(basis, images)
+
+
+def unconstrained_witness(source, target, equations):
+    """If the equations alone fix the images of an affine basis of the
+    source (one block system over all of them), the first vertex whose
+    image leaves the target and that image; else ``(None, None)``."""
+    basis = affine_basis(source)
+    d2 = target.ambient_dim
+    n = len(basis) * d2
+    rows, rhs = [], []
+    for g, h in equations:
+        for i, p in enumerate(basis):
+            row = [QQ(0)] * n
+            row[i * d2:(i + 1) * d2] = g.linear
+            rows.append(row)
+            rhs.append(h(p) - g.constant)
+    sol = solve_affine(rows, rhs) if rows else None
+    if sol is None or sol.nullspace:
+        return None, None
+    images = [sol.particular[i * d2:(i + 1) * d2] for i in range(len(basis))]
+    m = per_column_affine_map(basis, images)
+    for v in source.vertices:
+        if not contains(target, m(v)):
+            return v, m(v)
+    return None, None
+
+
+def per_column_affine_map(domain, images):
+    """Row k and offset k of the map from ``solve_affine`` on ``[p, 1] .
+    x = img[k]``, free unknowns 0; ``None`` if a column is inconsistent."""
+    domain = [vec(p) for p in domain]
+    src = len(domain[0])
+    system = [list(p) + [QQ(1)] for p in domain]
+    rows, offset = [], []
+    for k in range(len(images[0])):
+        sol = solve_affine(system, [img[k] for img in images])
+        if sol is None:
+            return None
+        rows.append(sol.particular[:src])
+        offset.append(sol.particular[src])
+    return AffineMap(Matrix.from_rows(rows, cols=src), tuple(offset))
+
+
+def rank_greedy_subset(points):
+    """Indices of the first point and of each later one that raises the
+    rank of the differences from it."""
+    points = [vec(p) for p in points]
+    chosen, diffs = [0], []
+    for i, p in enumerate(points[1:], start=1):
+        candidate = diffs + [tuple(a - b for a, b in zip(p, points[0]))]
+        if rank(candidate) > len(diffs):
+            chosen.append(i)
+            diffs = candidate
+    return chosen

@@ -16,6 +16,7 @@ from wignerlab.geometry import (
     ExtremalValue,
     Polytope,
     affine_basis,
+    affine_map_from_points,
     affine_map_with_orthogonal_extension,
     contains,
     dimension,
@@ -25,6 +26,7 @@ from wignerlab.geometry import (
 )
 
 from helpers import random_fraction
+from reference_kernels import per_column_affine_map, rank_greedy_subset
 
 SQUARE = Polytope([(0, 0), (0, 1), (1, 0), (1, 1)])
 CUBE = Polytope([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
@@ -335,6 +337,67 @@ def test_affine_basis():
     basis = affine_basis(CUBE)
     assert len(basis) == 4
     assert affine_basis(DISK) == ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_affine_basis_is_the_rank_greedy_choice_and_is_kept(n, monkeypatch):
+    """One rref's pivot columns pick the points the rank-per-point greedy
+    picks, in order; a polytope keeps its basis after the first call."""
+    rng = random.Random(300 + n)
+    spaces = []
+    for _ in range(30):
+        points = _random_point_set(rng, n)
+        assert geometry.independent_affine_subset(points) == rank_greedy_subset(points)
+        hull = Polytope.hull_of(points)
+        expected = tuple(hull.vertices[i] for i in rank_greedy_subset(hull.vertices))
+        assert affine_basis(hull) == expected and len(expected) == dimension(hull) + 1
+        spaces.append(hull)
+
+    def forbidden(*args):
+        raise AssertionError("affine basis computed again")
+
+    monkeypatch.setattr(geometry, "rref", forbidden)
+    for hull in spaces:
+        assert affine_basis(hull) is affine_basis(hull)
+    assert geometry.independent_affine_subset([]) == []
+
+
+def _random_interpolation(rng, kind):
+    """Domain and image points in Q^src -> Q^tgt: ``square`` has src + 1
+    random points, ``under`` fewer, ``over`` more with images of one affine
+    map, ``inconsistent`` more with random images or a repeated point."""
+    src, tgt = rng.randint(1, 3), rng.randint(1, 3)
+    count = {"square": src + 1, "under": rng.randint(1, src),
+             "over": src + rng.randint(2, 3), "inconsistent": src + rng.randint(2, 3)}[kind]
+    domain = [tuple(random_fraction(rng) for _ in range(src)) for _ in range(count)]
+    images = [tuple(random_fraction(rng) for _ in range(tgt)) for _ in range(count)]
+    if kind == "over":
+        m = AffineMap.from_rows(
+            [[random_fraction(rng) for _ in range(src)] for _ in range(tgt)],
+            [random_fraction(rng) for _ in range(tgt)],
+        )
+        images = [m(p) for p in domain]
+    if kind == "inconsistent" and rng.random() < 0.5:
+        domain[-1] = domain[0]
+        images[-1] = tuple(x + 1 for x in images[0])
+    return domain, images
+
+
+@pytest.mark.parametrize("kind", ["square", "under", "over", "inconsistent"])
+def test_affine_map_from_points_matches_per_column_solves(kind):
+    """One rref with a right-hand side per target coordinate gives the
+    map of one ``solve_affine`` per coordinate (free unknowns 0), and
+    ``None`` exactly when one of them is inconsistent."""
+    rng = random.Random({"square": 41, "under": 42, "over": 43, "inconsistent": 44}[kind])
+    found = 0
+    for _ in range(40):
+        domain, images = _random_interpolation(rng, kind)
+        m = affine_map_from_points(domain, images)
+        assert m == per_column_affine_map(domain, images)
+        if m is not None:
+            found += 1
+            assert all(m(p) == tuple(img) for p, img in zip(domain, images))
+    assert found == (0 if kind == "inconsistent" else 40)
 
 
 def test_orthogonal_extension_interpolates_and_detects_conflicts():

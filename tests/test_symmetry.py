@@ -17,7 +17,7 @@ from helpers import (
 from wignerlab import catalog, exact, geometry, symmetry, theory, wigner
 from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import verify_certificate
-from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope
+from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope, dimension
 from wignerlab.symmetry import (
     PermutationAction,
     PhasePointMap,
@@ -475,3 +475,42 @@ def test_induced_action_builds_the_chart_once(monkeypatch):
     assert chan.map.matrix.entries == (
         (F(0), F(-1), F(0)), (F(-1), F(0), F(0)), (F(0), F(0), F(1))
     )
+
+
+def test_transport_of_a_faithful_symmetry_is_its_induced_action(monkeypatch):
+    """Two independent routes to W^-1 . P . W on faithful polytope
+    representations: ``find_transported_channel`` solves the commuting
+    square's equations, ``induced_action`` pulls P back through W's
+    chart.  The maps agree (off aff(K) they extend differently), and
+    neither route solves an LP."""
+    rng = random.Random(113)
+    reps = [rep for rep in _polygon_reps() if is_faithful(rep)]
+    while len(reps) < 14:
+        t = random_theory(rng, max_points=4, outcome_choices=(2,))
+        rep = wigner.faithful_member(t.obs_a, t.obs_b, t.state_space)
+        if rep is not None:
+            reps.append(rep)
+    reps += [
+        rep
+        for name in catalog.CATALOG_NAMES
+        for rep in catalog.load(name).representations.values()
+        if isinstance(rep.state_space, Polytope) and is_faithful(rep)
+    ]
+
+    def forbidden(lp):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(exact, "_phase_one", forbidden)
+    compared = {True: 0, False: 0}
+    for rep in reps:
+        space = rep.state_space
+        full = dimension(space) == space.ambient_dim
+        for phi in enumerate_lifted_symmetries(rep):
+            chan = find_transported_channel(rep, lift(phi))
+            induced = induced_action(rep, phi)
+            if full:
+                assert chan.map == induced.map
+            else:
+                assert all(chan(v) == induced(v) for v in space.vertices)
+            compared[full] += 1
+    assert compared[True] > 20 and compared[False] > 0, compared

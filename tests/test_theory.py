@@ -7,8 +7,8 @@ import random
 import pytest
 
 from helpers import random_fraction, random_polygon, random_theory
-from reference_kernels import vertex_image_channel
-from wignerlab import catalog, cli, symmetry
+from reference_kernels import unconstrained_witness, vertex_image_channel
+from wignerlab import catalog, cli, exact, symmetry
 from wignerlab.errors import DomainError, PreconditionError, UnsupportedGeometryError
 from wignerlab.exact import Feasible, solve_affine, verify_certificate
 from wignerlab.geometry import (
@@ -338,16 +338,20 @@ def test_channel_rejects_containment_decided_by_the_numeric_fallback():
     Channel(AffineMap.from_rows([[F(1, 2), 0], [0, F(1, 2)]], [F(1, 4), 0]), disk, disk)
 
 
-def _fixed_on_hull(source, target, equations) -> bool:
-    """Do the equations alone fix the images of an affine basis of the
+def _fixed_on_hull(source, target, equations, hull=False) -> bool:
+    """Do the equations alone (with ``hull``, and the equalities of the
+    target's affine hull) fix the images of an affine basis of the
     source, hence the map on its affine hull?"""
     basis = affine_basis(source)
     d2 = target.ambient_dim
+    linear = [g.linear for g, _ in equations]
+    if hull:
+        linear += [c for c, _ in target._facets.equalities]
     rows = []
-    for g, _ in equations:
+    for c in linear:
         for i in range(len(basis)):
             row = [F(0)] * (len(basis) * d2)
-            row[i * d2:(i + 1) * d2] = g.linear
+            row[i * d2:(i + 1) * d2] = c
             rows.append(row)
     if not rows:
         return False
@@ -373,9 +377,11 @@ def _assert_matches_vertex_image_lp(source, target, equations) -> tuple[bool, bo
     return True, fixed
 
 
-def test_find_channel_matches_the_vertex_image_lp_on_random_polygons():
+def _random_channel_cases():
+    """40 random polygon pairs with up to two equations; about a third
+    ask for the coordinates of a map into the target."""
     rng = random.Random(61)
-    outcomes = []
+    cases = []
     for _ in range(40):
         source, target = random_polygon(rng, 6), random_polygon(rng, 6)
         equations = []
@@ -401,7 +407,12 @@ def test_find_channel_matches_the_vertex_image_lp_on_random_polygons():
                 random_fraction(rng, -1, 1),
             )
             equations.append((g, h))
-        outcomes.append(_assert_matches_vertex_image_lp(source, target, equations))
+        cases.append((source, target, equations))
+    return cases
+
+
+def test_find_channel_matches_the_vertex_image_lp_on_random_polygons():
+    outcomes = [_assert_matches_vertex_image_lp(*case) for case in _random_channel_cases()]
     assert outcomes.count((False, False)) > 5 and outcomes.count((True, False)) > 5
     assert outcomes.count((True, True)) > 5
 
@@ -437,3 +448,92 @@ def test_find_channel_matches_the_vertex_image_lp_on_every_catalog_call(
     assert len(calls) >= 25
     outcomes = {_assert_matches_vertex_image_lp(*call) for call in calls}
     assert {(True, True), (False, False)} <= outcomes
+
+
+def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, capsys):
+    """A call whose equations and target hull fix a map that is a
+    channel makes no LP; every other call still runs its LP.  The
+    ``symmetries`` reports of the faithful boxworld and rebit_diamond
+    representations, all transports, come out the same with no LP."""
+    cases = []
+    for source, target, equations in _random_channel_cases():
+        result = find_channel(source, target, equations)
+        fixed = _fixed_on_hull(source, target, equations, hull=True)
+        cases.append((source, target, equations, result, fixed))
+    reports = {}
+    for name in ("boxworld", "rebit_diamond"):
+        for rep in catalog.load(name).representations:
+            path = str(tmp_path / f"{name}.{rep.replace('/', '_')}.json")
+            cli.main(["example", name, "--rep", rep, "--out", path])
+            capsys.readouterr()
+            cli.main(["symmetries", path])
+            reports[path] = capsys.readouterr().out
+
+    def forbidden(lp):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(exact, "_phase_one", forbidden)
+    kinds = []
+    for source, target, equations, result, fixed in cases:
+        kinds.append((fixed, isinstance(result, Channel)))
+        if fixed and isinstance(result, Channel):
+            assert find_channel(source, target, equations) == result
+        else:
+            with pytest.raises(AssertionError, match="LP solved"):
+                find_channel(source, target, equations)
+    assert kinds.count((True, True)) > 5
+    assert kinds.count((True, False)) > 2 and kinds.count((False, True)) > 5
+    for path, out in reports.items():
+        assert cli.main(["symmetries", path]) == 0
+        assert capsys.readouterr().out == out
+    assert len(reports) == 4
+
+
+SEGMENT = Polytope([(0, 0), (1, 1)])  # its hull: x - y = 0
+
+
+def _const(value):
+    return AffineFunctional.const(2, value)
+
+
+def test_fixed_maps_that_leave_the_target_keep_certificate_and_witness(monkeypatch):
+    """Every infeasible call, random or by hand, verifies its certificate
+    and names the witness of the equations alone, not of the equations
+    with the target's hull: the former block-system diagnosis."""
+    hand = [
+        # the equations fix x -> (2, 0), which is off the segment's hull
+        (SQUARE, SEGMENT, [(FX, _const(2)), (FY, _const(0))], ((F(0), F(0)), (F(2), F(0)))),
+        # only the hull equality fixes x -> (2, 2): no witness
+        (SQUARE, SEGMENT, [(FX, _const(2))], (None, None)),
+        # inconsistent equations: no map, no witness
+        (SQUARE, SQUARE, [(FX, _const(F(1, 2))), (FY, _const(F(1, 2))), (FX, _const(F(1, 4)))],
+         (None, None)),
+        (SQUARE, SQUARE, [(FX, _const(2)), (FY, _const(0))], ((F(0), F(0)), (F(2), F(0)))),
+    ]
+    gon = catalog.load("deformed_12gon").theory
+    obstruction = symmetry.find_permutation_channels(gon.obs_a, gon.obs_b, gon.state_space)
+    assert obstruction.element.perm_a == (1, 0) and obstruction.element.perm_b == (0, 1)
+    gon_equations = symmetry._permutation_equations(gon.obs_a, gon.obs_b, obstruction.element)
+    hand.append((gon.state_space, gon.state_space, gon_equations,
+                 ((F(3, 5), F(-4, 5)), (F(3, 5), F(4, 5)))))
+    witnessed = 0
+    for source, target, equations, expected in hand:
+        result = find_channel(source, target, equations)
+        assert isinstance(result, ChannelInfeasible)
+        assert verify_certificate(result.program, result.certificate)
+        assert (result.witness_point, result.witness_image) == expected
+        assert expected == unconstrained_witness(source, target, equations)
+    assert obstruction.detail.witness_point == (F(3, 5), F(-4, 5))
+    for source, target, equations in _random_channel_cases():
+        result = find_channel(source, target, equations)
+        if isinstance(result, Channel):
+            continue
+        assert verify_certificate(result.program, result.certificate)
+        witness = (result.witness_point, result.witness_image)
+        assert witness == unconstrained_witness(source, target, equations)
+        witnessed += witness != (None, None)
+    assert witnessed > 0
+    # the hull equality alone fixes x -> (1/2, 1/2) on the segment: no LP
+    monkeypatch.setattr(exact, "_phase_one", lambda lp: pytest.fail("LP solved"))
+    chan = find_channel(SQUARE, SEGMENT, [(FX, _const(F(1, 2)))])
+    assert {chan(v) for v in SQUARE.vertices} == {(F(1, 2), F(1, 2))}
