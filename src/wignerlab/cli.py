@@ -18,14 +18,16 @@ import sys
 from . import catalog, plot, symmetry, theoryfile
 from .errors import ParseError, SizeGuardError, UnsupportedGeometryError, WignerlabError
 from .exact import QQ, Infeasible
-from .geometry import AffineFunctional, AffineMap, affine_basis
+from .geometry import AffineFunctional, affine_basis
 from .report import (
+    _de_map,
     dump_report,
     load_report,
     make_report,
     ser_certificate,
     ser_extremal,
     ser_functional,
+    ser_map,
     ser_program,
     ser_q,
     ser_vec,
@@ -48,6 +50,7 @@ from .wigner import (
     degenerate_rep,
     faithful_choice_possible,
     faithful_member,
+    free_slots,
     is_faithful,
     is_positive,
 )
@@ -181,8 +184,7 @@ def _cmd_example(args) -> int:
             {
                 "perm_a": list(el.perm_a),
                 "perm_b": list(el.perm_b),
-                "matrix": [ser_vec(r) for r in chan.map.matrix.entries],
-                "offset": ser_vec(chan.map.offset),
+                **ser_map(chan.map),
             }
             for el, chan in sorted(
                 entry.channels.items(), key=lambda kv: (kv[0].perm_a, kv[0].perm_b)
@@ -401,13 +403,7 @@ def _cmd_wigner(args) -> int:
             )
             return 1
     else:
-        alpha, beta = anchor if anchor else (obs_a.n_outcomes - 1, obs_b.n_outcomes - 1)
-        slots = [
-            (a, b)
-            for a in range(obs_a.n_outcomes)
-            for b in range(obs_b.n_outcomes)
-            if a != alpha and b != beta
-        ]
+        _, slots = free_slots(obs_a, obs_b, anchor)
         expressions = [e for e in args.free.split(";")]
         if len(expressions) > len(slots):
             raise ParseError(
@@ -515,10 +511,7 @@ def _cmd_symmetries(args) -> int:
                 continue
             if isinstance(result, Channel):
                 row["transported"] = True
-                row["channel"] = {
-                    "matrix": [ser_vec(r) for r in result.map.matrix.entries],
-                    "offset": ser_vec(result.map.offset),
-                }
+                row["channel"] = ser_map(result.map)
             else:
                 row["transported"] = False
                 claims.append(
@@ -549,18 +542,7 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
     import json
 
     try:
-        data = json.loads(args.channel_matrix)
-        from .exact import Matrix
-
-        chan = AffineMap(
-            Matrix.from_rows(
-                [
-                    [parse_rational(x, "matrix") for x in row]
-                    for row in data["matrix"]
-                ]
-            ),
-            tuple(parse_rational(x, "offset") for x in data.get("offset", [])),
-        )
+        chan = _de_map(json.loads(args.channel_matrix))
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ParseError(f"bad --channel-matrix: {exc}") from None
     result = symmetry.find_symmetry_for_channel(rep, chan)
@@ -584,16 +566,13 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
             theory_to_dict(theory, (name, rep)),
             [],
             [],
-            transported_symmetry={
-                "matrix": [ser_vec(r) for r in result.matrix.entries],
-                "offset": ser_vec(result.offset),
-            },
+            transported_symmetry=ser_map(result),
         )
     )
     return 0
 
 
-def _load_channels(path: str, space):
+def _load_channels(path: str):
     import json
 
     try:
@@ -601,30 +580,19 @@ def _load_channels(path: str, space):
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read channels file: {exc}", path=path) from None
-    from .exact import Matrix
-
     channels = {}
     for i, row in enumerate(data):
         element = symmetry.ProductGroupElement(
             tuple(row["perm_a"]), tuple(row["perm_b"])
         )
-        m = AffineMap(
-            Matrix.from_rows(
-                [
-                    [parse_rational(x, f"[{i}].matrix") for x in r]
-                    for r in row["matrix"]
-                ]
-            ),
-            tuple(parse_rational(x, f"[{i}].offset") for x in row["offset"]),
-        )
-        channels[element] = m
+        channels[element] = _de_map(row, f"[{i}].")
     return channels
 
 
 def _cmd_covariant(args) -> int:
     theory, _ = _load_theory(args.file)
     space = theory.state_space
-    channels = _load_channels(args.channels, space) if args.channels else None
+    channels = _load_channels(args.channels) if args.channels else None
     result = symmetry.solve_covariant(theory.obs_a, theory.obs_b, space, channels)
     claims = []
     notes = [f"hypothesis {k}: {'holds' if v else 'FAILS'}"
@@ -675,10 +643,7 @@ def _cmd_covariant(args) -> int:
                 "rep": name,
                 "perm_a": list(gen.perm_a),
                 "perm_b": list(gen.perm_b),
-                "channel": {
-                    "matrix": [ser_vec(r) for r in chan.map.matrix.entries],
-                    "offset": ser_vec(chan.map.offset),
-                },
+                "channel": ser_map(chan.map),
                 "basis": [ser_vec(p) for p in basis],
             }
         )

@@ -32,9 +32,9 @@ from .exact import (
     LinearProgram,
     lp_feasible,
     qq,
-    solve_affine,
     unit,
     vec,
+    vec_add,
     vec_dot,
     vec_scale,
     vec_sub,
@@ -194,24 +194,19 @@ def independent_affine_subset(points: Sequence[Vec]) -> list[int]:
     return [0] + [j + 1 for j in rref(diffs, len(points) - 1)]
 
 
-def projection_matrix(directions: Sequence[Vec], n: int) -> Matrix:
-    """Orthogonal projection of Q^n onto span(directions)."""
-    dirs = [vec(d) for d in directions if any(d)]
-    if not dirs:
-        return Matrix.zero(n, n)
-    b = Matrix.from_rows([[d[i] for d in dirs] for i in range(n)], cols=len(dirs))
-    gram = b.transpose().matmul(b)
-    bt = b.transpose()
-    cols = []
-    for j in range(n):
-        sol = solve_affine(gram, bt.column(j))
-        if sol is None:  # pragma: no cover - gram of independent dirs is invertible
-            raise ArithmeticError("singular Gram matrix")
-        cols.append(sol.particular)
-    x = Matrix.from_rows(
-        [[cols[j][i] for j in range(n)] for i in range(len(dirs))], cols=n
-    )
-    return b.matmul(x)
+def _orthogonal_complement(rows: list[list], n: int) -> tuple[list[int], list[list]]:
+    """The pivot columns of ``rows`` (reduced in place to rref) and a
+    basis of the vectors in Q^n orthogonal to every row, one per free
+    column: 1 there, minus that column of the pivot rows at the pivots."""
+    pivots = rref(rows, n)
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        c = [QQ(0)] * n
+        c[free] = QQ(1)
+        for r, j in enumerate(pivots):
+            c[j] = -rows[r][free]
+        basis.append(c)
+    return pivots, basis
 
 
 def affine_map_with_orthogonal_extension(
@@ -221,62 +216,25 @@ def affine_map_with_orthogonal_extension(
 
     On the affine hull of the domain points the map is the (unique)
     interpolant; on the orthogonal complement it acts as the identity
-    when source and target dimensions agree, as zero otherwise.  Returns
-    ``None`` when the required images violate an affine dependency of
-    the domain points, i.e. no affine interpolant exists.
+    when source and target dimensions agree, as zero otherwise.  So for
+    each vector c of a basis of that complement (the nullspace of the
+    differences from p0 = domain[0]) the point p0 + c is added with image
+    y0 + c, or y0, and ``affine_map_from_points`` solves the now full
+    rank system.  Returns ``None`` when the required images violate an
+    affine dependency of the domain points, i.e. no affine interpolant
+    exists.
     """
     domain = [vec(p) for p in domain]
     images = [vec(p) for p in images]
     if len(domain) != len(images) or not domain:
         raise ValueError("need equally many domain and image points")
-    n1, n2 = len(domain[0]), len(images[0])
-    idx = independent_affine_subset(domain)
-    base_dom = [domain[i] for i in idx]
-    base_img = [images[i] for i in idx]
-    system = Matrix.from_rows([[b[k] for b in base_dom] for k in range(n1)] + [[QQ(1)] * len(idx)])
-    chosen = set(idx)
-    for j, p in enumerate(domain):
-        if j in chosen:
-            continue
-        coeffs = solve_affine(system, list(p) + [QQ(1)])
-        if coeffs is None:  # pragma: no cover - p is in the hull by construction
-            raise ArithmeticError("interpolation basis does not span")
-        predicted = tuple(
-            sum((c * b[k] for c, b in zip(coeffs.particular, base_img)), QQ(0))
-            for k in range(n2)
-        )
-        if predicted != images[j]:
-            return None
-    interp = affine_map_from_points(base_dom, base_img)
-    if interp is None:  # pragma: no cover - basis is affinely independent
-        raise ArithmeticError("interpolation failed on an affine basis")
-    m0, t0 = interp.matrix, interp.offset
-    proj = projection_matrix([vec_sub(p, base_dom[0]) for p in base_dom[1:]], n1)
-    if n1 == n2:
-        ext = Matrix.from_rows(
-            [
-                [(QQ(1) if i == j else QQ(0)) - proj.entries[i][j] for j in range(n1)]
-                for i in range(n1)
-            ],
-            cols=n1,
-        )
-    else:
-        ext = Matrix.zero(n2, n1)
-    mat = Matrix.from_rows(
-        [
-            [vec_dot(m0.row(i), proj.column(j)) + ext.entries[i][j] for j in range(n1)]
-            for i in range(n2)
-        ],
-        cols=n1,
+    p0, y0 = domain[0], images[0]
+    same = len(p0) == len(y0)
+    _, complement = _orthogonal_complement([list(vec_sub(p, p0)) for p in domain[1:]], len(p0))
+    return affine_map_from_points(
+        domain + [vec_add(p0, c) for c in complement],
+        images + [vec_add(y0, c) if same else y0 for c in complement],
     )
-    anchor = base_dom[0]
-    base = tuple(a + b for a, b in zip(m0.matvec(anchor), t0))
-    offset = vec_sub(base, mat.matvec(anchor))
-    result = AffineMap(mat, offset)
-    for p, img in zip(domain, images):
-        if result(p) != img:  # pragma: no cover - internal guard
-            raise ArithmeticError("extension broke the interpolation")
-    return result
 
 
 def _squarefree(n: int) -> tuple[int, int]:
@@ -488,14 +446,10 @@ def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
     ints = [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points]
     p0 = ints[0]
     diffs = [[QQ(a - b) for a, b in zip(p, p0)] for p in ints[1:]]
-    n = len(p0)
-    coords = tuple(rref(diffs, n))
+    pivots, complement = _orthogonal_complement(diffs, len(p0))
+    coords = tuple(pivots)
     equalities = []
-    for free in (j for j in range(n) if j not in coords):
-        c = [QQ(0)] * n
-        c[free] = QQ(1)
-        for r, j in enumerate(coords):
-            c[j] = -diffs[r][free]
+    for c in complement:
         den = math.lcm(*(a.denominator for a in c))
         c = tuple(int(a * den) for a in c)
         g = math.gcd(*c)

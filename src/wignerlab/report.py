@@ -50,6 +50,10 @@ def ser_functional(f: AffineFunctional) -> dict:
     return {"linear": ser_vec(f.linear), "constant": ser_q(f.constant)}
 
 
+def ser_map(m: AffineMap) -> dict:
+    return {"matrix": [ser_vec(r) for r in m.matrix.entries], "offset": ser_vec(m.offset)}
+
+
 def _ser_ratio(a: int, s: int) -> str:
     """``a/s`` in lowest terms, as ``rational_to_str`` writes it."""
     g = math.gcd(a, s)
@@ -94,6 +98,15 @@ def _de_functional(obj, path) -> AffineFunctional:
     return AffineFunctional(
         _de_vec(obj["linear"], f"{path}.linear"),
         parse_rational(obj["constant"], f"{path}.constant"),
+    )
+
+
+def _de_map(obj, path="") -> AffineMap:
+    """The map ``ser_map`` wrote; its entries parse at ``{path}matrix``
+    and ``{path}offset``, and a missing offset reads as empty."""
+    return AffineMap(
+        Matrix.from_rows([[parse_rational(x, f"{path}matrix") for x in r] for r in obj["matrix"]]),
+        tuple(parse_rational(x, f"{path}offset") for x in obj.get("offset", [])),
     )
 
 
@@ -226,10 +239,7 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
         return (hi.compare(1) == 0) == bool(claim["expect"])
     if kind == "covariance_identity":
         rep = wigner_reps[claim["rep"]]
-        chan = AffineMap(
-            Matrix.from_rows([_de_vec(r, "channel") for r in claim["channel"]["matrix"]]),
-            _de_vec(claim["channel"]["offset"], "channel"),
-        )
+        chan = _de_map(claim["channel"], "channel.")
         perm_a = tuple(claim["perm_a"])
         perm_b = tuple(claim["perm_b"])
         inv_a = [0] * len(perm_a)

@@ -27,6 +27,7 @@ identity also says that P preserves span(G).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -62,6 +63,8 @@ from .theory import (
     Channel,
     ChannelInfeasible,
     Observable,
+    _functional_from_block,
+    _grid_unknown_layout,
     _marginal_equalities,
     are_complementary,
     find_channel,
@@ -627,9 +630,7 @@ def find_permutation_channels(
             " (or explicitly supplied channels)"
         )
     n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    import math as _math
-
-    if _math.factorial(n_a) * _math.factorial(n_b) > GROUP_GUARD:
+    if math.factorial(n_a) * math.factorial(n_b) > GROUP_GUARD:
         raise SizeGuardError("product translation group exceeds the size guard")
     generators = product_group_generators(n_a, n_b)
     solved: dict[ProductGroupElement, Channel] = {}
@@ -734,12 +735,7 @@ def solve_covariant(
         )
     n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
     dim = space.ambient_dim
-    width = dim + 1
-    n_vars = n_a * n_b * width
-
-    def idx(a, b, k):
-        return (a * n_b + b) * width + k
-
+    n_vars, idx = _grid_unknown_layout(n_a, n_b, dim)
     eqs = _marginal_equalities(obs_a, obs_b, n_vars, idx)
     basis = affine_basis(space)
     generators = product_group_generators(n_a, n_b)
@@ -767,17 +763,10 @@ def solve_covariant(
         return CovariantResult("none", hyps, certificate=result, program=program)
 
     def grid_from(coeffs) -> WignerRep:
-        grid = tuple(
-            tuple(
-                AffineFunctional(
-                    tuple(coeffs[idx(a, b, k)] for k in range(dim)),
-                    coeffs[idx(a, b, dim)],
-                )
-                for b in range(n_b)
-            )
+        return WignerRep(space, obs_a, obs_b, tuple(
+            tuple(_functional_from_block(coeffs, idx, a, b, dim) for b in range(n_b))
             for a in range(n_a)
-        )
-        return WignerRep(space, obs_a, obs_b, grid)
+        ))
 
     # directions that vanish on aff(K) are coefficient gauge, not freedom
     genuine = []

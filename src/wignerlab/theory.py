@@ -35,6 +35,7 @@ from .geometry import (
     ExtremalValue,
     Polytope,
     StateSpace,
+    _polytope_extrema,
     affine_basis,
     affine_map_from_points,
     contains,
@@ -141,15 +142,18 @@ def validate_observable(obs: Observable, space: StateSpace) -> list[Violation]:
             )
             continue
         lo, hi = extremal_range(space, f)
+        lo_v = hi_v = None
+        if isinstance(space, Polytope) and (lo < 0 or hi > 1):
+            _, lo_v, _, hi_v = _polytope_extrema(space, f)
         if lo < 0:
             out.append(
                 Violation(obs.name, "range", f"effect for outcome {outcome!r} goes"
-                          f" below 0 (min {lo})", _argmin(space, f, True), lo)
+                          f" below 0 (min {lo})", lo_v, lo)
             )
         if hi > 1:
             out.append(
                 Violation(obs.name, "range", f"effect for outcome {outcome!r} goes"
-                          f" above 1 (max {hi})", _argmin(space, f, False), hi)
+                          f" above 1 (max {hi})", hi_v, hi)
             )
     total = obs.effects[0]
     for f in obs.effects[1:]:
@@ -162,18 +166,6 @@ def validate_observable(obs: Observable, space: StateSpace) -> list[Violation]:
                       value=total)
         )
     return out
-
-
-def _argmin(space: StateSpace, f: AffineFunctional, minimum: bool) -> Optional[Vec]:
-    if not isinstance(space, Polytope):
-        return None
-    best = None
-    arg = None
-    for v in space.vertices:
-        val = f(v)
-        if best is None or (val < best if minimum else val > best):
-            best, arg = val, v
-    return arg
 
 
 def validate(theory: Theory) -> list[Violation]:

@@ -5,7 +5,12 @@ A representation is a grid of affine functionals, one per phase point
 whose column sums reproduce the second's.  The whole family for a fixed
 pair of observables is parametrized by the free block of
 (|A|-1)(|B|-1) functionals: the anchored row, column and corner are
-then forced by the marginal identities.
+then forced by the marginal identities.  That completion rule is
+written once (``free_slots`` for the slot order and default anchor,
+``_slot_signs`` for where a free functional enters), and
+``construct_family``, ``faithful_member`` and ``positive_member`` all
+build on it.  ``faithful_member`` needs one elimination, not a rank
+test per slot and coordinate, and ``positive_member`` one LP.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from ._kernels import rref
 from .errors import DomainError, PreconditionError
 from .exact import (
     QQ,
@@ -156,9 +162,25 @@ def check_marginals(rep: WignerRep) -> MarginalReport:
     return MarginalReport(tuple(violations))
 
 
-def _default_anchor(obs_a: Observable, obs_b: Observable) -> tuple[int, int]:
-    # last outcome of each observable; arbitrary but reproducible
-    return obs_a.n_outcomes - 1, obs_b.n_outcomes - 1
+def free_slots(
+    obs_a: Observable, obs_b: Observable, anchor: Optional[tuple[int, int]] = None
+) -> tuple[tuple[int, int], list[tuple[int, int]]]:
+    """The anchor (alpha, beta), by default the last outcome of each
+    observable, and the free slots (a, b) with a != alpha and b != beta in
+    row-major order, the order in which members list their free block."""
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    alpha, beta = anchor if anchor is not None else (n_a - 1, n_b - 1)
+    if not (0 <= alpha < n_a and 0 <= beta < n_b):
+        raise ValueError("anchor out of range")
+    slots = [(a, b) for a in range(n_a) for b in range(n_b) if a != alpha and b != beta]
+    return (alpha, beta), slots
+
+
+def _slot_signs(slot: tuple[int, int], anchor: tuple[int, int]):
+    """The completion rule: a free slot's functional enters its own entry
+    and the corner with sign +1, and (a, beta) and (alpha, b) with -1."""
+    (a, b), (alpha, beta) = slot, anchor
+    return (((a, b), 1), ((a, beta), -1), ((alpha, b), -1), ((alpha, beta), 1))
 
 
 def construct_family(
@@ -173,51 +195,32 @@ def construct_family(
     ``free`` maps index pairs (a, b) with a != anchor_a, b != anchor_b
     to arbitrary affine functionals (missing slots default to zero);
     the anchored row, column and corner are filled by the closed-form
-    completion, so the result always passes ``check_marginals``.
+    completion, so the result always passes ``check_marginals``: the
+    degenerate member (the effects on the anchored cross, one minus the
+    other effects at the corner) plus each free functional with the
+    signs of ``_slot_signs``.
     """
-    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    alpha, beta = anchor if anchor is not None else _default_anchor(obs_a, obs_b)
-    if not (0 <= alpha < n_a and 0 <= beta < n_b):
-        raise ValueError("anchor out of range")
-    dim = space.ambient_dim
-    zero = AffineFunctional.zero(dim)
+    (alpha, beta), slots = free_slots(obs_a, obs_b, anchor)
     free = dict(free or {})
-    for (a, b) in free:
-        if a == alpha or b == beta or not (0 <= a < n_a and 0 <= b < n_b):
-            raise ValueError(f"slot {(a, b)} is not in the free block")
-    grid = [[zero for _ in range(n_b)] for _ in range(n_a)]
-    for a in range(n_a):
-        for b in range(n_b):
-            if a != alpha and b != beta:
-                grid[a][b] = free.get((a, b), zero)
-    for a in range(n_a):
-        if a == alpha:
-            continue
-        total = zero
-        for b in range(n_b):
-            if b != beta:
-                total = total + grid[a][b]
-        grid[a][beta] = obs_a.effects[a] - total
-    for b in range(n_b):
-        if b == beta:
-            continue
-        total = zero
-        for a in range(n_a):
-            if a != alpha:
-                total = total + grid[a][b]
-        grid[alpha][b] = obs_b.effects[b] - total
+    for slot in free:
+        if slot not in slots:
+            raise ValueError(f"slot {slot} is not in the free block")
+    dim = space.ambient_dim
+    grid = [[AffineFunctional.zero(dim)] * obs_b.n_outcomes for _ in obs_a.effects]
     corner = AffineFunctional.one(dim)
-    for a in range(n_a):
+    for a, f in enumerate(obs_a.effects):
         if a != alpha:
-            corner = corner - obs_a.effects[a]
-    for b in range(n_b):
+            grid[a][beta] = f
+            corner = corner - f
+    for b, f in enumerate(obs_b.effects):
         if b != beta:
-            corner = corner - obs_b.effects[b]
-    for a in range(n_a):
-        for b in range(n_b):
-            if a != alpha and b != beta:
-                corner = corner + grid[a][b]
+            grid[alpha][b] = f
+            corner = corner - f
     grid[alpha][beta] = corner
+    for slot, f in free.items():
+        signed = {1: f, -1: -f}
+        for (a, b), sign in _slot_signs(slot, (alpha, beta)):
+            grid[a][b] = grid[a][b] + signed[sign]
     return WignerRep(space, obs_a, obs_b, tuple(tuple(row) for row in grid))
 
 
@@ -349,31 +352,26 @@ def faithful_member(
 ) -> Optional[WignerRep]:
     """A faithful family member, or ``None`` when none exists.
 
-    Free slots are filled greedily with ambient coordinate functionals,
-    keeping a choice exactly when it increases the rank of the grid
-    restricted to aff(K).
+    On aff(K) a member's grid spans exactly what the degenerate member's
+    grid and the free functionals span.  So the free slots, in order, get
+    the ambient coordinate functionals that raise that span, each the
+    earliest one left: the coordinate pivot columns of one rref, over
+    the affine basis of K, of the degenerate grid followed by the
+    coordinates.  This is the greedy choice that keeps a coordinate in a
+    slot exactly when it increases the rank of the grid on aff(K).
     """
-    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    alpha, beta = anchor if anchor is not None else _default_anchor(obs_a, obs_b)
-    dim_ambient = space.ambient_dim
-    target = dimension(space) + 1
-    pool = [AffineFunctional.coordinate(dim_ambient, i) for i in range(dim_ambient)]
-    free: dict[tuple[int, int], AffineFunctional] = {}
-    rep = construct_family(obs_a, obs_b, space, free, (alpha, beta))
-    best = grid_rank(rep)
-    for a in range(n_a):
-        for b in range(n_b):
-            if a == alpha or b == beta or best >= target:
-                continue
-            for g in pool:
-                trial = dict(free)
-                trial[(a, b)] = g
-                candidate = construct_family(obs_a, obs_b, space, trial, (alpha, beta))
-                r = grid_rank(candidate)
-                if r > best:
-                    free, rep, best = trial, candidate, r
-                    break
-    return rep if best == target else None
+    anchor, slots = free_slots(obs_a, obs_b, anchor)
+    funcs = degenerate_rep(obs_a, obs_b, space, anchor).functionals()
+    n = len(funcs)
+    rows = [[f(p) for f in funcs] + list(p) for p in affine_basis(space)]
+    pivots = rref(rows, n + space.ambient_dim)
+    coords = [c - n for c in pivots if c >= n][:len(slots)]
+    if sum(c < n for c in pivots) + len(coords) < dimension(space) + 1:
+        return None
+    free = {
+        slot: AffineFunctional.coordinate(space.ambient_dim, i) for slot, i in zip(slots, coords)
+    }
+    return construct_family(obs_a, obs_b, space, free, anchor)
 
 
 @dataclass(frozen=True)
@@ -398,69 +396,33 @@ def positive_member(
     """Search the whole family for a positive member by one LP over the
     free block.  Since the family parametrization is exhaustive, an
     infeasibility certificate proves no positive representation exists.
+
+    Each entry at each vertex v is the degenerate member's entry plus
+    the free functionals with the signs of ``_slot_signs``, so its row
+    is those signs times (v, 1) in each slot's block of unknowns.
     """
     if not isinstance(space, Polytope):
         raise PreconditionError("positive-member search needs a polytope")
-    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    alpha, beta = anchor if anchor is not None else _default_anchor(obs_a, obs_b)
-    dim = space.ambient_dim
-    width = dim + 1
-    slots = [(a, b) for a in range(n_a) for b in range(n_b) if a != alpha and b != beta]
-    slot_pos = {s: i for i, s in enumerate(slots)}
-    n_vars = len(slots) * width
-
-    def entry_expression(a: int, b: int):
-        """Return (coeff_map, fixed) with coeff_map: var index -> sign,
-        fixed: AffineFunctional, so that entry = fixed + sum sign * q_slot."""
-        fixed = AffineFunctional.zero(dim)
-        coeffs: dict[tuple[int, int], QQ] = {}
-        if a != alpha and b != beta:
-            coeffs[(a, b)] = QQ(1)
-        elif a != alpha and b == beta:
-            fixed = obs_a.effects[a]
-            for bb in range(n_b):
-                if bb != beta:
-                    coeffs[(a, bb)] = QQ(-1)
-        elif a == alpha and b != beta:
-            fixed = obs_b.effects[b]
-            for aa in range(n_a):
-                if aa != alpha:
-                    coeffs[(aa, b)] = QQ(-1)
-        else:
-            fixed = AffineFunctional.one(dim)
-            for aa in range(n_a):
-                if aa != alpha:
-                    fixed = fixed - obs_a.effects[aa]
-            for bb in range(n_b):
-                if bb != beta:
-                    fixed = fixed - obs_b.effects[bb]
-            for s in slots:
-                coeffs[s] = QQ(1)
-        return coeffs, fixed
-
+    anchor, slots = free_slots(obs_a, obs_b, anchor)
+    base = degenerate_rep(obs_a, obs_b, space, anchor).grid
+    signs = [[[0] * len(slots) for _ in row] for row in base]
+    for j, slot in enumerate(slots):
+        for (a, b), sign in _slot_signs(slot, anchor):
+            signs[a][b][j] = sign
     ineqs = []
     for v in space.vertices:
         point = v + (QQ(1),)
-        for a in range(n_a):
-            for b in range(n_b):
-                coeffs, fixed = entry_expression(a, b)
-                row = [QQ(0)] * n_vars
-                for slot, sign in coeffs.items():
-                    base = slot_pos[slot] * width
-                    for k in range(width):
-                        row[base + k] += sign * point[k]
-                ineqs.append((tuple(row), -fixed(v)))
-    lp = LinearProgram(n_vars, (), tuple(ineqs))
+        for fixed_row, sign_row in zip(base, signs):
+            for fixed, entry_signs in zip(fixed_row, sign_row):
+                ineqs.append((tuple(s * x for s in entry_signs for x in point), -fixed(v)))
+    width = space.ambient_dim + 1
+    lp = LinearProgram(len(slots) * width, (), tuple(ineqs))
     result = lp_feasible(lp)
     if isinstance(result, Infeasible):
         return NoPositiveMember(lp, result)
-    free = {}
-    for slot, i in slot_pos.items():
-        base = i * width
-        free[slot] = AffineFunctional(
-            result.witness[base : base + dim], result.witness[base + dim]
-        )
-    rep = construct_family(obs_a, obs_b, space, free, (alpha, beta))
+    blocks = [result.witness[j * width:(j + 1) * width] for j in range(len(slots))]
+    free = {slot: AffineFunctional(q[:-1], q[-1]) for slot, q in zip(slots, blocks)}
+    rep = construct_family(obs_a, obs_b, space, free, anchor)
     if not is_positive(rep).ok:  # pragma: no cover - internal guard
         raise ArithmeticError("LP returned a non-positive member")
     return PositiveFound(rep, lp, result.witness)

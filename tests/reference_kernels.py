@@ -18,10 +18,24 @@ diagnosis of an infeasible channel, one block system over all basis
 images; ``per_column_affine_map`` the former ``affine_map_from_points``,
 one ``solve_affine`` per target coordinate; ``rank_greedy_subset`` the
 former greedy affine basis, one exact rank per point.
+
+``orthogonal_extension`` (with ``projection_matrix``) is the former
+``geometry.affine_map_with_orthogonal_extension``: one ``solve_affine``
+per point off a greedy affine basis, then the interpolant composed with
+the orthogonal projection onto the domain's difference span.
+``closed_form_family`` is the former ``wigner.construct_family``,
+``greedy_faithful_member`` the former ``wigner.faithful_member`` (one
+``construct_family`` and ``grid_rank`` per slot and coordinate trial)
+and ``entrywise_positive_member`` the former ``wigner.positive_member``,
+whose LP rows restate the completion rule entry by entry; the last two
+build their members with ``closed_form_family``.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Sequence, Union
+
+from wignerlab.errors import PreconditionError
 from wignerlab.exact import (
     QQ,
     Feasible,
@@ -29,15 +43,35 @@ from wignerlab.exact import (
     Infeasible,
     LinearProgram,
     Matrix,
+    Vec,
     lp_feasible,
     rank,
     solve_affine,
     unit,
     vec,
     vec_dot,
+    vec_sub,
     zeros,
 )
-from wignerlab.geometry import AffineMap, affine_basis, affine_map_from_points, contains
+from wignerlab.geometry import (
+    AffineFunctional,
+    AffineMap,
+    Polytope,
+    StateSpace,
+    affine_basis,
+    affine_map_from_points,
+    contains,
+    dimension,
+    independent_affine_subset,
+)
+from wignerlab.theory import Observable
+from wignerlab.wigner import (
+    NoPositiveMember,
+    PositiveFound,
+    WignerRep,
+    grid_rank,
+    is_positive,
+)
 
 
 def check(lp: LinearProgram, x) -> bool:
@@ -363,3 +397,260 @@ def rank_greedy_subset(points):
             chosen.append(i)
             diffs = candidate
     return chosen
+
+
+def projection_matrix(directions: Sequence[Vec], n: int) -> Matrix:
+    """Orthogonal projection of Q^n onto span(directions)."""
+    dirs = [vec(d) for d in directions if any(d)]
+    if not dirs:
+        return Matrix.zero(n, n)
+    b = Matrix.from_rows([[d[i] for d in dirs] for i in range(n)], cols=len(dirs))
+    gram = b.transpose().matmul(b)
+    bt = b.transpose()
+    cols = []
+    for j in range(n):
+        sol = solve_affine(gram, bt.column(j))
+        if sol is None:  # pragma: no cover - gram of independent dirs is invertible
+            raise ArithmeticError("singular Gram matrix")
+        cols.append(sol.particular)
+    x = Matrix.from_rows(
+        [[cols[j][i] for j in range(n)] for i in range(len(dirs))], cols=n
+    )
+    return b.matmul(x)
+
+
+def orthogonal_extension(
+    domain: Sequence[Sequence], images: Sequence[Sequence]
+) -> Optional[AffineMap]:
+    """The canonical affine map interpolating ``domain -> images``.
+
+    On the affine hull of the domain points the map is the (unique)
+    interpolant; on the orthogonal complement it acts as the identity
+    when source and target dimensions agree, as zero otherwise.  Returns
+    ``None`` when the required images violate an affine dependency of
+    the domain points, i.e. no affine interpolant exists.
+    """
+    domain = [vec(p) for p in domain]
+    images = [vec(p) for p in images]
+    if len(domain) != len(images) or not domain:
+        raise ValueError("need equally many domain and image points")
+    n1, n2 = len(domain[0]), len(images[0])
+    idx = independent_affine_subset(domain)
+    base_dom = [domain[i] for i in idx]
+    base_img = [images[i] for i in idx]
+    system = Matrix.from_rows([[b[k] for b in base_dom] for k in range(n1)] + [[QQ(1)] * len(idx)])
+    chosen = set(idx)
+    for j, p in enumerate(domain):
+        if j in chosen:
+            continue
+        coeffs = solve_affine(system, list(p) + [QQ(1)])
+        if coeffs is None:  # pragma: no cover - p is in the hull by construction
+            raise ArithmeticError("interpolation basis does not span")
+        predicted = tuple(
+            sum((c * b[k] for c, b in zip(coeffs.particular, base_img)), QQ(0))
+            for k in range(n2)
+        )
+        if predicted != images[j]:
+            return None
+    interp = affine_map_from_points(base_dom, base_img)
+    if interp is None:  # pragma: no cover - basis is affinely independent
+        raise ArithmeticError("interpolation failed on an affine basis")
+    m0, t0 = interp.matrix, interp.offset
+    proj = projection_matrix([vec_sub(p, base_dom[0]) for p in base_dom[1:]], n1)
+    if n1 == n2:
+        ext = Matrix.from_rows(
+            [
+                [(QQ(1) if i == j else QQ(0)) - proj.entries[i][j] for j in range(n1)]
+                for i in range(n1)
+            ],
+            cols=n1,
+        )
+    else:
+        ext = Matrix.zero(n2, n1)
+    mat = Matrix.from_rows(
+        [
+            [vec_dot(m0.row(i), proj.column(j)) + ext.entries[i][j] for j in range(n1)]
+            for i in range(n2)
+        ],
+        cols=n1,
+    )
+    anchor = base_dom[0]
+    base = tuple(a + b for a, b in zip(m0.matvec(anchor), t0))
+    offset = vec_sub(base, mat.matvec(anchor))
+    result = AffineMap(mat, offset)
+    for p, img in zip(domain, images):
+        if result(p) != img:  # pragma: no cover - internal guard
+            raise ArithmeticError("extension broke the interpolation")
+    return result
+
+
+def closed_form_family(
+    obs_a: Observable,
+    obs_b: Observable,
+    space: StateSpace,
+    free: Optional[dict[tuple[int, int], AffineFunctional]] = None,
+    anchor: Optional[tuple[int, int]] = None,
+) -> WignerRep:
+    """Member of the representation family for the given free block.
+
+    ``free`` maps index pairs (a, b) with a != anchor_a, b != anchor_b
+    to arbitrary affine functionals (missing slots default to zero);
+    the anchored row, column and corner are filled by the closed-form
+    completion, so the result always passes ``check_marginals``.
+    """
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    alpha, beta = anchor if anchor is not None else (obs_a.n_outcomes - 1, obs_b.n_outcomes - 1)
+    if not (0 <= alpha < n_a and 0 <= beta < n_b):
+        raise ValueError("anchor out of range")
+    dim = space.ambient_dim
+    zero = AffineFunctional.zero(dim)
+    free = dict(free or {})
+    for (a, b) in free:
+        if a == alpha or b == beta or not (0 <= a < n_a and 0 <= b < n_b):
+            raise ValueError(f"slot {(a, b)} is not in the free block")
+    grid = [[zero for _ in range(n_b)] for _ in range(n_a)]
+    for a in range(n_a):
+        for b in range(n_b):
+            if a != alpha and b != beta:
+                grid[a][b] = free.get((a, b), zero)
+    for a in range(n_a):
+        if a == alpha:
+            continue
+        total = zero
+        for b in range(n_b):
+            if b != beta:
+                total = total + grid[a][b]
+        grid[a][beta] = obs_a.effects[a] - total
+    for b in range(n_b):
+        if b == beta:
+            continue
+        total = zero
+        for a in range(n_a):
+            if a != alpha:
+                total = total + grid[a][b]
+        grid[alpha][b] = obs_b.effects[b] - total
+    corner = AffineFunctional.one(dim)
+    for a in range(n_a):
+        if a != alpha:
+            corner = corner - obs_a.effects[a]
+    for b in range(n_b):
+        if b != beta:
+            corner = corner - obs_b.effects[b]
+    for a in range(n_a):
+        for b in range(n_b):
+            if a != alpha and b != beta:
+                corner = corner + grid[a][b]
+    grid[alpha][beta] = corner
+    return WignerRep(space, obs_a, obs_b, tuple(tuple(row) for row in grid))
+
+
+def greedy_faithful_member(
+    obs_a: Observable,
+    obs_b: Observable,
+    space: StateSpace,
+    anchor: Optional[tuple[int, int]] = None,
+) -> Optional[WignerRep]:
+    """A faithful family member, or ``None`` when none exists.
+
+    Free slots are filled greedily with ambient coordinate functionals,
+    keeping a choice exactly when it increases the rank of the grid
+    restricted to aff(K).
+    """
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    alpha, beta = anchor if anchor is not None else (obs_a.n_outcomes - 1, obs_b.n_outcomes - 1)
+    dim_ambient = space.ambient_dim
+    target = dimension(space) + 1
+    pool = [AffineFunctional.coordinate(dim_ambient, i) for i in range(dim_ambient)]
+    free: dict[tuple[int, int], AffineFunctional] = {}
+    rep = closed_form_family(obs_a, obs_b, space, free, (alpha, beta))
+    best = grid_rank(rep)
+    for a in range(n_a):
+        for b in range(n_b):
+            if a == alpha or b == beta or best >= target:
+                continue
+            for g in pool:
+                trial = dict(free)
+                trial[(a, b)] = g
+                candidate = closed_form_family(obs_a, obs_b, space, trial, (alpha, beta))
+                r = grid_rank(candidate)
+                if r > best:
+                    free, rep, best = trial, candidate, r
+                    break
+    return rep if best == target else None
+
+
+def entrywise_positive_member(
+    obs_a: Observable,
+    obs_b: Observable,
+    space: StateSpace,
+    anchor: Optional[tuple[int, int]] = None,
+) -> Union[PositiveFound, NoPositiveMember]:
+    """Search the whole family for a positive member by one LP over the
+    free block.  Since the family parametrization is exhaustive, an
+    infeasibility certificate proves no positive representation exists.
+    """
+    if not isinstance(space, Polytope):
+        raise PreconditionError("positive-member search needs a polytope")
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    alpha, beta = anchor if anchor is not None else (obs_a.n_outcomes - 1, obs_b.n_outcomes - 1)
+    dim = space.ambient_dim
+    width = dim + 1
+    slots = [(a, b) for a in range(n_a) for b in range(n_b) if a != alpha and b != beta]
+    slot_pos = {s: i for i, s in enumerate(slots)}
+    n_vars = len(slots) * width
+
+    def entry_expression(a: int, b: int):
+        """Return (coeff_map, fixed) with coeff_map: var index -> sign,
+        fixed: AffineFunctional, so that entry = fixed + sum sign * q_slot."""
+        fixed = AffineFunctional.zero(dim)
+        coeffs: dict[tuple[int, int], QQ] = {}
+        if a != alpha and b != beta:
+            coeffs[(a, b)] = QQ(1)
+        elif a != alpha and b == beta:
+            fixed = obs_a.effects[a]
+            for bb in range(n_b):
+                if bb != beta:
+                    coeffs[(a, bb)] = QQ(-1)
+        elif a == alpha and b != beta:
+            fixed = obs_b.effects[b]
+            for aa in range(n_a):
+                if aa != alpha:
+                    coeffs[(aa, b)] = QQ(-1)
+        else:
+            fixed = AffineFunctional.one(dim)
+            for aa in range(n_a):
+                if aa != alpha:
+                    fixed = fixed - obs_a.effects[aa]
+            for bb in range(n_b):
+                if bb != beta:
+                    fixed = fixed - obs_b.effects[bb]
+            for s in slots:
+                coeffs[s] = QQ(1)
+        return coeffs, fixed
+
+    ineqs = []
+    for v in space.vertices:
+        point = v + (QQ(1),)
+        for a in range(n_a):
+            for b in range(n_b):
+                coeffs, fixed = entry_expression(a, b)
+                row = [QQ(0)] * n_vars
+                for slot, sign in coeffs.items():
+                    base = slot_pos[slot] * width
+                    for k in range(width):
+                        row[base + k] += sign * point[k]
+                ineqs.append((tuple(row), -fixed(v)))
+    lp = LinearProgram(n_vars, (), tuple(ineqs))
+    result = lp_feasible(lp)
+    if isinstance(result, Infeasible):
+        return NoPositiveMember(lp, result)
+    free = {}
+    for slot, i in slot_pos.items():
+        base = i * width
+        free[slot] = AffineFunctional(
+            result.witness[base : base + dim], result.witness[base + dim]
+        )
+    rep = closed_form_family(obs_a, obs_b, space, free, (alpha, beta))
+    if not is_positive(rep).ok:  # pragma: no cover - internal guard
+        raise ArithmeticError("LP returned a non-positive member")
+    return PositiveFound(rep, lp, result.witness)

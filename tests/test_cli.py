@@ -158,6 +158,28 @@ def test_symmetries_channel_query_trit(tmp_path, capsys):
     assert sorted(report["obstruction"]["witness_pair"]) == [["0", "0"], ["0", "1"]]
 
 
+def test_channel_maps_parse_errors_name_their_field(tmp_path, capsys):
+    path = tmp_path / "trit.json"
+    run(capsys, "example", "trit", "--rep", "W", "--out", str(path))
+    code, _, err = run(
+        capsys, "symmetries", str(path), "--channel-matrix",
+        '{"matrix": [["1","x"],["0","1"]], "offset": ["0","0"]}',
+    )
+    assert code == 2 and "(at matrix)" in err
+    code, _, err = run(
+        capsys, "symmetries", str(path), "--channel-matrix", '{"matrix": [["1","0"],["0","1"]]}',
+    )
+    assert code == 2 and "offset length must equal matrix row count" in err
+    box = tmp_path / "box.json"
+    channels = tmp_path / "channels.json"
+    run(capsys, "example", "qubit_xz", "--out", str(box), "--channels-out", str(channels))
+    rows = json.loads(channels.read_text())
+    rows[1]["offset"][0] = "1/0"
+    channels.write_text(json.dumps(rows))
+    code, _, err = run(capsys, "covariant", str(box), "--channels", str(channels))
+    assert code == 2 and "(at [1].offset)" in err
+
+
 def test_covariant_unique_and_none(tmp_path, capsys):
     box = tmp_path / "box.json"
     run(capsys, "example", "boxworld", "--out", str(box))

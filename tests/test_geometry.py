@@ -26,7 +26,7 @@ from wignerlab.geometry import (
 )
 
 from helpers import random_fraction
-from reference_kernels import per_column_affine_map, rank_greedy_subset
+from reference_kernels import orthogonal_extension, per_column_affine_map, rank_greedy_subset
 
 SQUARE = Polytope([(0, 0), (0, 1), (1, 0), (1, 1)])
 CUBE = Polytope([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
@@ -409,3 +409,63 @@ def test_orthogonal_extension_interpolates_and_detects_conflicts():
     # (1,1) = (1,0) + (0,1) - (0,0) affinely; break the dependency
     images[3] = (F(5), F(5))
     assert affine_map_with_orthogonal_extension(domain, images) is None
+
+
+def _random_extension_case(rng, n1, n2, kind):
+    """Domain points in Q^n1 and images in Q^n2: one point, a few
+    (lower-dimensional) points, a spanning set, or a set with duplicates
+    and affinely dependent points; "broken" perturbs the image of a
+    dependent point, so no affine interpolant exists."""
+    m = AffineMap.from_rows(
+        [[random_fraction(rng) for _ in range(n1)] for _ in range(n2)],
+        [random_fraction(rng) for _ in range(n2)],
+    )
+    count = 1 if kind == "single" else (
+        rng.randint(2, n1) if kind == "lower" else n1 + rng.randint(1, 2))
+    domain = [tuple(random_fraction(rng) for _ in range(n1)) for _ in range(count)]
+    if kind in ("dependent", "broken"):
+        for _ in range(rng.randint(1, 3)):
+            p, q = rng.choice(domain), rng.choice(domain)
+            t = random_fraction(rng)
+            domain.append(p if rng.random() < 0.3 else tuple(a + t * (b - a) for a, b in zip(p, q)))
+    images = [m(p) for p in domain]
+    if kind in ("single", "lower"):
+        images = [tuple(random_fraction(rng) for _ in range(n2)) for _ in domain]
+    if kind == "broken":
+        images[-1] = tuple(x + 1 for x in images[-1])
+    return domain, images
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+def test_orthogonal_extension_matches_the_projection_oracle(n1):
+    """Extra points p0 + c with images y0 + c (equal dimensions) or y0,
+    for c in a basis of the domain's orthogonal complement, give the
+    former projection-based map bit for bit, and ``None`` exactly when
+    it did."""
+    rng = random.Random(500 + n1)
+    kinds = ["single", "lower", "spanning", "dependent", "broken"] if n1 > 1 else [
+        "single", "spanning", "dependent", "broken"]
+    for kind in kinds:
+        for n2 in sorted({n1, rng.randint(1, 4), n1 + 1}):
+            for _ in range(12):
+                domain, images = _random_extension_case(rng, n1, n2, kind)
+                m = affine_map_with_orthogonal_extension(domain, images)
+                assert m == orthogonal_extension(domain, images)
+                assert (m is None) == (kind == "broken")
+                if m is not None:
+                    assert all(m(p) == img for p, img in zip(domain, images))
+
+
+def test_orthogonal_extension_solves_no_system_per_point(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("solve_affine called")
+
+    assert not hasattr(geometry, "solve_affine")
+    monkeypatch.setattr(exact, "solve_affine", boom)
+    domain = [(F(0), F(0), F(0)), (F(1), F(0), F(1)), (F(2), F(0), F(2))]
+    images = [(F(1), F(1), F(1)), (F(2), F(1), F(1)), (F(3), F(1), F(1))]
+    m = affine_map_with_orthogonal_extension(domain, images)
+    assert [m(p) for p in domain] == images
+    # identity on the complement, spanned by (0, 1, 0) and (1, 0, -1)
+    assert m((F(0), F(1), F(0))) == (F(1), F(2), F(1))
+    assert m((F(1), F(0), F(-1))) == (F(2), F(1), F(0))

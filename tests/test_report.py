@@ -8,7 +8,14 @@ import pytest
 from wignerlab import catalog, exact
 from wignerlab.cli import main
 from wignerlab.exact import LinearProgram
-from wignerlab.report import _de_program, load_report, ser_program, verify_report
+from wignerlab.report import (
+    _de_map,
+    _de_program,
+    load_report,
+    ser_map,
+    ser_program,
+    verify_report,
+)
 
 
 def _report(capsys, argv):
@@ -48,6 +55,16 @@ def test_parsed_programs_write_back_byte_for_byte(tmp_path, capsys):
         assert rational._scaled == lp._scaled
         assert rational.equalities == lp.equalities
         assert rational.inequalities == lp.inequalities
+
+
+def test_parsed_channels_write_back_byte_for_byte(tmp_path, capsys):
+    channels = [
+        c["channel"] for r in _catalog_reports(tmp_path, capsys) for c in r["claims"]
+        if "channel" in c
+    ]
+    assert len(channels) >= 5
+    for channel in channels:
+        assert json.dumps(ser_map(_de_map(channel, "channel."))) == json.dumps(channel)
 
 
 def test_unreduced_and_json_int_entries_parse_to_the_same_program():

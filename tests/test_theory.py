@@ -66,6 +66,16 @@ def test_validate_range_violation_with_witness():
     assert "range" in kinds
     top = next(v for v in violations if v.kind == "range" and v.value == 2)
     assert FX.scale(2)(top.witness) == 2
+    # ties go to the first vertex; balls carry no vertex witness
+    f = FX.scale(2).shift(F(-1, 2))
+    tied = Observable("tied", (0, 1), (f, ONE2 - f))
+    assert [(v.message, v.witness) for v in validate_observable(tied, SQUARE)] == [
+        ("effect for outcome 0 goes below 0 (min -1/2)", (0, 0)),
+        ("effect for outcome 0 goes above 1 (max 3/2)", (1, 0)),
+        ("effect for outcome 1 goes below 0 (min -1/2)", (1, 0)),
+        ("effect for outcome 1 goes above 1 (max 3/2)", (0, 0)),
+    ]
+    assert [v.witness for v in validate_observable(bad, Ball((0, 0), 1))] == [None] * 4
 
 
 def test_validate_normalization():

@@ -2,11 +2,18 @@
 faithfulness, isomorphisms."""
 
 from fractions import Fraction as F
+import itertools
 import random
 
 import pytest
 
-from helpers import random_free_block, random_theory
+from helpers import random_fraction, random_free_block, random_polygon, random_theory
+from reference_kernels import (
+    closed_form_family,
+    entrywise_positive_member,
+    greedy_faithful_member,
+)
+from wignerlab import catalog, exact, wigner
 from wignerlab.errors import DomainError, PreconditionError
 from wignerlab.geometry import AffineFunctional, Ball, ExtremalValue, Polytope
 from wignerlab.theory import Observable, measure
@@ -170,6 +177,90 @@ def test_faithful_member_matches_inequality_random():
         if member is not None:
             assert is_faithful(member)
             assert check_marginals(member).ok
+
+
+def _differential_cases():
+    """(obs_a, obs_b, space, anchor): random theories, random observables
+    whose effects need not sum to one, and every ordered pair of catalog
+    observables (with itself too) under the default and the (0, 0)
+    anchor."""
+    rng = random.Random(808)
+    cases = []
+    for _ in range(60):
+        t = random_theory(rng, outcome_choices=(1, 2, 3))
+        anchor = rng.choice([None, (0, 0), (t.obs_a.n_outcomes - 1, 0)])
+        cases.append((t.obs_a, t.obs_b, t.state_space, anchor))
+    for _ in range(20):
+        space = random_polygon(rng)
+        a, b = (
+            Observable(name, tuple(range(k)), tuple(
+                AffineFunctional((random_fraction(rng), random_fraction(rng)), random_fraction(rng))
+                for _ in range(k)))
+            for name, k in (("A", rng.randint(1, 3)), ("B", rng.randint(2, 3)))
+        )
+        cases.append((a, b, space, None))
+    for name in catalog.CATALOG_NAMES:
+        theory = catalog.load(name).theory
+        for a, b in itertools.product(theory.observables, repeat=2):
+            for anchor in (None, (0, 0)):
+                cases.append((a, b, theory.state_space, anchor))
+    return cases
+
+
+def test_construct_family_matches_the_closed_form():
+    rng = random.Random(809)
+    for obs_a, obs_b, space, anchor in _differential_cases():
+        free = random_free_block(rng, space, obs_a, obs_b, anchor)
+        rep = construct_family(obs_a, obs_b, space, free, anchor)
+        assert rep == closed_form_family(obs_a, obs_b, space, free, anchor)
+
+
+def test_faithful_member_matches_the_greedy_search():
+    """The rref pivots give the member that one rank test per slot and
+    coordinate chose, bit for bit, and ``None`` exactly when it did."""
+    found = missing = 0
+    for obs_a, obs_b, space, anchor in _differential_cases():
+        member = faithful_member(obs_a, obs_b, space, anchor)
+        assert member == greedy_faithful_member(obs_a, obs_b, space, anchor)
+        found += member is not None
+        missing += member is None
+    assert found > 100 and missing > 10
+    trit = catalog.load("trit").theory
+    assert faithful_member(trit.obs_a, trit.obs_b, trit.state_space) is None
+
+
+def test_faithful_member_rejects_a_bad_anchor():
+    for anchor in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            faithful_member(OBS_A, OBS_B, SQUARE, anchor)
+        with pytest.raises(ValueError):
+            positive_member(OBS_A, OBS_B, SQUARE, anchor)
+
+
+def test_faithful_member_runs_no_rank_test(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("rank test called")
+
+    monkeypatch.setattr(exact, "rank", boom)
+    monkeypatch.setattr(wigner, "rank", boom)
+    monkeypatch.setattr(wigner, "grid_rank", boom)
+    for name in catalog.CATALOG_NAMES:
+        t = catalog.load(name).theory
+        member = faithful_member(t.obs_a, t.obs_b, t.state_space)
+        assert (member is None) == (name == "trit")
+    assert faithful_member(OBS_A3, OBS_B3, CUBE).grid[0][0] == FZ3
+
+
+def test_positive_member_matches_the_entrywise_program():
+    """Same program, witness and member, or same certificate."""
+    kinds = set()
+    for obs_a, obs_b, space, anchor in _differential_cases():
+        if not isinstance(space, Polytope):
+            continue
+        result = positive_member(obs_a, obs_b, space, anchor)
+        assert result == entrywise_positive_member(obs_a, obs_b, space, anchor)
+        kinds.add(type(result))
+    assert kinds == {PositiveFound, NoPositiveMember}
 
 
 def test_positive_member_boxworld():
