@@ -2,7 +2,18 @@
 
 These three loops are where the engine spends essentially all of its
 time: reduced row echelon form, fraction-free (Bareiss) integer
-elimination, and the Bland-rule phase-1 simplex iteration.
+elimination, and the Bland-rule phase-1 simplex iteration.  All three
+run on Python ints.
+
+``rref`` holds each row as ints over its own positive denominator, in
+lowest terms (the gcd of the row and its denominator is 1).  A pivot
+row is scaled to its pivot entry ``pv > 0``, which becomes its
+denominator; another row meeting the pivot column at ``f`` becomes
+``pv*row - f*prow`` over ``pv`` times its denominator, and the gcd is
+divided out.  It takes the same pivots as Gauss-Jordan over
+``Fraction``, and since the reduced echelon form is unique and every
+other row is the same rational combination, its result is the same:
+one ``Fraction`` per entry is built at return.
 
 The simplex works on Python ints only.  Its tableau is kept over a
 common positive denominator ``D``: on return every entry is ``D`` times
@@ -27,6 +38,9 @@ format of the rational simplex and re-check with the same
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 
 def rref(rows, ncols):
     """Reduce ``rows`` in place to reduced row echelon form.
@@ -34,38 +48,57 @@ def rref(rows, ncols):
     Only the first ``ncols`` columns are eligible as pivots; any extra
     trailing columns (augmented right-hand sides) are carried along by
     the row operations.  Returns the list of pivot column indices.
+
+    Entries may be ints or Fractions; on return each is a ``Fraction``.
+    The elimination runs on ints (see the module docstring).
     """
     m = len(rows)
     if m == 0:
         return []
-    width = len(rows[0])
+    # row i is nums[i] / dens[i], with gcd(dens[i], *nums[i]) == 1
+    nums, dens = [], []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        nums.append([x.numerator * (den // x.denominator) for x in row])
+        dens.append(den)
     pivots = []
     r = 0
     for c in range(ncols):
         p = -1
         for i in range(r, m):
-            if rows[i][c]:
+            if nums[i][c]:
                 p = i
                 break
         if p < 0:
             continue
         if p != r:
             rows[p], rows[r] = rows[r], rows[p]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            for k in range(c, width):
-                prow[k] = prow[k] / pv
+            nums[p], nums[r] = nums[r], nums[p]
+            dens[p], dens[r] = dens[r], dens[p]
+        prow = nums[r]
+        g = math.gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = nums[r] = [a // g for a in prow]
+        pv = dens[r] = prow[c]
         for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                row = rows[i]
-                for k in range(c, width):
-                    row[k] = row[k] - f * prow[k]
+            if i != r and nums[i][c]:
+                row = nums[i]
+                f = row[c]
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                den = dens[i] * pv
+                g = math.gcd(den, *row)
+                if g != 1:
+                    row = [a // g for a in row]
+                    den //= g
+                nums[i], dens[i] = row, den
         pivots.append(c)
         r += 1
         if r == m:
             break
+    for row, num, den in zip(rows, nums, dens):
+        row[:] = [Fraction(a, den) for a in num]
     return pivots
 
 

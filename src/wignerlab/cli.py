@@ -572,7 +572,9 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
     return 0
 
 
-def _load_channels(path: str):
+def _load_channels(path: str, theory):
+    """The channels of a ``--channels`` file, one per outcome-permutation
+    pair, each an affine map of the theory's ambient space."""
     import json
 
     try:
@@ -580,11 +582,27 @@ def _load_channels(path: str):
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read channels file: {exc}", path=path) from None
+    if not isinstance(data, list):
+        raise ParseError("expected a list of channels", path=path)
     channels = {}
     for i, row in enumerate(data):
-        element = symmetry.ProductGroupElement(
-            tuple(row["perm_a"]), tuple(row["perm_b"])
-        )
+        if not isinstance(row, dict):
+            raise ParseError("expected an object", path=f"[{i}]")
+        for key in ("perm_a", "perm_b", "matrix", "offset"):
+            if not isinstance(row.get(key), list):
+                raise ParseError("expected a list", path=f"[{i}].{key}")
+        for key, obs in (("perm_a", theory.obs_a), ("perm_b", theory.obs_b)):
+            n = obs.n_outcomes
+            if any(type(k) is not int for k in row[key]) or sorted(row[key]) != list(range(n)):
+                raise ParseError(f"expected a permutation of 0..{n - 1}", path=f"[{i}].{key}")
+        dim = theory.state_space.ambient_dim
+        if len(row["matrix"]) != dim or any(
+            not isinstance(r, list) or len(r) != dim for r in row["matrix"]
+        ):
+            raise ParseError(f"expected {dim} rows of {dim} entries", path=f"[{i}].matrix")
+        if len(row["offset"]) != dim:
+            raise ParseError(f"expected {dim} entries", path=f"[{i}].offset")
+        element = symmetry.ProductGroupElement(tuple(row["perm_a"]), tuple(row["perm_b"]))
         channels[element] = _de_map(row, f"[{i}].")
     return channels
 
@@ -592,7 +610,7 @@ def _load_channels(path: str):
 def _cmd_covariant(args) -> int:
     theory, _ = _load_theory(args.file)
     space = theory.state_space
-    channels = _load_channels(args.channels) if args.channels else None
+    channels = _load_channels(args.channels, theory) if args.channels else None
     result = symmetry.solve_covariant(theory.obs_a, theory.obs_b, space, channels)
     claims = []
     notes = [f"hypothesis {k}: {'holds' if v else 'FAILS'}"

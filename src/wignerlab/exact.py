@@ -7,6 +7,12 @@ rational matrices, exact rank (fraction-free over integers), affine
 system solving with nullspace bases, and LP feasibility with verified
 witnesses or Farkas infeasibility certificates.
 
+The hot arithmetic runs on ints and builds one ``Fraction`` per result:
+``vec_dot`` sums one integer numerator over the product of the terms'
+denominators (an affine functional or map folds its constant in as the
+start), ``rank`` scales each row to integers by its denominator lcm,
+and ``solve_affine`` reduces with the integer ``_kernels.rref``.
+
 Feasibility is decided by a phase-1 simplex with Bland's anti-cycling
 rule.  A row ``c * x_j >= 0`` (one nonzero ``c > 0``, rhs 0) is taken as
 the sign bound ``x_j >= 0``; every other variable is split into positive
@@ -89,8 +95,18 @@ def vec_scale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def vec_dot(u: Vec, v: Vec) -> QQ:
-    return sum((a * b for a, b in zip(u, v, strict=True)), QQ(0))
+def vec_dot(u: Vec, v: Vec, start=0) -> QQ:
+    """``start + u . v`` for ints and Fractions, summed as one integer
+    numerator over the product of the terms' denominators."""
+    num, den = start.numerator, start.denominator
+    for a, b in zip(u, v, strict=True):
+        d = a.denominator * b.denominator
+        if d == den:
+            num += a.numerator * b.numerator
+        else:
+            num = num * d + a.numerator * b.numerator * den
+            den *= d
+    return QQ(num, den)
 
 
 def zeros(n: int) -> Vec:
@@ -174,7 +190,7 @@ def rank(m: Union[Matrix, Sequence[Sequence]]) -> int:
     int_rows = []
     for r in rows:
         scale = math.lcm(*(f.denominator for f in r)) if r else 1
-        int_rows.append([int(f * scale) for f in r])
+        int_rows.append([f.numerator * (scale // f.denominator) for f in r])
     return bareiss_rank(int_rows)
 
 

@@ -74,7 +74,7 @@ class AffineFunctional:
         return len(self.linear)
 
     def __call__(self, point: Sequence) -> QQ:
-        return vec_dot(self.linear, vec(point)) + self.constant
+        return vec_dot(self.linear, vec(point), self.constant)
 
     def __add__(self, other: "AffineFunctional") -> "AffineFunctional":
         return AffineFunctional(
@@ -100,7 +100,7 @@ class AffineFunctional:
         row = tuple(
             vec_dot(self.linear, m.matrix.column(j)) for j in range(m.matrix.cols)
         )
-        return AffineFunctional(row, vec_dot(self.linear, m.offset) + self.constant)
+        return AffineFunctional(row, vec_dot(self.linear, m.offset, self.constant))
 
     def coefficients(self) -> Vec:
         """Linear coefficients with the constant appended."""
@@ -140,7 +140,9 @@ class AffineMap:
 
     def __call__(self, point: Sequence) -> Vec:
         x = vec(point)
-        return tuple(a + b for a, b in zip(self.matrix.matvec(x), self.offset))
+        if len(x) != self.matrix.cols:
+            raise ValueError("dimension mismatch")
+        return tuple(vec_dot(r, x, c) for r, c in zip(self.matrix.entries, self.offset))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """Returns x -> self(inner(x))."""

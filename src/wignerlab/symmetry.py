@@ -292,8 +292,7 @@ def _solve_state(chart: _Chart, target: Vec) -> Optional[Vec]:
     """The state y in aff(K) with W(y) = target, or None."""
     rhs = vec_sub(target, chart.images[0])
     coeffs = [vec_dot(row, rhs) for row in chart.gplus]
-    if any(sum((c * col[i] for c, col in zip(coeffs, chart.cols)), QQ(0)) != r
-           for i, r in enumerate(rhs)):
+    if any(vec_dot(coeffs, [col[i] for col in chart.cols]) != r for i, r in enumerate(rhs)):
         return None
     p0 = chart.basis[0]
     y = p0
@@ -313,6 +312,14 @@ def _pull_back(chart: _Chart, m: AffineMap) -> Optional[AffineMap]:
     return affine_map_with_orthogonal_extension(chart.basis, images)
 
 
+def _over_lcm(rows: Sequence[Sequence[QQ]]) -> list[tuple[int, ...]]:
+    """The rows times the lcm of all their denominators, as ints: a
+    positive scaling, so equalities between entries and the set of rows
+    are those of the rationals, compared and hashed as ints."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows]
+
+
 def _permutation_test(
     rep: WignerRep, chart: Optional[_Chart] = None
 ) -> Callable[[Sequence[int]], bool]:
@@ -328,11 +335,11 @@ def _permutation_test(
     n = len(funcs)
     if isinstance(space, Polytope):
         images = [tuple(f(v) for f in funcs) for v in space.vertices]
-        ext = set(Polytope.hull_of(images).vertices)
+        ext = set(_over_lcm(Polytope.hull_of(images).vertices))
 
         def fixes_ext(perm: Sequence[int]) -> bool:
             for point in ext:
-                mapped = [QQ(0)] * n
+                mapped = [0] * n
                 for j, value in enumerate(point):
                     mapped[perm[j]] = value
                 if tuple(mapped) not in ext:
@@ -346,9 +353,9 @@ def _permutation_test(
                 "unsupported: ball symmetry testing needs a faithful representation"
             )
         chart = _chart(rep)
-    g0 = chart.images[0]
+    (g0,) = _over_lcm([chart.images[0]])
     gplus_cols = [tuple(row[i] for row in chart.gplus) for i in range(n)]
-    s = [[vec_dot(u, v) for v in gplus_cols] for u in gplus_cols]  # G H^-2 G^T
+    s = _over_lcm([[vec_dot(u, v) for v in gplus_cols] for u in gplus_cols])  # G H^-2 G^T
     return lambda perm: all(
         g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
         for i in range(n)

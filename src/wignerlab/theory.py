@@ -489,7 +489,7 @@ def find_channel(
         return ChannelInfeasible(lp, result, wp, wi)
     w = result.witness
     images = [
-        tuple(vec_dot(w[k * d1:(k + 1) * d1], p) + w[d2 * d1 + k] for k in range(d2))
+        tuple(vec_dot(w[k * d1:(k + 1) * d1], p, w[d2 * d1 + k]) for k in range(d2))
         for p in basis
     ]
     m = affine_map_from_points(basis, images)

@@ -29,11 +29,18 @@ the orthogonal projection onto the domain's difference span.
 and ``entrywise_positive_member`` the former ``wigner.positive_member``,
 whose LP rows restate the completion rule entry by entry; the last two
 build their members with ``closed_form_family``.
+
+``rref`` and ``vec_dot`` are the former ``Fraction`` kernels, one
+``Fraction`` operation per entry, against which the integer ``rref``
+with per-row denominators and the integer ``vec_dot`` are checked.
+``fraction_permutation_test`` is the former
+``symmetry._permutation_test``, whose invariants (the extreme points
+of W(K), and g0 and S on balls) hold ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from wignerlab.errors import PreconditionError
 from wignerlab.exact import (
@@ -49,7 +56,6 @@ from wignerlab.exact import (
     solve_affine,
     unit,
     vec,
-    vec_dot,
     vec_sub,
     zeros,
 )
@@ -64,14 +70,97 @@ from wignerlab.geometry import (
     dimension,
     independent_affine_subset,
 )
+from wignerlab.symmetry import _chart
 from wignerlab.theory import Observable
 from wignerlab.wigner import (
     NoPositiveMember,
     PositiveFound,
     WignerRep,
     grid_rank,
+    is_faithful,
     is_positive,
 )
+
+
+def rref(rows, ncols):
+    """Reduce ``rows`` in place to reduced row echelon form.
+
+    Only the first ``ncols`` columns are eligible as pivots; any extra
+    trailing columns (augmented right-hand sides) are carried along by
+    the row operations.  Returns the list of pivot column indices.
+    """
+    m = len(rows)
+    if m == 0:
+        return []
+    width = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = -1
+        for i in range(r, m):
+            if rows[i][c]:
+                p = i
+                break
+        if p < 0:
+            continue
+        if p != r:
+            rows[p], rows[r] = rows[r], rows[p]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            for k in range(c, width):
+                prow[k] = prow[k] / pv
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                row = rows[i]
+                for k in range(c, width):
+                    row[k] = row[k] - f * prow[k]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def vec_dot(u: Vec, v: Vec) -> QQ:
+    return sum((a * b for a, b in zip(u, v, strict=True)), QQ(0))
+
+
+def fraction_permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
+    """Exact predicate on permutation tables: is the lift a symmetry of W?
+
+    Polytopes: the relabelling fixes the set of extreme points of W(K),
+    as tuples of Fractions.  Balls (faithful W): it fixes g0 = W(center)
+    and S = G H^-2 G^T entry by entry.
+    """
+    space = rep.state_space
+    funcs = rep.functionals()
+    n = len(funcs)
+    if isinstance(space, Polytope):
+        images = [tuple(f(v) for f in funcs) for v in space.vertices]
+        ext = set(Polytope.hull_of(images).vertices)
+
+        def fixes_ext(perm: Sequence[int]) -> bool:
+            for point in ext:
+                mapped = [QQ(0)] * n
+                for j, value in enumerate(point):
+                    mapped[perm[j]] = value
+                if tuple(mapped) not in ext:
+                    return False
+            return True
+
+        return fixes_ext
+    if not is_faithful(rep):
+        raise ValueError("ball symmetry testing needs a faithful representation")
+    chart = _chart(rep)
+    g0 = chart.images[0]
+    gplus_cols = [tuple(row[i] for row in chart.gplus) for i in range(n)]
+    s = [[vec_dot(u, v) for v in gplus_cols] for u in gplus_cols]  # G H^-2 G^T
+    return lambda perm: all(
+        g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
+        for i in range(n)
+    )
 
 
 def check(lp: LinearProgram, x) -> bool:

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from wignerlab.cli import main
 from wignerlab.report import load_report, verify_report
 
@@ -178,6 +180,36 @@ def test_channel_maps_parse_errors_name_their_field(tmp_path, capsys):
     channels.write_text(json.dumps(rows))
     code, _, err = run(capsys, "covariant", str(box), "--channels", str(channels))
     assert code == 2 and "(at [1].offset)" in err
+
+
+@pytest.mark.parametrize("shape, where", [
+    ("no matrix", "[0].matrix"),
+    ("int perm_a", "[0].perm_a"),
+    ("perm_a not a permutation", "[0].perm_a"),
+    ("object, not a list", "channels.json"),
+    ("ragged matrix", "[1].matrix"),
+    ("offset too long", "[1].offset"),
+])
+def test_bad_channels_files_are_parse_errors(tmp_path, capsys, shape, where):
+    box = tmp_path / "box.json"
+    channels = tmp_path / "channels.json"
+    run(capsys, "example", "qubit_xz", "--out", str(box), "--channels-out", str(channels))
+    rows = json.loads(channels.read_text())
+    if shape == "no matrix":
+        del rows[0]["matrix"]
+    elif shape == "int perm_a":
+        rows[0]["perm_a"] = 1
+    elif shape == "perm_a not a permutation":
+        rows[0]["perm_a"] = [0, 0]
+    elif shape == "object, not a list":
+        rows = {"channels": rows}
+    elif shape == "ragged matrix":
+        rows[1]["matrix"][0].append("0")
+    else:
+        rows[1]["offset"].append("0")
+    channels.write_text(json.dumps(rows))
+    code, _, err = run(capsys, "covariant", str(box), "--channels", str(channels))
+    assert code == 2 and err.startswith("error: ") and err.rstrip().endswith(f"{where})")
 
 
 def test_covariant_unique_and_none(tmp_path, capsys):

@@ -6,7 +6,9 @@ guards, and the slack-start frontend in Fraction arithmetic.  Without
 pivots and reach its tableau (stored entries over ``D``); against the
 former all-artificial frontend, and with bound rows, the verdicts must
 agree and every certificate must re-verify.  The integer guards must
-give the Fraction guards' answers, also on tampered data.
+give the Fraction guards' answers, also on tampered data.  The integer
+``rref`` and ``vec_dot`` must give the former Fraction kernels' pivots,
+rows and values exactly.
 """
 
 from fractions import Fraction as F
@@ -19,7 +21,14 @@ import reference_kernels as ref
 import wignerlab.exact as exact_mod
 from wignerlab import catalog
 from wignerlab._kernels import bareiss_rank, rref, simplex_phase1
-from wignerlab.exact import Feasible, Infeasible, LinearProgram, lp_feasible, verify_certificate
+from wignerlab.exact import (
+    Feasible,
+    Infeasible,
+    LinearProgram,
+    lp_feasible,
+    vec_dot,
+    verify_certificate,
+)
 from wignerlab.theory import Incompatible, are_compatible
 
 
@@ -311,3 +320,95 @@ def test_bareiss_equivalence_and_rank_vs_rref():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         pivots = rref([[F(x) for x in r] for r in rows], n)
         assert bareiss_rank([list(r) for r in rows]) == len(pivots)
+
+
+def _rref_case(rng):
+    """A random ``(rows, ncols)``: empty, tall or wide, with mixed
+    denominators, zero rows, dependent rows and 0-2 augmented columns."""
+    m, n, extra = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 2)
+    den = rng.choice(((1,), (1, 2), (1, 2, 3, 4, 6), (1, 5, 7, 12, 35)))
+
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.choice(den))
+
+    rows = [[entry() for _ in range(n + extra)] for _ in range(m)]
+    for i in range(1, m):
+        how = rng.random()
+        if how < 0.25:
+            # a combination of earlier rows, with its own augmented part
+            row = [F(0)] * (n + extra)
+            for j in rng.sample(range(i), rng.randint(1, i)):
+                c = entry()
+                row = [a + c * b for a, b in zip(row, rows[j])]
+            rows[i] = row[:n] + [entry() if rng.random() < 0.5 else x for x in row[n:]]
+        elif how < 0.35:
+            rows[i] = [F(0)] * (n + extra)
+    return rows, n
+
+
+def _mixed(rows, rng):
+    """The same rows with some integral Fractions given as ints."""
+    return [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
+            for row in rows]
+
+
+def test_rref_matches_the_fraction_oracle():
+    """Same pivots, same rows (augmented ones too) and the same row
+    objects in the same places; every entry comes back a Fraction."""
+    rng = random.Random(131)
+    seen = dict.fromkeys(
+        ("empty", "tall", "wide", "deficient", "inconsistent", "negative pivot",
+         "zero row", "mixed denominators"), 0)
+    for _ in range(10_000):
+        rows, n = _rref_case(rng)
+        expected = [list(r) for r in rows]
+        got = _mixed(rows, rng)
+        before = [id(r) for r in got]
+        before_ref = [id(r) for r in expected]
+        first = next((r[c] for c in range(n) for r in rows if r[c]), None)
+        pivots = rref(got, n)
+        assert pivots == ref.rref(expected, n)
+        assert got == expected
+        assert all(type(x) is F for row in got for x in row)
+        assert [before.index(id(r)) for r in got] == [before_ref.index(id(r)) for r in expected]
+        m = len(rows)
+        seen["empty"] += not m or not n
+        seen["tall"] += m > n > 0
+        seen["wide"] += 0 < m < n
+        seen["deficient"] += len(pivots) < min(m, n)
+        seen["inconsistent"] += any(any(r[n:]) for r in got[len(pivots):])
+        seen["negative pivot"] += first is not None and first < 0
+        seen["zero row"] += any(not any(r) for r in rows)
+        seen["mixed denominators"] += any(
+            len({x.denominator for x in r if x}) > 1 for r in rows)
+    assert min(seen.values()) > 500, seen
+
+
+def test_vec_dot_matches_the_fraction_oracle():
+    rng = random.Random(137)
+    kinds = set()
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        kind = rng.choice(("int", "fraction", "mixed"))
+        kinds.add(kind)
+
+        def value():
+            x = rng.randint(-20, 20)
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                return x
+            return F(x, rng.choice((1, 2, 3, 5, 12, 49)))
+
+        u = tuple(value() for _ in range(n))
+        v = tuple(value() for _ in range(n))
+        start = rng.choice((0, 3, F(-7, 6), F(0)))
+        got = vec_dot(u, v, start)
+        assert type(got) is F and got == start + ref.vec_dot(u, v)
+        assert vec_dot(u, v) == ref.vec_dot(u, v)
+        for w in (u + (F(1),), u + (0, 0)):
+            with pytest.raises(ValueError):
+                ref.vec_dot(w, v)
+            with pytest.raises(ValueError):
+                vec_dot(w, v)
+    assert kinds == {"int", "fraction", "mixed"}

@@ -2,11 +2,14 @@
 actions, permutation channels and the covariant solver."""
 
 from fractions import Fraction as F
+import inspect
 import itertools
+import math
 import random
 
 import pytest
 
+import reference_kernels as ref
 from helpers import (
     qubit_ball_image,
     random_free_block,
@@ -382,6 +385,58 @@ def test_enumeration_matches_is_symmetry_on_ball_images():
     # images of W keep all of S_4; moving the center keeps the 4 maps
     # that send {(0,0), (1,1)} onto itself
     assert sizes[0:6:2] == [24, 24, 24] and sizes[6] == 4
+
+
+def _random_polygon_reps(rng, shape, count):
+    """Degenerate and random family members on random polygons."""
+    reps = []
+    while len(reps) < count:
+        space = random_polygon(rng, max_points=5)
+        a = random_observable(rng, space, "A", shape[0])
+        b = random_observable(rng, space, "B", shape[1])
+        if len(reps) % 2:
+            reps.append(degenerate_rep(a, b, space))
+        else:
+            reps.append(construct_family(a, b, space, random_free_block(rng, space, a, b)))
+    return reps
+
+
+def test_permutation_test_matches_the_fraction_invariants():
+    """The integer invariants give the Fraction invariants' verdict on
+    every permutation of every grid."""
+    rng = random.Random(139)
+    reps = (_polygon_reps() + _random_polygon_reps(rng, (2, 2), 20)
+            + _random_polygon_reps(rng, (2, 3), 3) + _ball_reps())
+    verdicts = {True: 0, False: 0}
+    for rep in reps:
+        test, oracle = symmetry._permutation_test(rep), ref.fraction_permutation_test(rep)
+        n = rep.shape[0] * rep.shape[1]
+        for perm in itertools.permutations(range(n)):
+            verdict = test(perm)
+            assert verdict == oracle(perm)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 1000
+
+
+def _times_lcm(rows):
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(int(x * scale) for x in row) for row in rows]
+
+
+def test_permutation_invariants_hold_ints():
+    """The invariants are the Fraction invariants times the lcm of their
+    denominators, held as ints, so lookups hash ints, not Fractions."""
+    for rep in _polygon_reps():
+        ext = inspect.getclosurevars(symmetry._permutation_test(rep)).nonlocals["ext"]
+        frac = inspect.getclosurevars(ref.fraction_permutation_test(rep)).nonlocals["ext"]
+        assert all(type(x) is int for point in ext for x in point)
+        assert ext == set(_times_lcm(frac))
+    for rep in _ball_reps():
+        invariants = inspect.getclosurevars(symmetry._permutation_test(rep)).nonlocals
+        frac = inspect.getclosurevars(ref.fraction_permutation_test(rep)).nonlocals
+        g0, s = invariants["g0"], invariants["s"]
+        assert all(type(x) is int for row in [g0, *s] for x in row)
+        assert [g0] == _times_lcm([frac["g0"]]) and s == _times_lcm(frac["s"])
 
 
 def test_ball_witness_when_the_image_leaves_the_affine_hull():
