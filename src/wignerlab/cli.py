@@ -475,14 +475,10 @@ def _cmd_wigner(args) -> int:
                     "negative": True,
                 }
             )
-    text = theoryfile.dumps(theory, (name, rep))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    report_dict = make_report(
-        "wigner", theory_to_dict(theory, (name, rep)), claims, notes
-    )
-    _emit(report_dict)
+            handle.write(theoryfile.dumps(theory, (name, rep)))
+    _emit(make_report("wigner", theory_to_dict(theory, (name, rep)), claims, notes))
     return 0
 
 

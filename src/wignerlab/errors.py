@@ -17,6 +17,16 @@ class PreconditionError(WignerlabError):
     """A documented operation precondition does not hold."""
 
 
+class ContainmentError(PreconditionError):
+    """A map sends a point of its source outside its target: the source
+    point ``witness_point`` goes to ``witness_image``."""
+
+    def __init__(self, message, witness_point=None, witness_image=None):
+        super().__init__(message)
+        self.witness_point = witness_point
+        self.witness_image = witness_image
+
+
 class SizeGuardError(WignerlabError):
     """An enumeration would exceed its documented size guard."""
 

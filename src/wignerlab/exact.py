@@ -48,10 +48,12 @@ the other rows' combination on ``x_j`` (0 for a duplicate bound); it is
 nonnegative because ``x_j``'s column prices at >= 0 at the optimum.
 
 The guards, ``LinearProgram.check`` and ``verify_certificate``, re-check
-every answer of ``lp_feasible`` and every LP claim of a report.  They
-run on the same integer rows, with the witness or the certificate's
-weights over one common denominator: integer dot products, no
-``Fraction`` arithmetic per entry (Edmonds' fraction-free arithmetic).
+every answer of ``lp_feasible`` and every LP claim of a report;
+``checked`` applies them, also to the witnesses and certificates that
+callers build in closed form.  They run on the same integer rows, with
+the witness or the certificate's weights over one common denominator:
+integer dot products, no ``Fraction`` arithmetic per entry (Edmonds'
+fraction-free arithmetic).
 """
 
 from __future__ import annotations
@@ -377,16 +379,21 @@ def verify_certificate(lp: LinearProgram, cert: Infeasible) -> bool:
     return total == cert.gap * q and not any(combo)
 
 
-def lp_feasible(lp: LinearProgram) -> FeasibilityResult:
-    """Exact feasibility decision with a verified witness or certificate."""
-    result = _phase_one(lp)
+def checked(lp: LinearProgram, result: FeasibilityResult) -> FeasibilityResult:
+    """``result`` once it passes the guard: ``lp.check`` for a witness,
+    ``verify_certificate`` for a Farkas certificate.  Answers built in
+    closed form, without the simplex, pass the same guard."""
     if isinstance(result, Feasible):
         if not lp.check(result.witness):  # pragma: no cover - internal guard
-            raise ArithmeticError("simplex produced an invalid witness")
-    else:
-        if not verify_certificate(lp, result):  # pragma: no cover - internal guard
-            raise ArithmeticError("simplex produced an invalid certificate")
+            raise ArithmeticError("invalid feasibility witness")
+    elif not verify_certificate(lp, result):  # pragma: no cover - internal guard
+        raise ArithmeticError("invalid infeasibility certificate")
     return result
+
+
+def lp_feasible(lp: LinearProgram) -> FeasibilityResult:
+    """Exact feasibility decision with a verified witness or certificate."""
+    return checked(lp, _phase_one(lp))
 
 
 def _phase_one(lp: LinearProgram) -> FeasibilityResult:

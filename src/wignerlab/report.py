@@ -7,6 +7,19 @@ re-running the solver), rank and face claims by exact elimination, and
 grid identities by direct evaluation.  ``verify_report`` returns one
 (claim id, ok) row per claim and is the engine behind the ``verify``
 subcommand.
+
+Not every LP answer comes from the simplex.  Surjectivity witnesses and
+certificates are built from the vertex values of each effect, and the
+certificate of a channel that its equations fix but that leaves the
+target (``no_covariant``, ``no_transport``) from the violated facet by
+elimination; every one passes the same guard as a simplex answer, and
+``verify`` cannot tell them apart.
+
+``dump_report`` writes ``{``, then one line per top-level key, in the
+report's order, then ``}``.  The ``claims`` list spans lines of its own:
+``"claims": [``, one line per claim, and ``]``.  Each value is compact
+JSON from ``json.dumps``.  ``load_report`` reads any JSON layout, an
+``indent=2`` copy included.
 """
 
 from __future__ import annotations
@@ -152,7 +165,19 @@ def make_report(command: str, theory_dict: Optional[dict], claims: list[dict],
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as JSON, one line per top-level key and per claim.
+
+    Each value is written by ``json.dumps`` without ``indent``, which
+    runs CPython's C encoder; ``json.loads`` of the text is ``report``.
+    """
+    items = []
+    for key, value in report.items():
+        if key == "claims" and value:
+            text = "[\n" + ",\n".join(json.dumps(claim) for claim in value) + "\n]"
+        else:
+            text = json.dumps(value)
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def load_report(text: str) -> dict:
@@ -162,6 +187,9 @@ def load_report(text: str) -> dict:
         raise ParseError(exc.msg, line=exc.lineno) from None
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} document")
+    claims = data.get("claims")
+    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
+        raise ParseError("expected a list of claim objects", path="claims")
     return data
 
 

@@ -3,11 +3,16 @@
 An observable is a finite outcome list with one affine effect per
 outcome; validity on a state space means every effect stays in [0, 1]
 and the effects sum to the constant-one functional coefficient-wise.
-Compatibility of two observables and surjectivity are exact LP
-feasibility questions, and so is channel existence unless the channel's
-equations fix the map on the source's hull (one elimination then finds
-it); joint informational completeness and complementarity reduce to
-exact rank and face computations.
+Compatibility of two observables is an exact LP feasibility question,
+and so is channel existence unless the channel's equations fix the map
+on the source's hull: one elimination then finds it, or, if it leaves
+the target, builds the Farkas certificate of the channel LP from the
+violated facet.  Surjectivity is decided by the effects' values at the
+vertices, and its convex-weights LP gets a witness or certificate in
+closed form.  Every LP answer built without the simplex passes the
+same guard as ``lp_feasible``'s (``exact.checked``).  Joint
+informational completeness and complementarity reduce to exact rank
+and face computations.
 """
 
 from __future__ import annotations
@@ -16,14 +21,18 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ._kernels import rref
-from .errors import DomainError, PreconditionError, UnsupportedGeometryError
+from .errors import ContainmentError, DomainError, PreconditionError, UnsupportedGeometryError
 from .exact import (
     QQ,
+    Feasible,
+    FeasibilityResult,
     Infeasible,
     LinearProgram,
     Vec,
+    checked,
     lp_feasible,
     rank,
+    solve_affine,
     unit,
     vec,
     vec_dot,
@@ -348,7 +357,8 @@ def surjectivity_details(obs: Observable, space: StateSpace) -> list[tuple]:
 
     Polytopes return (outcome, program, feasibility result) rows where
     the program searches convex vertex weights reaching effect value 1;
-    balls return (outcome, None, bool) decided by the exact extremal
+    ``_reach_one`` answers it from the vertex values, with no simplex.
+    Balls return (outcome, None, bool) decided by the exact extremal
     maximum.
     """
     rows = []
@@ -359,26 +369,49 @@ def surjectivity_details(obs: Observable, space: StateSpace) -> list[tuple]:
         return rows
     n = len(space.vertices)
     for outcome, f in zip(obs.outcomes, obs.effects):
-        eqs = [
-            (tuple(f(v) for v in space.vertices), QQ(1)),
-            ((QQ(1),) * n, QQ(1)),
-        ]
+        values = tuple(f(v) for v in space.vertices)
+        eqs = [(values, QQ(1)), ((QQ(1),) * n, QQ(1))]
         ineqs = [(unit(n, i), QQ(0)) for i in range(n)]
         lp = LinearProgram(n, tuple(eqs), tuple(ineqs))
-        rows.append((outcome, lp, lp_feasible(lp)))
+        rows.append((outcome, lp, checked(lp, _reach_one(values))))
     return rows
+
+
+def _reach_one(a: Vec) -> FeasibilityResult:
+    """Convex weights ``w`` with ``a . w = 1``, or the Farkas certificate
+    that there are none, for the vertex values ``a``.
+
+    A vertex with value 1 is the witness.  If every value is below 1,
+    the equalities with multipliers (1, -max) and ``w_i >= 0`` with
+    ``max - a_i`` combine to 0 = 1 - max > 0; if every value is above 1,
+    (-1, min) and ``a_i - min`` give min - 1.  Otherwise the first
+    minimum and maximum straddle 1 and their combination reaches it.
+    """
+    n = len(a)
+    if 1 in a:
+        return Feasible(unit(n, a.index(1)))
+    lo, hi = min(a), max(a)
+    if hi < 1:
+        return Infeasible((QQ(1), -hi), tuple(hi - x for x in a), 1 - hi)
+    if lo > 1:
+        return Infeasible((QQ(-1), lo), tuple(x - lo for x in a), lo - 1)
+    w = [QQ(0)] * n
+    w[a.index(lo)] = (hi - 1) / (hi - lo)
+    w[a.index(hi)] = (1 - lo) / (hi - lo)
+    return Feasible(tuple(w))
 
 
 def is_surjective(obs: Observable, space: StateSpace) -> bool:
     """Does the measurement map reach every outcome-simplex vertex?
 
     Convexity of the image makes hitting each vertex of the simplex
-    necessary and sufficient for surjectivity.
+    necessary and sufficient for surjectivity.  On a polytope an effect
+    reaches 1 iff its vertex values straddle it: ``min <= 1 <= max``.
     """
-    for _, _, result in surjectivity_details(obs, space):
-        if isinstance(result, Infeasible) or result is False:
-            return False
-    return True
+    if isinstance(space, Polytope):
+        extrema = (_polytope_extrema(space, f) for f in obs.effects)
+        return all(lo <= 1 <= hi for lo, _, hi, _ in extrema)
+    return all(reached for _, _, reached in surjectivity_details(obs, space))
 
 
 @dataclass(frozen=True)
@@ -392,9 +425,10 @@ class Channel:
     def __post_init__(self):
         result = map_into(self.source, self.map, self.target)
         if not result.ok:
-            raise PreconditionError(
+            raise ContainmentError(
                 f"map does not send the source into the target"
-                f" (witness {result.witness_point})"
+                f" (witness {result.witness_point})",
+                result.witness_point, result.witness_image,
             )
         if not result.exact:
             raise PreconditionError(
@@ -410,9 +444,11 @@ class Channel:
 class ChannelInfeasible:
     """No affine map satisfies the requested equations inside the target.
 
-    ``certificate`` is the Farkas proof for ``program``.  When the
-    equations alone determine a unique candidate map, the witness fields
-    show a vertex that the candidate sends outside the target.
+    ``certificate`` is the Farkas proof for ``program``, from the
+    simplex or, for a map that the equations and the target's hull fix,
+    from elimination.  When the equations alone determine a unique
+    candidate map, the witness fields show a vertex that the candidate
+    sends outside the target.
     """
 
     program: LinearProgram
@@ -435,11 +471,14 @@ def find_channel(
     h(p_i)`` per equation and the target's hull equalities.  If one rref
     of it, with a right-hand side per basis point, fixes them and their
     map sends the source into the target, that map is the channel.
-    Otherwise one LP in facet form decides, over ``M`` and ``t`` of
+    The claim's program is one LP in facet form, over ``M`` and ``t`` of
     ``m(x) = M x + t``: the system at the basis and one inequality per
-    source vertex and target facet; its channel is rebuilt from the basis
-    images as well.  For ball backends a candidate map must be supplied
-    and is verified exactly.
+    source vertex and target facet.  If the fixed map leaves the target,
+    its Farkas certificate is built from the violated facet at the
+    leaving vertex (``_leaving_certificate``).  Free maps and
+    inconsistent equations solve the LP, and a feasible LP's channel is
+    rebuilt from the basis images.  For ball backends a candidate map
+    must be supplied and is verified exactly.
     """
     if candidate is not None or not (
         isinstance(source, Polytope) and isinstance(target, Polytope)
@@ -460,11 +499,12 @@ def find_channel(
         (tuple(map(QQ, c)), [QQ(e, hrep.scale)] * len(basis)) for c, e in hrep.equalities
     ]
     fixed = _fixed_map(basis, system, d2)
+    leaves = None
     if fixed is not None:
         try:
             return Channel(fixed, source, target)
-        except PreconditionError:
-            pass  # the fixed map leaves the target; the LP certifies that
+        except ContainmentError as exc:
+            leaves = exc  # the fixed map leaves the target: certified below
 
     def image_row(p: Vec, c: Sequence, coords=range(d2)) -> tuple:
         """Coefficients of ``c . (M p + t)[coords]`` in the unknowns."""
@@ -483,9 +523,17 @@ def find_channel(
         for a, b in hrep.facets
     ]
     lp = LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
-    result = lp_feasible(lp)
+    if leaves is None:
+        result = lp_feasible(lp)
+    else:
+        v, img = leaves.witness_point, leaves.witness_image
+        result = checked(lp, _leaving_certificate(source, hrep, basis, system, v, img))
     if isinstance(result, Infeasible):
-        wp, wi = _unconstrained_witness(source, target, basis, system[:len(equations)])
+        if leaves is not None and len(system) == len(equations):
+            # no hull rows: the equations alone fix this map, which leaves at v
+            wp, wi = v, img
+        else:
+            wp, wi = _unconstrained_witness(source, target, basis, system[:len(equations)])
         return ChannelInfeasible(lp, result, wp, wi)
     w = result.witness
     images = [
@@ -507,6 +555,39 @@ def _fixed_map(basis, system, d2) -> Optional[AffineMap]:
         return None
     images = [tuple(row[d2 + i] for row in aug[:d2]) for i in range(len(basis))]
     return affine_map_from_points(basis, images)
+
+
+def _leaving_certificate(source, hrep, basis, system, v, img) -> Infeasible:
+    """Farkas multipliers for the facet-form LP of a map that ``system``
+    fixes and that sends the source vertex ``v`` to ``img``, outside the
+    target.
+
+    Take the first facet ``(a, b)`` that ``img`` violates, the barycentric
+    coordinates ``lam`` of ``v`` over the basis and coefficients ``mu``
+    with ``sum_j mu_j c_j = a`` (``a`` lifted to the target's coordinates;
+    the rows ``c_j`` span them).  Then the inequality row of ``(v, a)``
+    equals ``sum_ij mu_j lam_i`` times the equality row of ``(c_j, p_i)``,
+    and weight 1 on it with ``-mu_j lam_i`` on those leaves ``b/scale -
+    a . img[coords] > 0``.
+    """
+    coords, n_facets = hrep.coords, len(hrep.facets)
+    xs = [img[k] for k in coords]
+    at, (a, b) = next(
+        (at, (a, b)) for at, (a, b) in enumerate(hrep.facets)
+        if hrep.scale * vec_dot(a, xs) < b
+    )
+    lam = solve_affine(
+        [[p[k] for p in basis] for k in range(len(v))] + [[1] * len(basis)], v + (1,)
+    ).particular
+    lifted = [0] * len(img)
+    for k, ak in zip(coords, a):
+        lifted[k] = ak
+    mu = solve_affine([[c[k] for c, _ in system] for k in range(len(img))], lifted).particular
+    ineq = [QQ(0)] * (len(source.vertices) * n_facets)
+    ineq[source.vertices.index(v) * n_facets + at] = QQ(1)
+    return Infeasible(
+        tuple(-m * l for m in mu for l in lam), tuple(ineq), QQ(b, hrep.scale) - vec_dot(a, xs)
+    )
 
 
 def _verify_candidate(source, target, equations, candidate) -> Channel:

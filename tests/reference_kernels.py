@@ -30,6 +30,10 @@ and ``entrywise_positive_member`` the former ``wigner.positive_member``,
 whose LP rows restate the completion rule entry by entry; the last two
 build their members with ``closed_form_family``.
 
+``surjectivity_details`` is the former ``theory.surjectivity_details``,
+which solves the convex-weights LP of every effect on a polytope with
+``lp_feasible``; the closed forms are checked against it.
+
 ``rref`` and ``vec_dot`` are the former ``Fraction`` kernels, one
 ``Fraction`` operation per entry, against which the integer ``rref``
 with per-row denominators and the integer ``vec_dot`` are checked.
@@ -62,12 +66,14 @@ from wignerlab.exact import (
 from wignerlab.geometry import (
     AffineFunctional,
     AffineMap,
+    Ball,
     Polytope,
     StateSpace,
     affine_basis,
     affine_map_from_points,
     contains,
     dimension,
+    extremal_range,
     independent_affine_subset,
 )
 from wignerlab.symmetry import _chart
@@ -432,6 +438,32 @@ def vertex_image_channel(source, target, equations):
         return lp, result, None
     images = [tuple(result.witness[idx_y(i, k)] for k in range(d2)) for i in basis_idx]
     return lp, result, affine_map_from_points(basis, images)
+
+
+def surjectivity_details(obs: Observable, space: StateSpace) -> list[tuple]:
+    """Per outcome, whether some state is mapped onto its simplex vertex.
+
+    Polytopes return (outcome, program, feasibility result) rows where
+    the program searches convex vertex weights reaching effect value 1;
+    balls return (outcome, None, bool) decided by the exact extremal
+    maximum.
+    """
+    rows = []
+    if isinstance(space, Ball):
+        for outcome, f in zip(obs.outcomes, obs.effects):
+            _, hi = extremal_range(space, f)
+            rows.append((outcome, None, hi.compare(1) == 0))
+        return rows
+    n = len(space.vertices)
+    for outcome, f in zip(obs.outcomes, obs.effects):
+        eqs = [
+            (tuple(f(v) for v in space.vertices), QQ(1)),
+            ((QQ(1),) * n, QQ(1)),
+        ]
+        ineqs = [(unit(n, i), QQ(0)) for i in range(n)]
+        lp = LinearProgram(n, tuple(eqs), tuple(ineqs))
+        rows.append((outcome, lp, lp_feasible(lp)))
+    return rows
 
 
 def unconstrained_witness(source, target, equations):

@@ -82,6 +82,15 @@ def test_verify_subcommand_and_tamper_detection(tmp_path, capsys):
     assert code == 1 and "FAIL" in out3
 
 
+@pytest.mark.parametrize("claims", [[1], {"a": 1}, {}], ids=["int", "object", "empty_object"])
+def test_verify_rejects_claims_that_are_not_a_list_of_objects(tmp_path, capsys, claims):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"format": "wignerlab-report/1", "claims": claims}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert "expected a list of claim objects (at claims)" in err
+
+
 def test_wigner_free_and_degenerate_and_faithful(tmp_path, capsys):
     path = tmp_path / "box.json"
     run(capsys, "example", "boxworld", "--out", str(path))

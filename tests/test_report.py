@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from wignerlab.exact import LinearProgram
 from wignerlab.report import (
     _de_map,
     _de_program,
+    dump_report,
     load_report,
     ser_map,
     ser_program,
@@ -138,3 +140,46 @@ def test_verify_runs_no_lp(tmp_path, capsys, monkeypatch):
     rows = [(r["command"], row) for r in reports for row in verify_report(r)]
     assert len(rows) > 100
     assert all(ok for _, (_, ok, _) in rows), [r for r in rows if not r[1][1]]
+
+
+def _gon_covariant(tmp_path, capsys):
+    path = str(tmp_path / "gon.json")
+    main(["example", "deformed_12gon", "--out", path])
+    capsys.readouterr()
+    assert main(["covariant", path]) == 1
+    return load_report(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("damage", ["gap", "eq_multiplier", "ineq_multiplier"])
+def test_tampered_fixed_map_certificate_fails(tmp_path, capsys, damage):
+    """The ``no_covariant`` certificate of ``deformed_12gon``, built from
+    the violated facet, fails once its gap or one multiplier changes."""
+    report = _gon_covariant(tmp_path, capsys)
+    assert [(cid, ok) for cid, ok, _ in verify_report(report)] == [("no_covariant", True)]
+    cert = report["claims"][0]["certificate"]
+    if damage == "gap":
+        cert["gap"] = str(Fraction(cert["gap"]) + 1)
+    else:
+        mults = cert[f"{damage}s"]
+        k = next(k for k, m in enumerate(mults) if Fraction(m))
+        mults[k] = str(Fraction(mults[k]) + 1)
+    assert [(cid, ok) for cid, ok, _ in verify_report(report)] == [("no_covariant", False)]
+
+
+def test_reports_are_written_one_claim_per_line(tmp_path, capsys):
+    """Each top-level key and each claim is one line, the text parses back
+    to the report, and an ``indent=2`` copy verifies the same."""
+    reports = _catalog_reports(tmp_path, capsys)
+    assert sum(len(r["claims"]) for r in reports) > 40
+    for report in reports:
+        text = dump_report(report)
+        assert load_report(text) == report
+        lines = text.splitlines()
+        claims = report["claims"]
+        assert lines[0] == "{" and lines[-1] == "}"
+        assert len(lines) == 2 + len(report) + (len(claims) + 1 if claims else 0)
+        for claim in claims:
+            assert lines.count(json.dumps(claim) + ",") + lines.count(json.dumps(claim)) == 1
+        expected = verify_report(report)
+        assert all(ok for _, ok, _ in expected)
+        assert verify_report(load_report(json.dumps(report, indent=2) + "\n")) == expected

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helpers import random_fraction, random_polygon, random_theory
+from reference_kernels import surjectivity_details as lp_surjectivity_details
 from reference_kernels import unconstrained_witness, vertex_image_channel
 from wignerlab import catalog, cli, exact, symmetry
 from wignerlab.errors import DomainError, PreconditionError, UnsupportedGeometryError
@@ -32,6 +33,7 @@ from wignerlab.theory import (
     is_surjective,
     jointly_info_complete,
     measure,
+    surjectivity_details,
     validate,
     validate_observable,
 )
@@ -300,6 +302,88 @@ def test_surjectivity_agrees_with_vertex_image_hull_random():
         assert got == brute
 
 
+def _surjectivity_cases():
+    """Seeded random polytopes in dimensions 1-3, each with one observable
+    whose effects take vertex values in [0, 1] (max 1, max below 1, or
+    constant) and one whose values are unconstrained."""
+    rng = random.Random(47)
+    cases = []
+    for k in range(120):
+        dim = (1, 2, 2, 3)[k % 4]
+        points = [tuple(random_fraction(rng) for _ in range(dim))
+                  for _ in range(rng.randint(1, 7))]
+        space = Polytope.hull_of(points)
+        inside, outside = [], []
+        for _ in range(rng.randint(1, 3)):
+            f = AffineFunctional(tuple(random_fraction(rng, -2, 2) for _ in range(dim)),
+                                 random_fraction(rng))
+            values = [f(v) for v in space.vertices]
+            lo, hi = min(values), max(values)
+            top = rng.choice([F(1), F(rng.randint(0, 7), 8)])
+            bottom = rng.choice([F(0), top * F(rng.randint(0, 4), 4)])
+            if lo == hi or rng.random() < 0.1:
+                inside.append(AffineFunctional.const(dim, top))
+            else:
+                c = (top - bottom) / (hi - lo)
+                inside.append(AffineFunctional(tuple(c * x for x in f.linear),
+                                               c * (f.constant - lo) + bottom))
+            shift = rng.choice([F(0), random_fraction(rng, -2, 2), F(1)])
+            outside.append(AffineFunctional(f.linear, f.constant + shift))
+        for name, effects in (("in", inside), ("out", outside)):
+            obs = Observable(name, tuple(range(len(effects))), tuple(effects))
+            cases.append((obs, space))
+    return cases
+
+
+def test_surjectivity_closed_forms_match_the_lp(monkeypatch):
+    """Vertex values in [0, 1]: the same programs, witnesses and
+    certificates as the simplex.  Outside: the same programs and verdicts,
+    and answers that pass the guards.  Neither ``surjectivity_details``
+    nor ``is_surjective`` reaches the simplex."""
+    cases = [(obs, space, lp_surjectivity_details(obs, space))
+             for obs, space in _surjectivity_cases()]
+    monkeypatch.setattr(exact, "_phase_one", lambda lp: pytest.fail("LP solved"))
+    kinds = set()
+    for obs, space, expected in cases:
+        got = surjectivity_details(obs, space)
+        values = [f(v) for f in obs.effects for v in space.vertices]
+        if all(0 <= x <= 1 for x in values):
+            assert got == expected
+        for (outcome, lp, result), (ref_outcome, ref_lp, ref_result) in zip(got, expected):
+            assert (outcome, lp) == (ref_outcome, ref_lp)
+            assert isinstance(result, Feasible) == isinstance(ref_result, Feasible)
+            if isinstance(result, Feasible):
+                assert lp.check(result.witness)
+            else:
+                assert verify_certificate(lp, result)
+            kinds.add((obs.name, type(result).__name__, result == ref_result))
+        assert len(got) == len(expected)
+        assert is_surjective(obs, space) == all(isinstance(r, Feasible) for *_, r in expected)
+    assert {("in", "Feasible", True), ("in", "Infeasible", True),
+            ("out", "Feasible", False), ("out", "Infeasible", False)} <= kinds
+
+
+def test_analyze_solves_only_the_compatibility_lp(monkeypatch, tmp_path, capsys):
+    """``analyze`` on each catalog entry reaches the simplex once on a
+    polytope (its compatibility LP) and never on a ball."""
+    solve = exact._phase_one
+    calls = []
+
+    def counting(lp):
+        calls.append(lp.n_vars)
+        return solve(lp)
+
+    monkeypatch.setattr(exact, "_phase_one", counting)
+    for name in catalog.CATALOG_NAMES:
+        path = str(tmp_path / f"{name}.json")
+        cli.main(["example", name, "--out", path])
+        calls.clear()
+        assert cli.main(["analyze", path]) == 0
+        polytope = isinstance(catalog.load(name).theory.state_space, Polytope)
+        assert len(calls) == polytope
+    capsys.readouterr()
+
+
 def test_find_channel_flip_and_identity():
     chan = find_channel(SQUARE, SQUARE, [(FX, ONE2 - FX), (FY, FY)])
     assert isinstance(chan, Channel)
@@ -351,22 +435,25 @@ def test_channel_rejects_containment_decided_by_the_numeric_fallback():
 def _fixed_on_hull(source, target, equations, hull=False) -> bool:
     """Do the equations alone (with ``hull``, and the equalities of the
     target's affine hull) fix the images of an affine basis of the
-    source, hence the map on its affine hull?"""
+    source, hence the map on its affine hull?  That is, does their block
+    system over all basis images have exactly one solution?"""
     basis = affine_basis(source)
     d2 = target.ambient_dim
-    linear = [g.linear for g, _ in equations]
+    system = [(g.linear, [h(p) - g.constant for p in basis]) for g, h in equations]
     if hull:
-        linear += [c for c, _ in target._facets.equalities]
-    rows = []
-    for c in linear:
-        for i in range(len(basis)):
+        hrep = target._facets
+        system += [(c, [F(e, hrep.scale)] * len(basis)) for c, e in hrep.equalities]
+    rows, rhs = [], []
+    for c, values in system:
+        for i, value in enumerate(values):
             row = [F(0)] * (len(basis) * d2)
             row[i * d2:(i + 1) * d2] = c
             rows.append(row)
+            rhs.append(value)
     if not rows:
         return False
-    sol = solve_affine(rows, [F(0)] * len(rows))
-    return not sol.nullspace
+    sol = solve_affine(rows, rhs)
+    return sol is not None and not sol.nullspace
 
 
 def _assert_matches_vertex_image_lp(source, target, equations) -> tuple[bool, bool]:
@@ -461,15 +548,14 @@ def test_find_channel_matches_the_vertex_image_lp_on_every_catalog_call(
 
 
 def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, capsys):
-    """A call whose equations and target hull fix a map that is a
-    channel makes no LP; every other call still runs its LP.  The
-    ``symmetries`` reports of the faithful boxworld and rebit_diamond
-    representations, all transports, come out the same with no LP."""
-    cases = []
-    for source, target, equations in _random_channel_cases():
-        result = find_channel(source, target, equations)
-        fixed = _fixed_on_hull(source, target, equations, hull=True)
-        cases.append((source, target, equations, result, fixed))
+    """A call whose equations and target hull fix a map makes no LP: the
+    map is the channel, or it leaves the target and the Farkas
+    certificate comes from the violation, with the witness of the
+    equations alone.  Free maps and inconsistent equations still run
+    their LP.  The ``symmetries`` reports of the faithful boxworld and
+    rebit_diamond representations, all transports, come out the same
+    with no LP."""
+    cases = _random_channel_cases() + [case[:3] for case in _hand_infeasible_cases()]
     reports = {}
     for name in ("boxworld", "rebit_diamond"):
         for rep in catalog.load(name).representations:
@@ -484,15 +570,20 @@ def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, cap
 
     monkeypatch.setattr(exact, "_phase_one", forbidden)
     kinds = []
-    for source, target, equations, result, fixed in cases:
-        kinds.append((fixed, isinstance(result, Channel)))
-        if fixed and isinstance(result, Channel):
-            assert find_channel(source, target, equations) == result
-        else:
+    for source, target, equations in cases:
+        if not _fixed_on_hull(source, target, equations, hull=True):
             with pytest.raises(AssertionError, match="LP solved"):
                 find_channel(source, target, equations)
-    assert kinds.count((True, True)) > 5
-    assert kinds.count((True, False)) > 2 and kinds.count((False, True)) > 5
+            kinds.append((False, None))
+            continue
+        result = find_channel(source, target, equations)
+        kinds.append((True, isinstance(result, Channel)))
+        if isinstance(result, ChannelInfeasible):
+            assert verify_certificate(result.program, result.certificate)
+            witness = (result.witness_point, result.witness_image)
+            assert witness == unconstrained_witness(source, target, equations)
+    assert kinds.count((True, True)) > 5 and kinds.count((True, False)) > 5
+    assert kinds.count((False, None)) > 5
     for path, out in reports.items():
         assert cli.main(["symmetries", path]) == 0
         assert capsys.readouterr().out == out
@@ -506,10 +597,8 @@ def _const(value):
     return AffineFunctional.const(2, value)
 
 
-def test_fixed_maps_that_leave_the_target_keep_certificate_and_witness(monkeypatch):
-    """Every infeasible call, random or by hand, verifies its certificate
-    and names the witness of the equations alone, not of the equations
-    with the target's hull: the former block-system diagnosis."""
+def _hand_infeasible_cases():
+    """Infeasible calls by hand, with the witness of the equations alone."""
     hand = [
         # the equations fix x -> (2, 0), which is off the segment's hull
         (SQUARE, SEGMENT, [(FX, _const(2)), (FY, _const(0))], ((F(0), F(0)), (F(2), F(0)))),
@@ -526,6 +615,16 @@ def test_fixed_maps_that_leave_the_target_keep_certificate_and_witness(monkeypat
     gon_equations = symmetry._permutation_equations(gon.obs_a, gon.obs_b, obstruction.element)
     hand.append((gon.state_space, gon.state_space, gon_equations,
                  ((F(3, 5), F(-4, 5)), (F(3, 5), F(4, 5)))))
+    return hand
+
+
+def test_fixed_maps_that_leave_the_target_keep_certificate_and_witness(monkeypatch):
+    """Every infeasible call, random or by hand, verifies its certificate
+    and names the witness of the equations alone, not of the equations
+    with the target's hull: the former block-system diagnosis."""
+    hand = _hand_infeasible_cases()
+    gon = catalog.load("deformed_12gon").theory
+    obstruction = symmetry.find_permutation_channels(gon.obs_a, gon.obs_b, gon.state_space)
     witnessed = 0
     for source, target, equations, expected in hand:
         result = find_channel(source, target, equations)
