@@ -529,11 +529,7 @@ def find_channel(
         v, img = leaves.witness_point, leaves.witness_image
         result = checked(lp, _leaving_certificate(source, hrep, basis, system, v, img))
     if isinstance(result, Infeasible):
-        if leaves is not None and len(system) == len(equations):
-            # no hull rows: the equations alone fix this map, which leaves at v
-            wp, wi = v, img
-        else:
-            wp, wi = _unconstrained_witness(source, target, basis, system[:len(equations)])
+        wp, wi = _unconstrained_witness(source, target, basis, system[:len(equations)])
         return ChannelInfeasible(lp, result, wp, wi)
     w = result.witness
     images = [

@@ -552,10 +552,16 @@ def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, cap
     map is the channel, or it leaves the target and the Farkas
     certificate comes from the violation, with the witness of the
     equations alone.  Free maps and inconsistent equations still run
-    their LP.  The ``symmetries`` reports of the faithful boxworld and
-    rebit_diamond representations, all transports, come out the same
-    with no LP."""
-    cases = _random_channel_cases() + [case[:3] for case in _hand_infeasible_cases()]
+    their LP, and more than five of them find a channel.  The
+    ``symmetries`` reports of the faithful boxworld and rebit_diamond
+    representations, all transports, come out the same with no LP."""
+    cases = []
+    for source, target, equations in _random_channel_cases() + [
+        case[:3] for case in _hand_infeasible_cases()
+    ]:
+        result = find_channel(source, target, equations)
+        fixed = _fixed_on_hull(source, target, equations, hull=True)
+        cases.append((source, target, equations, result, fixed))
     reports = {}
     for name in ("boxworld", "rebit_diamond"):
         for rep in catalog.load(name).representations:
@@ -570,20 +576,19 @@ def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, cap
 
     monkeypatch.setattr(exact, "_phase_one", forbidden)
     kinds = []
-    for source, target, equations in cases:
-        if not _fixed_on_hull(source, target, equations, hull=True):
+    for source, target, equations, result, fixed in cases:
+        kinds.append((fixed, isinstance(result, Channel)))
+        if not fixed:
             with pytest.raises(AssertionError, match="LP solved"):
                 find_channel(source, target, equations)
-            kinds.append((False, None))
             continue
-        result = find_channel(source, target, equations)
-        kinds.append((True, isinstance(result, Channel)))
+        assert find_channel(source, target, equations) == result
         if isinstance(result, ChannelInfeasible):
             assert verify_certificate(result.program, result.certificate)
             witness = (result.witness_point, result.witness_image)
             assert witness == unconstrained_witness(source, target, equations)
     assert kinds.count((True, True)) > 5 and kinds.count((True, False)) > 5
-    assert kinds.count((False, None)) > 5
+    assert kinds.count((False, True)) > 5
     for path, out in reports.items():
         assert cli.main(["symmetries", path]) == 0
         assert capsys.readouterr().out == out
