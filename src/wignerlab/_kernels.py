@@ -1,4 +1,4 @@
-"""Pivot kernels.
+"""Exact pivot kernels, pure Python.
 
 These three loops are where the engine spends essentially all of its
 time: reduced row echelon form, fraction-free (Bareiss) integer

@@ -6,6 +6,10 @@ claims carry their witnesses and certificates, re-checkable offline
 with ``wignerlab verify``.  Exit codes: 0 success, 1 analysis-negative
 (violations, no covariant representation, failed verification), 2 usage
 or parse errors.
+
+Each subcommand imports the engine modules it uses when it runs, so a
+process pays only for those: ``verify`` never loads ``symmetry``,
+``catalog`` or ``plot``.
 """
 
 from __future__ import annotations
@@ -15,45 +19,7 @@ import functools
 import re
 import sys
 
-from . import catalog, plot, symmetry, theoryfile
 from .errors import ParseError, SizeGuardError, UnsupportedGeometryError, WignerlabError
-from .exact import QQ, Infeasible
-from .geometry import AffineFunctional, affine_basis
-from .report import (
-    _de_map,
-    dump_report,
-    load_report,
-    make_report,
-    ser_certificate,
-    ser_extremal,
-    ser_functional,
-    ser_map,
-    ser_program,
-    ser_q,
-    ser_vec,
-    verify_report,
-)
-from .theory import (
-    Channel,
-    Compatible,
-    are_compatible,
-    are_complementary,
-    effect_span_rank,
-    jointly_info_complete,
-    surjectivity_details,
-    validate,
-)
-from .theoryfile import parse_rational, theory_to_dict
-from .wigner import (
-    check_marginals,
-    construct_family,
-    degenerate_rep,
-    faithful_choice_possible,
-    faithful_member,
-    free_slots,
-    is_faithful,
-    is_positive,
-)
 
 
 def main(argv=None) -> int:
@@ -138,14 +104,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_theory(path: str):
-    return theoryfile.load_path(path)
+    from .theoryfile import load_path
+
+    return load_path(path)
 
 
 def _emit(report_dict: dict) -> None:
+    from .report import dump_report
+
     sys.stdout.write(dump_report(report_dict))
 
 
 def _cmd_example(args) -> int:
+    from . import catalog, theoryfile
+
     if args.list or args.name is None:
         for name in catalog.CATALOG_NAMES:
             print(name)
@@ -180,6 +152,8 @@ def _cmd_example(args) -> int:
             return 2
         import json
 
+        from .report import ser_map
+
         data = [
             {
                 "perm_a": list(el.perm_a),
@@ -197,6 +171,10 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .report import make_report, ser_vec
+    from .theory import validate
+    from .theoryfile import theory_to_dict
+
     theory, _ = _load_theory(args.file)
     violations = validate(theory)
     claims = [
@@ -226,6 +204,18 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .exact import Infeasible
+    from .geometry import affine_basis
+    from .report import (
+        make_report, ser_certificate, ser_functional, ser_program, ser_q, ser_vec,
+    )
+    from .theory import (
+        Compatible, are_compatible, are_complementary, effect_span_rank,
+        jointly_info_complete, surjectivity_details,
+    )
+    from .theoryfile import theory_to_dict
+    from .wigner import faithful_choice_possible
+
     theory, _ = _load_theory(args.file)
     space = theory.state_space
     obs_a, obs_b = theory.obs_a, theory.obs_b
@@ -343,6 +333,10 @@ _TERM = re.compile(r"^([+-]?[0-9./]*)\s*\*?\s*(?:x([0-9]+))?$")
 
 def _parse_free_expression(text: str, dim: int) -> AffineFunctional:
     """Tiny linear-expression parser: '1/2 x0 + 1/2 x1 - 1/4'."""
+    from .exact import QQ
+    from .geometry import AffineFunctional
+    from .theoryfile import parse_rational
+
     text = text.strip()
     if not text:
         raise ParseError("empty functional expression")
@@ -368,6 +362,13 @@ def _parse_free_expression(text: str, dim: int) -> AffineFunctional:
 
 
 def _cmd_wigner(args) -> int:
+    from .report import make_report, ser_extremal, ser_functional, ser_q, ser_vec
+    from .theoryfile import dumps, theory_to_dict
+    from .wigner import (
+        check_marginals, construct_family, degenerate_rep, faithful_choice_possible,
+        faithful_member, free_slots, is_faithful, is_positive,
+    )
+
     theory, _ = _load_theory(args.file)
     space = theory.state_space
     obs_a, obs_b = theory.obs_a, theory.obs_b
@@ -477,12 +478,17 @@ def _cmd_wigner(args) -> int:
             )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(theoryfile.dumps(theory, (name, rep)))
+            handle.write(dumps(theory, (name, rep)))
     _emit(make_report("wigner", theory_to_dict(theory, (name, rep)), claims, notes))
     return 0
 
 
 def _cmd_symmetries(args) -> int:
+    from . import symmetry
+    from .report import make_report, ser_certificate, ser_map, ser_program
+    from .theory import Channel
+    from .theoryfile import theory_to_dict
+
     theory, wigner_block = _load_theory(args.file)
     if wigner_block is None:
         print("error: the theory file carries no wigner block", file=sys.stderr)
@@ -537,6 +543,10 @@ def _cmd_symmetries(args) -> int:
 def _symmetry_for_channel(args, theory, name, rep) -> int:
     import json
 
+    from . import symmetry
+    from .report import _de_map, make_report, ser_map, ser_vec
+    from .theoryfile import theory_to_dict
+
     try:
         chan = _de_map(json.loads(args.channel_matrix))
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -573,6 +583,9 @@ def _load_channels(path: str, theory):
     pair, each an affine map of the theory's ambient space."""
     import json
 
+    from .report import _de_map
+    from .symmetry import ProductGroupElement
+
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -598,12 +611,19 @@ def _load_channels(path: str, theory):
             raise ParseError(f"expected {dim} rows of {dim} entries", path=f"[{i}].matrix")
         if len(row["offset"]) != dim:
             raise ParseError(f"expected {dim} entries", path=f"[{i}].offset")
-        element = symmetry.ProductGroupElement(tuple(row["perm_a"]), tuple(row["perm_b"]))
+        element = ProductGroupElement(tuple(row["perm_a"]), tuple(row["perm_b"]))
         channels[element] = _de_map(row, f"[{i}].")
     return channels
 
 
 def _cmd_covariant(args) -> int:
+    from . import symmetry
+    from .geometry import affine_basis
+    from .report import (
+        make_report, ser_certificate, ser_functional, ser_map, ser_program, ser_vec,
+    )
+    from .theoryfile import theory_to_dict
+
     theory, _ = _load_theory(args.file)
     space = theory.state_space
     channels = _load_channels(args.channels, theory) if args.channels else None
@@ -687,6 +707,8 @@ def _cmd_covariant(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import plot
+
     theory, wigner_block = _load_theory(args.file)
     if wigner_block is None:
         print("error: the theory file carries no wigner block", file=sys.stderr)
@@ -702,6 +724,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .report import load_report, verify_report
+
     try:
         with open(args.report, encoding="utf-8") as handle:
             text = handle.read()
