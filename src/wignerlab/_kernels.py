@@ -12,8 +12,9 @@ denominator; another row meeting the pivot column at ``f`` becomes
 ``pv*row - f*prow`` over ``pv`` times its denominator, and the gcd is
 divided out.  It takes the same pivots as Gauss-Jordan over
 ``Fraction``, and since the reduced echelon form is unique and every
-other row is the same rational combination, its result is the same:
-one ``Fraction`` per entry is built at return.
+other row is the same rational combination, its result is the same up
+to one positive factor per row: it returns each row as the primitive
+integer vector (gcd 1) along its reduced row, and builds no ``Fraction``.
 
 The simplex works on Python ints only.  Its tableau is kept over a
 common positive denominator ``D``: on return every entry is ``D`` times
@@ -39,7 +40,6 @@ format of the rational simplex and re-check with the same
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def rref(rows, ncols):
@@ -49,8 +49,10 @@ def rref(rows, ncols):
     trailing columns (augmented right-hand sides) are carried along by
     the row operations.  Returns the list of pivot column indices.
 
-    Entries may be ints or Fractions; on return each is a ``Fraction``.
-    The elimination runs on ints (see the module docstring).
+    Entries may be ints or Fractions.  On return each row holds the ints
+    of the primitive vector (gcd 1) along its reduced row, so a pivot
+    row's entry at its pivot column is its denominator.  The elimination
+    runs on ints (see the module docstring).
     """
     m = len(rows)
     if m == 0:
@@ -97,8 +99,9 @@ def rref(rows, ncols):
         r += 1
         if r == m:
             break
-    for row, num, den in zip(rows, nums, dens):
-        row[:] = [Fraction(a, den) for a in num]
+    for i, (row, num) in enumerate(zip(rows, nums)):
+        g = math.gcd(*num) if i >= r else 1
+        row[:] = [a // g for a in num] if g > 1 else num
     return pivots
 
 

@@ -7,11 +7,12 @@ rational matrices, exact rank (fraction-free over integers), affine
 system solving with nullspace bases, and LP feasibility with verified
 witnesses or Farkas infeasibility certificates.
 
-The hot arithmetic runs on ints and builds one ``Fraction`` per result:
-``vec_dot`` sums one integer numerator over the product of the terms'
-denominators (an affine functional or map folds its constant in as the
-start), ``rank`` scales each row to integers by its denominator lcm,
-and ``solve_affine`` reduces with the integer ``_kernels.rref``.
+The hot arithmetic runs on ints over one denominator (Edmonds'
+fraction-free arithmetic) and builds a ``Fraction`` only for a value the
+public API returns or a report writes: ``vec_dot`` sums one integer
+numerator over the product of the terms' denominators, ``rank`` scales
+each row to integers by its denominator lcm, ``_kernels.rref`` returns
+primitive integer rows, and ``geometry.values_at`` evaluates functionals.
 
 Feasibility is decided by a phase-1 simplex with Bland's anti-cycling
 rule.  A row ``c * x_j >= 0`` (one nonzero ``c > 0``, rhs 0) is taken as
@@ -223,18 +224,16 @@ def solve_affine(a: Union[Matrix, Sequence[Sequence]], b: Sequence) -> Optional[
     for row in aug[len(pivots):]:
         if row[n]:
             return None
+    # row r of aug is aug[r][c] times the reduced row of pivot c
     particular = [QQ(0)] * n
     for r, c in enumerate(pivots):
-        particular[c] = aug[r][n]
-    pivot_set = set(pivots)
+        particular[c] = QQ(aug[r][n], aug[r][c])
     basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
+    for free in (j for j in range(n) if j not in pivots):
         direction = [QQ(0)] * n
         direction[free] = QQ(1)
         for r, c in enumerate(pivots):
-            direction[c] = -aug[r][free]
+            direction[c] = QQ(-aug[r][free], aug[r][c])
         basis.append(tuple(direction))
     return AffineSolution(tuple(particular), tuple(basis))
 

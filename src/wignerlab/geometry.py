@@ -11,6 +11,10 @@ radius.  Extremal values of affine functionals over balls are irrational
 in general, so they are carried symbolically as ``rational + rational *
 sqrt(radicand)`` and compared by exact sign analysis, never through
 floats.
+
+``values_at`` evaluates functionals at points as one int matrix over one
+positive denominator, so signs, equalities and ranks are read off ints.
+Functional arithmetic reuses its ``Fraction`` entries (``_functional``).
 """
 
 from __future__ import annotations
@@ -77,30 +81,27 @@ class AffineFunctional:
         return vec_dot(self.linear, vec(point), self.constant)
 
     def __add__(self, other: "AffineFunctional") -> "AffineFunctional":
-        return AffineFunctional(
-            tuple(a + b for a, b in zip(self.linear, other.linear, strict=True)),
-            self.constant + other.constant,
-        )
+        return _functional(vec_add(self.linear, other.linear), self.constant + other.constant)
 
     def __sub__(self, other: "AffineFunctional") -> "AffineFunctional":
-        return self + (-other)
+        return _functional(vec_sub(self.linear, other.linear), self.constant - other.constant)
 
     def __neg__(self) -> "AffineFunctional":
-        return AffineFunctional(tuple(-a for a in self.linear), -self.constant)
+        return _functional(tuple(-a for a in self.linear), -self.constant)
 
     def scale(self, c) -> "AffineFunctional":
         c = qq(c)
-        return AffineFunctional(vec_scale(c, self.linear), c * self.constant)
+        return _functional(vec_scale(c, self.linear), c * self.constant)
 
     def shift(self, c) -> "AffineFunctional":
-        return AffineFunctional(self.linear, self.constant + qq(c))
+        return _functional(self.linear, self.constant + qq(c))
 
     def compose(self, m: "AffineMap") -> "AffineFunctional":
         """Pull back along ``m``: returns x -> self(m(x))."""
         row = tuple(
             vec_dot(self.linear, m.matrix.column(j)) for j in range(m.matrix.cols)
         )
-        return AffineFunctional(row, vec_dot(self.linear, m.offset, self.constant))
+        return _functional(row, vec_dot(self.linear, m.offset, self.constant))
 
     def coefficients(self) -> Vec:
         """Linear coefficients with the constant appended."""
@@ -108,6 +109,29 @@ class AffineFunctional:
 
     def is_constant(self) -> bool:
         return all(a == 0 for a in self.linear)
+
+
+def _functional(linear: Vec, constant: QQ) -> AffineFunctional:
+    """The functional of ``Fraction`` entries, without coercing them again."""
+    f = object.__new__(AffineFunctional)
+    f.__dict__.update(linear=linear, constant=constant)
+    return f
+
+
+def values_at(funcs: Sequence[AffineFunctional], points: Sequence[Sequence]):
+    """``(rows, den)``: the ints ``rows[i][j] = den * funcs[i](points[j])``
+    over one positive ``den``, one integer dot product each (Edmonds'
+    fraction-free arithmetic).  Entries are ints or Fractions."""
+    if len({f.dim for f in funcs} | {len(p) for p in points}) > 1:
+        raise ValueError("dimension mismatch")
+    q = math.lcm(*(v.denominator for p in points for v in p))
+    xs = [[v.numerator * (q // v.denominator) for v in p] for p in points]
+    s = math.lcm(*(a.denominator for f in funcs for a in f.coefficients()))
+    rows = []
+    for f in funcs:
+        *lin, c = (a.numerator * (s // a.denominator) for a in f.coefficients())
+        rows.append([sum(map(operator.mul, lin, x), c * q) for x in xs])
+    return rows, s * q
 
 
 @dataclass(frozen=True)
@@ -170,14 +194,14 @@ def affine_map_from_points(
     if len(domain) != len(images) or not domain:
         raise ValueError("need equally many domain and image points")
     src = len(domain[0])
-    system = [list(p) + [QQ(1)] + list(img) for p, img in zip(domain, images)]
+    system = [list(p) + [1] + list(img) for p, img in zip(domain, images)]
     pivots = rref(system, src + 1)
     if any(any(row[src + 1:]) for row in system[len(pivots):]):
         return None
     sols = [[QQ(0)] * (src + 1) for _ in images[0]]
     for row, c in zip(system, pivots):
         for sol, value in zip(sols, row[src + 1:]):
-            sol[c] = value
+            sol[c] = QQ(value, row[c])
     return AffineMap(
         Matrix.from_rows([sol[:src] for sol in sols], cols=src),
         tuple(sol[src] for sol in sols),
@@ -196,18 +220,21 @@ def independent_affine_subset(points: Sequence[Vec]) -> list[int]:
     return [0] + [j + 1 for j in rref(diffs, len(points) - 1)]
 
 
-def _orthogonal_complement(rows: list[list], n: int) -> tuple[list[int], list[list]]:
-    """The pivot columns of ``rows`` (reduced in place to rref) and a
+def _orthogonal_complement(rows: list[list], n: int) -> tuple[list[int], list[list[int]]]:
+    """The pivot columns of ``rows`` (reduced in place by ``rref``) and a
     basis of the vectors in Q^n orthogonal to every row, one per free
-    column: 1 there, minus that column of the pivot rows at the pivots."""
+    column: the primitive ints along 1 there, minus the reduced rows'."""
     pivots = rref(rows, n)
+    dens = [row[j] for row, j in zip(rows, pivots)]
+    scale = math.lcm(*dens)
     basis = []
     for free in (j for j in range(n) if j not in pivots):
-        c = [QQ(0)] * n
-        c[free] = QQ(1)
-        for r, j in enumerate(pivots):
-            c[j] = -rows[r][free]
-        basis.append(c)
+        c = [0] * n
+        c[free] = scale
+        for row, j, d in zip(rows, pivots, dens):
+            c[j] = -row[free] * (scale // d)
+        g = math.gcd(*c)
+        basis.append([a // g for a in c])
     return pivots, basis
 
 
@@ -447,16 +474,10 @@ def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
     scale = math.lcm(*(v.denominator for p in points for v in p))
     ints = [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points]
     p0 = ints[0]
-    diffs = [[QQ(a - b) for a, b in zip(p, p0)] for p in ints[1:]]
+    diffs = [[a - b for a, b in zip(p, p0)] for p in ints[1:]]
     pivots, complement = _orthogonal_complement(diffs, len(p0))
     coords = tuple(pivots)
-    equalities = []
-    for c in complement:
-        den = math.lcm(*(a.denominator for a in c))
-        c = tuple(int(a * den) for a in c)
-        g = math.gcd(*c)
-        c = tuple(a // g for a in c)
-        equalities.append((c, sum(map(operator.mul, c, p0))))
+    equalities = [(tuple(c), sum(map(operator.mul, c, p0))) for c in complement]
     d = len(coords)
     distinct = list(dict.fromkeys(ints))
     ys = [tuple(p[j] for j in coords) for p in distinct]
@@ -585,7 +606,7 @@ def affine_basis(space: StateSpace) -> tuple[Vec, ...]:
     """
     if isinstance(space, Ball):
         return (space.center,) + tuple(
-            tuple(c + (space.radius if k == i else 0) for k, c in enumerate(space.center))
+            tuple(c + space.radius if k == i else c for k, c in enumerate(space.center))
             for i in range(space.ambient_dim)
         )
     basis = space.__dict__.get("_basis")
@@ -613,15 +634,11 @@ def membership_weights(space: Polytope, x: Sequence) -> Optional[Vec]:
 
 
 def _polytope_extrema(space: Polytope, f: AffineFunctional):
-    lo_v = hi_v = space.vertices[0]
-    lo = hi = f(lo_v)
-    for v in space.vertices[1:]:
-        val = f(v)
-        if val < lo:
-            lo, lo_v = val, v
-        if val > hi:
-            hi, hi_v = val, v
-    return lo, lo_v, hi, hi_v
+    """Min and max of ``f``, each with the first vertex attaining it."""
+    (values,), den = values_at([f], space.vertices)
+    lo, hi = min(values), max(values)
+    vertices = space.vertices
+    return QQ(lo, den), vertices[values.index(lo)], QQ(hi, den), vertices[values.index(hi)]
 
 
 def extremal_range(

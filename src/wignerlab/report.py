@@ -190,20 +190,23 @@ def load_report(text: str) -> dict:
     claims = data.get("claims")
     if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
         raise ParseError("expected a list of claim objects", path="claims")
+    if not isinstance(data.get("theory"), dict):
+        raise ParseError("expected a theory object", path="theory")
+    for i, claim in enumerate(claims):
+        for key in ("id", "kind"):
+            if not isinstance(claim.get(key), str):
+                raise ParseError(f"expected a string {key}", path=f"claims[{i}].{key}")
     return data
 
 
 def verify_report(report: dict) -> list[tuple[str, bool, str]]:
-    """Re-check every claim; returns (claim id, ok, detail) rows."""
-    theory = None
-    wigner_reps: dict[str, WignerRep] = {}
-    if report.get("theory"):
-        theory, wigner = theory_from_dict(report["theory"])
-        if wigner is not None:
-            wigner_reps[wigner[0]] = wigner[1]
+    """Re-check every claim of a report that ``load_report`` accepted;
+    returns (claim id, ok, detail) rows."""
+    theory, wigner = theory_from_dict(report["theory"])
+    wigner_reps: dict[str, WignerRep] = dict([wigner]) if wigner is not None else {}
     rows = []
-    for claim in report.get("claims", []):
-        cid = claim.get("id", "?")
+    for claim in report["claims"]:
+        cid = claim["id"]
         try:
             ok = _verify_claim(claim, theory, wigner_reps)
             rows.append((cid, ok, "" if ok else "claim data does not re-verify"))
@@ -234,10 +237,7 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
     if kind == "coeff_identity":
         terms = [_de_functional(f, "terms") for f in claim["terms"]]
         target = _de_functional(claim["target"], "target")
-        total = AffineFunctional.zero(target.dim)
-        for t in terms:
-            total = total + t
-        return total == target
+        return sum(terms, AffineFunctional.zero(target.dim)) == target
     if kind == "nonneg_on_vertices":
         functionals = [_de_functional(f, "functionals") for f in claim["functionals"]]
         vertices = [_de_vec(v, "vertices") for v in claim["vertices"]]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -42,10 +43,7 @@ from .exact import (
     Vec,
     lp_feasible,
     solve_affine,
-    vec_add,
     vec_dot,
-    vec_scale,
-    vec_sub,
     zeros,
 )
 from .geometry import (
@@ -54,10 +52,13 @@ from .geometry import (
     Ball,
     Polytope,
     StateSpace,
+    _describe,
+    _functional,
     affine_basis,
     affine_map_with_orthogonal_extension,
     contains,
     map_into,
+    values_at,
 )
 from .theory import (
     Channel,
@@ -66,6 +67,7 @@ from .theory import (
     _functional_from_block,
     _grid_unknown_layout,
     _marginal_equalities,
+    _solves,
     are_complementary,
     find_channel,
     is_surjective,
@@ -183,9 +185,10 @@ class LiftedMap:
 def lift(phi: PhasePointMap) -> LiftedMap:
     """The linear action (phi^ nu)_i = sum over phi(j) = i of nu_j."""
     n = len(phi.table)
-    rows = [[QQ(0)] * n for _ in range(n)]
+    zero, one = QQ(0), QQ(1)
+    rows = [[zero] * n for _ in range(n)]
     for j, i in enumerate(phi.table):
-        rows[i][j] = QQ(1)
+        rows[i][j] = one
     return LiftedMap(phi, Matrix.from_rows(rows, cols=n))
 
 
@@ -226,8 +229,15 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     space = rep.state_space
     m = _as_affine(lam)
     if isinstance(space, Polytope):
-        image_pts = [evaluate(rep, v).flatten() for v in space.vertices]
-        return _polytope_symmetry(rep, m, image_pts, space.vertices)
+        vals, den = values_at(rep.functionals(), space.vertices)
+        image_pts = [tuple(QQ(x, den) for x in col) for col in zip(*vals)]
+        known, hull = set(image_pts), Polytope.hull_of(image_pts)
+        for v, img in zip(space.vertices, image_pts):
+            mapped = m(img)
+            # vertex images are in W(K) by definition; facets only for new points
+            if mapped not in known and not contains(hull, mapped):
+                return SymmetryCheck(False, v, _grid_of_flat(mapped, rep.shape))
+        return SymmetryCheck(True)
     if not is_faithful(rep):
         raise UnsupportedGeometryError(
             "unsupported: ball symmetry testing needs a faithful representation"
@@ -236,7 +246,7 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     pulled = _pull_back(chart, m)
     if pulled is None:
         # some mapped image point left the affine hull of W(K)
-        for p, w in zip(chart.basis, chart.images):
+        for p, w in zip(chart.basis, chart.points()):
             target = m(w)
             if _solve_state(chart, target) is None:
                 return SymmetryCheck(False, p, _grid_of_flat(target, rep.shape))
@@ -251,60 +261,60 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     return SymmetryCheck(False, witness, image)
 
 
-def _polytope_symmetry(rep, m, image_pts, vertices) -> SymmetryCheck:
-    known = set(image_pts)
-    hull = Polytope.hull_of(image_pts)
-    for v, img in zip(vertices, image_pts):
-        mapped = m(img)
-        # vertex images are in W(K) by definition; facets only for new points
-        if mapped in known:
-            continue
-        if not contains(hull, mapped):
-            return SymmetryCheck(False, v, _grid_of_flat(mapped, rep.shape))
-    return SymmetryCheck(True)
-
-
 class _Chart(NamedTuple):
     """W on aff(K) over an affine basis: W(p0 + sum c_i (p_i - p0)) = g0 + G c.
 
-    ``images`` are the W(p_i), ``cols`` the columns W(p_i) - g0 of G and
-    ``gplus`` the rows of its left inverse G+ = (G^T G)^-1 G^T.  Valid for
+    In integers: ``images`` are ``den * W(p_i)`` (so g0 and the columns
+    W(p_i) - g0 of G are over ``den``), and ``gplus`` the rows of the
+    left inverse G+ = (G^T G)^-1 G^T times ``gden / den``.  Valid for
     faithful representations, where G has full column rank.
     """
 
     basis: tuple[Vec, ...]
-    images: list[Vec]
-    cols: list[Vec]
-    gplus: list[Vec]
+    den: int
+    images: list[tuple[int, ...]]
+    gplus: list[list[int]]
+    gden: int
+
+    def points(self) -> list[Vec]:
+        return [tuple(QQ(v, self.den) for v in w) for w in self.images]
 
 
 def _chart(rep: WignerRep) -> _Chart:
     basis = affine_basis(rep.state_space)
-    funcs = rep.functionals()
-    images = [tuple(f(p) for f in funcs) for p in basis]
-    cols = [vec_sub(w, images[0]) for w in images[1:]]
-    aug = [[vec_dot(u, v) for v in cols] + list(u) for u in cols]  # [G^T G | G^T]
+    vals, den = values_at(rep.functionals(), basis)
+    images = list(zip(*vals))
+    cols = [[a - b for a, b in zip(w, images[0])] for w in images[1:]]
+    # [G^T G | G^T] times den^2 and den reduces to [I | G+ / den]
+    aug = [[sum(map(operator.mul, u, v)) for v in cols] + u for u in cols]
     rref(aug, len(cols))
-    return _Chart(basis, images, cols, [tuple(row[len(cols):]) for row in aug])
+    gden = math.lcm(*(row[r] for r, row in enumerate(aug)))
+    gplus = [[a * (gden // row[r]) for a in row[len(cols):]] for r, row in enumerate(aug)]
+    return _Chart(basis, den, images, gplus, gden)
 
 
 def _solve_state(chart: _Chart, target: Vec) -> Optional[Vec]:
-    """The state y in aff(K) with W(y) = target, or None."""
-    rhs = vec_sub(target, chart.images[0])
-    coeffs = [vec_dot(row, rhs) for row in chart.gplus]
-    if any(vec_dot(coeffs, [col[i] for col in chart.cols]) != r for i, r in enumerate(rhs)):
+    """The state y in aff(K) with W(y) = target, or None.  Over ints,
+    ``rhs = q * den * (target - g0)`` and the coefficients are
+    ``gplus . rhs = gden * q * c``."""
+    q = math.lcm(*(t.denominator for t in target))
+    g0 = chart.images[0]
+    rhs = [chart.den * t.numerator * (q // t.denominator) - q * g for t, g in zip(target, g0)]
+    coeffs = [sum(map(operator.mul, row, rhs)) for row in chart.gplus]
+    cols = [[a - b for a, b in zip(w, g0)] for w in chart.images[1:]]
+    if any(sum(map(operator.mul, coeffs, col)) != chart.gden * r
+           for col, r in zip(zip(*cols), rhs)):
         return None
     p0 = chart.basis[0]
-    y = p0
-    for c, p in zip(coeffs, chart.basis[1:]):
-        y = vec_add(y, vec_scale(c, vec_sub(p, p0)))
-    return y
+    c = [QQ(x, chart.gden * q) for x in coeffs]
+    return tuple(vec_dot(c, [p[k] - p0[k] for p in chart.basis[1:]], p0[k])
+                 for k in range(len(p0)))
 
 
 def _pull_back(chart: _Chart, m: AffineMap) -> Optional[AffineMap]:
     """The channel candidate W^-1 . m . W on the affine hull of K."""
     images = []
-    for w in chart.images:
+    for w in chart.points():
         y = _solve_state(chart, m(w))
         if y is None:
             return None
@@ -312,30 +322,24 @@ def _pull_back(chart: _Chart, m: AffineMap) -> Optional[AffineMap]:
     return affine_map_with_orthogonal_extension(chart.basis, images)
 
 
-def _over_lcm(rows: Sequence[Sequence[QQ]]) -> list[tuple[int, ...]]:
-    """The rows times the lcm of all their denominators, as ints: a
-    positive scaling, so equalities between entries and the set of rows
-    are those of the rationals, compared and hashed as ints."""
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows]
-
-
 def _permutation_test(
     rep: WignerRep, chart: Optional[_Chart] = None
 ) -> Callable[[Sequence[int]], bool]:
     """Exact predicate on permutation tables: is the lift a symmetry of W?
 
-    Builds the invariant of W(K) from the module docstring once; each
-    call then only compares entries under the relabelling.  Balls need a
-    faithful representation; a caller that has already checked that and
-    built the chart passes it in.
+    Builds the invariant of W(K) from the module docstring once, in ints
+    (a positive scaling); each call then only compares entries under the
+    relabelling.  Balls need a faithful representation; a caller that has
+    already checked that and built the chart passes it in.
     """
     space = rep.state_space
     funcs = rep.functionals()
     n = len(funcs)
     if isinstance(space, Polytope):
-        images = [tuple(f(v) for f in funcs) for v in space.vertices]
-        ext = set(_over_lcm(Polytope.hull_of(images).vertices))
+        vals, _ = values_at(funcs, space.vertices)
+        images = tuple(dict.fromkeys(zip(*vals)))
+        _, flags = _describe(images)
+        ext = {p for p, ok in zip(images, flags) if ok}
 
         def fixes_ext(perm: Sequence[int]) -> bool:
             for point in ext:
@@ -353,9 +357,10 @@ def _permutation_test(
                 "unsupported: ball symmetry testing needs a faithful representation"
             )
         chart = _chart(rep)
-    (g0,) = _over_lcm([chart.images[0]])
-    gplus_cols = [tuple(row[i] for row in chart.gplus) for i in range(n)]
-    s = _over_lcm([[vec_dot(u, v) for v in gplus_cols] for u in gplus_cols])  # G H^-2 G^T
+    g0 = chart.images[0]
+    gplus_cols = list(zip(*chart.gplus))
+    # G H^-2 G^T = G+^T G+, times (gden / den)^2
+    s = [[sum(map(operator.mul, u, v)) for v in gplus_cols] for u in gplus_cols]
     return lambda perm: all(
         g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
         for i in range(n)
@@ -381,16 +386,11 @@ def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
 
 def composed_with_rep(rep: WignerRep, m: AffineMap) -> list[AffineFunctional]:
     """The functionals of x -> m(flat(W(x))), one per phase point."""
-    funcs = rep.functionals()
-    out = []
-    for i in range(m.matrix.rows):
-        row = m.matrix.row(i)
-        f = AffineFunctional.const(rep.state_space.ambient_dim, m.offset[i])
-        for coeff, q in zip(row, funcs):
-            if coeff:
-                f = f + q.scale(coeff)
-        out.append(f)
-    return out
+    *lin, const = zip(*(f.coefficients() for f in rep.functionals()))
+    return [
+        _functional(tuple(vec_dot(row, col) for col in lin), vec_dot(row, const, c))
+        for row, c in zip(m.matrix.entries, m.offset)
+    ]
 
 
 def find_transported_channel(
@@ -587,21 +587,6 @@ def _permutation_equations(
     return eqs
 
 
-def _channel_matches_element(
-    obs_a: Observable,
-    obs_b: Observable,
-    space: StateSpace,
-    element: ProductGroupElement,
-    chan: Channel,
-) -> bool:
-    points = affine_basis(space)
-    for g, h in _permutation_equations(obs_a, obs_b, element):
-        pulled = g.compose(chan.map)
-        if any(pulled(p) != h(p) for p in points):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class PermutationAction:
     """One channel per translation-group element, keyed by the element."""
@@ -671,7 +656,8 @@ def find_permutation_channels(
                     chan = Channel(
                         solved[gen].map.compose(solved[e].map), space, space
                     )
-                    if not _channel_matches_element(obs_a, obs_b, space, composed, chan):
+                    equations = _permutation_equations(obs_a, obs_b, composed)
+                    if not _solves(equations, chan.map, affine_basis(space)):
                         raise ArithmeticError(  # pragma: no cover - internal guard
                             "composed channel violates its permutation equations"
                         )

@@ -17,10 +17,11 @@ and face computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from ._kernels import rref
+from ._kernels import bareiss_rank, rref
 from .errors import ContainmentError, DomainError, PreconditionError, UnsupportedGeometryError
 from .exact import (
     QQ,
@@ -31,7 +32,6 @@ from .exact import (
     Vec,
     checked,
     lp_feasible,
-    rank,
     solve_affine,
     unit,
     vec,
@@ -51,6 +51,7 @@ from .geometry import (
     dimension,
     extremal_range,
     map_into,
+    values_at,
 )
 
 
@@ -164,9 +165,7 @@ def validate_observable(obs: Observable, space: StateSpace) -> list[Violation]:
                 Violation(obs.name, "range", f"effect for outcome {outcome!r} goes"
                           f" above 1 (max {hi})", hi_v, hi)
             )
-    total = obs.effects[0]
-    for f in obs.effects[1:]:
-        total = total + f
+    total = sum(obs.effects[1:], obs.effects[0])
     one = AffineFunctional.one(total.dim)
     if total != one:
         out.append(
@@ -286,11 +285,8 @@ def are_compatible(
 
 def effect_span_rank(obs_a: Observable, obs_b: Observable, space: StateSpace) -> int:
     """Rank of all effects of both observables restricted to aff(K)."""
-    basis = affine_basis(space)
-    rows = [
-        [f(p) for p in basis] for f in obs_a.effects + obs_b.effects
-    ]
-    return rank(rows)
+    rows, _ = values_at(obs_a.effects + obs_b.effects, affine_basis(space))
+    return bareiss_rank(rows)
 
 
 def jointly_info_complete(
@@ -298,10 +294,6 @@ def jointly_info_complete(
 ) -> bool:
     """Do the two outcome statistics determine the state?"""
     return effect_span_rank(obs_a, obs_b, space) == dimension(space) + 1
-
-
-def _polytope_face_vertices(space: Polytope, f: AffineFunctional) -> list[Vec]:
-    return [v for v in space.vertices if f(v) == 1]
 
 
 def are_complementary(
@@ -324,13 +316,13 @@ def are_complementary(
 def _half_complementary(
     first: Observable, second: Observable, space: StateSpace
 ) -> bool:
-    tau = QQ(1, second.n_outcomes)
     if isinstance(space, Polytope):
-        for f in first.effects:
-            for v in _polytope_face_vertices(space, f):
-                if any(g(v) != tau for g in second.effects):
-                    return False
-        return True
+        # over ints: f(v) = 1 is f = den, g(v) = 1/n is n * g = den
+        rows, den = values_at(first.effects + second.effects, space.vertices)
+        n = second.n_outcomes
+        face = [j for f in rows[:len(first.effects)] for j, x in enumerate(f) if x == den]
+        return all(n * g[j] == den for g in rows[len(first.effects):] for j in face)
+    tau = QQ(1, second.n_outcomes)
     for f in first.effects:
         if f.is_constant():
             if f.constant == 1:
@@ -409,8 +401,8 @@ def is_surjective(obs: Observable, space: StateSpace) -> bool:
     reaches 1 iff its vertex values straddle it: ``min <= 1 <= max``.
     """
     if isinstance(space, Polytope):
-        extrema = (_polytope_extrema(space, f) for f in obs.effects)
-        return all(lo <= 1 <= hi for lo, _, hi, _ in extrema)
+        rows, den = values_at(obs.effects, space.vertices)
+        return all(min(row) <= den <= max(row) for row in rows)
     return all(reached for _, _, reached in surjectivity_details(obs, space))
 
 
@@ -493,18 +485,26 @@ def find_channel(
     d1, d2 = source.ambient_dim, target.ambient_dim
     n_vars = d2 * d1 + d2
     hrep = target._facets
-    # c . y_i = rhs[i]: the equations, then c . (scale * y) = e on the hull
-    system = [(g.linear, [h(p) - g.constant for p in basis]) for g, h in equations]
-    system += [
-        (tuple(map(QQ, c)), [QQ(e, hrep.scale)] * len(basis)) for c, e in hrep.equalities
-    ]
-    fixed = _fixed_map(basis, system, d2)
+    # c . y_i = rhs[i] as int rows [s*c | s*rhs] with s > 0: g . y_i =
+    # h(p_i) - g0 times den * t per equation, then the hull's c . (scale*y) = e
+    hvals, den = values_at([h for _, h in equations], basis)
+    ints = []
+    for (g, _), hv in zip(equations, hvals):
+        t = math.lcm(*(a.denominator for a in g.coefficients()))
+        *c, g0 = (a.numerator * (t // a.denominator) for a in g.coefficients())
+        ints.append(([den * a for a in c] + [t * v - den * g0 for v in hv], den * t))
+    ints += [([hrep.scale * a for a in c] + [e] * len(basis), hrep.scale)
+             for c, e in hrep.equalities]
+    fixed = _fixed_map(basis, ints, d2)
     leaves = None
     if fixed is not None:
         try:
             return Channel(fixed, source, target)
         except ContainmentError as exc:
             leaves = exc  # the fixed map leaves the target: certified below
+    # the LP's rows are the rational system
+    system = [(tuple(QQ(a, s) for a in row[:d2]), [QQ(b, s) for b in row[d2:]])
+              for row, s in ints]
 
     def image_row(p: Vec, c: Sequence, coords=range(d2)) -> tuple:
         """Coefficients of ``c . (M p + t)[coords]`` in the unknowns."""
@@ -529,7 +529,7 @@ def find_channel(
         v, img = leaves.witness_point, leaves.witness_image
         result = checked(lp, _leaving_certificate(source, hrep, basis, system, v, img))
     if isinstance(result, Infeasible):
-        wp, wi = _unconstrained_witness(source, target, basis, system[:len(equations)])
+        wp, wi = _unconstrained_witness(source, target, basis, ints[:len(equations)])
         return ChannelInfeasible(lp, result, wp, wi)
     w = result.witness
     images = [
@@ -542,14 +542,16 @@ def find_channel(
     return Channel(m, source, target)
 
 
-def _fixed_map(basis, system, d2) -> Optional[AffineMap]:
+def _fixed_map(basis, ints, d2) -> Optional[AffineMap]:
     """The map whose basis images ``y_i`` in Q^d2 solve ``c . y_i =
-    rhs[i]`` for every row ``(c, rhs)`` of ``system``, if there is exactly
+    rhs[i]`` for every int row ``([c | rhs], s)``, if there is exactly
     one: the ``c`` have rank d2 and each right-hand side is consistent."""
-    aug = [list(c) + list(rhs) for c, rhs in system]
+    aug = [list(row) for row, _ in ints]
     if len(rref(aug, d2)) < d2 or any(any(row[d2:]) for row in aug[d2:]):
         return None
-    images = [tuple(row[d2 + i] for row in aug[:d2]) for i in range(len(basis))]
+    # pivot row k is aug[k][k] times (e_k | the k-th coordinates of the y_i)
+    images = [tuple(QQ(row[d2 + i], row[k]) for k, row in enumerate(aug[:d2]))
+              for i in range(len(basis))]
     return affine_map_from_points(basis, images)
 
 
@@ -586,21 +588,22 @@ def _leaving_certificate(source, hrep, basis, system, v, img) -> Infeasible:
     )
 
 
+def _solves(equations, m: AffineMap, points) -> bool:
+    """Does g(m(p)) = h(p) hold for every equation ``(g, h)`` and point?"""
+    rows, _ = values_at([g.compose(m) - h for g, h in equations], points)
+    return not any(map(any, rows))
+
+
 def _verify_candidate(source, target, equations, candidate) -> Channel:
-    points = affine_basis(source)
-    for g, h in equations:
-        pulled = g.compose(candidate)
-        if any(pulled(p) != h(p) for p in points):
-            raise PreconditionError(
-                "candidate map does not satisfy the requested equations"
-            )
+    if not _solves(equations, candidate, affine_basis(source)):
+        raise PreconditionError("candidate map does not satisfy the requested equations")
     return Channel(candidate, source, target)
 
 
-def _unconstrained_witness(source, target, basis, system):
-    """Diagnose infeasibility: if the equations' rows of ``system`` alone
-    fix the map, report a vertex whose image leaves the target."""
-    m = _fixed_map(basis, system, target.ambient_dim)
+def _unconstrained_witness(source, target, basis, ints):
+    """Diagnose infeasibility: if the equations' int rows alone fix the
+    map, report a vertex whose image leaves the target."""
+    m = _fixed_map(basis, ints, target.ambient_dim)
     if m is not None:
         for v in source.vertices:
             img = m(v)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ._kernels import rref
+from ._kernels import bareiss_rank, rref
 from .errors import DomainError, PreconditionError
 from .exact import (
     QQ,
@@ -27,7 +27,6 @@ from .exact import (
     Vec,
     lp_feasible,
     qq,
-    rank,
     vec,
 )
 from .geometry import (
@@ -41,6 +40,7 @@ from .geometry import (
     contains,
     dimension,
     extremal_range,
+    values_at,
 )
 from .theory import Observable
 
@@ -148,15 +148,11 @@ def check_marginals(rep: WignerRep) -> MarginalReport:
     dim = rep.state_space.ambient_dim
     violations = []
     for a in range(n_a):
-        total = AffineFunctional.zero(dim)
-        for b in range(n_b):
-            total = total + rep.grid[a][b]
+        total = sum(rep.grid[a], AffineFunctional.zero(dim))
         if total != rep.obs_a.effects[a]:
             violations.append(MarginalViolation("row", a, rep.obs_a.effects[a], total))
     for b in range(n_b):
-        total = AffineFunctional.zero(dim)
-        for a in range(n_a):
-            total = total + rep.grid[a][b]
+        total = sum((row[b] for row in rep.grid), AffineFunctional.zero(dim))
         if total != rep.obs_b.effects[b]:
             violations.append(MarginalViolation("column", b, rep.obs_b.effects[b], total))
     return MarginalReport(tuple(violations))
@@ -279,38 +275,29 @@ class PositivityResult:
 def is_positive(rep: WignerRep) -> PositivityResult:
     """Is the image inside the genuine probability simplex?"""
     space = rep.state_space
-    for a, row in enumerate(rep.grid):
-        for b, f in enumerate(row):
-            if isinstance(space, Polytope):
-                for v in space.vertices:
-                    val = f(v)
-                    if val < 0:
-                        return PositivityResult(
-                            False,
-                            NegativityWitness(
-                                (rep.obs_a.outcomes[a], rep.obs_b.outcomes[b]),
-                                val,
-                                state=v,
-                            ),
-                        )
-            else:
-                lo, _ = extremal_range(space, f)
-                if lo < 0:
-                    return PositivityResult(
-                        False,
-                        NegativityWitness(
-                            (rep.obs_a.outcomes[a], rep.obs_b.outcomes[b]),
-                            lo,
-                            direction=tuple(-c for c in f.linear),
-                        ),
-                    )
+    n_b = rep.shape[1]
+    funcs = rep.functionals()
+    if isinstance(space, Polytope):
+        rows, den = values_at(funcs, space.vertices)
+    for i, f in enumerate(funcs):
+        point = (rep.obs_a.outcomes[i // n_b], rep.obs_b.outcomes[i % n_b])
+        if isinstance(space, Polytope):
+            j = next((j for j, val in enumerate(rows[i]) if val < 0), None)
+            if j is not None:
+                return PositivityResult(False, NegativityWitness(
+                    point, QQ(rows[i][j], den), state=space.vertices[j]))
+        else:
+            lo, _ = extremal_range(space, f)
+            if lo < 0:
+                return PositivityResult(False, NegativityWitness(
+                    point, lo, direction=tuple(-c for c in f.linear)))
     return PositivityResult(True)
 
 
 def grid_rank(rep: WignerRep) -> int:
     """Rank of the grid functionals restricted to the affine hull of K."""
-    basis = affine_basis(rep.state_space)
-    return rank([[f(p) for p in basis] for f in rep.functionals()])
+    rows, _ = values_at(rep.functionals(), affine_basis(rep.state_space))
+    return bareiss_rank(rows)
 
 
 def is_faithful(rep: WignerRep) -> bool:
@@ -363,7 +350,10 @@ def faithful_member(
     anchor, slots = free_slots(obs_a, obs_b, anchor)
     funcs = degenerate_rep(obs_a, obs_b, space, anchor).functionals()
     n = len(funcs)
-    rows = [[f(p) for f in funcs] + list(p) for p in affine_basis(space)]
+    basis = affine_basis(space)
+    # the grid values' columns scaled by den: the same pivot columns
+    vals, _ = values_at(funcs, basis)
+    rows = [list(col) + list(p) for col, p in zip(zip(*vals), basis)]
     pivots = rref(rows, n + space.ambient_dim)
     coords = [c - n for c in pivots if c >= n][:len(slots)]
     if sum(c < n for c in pivots) + len(coords) < dimension(space) + 1:

@@ -37,12 +37,18 @@ which solves the convex-weights LP of every effect on a polytope with
 ``rref`` and ``vec_dot`` are the former ``Fraction`` kernels, one
 ``Fraction`` operation per entry, against which the integer ``rref``
 with per-row denominators and the integer ``vec_dot`` are checked.
+``values_at`` is the per-entry evaluation ``f(p)`` that
+``geometry.values_at`` replaces with one integer matrix, and
+``hull_equalities`` the former equalities of ``geometry._describe``,
+read off the ``Fraction`` rref of the points' integer differences.
 ``fraction_permutation_test`` is the former
 ``symmetry._permutation_test``, whose invariants (the extreme points
 of W(K), and g0 and S on balls) hold ``Fraction`` entries.
 """
 
 from __future__ import annotations
+
+import math
 
 from typing import Callable, Optional, Sequence, Union
 
@@ -76,7 +82,6 @@ from wignerlab.geometry import (
     extremal_range,
     independent_affine_subset,
 )
-from wignerlab.symmetry import _chart
 from wignerlab.theory import Observable
 from wignerlab.wigner import (
     NoPositiveMember,
@@ -129,6 +134,32 @@ def rref(rows, ncols):
     return pivots
 
 
+def values_at(funcs: Sequence[AffineFunctional], points) -> list[list[QQ]]:
+    """f(p) for each functional and point, one ``Fraction`` each."""
+    return [[f(p) for p in points] for f in funcs]
+
+
+def hull_equalities(points, scale: int) -> tuple:
+    """The equalities ``c . X = e`` of aff(points) in ``X = scale * x``:
+    per free column of the rref of the differences from the first point,
+    1 there and minus that column at the pivots, as primitive ints."""
+    ints = [tuple(int(v * scale) for v in p) for p in points]
+    p0, n = ints[0], len(ints[0])
+    rows = [[QQ(a - b) for a, b in zip(p, p0)] for p in ints[1:]]
+    pivots = rref(rows, n)
+    out = []
+    for free in (j for j in range(n) if j not in pivots):
+        c = [QQ(0)] * n
+        c[free] = QQ(1)
+        for r, j in enumerate(pivots):
+            c[j] = -rows[r][free]
+        den = math.lcm(*(a.denominator for a in c))
+        c = [int(a * den) for a in c]
+        c = tuple(a // math.gcd(*c) for a in c)
+        out.append((c, sum(a * b for a, b in zip(c, p0))))
+    return tuple(out)
+
+
 def vec_dot(u: Vec, v: Vec) -> QQ:
     return sum((a * b for a, b in zip(u, v, strict=True)), QQ(0))
 
@@ -159,9 +190,14 @@ def fraction_permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]
         return fixes_ext
     if not is_faithful(rep):
         raise ValueError("ball symmetry testing needs a faithful representation")
-    chart = _chart(rep)
-    g0 = chart.images[0]
-    gplus_cols = [tuple(row[i] for row in chart.gplus) for i in range(n)]
+    # the chart in Fractions: g0 = W(p0), columns W(p_i) - g0 of G, and
+    # G+ = (G^T G)^-1 G^T from the rref of [G^T G | G^T]
+    images = [tuple(f(p) for f in funcs) for p in affine_basis(space)]
+    g0 = images[0]
+    cols = [vec_sub(w, g0) for w in images[1:]]
+    aug = [[vec_dot(u, v) for v in cols] + list(u) for u in cols]
+    rref(aug, len(cols))
+    gplus_cols = [tuple(row[len(cols) + i] for row in aug) for i in range(n)]
     s = [[vec_dot(u, v) for v in gplus_cols] for u in gplus_cols]  # G H^-2 G^T
     return lambda perm: all(
         g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))

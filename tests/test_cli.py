@@ -91,6 +91,26 @@ def test_verify_rejects_claims_that_are_not_a_list_of_objects(tmp_path, capsys, 
     assert "expected a list of claim objects (at claims)" in err
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda r: r.pop("theory"), "theory"),
+    (lambda r: r.update(theory=["not", "an", "object"]), "theory"),
+    (lambda r: r["claims"][1].pop("id"), "claims[1].id"),
+    (lambda r: r["claims"][0].pop("kind"), "claims[0].kind"),
+], ids=["no_theory", "theory_not_object", "claim_without_id", "claim_without_kind"])
+def test_verify_rejects_malformed_reports(tmp_path, capsys, edit, where):
+    """Malformed reports are parse errors (exit 2), not failed claims."""
+    path = tmp_path / "trit.json"
+    run(capsys, "example", "trit", "--out", str(path))
+    _, out, _ = run(capsys, "analyze", str(path))
+    report = json.loads(out)
+    edit(report)
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify", str(report_path))
+    assert code == 2 and out == ""
+    assert f"(at {where})" in err
+
+
 def test_wigner_free_and_degenerate_and_faithful(tmp_path, capsys):
     path = tmp_path / "box.json"
     run(capsys, "example", "boxworld", "--out", str(path))

@@ -23,9 +23,11 @@ from wignerlab.geometry import (
     extremal_range,
     map_into,
     membership_weights,
+    values_at,
 )
 
 from helpers import random_fraction
+import reference_kernels as ref
 from reference_kernels import orthogonal_extension, per_column_affine_map, rank_greedy_subset
 
 SQUARE = Polytope([(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -139,7 +141,8 @@ def _query_points(rng, points, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_facets_agree_with_the_hull_lp_oracle(n):
     """Differential test of the facet description against ``_in_hull``:
-    redundancy, ``hull_of``'s vertices and order, and ``contains``."""
+    redundancy, ``hull_of``'s vertices and order, the hull equalities
+    against the former Fraction rref, and ``contains``."""
     rng = random.Random(100 + n)
     seen = {"inside": 0, "outside": 0, "raises": 0, "lower_dim": 0}
     for _ in range(30):
@@ -165,6 +168,8 @@ def test_facets_agree_with_the_hull_lp_oracle(n):
         ]
         hull = Polytope.hull_of(points)
         assert list(hull.vertices) == expected
+        facets = hull._facets
+        assert facets.equalities == ref.hull_equalities(distinct, facets.scale)
         seen["lower_dim"] += dimension(hull) < n
         for x in _query_points(rng, pts, n):
             truth = geometry._in_hull(x, hull.vertices) is not None
@@ -469,3 +474,62 @@ def test_orthogonal_extension_solves_no_system_per_point(monkeypatch):
     # identity on the complement, spanned by (0, 1, 0) and (1, 0, -1)
     assert m((F(0), F(1), F(0))) == (F(1), F(2), F(1))
     assert m((F(1), F(0), F(-1))) == (F(2), F(1), F(0))
+
+
+def test_values_at_matches_per_entry_evaluation():
+    """One int matrix over one positive denominator, entry for entry the
+    value f(p); for int, Fraction and mixed entries, negative and unequal
+    denominators, zero functionals, and no points or no functionals."""
+    rng = random.Random(151)
+    kinds = set()
+
+    def entry(kind):
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-9, 9)
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, -4, 6, -35)))
+
+    for _ in range(2000):
+        dim, n_f, n_p = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        kind = rng.choice(("int", "fraction", "mixed"))
+        funcs = [AffineFunctional.zero(dim) if rng.random() < 0.2 else
+                 AffineFunctional([entry(kind) for _ in range(dim)], entry(kind))
+                 for _ in range(n_f)]
+        points = [tuple(entry(kind) for _ in range(dim)) for _ in range(n_p)]
+        rows, den = values_at(funcs, points)
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[F(x, den) for x in row] for row in rows] == ref.values_at(funcs, points)
+        kinds.add((kind, bool(n_f), bool(n_p)))
+        kinds.update({"zero"} if any(f.is_constant() and not f.constant for f in funcs) else ())
+    assert len(kinds) == 13
+    with pytest.raises(ValueError):
+        values_at([AffineFunctional.zero(2)], [(1, 2, 3)])
+
+
+def test_functional_arithmetic_keeps_the_constructor_form():
+    """Every operation's result holds Fractions and equals, hash included,
+    the functional built from its values by the public constructor;
+    floats are still rejected where a value enters from outside."""
+    rng = random.Random(157)
+    m = AffineMap.from_rows([[1, F(1, 2)], [0, -3], [F(2, 3), 1]], [F(-1, 5), 0, 2])
+    for _ in range(200):
+        f, g = (AffineFunctional([random_fraction(rng) for _ in range(3)], random_fraction(rng))
+                for _ in range(2))
+        c = rng.choice((0, 2, F(-3, 7), "5/4"))
+        results = [
+            (f + g, [a + b for a, b in zip(f.linear, g.linear)], f.constant + g.constant),
+            (f - g, [a - b for a, b in zip(f.linear, g.linear)], f.constant - g.constant),
+            (-f, [-a for a in f.linear], -f.constant),
+            (f.scale(c), [F(c) * a for a in f.linear], F(c) * f.constant),
+            (f.shift(c), list(f.linear), f.constant + F(c)),
+            (f.compose(m), [sum(f.linear[k] * m.matrix.entries[k][j] for k in range(3))
+                            for j in range(2)], f(m.offset)),
+        ]
+        for got, linear, constant in results:
+            assert all(type(x) is F for x in got.coefficients())
+            built = AffineFunctional([str(x) for x in linear], str(constant))
+            assert got == built and hash(got) == hash(built)
+    for bad in (lambda: AffineFunctional((0.5, 1), 0), lambda: AffineFunctional((1, 1), 0.5),
+                lambda: f.scale(0.5), lambda: f.shift(0.5)):
+        with pytest.raises(TypeError):
+            bad()

@@ -418,25 +418,33 @@ def test_permutation_test_matches_the_fraction_invariants():
     assert verdicts[True] > 100 and verdicts[False] > 1000
 
 
-def _times_lcm(rows):
+def _primitive(rows):
+    """The rows times the one positive factor that makes them ints with
+    gcd 1: equal for two lists of rows iff one is a positive multiple of
+    the other."""
     scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return [tuple(int(x * scale) for x in row) for row in rows]
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    g = math.gcd(*(x for row in ints for x in row))
+    return [tuple(x // g for x in row) for row in ints]
 
 
 def test_permutation_invariants_hold_ints():
-    """The invariants are the Fraction invariants times the lcm of their
-    denominators, held as ints, so lookups hash ints, not Fractions."""
+    """The invariants are the Fraction invariants times one positive
+    factor (the denominator of ``values_at`` and of the chart), held as
+    ints, so lookups hash ints, not Fractions."""
     for rep in _polygon_reps():
         ext = inspect.getclosurevars(symmetry._permutation_test(rep)).nonlocals["ext"]
         frac = inspect.getclosurevars(ref.fraction_permutation_test(rep)).nonlocals["ext"]
         assert all(type(x) is int for point in ext for x in point)
-        assert ext == set(_times_lcm(frac))
+        ext, frac = list(ext), list(frac)
+        assert len(ext) == len(frac) and set(_primitive(ext)) == set(_primitive(frac))
     for rep in _ball_reps():
         invariants = inspect.getclosurevars(symmetry._permutation_test(rep)).nonlocals
         frac = inspect.getclosurevars(ref.fraction_permutation_test(rep)).nonlocals
         g0, s = invariants["g0"], invariants["s"]
         assert all(type(x) is int for row in [g0, *s] for x in row)
-        assert [g0] == _times_lcm([frac["g0"]]) and s == _times_lcm(frac["s"])
+        assert _primitive([g0]) == _primitive([frac["g0"]])
+        assert _primitive(s) == _primitive(frac["s"])
 
 
 def test_ball_witness_when_the_image_leaves_the_affine_hull():

@@ -242,7 +242,7 @@ def test_faithful_member_runs_no_rank_test(monkeypatch):
         raise AssertionError("rank test called")
 
     monkeypatch.setattr(exact, "rank", boom)
-    monkeypatch.setattr(wigner, "rank", boom)
+    monkeypatch.setattr(wigner, "bareiss_rank", boom)
     monkeypatch.setattr(wigner, "grid_rank", boom)
     for name in catalog.CATALOG_NAMES:
         t = catalog.load(name).theory
