@@ -3,7 +3,8 @@
 Subcommands: example, validate, analyze, wigner, symmetries, covariant,
 plot, verify.  Analysis reports are JSON documents on stdout whose
 claims carry their witnesses and certificates, re-checkable offline
-with ``wignerlab verify``.  Exit codes: 0 success, 1 analysis-negative
+with ``wignerlab verify``; each command passes the engine's results to
+the claim builders of ``report``.  Exit codes: 0 success, 1 analysis-negative
 (violations, no covariant representation, failed verification), 2 usage
 or parse errors.
 
@@ -171,159 +172,78 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .report import make_report, ser_vec
+    from .report import make_report, recompute_claim, ser_violation
     from .theory import validate
     from .theoryfile import theory_to_dict
 
     theory, _ = _load_theory(args.file)
     violations = validate(theory)
-    claims = [
-        {
-            "id": "validate",
-            "kind": "recompute",
-            "what": "validate",
-            "statement": "all effects stay in [0,1] and sum to the unit effect",
-            "verdict": not violations,
-        }
-    ]
-    details = [
-        {
-            "observable": v.observable,
-            "kind": v.kind,
-            "message": v.message,
-            "witness": ser_vec(v.witness) if v.witness else None,
-        }
-        for v in violations
-    ]
-    _emit(
-        make_report(
-            "validate", theory_to_dict(theory), claims, violations=details
-        )
+    claim = recompute_claim(
+        "validate", "all effects stay in [0,1] and sum to the unit effect", not violations
     )
+    details = [ser_violation(v) for v in violations]
+    _emit(make_report("validate", theory_to_dict(theory), [claim], violations=details))
     return 0 if not violations else 1
 
 
 def _cmd_analyze(args) -> int:
     from .exact import Infeasible
-    from .geometry import affine_basis
+    from .geometry import affine_basis, values_at
     from .report import (
-        make_report, ser_certificate, ser_functional, ser_program, ser_q, ser_vec,
+        ball_max_one_claim, lp_claim, make_report, rank_claim, recompute_claim,
     )
-    from .theory import (
-        Compatible, are_compatible, are_complementary, effect_span_rank,
-        jointly_info_complete, surjectivity_details,
-    )
-    from .theoryfile import theory_to_dict
+    from .theory import Compatible, are_compatible, are_complementary, surjectivity_details
+    from .theoryfile import ser_functional, theory_to_dict
     from .wigner import faithful_choice_possible
 
     theory, _ = _load_theory(args.file)
     space = theory.state_space
     obs_a, obs_b = theory.obs_a, theory.obs_b
+    pair = (obs_a.name, obs_b.name)
     claims = []
     notes = []
     try:
         compat = are_compatible(obs_a, obs_b, space)
+        names = f"{obs_a.name} and {obs_b.name}"
         if isinstance(compat, Compatible):
-            claims.append(
-                {
-                    "id": "compatibility",
-                    "kind": "lp_feasible",
-                    "statement": f"{obs_a.name} and {obs_b.name} are compatible",
-                    "verdict": True,
-                    "program": ser_program(compat.program),
-                    "witness": ser_vec(compat.witness),
-                    "joint": [[ser_functional(f) for f in row] for row in compat.joint],
-                }
-            )
+            joint = [[ser_functional(f) for f in row] for row in compat.joint]
+            claims.append(lp_claim("compatibility", f"{names} are compatible",
+                                   compat.program, compat, joint=joint))
         else:
-            claims.append(
-                {
-                    "id": "compatibility",
-                    "kind": "lp_infeasible",
-                    "statement": f"{obs_a.name} and {obs_b.name} are incompatible",
-                    "verdict": False,
-                    "program": ser_program(compat.program),
-                    "certificate": ser_certificate(compat.certificate),
-                }
-            )
+            claims.append(lp_claim("compatibility", f"{names} are incompatible",
+                                   compat.program, compat.certificate))
     except UnsupportedGeometryError as exc:
         notes.append(f"compatibility: {exc}")
-    basis = affine_basis(space)
-    matrix = [[f(p) for p in basis] for f in obs_a.effects + obs_b.effects]
-    claims.append(
-        {
-            "id": "info_complete",
-            "kind": "rank",
-            "statement": "effect span restricted to aff(K) vs dim(K) + 1",
-            "verdict": jointly_info_complete(obs_a, obs_b, space),
-            "matrix": [ser_vec(r) for r in matrix],
-            "rank": effect_span_rank(obs_a, obs_b, space),
-        }
-    )
+    # one rank of the effects on aff(K) decides info_complete and faithful_choice
+    fc = faithful_choice_possible(obs_a, obs_b, space)
+    rows, den = values_at(obs_a.effects + obs_b.effects, affine_basis(space))
+    claims.append(rank_claim(
+        "info_complete", "effect span restricted to aff(K) vs dim(K) + 1",
+        fc.effect_rank == fc.space_dim + 1, rows, den, fc.effect_rank,
+    ))
     try:
-        claims.append(
-            {
-                "id": "complementary",
-                "kind": "recompute",
-                "what": "complementary",
-                "pair": [obs_a.name, obs_b.name],
-                "statement": "certain outcomes of one force uniformity of the other",
-                "verdict": are_complementary(obs_a, obs_b, space),
-            }
-        )
+        claims.append(recompute_claim(
+            "complementary", "certain outcomes of one force uniformity of the other",
+            are_complementary(obs_a, obs_b, space), pair=pair,
+        ))
     except UnsupportedGeometryError as exc:
         notes.append(f"complementarity: {exc}")
     for obs in (obs_a, obs_b):
         for outcome, lp, result in surjectivity_details(obs, space):
             cid = f"surjective[{obs.name}][{outcome}]"
+            reaches = f"{obs.name} reaches outcome {outcome} sharply"
             if lp is None:
-                claims.append(
-                    {
-                        "id": cid,
-                        "kind": "ball_max_one",
-                        "statement": f"{obs.name} reaches outcome {outcome} sharply",
-                        "verdict": bool(result),
-                        "functional": ser_functional(obs.effect(outcome)),
-                        "center": ser_vec(space.center),
-                        "radius": ser_q(space.radius),
-                        "expect": bool(result),
-                    }
-                )
+                claims.append(ball_max_one_claim(
+                    cid, reaches, obs.effect(outcome), space, bool(result)))
             elif isinstance(result, Infeasible):
-                claims.append(
-                    {
-                        "id": cid,
-                        "kind": "lp_infeasible",
-                        "statement": f"{obs.name} never reaches outcome {outcome} sharply",
-                        "verdict": False,
-                        "program": ser_program(lp),
-                        "certificate": ser_certificate(result),
-                    }
-                )
+                claims.append(lp_claim(
+                    cid, f"{obs.name} never reaches outcome {outcome} sharply", lp, result))
             else:
-                claims.append(
-                    {
-                        "id": cid,
-                        "kind": "lp_feasible",
-                        "statement": f"{obs.name} reaches outcome {outcome} sharply",
-                        "verdict": True,
-                        "program": ser_program(lp),
-                        "witness": ser_vec(result.witness),
-                    }
-                )
-    fc = faithful_choice_possible(obs_a, obs_b, space)
-    claims.append(
-        {
-            "id": "faithful_choice",
-            "kind": "recompute",
-            "what": "faithful_choice",
-            "pair": [obs_a.name, obs_b.name],
-            "statement": "free slots cover the dimension gap",
-            "verdict": fc.possible,
-            "free_slots": fc.free_slots,
-            "required": fc.required,
-        }
-    )
+                claims.append(lp_claim(cid, reaches, lp, result))
+    claims.append(recompute_claim(
+        "faithful_choice", "free slots cover the dimension gap", fc.possible,
+        pair=pair, free_slots=fc.free_slots, required=fc.required,
+    ))
     _emit(make_report("analyze", theory_to_dict(theory), claims, notes))
     return 0
 
@@ -362,7 +282,7 @@ def _parse_free_expression(text: str, dim: int) -> AffineFunctional:
 
 
 def _cmd_wigner(args) -> int:
-    from .report import make_report, ser_extremal, ser_functional, ser_q, ser_vec
+    from .report import make_report, negativity_claim, recompute_claim
     from .theoryfile import dumps, theory_to_dict
     from .wigner import (
         check_marginals, construct_family, degenerate_rep, faithful_choice_possible,
@@ -419,63 +339,15 @@ def _cmd_wigner(args) -> int:
     name = f"W_{how}"
     positive = is_positive(rep)
     claims = [
-        {
-            "id": "marginals",
-            "kind": "recompute",
-            "what": "marginals",
-            "rep": name,
-            "statement": "row and column sums reproduce the two observables",
-            "verdict": check_marginals(rep).ok,
-        },
-        {
-            "id": "faithful",
-            "kind": "recompute",
-            "what": "faithful",
-            "rep": name,
-            "statement": "the grid functionals span all affine functions on K",
-            "verdict": is_faithful(rep),
-        },
-        {
-            "id": "positive",
-            "kind": "recompute",
-            "what": "positive",
-            "rep": name,
-            "statement": "the image stays inside the probability simplex",
-            "verdict": positive.ok,
-        },
+        recompute_claim("marginals", "row and column sums reproduce the two observables",
+                        check_marginals(rep).ok, rep=name),
+        recompute_claim("faithful", "the grid functionals span all affine functions on K",
+                        is_faithful(rep), rep=name),
+        recompute_claim("positive", "the image stays inside the probability simplex",
+                        positive.ok, rep=name),
     ]
     if not positive.ok and positive.witness is not None:
-        w = positive.witness
-        if w.state is not None:
-            a_idx = rep.obs_a.outcomes.index(w.phase_point[0])
-            b_idx = rep.obs_b.outcomes.index(w.phase_point[1])
-            claims.append(
-                {
-                    "id": "negativity_witness",
-                    "kind": "negative_entry",
-                    "statement": f"entry {w.phase_point} is negative at a vertex",
-                    "verdict": True,
-                    "functional": ser_functional(rep.grid[a_idx][b_idx]),
-                    "state": ser_vec(w.state),
-                    "value": ser_q(w.value),
-                }
-            )
-        else:
-            a_idx = rep.obs_a.outcomes.index(w.phase_point[0])
-            b_idx = rep.obs_b.outcomes.index(w.phase_point[1])
-            claims.append(
-                {
-                    "id": "negativity_witness",
-                    "kind": "ball_entry_min",
-                    "statement": f"entry {w.phase_point} dips negative on the ball",
-                    "verdict": True,
-                    "functional": ser_functional(rep.grid[a_idx][b_idx]),
-                    "center": ser_vec(space.center),
-                    "radius": ser_q(space.radius),
-                    "min": ser_extremal(w.value),
-                    "negative": True,
-                }
-            )
+        claims.append(negativity_claim(rep, positive.witness))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dumps(theory, (name, rep)))
@@ -485,7 +357,7 @@ def _cmd_wigner(args) -> int:
 
 def _cmd_symmetries(args) -> int:
     from . import symmetry
-    from .report import make_report, ser_certificate, ser_map, ser_program
+    from .report import lp_claim, make_report, ser_map
     from .theory import Channel
     from .theoryfile import theory_to_dict
 
@@ -516,16 +388,9 @@ def _cmd_symmetries(args) -> int:
                 row["channel"] = ser_map(result.map)
             else:
                 row["transported"] = False
-                claims.append(
-                    {
-                        "id": f"no_transport[{phi.describe()}]",
-                        "kind": "lp_infeasible",
-                        "statement": "no channel completes the square",
-                        "verdict": False,
-                        "program": ser_program(result.program),
-                        "certificate": ser_certificate(result.certificate),
-                    }
-                )
+                claims.append(lp_claim(f"no_transport[{phi.describe()}]",
+                                       "no channel completes the square",
+                                       result.program, result.certificate))
         entries.append(row)
     _emit(
         make_report(
@@ -544,13 +409,16 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
     import json
 
     from . import symmetry
-    from .report import _de_map, make_report, ser_map, ser_vec
-    from .theoryfile import theory_to_dict
+    from .report import make_report, ser_map
+    from .theoryfile import ser_vec, theory_to_dict
 
     try:
-        chan = _de_map(json.loads(args.channel_matrix))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        data = json.loads(args.channel_matrix)
+    except json.JSONDecodeError as exc:
         raise ParseError(f"bad --channel-matrix: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError("expected an object with matrix and offset", path="--channel-matrix")
+    chan = _parse_map(data, theory.state_space.ambient_dim)
     result = symmetry.find_symmetry_for_channel(rep, chan)
     if isinstance(result, symmetry.TransportObstruction):
         payload = {}
@@ -578,12 +446,27 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
     return 0
 
 
+def _parse_map(obj: dict, dim: int, path: str = ""):
+    """The ``dim`` x ``dim`` affine map of a ``{matrix, offset}`` object,
+    whose entries parse at ``{path}matrix`` and ``{path}offset``."""
+    from .report import _de_map
+
+    matrix, offset = obj.get("matrix"), obj.get("offset", [])
+    if not isinstance(matrix, list) or len(matrix) != dim or any(
+        not isinstance(r, list) or len(r) != dim for r in matrix
+    ):
+        raise ParseError(f"expected {dim} rows of {dim} entries", path=f"{path}matrix")
+    if not isinstance(offset, list) or len(offset) != dim:
+        raise ParseError(f"offset length must equal matrix row count, {dim}",
+                         path=f"{path}offset")
+    return _de_map(obj, path)
+
+
 def _load_channels(path: str, theory):
     """The channels of a ``--channels`` file, one per outcome-permutation
     pair, each an affine map of the theory's ambient space."""
     import json
 
-    from .report import _de_map
     from .symmetry import ProductGroupElement
 
     try:
@@ -597,32 +480,22 @@ def _load_channels(path: str, theory):
     for i, row in enumerate(data):
         if not isinstance(row, dict):
             raise ParseError("expected an object", path=f"[{i}]")
-        for key in ("perm_a", "perm_b", "matrix", "offset"):
-            if not isinstance(row.get(key), list):
-                raise ParseError("expected a list", path=f"[{i}].{key}")
         for key, obs in (("perm_a", theory.obs_a), ("perm_b", theory.obs_b)):
             n = obs.n_outcomes
+            if not isinstance(row.get(key), list):
+                raise ParseError("expected a list", path=f"[{i}].{key}")
             if any(type(k) is not int for k in row[key]) or sorted(row[key]) != list(range(n)):
                 raise ParseError(f"expected a permutation of 0..{n - 1}", path=f"[{i}].{key}")
-        dim = theory.state_space.ambient_dim
-        if len(row["matrix"]) != dim or any(
-            not isinstance(r, list) or len(r) != dim for r in row["matrix"]
-        ):
-            raise ParseError(f"expected {dim} rows of {dim} entries", path=f"[{i}].matrix")
-        if len(row["offset"]) != dim:
-            raise ParseError(f"expected {dim} entries", path=f"[{i}].offset")
         element = ProductGroupElement(tuple(row["perm_a"]), tuple(row["perm_b"]))
-        channels[element] = _de_map(row, f"[{i}].")
+        channels[element] = _parse_map(row, theory.state_space.ambient_dim, f"[{i}].")
     return channels
 
 
 def _cmd_covariant(args) -> int:
     from . import symmetry
     from .geometry import affine_basis
-    from .report import (
-        make_report, ser_certificate, ser_functional, ser_map, ser_program, ser_vec,
-    )
-    from .theoryfile import theory_to_dict
+    from .report import covariance_claim, lp_claim, make_report, recompute_claim
+    from .theoryfile import ser_functional, ser_vec, theory_to_dict
 
     theory, _ = _load_theory(args.file)
     space = theory.state_space
@@ -644,53 +517,24 @@ def _cmd_covariant(args) -> int:
                     "point": ser_vec(ob.detail.witness_point),
                     "image": ser_vec(ob.detail.witness_image),
                 }
-        claims.append(
-            {
-                "id": "no_covariant",
-                "kind": "lp_infeasible",
-                "statement": "the permutation-channel system is infeasible,"
-                             " so no covariant representation exists",
-                "verdict": False,
-                "program": ser_program(result.program),
-                "certificate": ser_certificate(result.certificate),
-            }
-        )
-        _emit(make_report("covariant", theory_to_dict(theory), claims, notes, **extra))
-        return 1
-    if result.kind == "hypothesis_failure":
+        claims.append(lp_claim(
+            "no_covariant", "the permutation-channel system is infeasible,"
+            " so no covariant representation exists", result.program, result.certificate,
+        ))
+    elif result.kind == "hypothesis_failure":
         notes.append("joint informational completeness fails and no channels"
                      " were supplied; the covariance system is not well-posed")
+    if result.kind in ("none", "hypothesis_failure"):
         _emit(make_report("covariant", theory_to_dict(theory), claims, notes, **extra))
         return 1
     name = "W_covariant"
     rep = result.rep
     basis = affine_basis(space)
     for gen, chan in (result.channels or {}).items():
-        if gen.is_identity:
-            continue
-        claims.append(
-            {
-                "id": f"covariance[{gen.describe()}]",
-                "kind": "covariance_identity",
-                "statement": "grid entries permute with the channel",
-                "verdict": True,
-                "rep": name,
-                "perm_a": list(gen.perm_a),
-                "perm_b": list(gen.perm_b),
-                "channel": ser_map(chan.map),
-                "basis": [ser_vec(p) for p in basis],
-            }
-        )
-    claims.append(
-        {
-            "id": "marginals",
-            "kind": "recompute",
-            "what": "marginals",
-            "rep": name,
-            "statement": "the covariant grid reproduces both observables",
-            "verdict": True,
-        }
-    )
+        if not gen.is_identity:
+            claims.append(covariance_claim(gen, chan.map, name, basis))
+    claims.append(recompute_claim(
+        "marginals", "the covariant grid reproduces both observables", True, rep=name))
     if result.kind == "family":
         extra["family_dimension"] = len(result.family_directions)
         extra["family_directions"] = [

@@ -429,34 +429,19 @@ class _Facets(NamedTuple):
         return all(s * sum(map(operator.mul, a, xs)) >= b * q for a, b in self.facets)
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss elimination)."""
-    m = [list(r) for r in rows]
-    n, sign, prev = len(m), 1, 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c]), None)
-        if p is None:
-            return 0
-        if p != c:
-            m[c], m[p], sign = m[p], m[c], -sign
-        for i in range(c + 1, n):
-            for k in range(c + 1, n):
-                m[i][k] = (m[c][c] * m[i][k] - m[i][c] * m[c][k]) // prev
-        prev = m[c][c]
-    return sign * prev
-
-
 def _normal(spans: list[list[int]]) -> list[int]:
-    """The cofactor vector of d-1 integer rows in Z^d (the cross product
-    for d = 3): orthogonal to each row, zero iff they are dependent."""
+    """A nonzero integer vector orthogonal to d-1 independent integer rows
+    in Z^d (the cross product for d = 3), and zero if they are dependent."""
+    if not spans:
+        return [1]
     if len(spans) == 1:
         (a, b), = spans
         return [b, -a]
     if len(spans) == 2:
         (a0, a1, a2), (b0, b1, b2) = spans
         return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
-    return [(-1) ** k * _int_det([r[:k] + r[k + 1:] for r in spans])
-            for k in range(len(spans) + 1)]
+    _, complement = _orthogonal_complement(spans, len(spans) + 1)
+    return complement[0] if len(complement) == 1 else [0] * (len(spans) + 1)
 
 
 def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
@@ -466,7 +451,7 @@ def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
     The points are scaled to integers over one denominator; one rref of
     their differences gives the equalities of the affine hull (its
     nullspace) and d pivot coordinates.  There every d-subset of points
-    spanning a hyperplane gives an integer cofactor normal, kept (with
+    spanning a hyperplane gives an integer normal (``_normal``), kept (with
     the sign that makes it >= on every point, over its gcd) when no
     point lies strictly on each side.  A point is a vertex iff the
     normals of its tight facets have rank d.
@@ -720,13 +705,12 @@ def _ball_map_into(source: Ball, m: AffineMap, target: Ball) -> Containment:
             ]
             for i in range(gram.rows)
         ]
-        if _is_psd(s):
-            return Containment(True)
         direction = _negative_direction(s)
-        if direction is not None:
-            point, image = _ball_witness(source, m, target, direction)
-            if point is not None:
-                return Containment(False, point, image)
+        if direction is None:
+            return Containment(True)
+        point, image = _ball_witness(source, m, target, direction)
+        if point is not None:
+            return Containment(False, point, image)
         return Containment(False)
     # sufficient bound: R1 * frobenius(A) + |d| <= R2 implies containment
     frob_sq = sum(
@@ -747,46 +731,35 @@ def _ball_map_into(source: Ball, m: AffineMap, target: Ball) -> Containment:
     return Containment(False, exact=False)
 
 
-def _is_psd(s: list[list[QQ]]) -> bool:
-    """Exact PSD test for a symmetric rational matrix.
+def _negative_direction(s: list[list[QQ]]) -> Optional[Vec]:
+    """``None`` when the symmetric rational ``s`` is PSD, else a rational
+    r with r^T S r < 0.
 
-    Checks every principal minor (not only the leading ones, which do
-    not characterize semidefiniteness on the boundary), on the matrix
-    scaled to integers by a positive common denominator.
+    Symmetric elimination (LDL^T) keeps the trailing block of T S T^T in
+    ``a``, with ``t`` the rows of T = L^-1, so the k-th row gives r^T S r
+    = a_kk.  A negative pivot returns its row.  A zero pivot with some
+    a_kj != 0 returns c t_k + t_j, whose value 2c a_kj + a_jj is -1 for
+    c = -(a_jj + 1) / (2 a_kj); one with a zero row is skipped.  If no
+    pivot is negative, S is congruent to a nonnegative diagonal.
     """
     n = len(s)
-    den = math.lcm(*(x.denominator for row in s for x in row))
-    ints = [[int(x * den) for x in row] for row in s]
-    for size in range(1, n + 1):
-        for idx in itertools.combinations(range(n), size):
-            if _int_det([[ints[i][j] for j in idx] for i in idx]) < 0:
-                return False
-    return True
-
-
-def _negative_direction(s: list[list[QQ]]) -> Optional[Vec]:
-    """Rational direction r with r^T S r < 0, for non-PSD symmetric S."""
-    n = len(s)
-
-    def quad(r):
-        return sum(r[i] * s[i][j] * r[j] for i in range(n) for j in range(n))
-
-    for i in range(n):
-        e = [QQ(0)] * n
-        e[i] = QQ(1)
-        if quad(e) < 0:
-            return tuple(e)
-    for i, j in itertools.combinations(range(n), 2):
-        for si, sj in ((1, 1), (1, -1)):
-            e = [QQ(0)] * n
-            e[i], e[j] = QQ(si), QQ(sj)
-            if quad(e) < 0:
-                return tuple(e)
-    # small rational grid; a strictly negative direction is an open set
-    coords = [QQ(k, 3) for k in range(-6, 7)]
-    for r in itertools.product(coords, repeat=n):
-        if any(r) and quad(list(r)) < 0:
-            return tuple(r)
+    a = [list(row) for row in s]
+    t = [[QQ(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        p = a[k][k]
+        if p < 0:
+            return tuple(t[k])
+        if p == 0:
+            j = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if j is not None:
+                c = -(a[j][j] + 1) / (2 * a[k][j])
+                return tuple(c * x + y for x, y in zip(t[k], t[j]))
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                a[i][k + 1:] = [x - f * y for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
+                t[i] = [x - f * y for x, y in zip(t[i], t[k])]
     return None
 
 

@@ -8,6 +8,12 @@ grid identities by direct evaluation.  ``verify_report`` returns one
 (claim id, ok) row per claim and is the engine behind the ``verify``
 subcommand.
 
+Each claim kind is written here, by a builder that takes the engine's
+results (``lp_claim``, ``rank_claim``, ``negativity_claim``,
+``ball_max_one_claim``, ``covariance_claim``, ``recompute_claim``), and
+checked here, by its branch of ``_verify_claim``; ``cli`` writes no
+claim itself.
+
 Not every LP answer comes from the simplex.  Surjectivity witnesses and
 certificates are built from the vertex values of each effect, and the
 certificate of a channel that its equations fix but that leaves the
@@ -37,6 +43,8 @@ from .theoryfile import (
     parse_ratios,
     parse_rational,
     rational_to_str,
+    ser_functional,
+    ser_vec,
     theory_from_dict,
 )
 from .wigner import (
@@ -51,20 +59,17 @@ from .wigner import (
 FORMAT = "wignerlab-report/1"
 
 
-def ser_q(x) -> str:
-    return rational_to_str(x)
-
-
-def ser_vec(v) -> list:
-    return [ser_q(x) for x in v]
-
-
-def ser_functional(f: AffineFunctional) -> dict:
-    return {"linear": ser_vec(f.linear), "constant": ser_q(f.constant)}
-
-
 def ser_map(m: AffineMap) -> dict:
     return {"matrix": [ser_vec(r) for r in m.matrix.entries], "offset": ser_vec(m.offset)}
+
+
+def ser_violation(v) -> dict:
+    return {
+        "observable": v.observable,
+        "kind": v.kind,
+        "message": v.message,
+        "witness": ser_vec(v.witness) if v.witness else None,
+    }
 
 
 def _ser_ratio(a: int, s: int) -> str:
@@ -89,18 +94,16 @@ def ser_certificate(cert: Infeasible) -> dict:
     return {
         "eq_multipliers": ser_vec(cert.eq_multipliers),
         "ineq_multipliers": ser_vec(cert.ineq_multipliers),
-        "gap": ser_q(cert.gap),
+        "gap": rational_to_str(cert.gap),
     }
 
 
-def ser_extremal(v) -> dict:
-    if isinstance(v, ExtremalValue):
-        return {
-            "rational": ser_q(v.rational_part),
-            "radical": ser_q(v.radical_part),
-            "radicand": ser_q(v.radicand),
-        }
-    return {"rational": ser_q(v), "radical": "0", "radicand": "0"}
+def ser_extremal(v: ExtremalValue) -> dict:
+    return {
+        "rational": rational_to_str(v.rational_part),
+        "radical": rational_to_str(v.radical_part),
+        "radicand": rational_to_str(v.radicand),
+    }
 
 
 def _de_vec(values, path) -> tuple:
@@ -213,6 +216,81 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
         except Exception as exc:  # noqa: BLE001 - report must not crash
             rows.append((cid, False, f"verification error: {exc}"))
     return rows
+
+
+# Claim builders: one per claim kind, from the engine's results, in the
+# order of the ``_verify_claim`` branches that replay them.
+
+
+def _claim(cid: str, kind: str, statement: str, verdict: bool, **data) -> dict:
+    """The keys every claim starts with, then the kind's data."""
+    return {"id": cid, "kind": kind, "statement": statement, "verdict": verdict, **data}
+
+
+def lp_claim(cid: str, statement: str, program: LinearProgram, result, **extra) -> dict:
+    """``lp_infeasible`` with the Farkas certificate when ``result`` is an
+    ``Infeasible``, else ``lp_feasible`` with ``result.witness``; the
+    ``extra`` keys follow."""
+    if isinstance(result, Infeasible):
+        return _claim(cid, "lp_infeasible", statement, False, program=ser_program(program),
+                      certificate=ser_certificate(result), **extra)
+    return _claim(cid, "lp_feasible", statement, True, program=ser_program(program),
+                  witness=ser_vec(result.witness), **extra)
+
+
+def rank_claim(cid: str, statement: str, verdict: bool, rows, den: int, matrix_rank: int) -> dict:
+    """The rank of ``rows / den``: integer rows over one positive
+    denominator, as ``values_at`` returns them."""
+    matrix = [[_ser_ratio(a, den) for a in row] for row in rows]
+    return _claim(cid, "rank", statement, verdict, matrix=matrix, rank=matrix_rank)
+
+
+def negativity_claim(rep, witness) -> dict:
+    """The ``NegativityWitness`` of a representation that is not positive:
+    ``negative_entry`` at a polytope vertex, ``ball_entry_min`` on a ball."""
+    a, b = witness.phase_point
+    f = ser_functional(rep.grid[rep.obs_a.outcomes.index(a)][rep.obs_b.outcomes.index(b)])
+    entry = f"entry {witness.phase_point}"
+    if witness.state is not None:
+        return _claim("negativity_witness", "negative_entry", f"{entry} is negative at a vertex",
+                      True, functional=f, state=ser_vec(witness.state),
+                      value=rational_to_str(witness.value))
+    space = rep.state_space
+    return _claim("negativity_witness", "ball_entry_min", f"{entry} dips negative on the ball",
+                  True, functional=f, center=ser_vec(space.center),
+                  radius=rational_to_str(space.radius), min=ser_extremal(witness.value),
+                  negative=True)
+
+
+def ball_max_one_claim(cid: str, statement: str, f: AffineFunctional, ball,
+                       reaches: bool) -> dict:
+    """Whether the maximum of ``f`` over ``ball`` is exactly 1."""
+    return _claim(cid, "ball_max_one", statement, reaches, functional=ser_functional(f),
+                  center=ser_vec(ball.center), radius=rational_to_str(ball.radius),
+                  expect=reaches)
+
+
+def covariance_claim(element, channel: AffineMap, rep_name: str, basis) -> dict:
+    """The grid of ``rep_name`` permutes with ``channel`` as ``element``
+    permutes the outcomes, checked at each point of ``basis``."""
+    return _claim(f"covariance[{element.describe()}]", "covariance_identity",
+                  "grid entries permute with the channel", True, rep=rep_name,
+                  perm_a=list(element.perm_a), perm_b=list(element.perm_b),
+                  channel=ser_map(channel), basis=[ser_vec(p) for p in basis])
+
+
+def recompute_claim(what: str, statement: str, verdict, pair=None, rep=None, **extra) -> dict:
+    """A claim with id ``what`` that ``verify`` decides by running the
+    engine's ``what`` check again.  ``pair`` (two observable names) or
+    ``rep`` (a representation name) says what it is about; the ``extra``
+    keys follow the verdict."""
+    claim = {"id": what, "kind": "recompute", "what": what}
+    if pair is not None:
+        claim["pair"] = list(pair)
+    if rep is not None:
+        claim["rep"] = rep
+    claim.update(statement=statement, verdict=verdict, **extra)
+    return claim
 
 
 def _verify_claim(claim: dict, theory, wigner_reps) -> bool:

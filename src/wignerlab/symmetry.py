@@ -631,20 +631,15 @@ def find_permutation_channels(
         AffineMap.identity(space.ambient_dim), space, space
     )
     for gen in generators:
-        chan: Optional[Channel] = None
-        if supplied is not None and gen in supplied:
-            cand = supplied[gen]
-            cand_map = cand.map if isinstance(cand, Channel) else cand
-            result = find_channel(
-                space, space, _permutation_equations(obs_a, obs_b, gen), candidate=cand_map
-            )
-            chan = result
-        else:
-            result = find_channel(space, space, _permutation_equations(obs_a, obs_b, gen))
-            if isinstance(result, ChannelInfeasible):
-                return PermutationObstruction(gen, result)
-            chan = result
-        solved[gen] = chan
+        # a bad supplied map raises, so only a solved generator is infeasible
+        cand = (supplied or {}).get(gen)
+        result = find_channel(
+            space, space, _permutation_equations(obs_a, obs_b, gen),
+            candidate=cand.map if isinstance(cand, Channel) else cand,
+        )
+        if isinstance(result, ChannelInfeasible):
+            return PermutationObstruction(gen, result)
+        solved[gen] = result
     # close the set by composing generator channels
     frontier = list(solved)
     while frontier:

@@ -11,7 +11,8 @@ The engine writes every rational as ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+``;
 hands every other string to ``Fraction``, so the language it accepts and
 the errors it raises are ``Fraction``'s on the running interpreter.
 ``parse_ratios`` reads a list of them as integer pairs, for callers that
-go straight to integer rows.
+go straight to integer rows.  ``ser_vec`` and ``ser_functional`` write
+vectors and functionals, for theory files and reports alike.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ def rational_to_str(x: QQ) -> str:
     if type(x) is Fraction or type(x) is int:
         return str(x)
     return str(Fraction(x))
+
+
+def ser_vec(v) -> list:
+    return [rational_to_str(x) for x in v]
+
+
+def ser_functional(f: AffineFunctional) -> dict:
+    return {"linear": ser_vec(f.linear), "constant": rational_to_str(f.constant)}
 
 
 _split = operator.methodcaller("partition", "/")
@@ -251,13 +260,6 @@ def load_path(path: str) -> tuple[Theory, Optional[tuple[str, WignerRep]]]:
     return loads(text)
 
 
-def _functional_to_dict(f: AffineFunctional) -> dict:
-    return {
-        "linear": [rational_to_str(x) for x in f.linear],
-        "constant": rational_to_str(f.constant),
-    }
-
-
 def theory_to_dict(
     theory: Theory, wigner: Optional[tuple[str, WignerRep]] = None
 ) -> dict:
@@ -265,12 +267,12 @@ def theory_to_dict(
     if isinstance(space, Polytope):
         space_dict = {
             "type": "polytope",
-            "vertices": [[rational_to_str(x) for x in v] for v in space.vertices],
+            "vertices": [ser_vec(v) for v in space.vertices],
         }
     else:
         space_dict = {
             "type": "ball",
-            "center": [rational_to_str(x) for x in space.center],
+            "center": ser_vec(space.center),
             "radius": rational_to_str(space.radius),
         }
     data = {
@@ -279,7 +281,7 @@ def theory_to_dict(
             {
                 "name": o.name,
                 "outcomes": list(o.outcomes),
-                "effects": [_functional_to_dict(f) for f in o.effects],
+                "effects": [ser_functional(f) for f in o.effects],
             }
             for o in theory.observables
         ],
@@ -291,7 +293,7 @@ def theory_to_dict(
         data["wigner"] = {
             "name": name,
             "observables": [rep.obs_a.name, rep.obs_b.name],
-            "grid": [[_functional_to_dict(f) for f in row] for row in rep.grid],
+            "grid": [[ser_functional(f) for f in row] for row in rep.grid],
         }
     return data
 

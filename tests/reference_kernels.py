@@ -44,10 +44,16 @@ read off the ``Fraction`` rref of the points' integer differences.
 ``fraction_permutation_test`` is the former
 ``symmetry._permutation_test``, whose invariants (the extreme points
 of W(K), and g0 and S on balls) hold ``Fraction`` entries.
+
+``is_psd`` is the former PSD test of ball containment, the signs of all
+2^n principal minors by Bareiss determinants (``int_det``), against
+which the symmetric elimination of ``geometry._negative_direction`` is
+checked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from typing import Callable, Optional, Sequence, Union
@@ -811,3 +817,37 @@ def entrywise_positive_member(
     if not is_positive(rep).ok:  # pragma: no cover - internal guard
         raise ArithmeticError("LP returned a non-positive member")
     return PositiveFound(rep, lp, result.witness)
+
+
+def int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (Bareiss elimination)."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p], sign = m[p], m[c], -sign
+        for i in range(c + 1, n):
+            for k in range(c + 1, n):
+                m[i][k] = (m[c][c] * m[i][k] - m[i][c] * m[c][k]) // prev
+        prev = m[c][c]
+    return sign * prev
+
+
+def is_psd(s: list[list[QQ]]) -> bool:
+    """Exact PSD test for a symmetric rational matrix.
+
+    Checks every principal minor (not only the leading ones, which do
+    not characterize semidefiniteness on the boundary), on the matrix
+    scaled to integers by a positive common denominator.
+    """
+    n = len(s)
+    den = math.lcm(*(x.denominator for row in s for x in row))
+    ints = [[int(x * den) for x in row] for row in s]
+    for size in range(1, n + 1):
+        for idx in itertools.combinations(range(n), size):
+            if int_det([[ints[i][j] for j in idx] for i in idx]) < 0:
+                return False
+    return True

@@ -211,6 +211,18 @@ def test_channel_maps_parse_errors_name_their_field(tmp_path, capsys):
     assert code == 2 and "(at [1].offset)" in err
 
 
+@pytest.mark.parametrize("matrix, where", [
+    ('{"matrix": [["1"]], "offset": ["0"]}', "matrix"),
+    ('{"matrix": [["1", "0"]], "offset": ["0", "0"]}', "matrix"),
+    ("[1]", "--channel-matrix"),
+])
+def test_channel_matrix_of_a_wrong_shape_is_a_parse_error(tmp_path, capsys, matrix, where):
+    path = tmp_path / "trit.json"
+    run(capsys, "example", "trit", "--rep", "W", "--out", str(path))
+    code, out, err = run(capsys, "symmetries", str(path), "--channel-matrix", matrix)
+    assert code == 2 and out == "" and err.rstrip().endswith(f"(at {where})")
+
+
 @pytest.mark.parametrize("shape, where", [
     ("no matrix", "[0].matrix"),
     ("int perm_a", "[0].perm_a"),

@@ -170,6 +170,12 @@ def test_facets_agree_with_the_hull_lp_oracle(n):
         assert list(hull.vertices) == expected
         facets = hull._facets
         assert facets.equalities == ref.hull_equalities(distinct, facets.scale)
+        # each facet is tight on d affinely independent points of the hull
+        ys = [[v * facets.scale for v in (p[j] for j in facets.coords)] for p in distinct]
+        for a, b in facets.facets:
+            tight = [y for y in ys if sum(c * v for c, v in zip(a, y)) == b]
+            assert exact.rank([[v - w for v, w in zip(y, tight[0])] for y in tight[1:]]) \
+                == len(facets.coords) - 1
         seen["lower_dim"] += dimension(hull) < n
         for x in _query_points(rng, pts, n):
             truth = geometry._in_hull(x, hull.vertices) is not None
@@ -331,6 +337,45 @@ def test_map_into_ball_isometries_and_failures():
     # off-center shift decided by the exact sufficient bound
     shift = AffineMap.from_rows([[F(1, 4), 0], [0, F(1, 4)]], [F(1, 2), 0])
     assert map_into(DISK, shift, DISK).ok
+
+
+def _random_symmetric(rng: random.Random, n: int) -> list[list[F]]:
+    """A symmetric matrix of one of four shapes: random entries, a Gram
+    matrix B^T B of rank below n (PSD and singular), c I - B^T B as
+    ``map_into`` builds it, or random entries on a zero diagonal."""
+    shape = rng.randrange(4)
+    if shape in (1, 2):
+        b = [[random_fraction(rng) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        s = [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+        if shape == 2:
+            c = F(rng.randint(0, 12), rng.randint(1, 3))
+            s = [[(c if i == j else 0) - x for j, x in enumerate(r)] for i, r in enumerate(s)]
+        return s
+    s = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s[i][j] = s[j][i] = random_fraction(rng, den=2) if rng.random() < 0.7 else F(0)
+        if shape == 3:
+            s[i][i] = F(0)
+    return s
+
+
+def test_negative_direction_agrees_with_principal_minors():
+    """Symmetric elimination against the 2^n principal minors: the same
+    PSD verdict, and an exact direction r with r^T S r < 0 otherwise."""
+    rng = random.Random(2024)
+    seen = {"psd": 0, "singular_psd": 0, "not_psd": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        s = _random_symmetric(rng, n)
+        r = geometry._negative_direction(s)
+        assert (r is None) == ref.is_psd(s)
+        if r is None:
+            seen["singular_psd" if exact.rank(s) < n else "psd"] += 1
+        else:
+            assert sum(r[i] * s[i][j] * r[j] for i in range(n) for j in range(n)) < 0
+            seen["not_psd"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_map_into_unsupported_pair():
