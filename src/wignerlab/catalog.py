@@ -10,10 +10,10 @@ the engine, which makes the catalog the regression corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as F
 from typing import Optional
 
+from ._record import record
 from .errors import WignerlabError
 from .exact import verify_certificate
 from .geometry import (
@@ -62,7 +62,7 @@ from .wigner import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Expectation:
     label: str
     provenance: str  # worked-example | derived | trivial
@@ -70,16 +70,22 @@ class Expectation:
     payload: dict
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     name: str
     theory: Theory
     representations: dict[str, WignerRep]
     expected: tuple[Expectation, ...]
     channels: Optional[dict[ProductGroupElement, Channel]] = None
-    named_channels: dict[str, Channel] = field(default_factory=dict)
-    named_maps: dict[str, PhasePointMap] = field(default_factory=dict)
+    named_channels: Optional[dict[str, Channel]] = None
+    named_maps: Optional[dict[str, PhasePointMap]] = None
     notes: str = ""
+
+    def __post_init__(self):
+        # None (the default) stores a fresh empty dict: no two entries share one
+        for name in ("named_channels", "named_maps"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, {})
 
 
 CATALOG_NAMES = (

@@ -116,6 +116,15 @@ def _emit(report_dict: dict) -> None:
     sys.stdout.write(dump_report(report_dict))
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParseError(str(exc), path=path) from None
+
+
 def _cmd_example(args) -> int:
     from . import catalog, theoryfile
 
@@ -143,8 +152,7 @@ def _cmd_example(args) -> int:
         wigner_block = (args.rep, rep)
     text = theoryfile.dumps(theory, wigner_block)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.channels_out:
@@ -165,9 +173,7 @@ def _cmd_example(args) -> int:
                 entry.channels.items(), key=lambda kv: (kv[0].perm_a, kv[0].perm_b)
             )
         ]
-        with open(args.channels_out, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2)
-            handle.write("\n")
+        _write(args.channels_out, json.dumps(data, indent=2) + "\n")
     return 0
 
 
@@ -188,11 +194,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from .exact import Infeasible
-    from .geometry import affine_basis, values_at
     from .report import (
         ball_max_one_claim, lp_claim, make_report, rank_claim, recompute_claim,
     )
-    from .theory import Compatible, are_compatible, are_complementary, surjectivity_details
+    from .theory import (
+        Compatible, are_compatible, are_complementary, effect_span, surjectivity_details,
+    )
     from .theoryfile import ser_functional, theory_to_dict
     from .wigner import faithful_choice_possible
 
@@ -215,11 +222,11 @@ def _cmd_analyze(args) -> int:
     except UnsupportedGeometryError as exc:
         notes.append(f"compatibility: {exc}")
     # one rank of the effects on aff(K) decides info_complete and faithful_choice
-    fc = faithful_choice_possible(obs_a, obs_b, space)
-    rows, den = values_at(obs_a.effects + obs_b.effects, affine_basis(space))
+    rows, den, span = effect_span(obs_a, obs_b, space)
+    fc = faithful_choice_possible(obs_a, obs_b, space, span)
     claims.append(rank_claim(
         "info_complete", "effect span restricted to aff(K) vs dim(K) + 1",
-        fc.effect_rank == fc.space_dim + 1, rows, den, fc.effect_rank,
+        span == fc.space_dim + 1, rows, den, span,
     ))
     try:
         claims.append(recompute_claim(
@@ -349,8 +356,7 @@ def _cmd_wigner(args) -> int:
     if not positive.ok and positive.witness is not None:
         claims.append(negativity_claim(rep, positive.witness))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dumps(theory, (name, rep)))
+        _write(args.out, dumps(theory, (name, rep)))
     _emit(make_report("wigner", theory_to_dict(theory, (name, rep)), claims, notes))
     return 0
 
@@ -409,6 +415,7 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
     import json
 
     from . import symmetry
+    from .geometry import map_into
     from .report import make_report, ser_map
     from .theoryfile import ser_vec, theory_to_dict
 
@@ -418,7 +425,16 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
         raise ParseError(f"bad --channel-matrix: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("expected an object with matrix and offset", path="--channel-matrix")
-    chan = _parse_map(data, theory.state_space.ambient_dim)
+    space = theory.state_space
+    chan = _parse_map(data, space.ambient_dim)
+    inside = map_into(space, chan, space)
+    if not inside.ok:
+        moved = ""
+        if inside.witness_point is not None:  # (a ball map may leave without one)
+            point, image = (", ".join(map(str, v))
+                            for v in (inside.witness_point, inside.witness_image))
+            moved = f": it sends ({point}) to ({image})"
+        raise ParseError(f"the map leaves the state space{moved}", path="--channel-matrix")
     result = symmetry.find_symmetry_for_channel(rep, chan)
     if isinstance(result, symmetry.TransportObstruction):
         payload = {}
@@ -562,8 +578,7 @@ def _cmd_plot(args) -> int:
     except plot.PlotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    _write(args.out, svg)
     return 0
 
 

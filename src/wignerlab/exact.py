@@ -61,11 +61,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, rref, simplex_phase1
+from ._record import record
 
 QQ = Fraction
 
@@ -120,7 +120,7 @@ def unit(n: int, i: int) -> Vec:
     return tuple(QQ(1) if k == i else QQ(0) for k in range(n))
 
 
-@dataclass(frozen=True)
+@record
 class Matrix:
     """Dense rational matrix; immutable, rectangular, possibly empty."""
 
@@ -197,7 +197,7 @@ def rank(m: Union[Matrix, Sequence[Sequence]]) -> int:
     return bareiss_rank(int_rows)
 
 
-@dataclass(frozen=True)
+@record
 class AffineSolution:
     """Solution set of ``A x = b``: one particular point plus ker(A)."""
 
@@ -238,7 +238,7 @@ def solve_affine(a: Union[Matrix, Sequence[Sequence]], b: Sequence) -> Optional[
     return AffineSolution(tuple(particular), tuple(basis))
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@record
 class LinearProgram:
     """Feasibility program: ``row . x = rhs`` and ``row . x >= rhs`` rows.
 
@@ -332,14 +332,14 @@ def _rational_rows(rows) -> tuple[tuple[Vec, QQ], ...]:
     return tuple((tuple(QQ(a, s) for a in row), QQ(rhs, s)) for row, rhs, s in rows)
 
 
-@dataclass(frozen=True)
+@record
 class Feasible:
     """Feasibility witness; satisfies the program exactly."""
 
     witness: Vec
 
 
-@dataclass(frozen=True)
+@record
 class Infeasible:
     """Farkas certificate: the multiplier combination of the constraint
     rows is the zero functional while the combined right-hand side is

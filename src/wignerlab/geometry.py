@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, rref
+from ._record import record
 from .errors import UnsupportedGeometryError
 from .exact import (
     QQ,
@@ -46,7 +46,7 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class AffineFunctional:
     """x -> linear . x + constant on the ambient coordinate space."""
 
@@ -134,7 +134,7 @@ def values_at(funcs: Sequence[AffineFunctional], points: Sequence[Sequence]):
     return rows, s * q
 
 
-@dataclass(frozen=True)
+@record
 class AffineMap:
     """x -> matrix . x + offset."""
 
@@ -282,7 +282,7 @@ def _squarefree(n: int) -> tuple[int, int]:
     return k, m * n
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ExtremalValue:
     """The exact number ``rational_part + radical_part * sqrt(radicand)``.
 
@@ -493,7 +493,7 @@ def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
     return _Facets(scale, coords, tuple(equalities), tuple(facets)), flags
 
 
-@dataclass(frozen=True)
+@record
 class Polytope:
     """Convex hull of an irredundant vertex list, with its facet
     description (``_facets``) and, once asked for, its affine basis
@@ -530,7 +530,7 @@ class Polytope:
         return len(self.vertices[0])
 
 
-@dataclass(frozen=True)
+@record
 class Ball:
     """Closed euclidean ball with rational center and radius."""
 
@@ -645,7 +645,7 @@ def extremal_range(
     )
 
 
-@dataclass(frozen=True)
+@record
 class Containment:
     """Outcome of an image-containment test.
 

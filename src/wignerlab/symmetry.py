@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from ._kernels import rref
+from ._record import record
 from .errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from .exact import (
     QQ,
@@ -83,10 +83,11 @@ ENUMERATION_GUARD = 8
 GROUP_GUARD = 10_000  # closed group elements
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PhasePointMap:
     """Total map on the product phase space, stored over flat indices."""
 
+    __slots__ = ("shape", "table")
     shape: tuple[int, int]
     table: tuple[int, ...]
 
@@ -156,7 +157,7 @@ class PhasePointMap:
         return "id" if not moved else ", ".join(moved)
 
 
-@dataclass(frozen=True)
+@record
 class LiftedMap:
     """Push-forward of signed distributions along a phase-point map.
 
@@ -199,7 +200,7 @@ def _as_affine(lam: GridMap) -> AffineMap:
     return lam.as_affine_map() if isinstance(lam, LiftedMap) else lam
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryCheck:
     """Outcome of a symmetry test, with the escaping image on failure."""
 
@@ -410,7 +411,7 @@ def find_transported_channel(
     return find_channel(space, space, equations)
 
 
-@dataclass(frozen=True)
+@record
 class TransportObstruction:
     """Why no grid map can complete the square for a channel.
 
@@ -504,7 +505,7 @@ def is_g_symmetric(rep: WignerRep, generators: Sequence[PhasePointMap]) -> bool:
     return all(test(element.table) for element in group)
 
 
-@dataclass(frozen=True)
+@record
 class ProductGroupElement:
     """A pair of outcome permutations (images at each index)."""
 
@@ -587,14 +588,14 @@ def _permutation_equations(
     return eqs
 
 
-@dataclass(frozen=True)
+@record
 class PermutationAction:
     """One channel per translation-group element, keyed by the element."""
 
     channels: dict[ProductGroupElement, Channel]
 
 
-@dataclass(frozen=True)
+@record
 class PermutationObstruction:
     element: ProductGroupElement
     detail: ChannelInfeasible
@@ -662,7 +663,7 @@ def find_permutation_channels(
     return PermutationAction(solved)
 
 
-@dataclass(frozen=True)
+@record
 class CovariantResult:
     """Outcome of the covariant-representation solver.
 

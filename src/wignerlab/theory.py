@@ -18,10 +18,10 @@ and face computations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, rref
+from ._record import record
 from .errors import ContainmentError, DomainError, PreconditionError, UnsupportedGeometryError
 from .exact import (
     QQ,
@@ -55,7 +55,7 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Observable:
     """Finite outcome set with one affine effect per outcome."""
 
@@ -81,7 +81,7 @@ class Observable:
         return self.effects[self.outcomes.index(outcome)]
 
 
-@dataclass(frozen=True)
+@record
 class Distribution:
     """Probability vector over an outcome list."""
 
@@ -99,7 +99,7 @@ class Distribution:
         return cls((QQ(1, n),) * n)
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One broken observable invariant, with an exact witness."""
 
@@ -110,7 +110,7 @@ class Violation:
     value: object = None
 
 
-@dataclass(frozen=True)
+@record
 class Theory:
     """A state space with named observables; two are the designated pair."""
 
@@ -192,7 +192,7 @@ def measure(obs: Observable, x: Sequence, space: StateSpace) -> Distribution:
     return Distribution(tuple(f(x) for f in obs.effects))
 
 
-@dataclass(frozen=True)
+@record
 class Compatible:
     """A joint observable on the product outcome set, plus the LP data."""
 
@@ -201,7 +201,7 @@ class Compatible:
     witness: Vec
 
 
-@dataclass(frozen=True)
+@record
 class Incompatible:
     program: LinearProgram
     certificate: Infeasible
@@ -283,10 +283,19 @@ def are_compatible(
     return Compatible(joint, lp, result.witness)
 
 
+def effect_span(
+    obs_a: Observable, obs_b: Observable, space: StateSpace
+) -> tuple[list[list[int]], int, int]:
+    """All effects of both observables at the affine basis of K, as the
+    ``values_at`` rows over ``den``, and the rank of those rows: the
+    dimension of the effect span restricted to aff(K)."""
+    rows, den = values_at(obs_a.effects + obs_b.effects, affine_basis(space))
+    return rows, den, bareiss_rank([row[:] for row in rows])  # it eliminates in place
+
+
 def effect_span_rank(obs_a: Observable, obs_b: Observable, space: StateSpace) -> int:
     """Rank of all effects of both observables restricted to aff(K)."""
-    rows, _ = values_at(obs_a.effects + obs_b.effects, affine_basis(space))
-    return bareiss_rank(rows)
+    return effect_span(obs_a, obs_b, space)[2]
 
 
 def jointly_info_complete(
@@ -406,7 +415,7 @@ def is_surjective(obs: Observable, space: StateSpace) -> bool:
     return all(reached for _, _, reached in surjectivity_details(obs, space))
 
 
-@dataclass(frozen=True)
+@record
 class Channel:
     """An affine map whose image containment is certified at construction."""
 
@@ -432,7 +441,7 @@ class Channel:
         return self.map(x)
 
 
-@dataclass(frozen=True)
+@record
 class ChannelInfeasible:
     """No affine map satisfies the requested equations inside the target.
 

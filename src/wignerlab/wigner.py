@@ -15,10 +15,10 @@ test per slot and coordinate, and ``positive_member`` one LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, rref
+from ._record import record
 from .errors import DomainError, PreconditionError
 from .exact import (
     QQ,
@@ -45,7 +45,7 @@ from .geometry import (
 from .theory import Observable
 
 
-@dataclass(frozen=True)
+@record
 class SignedGrid:
     """A signed probability measure on the product phase space."""
 
@@ -86,7 +86,7 @@ class SignedGrid:
         return all(x >= 0 for row in self.entries for x in row)
 
 
-@dataclass(frozen=True)
+@record
 class WignerRep:
     """Grid of affine functionals tied to a state space and two observables."""
 
@@ -122,7 +122,7 @@ def evaluate(rep: WignerRep, x: Sequence) -> SignedGrid:
     return SignedGrid(tuple(tuple(f(x) for f in row) for row in rep.grid))
 
 
-@dataclass(frozen=True)
+@record
 class MarginalViolation:
     axis: str  # "row" or "column"
     index: int
@@ -130,7 +130,7 @@ class MarginalViolation:
     got: AffineFunctional
 
 
-@dataclass(frozen=True)
+@record
 class MarginalReport:
     violations: tuple[MarginalViolation, ...]
 
@@ -251,7 +251,7 @@ def perturb(
     return WignerRep(rep.state_space, rep.obs_a, rep.obs_b, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
+@record
 class NegativityWitness:
     """Where a representation goes negative: the phase point, an exact
     value, and either the witnessing vertex (polytopes) or the ambient
@@ -263,7 +263,7 @@ class NegativityWitness:
     direction: Optional[Vec] = None
 
 
-@dataclass(frozen=True)
+@record
 class PositivityResult:
     ok: bool
     witness: Optional[NegativityWitness] = None
@@ -305,7 +305,7 @@ def is_faithful(rep: WignerRep) -> bool:
     return grid_rank(rep) == dimension(rep.state_space) + 1
 
 
-@dataclass(frozen=True)
+@record
 class FaithfulChoice:
     """Both sides of the faithful-choice inequality."""
 
@@ -320,13 +320,16 @@ class FaithfulChoice:
 
 
 def faithful_choice_possible(
-    obs_a: Observable, obs_b: Observable, space: StateSpace
+    obs_a: Observable, obs_b: Observable, space: StateSpace, span: Optional[int] = None
 ) -> FaithfulChoice:
+    """Whether the free slots can make a member faithful; ``span`` is
+    ``theory.effect_span_rank`` of the pair, computed here when not given."""
     from .theory import effect_span_rank
 
     free_slots = (obs_a.n_outcomes - 1) * (obs_b.n_outcomes - 1)
     dim = dimension(space)
-    span = effect_span_rank(obs_a, obs_b, space)
+    if span is None:
+        span = effect_span_rank(obs_a, obs_b, space)
     required = dim + 1 - span
     return FaithfulChoice(free_slots >= required, free_slots, required, dim, span)
 
@@ -364,14 +367,14 @@ def faithful_member(
     return construct_family(obs_a, obs_b, space, free, anchor)
 
 
-@dataclass(frozen=True)
+@record
 class PositiveFound:
     rep: WignerRep
     program: LinearProgram
     witness: Vec
 
 
-@dataclass(frozen=True)
+@record
 class NoPositiveMember:
     program: LinearProgram
     certificate: Infeasible

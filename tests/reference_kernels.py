@@ -49,10 +49,15 @@ of W(K), and g0 and S on balls) hold ``Fraction`` entries.
 2^n principal minors by Bareiss determinants (``int_det``), against
 which the symmetric elimination of ``geometry._negative_direction`` is
 checked.
+
+``dataclass_twin`` rebuilds a record class (``wignerlab._record``) as the
+``@dataclass(frozen=True)`` it replaced, the oracle of the record
+methods.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -851,3 +856,22 @@ def is_psd(s: list[list[QQ]]) -> bool:
             if int_det([[ints[i][j] for j in idx] for i in idx]) < 0:
                 return False
     return True
+
+
+def dataclass_twin(cls):
+    """``cls`` as a frozen dataclass: the same name, fields, defaults and
+    own methods (``__post_init__`` too), with the methods ``record``
+    installed generated by ``dataclasses`` instead; ``slots`` when ``cls``
+    declares ``__slots__``, and no ``__init__``, ``__repr__`` or
+    ``__eq__`` where ``cls`` defines its own."""
+    slots = cls.__dict__.get("__slots__", ())
+    skip = {"__dict__", "__weakref__", "__slots__", *slots}
+    body = {
+        name: value for name, value in vars(cls).items()
+        if name not in skip and getattr(value, "__module__", None) != "wignerlab._record"
+    }
+    twin = type(cls.__name__, (), body)
+    return dataclasses.dataclass(
+        twin, frozen=True, slots=bool(slots), init="__init__" not in body,
+        repr="__repr__" not in body, eq="__eq__" not in body,
+    )

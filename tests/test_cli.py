@@ -223,6 +223,33 @@ def test_channel_matrix_of_a_wrong_shape_is_a_parse_error(tmp_path, capsys, matr
     assert code == 2 and out == "" and err.rstrip().endswith(f"(at {where})")
 
 
+def test_channel_matrix_that_leaves_the_state_space_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "trit.json"
+    run(capsys, "example", "trit", "--rep", "W", "--out", str(path))
+    code, out, err = run(
+        capsys, "symmetries", str(path), "--channel-matrix",
+        '{"matrix": [["2","0"],["0","2"]], "offset": ["0","0"]}',
+    )
+    assert code == 2 and out == ""
+    assert err == ("error: the map leaves the state space: it sends (1, 0) to (2, 0)"
+                   " (at --channel-matrix)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("example", "trit", "--out", "{out}"),
+    ("example", "qubit_xz", "--channels-out", "{out}"),
+    ("wigner", "{theory}", "--free", "0", "--out", "{out}"),
+    ("plot", "{theory}", "--out", "{out}"),
+], ids=["example --out", "example --channels-out", "wigner --out", "plot --out"])
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys, argv):
+    theory = tmp_path / "w0.json"
+    run(capsys, "example", "boxworld", "--rep", "W_0", "--out", str(theory))
+    out = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *(arg.format(out=out, theory=theory) for arg in argv))
+    assert code == 2 and err.startswith("error: ") and err.rstrip().endswith(f"(at {out})")
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("shape, where", [
     ("no matrix", "[0].matrix"),
     ("int perm_a", "[0].perm_a"),

@@ -60,6 +60,16 @@ def _loaded(code):
     return set(done.stdout.split())
 
 
+def _imported(*argv):
+    """The completed process ``python -X importtime -m wignerlab *argv`` and
+    every module it imported."""
+    done = _python("-X", "importtime", "-m", "wignerlab", *argv)
+    return done, {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
 def test_bare_import_loads_no_submodule():
     assert _loaded("import wignerlab") == set()
 
@@ -70,15 +80,31 @@ def test_module_entry_point_verify_skips_search_catalog_and_plot(tmp_path, capsy
     capsys.readouterr()
     assert main(["analyze", str(theory)]) == 0
     report.write_text(capsys.readouterr().out)
-    done = _python("-X", "importtime", "-m", "wignerlab", "verify", str(report))
+    done, loaded = _imported("verify", str(report))
     assert done.returncode == 0, done.stderr
     assert "claims verified" in done.stdout
-    loaded = {
-        line.rsplit("|", 1)[1].strip()
-        for line in done.stderr.splitlines() if line.startswith("import time:")
-    }
     assert {"wignerlab.report", "wignerlab.theoryfile"} <= loaded
     assert not loaded & {"wignerlab.symmetry", "wignerlab.catalog", "wignerlab.plot"}
+
+
+def test_engine_loads_without_dataclasses_or_inspect(tmp_path):
+    # the engine's records are built without generated code; dataclasses
+    # would also load inspect, ast, dis and tokenize
+    done = _python("-c", (
+        "import sys\n"
+        "import wignerlab.catalog as catalog\n"
+        "for name in catalog.CATALOG_NAMES:\n"
+        "    catalog.load(name)\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    ))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+    theory = tmp_path / "t.json"
+    assert main(["example", "trit", "--out", str(theory)]) == 0
+    done, loaded = _imported("analyze", str(theory))
+    assert done.returncode == 0, done.stderr
+    assert "wignerlab.wigner" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_every_exported_name_is_its_defining_modules_object():
