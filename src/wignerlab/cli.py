@@ -533,9 +533,11 @@ def _cmd_covariant(args) -> int:
                     "point": ser_vec(ob.detail.witness_point),
                     "image": ser_vec(ob.detail.witness_image),
                 }
+        why = ("the permutation-channel system is infeasible" if result.obstruction
+               else "the two observables' effects have different sums")
         claims.append(lp_claim(
-            "no_covariant", "the permutation-channel system is infeasible,"
-            " so no covariant representation exists", result.program, result.certificate,
+            "no_covariant", f"{why}, so no covariant representation exists",
+            result.program, result.certificate,
         ))
     elif result.kind == "hypothesis_failure":
         notes.append("joint informational completeness fails and no channels"

@@ -6,11 +6,12 @@ built once at construction: integer equalities cutting out the affine
 hull and integer facet inequalities on coordinates onto which the hull
 projects injectively (the double-description view of Fukuda and Prodon,
 1996).  Membership, irredundancy and polytope containment are integer
-dot products against it, never LPs.  Balls are stored by center and
-radius.  Extremal values of affine functionals over balls are irrational
-in general, so they are carried symbolically as ``rational + rational *
-sqrt(radicand)`` and compared by exact sign analysis, never through
-floats.
+dot products against it, and convex weights of a member come from a
+walk over its facets (``membership_weights``); this module runs no LP.
+Balls are stored by center and radius.  Extremal values of affine
+functionals over balls are irrational in general, so they are carried
+symbolically as ``rational + rational * sqrt(radicand)`` and compared by
+exact sign analysis, never through floats.
 
 ``values_at`` evaluates functionals at points as one int matrix over one
 positive denominator, so signs, equalities and ranks are read off ints.
@@ -32,9 +33,6 @@ from .exact import (
     QQ,
     Matrix,
     Vec,
-    Feasible,
-    LinearProgram,
-    lp_feasible,
     qq,
     unit,
     vec,
@@ -561,19 +559,6 @@ def _points(points: Sequence[Sequence]) -> tuple[Vec, ...]:
     return pts
 
 
-def _in_hull(x: Vec, points: Sequence[Vec]) -> Optional[Vec]:
-    """Convex weights expressing x over ``points``, or ``None``."""
-    n = len(points)
-    dim = len(x)
-    eqs = []
-    for k in range(dim):
-        eqs.append((tuple(p[k] for p in points), x[k]))
-    eqs.append(((QQ(1),) * n, QQ(1)))
-    ineqs = [(unit(n, i), QQ(0)) for i in range(n)]
-    res = lp_feasible(LinearProgram(n, tuple(eqs), tuple(ineqs)))
-    return res.witness if isinstance(res, Feasible) else None
-
-
 def dimension(space: StateSpace) -> int:
     """Dimension of the affine hull."""
     if isinstance(space, Ball):
@@ -594,7 +579,7 @@ def affine_basis(space: StateSpace) -> tuple[Vec, ...]:
             tuple(c + space.radius if k == i else c for k, c in enumerate(space.center))
             for i in range(space.ambient_dim)
         )
-    basis = space.__dict__.get("_basis")
+    basis = getattr(space, "_basis", None)
     if basis is None:
         basis = tuple(space.vertices[i] for i in independent_affine_subset(space.vertices))
         object.__setattr__(space, "_basis", basis)
@@ -612,10 +597,35 @@ def contains(space: StateSpace, x: Sequence) -> bool:
 
 
 def membership_weights(space: Polytope, x: Sequence) -> Optional[Vec]:
-    """Convex vertex weights certifying membership (polytopes only)."""
+    """Convex vertex weights of ``x`` (polytopes only), at most dim(K) + 1
+    of them positive, or ``None`` when ``x`` is outside.
+
+    The ray from the first vertex v0 through x leaves K at y = v0 + t (x -
+    v0) on the first facet with the least exit parameter t >= 1 (facets
+    tight at v0 never are the exit).  Then x = (1 - 1/t) v0 + (1/t) y, and
+    y gets its weights over that facet's vertices, one dimension down.
+    """
     if not isinstance(space, Polytope):
         raise UnsupportedGeometryError("membership weights need a polytope")
-    return _in_hull(vec(x), space.vertices)
+    x, points, hrep = vec(x), space.vertices, space._facets
+    if not contains(space, x):
+        return None
+    v0, s, coords = points[0], hrep.scale, hrep.coords
+    if x == v0:
+        return unit(len(points), 0)
+    d = [x[k] - v0[k] for k in coords]
+    t, a, b = min(
+        (((b - s * vec_dot(a, [v0[k] for k in coords])) / slope, a, b)
+         for a, b in hrep.facets if (slope := s * vec_dot(a, d)) < 0),
+        key=operator.itemgetter(0),
+    )
+    on = [i for i, p in enumerate(points) if s * vec_dot(a, [p[k] for k in coords]) == b]
+    y = tuple(p + t * (q - p) for p, q in zip(v0, x))
+    weights = [QQ(0)] * len(points)
+    for i, w in zip(on, membership_weights(Polytope([points[i] for i in on]), y)):
+        weights[i] = w / t
+    weights[0] = 1 - 1 / t
+    return tuple(weights)
 
 
 def _polytope_extrema(space: Polytope, f: AffineFunctional):

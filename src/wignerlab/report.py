@@ -3,10 +3,13 @@
 Every analysis command emits a JSON report whose verdict-bearing claims
 carry the data needed to re-check them: LP witnesses and Farkas
 certificates are replayed by plain multiplier arithmetic (never by
-re-running the solver), rank and face claims by exact elimination, and
-grid identities by direct evaluation.  ``verify_report`` returns one
-(claim id, ok) row per claim and is the engine behind the ``verify``
-subcommand.
+re-running the solver), rank claims by exact elimination, and
+covariance identities by evaluation at the affine basis of the
+report's state space.  A claim passes only if its data proves its
+``verdict``: an ``lp_feasible`` claim says true and an ``lp_infeasible``
+one false, and a ``rank`` claim says whether the rank is dim(K) + 1 for
+the report's K.  ``verify_report`` returns one (claim id, ok) row per
+claim and is the engine behind the ``verify`` subcommand.
 
 Each claim kind is written here, by a builder that takes the engine's
 results (``lp_claim``, ``rank_claim``, ``negativity_claim``,
@@ -36,8 +39,10 @@ from typing import Optional
 
 from .errors import ParseError
 from .exact import Infeasible, LinearProgram, Matrix, rank, vec_dot, verify_certificate
-from .geometry import AffineFunctional, AffineMap, ExtremalValue
-from .theory import are_complementary, jointly_info_complete, validate
+from .geometry import (
+    AffineFunctional, AffineMap, ExtremalValue, affine_basis, dimension, map_into,
+)
+from .theory import are_complementary, validate
 from .theoryfile import (
     parse_ratio,
     parse_ratios,
@@ -51,7 +56,6 @@ from .wigner import (
     WignerRep,
     check_marginals,
     faithful_choice_possible,
-    grid_rank,
     is_faithful,
     is_positive,
 )
@@ -294,36 +298,25 @@ def recompute_claim(what: str, statement: str, verdict, pair=None, rep=None, **e
 
 
 def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
+    """Does the claim's data prove what its ``verdict`` says?"""
     kind = claim["kind"]
+    verdict = claim["verdict"]
     if kind == "lp_infeasible":
         lp = _de_program(claim["program"])
         cert = _de_certificate(claim["certificate"])
-        return verify_certificate(lp, cert)
+        return verdict is False and verify_certificate(lp, cert)
     if kind == "lp_feasible":
         lp = _de_program(claim["program"])
-        return lp.check(_de_vec(claim["witness"], "witness"))
+        return verdict is True and lp.check(_de_vec(claim["witness"], "witness"))
     if kind == "rank":
         matrix = [_de_vec(row, "matrix") for row in claim["matrix"]]
-        return rank(matrix) == int(claim["rank"])
-    if kind == "grid_values":
-        functionals = [
-            _de_functional(f, "grid") for f in claim["functionals"]
-        ]
-        state = _de_vec(claim["state"], "state")
-        expected = _de_vec(claim["expected"], "expected")
-        return tuple(f(state) for f in functionals) == expected
-    if kind == "coeff_identity":
-        terms = [_de_functional(f, "terms") for f in claim["terms"]]
-        target = _de_functional(claim["target"], "target")
-        return sum(terms, AffineFunctional.zero(target.dim)) == target
-    if kind == "nonneg_on_vertices":
-        functionals = [_de_functional(f, "functionals") for f in claim["functionals"]]
-        vertices = [_de_vec(v, "vertices") for v in claim["vertices"]]
-        return all(f(v) >= 0 for f in functionals for v in vertices)
+        matrix_rank = int(claim["rank"])
+        full = matrix_rank == dimension(theory.state_space) + 1
+        return rank(matrix) == matrix_rank and verdict is full
     if kind == "negative_entry":
         f = _de_functional(claim["functional"], "functional")
         state = _de_vec(claim["state"], "state")
-        return f(state) < 0
+        return verdict is True and f(state) < 0
     if kind == "ball_entry_min":
         f = _de_functional(claim["functional"], "functional")
         center = _de_vec(claim["center"], "center")
@@ -331,7 +324,7 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
         claimed = _de_extremal(claim["min"])
         norm_sq = vec_dot(f.linear, f.linear)
         actual = ExtremalValue(f(center), -radius, norm_sq)
-        if actual != claimed:
+        if verdict is not True or actual != claimed:
             return False
         if "negative" in claim:
             return (actual < 0) == bool(claim["negative"])
@@ -341,11 +334,15 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
         center = _de_vec(claim["center"], "center")
         radius = parse_rational(claim["radius"], "radius")
         norm_sq = vec_dot(f.linear, f.linear)
-        hi = ExtremalValue(f(center), radius, norm_sq)
-        return (hi.compare(1) == 0) == bool(claim["expect"])
+        reaches = ExtremalValue(f(center), radius, norm_sq).compare(1) == 0
+        return verdict is reaches and bool(claim["expect"]) == reaches
     if kind == "covariance_identity":
         rep = wigner_reps[claim["rep"]]
+        space = theory.state_space
         chan = _de_map(claim["channel"], "channel.")
+        inside = map_into(space, chan, space)
+        if verdict is not True or not (inside.ok and inside.exact):
+            return False
         perm_a = tuple(claim["perm_a"])
         perm_b = tuple(claim["perm_b"])
         inv_a = [0] * len(perm_a)
@@ -354,7 +351,7 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
             inv_a[t] = i
         for i, t in enumerate(perm_b):
             inv_b[t] = i
-        basis = [_de_vec(p, "basis") for p in claim["basis"]]
+        basis = affine_basis(space)
         for a in range(len(perm_a)):
             for b in range(len(perm_b)):
                 for p in basis:
@@ -371,16 +368,11 @@ def _verify_recompute(claim: dict, theory, wigner_reps) -> bool:
     expect = claim["verdict"]
     if what == "validate":
         return (not validate(theory)) == bool(expect)
-    if what == "info_complete":
-        a, b = (theory.observable(n) for n in claim["pair"])
-        return jointly_info_complete(a, b, theory.state_space) == bool(expect)
     if what == "complementary":
         a, b = (theory.observable(n) for n in claim["pair"])
         return are_complementary(a, b, theory.state_space) == bool(expect)
     if what == "faithful":
         return is_faithful(wigner_reps[claim["rep"]]) == bool(expect)
-    if what == "grid_rank":
-        return grid_rank(wigner_reps[claim["rep"]]) == int(expect)
     if what == "positive":
         return is_positive(wigner_reps[claim["rep"]]).ok == bool(expect)
     if what == "marginals":

@@ -6,11 +6,13 @@ itself.  Transported symmetries are the ones realized by a channel on
 the state space (the commuting square), and for faithful
 representations every symmetry is transported.  There the square fixes
 the channel on aff(K), F = W^-1 . Psi . W, so ``find_channel`` finds it
-by one elimination of the square's equations, with no LP.  An LP runs
-only when W forgets part of the state, or when Psi is no symmetry and
-the fixed map leaves K.  The covariant solver combines two exact
-stages: permutation channels for the outcome translation groups, then
-the linear covariance system over the grid functionals.
+by one elimination of the square's equations, with no LP.  The covariant
+solver combines two exact stages: permutation channels for the outcome
+translation groups, then the linear covariance system over the grid
+functionals, solved by elimination, with a closed-form certificate when
+it is inconsistent.  This module never calls the simplex itself; the
+only LPs under it are ``find_channel``'s, for a map that its equations
+leave free (W forgets part of the state) or that no map satisfies.
 
 A lifted permutation P has finite order, so P(W(K)) inside W(K) already
 forces P(W(K)) = W(K): permutation symmetries are the relabellings of
@@ -36,12 +38,11 @@ from ._record import record
 from .errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from .exact import (
     QQ,
-    Feasible,
     Infeasible,
     LinearProgram,
     Matrix,
     Vec,
-    lp_feasible,
+    checked,
     solve_affine,
     vec_dot,
     zeros,
@@ -670,7 +671,8 @@ class CovariantResult:
     kind is one of "unique", "none", "family", "hypothesis_failure";
     hypotheses records the uniqueness assumptions that were
     checked (the solver proceeds even when complementarity or
-    surjectivity fail, tagging the result).
+    surjectivity fail, tagging the result).  Only "none" sets
+    ``program`` and ``certificate``.
     """
 
     kind: str
@@ -698,6 +700,16 @@ def solve_covariant(
     solves the linear system of marginal identities plus the covariance
     identities for the group generators and classifies the solution set
     by the dimension of its restriction to aff(K).
+
+    Stage 2 runs no LP.  Both marginals sum to the grid's total, so if
+    S_A = sum_a A_a and S_B = sum_b B_b differ at a first coefficient k,
+    +1 on the row and -1 on the column marginals at k (negated if needed)
+    is a Farkas certificate with gap |S_A[k] - S_B[k]|.  If S_A = S_B = S,
+    W0_ab = A_a/n_b + B_b/n_a - S/(n_a n_b) has both marginals, and it is
+    covariant: stage 1 imposes A_a(F p) = A_(g^-1 a)(p) and likewise for B
+    at the basis points, so S(F p) = S(p) and W0_ab(F p) = W0_(g^-1(a,
+    b))(p).  So ``solve_affine`` succeeds; its particular solution is the
+    reported member.
     """
     hyps = {
         "jointly_info_complete": jointly_info_complete(obs_a, obs_b, space),
@@ -743,13 +755,17 @@ def solve_covariant(
                     row[idx(a, b, dim)] += QQ(1)
                     row[idx(src[0], src[1], dim)] -= QQ(1)
                     eqs.append((tuple(row), QQ(0)))
+    sum_a, sum_b = (sum(o.effects[1:], o.effects[0]).coefficients() for o in (obs_a, obs_b))
+    if sum_a != sum_b:
+        k = next(k for k, (x, y) in enumerate(zip(sum_a, sum_b)) if x != y)
+        sign = 1 if sum_a[k] > sum_b[k] else -1
+        mults = [QQ(0)] * len(eqs)  # marginal row i at coefficient k is row i * (dim + 1) + k
+        for i in range(n_a + n_b):
+            mults[i * (dim + 1) + k] = QQ(sign if i < n_a else -sign)
+        program = LinearProgram(n_vars, tuple(eqs), ())
+        cert = checked(program, Infeasible(tuple(mults), (), abs(sum_a[k] - sum_b[k])))
+        return CovariantResult("none", hyps, certificate=cert, program=program)
     sol = solve_affine([row for row, _ in eqs], [rhs for _, rhs in eqs])
-    program = LinearProgram(n_vars, tuple(eqs), ())
-    if sol is None:
-        result = lp_feasible(program)
-        if isinstance(result, Feasible):  # pragma: no cover - internal guard
-            raise ArithmeticError("solve_affine and simplex disagree")
-        return CovariantResult("none", hyps, certificate=result, program=program)
 
     def grid_from(coeffs) -> WignerRep:
         return WignerRep(space, obs_a, obs_b, tuple(
@@ -772,7 +788,6 @@ def solve_covariant(
             rep=rep,
             family_directions=tuple(genuine),
             channels=stage1.channels,
-            program=program,
             symmetries_verified=verified,
         )
     return CovariantResult(
@@ -780,7 +795,6 @@ def solve_covariant(
         hyps,
         rep=rep,
         channels=stage1.channels,
-        program=program,
         symmetries_verified=verified,
     )
 

@@ -7,10 +7,13 @@ Compatibility of two observables is an exact LP feasibility question,
 and so is channel existence unless the channel's equations fix the map
 on the source's hull: one elimination then finds it, or, if it leaves
 the target, builds the Farkas certificate of the channel LP from the
-violated facet.  Surjectivity is decided by the effects' values at the
-vertices, and its convex-weights LP gets a witness or certificate in
-closed form.  Every LP answer built without the simplex passes the
-same guard as ``lp_feasible``'s (``exact.checked``).  Joint
+violated facet.  ``are_compatible`` and ``find_channel`` are the only
+callers of ``lp_feasible`` in the engine; a positive Wigner
+representation is a joint observable, so ``wigner.positive_member``
+reads the compatibility LP.  Surjectivity is decided by the effects'
+values at the vertices, and its convex-weights LP gets a witness or
+certificate in closed form.  Every LP answer built without the simplex
+passes the same guard as ``lp_feasible``'s (``exact.checked``).  Joint
 informational completeness and complementarity reduce to exact rank
 and face computations.
 """
@@ -611,11 +614,9 @@ def _verify_candidate(source, target, equations, candidate) -> Channel:
 
 def _unconstrained_witness(source, target, basis, ints):
     """Diagnose infeasibility: if the equations' int rows alone fix the
-    map, report a vertex whose image leaves the target."""
+    map, report the first vertex whose image leaves the target."""
     m = _fixed_map(basis, ints, target.ambient_dim)
-    if m is not None:
-        for v in source.vertices:
-            img = m(v)
-            if not contains(target, img):
-                return v, img
-    return None, None
+    if m is None:
+        return None, None
+    result = map_into(source, m, target)
+    return result.witness_point, result.witness_image

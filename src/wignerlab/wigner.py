@@ -8,9 +8,12 @@ pair of observables is parametrized by the free block of
 then forced by the marginal identities.  That completion rule is
 written once (``free_slots`` for the slot order and default anchor,
 ``_slot_signs`` for where a free functional enters), and
-``construct_family``, ``faithful_member`` and ``positive_member`` all
-build on it.  ``faithful_member`` needs one elimination, not a rank
-test per slot and coordinate, and ``positive_member`` one LP.
+``construct_family`` and ``faithful_member`` build on it;
+``faithful_member`` needs one elimination, not a rank test per slot and
+coordinate.  A positive member is a joint observable, so
+``positive_member`` reads the compatibility LP of
+``theory.are_compatible`` and runs no LP of its own; this module never
+calls the simplex.
 """
 
 from __future__ import annotations
@@ -20,15 +23,7 @@ from typing import Optional, Sequence, Union
 from ._kernels import bareiss_rank, rref
 from ._record import record
 from .errors import DomainError, PreconditionError
-from .exact import (
-    QQ,
-    Infeasible,
-    LinearProgram,
-    Vec,
-    lp_feasible,
-    qq,
-    vec,
-)
+from .exact import QQ, Infeasible, LinearProgram, Vec, qq, vec
 from .geometry import (
     AffineFunctional,
     AffineMap,
@@ -42,7 +37,7 @@ from .geometry import (
     extremal_range,
     values_at,
 )
-from .theory import Observable
+from .theory import Incompatible, Observable, are_compatible
 
 
 @record
@@ -381,44 +376,23 @@ class NoPositiveMember:
 
 
 def positive_member(
-    obs_a: Observable,
-    obs_b: Observable,
-    space: StateSpace,
-    anchor: Optional[tuple[int, int]] = None,
+    obs_a: Observable, obs_b: Observable, space: StateSpace
 ) -> Union[PositiveFound, NoPositiveMember]:
-    """Search the whole family for a positive member by one LP over the
-    free block.  Since the family parametrization is exhaustive, an
-    infeasibility certificate proves no positive representation exists.
+    """A positive representation, or the certificate that none exists.
 
-    Each entry at each vertex v is the degenerate member's entry plus
-    the free functionals with the signs of ``_slot_signs``, so its row
-    is those signs times (v, 1) in each slot's block of unknowns.
+    A positive representation is a grid of functionals with the two
+    marginals that is nonnegative at every vertex: a joint observable.
+    So the compatibility LP of ``are_compatible`` decides it, and its
+    witness grid is the member; the LP's equalities are the marginal
+    identities, so the member always satisfies them.
     """
     if not isinstance(space, Polytope):
         raise PreconditionError("positive-member search needs a polytope")
-    anchor, slots = free_slots(obs_a, obs_b, anchor)
-    base = degenerate_rep(obs_a, obs_b, space, anchor).grid
-    signs = [[[0] * len(slots) for _ in row] for row in base]
-    for j, slot in enumerate(slots):
-        for (a, b), sign in _slot_signs(slot, anchor):
-            signs[a][b][j] = sign
-    ineqs = []
-    for v in space.vertices:
-        point = v + (QQ(1),)
-        for fixed_row, sign_row in zip(base, signs):
-            for fixed, entry_signs in zip(fixed_row, sign_row):
-                ineqs.append((tuple(s * x for s in entry_signs for x in point), -fixed(v)))
-    width = space.ambient_dim + 1
-    lp = LinearProgram(len(slots) * width, (), tuple(ineqs))
-    result = lp_feasible(lp)
-    if isinstance(result, Infeasible):
-        return NoPositiveMember(lp, result)
-    blocks = [result.witness[j * width:(j + 1) * width] for j in range(len(slots))]
-    free = {slot: AffineFunctional(q[:-1], q[-1]) for slot, q in zip(slots, blocks)}
-    rep = construct_family(obs_a, obs_b, space, free, anchor)
-    if not is_positive(rep).ok:  # pragma: no cover - internal guard
-        raise ArithmeticError("LP returned a non-positive member")
-    return PositiveFound(rep, lp, result.witness)
+    compat = are_compatible(obs_a, obs_b, space)
+    if isinstance(compat, Incompatible):
+        return NoPositiveMember(compat.program, compat.certificate)
+    rep = WignerRep(space, obs_a, obs_b, compat.joint)
+    return PositiveFound(rep, compat.program, compat.witness)
 
 
 def isomorphism(rep1: WignerRep, rep2: WignerRep) -> AffineMap:

@@ -50,6 +50,10 @@ of W(K), and g0 and S on balls) hold ``Fraction`` entries.
 which the symmetric elimination of ``geometry._negative_direction`` is
 checked.
 
+``_in_hull`` is the former convex-weights LP behind
+``geometry.membership_weights``, the oracle of membership that the
+facet walk is checked against.
+
 ``dataclass_twin`` rebuilds a record class (``wignerlab._record``) as the
 ``@dataclass(frozen=True)`` it replaced, the oracle of the record
 methods.
@@ -485,6 +489,19 @@ def vertex_image_channel(source, target, equations):
         return lp, result, None
     images = [tuple(result.witness[idx_y(i, k)] for k in range(d2)) for i in basis_idx]
     return lp, result, affine_map_from_points(basis, images)
+
+
+def _in_hull(x: Vec, points: Sequence[Vec]) -> Optional[Vec]:
+    """Convex weights expressing x over ``points``, or ``None``."""
+    n = len(points)
+    dim = len(x)
+    eqs = []
+    for k in range(dim):
+        eqs.append((tuple(p[k] for p in points), x[k]))
+    eqs.append(((QQ(1),) * n, QQ(1)))
+    ineqs = [(unit(n, i), QQ(0)) for i in range(n)]
+    res = lp_feasible(LinearProgram(n, tuple(eqs), tuple(ineqs)))
+    return res.witness if isinstance(res, Feasible) else None
 
 
 def surjectivity_details(obs: Observable, space: StateSpace) -> list[tuple]:

@@ -12,6 +12,7 @@ import random
 
 
 from helpers import random_free_block, random_theory
+from reference_kernels import entrywise_positive_member
 from wignerlab import catalog
 from wignerlab.cli import main as cli_main
 from wignerlab.exact import solve_affine, rank, verify_certificate
@@ -43,7 +44,6 @@ from wignerlab.wigner import (
     is_faithful,
     is_positive,
     perturb,
-    positive_member,
 )
 
 
@@ -92,13 +92,13 @@ def test_criterion_2_positivity_iff_compatibility(tmp_path):
         a, b = t.observable("A"), t.observable("B")
         c, d = t.observable("C"), t.observable("D")
         compat_ab = are_compatible(a, b, space)
-        search_ab = positive_member(a, b, space)
+        search_ab = entrywise_positive_member(a, b, space)
         assert isinstance(compat_ab, Incompatible)
         assert isinstance(search_ab, NoPositiveMember)
         assert verify_certificate(compat_ab.program, compat_ab.certificate)
         assert verify_certificate(search_ab.program, search_ab.certificate)
         compat_cd = are_compatible(c, d, space)
-        search_cd = positive_member(c, d, space)
+        search_cd = entrywise_positive_member(c, d, space)
         assert isinstance(compat_cd, Compatible)
         assert isinstance(search_cd, PositiveFound)
         assert is_positive(entry.representations["W_+"]).ok

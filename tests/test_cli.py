@@ -379,3 +379,117 @@ def test_wigner_requires_block_for_symmetries(tmp_path, capsys):
     run(capsys, "example", "boxworld", "--out", str(box))
     code, _, err = run(capsys, "symmetries", str(box))
     assert code == 2 and "wigner" in err
+
+
+def _theory_file(tmp_path, name, vertices, observables):
+    """A theory file on conv(vertices) with observables given as
+    (name, [(linear, constant), ...])."""
+    data = {
+        "state_space": {"type": "polytope", "vertices": vertices},
+        "observables": [
+            {"name": obs, "outcomes": list(range(len(effects))),
+             "effects": [{"linear": lin, "constant": c} for lin, c in effects]}
+            for obs, effects in observables
+        ],
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _verified(capsys, tmp_path, out):
+    """Exit code and output of ``verify`` on the report text ``out``."""
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    code, text, _ = run(capsys, "verify", str(report))
+    return code, text
+
+
+def test_covariant_family_through_the_cli(tmp_path, capsys):
+    cube = tmp_path / "cube.json"
+    run(capsys, "example", "cube", "--out", str(cube))
+    channels = tmp_path / "swaps.json"
+    channels.write_text(json.dumps([
+        {"perm_a": [1, 0], "perm_b": [0, 1], "matrix": [["-1", "0", "0"], ["0", "1", "0"],
+         ["0", "0", "-1"]], "offset": ["1", "0", "1"]},
+        {"perm_a": [0, 1], "perm_b": [1, 0], "matrix": [["1", "0", "0"], ["0", "-1", "0"],
+         ["0", "0", "-1"]], "offset": ["0", "1", "1"]},
+    ]))
+    code, out, _ = run(capsys, "covariant", str(cube), "--channels", str(channels))
+    assert code == 0
+    report = load_report(out)
+    assert report["result"] == "family" and report["family_dimension"] == 1
+    assert [c["kind"] for c in report["claims"]] == ["covariance_identity"] * 3 + ["recompute"]
+    assert _verified(capsys, tmp_path, out) == (0, "".join(
+        f"ok    {c['id']}\n" for c in report["claims"]) + "4/4 claims verified\n")
+
+
+def test_covariant_none_when_the_effect_sums_differ(tmp_path, capsys):
+    """Effects 1 and x/2 + 1/2 agree on K = conv{(1, 0), (1, 1)} but not
+    coefficient-wise, so no grid has both marginals."""
+    path = _theory_file(tmp_path, "sums", [["1", "0"], ["1", "1"]], [
+        ("U", [(["0", "0"], "1")]), ("V", [(["1/2", "0"], "1/2")])])
+    channels = tmp_path / "none.json"
+    channels.write_text("[]")
+    code, out, _ = run(capsys, "covariant", str(path), "--channels", str(channels))
+    assert code == 1
+    report = load_report(out)
+    assert report["result"] == "none" and "offending_element" not in report
+    (claim,) = report["claims"]
+    assert claim["kind"] == "lp_infeasible" and claim["statement"].startswith(
+        "the two observables' effects have different sums")
+    assert claim["certificate"] == {"eq_multipliers": ["-1", "0", "0", "1", "0", "0"],
+                                    "ineq_multipliers": [], "gap": "1/2"}
+    assert _verified(capsys, tmp_path, out) == (0, "ok    no_covariant\n1/1 claims verified\n")
+
+
+def test_validate_report_verifies(tmp_path, capsys):
+    path = _theory_file(tmp_path, "sums", [["1", "0"], ["1", "1"]], [
+        ("U", [(["0", "0"], "1")]), ("V", [(["1/2", "0"], "1/2")])])
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert [v["kind"] for v in json.loads(out)["violations"]] == ["normalization"]
+    assert _verified(capsys, tmp_path, out) == (0, "ok    validate\n1/1 claims verified\n")
+    report = json.loads(out)
+    report["claims"][0]["verdict"] = True
+    code, text = _verified(capsys, tmp_path, json.dumps(report))
+    assert code == 1 and text.startswith("FAIL  validate")
+
+
+def test_analyze_certifies_an_outcome_that_is_never_sharp(tmp_path, capsys):
+    """The effect x/2 stays at most 1/2 on the triangle: its surjectivity
+    claim is ``lp_infeasible`` with verdict false, and flipping that
+    verdict alone fails it."""
+    path = _theory_file(tmp_path, "half", [["1", "0"], ["0", "1"], ["0", "0"]], [
+        ("A", [(["1/2", "0"], "0"), (["-1/2", "0"], "1")]),
+        ("B", [(["0", "1"], "0"), (["0", "-1"], "1")])])
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    report = load_report(out)
+    claim = next(c for c in report["claims"] if c["id"] == "surjective[A][0]")
+    assert claim["kind"] == "lp_infeasible" and claim["verdict"] is False
+    assert claim["certificate"]["gap"] == "1/2"
+    assert all(ok for _, ok, _ in verify_report(report))
+    claim["verdict"] = True
+    assert [cid for cid, ok, _ in verify_report(report) if not ok] == ["surjective[A][0]"]
+
+
+@pytest.mark.parametrize("matrix, code", [
+    ('{"matrix": [["-1","-1"],["1","0"]], "offset": ["1","0"]}', 1),
+    ('{"matrix": [["1","0"],["0","1"]], "offset": ["0","0"]}', 0),
+], ids=["rotation", "identity"])
+def test_symmetries_channel_matrix_reports_verify(tmp_path, capsys, matrix, code):
+    """The rotation of the trit has no transported symmetry of W (an
+    obstruction report); the identity transports to the identity."""
+    path = tmp_path / "trit.json"
+    run(capsys, "example", "trit", "--rep", "W", "--out", str(path))
+    got, out, _ = run(capsys, "symmetries", str(path), "--channel-matrix", matrix)
+    assert got == code
+    report = load_report(out)
+    if code:
+        assert report["notes"] == ["no transported symmetry exists for the requested channel"]
+        assert "obstruction" in report
+    else:
+        assert report["transported_symmetry"] == {
+            "matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]}
+    assert _verified(capsys, tmp_path, out) == (0, "0/0 claims verified\n")

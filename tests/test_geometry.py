@@ -138,18 +138,24 @@ def _query_points(rng, points, n):
     return queries
 
 
+def _no_simplex(*args):
+    raise AssertionError("the simplex ran")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_facets_agree_with_the_hull_lp_oracle(n):
+def test_facets_agree_with_the_hull_lp_oracle(n, monkeypatch):
     """Differential test of the facet description against ``_in_hull``:
     redundancy, ``hull_of``'s vertices and order, the hull equalities
-    against the former Fraction rref, and ``contains``."""
+    against the former Fraction rref, ``contains``, and the facet walk
+    of ``membership_weights``, which runs no simplex: its weights are
+    nonnegative, sum to 1, reproduce x, and at most dim + 1 are positive."""
     rng = random.Random(100 + n)
     seen = {"inside": 0, "outside": 0, "raises": 0, "lower_dim": 0}
     for _ in range(30):
         points = _random_point_set(rng, n)
         pts = [tuple(F(x) for x in p) for p in points]
         redundant = [
-            geometry._in_hull(p, pts[:i] + pts[i + 1:]) is not None if len(pts) > 1 else False
+            ref._in_hull(p, pts[:i] + pts[i + 1:]) is not None if len(pts) > 1 else False
             for i, p in enumerate(pts)
         ]
         if any(redundant):
@@ -164,7 +170,7 @@ def test_facets_agree_with_the_hull_lp_oracle(n):
         expected = [
             p for i, p in enumerate(distinct)
             if len(distinct) == 1
-            or geometry._in_hull(p, distinct[:i] + distinct[i + 1:]) is None
+            or ref._in_hull(p, distinct[:i] + distinct[i + 1:]) is None
         ]
         hull = Polytope.hull_of(points)
         assert list(hull.vertices) == expected
@@ -178,9 +184,18 @@ def test_facets_agree_with_the_hull_lp_oracle(n):
                 == len(facets.coords) - 1
         seen["lower_dim"] += dimension(hull) < n
         for x in _query_points(rng, pts, n):
-            truth = geometry._in_hull(x, hull.vertices) is not None
+            truth = ref._in_hull(x, hull.vertices) is not None
             seen["inside" if truth else "outside"] += 1
             assert contains(hull, x) == truth
+            with monkeypatch.context() as m:
+                m.setattr(exact, "_phase_one", _no_simplex)
+                weights = membership_weights(hull, x)
+            assert (weights is not None) == truth
+            if weights is not None:
+                assert all(w >= 0 for w in weights) and sum(weights) == 1
+                assert tuple(sum(w * v[k] for w, v in zip(weights, hull.vertices))
+                             for k in range(n)) == x
+                assert sum(w > 0 for w in weights) <= dimension(hull) + 1
     assert all(seen.values()), seen
 
 

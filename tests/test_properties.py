@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_free_block, random_theory
+from reference_kernels import entrywise_positive_member
 from wignerlab.exact import Feasible, LinearProgram, lp_feasible, verify_certificate
 from wignerlab.geometry import (
     AffineFunctional,
@@ -39,20 +40,20 @@ from wignerlab.wigner import (
     faithful_choice_possible,
     faithful_member,
     is_positive,
-    positive_member,
 )
 
 
 def test_positive_member_iff_compatible_random():
-    """The family search and the joint-observable LP are two independent
-    routes to the same verdict."""
+    """The former search over the family's free block
+    (``entrywise_positive_member``) and the joint-observable LP are two
+    independent routes to the same verdict."""
     rng = random.Random(211)
     agree_feasible = agree_infeasible = 0
     for _ in range(60):
         theory = random_theory(rng, max_points=4, outcome_choices=(2, 2, 3))
         a, b, space = theory.obs_a, theory.obs_b, theory.state_space
         compat = are_compatible(a, b, space)
-        search = positive_member(a, b, space)
+        search = entrywise_positive_member(a, b, space)
         if isinstance(compat, Compatible):
             assert isinstance(search, PositiveFound)
             assert is_positive(search.rep).ok

@@ -9,6 +9,10 @@ import pytest
 from wignerlab import catalog, exact
 from wignerlab.cli import main
 from wignerlab.exact import LinearProgram
+from wignerlab.geometry import AffineFunctional, Polytope
+from wignerlab.theory import Observable, Theory, jointly_info_complete
+from wignerlab.theoryfile import dumps
+from wignerlab.wigner import grid_rank
 from wignerlab.report import (
     _de_map,
     _de_program,
@@ -183,3 +187,111 @@ def test_reports_are_written_one_claim_per_line(tmp_path, capsys):
         expected = verify_report(report)
         assert all(ok for _, ok, _ in expected)
         assert verify_report(load_report(json.dumps(report, indent=2) + "\n")) == expected
+
+
+def _failed(report):
+    return [cid for cid, ok, _ in verify_report(report) if not ok]
+
+
+def _example_report(tmp_path, capsys, name, *argv):
+    path = str(tmp_path / f"{name}.json")
+    main(["example", name, "--out", path])
+    capsys.readouterr()
+    return _report(capsys, [argv[0], path, *argv[1:]])
+
+
+@pytest.mark.parametrize("cid", ["compatibility", "info_complete"])
+def test_a_flipped_verdict_fails_only_its_claim(tmp_path, capsys, cid):
+    """The claim data of ``compatibility`` (an LP witness) and
+    ``info_complete`` (a rank against dim(K) + 1 of the report's theory)
+    proves one verdict, so flipping the verdict alone fails the claim."""
+    report = _example_report(tmp_path, capsys, "trit", "analyze")
+    assert _failed(report) == []
+    claim = next(c for c in report["claims"] if c["id"] == cid)
+    claim["verdict"] = not claim["verdict"]
+    assert _failed(report) == [cid]
+
+
+@pytest.mark.parametrize("kind", ["negative_entry", "ball_entry_min", "ball_max_one"])
+def test_verdicts_of_witness_claims_are_bound(tmp_path, capsys, kind):
+    """A negativity witness proves a true verdict, and ``ball_max_one``
+    the verdict that its ``expect`` states."""
+    name, argv = {
+        "negative_entry": ("boxworld", ["wigner", "--faithful"]),
+        "ball_entry_min": ("qubit_ball", ["wigner", "--degenerate"]),
+        "ball_max_one": ("qubit_ball", ["analyze"]),
+    }[kind]
+    report = _example_report(tmp_path, capsys, name, *argv)
+    assert _failed(report) == []
+    claim = next(c for c in report["claims"] if c["kind"] == kind)
+    claim["verdict"] = not claim["verdict"]
+    assert _failed(report) == [claim["id"]]
+
+
+def test_covariance_claims_are_checked_against_the_theory(tmp_path, capsys):
+    """A covariance claim with an empty basis and a channel of 7s fails:
+    the identity is checked at the affine basis of the report's K, for a
+    channel that maps K into K."""
+    report = _example_report(tmp_path, capsys, "boxworld", "covariant")
+    assert _failed(report) == []
+    claim = report["claims"][0]
+    assert claim["kind"] == "covariance_identity"
+    claim["basis"] = []
+    chan = claim["channel"]
+    chan["matrix"] = [["7"] * len(row) for row in chan["matrix"]]
+    chan["offset"] = ["7"] * len(chan["offset"])
+    assert _failed(report) == [claim["id"]]
+    # the channel alone, with the identity check passing nowhere else
+    report = _example_report(tmp_path, capsys, "boxworld", "covariant")
+    report["claims"][0]["basis"] = []
+    assert _failed(report) == []
+    report["claims"][0]["channel"] = report["claims"][1]["channel"]
+    assert _failed(report) == [claim["id"]]
+
+
+@pytest.mark.parametrize("claim", [
+    {"kind": "grid_values", "functionals": [{"linear": ["1", "0"], "constant": "0"}],
+     "state": ["1", "0"], "expected": ["1"]},
+    {"kind": "coeff_identity", "terms": [{"linear": ["1", "0"], "constant": "0"}],
+     "target": {"linear": ["1", "0"], "constant": "0"}},
+    {"kind": "nonneg_on_vertices", "functionals": [{"linear": ["1", "0"], "constant": "0"}],
+     "vertices": [["1", "0"]]},
+    {"kind": "recompute", "what": "info_complete", "pair": ["A", "unit"]},
+    {"kind": "recompute", "what": "grid_rank", "rep": "W"},
+], ids=["grid_values", "coeff_identity", "nonneg_on_vertices", "info_complete", "grid_rank"])
+def test_claim_kinds_no_engine_writes_fail(tmp_path, capsys, claim):
+    """Claim kinds and recompute targets that no version of the engine
+    wrote are unknown to ``verify``: a report carrying one, with data the
+    former checks accepted, fails that claim and only that claim."""
+    entry = catalog.load("trit")
+    w, t = entry.representations["W"], entry.theory
+    path = str(tmp_path / "trit.json")
+    main(["example", "trit", "--rep", "W", "--out", path])
+    capsys.readouterr()
+    report = _report(capsys, ["symmetries", path, "--no-transport"])
+    assert report["theory"]["wigner"]["name"] == "W" and _failed(report) == []
+    verdict = {"grid_rank": grid_rank(w),
+               "info_complete": jointly_info_complete(t.obs_a, t.obs_b, t.state_space)}
+    claim = {"id": "extra", "statement": "", "verdict": verdict.get(claim.get("what"), True),
+             **claim}
+    report["claims"].append(claim)
+    rows = verify_report(report)
+    assert [cid for cid, ok, _ in rows if not ok] == ["extra"]
+    assert rows[-1][2].startswith("verification error: unknown")
+
+
+def test_a_covariance_channel_must_map_k_into_k(tmp_path, capsys):
+    """Boxworld at z = 0 in R^3: moving a channel's images to z = 5 keeps
+    the identity at the basis points (the grid ignores z) but leaves K,
+    so the claim fails."""
+    fx, fy = AffineFunctional((1, 0, 0), 0), AffineFunctional((0, 1, 0), 0)
+    one = AffineFunctional.one(3)
+    square = Polytope([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)])
+    path = tmp_path / "box3.json"
+    path.write_text(dumps(Theory(square, (Observable("A", (0, 1), (fx, one - fx)),
+                                          Observable("B", (0, 1), (fy, one - fy))))))
+    report = _report(capsys, ["covariant", str(path)])
+    assert report["result"] == "unique" and _failed(report) == []
+    claim = report["claims"][0]
+    claim["channel"]["offset"][2] = "5"
+    assert _failed(report) == [claim["id"]]

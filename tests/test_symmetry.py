@@ -1,10 +1,12 @@
 """Symmetry-layer tests: lifts, symmetry detection, transport, induced
 actions, permutation channels and the covariant solver."""
 
+import ast
 from fractions import Fraction as F
 import inspect
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
@@ -319,13 +321,70 @@ def test_covariant_ball_requires_channels():
         solve_covariant(obs_a, obs_b, disk)
 
 
+CUBE_SWAPS = {
+    ProductGroupElement((1, 0), (0, 1)): AffineMap.from_rows(
+        [[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (1, 0, 1)),  # (1 - x, y, 1 - z)
+    ProductGroupElement((0, 1), (1, 0)): AffineMap.from_rows(
+        [[1, 0, 0], [0, -1, 0], [0, 0, -1]], (0, 1, 1)),  # (x, 1 - y, 1 - z)
+}
+
+
+def _unequal_sums():
+    """K = conv{(1, 0), (1, 1)} with one-outcome observables whose effects,
+    1 and x/2 + 1/2, agree on K but not coefficient-wise."""
+    segment = Polytope([(1, 0), (1, 1)])
+    obs_u = Observable("U", (0,), (ONE2,))
+    obs_v = Observable("V", (0,), (AffineFunctional((F(1, 2), 0), F(1, 2)),))
+    return obs_u, obs_v, segment
+
+
 def test_covariant_family_when_symmetry_is_scarce():
-    # one-outcome second observable: covariance fixes nothing across columns,
-    # leaving genuine freedom on a square state space with one binary reading
-    obs_unit = Observable("unit", ("*",), (ONE2,))
-    result = solve_covariant(OBS_A, obs_unit, SQUARE, channels={})
-    # the pair is not info-complete, and channels were supplied explicitly
-    assert result.kind in ("family", "unique")
+    """On the cube, A = x and B = y do not see z, and the supplied swaps
+    (1 - x, y, 1 - z) and (x, 1 - y, 1 - z) leave one direction of
+    covariant representations: +-(1 - 2z) in a checkerboard."""
+    entry = catalog.load("cube")
+    t = entry.theory
+    result = solve_covariant(t.obs_a, t.obs_b, t.state_space, channels=CUBE_SWAPS)
+    assert result.kind == "family" and result.symmetries_verified
+    assert not result.hypotheses["jointly_info_complete"]
+    assert result.program is None and result.certificate is None
+    (direction,) = result.family_directions
+    z = AffineFunctional((0, 0, 2), -1)
+    assert direction.grid == ((-z, z), (z, -z))
+
+
+def test_covariant_none_when_the_effect_sums_differ():
+    """Stage 2's "none" has a closed-form certificate: -1 on U's row
+    marginal and +1 on V's column marginal at the first coordinate, where
+    the sums 1 and x/2 + 1/2 differ by 1/2; 0 on every other row."""
+    result = solve_covariant(*_unequal_sums(), channels={})
+    assert result.kind == "none" and result.obstruction is None
+    cert = result.certificate
+    assert cert.eq_multipliers == (-1, 0, 0, 1, 0, 0)
+    assert cert.ineq_multipliers == () and cert.gap == F(1, 2)
+    assert verify_certificate(result.program, cert)
+
+
+def test_covariant_solver_runs_no_simplex(monkeypatch):
+    """With the simplex patched to raise, stage 2's "none", the cube's
+    family, boxworld and rebit_diamond are solved, and their certificates
+    replay."""
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(exact, "_phase_one", no_simplex)
+    cube = catalog.load("cube").theory
+    cases = [(*_unequal_sums(), {}, "none"),
+             (cube.obs_a, cube.obs_b, cube.state_space, CUBE_SWAPS, "family")]
+    for name in ("boxworld", "rebit_diamond"):
+        entry = catalog.load(name)
+        t = entry.theory
+        cases.append((t.obs_a, t.obs_b, t.state_space, entry.channels, "unique"))
+    for obs_a, obs_b, space, channels, kind in cases:
+        result = solve_covariant(obs_a, obs_b, space, channels)
+        assert result.kind == kind
+        if kind == "none":
+            assert verify_certificate(result.program, result.certificate)
 
 
 def _symmetries_by_is_symmetry(rep):
@@ -493,9 +552,26 @@ def lp_calls(monkeypatch):
         calls.append(lp)
         return real(lp)
 
-    for module in (exact, geometry, symmetry, theory, wigner):
+    for module in (exact, theory):
         monkeypatch.setattr(module, "lp_feasible", counting)
     return calls
+
+
+def test_only_compatibility_and_channels_call_the_simplex():
+    """``lp_feasible`` is called from ``theory.are_compatible`` and
+    ``theory.find_channel`` and nowhere else in the engine."""
+    for module in (geometry, symmetry, wigner):
+        assert not hasattr(module, "lp_feasible"), module.__name__
+    callers = set()
+    for path in sorted(pathlib.Path(exact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "lp_feasible"):
+                        callers.add((path.stem, func.name))
+    assert callers == {("theory", "are_compatible"), ("theory", "find_channel")}
 
 
 def test_enumeration_on_a_ball_makes_no_lp(lp_calls):

@@ -233,8 +233,6 @@ def test_faithful_member_rejects_a_bad_anchor():
     for anchor in ((2, 0), (0, 2), (-1, 0)):
         with pytest.raises(ValueError):
             faithful_member(OBS_A, OBS_B, SQUARE, anchor)
-        with pytest.raises(ValueError):
-            positive_member(OBS_A, OBS_B, SQUARE, anchor)
 
 
 def test_faithful_member_runs_no_rank_test(monkeypatch):
@@ -252,14 +250,22 @@ def test_faithful_member_runs_no_rank_test(monkeypatch):
 
 
 def test_positive_member_matches_the_entrywise_program():
-    """Same program, witness and member, or same certificate."""
+    """The compatibility LP and the former LP over the free block give
+    the same verdict, and each member found has both marginals and is
+    positive."""
     kinds = set()
     for obs_a, obs_b, space, anchor in _differential_cases():
         if not isinstance(space, Polytope):
             continue
-        result = positive_member(obs_a, obs_b, space, anchor)
-        assert result == entrywise_positive_member(obs_a, obs_b, space, anchor)
+        result = positive_member(obs_a, obs_b, space)
         kinds.add(type(result))
+        if isinstance(result, PositiveFound):
+            assert check_marginals(result.rep).ok and is_positive(result.rep).ok
+            assert result.program.check(result.witness)
+        else:
+            assert exact.verify_certificate(result.program, result.certificate)
+        former = entrywise_positive_member(obs_a, obs_b, space, anchor)
+        assert type(result) is type(former), (obs_a, obs_b, space)
     assert kinds == {PositiveFound, NoPositiveMember}
 
 
@@ -312,3 +318,20 @@ def test_isomorphism_requires_faithful():
     w0c = construct_family(OBS_A3, OBS_B3, CUBE, {})
     with pytest.raises(PreconditionError):
         isomorphism(w0c, w0c)
+
+
+def test_positive_member_keeps_both_marginals():
+    """On the segment [0, 1], A = (x, 1 - x) and B = (x/2, x/2) sum to
+    different functionals, so no grid has both marginals.  The former
+    search over the free block found a positive grid whose column sums
+    were wrong; the compatibility LP certifies that there is none."""
+    seg = Polytope([(0,), (1,)])
+    fx = AffineFunctional((1,), 0)
+    half = fx.scale(F(1, 2))
+    obs_a = Observable("A", (0, 1), (fx, AffineFunctional.one(1) - fx))
+    obs_b = Observable("B", (0, 1), (half, half))
+    result = positive_member(obs_a, obs_b, seg)
+    assert isinstance(result, NoPositiveMember)
+    assert exact.verify_certificate(result.program, result.certificate)
+    former = entrywise_positive_member(obs_a, obs_b, seg)
+    assert isinstance(former, PositiveFound) and not check_marginals(former.rep).ok
