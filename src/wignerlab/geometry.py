@@ -8,6 +8,10 @@ projects injectively (the double-description view of Fukuda and Prodon,
 1996).  Membership, irredundancy and polytope containment are integer
 dot products against it, and convex weights of a member come from a
 walk over its facets (``membership_weights``); this module runs no LP.
+``map_into`` on polytopes does not apply the map vertex by vertex: it
+evaluates every vertex image as one int matrix of the map's rows, tests
+its columns against the target's integer facets, and builds
+``Fraction``s only for the witness it returns.
 Balls are stored by center and radius.  Extremal values of affine
 functionals over balls are irrational in general, so they are carried
 symbolically as ``rational + rational * sqrt(radicand)`` and compared by
@@ -15,7 +19,11 @@ exact sign analysis, never through floats.
 
 ``values_at`` evaluates functionals at points as one int matrix over one
 positive denominator, so signs, equalities and ranks are read off ints.
-Functional arithmetic reuses its ``Fraction`` entries (``_functional``).
+``signed_sums`` adds signed functionals the same way, one ``Fraction``
+per coefficient of each sum, and ``basis_interpolation`` keeps, once
+per polytope, the integer rows that turn images of its affine basis into
+the map ``affine_map_from_points`` would interpolate.  Functional
+arithmetic reuses its ``Fraction`` entries (``_functional``).
 """
 
 from __future__ import annotations
@@ -122,14 +130,46 @@ def values_at(funcs: Sequence[AffineFunctional], points: Sequence[Sequence]):
     fraction-free arithmetic).  Entries are ints or Fractions."""
     if len({f.dim for f in funcs} | {len(p) for p in points}) > 1:
         raise ValueError("dimension mismatch")
+    return _values([f.coefficients() for f in funcs], points)
+
+
+def _values(coefficients: Sequence[Sequence], points: Sequence[Sequence]):
+    """``values_at`` of the functionals with the given coefficient rows
+    (linear part, then the constant)."""
     q = math.lcm(*(v.denominator for p in points for v in p))
     xs = [[v.numerator * (q // v.denominator) for v in p] for p in points]
-    s = math.lcm(*(a.denominator for f in funcs for a in f.coefficients()))
+    s = math.lcm(*(a.denominator for row in coefficients for a in row))
     rows = []
-    for f in funcs:
-        *lin, c = (a.numerator * (s // a.denominator) for a in f.coefficients())
+    for row in coefficients:
+        *lin, c = (a.numerator * (s // a.denominator) for a in row)
         rows.append([sum(map(operator.mul, lin, x), c * q) for x in xs])
     return rows, s * q
+
+
+def signed_sums(entries: Sequence[Sequence[tuple[int, AffineFunctional]]],
+                dim: int) -> list[AffineFunctional]:
+    """For each entry, a list of ``(sign, f)`` terms, the functional sum
+    of ``sign * f``: one integer numerator per coefficient over the lcm
+    ``s`` of all the terms' denominators, and one ``Fraction`` per
+    coefficient.  An entry of one ``+1`` term is that functional, an empty
+    one the zero functional."""
+    ints: dict[int, list[int]] = {}
+    s = 1
+    if any(len(terms) != 1 or terms[0][0] != 1 for terms in entries):
+        funcs = {id(f): f.coefficients() for terms in entries for _, f in terms}
+        s = math.lcm(*(a.denominator for row in funcs.values() for a in row))
+        ints = {k: [a.numerator * (s // a.denominator) for a in row] for k, row in funcs.items()}
+    out = []
+    for terms in entries:
+        if len(terms) == 1 and terms[0][0] == 1:
+            out.append(terms[0][1])
+            continue
+        total = [0] * (dim + 1)
+        for sign, f in terms:
+            total = [t + sign * a for t, a in zip(total, ints[id(f)], strict=True)]
+        *lin, c = (QQ(t, s) for t in total)
+        out.append(_functional(tuple(lin), c))
+    return out
 
 
 @record
@@ -416,10 +456,13 @@ class _Facets(NamedTuple):
     facets: tuple[tuple[tuple[int, ...], int], ...]
 
     def holds(self, x: Vec) -> bool:
-        """Is the rational point ``x`` in K?  With ``x`` over one
-        denominator ``q``, ``c . X = e`` iff ``scale * (c . qx) = e * q``."""
+        """Is the rational point ``x`` in K?"""
         q = math.lcm(*(v.denominator for v in x))
-        xq = [v.numerator * (q // v.denominator) for v in x]
+        return self.holds_ints([v.numerator * (q // v.denominator) for v in x], q)
+
+    def holds_ints(self, xq: Sequence[int], q: int) -> bool:
+        """Is the point ``xq / q`` in K, for ints ``xq`` and ``q > 0``?
+        ``c . X = e`` iff ``scale * (c . xq) = e * q``."""
         s = self.scale
         if any(s * sum(map(operator.mul, c, xq)) != e * q for c, e in self.equalities):
             return False
@@ -495,8 +538,8 @@ def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
 class Polytope:
     """Convex hull of an irredundant vertex list, with its facet
     description (``_facets``) and, once asked for, its affine basis
-    (``_basis``); neither is a field, so ``eq``, ``hash`` and ``repr``
-    see only the vertices."""
+    (``_basis``) and the interpolation over it (``_interp``); none is a
+    field, so ``eq``, ``hash`` and ``repr`` see only the vertices."""
 
     vertices: tuple[Vec, ...]
 
@@ -584,6 +627,29 @@ def affine_basis(space: StateSpace) -> tuple[Vec, ...]:
         basis = tuple(space.vertices[i] for i in independent_affine_subset(space.vertices))
         object.__setattr__(space, "_basis", basis)
     return basis
+
+
+def basis_interpolation(space: Polytope) -> tuple[tuple[int, int, list[int]], ...]:
+    """How ``affine_map_from_points`` interpolates images of
+    ``affine_basis(space)``, found on the first call and kept as ``_interp``.
+
+    One ``(c, lam, e)`` per reduced row of ``[p_i, 1 | I]``, a row per
+    basis point, with pivot column ``c``.  Given images ``y_i`` of the
+    basis points, write row k of the interpolating map with its offset
+    appended, at index d = the ambient dimension.  Its entry at each
+    pivot column ``c`` is ``(e . y^k) / lam``, with ``y^k`` the k-th
+    coordinates of the y_i, and every other entry is 0.  This is the
+    rref's solution with free unknowns 0, read off without eliminating.
+    """
+    interp = getattr(space, "_interp", None)
+    if interp is None:
+        basis = affine_basis(space)
+        n, src = len(basis), space.ambient_dim
+        rows = [list(p) + [1] + [int(i == j) for j in range(n)] for i, p in enumerate(basis)]
+        pivots = rref(rows, src + 1)
+        interp = tuple((c, row[c], row[src + 1:]) for c, row in zip(pivots, rows))
+        object.__setattr__(space, "_interp", interp)
+    return interp
 
 
 def contains(space: StateSpace, x: Sequence) -> bool:
@@ -686,10 +752,15 @@ def map_into(source: StateSpace, m: AffineMap, target: StateSpace) -> Containmen
     if m.source_dim != source.ambient_dim or m.target_dim != target.ambient_dim:
         raise ValueError("map dimensions disagree with the spaces")
     if isinstance(source, Polytope) and isinstance(target, Polytope):
-        for v in source.vertices:
-            img = m(v)
-            if not target._facets.holds(img):
-                return Containment(False, v, img)
+        # every vertex image at once: column j of rows / den is m(v_j)
+        rows, den = _values(
+            [r + (c,) for r, c in zip(m.matrix.entries, m.offset)], source.vertices
+        )
+        holds = target._facets.holds_ints
+        for j, v in enumerate(source.vertices):
+            img = [row[j] for row in rows]
+            if not holds(img, den):
+                return Containment(False, v, tuple(QQ(x, den) for x in img))
         return Containment(True)
     if isinstance(source, Ball) and isinstance(target, Ball):
         return _ball_map_into(source, m, target)

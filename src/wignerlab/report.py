@@ -8,8 +8,10 @@ covariance identities by evaluation at the affine basis of the
 report's state space.  A claim passes only if its data proves its
 ``verdict``: an ``lp_feasible`` claim says true and an ``lp_infeasible``
 one false, and a ``rank`` claim says whether the rank is dim(K) + 1 for
-the report's K.  ``verify_report`` returns one (claim id, ok) row per
-claim and is the engine behind the ``verify`` subcommand.
+the report's K, of a matrix that must be the effects of the report's
+observable pair at the affine basis of K (``theory.effect_span``).
+``verify_report`` returns one (claim id, ok) row per claim and is the
+engine behind the ``verify`` subcommand.
 
 Each claim kind is written here, by a builder that takes the engine's
 results (``lp_claim``, ``rank_claim``, ``negativity_claim``,
@@ -38,11 +40,11 @@ import math
 from typing import Optional
 
 from .errors import ParseError
-from .exact import Infeasible, LinearProgram, Matrix, rank, vec_dot, verify_certificate
+from .exact import QQ, Infeasible, LinearProgram, Matrix, vec_dot, verify_certificate
 from .geometry import (
     AffineFunctional, AffineMap, ExtremalValue, affine_basis, dimension, map_into,
 )
-from .theory import are_complementary, validate
+from .theory import are_complementary, effect_span, validate
 from .theoryfile import (
     parse_ratio,
     parse_ratios,
@@ -309,10 +311,14 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
         lp = _de_program(claim["program"])
         return verdict is True and lp.check(_de_vec(claim["witness"], "witness"))
     if kind == "rank":
+        # the matrix must be the effects of the theory's pair at aff(K)'s
+        # basis, whose exact rank effect_span computes
         matrix = [_de_vec(row, "matrix") for row in claim["matrix"]]
-        matrix_rank = int(claim["rank"])
-        full = matrix_rank == dimension(theory.state_space) + 1
-        return rank(matrix) == matrix_rank and verdict is full
+        rows, den, span = effect_span(theory.obs_a, theory.obs_b, theory.state_space)
+        if matrix != [tuple(QQ(a, den) for a in row) for row in rows]:
+            return False
+        full = span == dimension(theory.state_space) + 1
+        return int(claim["rank"]) == span and verdict is full
     if kind == "negative_entry":
         f = _de_functional(claim["functional"], "functional")
         state = _de_vec(claim["state"], "state")

@@ -6,11 +6,13 @@ itself.  Transported symmetries are the ones realized by a channel on
 the state space (the commuting square), and for faithful
 representations every symmetry is transported.  There the square fixes
 the channel on aff(K), F = W^-1 . Psi . W, so ``find_channel`` finds it
-by one elimination of the square's equations, with no LP.  The covariant
-solver combines two exact stages: permutation channels for the outcome
-translation groups, then the linear covariance system over the grid
-functionals, solved by elimination, with a closed-form certificate when
-it is inconsistent.  This module never calls the simplex itself; the
+by one elimination of the square's equations, with no LP.  For a lifted
+map, Psi . W is read off the phase table (a permutation reorders W's
+functionals), not multiplied out through the 0/1 transfer matrix.  The
+covariant solver combines two exact stages: permutation channels for
+the outcome translation groups, then the linear covariance system over
+the grid functionals, solved by elimination, with a closed-form
+certificate when it is inconsistent.  This module never calls the simplex itself; the
 only LPs under it are ``find_channel``'s, for a map that its equations
 leave free (W forgets part of the state) or that no map satisfies.
 
@@ -18,7 +20,11 @@ A lifted permutation P has finite order, so P(W(K)) inside W(K) already
 forces P(W(K)) = W(K): permutation symmetries are the relabellings of
 phase points that fix an invariant of W(K), built once per
 representation (``_permutation_test``), with no LP per permutation.  On
-a polytope the invariant is the set ext W(K) of extreme points.  On a
+a polytope the invariant is the set ext W(K) of extreme points.  When
+there are as many distinct vertex images as K has vertices and they
+affinely span dim(K), W is injective on aff(K), W(K) is an affine copy
+of K and every vertex image is extreme, so no hull search runs; other
+images go through the facet search of ``geometry._describe``.  On a
 ball with faithful W, W(K) is the ellipsoid {g0 + G t : |t| <= 1} with
 g0 = W(center) and columns W(center + r e_i) - g0 of G; P fixes it iff
 P g0 = g0 and P S P^T = S for S = G H^-2 G^T, H = G^T G.  S is the
@@ -33,7 +39,7 @@ import math
 import operator
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from ._kernels import rref
+from ._kernels import bareiss_rank, rref
 from ._record import record
 from .errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from .exact import (
@@ -58,7 +64,9 @@ from .geometry import (
     affine_basis,
     affine_map_with_orthogonal_extension,
     contains,
+    dimension,
     map_into,
+    signed_sums,
     values_at,
 )
 from .theory import (
@@ -191,7 +199,7 @@ def lift(phi: PhasePointMap) -> LiftedMap:
     rows = [[zero] * n for _ in range(n)]
     for j, i in enumerate(phi.table):
         rows[i][j] = one
-    return LiftedMap(phi, Matrix.from_rows(rows, cols=n))
+    return LiftedMap(phi, Matrix(tuple(map(tuple, rows)), n))
 
 
 GridMap = Union[LiftedMap, AffineMap]
@@ -340,8 +348,15 @@ def _permutation_test(
     if isinstance(space, Polytope):
         vals, _ = values_at(funcs, space.vertices)
         images = tuple(dict.fromkeys(zip(*vals)))
-        _, flags = _describe(images)
-        ext = {p for p, ok in zip(images, flags) if ok}
+        p0 = images[0]
+        if len(images) == len(space.vertices) and bareiss_rank(
+            [[a - b for a, b in zip(p, p0)] for p in images[1:]]
+        ) == dimension(space):
+            # W is injective on aff(K): every vertex image is extreme
+            ext = set(images)
+        else:
+            _, flags = _describe(images)
+            ext = {p for p, ok in zip(images, flags) if ok}
 
         def fixes_ext(perm: Sequence[int]) -> bool:
             for point in ext:
@@ -402,14 +417,21 @@ def find_transported_channel(
 
     The equations are W's functionals paired with psi . W; for faithful W
     they fix F on aff(K), and ``find_channel`` solves them without an LP.
+    For a lifted map, entry i of psi . W is read off the phase table: the
+    sum of the W_j with phi(j) = i, so a permutation only reorders W.
     """
     space = rep.state_space
     if not isinstance(space, Polytope):
         raise UnsupportedGeometryError("transported-channel solving needs a polytope")
-    m = _as_affine(psi)
-    targets = composed_with_rep(rep, m)
-    equations = list(zip(rep.functionals(), targets))
-    return find_channel(space, space, equations)
+    funcs = rep.functionals()
+    if isinstance(psi, LiftedMap):
+        terms = [[] for _ in funcs]
+        for j, i in enumerate(psi.phase_map.table):
+            terms[i].append((1, funcs[j]))
+        targets = signed_sums(terms, space.ambient_dim)
+    else:
+        targets = composed_with_rep(rep, psi)
+    return find_channel(space, space, list(zip(funcs, targets)))
 
 
 @record

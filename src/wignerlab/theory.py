@@ -5,9 +5,12 @@ outcome; validity on a state space means every effect stays in [0, 1]
 and the effects sum to the constant-one functional coefficient-wise.
 Compatibility of two observables is an exact LP feasibility question,
 and so is channel existence unless the channel's equations fix the map
-on the source's hull: one elimination then finds it, or, if it leaves
-the target, builds the Farkas certificate of the channel LP from the
-violated facet.  ``are_compatible`` and ``find_channel`` are the only
+on the source's hull: one integer elimination then fixes the images of
+the source's affine basis, ``_fixed_map`` interpolates them with the
+integer rows of ``geometry.basis_interpolation`` (one ``Fraction`` per
+coefficient, no second elimination), and if that map leaves the target
+the Farkas certificate of the channel LP is built from the violated
+facet.  ``are_compatible`` and ``find_channel`` are the only
 callers of ``lp_feasible`` in the engine; a positive Wigner
 representation is a joint observable, so ``wigner.positive_member``
 reads the compatibility LP.  Surjectivity is decided by the effects'
@@ -21,6 +24,7 @@ and face computations.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, rref
@@ -32,6 +36,7 @@ from .exact import (
     FeasibilityResult,
     Infeasible,
     LinearProgram,
+    Matrix,
     Vec,
     checked,
     lp_feasible,
@@ -50,6 +55,7 @@ from .geometry import (
     _polytope_extrema,
     affine_basis,
     affine_map_from_points,
+    basis_interpolation,
     contains,
     dimension,
     extremal_range,
@@ -507,7 +513,7 @@ def find_channel(
         ints.append(([den * a for a in c] + [t * v - den * g0 for v in hv], den * t))
     ints += [([hrep.scale * a for a in c] + [e] * len(basis), hrep.scale)
              for c, e in hrep.equalities]
-    fixed = _fixed_map(basis, ints, d2)
+    fixed = _fixed_map(source, ints, d2)
     leaves = None
     if fixed is not None:
         try:
@@ -541,7 +547,7 @@ def find_channel(
         v, img = leaves.witness_point, leaves.witness_image
         result = checked(lp, _leaving_certificate(source, hrep, basis, system, v, img))
     if isinstance(result, Infeasible):
-        wp, wi = _unconstrained_witness(source, target, basis, ints[:len(equations)])
+        wp, wi = _unconstrained_witness(source, target, ints[:len(equations)])
         return ChannelInfeasible(lp, result, wp, wi)
     w = result.witness
     images = [
@@ -554,17 +560,27 @@ def find_channel(
     return Channel(m, source, target)
 
 
-def _fixed_map(basis, ints, d2) -> Optional[AffineMap]:
-    """The map whose basis images ``y_i`` in Q^d2 solve ``c . y_i =
-    rhs[i]`` for every int row ``([c | rhs], s)``, if there is exactly
-    one: the ``c`` have rank d2 and each right-hand side is consistent."""
+def _fixed_map(source: Polytope, ints, d2) -> Optional[AffineMap]:
+    """The map whose images ``y_i`` in Q^d2 of the affine basis of
+    ``source`` solve ``c . y_i = rhs[i]`` for every int row ``([c | rhs],
+    s)``, if there is exactly one: the ``c`` have rank d2 and each
+    right-hand side is consistent.  It is the map ``affine_map_from_points``
+    interpolates, built from ints by ``basis_interpolation``."""
     aug = [list(row) for row, _ in ints]
     if len(rref(aug, d2)) < d2 or any(any(row[d2:]) for row in aug[d2:]):
         return None
     # pivot row k is aug[k][k] times (e_k | the k-th coordinates of the y_i)
-    images = [tuple(QQ(row[d2 + i], row[k]) for k, row in enumerate(aug[:d2]))
-              for i in range(len(basis))]
-    return affine_map_from_points(basis, images)
+    d1 = source.ambient_dim
+    interp = basis_interpolation(source)
+    rows = []
+    for k, row in enumerate(aug[:d2]):
+        out = [QQ(0)] * (d1 + 1)
+        ys = row[d2:]
+        for c, lam, e in interp:
+            out[c] = QQ(sum(map(operator.mul, e, ys)), lam * row[k])
+        rows.append(out)
+    matrix = Matrix(tuple(tuple(r[:d1]) for r in rows), d1)
+    return AffineMap(matrix, tuple(r[d1] for r in rows))
 
 
 def _leaving_certificate(source, hrep, basis, system, v, img) -> Infeasible:
@@ -612,10 +628,10 @@ def _verify_candidate(source, target, equations, candidate) -> Channel:
     return Channel(candidate, source, target)
 
 
-def _unconstrained_witness(source, target, basis, ints):
+def _unconstrained_witness(source, target, ints):
     """Diagnose infeasibility: if the equations' int rows alone fix the
     map, report the first vertex whose image leaves the target."""
-    m = _fixed_map(basis, ints, target.ambient_dim)
+    m = _fixed_map(source, ints, target.ambient_dim)
     if m is None:
         return None, None
     result = map_into(source, m, target)

@@ -8,7 +8,11 @@ pair of observables is parametrized by the free block of
 then forced by the marginal identities.  That completion rule is
 written once (``free_slots`` for the slot order and default anchor,
 ``_slot_signs`` for where a free functional enters), and
-``construct_family`` and ``faithful_member`` build on it;
+``construct_family`` and ``faithful_member`` build on it.
+``construct_family`` lists the signed terms of each entry (effects, the
+constant one, free functionals) and adds them once, one integer
+numerator per coefficient over one denominator
+(``geometry.signed_sums``), not by chained functional additions;
 ``faithful_member`` needs one elimination, not a rank test per slot and
 coordinate.  A positive member is a joint observable, so
 ``positive_member`` reads the compatibility LP of
@@ -35,6 +39,7 @@ from .geometry import (
     contains,
     dimension,
     extremal_range,
+    signed_sums,
     values_at,
 )
 from .theory import Incompatible, Observable, are_compatible
@@ -189,7 +194,8 @@ def construct_family(
     completion, so the result always passes ``check_marginals``: the
     degenerate member (the effects on the anchored cross, one minus the
     other effects at the corner) plus each free functional with the
-    signs of ``_slot_signs``.
+    signs of ``_slot_signs``.  Each entry lists its signed terms and
+    ``signed_sums`` adds them once, over one denominator.
     """
     (alpha, beta), slots = free_slots(obs_a, obs_b, anchor)
     free = dict(free or {})
@@ -197,22 +203,24 @@ def construct_family(
         if slot not in slots:
             raise ValueError(f"slot {slot} is not in the free block")
     dim = space.ambient_dim
-    grid = [[AffineFunctional.zero(dim)] * obs_b.n_outcomes for _ in obs_a.effects]
-    corner = AffineFunctional.one(dim)
+    n_b = obs_b.n_outcomes
+    terms = [[] for _ in range(obs_a.n_outcomes * n_b)]
+    corner = terms[alpha * n_b + beta]
+    corner.append((1, AffineFunctional.one(dim)))
     for a, f in enumerate(obs_a.effects):
         if a != alpha:
-            grid[a][beta] = f
-            corner = corner - f
+            terms[a * n_b + beta].append((1, f))
+            corner.append((-1, f))
     for b, f in enumerate(obs_b.effects):
         if b != beta:
-            grid[alpha][b] = f
-            corner = corner - f
-    grid[alpha][beta] = corner
+            terms[alpha * n_b + b].append((1, f))
+            corner.append((-1, f))
     for slot, f in free.items():
-        signed = {1: f, -1: -f}
         for (a, b), sign in _slot_signs(slot, (alpha, beta)):
-            grid[a][b] = grid[a][b] + signed[sign]
-    return WignerRep(space, obs_a, obs_b, tuple(tuple(row) for row in grid))
+            terms[a * n_b + b].append((sign, f))
+    flat = signed_sums(terms, dim)
+    grid = tuple(tuple(flat[a * n_b:(a + 1) * n_b]) for a in range(obs_a.n_outcomes))
+    return WignerRep(space, obs_a, obs_b, grid)
 
 
 def degenerate_rep(

@@ -50,6 +50,11 @@ of W(K), and g0 and S on balls) hold ``Fraction`` entries.
 which the symmetric elimination of ``geometry._negative_direction`` is
 checked.
 
+``map_into_by_vertices`` is the former polytope branch of
+``geometry.map_into``: one ``AffineMap.__call__`` per source vertex,
+then ``_Facets.holds`` on the image, against which the one integer
+matrix of vertex images is checked.
+
 ``_in_hull`` is the former convex-weights LP behind
 ``geometry.membership_weights``, the oracle of membership that the
 facet walk is checked against.
@@ -88,6 +93,7 @@ from wignerlab.geometry import (
     AffineFunctional,
     AffineMap,
     Ball,
+    Containment,
     Polytope,
     StateSpace,
     affine_basis,
@@ -489,6 +495,14 @@ def vertex_image_channel(source, target, equations):
         return lp, result, None
     images = [tuple(result.witness[idx_y(i, k)] for k in range(d2)) for i in basis_idx]
     return lp, result, affine_map_from_points(basis, images)
+
+
+def map_into_by_vertices(source: Polytope, m: AffineMap, target: Polytope) -> Containment:
+    for v in source.vertices:
+        img = m(v)
+        if not target._facets.holds(img):
+            return Containment(False, v, img)
+    return Containment(True)
 
 
 def _in_hull(x: Vec, points: Sequence[Vec]) -> Optional[Vec]:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 import math
+import operator
 import random
 import re
 
@@ -26,7 +27,7 @@ from wignerlab.geometry import (
     values_at,
 )
 
-from helpers import random_fraction
+from helpers import random_fraction, random_polygon
 import reference_kernels as ref
 from reference_kernels import orthogonal_extension, per_column_affine_map, rank_greedy_subset
 
@@ -322,6 +323,53 @@ def test_map_into_identity_and_vertex_agreement():
         assert result.ok == brute
         if not result.ok:
             assert not contains(SQUARE, result.witness_image)
+
+
+def _random_map(rng, source, target):
+    """A random affine map from ``source`` to ``target``'s ambient space:
+    a constant at a convex combination of target vertices, or that
+    point plus a random linear part scaled by 1, 1/10 or 1/1000."""
+    weights = [rng.randint(0, 3) for _ in target.vertices]
+    weights[0] += 1
+    point = [sum(F(w, sum(weights)) * v[k] for w, v in zip(weights, target.vertices))
+             for k in range(target.ambient_dim)]
+    scale = rng.choice([0, 1, F(1, 10), F(1, 1000)])
+    rows = [[scale * random_fraction(rng) for _ in range(source.ambient_dim)]
+            for _ in point]
+    center = source.vertices[0]
+    offset = [y - sum(a * c for a, c in zip(row, center)) for y, row in zip(point, rows)]
+    return AffineMap.from_rows(rows, offset)
+
+
+def test_map_into_matches_the_vertex_loop():
+    """All vertex images as one integer matrix give the verdict and the
+    witness of one ``AffineMap`` call and facet test per vertex, on
+    random polygons (points and segments included) as sources and as
+    targets, and on the same targets at z = 0 in R^3, a dimension below
+    their ambient space, where a map with a z row leaves the hull."""
+    rng = random.Random(157)
+    counts = {"ok": 0, "inside hull": 0, "off hull": 0}
+    for _ in range(150):
+        source = random_polygon(rng)
+        target = random_polygon(rng)
+        if rng.random() < 0.4:
+            target = Polytope([v + (F(0),) for v in target.vertices])
+        for _ in range(4):
+            m = _random_map(rng, source, target)
+            got = map_into(source, m, target)
+            want = ref.map_into_by_vertices(source, m, target)
+            assert (got.ok, got.witness_point, got.witness_image, got.exact) == (
+                want.ok, want.witness_point, want.witness_image, want.exact)
+            if got.ok:
+                counts["ok"] += 1
+            else:
+                hull = target._facets
+                q = math.lcm(*(x.denominator for x in got.witness_image))
+                xq = [x.numerator * (q // x.denominator) for x in got.witness_image]
+                on = all(hull.scale * sum(map(operator.mul, c, xq)) == e * q
+                         for c, e in hull.equalities)
+                counts["inside hull" if on else "off hull"] += 1
+    assert min(counts.values()) >= 40, counts
 
 
 def test_map_into_deformed_reflection_witness():

@@ -212,6 +212,24 @@ def test_a_flipped_verdict_fails_only_its_claim(tmp_path, capsys, cid):
     assert _failed(report) == [cid]
 
 
+def test_a_rank_matrix_must_be_the_theory_effects(tmp_path, capsys):
+    """On ``trit`` the effect span has rank 2, not dim(K) + 1 = 3.  The
+    3x3 identity with rank 3 and a true verdict is a consistent rank
+    claim, but not about the report's theory, so ``info_complete`` fails
+    and only it; so does a matrix of the same rank with one row doubled."""
+    report = _example_report(tmp_path, capsys, "trit", "analyze")
+    claim = next(c for c in report["claims"] if c["id"] == "info_complete")
+    assert claim["rank"] == 2 and claim["verdict"] is False and _failed(report) == []
+    matrix = claim["matrix"]
+    assert any(Fraction(x) for x in matrix[0])
+    claim["matrix"] = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    claim["rank"], claim["verdict"] = 3, True
+    assert _failed(report) == ["info_complete"]
+    claim["matrix"] = [[str(2 * Fraction(x)) for x in matrix[0]]] + matrix[1:]
+    claim["rank"], claim["verdict"] = 2, False
+    assert _failed(report) == ["info_complete"]
+
+
 @pytest.mark.parametrize("kind", ["negative_entry", "ball_entry_min", "ball_max_one"])
 def test_verdicts_of_witness_claims_are_bound(tmp_path, capsys, kind):
     """A negativity witness proves a true verdict, and ``ball_max_one``

@@ -477,6 +477,71 @@ def test_permutation_test_matches_the_fraction_invariants():
     assert verdicts[True] > 100 and verdicts[False] > 1000
 
 
+def _flattened(rep):
+    """``rep`` with every functional read at (x, 0): a representation of
+    the flattened observables, which forgets y, so W is not injective on
+    a polygon of dimension two."""
+    drop_y = AffineMap.from_rows([[1, 0], [0, 0]], [0, 0])
+
+    def flat(obs):
+        return Observable(obs.name, obs.outcomes, tuple(f.compose(drop_y) for f in obs.effects))
+
+    grid = tuple(tuple(f.compose(drop_y) for f in row) for row in rep.grid)
+    return WignerRep(rep.state_space, flat(rep.obs_a), flat(rep.obs_b), grid)
+
+
+def test_enumeration_skips_the_hull_search_when_w_is_injective(monkeypatch):
+    """A faithful W is injective on aff(K), so its vertex images are the
+    extreme points of W(K) and ``_describe`` never runs; otherwise the
+    hull search decides them, and enumeration agrees with ``is_symmetry``."""
+    rng = random.Random(149)
+    reps = (_polygon_reps() + _random_polygon_reps(rng, (2, 2), 16)
+            + _random_polygon_reps(rng, (2, 3), 2))
+    injective = [rep for rep in reps if is_faithful(rep)]
+    other = [rep for rep in reps if not is_faithful(rep)]
+    other += [_flattened(rep) for rep in injective if dimension(rep.state_space) == 2][:12]
+    other.append(catalog.load("cube").representations["W_0"])
+    assert len(injective) >= 8 and len(other) >= 8
+    assert not any(map(is_faithful, other))
+    expected = [_symmetries_by_is_symmetry(rep) for rep in injective]
+    real = symmetry._describe
+    calls = None  # a list once the hull search is allowed
+
+    def describe(points):
+        if calls is None:
+            raise AssertionError("hull search on an injective representation")
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(symmetry, "_describe", describe)
+    for rep, want in zip(injective, expected):
+        assert enumerate_lifted_symmetries(rep) == want
+    for rep in other:
+        calls = []
+        assert enumerate_lifted_symmetries(rep) == _symmetries_by_is_symmetry(rep)
+        assert len(calls) == 1  # the fallback ran, once
+
+
+def test_lifted_transport_matches_the_composed_equations():
+    """``find_transported_channel`` reads psi . W off a lift's phase table;
+    ``composed_with_rep`` builds it as the transfer matrix times W.  On
+    every permutation of every 2x2 representation both equations give
+    the same channel, or the same program, certificate and witness."""
+    found = {True: 0, False: 0}
+    for rep in [rep for rep in _polygon_reps() if rep.shape == SHAPE]:
+        space = rep.state_space
+        for table in itertools.permutations(range(4)):
+            psi = lift(PhasePointMap(SHAPE, table))
+            targets = symmetry.composed_with_rep(rep, psi.as_affine_map())
+            want = theory.find_channel(space, space, list(zip(rep.functionals(), targets)))
+            got = find_transported_channel(rep, psi)
+            # records: a channel's map and spaces, or the program,
+            # certificate and witness of an infeasible one
+            assert type(got) is type(want) and got == want
+            found[isinstance(got, Channel)] += 1
+    assert found[True] >= 20 and found[False] >= 100, found
+
+
 def _primitive(rows):
     """The rows times the one positive factor that makes them ints with
     gcd 1: equal for two lists of rows iff one is a positive multiple of

@@ -2,6 +2,7 @@
 surjectivity and channel solving."""
 
 from fractions import Fraction as F
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from wignerlab.geometry import (
     Ball,
     Polytope,
     affine_basis,
+    affine_map_from_points,
     map_into,
 )
 from wignerlab.theory import (
@@ -27,6 +29,7 @@ from wignerlab.theory import (
     Incompatible,
     Observable,
     Theory,
+    _fixed_map,
     are_compatible,
     are_complementary,
     find_channel,
@@ -593,6 +596,35 @@ def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, cap
         assert cli.main(["symmetries", path]) == 0
         assert capsys.readouterr().out == out
     assert len(reports) == 4
+
+
+def test_fixed_map_is_the_interpolation_of_its_basis_images():
+    """``_fixed_map`` builds from ints the map that ``affine_map_from_points``
+    interpolates through the basis images its rows fix, on random
+    polygons (points and segments included) and on the same polygons at
+    z = 0 in R^3, and gives ``None`` when the rows leave the images free."""
+    rng = random.Random(163)
+    fixed = 0
+    for _ in range(120):
+        source = random_polygon(rng)
+        if rng.random() < 0.4:
+            source = Polytope([v + (F(0),) for v in source.vertices])
+        basis = affine_basis(source)
+        d2 = rng.randint(1, 3)
+        images = [tuple(random_fraction(rng) for _ in range(d2)) for _ in basis]
+        coeffs = [[rng.randint(-2, 2) for _ in range(d2)] for _ in range(rng.randint(d2, d2 + 2))]
+        ints = []
+        for c in coeffs:
+            rhs = [sum(a * y for a, y in zip(c, img)) for img in images]
+            s = math.lcm(*(x.denominator for x in rhs))
+            ints.append(([s * a for a in c] + [int(x * s) for x in rhs], s))
+        got = _fixed_map(source, ints, d2)
+        if exact.rank(coeffs) < d2:
+            assert got is None
+            continue
+        assert got == affine_map_from_points(basis, images)
+        fixed += 1
+    assert fixed > 60
 
 
 SEGMENT = Polytope([(0, 0), (1, 1)])  # its hull: x - y = 0
