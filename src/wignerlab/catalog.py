@@ -398,14 +398,12 @@ def _xz_wigner_grid(space) -> WignerRep:
 
 
 def _reflection_channels(space) -> dict[ProductGroupElement, Channel]:
-    swap_a = ProductGroupElement((1, 0), (0, 1))
-    swap_b = ProductGroupElement((0, 1), (1, 0))
-    both = swap_a.compose(swap_b)
+    """The channels of the two outcome swaps, which generate S_2 x S_2."""
     return {
-        ProductGroupElement.identity(2, 2): Channel(AffineMap.identity(2), space, space),
-        swap_a: Channel(AffineMap.from_rows([[1, 0], [0, -1]], [0, 0]), space, space),
-        swap_b: Channel(AffineMap.from_rows([[-1, 0], [0, 1]], [0, 0]), space, space),
-        both: Channel(AffineMap.from_rows([[-1, 0], [0, -1]], [0, 0]), space, space),
+        ProductGroupElement((1, 0), (0, 1)):
+            Channel(AffineMap.from_rows([[1, 0], [0, -1]], [0, 0]), space, space),
+        ProductGroupElement((0, 1), (1, 0)):
+            Channel(AffineMap.from_rows([[-1, 0], [0, 1]], [0, 0]), space, space),
     }
 
 

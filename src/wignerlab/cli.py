@@ -548,9 +548,8 @@ def _cmd_covariant(args) -> int:
     name = "W_covariant"
     rep = result.rep
     basis = affine_basis(space)
-    for gen, chan in (result.channels or {}).items():
-        if not gen.is_identity:
-            claims.append(covariance_claim(gen, chan.map, name, basis))
+    for gen, chan in result.channels.items():
+        claims.append(covariance_claim(gen, chan.map, name, basis))
     claims.append(recompute_claim(
         "marginals", "the covariant grid reproduces both observables", True, rep=name))
     if result.kind == "family":

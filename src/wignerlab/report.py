@@ -10,7 +10,18 @@ report's state space.  A claim passes only if its data proves its
 one false, and a ``rank`` claim says whether the rank is dim(K) + 1 for
 the report's K, of a matrix that must be the effects of the report's
 observable pair at the affine basis of K (``theory.effect_span``).
-``verify_report`` returns one (claim id, ok) row per claim and is the
+Witnesses are about the report's theory: a ``negative_entry`` functional
+is an entry of the embedded grid at a state of K, and ``ball_entry_min``
+and ``ball_max_one`` carry K's own center and radius, with a grid entry
+or an effect of the pair as their functional.
+
+Generators decide covariance.  Covariance identities compose, so a
+``covariant`` report that embeds a representation needs a
+``covariance_identity`` claim for each generator of S_m x S_n (the
+adjacent transpositions of A's outcomes, then of B's), and each missing
+one is a failing row under the id its claim would have had.  Claims for
+other elements are checked like the rest.  ``verify_report`` returns
+one (claim id, ok) row per claim and per missing generator, and is the
 engine behind the ``verify`` subcommand.
 
 Each claim kind is written here, by a builder that takes the engine's
@@ -42,7 +53,7 @@ from typing import Optional
 from .errors import ParseError
 from .exact import QQ, Infeasible, LinearProgram, Matrix, vec_dot, verify_certificate
 from .geometry import (
-    AffineFunctional, AffineMap, ExtremalValue, affine_basis, dimension, map_into,
+    AffineFunctional, AffineMap, Ball, ExtremalValue, affine_basis, contains, dimension, map_into,
 )
 from .theory import are_complementary, effect_span, validate
 from .theoryfile import (
@@ -221,7 +232,28 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
             rows.append((cid, ok, "" if ok else "claim data does not re-verify"))
         except Exception as exc:  # noqa: BLE001 - report must not crash
             rows.append((cid, False, f"verification error: {exc}"))
+    if report.get("command") == "covariant" and wigner is not None:
+        # covariance under the generators is covariance under the group
+        name, rep = wigner
+        claimed = [(c.get("perm_a"), c.get("perm_b")) for c in report["claims"]
+                   if c["kind"] == "covariance_identity" and c.get("rep") == name]
+        rows += [(_covariance_id(a, b), False, "no covariance claim for this generator")
+                 for a, b in _generators(*rep.shape) if (list(a), list(b)) not in claimed]
     return rows
+
+
+def _generators(n_a: int, n_b: int) -> list[tuple[tuple, tuple]]:
+    """(perm_a, perm_b) of each element of ``symmetry.product_group_generators``:
+    the adjacent transpositions of A's outcomes, then of B's."""
+    def swaps(n):
+        return [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
+
+    id_a, id_b = tuple(range(n_a)), tuple(range(n_b))
+    return [(t, id_b) for t in swaps(n_a)] + [(id_a, t) for t in swaps(n_b)]
+
+
+def _covariance_id(perm_a, perm_b) -> str:
+    return f"covariance[(A:{tuple(perm_a)}, B:{tuple(perm_b)})]"
 
 
 # Claim builders: one per claim kind, from the engine's results, in the
@@ -279,7 +311,7 @@ def ball_max_one_claim(cid: str, statement: str, f: AffineFunctional, ball,
 def covariance_claim(element, channel: AffineMap, rep_name: str, basis) -> dict:
     """The grid of ``rep_name`` permutes with ``channel`` as ``element``
     permutes the outcomes, checked at each point of ``basis``."""
-    return _claim(f"covariance[{element.describe()}]", "covariance_identity",
+    return _claim(_covariance_id(element.perm_a, element.perm_b), "covariance_identity",
                   "grid entries permute with the channel", True, rep=rep_name,
                   perm_a=list(element.perm_a), perm_b=list(element.perm_b),
                   channel=ser_map(channel), basis=[ser_vec(p) for p in basis])
@@ -319,54 +351,52 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
             return False
         full = span == dimension(theory.state_space) + 1
         return int(claim["rank"]) == span and verdict is full
+    # a witness functional is a grid entry of the report's representation
+    # (an effect of its pair for ball_max_one), on the report's own K
     if kind == "negative_entry":
         f = _de_functional(claim["functional"], "functional")
         state = _de_vec(claim["state"], "state")
-        return verdict is True and f(state) < 0
-    if kind == "ball_entry_min":
+        return (verdict is True and _is_entry(f, wigner_reps)
+                and contains(theory.state_space, state) and f(state) < 0)
+    if kind in ("ball_entry_min", "ball_max_one"):
         f = _de_functional(claim["functional"], "functional")
-        center = _de_vec(claim["center"], "center")
-        radius = parse_rational(claim["radius"], "radius")
-        claimed = _de_extremal(claim["min"])
+        ball = theory.state_space
+        bound = (f in theory.obs_a.effects + theory.obs_b.effects if kind == "ball_max_one"
+                 else _is_entry(f, wigner_reps))
+        if not (bound and isinstance(ball, Ball)
+                and _de_vec(claim["center"], "center") == ball.center
+                and parse_rational(claim["radius"], "radius") == ball.radius):
+            return False
         norm_sq = vec_dot(f.linear, f.linear)
-        actual = ExtremalValue(f(center), -radius, norm_sq)
-        if verdict is not True or actual != claimed:
+        if kind == "ball_max_one":
+            reaches = ExtremalValue(f(ball.center), ball.radius, norm_sq).compare(1) == 0
+            return verdict is reaches and bool(claim["expect"]) == reaches
+        actual = ExtremalValue(f(ball.center), -ball.radius, norm_sq)
+        if verdict is not True or actual != _de_extremal(claim["min"]):
             return False
         if "negative" in claim:
             return (actual < 0) == bool(claim["negative"])
         return True
-    if kind == "ball_max_one":
-        f = _de_functional(claim["functional"], "functional")
-        center = _de_vec(claim["center"], "center")
-        radius = parse_rational(claim["radius"], "radius")
-        norm_sq = vec_dot(f.linear, f.linear)
-        reaches = ExtremalValue(f(center), radius, norm_sq).compare(1) == 0
-        return verdict is reaches and bool(claim["expect"]) == reaches
     if kind == "covariance_identity":
         rep = wigner_reps[claim["rep"]]
         space = theory.state_space
         chan = _de_map(claim["channel"], "channel.")
         inside = map_into(space, chan, space)
-        if verdict is not True or not (inside.ok and inside.exact):
+        perm_a, perm_b = claim["perm_a"], claim["perm_b"]
+        if (verdict is not True or not (inside.ok and inside.exact)
+                or [sorted(perm_a), sorted(perm_b)] != [list(range(n)) for n in rep.shape]):
             return False
-        perm_a = tuple(claim["perm_a"])
-        perm_b = tuple(claim["perm_b"])
-        inv_a = [0] * len(perm_a)
-        inv_b = [0] * len(perm_b)
-        for i, t in enumerate(perm_a):
-            inv_a[t] = i
-        for i, t in enumerate(perm_b):
-            inv_b[t] = i
+        # W_g(a,b)(F p) = W_ab(p), the engine's W_ab(F p) = W_g^-1(a,b)(p)
         basis = affine_basis(space)
-        for a in range(len(perm_a)):
-            for b in range(len(perm_b)):
-                for p in basis:
-                    if rep.grid[a][b](chan(p)) != rep.grid[inv_a[a]][inv_b[b]](p):
-                        return False
-        return True
+        return all(rep.grid[perm_a[a]][perm_b[b]](chan(p)) == rep.grid[a][b](p)
+                   for a in range(len(perm_a)) for b in range(len(perm_b)) for p in basis)
     if kind == "recompute":
         return _verify_recompute(claim, theory, wigner_reps)
     raise ParseError(f"unknown claim kind {kind!r}")
+
+
+def _is_entry(f: AffineFunctional, wigner_reps) -> bool:
+    return any(f in row for rep in wigner_reps.values() for row in rep.grid)
 
 
 def _verify_recompute(claim: dict, theory, wigner_reps) -> bool:

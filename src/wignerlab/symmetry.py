@@ -10,11 +10,18 @@ by one elimination of the square's equations, with no LP.  For a lifted
 map, Psi . W is read off the phase table (a permutation reorders W's
 functionals), not multiplied out through the 0/1 transfer matrix.  The
 covariant solver combines two exact stages: permutation channels for
-the outcome translation groups, then the linear covariance system over
-the grid functionals, solved by elimination, with a closed-form
-certificate when it is inconsistent.  This module never calls the simplex itself; the
-only LPs under it are ``find_channel``'s, for a map that its equations
-leave free (W forgets part of the state) or that no map satisfies.
+the generators of the outcome translation group S_m x S_n, then the
+linear covariance system over the grid functionals, solved by
+elimination, with a closed-form certificate when it is inconsistent.
+This module never calls the simplex itself; the only LPs under it are
+``find_channel``'s, for a map that its equations leave free (W forgets
+part of the state) or that no map satisfies.
+
+Generators decide, and no group is closed: covariance identities
+compose (W_g(a,b)(F_g p) = W_ab(p) for g and h gives it for gh and
+F_g F_h), so a grid covariant under the m + n - 2 channels of
+``product_group_generators`` is covariant under S_m x S_n.  Lifted
+symmetries compose too, so ``is_g_symmetric`` tests each generator once.
 
 A lifted permutation P has finite order, so P(W(K)) inside W(K) already
 forces P(W(K)) = W(K): permutation symmetries are the relabellings of
@@ -76,7 +83,6 @@ from .theory import (
     _functional_from_block,
     _grid_unknown_layout,
     _marginal_equalities,
-    _solves,
     are_complementary,
     find_channel,
     is_surjective,
@@ -89,7 +95,7 @@ from .wigner import SignedGrid, WignerRep, evaluate, is_faithful
 # (ext W(K) on polytopes; the center and G H^-2 G^T on balls): each one
 # costs entry comparisons, no LP.
 ENUMERATION_GUARD = 8
-GROUP_GUARD = 10_000  # closed group elements
+GROUP_GUARD = 10_000  # elements that close_group builds
 
 
 @record
@@ -518,14 +524,18 @@ def close_group(
 def is_g_symmetric(rep: WignerRep, generators: Sequence[PhasePointMap]) -> bool:
     """Is the lift of every element of the generated group a symmetry?
 
-    The whole closure is tested rather than the generators alone; this
-    is sound (symmetries compose) and catches wrong generator sets.
+    The generators decide: a product of lifted symmetries is one, and
+    every element of a finite group is a product of generators, so each
+    generator gets one ``_permutation_test`` and the group is never
+    closed.  Generators must be permutations of the phase space of ``rep``.
     """
+    for g in generators:
+        if g.shape != rep.shape or not g.is_permutation:
+            raise PreconditionError("group generators must be permutations of the phase space")
     if not generators:
         return True
-    group = close_group(generators)
     test = _permutation_test(rep)
-    return all(test(element.table) for element in group)
+    return all(test(g.table) for g in generators)
 
 
 @record
@@ -546,12 +556,6 @@ class ProductGroupElement:
     @classmethod
     def identity(cls, n_a: int, n_b: int) -> "ProductGroupElement":
         return cls(tuple(range(n_a)), tuple(range(n_b)))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm_a == tuple(range(len(self.perm_a))) and self.perm_b == tuple(
-            range(len(self.perm_b))
-        )
 
     def compose(self, other: "ProductGroupElement") -> "ProductGroupElement":
         """self after other."""
@@ -574,26 +578,16 @@ class ProductGroupElement:
             (len(self.perm_a), len(self.perm_b)), self.perm_a, self.perm_b
         )
 
-    def describe(self) -> str:
-        return f"(A:{self.perm_a}, B:{self.perm_b})"
-
-
-def _adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        out.append(tuple(perm))
-    return out
-
 
 def product_group_generators(n_a: int, n_b: int) -> list[ProductGroupElement]:
-    """Adjacent transpositions of each factor of the translation group."""
-    id_a = tuple(range(n_a))
-    id_b = tuple(range(n_b))
-    gens = [ProductGroupElement(t, id_b) for t in _adjacent_transpositions(n_a)]
-    gens += [ProductGroupElement(id_a, t) for t in _adjacent_transpositions(n_b)]
-    return gens
+    """Adjacent transpositions of A's outcomes, then of B's: they generate
+    the translation group S_m x S_n."""
+    def swaps(n):
+        return [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
+
+    id_a, id_b = tuple(range(n_a)), tuple(range(n_b))
+    return ([ProductGroupElement(t, id_b) for t in swaps(n_a)]
+            + [ProductGroupElement(id_a, t) for t in swaps(n_b)])
 
 
 def _permutation_equations(
@@ -613,7 +607,8 @@ def _permutation_equations(
 
 @record
 class PermutationAction:
-    """One channel per translation-group element, keyed by the element."""
+    """One channel per generator of the translation group, keyed by the
+    generator, in ``product_group_generators`` order."""
 
     channels: dict[ProductGroupElement, Channel]
 
@@ -630,31 +625,25 @@ def find_permutation_channels(
     space: StateSpace,
     supplied: Optional[dict[ProductGroupElement, Union[Channel, AffineMap]]] = None,
 ) -> Union[PermutationAction, PermutationObstruction]:
-    """Channels permuting the outcome statistics, for the full product of
-    the two symmetric groups.
+    """Channels permuting the outcome statistics, one per generator of
+    S_m x S_n, in ``product_group_generators`` order.
 
-    Joint informational completeness makes each channel unique when it
-    exists, so solving the generators and composing is exhaustive.  For
-    ball backends the generator channels must be supplied and are
-    verified instead of solved.  Supplying channels waives the
-    info-completeness precondition: the caller then owns the choice
-    among possibly many channels per element.
+    The generators decide (see the module docstring): the m + n - 2
+    generator channels are solved and returned, and no other element of
+    the group is built.  Joint informational completeness makes each
+    channel unique when it exists.  For ball backends the generator
+    channels must be supplied and are verified instead of solved;
+    supplied channels of other elements are ignored.  Supplying channels
+    waives the info-completeness precondition: the caller then owns the
+    choice among possibly many channels per element.
     """
     if supplied is None and not jointly_info_complete(obs_a, obs_b, space):
         raise PreconditionError(
             "permutation channels need jointly info-complete observables"
             " (or explicitly supplied channels)"
         )
-    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    if math.factorial(n_a) * math.factorial(n_b) > GROUP_GUARD:
-        raise SizeGuardError("product translation group exceeds the size guard")
-    generators = product_group_generators(n_a, n_b)
     solved: dict[ProductGroupElement, Channel] = {}
-    identity = ProductGroupElement.identity(n_a, n_b)
-    solved[identity] = Channel(
-        AffineMap.identity(space.ambient_dim), space, space
-    )
-    for gen in generators:
+    for gen in product_group_generators(obs_a.n_outcomes, obs_b.n_outcomes):
         # a bad supplied map raises, so only a solved generator is infeasible
         cand = (supplied or {}).get(gen)
         result = find_channel(
@@ -664,25 +653,6 @@ def find_permutation_channels(
         if isinstance(result, ChannelInfeasible):
             return PermutationObstruction(gen, result)
         solved[gen] = result
-    # close the set by composing generator channels
-    frontier = list(solved)
-    while frontier:
-        nxt = []
-        for gen in generators:
-            for e in frontier:
-                composed = gen.compose(e)
-                if composed not in solved:
-                    chan = Channel(
-                        solved[gen].map.compose(solved[e].map), space, space
-                    )
-                    equations = _permutation_equations(obs_a, obs_b, composed)
-                    if not _solves(equations, chan.map, affine_basis(space)):
-                        raise ArithmeticError(  # pragma: no cover - internal guard
-                            "composed channel violates its permutation equations"
-                        )
-                    solved[composed] = chan
-                    nxt.append(composed)
-        frontier = nxt
     return PermutationAction(solved)
 
 
@@ -694,7 +664,8 @@ class CovariantResult:
     hypotheses records the uniqueness assumptions that were
     checked (the solver proceeds even when complementarity or
     surjectivity fail, tagging the result).  Only "none" sets
-    ``program`` and ``certificate``.
+    ``program`` and ``certificate``; "unique" and "family" set
+    ``channels``, the generator channels of ``find_permutation_channels``.
     """
 
     kind: str
@@ -716,12 +687,14 @@ def solve_covariant(
 ) -> CovariantResult:
     """Find the covariant representation or certify there is none.
 
-    Stage 1 builds the permutation channels (outcome translations acting
-    on states); an infeasible generator yields a machine-checkable
-    Farkas certificate that no covariant representation exists.  Stage 2
+    The generators of the outcome translation group decide (see the
+    module docstring), and the group is never closed.  Stage 1 builds
+    their permutation channels (outcome translations acting on states);
+    an infeasible generator yields a machine-checkable Farkas
+    certificate that no covariant representation exists.  Stage 2
     solves the linear system of marginal identities plus the covariance
-    identities for the group generators and classifies the solution set
-    by the dimension of its restriction to aff(K).
+    identities for the generators and classifies the solution set by
+    the dimension of its restriction to aff(K).
 
     Stage 2 runs no LP.  Both marginals sum to the grid's total, so if
     S_A = sum_a A_a and S_B = sum_b B_b differ at a first coefficient k,
@@ -761,9 +734,7 @@ def solve_covariant(
     n_vars, idx = _grid_unknown_layout(n_a, n_b, dim)
     eqs = _marginal_equalities(obs_a, obs_b, n_vars, idx)
     basis = affine_basis(space)
-    generators = product_group_generators(n_a, n_b)
-    for gen in generators:
-        chan = stage1.channels[gen]
+    for gen, chan in stage1.channels.items():
         inv = gen.inverse()
         for a in range(n_a):
             for b in range(n_b):
@@ -802,7 +773,10 @@ def solve_covariant(
         if any(f(p) != 0 for f in rep_dir.functionals() for p in basis):
             genuine.append(rep_dir)
     rep = grid_from(sol.particular)
-    verified = _verify_covariant(rep, generators)
+    try:
+        verified = is_g_symmetric(rep, [gen.phase_point_map() for gen in stage1.channels])
+    except UnsupportedGeometryError:
+        verified = False
     if genuine:
         return CovariantResult(
             "family",
@@ -819,11 +793,3 @@ def solve_covariant(
         channels=stage1.channels,
         symmetries_verified=verified,
     )
-
-
-def _verify_covariant(rep: WignerRep, generators) -> bool:
-    tables = [gen.phase_point_map().table for gen in generators]
-    try:
-        return not tables or all(map(_permutation_test(rep), tables))
-    except UnsupportedGeometryError:
-        return False

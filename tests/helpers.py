@@ -68,6 +68,33 @@ def random_theory(
     return Theory(space, (obs_a, obs_b))
 
 
+def generalized_boxworld(m: int, n: int) -> Theory:
+    """Boxworld's family, the product of simplices Delta_{m-1} x Delta_{n-1}.
+
+    The vertices are (e_a, e_b) in R^{m+n-2}, where e_0 = 0 and e_k is the
+    k-th unit vector of its factor.  A (m outcomes) and B (n outcomes) are
+    the coordinate observables: A_a = x_a and A_0 = 1 - sum of A's
+    coordinates, likewise for B.  At 2 x 2 the state space is boxworld's
+    square.
+    """
+    dim = m + n - 2
+
+    def corner(k: int, at: int) -> tuple:
+        return tuple(int(k > 0 and i == at + k - 1) for i in range(dim))
+
+    space = Polytope([
+        tuple(x + y for x, y in zip(corner(a, 0), corner(b, m - 1)))
+        for a in range(m) for b in range(n)
+    ])
+
+    def observable(name: str, size: int, at: int) -> Observable:
+        coords = [AffineFunctional.coordinate(dim, at + k) for k in range(size - 1)]
+        rest = sum(coords, AffineFunctional.zero(dim))
+        return Observable(name, tuple(range(size)), (AffineFunctional.one(dim) - rest, *coords))
+
+    return Theory(space, (observable("A", m, 0), observable("B", n, m - 1)))
+
+
 def random_free_block(rng: random.Random, space, obs_a, obs_b, anchor=None):
     """Random functionals for the free slots of the family constructor."""
     alpha = obs_a.n_outcomes - 1 if anchor is None else anchor[0]

@@ -45,6 +45,11 @@ read off the ``Fraction`` rref of the points' integer differences.
 ``symmetry._permutation_test``, whose invariants (the extreme points
 of W(K), and g0 and S on balls) hold ``Fraction`` entries.
 
+``is_g_symmetric_by_closure`` is the former ``symmetry.is_g_symmetric``,
+which ran the permutation test on every element of the group that
+``close_group`` builds, against which the test of the generators alone
+is checked.
+
 ``is_psd`` is the former PSD test of ball containment, the signs of all
 2^n principal minors by Bareiss determinants (``int_det``), against
 which the symmetric elimination of ``geometry._negative_direction`` is
@@ -103,6 +108,7 @@ from wignerlab.geometry import (
     extremal_range,
     independent_affine_subset,
 )
+from wignerlab import symmetry
 from wignerlab.theory import Observable
 from wignerlab.wigner import (
     NoPositiveMember,
@@ -224,6 +230,14 @@ def fraction_permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]
         g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
         for i in range(n)
     )
+
+
+def is_g_symmetric_by_closure(rep: WignerRep, generators) -> bool:
+    """Is the lift of every element of the closed group a symmetry?"""
+    if not generators:
+        return True
+    test = symmetry._permutation_test(rep)
+    return all(test(element.table) for element in symmetry.close_group(generators))
 
 
 def check(lp: LinearProgram, x) -> bool:

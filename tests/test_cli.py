@@ -419,9 +419,9 @@ def test_covariant_family_through_the_cli(tmp_path, capsys):
     assert code == 0
     report = load_report(out)
     assert report["result"] == "family" and report["family_dimension"] == 1
-    assert [c["kind"] for c in report["claims"]] == ["covariance_identity"] * 3 + ["recompute"]
+    assert [c["kind"] for c in report["claims"]] == ["covariance_identity"] * 2 + ["recompute"]
     assert _verified(capsys, tmp_path, out) == (0, "".join(
-        f"ok    {c['id']}\n" for c in report["claims"]) + "4/4 claims verified\n")
+        f"ok    {c['id']}\n" for c in report["claims"]) + "3/3 claims verified\n")
 
 
 def test_covariant_none_when_the_effect_sums_differ(tmp_path, capsys):

@@ -6,18 +6,23 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import generalized_boxworld
 from wignerlab import catalog, exact
 from wignerlab.cli import main
 from wignerlab.exact import LinearProgram
-from wignerlab.geometry import AffineFunctional, Polytope
+from wignerlab.geometry import AffineFunctional, ExtremalValue, Polytope, affine_basis
+from wignerlab.symmetry import ProductGroupElement, product_group_generators
 from wignerlab.theory import Observable, Theory, jointly_info_complete
 from wignerlab.theoryfile import dumps
 from wignerlab.wigner import grid_rank
 from wignerlab.report import (
     _de_map,
     _de_program,
+    _generators,
+    covariance_claim,
     dump_report,
     load_report,
+    ser_extremal,
     ser_map,
     ser_program,
     verify_report,
@@ -313,3 +318,154 @@ def test_a_covariance_channel_must_map_k_into_k(tmp_path, capsys):
     claim = report["claims"][0]
     claim["channel"]["offset"][2] = "5"
     assert _failed(report) == [claim["id"]]
+
+
+@pytest.mark.parametrize("forgery", ["outside_k", "not_an_entry"])
+def test_a_negative_entry_is_a_grid_entry_at_a_state_of_k(tmp_path, capsys, forgery):
+    """x0 is entry (0, 1) of boxworld's faithful grid and negative at
+    (-5, 0), outside the square; the constant -1 is negative at the vertex
+    (1, 1) and no grid entry.  Either witness fails, and only it."""
+    report = _example_report(tmp_path, capsys, "boxworld", "wigner", "--faithful")
+    assert _failed(report) == []
+    claim = next(c for c in report["claims"] if c["kind"] == "negative_entry")
+    if forgery == "outside_k":
+        claim["functional"] = {"linear": ["1", "0"], "constant": "0"}
+        claim["state"], claim["value"] = ["-5", "0"], "-5"
+    else:
+        claim["functional"] = {"linear": ["0", "0"], "constant": "-1"}
+        claim["state"], claim["value"] = ["1", "1"], "-1"
+    assert _failed(report) == ["negativity_witness"]
+
+
+def _ball_min(functional, center, radius):
+    """The ``min`` of ``ball_entry_min`` for ``functional`` on that ball."""
+    f = AffineFunctional(tuple(map(Fraction, functional["linear"])), Fraction(functional["constant"]))
+    center = tuple(map(Fraction, center))
+    return ExtremalValue(f(center), -Fraction(radius), sum(x * x for x in f.linear))
+
+
+@pytest.mark.parametrize("forgery", ["center", "radius", "constant", "all"])
+def test_ball_entry_min_is_a_grid_entry_on_the_theory_ball(tmp_path, capsys, forgery):
+    """A witness must name the theory's ball and a grid entry.  The
+    minimum stays the true one when only the center (9, 9, 9) or the
+    radius 7 is swapped in; with the constant -1 its minimum is -1, and
+    with all three (the forgery that once verified) it is the minimum of
+    -1 over that other ball."""
+    report = _example_report(tmp_path, capsys, "qubit_ball", "wigner", "--faithful")
+    assert _failed(report) == []
+    claim = next(c for c in report["claims"] if c["kind"] == "ball_entry_min")
+    if forgery in ("constant", "all"):
+        claim["functional"] = {"linear": ["0", "0", "0"], "constant": "-1"}
+    if forgery in ("center", "all"):
+        claim["center"] = ["9", "9", "9"]
+    if forgery in ("radius", "all"):
+        claim["radius"] = "7"
+    if forgery in ("constant", "all"):
+        value = _ball_min(claim["functional"], claim["center"], claim["radius"])
+        claim["min"], claim["negative"] = ser_extremal(value), value < 0
+    assert _failed(report) == ["negativity_witness"]
+
+
+@pytest.mark.parametrize("forgery", ["constant", "center", "radius", "smaller_ball"])
+def test_ball_max_one_is_an_effect_on_the_theory_ball(tmp_path, capsys, forgery):
+    """The constant 1 reaches 1 on any ball; z/2 + 1/2 reaches 1 on the
+    theory's ball, so a claim that names another center or radius with
+    the same verdict is about another ball, and on the ball of radius
+    1/2 it misses 1.  None of these verifies."""
+    report = _example_report(tmp_path, capsys, "qubit_ball", "analyze")
+    assert _failed(report) == []
+    claim = next(c for c in report["claims"] if c["kind"] == "ball_max_one")
+    assert claim["functional"] == {"linear": ["0", "0", "1/2"], "constant": "1/2"}
+    if forgery == "constant":
+        claim["functional"] = {"linear": ["0", "0", "0"], "constant": "1"}
+    elif forgery == "center":
+        claim["center"] = ["0", "0", "1/2"]
+    else:
+        claim["radius"] = "1/2"
+        if forgery == "smaller_ball":
+            claim["verdict"] = claim["expect"] = False
+    assert _failed(report) == [claim["id"]]
+
+
+SWAP_A = "covariance[(A:(1, 0), B:(0, 1))]"
+SWAP_B = "covariance[(A:(0, 1), B:(1, 0))]"
+
+
+def _both_swap_claim(claims):
+    """The claim for the composed element (A:(1, 0), B:(1, 0)) that the
+    engine wrote before it reported generators only, with its true
+    channel: the composition of the two generator channels."""
+    box = catalog.load("boxworld").theory.state_space
+    swap_a, swap_b = (_de_map(c["channel"], "channel.") for c in claims[:2])
+    both = ProductGroupElement((1, 0), (1, 0))
+    return covariance_claim(both, swap_a.compose(swap_b), "W_covariant", affine_basis(box))
+
+
+@pytest.mark.parametrize("tamper,failing", [
+    ("drop", [SWAP_B]), ("swap", [SWAP_B]), ("delete_all", [SWAP_A, SWAP_B]),
+])
+def test_a_covariant_report_must_cover_every_generator(tmp_path, capsys, tamper, failing):
+    """Covariance under the generators is covariance under the group, so
+    a covariant report needs a claim for each generator; each missing one
+    is a failing row under the id that its claim would have had.  A
+    claim for a composed element does not stand in for a generator."""
+    report = _example_report(tmp_path, capsys, "boxworld", "covariant")
+    claims = report["claims"]
+    assert [c["id"] for c in claims] == [SWAP_A, SWAP_B, "marginals"]
+    assert _failed(report) == []
+    if tamper == "drop":
+        del claims[1]
+    elif tamper == "swap":
+        claims[1] = _both_swap_claim(claims)
+    else:
+        del claims[:2]
+    rows = verify_report(report)
+    assert [cid for cid, ok, _ in rows if not ok] == failing
+    assert len(rows) == len(report["claims"]) + len(failing)
+    assert rows[-1][2] == "no covariance claim for this generator"
+
+
+def test_a_claim_for_a_composed_element_still_verifies(tmp_path, capsys):
+    """Reports of the former engine, which also carried the composed
+    element's claim, verify in full."""
+    report = _example_report(tmp_path, capsys, "boxworld", "covariant")
+    claims = report["claims"]
+    claims.insert(2, _both_swap_claim(claims))
+    rows = verify_report(report)
+    assert [cid for cid, _, _ in rows] == [SWAP_A, SWAP_B, "covariance[(A:(1, 0), B:(1, 0))]",
+                                           "marginals"]
+    assert all(ok for _, ok, _ in rows)
+
+
+def test_a_covariance_claim_must_permute_every_outcome(tmp_path, capsys):
+    """The identity channel with perm_a = perm_b = [0] would pass the
+    identity at entry (0, 0) alone; it names no permutation of the
+    outcomes and fails."""
+    report = _example_report(tmp_path, capsys, "boxworld", "covariant")
+    extra = dict(report["claims"][0], id="extra", perm_a=[0], perm_b=[0],
+                 channel={"matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]})
+    report["claims"].append(extra)
+    assert _failed(report) == ["extra"]
+
+
+def test_verify_lists_the_generators_that_the_engine_solves():
+    """``verify`` may not load ``symmetry``, so ``report`` restates
+    ``product_group_generators``; both give the same list."""
+    for m in range(1, 6):
+        for n in range(1, 6):
+            assert _generators(m, n) == [(g.perm_a, g.perm_b)
+                                         for g in product_group_generators(m, n)]
+
+
+def test_generalized_boxworld_4x4_reports_its_six_generators(tmp_path, capsys):
+    """S_4 x S_4 has 576 elements; the report claims covariance for its 6
+    generators, in ``product_group_generators`` order, and verifies."""
+    path = tmp_path / "box44.json"
+    path.write_text(dumps(generalized_boxworld(4, 4)))
+    report = _report(capsys, ["covariant", str(path)])
+    assert report["result"] == "unique"
+    ids = [c["id"] for c in report["claims"] if c["kind"] == "covariance_identity"]
+    assert ids == [f"covariance[(A:{g.perm_a}, B:{g.perm_b})]"
+                   for g in product_group_generators(4, 4)]
+    rows = verify_report(report)
+    assert len(rows) == 7 and all(ok for _, ok, _ in rows)

@@ -13,6 +13,7 @@ import pytest
 
 import reference_kernels as ref
 from helpers import (
+    generalized_boxworld,
     qubit_ball_image,
     random_free_block,
     random_observable,
@@ -260,14 +261,54 @@ def test_group_closure_and_g_symmetry():
 
 
 def test_find_permutation_channels_boxworld():
+    """Only the two generators get channels; their composition is the
+    channel of the both-swap, which no one solves."""
     result = find_permutation_channels(OBS_A, OBS_B, SQUARE)
     assert isinstance(result, PermutationAction)
-    assert len(result.channels) == 4
     swap_a = ProductGroupElement((1, 0), (0, 1))
+    swap_b = ProductGroupElement((0, 1), (1, 0))
+    assert list(result.channels) == [swap_a, swap_b]
     chan = result.channels[swap_a]
     assert chan((0, 0)) == (F(1), F(0))
-    ident = result.channels[ProductGroupElement.identity(2, 2)]
-    assert all(ident(v) == v for v in SQUARE.vertices)
+    both = result.channels[swap_a].map.compose(result.channels[swap_b].map)
+    equations = symmetry._permutation_equations(OBS_A, OBS_B, swap_a.compose(swap_b))
+    assert theory._solves(equations, both, geometry.affine_basis(SQUARE))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
+def test_composed_generator_channels_permute_every_group_element(shape):
+    """Covariance by generators is sound: the product of generator
+    channels along any word solves the permutation equations of the
+    word's element, at the affine basis, and maps K into K."""
+    t = generalized_boxworld(*shape)
+    space = t.state_space
+    channels = find_permutation_channels(t.obs_a, t.obs_b, space).channels
+    assert list(channels) == symmetry.product_group_generators(*shape)
+    maps = {ProductGroupElement.identity(*shape): AffineMap.identity(space.ambient_dim)}
+    frontier = list(maps)
+    while frontier:
+        nxt = []
+        for gen, chan in channels.items():
+            for e in frontier:
+                composed = gen.compose(e)
+                if composed not in maps:
+                    maps[composed] = chan.map.compose(maps[e])
+                    nxt.append(composed)
+        frontier = nxt
+    assert len(maps) == math.factorial(shape[0]) * math.factorial(shape[1])
+    basis = geometry.affine_basis(space)
+    for element, m in maps.items():
+        equations = symmetry._permutation_equations(t.obs_a, t.obs_b, element)
+        assert theory._solves(equations, m, basis)
+        Channel(m, space, space)
+
+
+def test_generalized_boxworld_2x7_is_solved_by_its_generators():
+    """S_2 x S_7 has 10,080 elements; the solver touches its 7 generators."""
+    t = generalized_boxworld(2, 7)
+    result = solve_covariant(t.obs_a, t.obs_b, t.state_space)
+    assert result.kind == "unique" and result.symmetries_verified
+    assert list(result.channels) == symmetry.product_group_generators(2, 7)
 
 
 def test_find_permutation_channels_needs_info_completeness():
@@ -589,6 +630,35 @@ def test_g_symmetric_is_is_symmetry_over_the_closed_group():
         for gens in (found, rng.sample(found, 1) + rng.sample(perms, 1), rng.sample(perms, 2)):
             expected = all(is_symmetry(rep, lift(g)).ok for g in close_group(gens))
             assert is_g_symmetric(rep, gens) == expected
+
+
+def test_g_symmetric_by_generators_matches_the_closed_group():
+    """Testing each generator once decides what testing every element of
+    the closed group decided: on the lifted symmetries of the polygon
+    representations, on random subsets of them and of all permutations,
+    and on the qubit ball's G4 generators."""
+    rng = random.Random(23)
+    cases = []
+    for rep in _polygon_reps():
+        found = list(enumerate_lifted_symmetries(rep))
+        n = rep.shape[0] * rep.shape[1]
+        perms = [PhasePointMap(rep.shape, p) for p in itertools.permutations(range(n))]
+        cases += [(rep, found), (rep, rng.sample(found, rng.randint(1, len(found))))]
+        cases += [(rep, rng.sample(perms, k)) for k in (1, 2)]
+        cases.append((rep, rng.sample(found, 1) + rng.sample(perms, 1)))
+    entry = catalog.load("qubit_ball")
+    gens = [entry.named_maps[n] for n in ("phi01", "phi10", "phi11")]
+    cases += [(entry.representations["W"], gens[:k]) for k in range(4)]
+    verdicts = [is_g_symmetric(rep, g) for rep, g in cases]
+    assert verdicts == [ref.is_g_symmetric_by_closure(rep, g) for rep, g in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_g_symmetric_generators_must_permute_the_phase_space():
+    with pytest.raises(PreconditionError):
+        is_g_symmetric(W0, [PhasePointMap(SHAPE, (0, 0, 2, 3))])
+    with pytest.raises(PreconditionError):
+        is_g_symmetric(W0, [PhasePointMap.identity((1, 4))])
 
 
 def test_non_faithful_ball_is_still_unsupported():
