@@ -198,7 +198,7 @@ def _cmd_analyze(args) -> int:
         ball_max_one_claim, lp_claim, make_report, rank_claim, recompute_claim,
     )
     from .theory import (
-        Compatible, are_compatible, are_complementary, effect_span, surjectivity_details,
+        Compatible, are_compatible, are_complementary, effect_span_rank, surjectivity_details,
     )
     from .theoryfile import ser_functional, theory_to_dict
     from .wigner import faithful_choice_possible
@@ -214,19 +214,19 @@ def _cmd_analyze(args) -> int:
         names = f"{obs_a.name} and {obs_b.name}"
         if isinstance(compat, Compatible):
             joint = [[ser_functional(f) for f in row] for row in compat.joint]
-            claims.append(lp_claim("compatibility", f"{names} are compatible",
-                                   compat.program, compat, joint=joint))
+            claims.append(lp_claim("compatibility", f"{names} are compatible", compat,
+                                   joint=joint))
         else:
             claims.append(lp_claim("compatibility", f"{names} are incompatible",
-                                   compat.program, compat.certificate))
+                                   compat.certificate))
     except UnsupportedGeometryError as exc:
         notes.append(f"compatibility: {exc}")
     # one rank of the effects on aff(K) decides info_complete and faithful_choice
-    rows, den, span = effect_span(obs_a, obs_b, space)
+    span = effect_span_rank(obs_a, obs_b, space)
     fc = faithful_choice_possible(obs_a, obs_b, space, span)
     claims.append(rank_claim(
         "info_complete", "effect span restricted to aff(K) vs dim(K) + 1",
-        span == fc.space_dim + 1, rows, den, span,
+        span == fc.space_dim + 1, span,
     ))
     try:
         claims.append(recompute_claim(
@@ -244,9 +244,11 @@ def _cmd_analyze(args) -> int:
                     cid, reaches, obs.effect(outcome), space, bool(result)))
             elif isinstance(result, Infeasible):
                 claims.append(lp_claim(
-                    cid, f"{obs.name} never reaches outcome {outcome} sharply", lp, result))
+                    cid, f"{obs.name} never reaches outcome {outcome} sharply", result,
+                    observable=obs.name, outcome=outcome))
             else:
-                claims.append(lp_claim(cid, reaches, lp, result))
+                claims.append(lp_claim(cid, reaches, result, observable=obs.name,
+                                       outcome=outcome))
     claims.append(recompute_claim(
         "faithful_choice", "free slots cover the dimension gap", fc.possible,
         pair=pair, free_slots=fc.free_slots, required=fc.required,
@@ -395,8 +397,8 @@ def _cmd_symmetries(args) -> int:
             else:
                 row["transported"] = False
                 claims.append(lp_claim(f"no_transport[{phi.describe()}]",
-                                       "no channel completes the square",
-                                       result.program, result.certificate))
+                                       "no channel completes the square", result.certificate,
+                                       rep=name, table=list(phi.table)))
         entries.append(row)
     _emit(
         make_report(
@@ -509,7 +511,6 @@ def _load_channels(path: str, theory):
 
 def _cmd_covariant(args) -> int:
     from . import symmetry
-    from .geometry import affine_basis
     from .report import covariance_claim, lp_claim, make_report, recompute_claim
     from .theoryfile import ser_functional, ser_vec, theory_to_dict
 
@@ -522,12 +523,11 @@ def _cmd_covariant(args) -> int:
              for k, v in result.hypotheses.items()]
     extra = {"hypotheses": result.hypotheses, "result": result.kind}
     if result.kind == "none":
+        element = {}
         if result.obstruction is not None:
             ob = result.obstruction
-            extra["offending_element"] = {
-                "perm_a": list(ob.element.perm_a),
-                "perm_b": list(ob.element.perm_b),
-            }
+            element = {"perm_a": list(ob.element.perm_a), "perm_b": list(ob.element.perm_b)}
+            extra["offending_element"] = element
             if ob.detail.witness_point is not None:
                 extra["witness"] = {
                     "point": ser_vec(ob.detail.witness_point),
@@ -537,7 +537,7 @@ def _cmd_covariant(args) -> int:
                else "the two observables' effects have different sums")
         claims.append(lp_claim(
             "no_covariant", f"{why}, so no covariant representation exists",
-            result.program, result.certificate,
+            result.certificate, **element,
         ))
     elif result.kind == "hypothesis_failure":
         notes.append("joint informational completeness fails and no channels"
@@ -547,9 +547,8 @@ def _cmd_covariant(args) -> int:
         return 1
     name = "W_covariant"
     rep = result.rep
-    basis = affine_basis(space)
     for gen, chan in result.channels.items():
-        claims.append(covariance_claim(gen, chan.map, name, basis))
+        claims.append(covariance_claim(gen, chan.map, name))
     claims.append(recompute_claim(
         "marginals", "the covariant grid reproduces both observables", True, rep=name))
     if result.kind == "family":

@@ -27,10 +27,11 @@ feasible; with no artificial, ``x = 0`` is the witness.
 ``LinearProgram`` has one storage: each row once over the integers,
 times the lcm ``s`` of its reduced denominators (so the row, its
 right-hand side and ``s`` have gcd 1 and the form is unique).  It is
-built from rational rows or, for a report's program, straight from
-(numerator, denominator) pairs; the rational rows ``equalities`` and
-``inequalities`` are views built on demand, which the solver and the
-guards never read.  The tableau is built from these rows with
+built from rational rows, from (numerator, denominator) pairs (the
+program a format-1 report carries) or, by the constructors of
+``programs``, straight from integer rows; the rational rows
+``equalities`` and ``inequalities`` are views built on demand, which the
+solver and the guards never read.  The tableau is built from these rows with
 each starting basic column kept at coefficient 1 (rescaled by ``s``), so
 the starting basis is the identity, and the objective is the unscaled
 phase-1 reduced-cost row times its own lcm ``L``.  These scalings are
@@ -242,8 +243,9 @@ def solve_affine(a: Union[Matrix, Sequence[Sequence]], b: Sequence) -> Optional[
 class LinearProgram:
     """Feasibility program: ``row . x = rhs`` and ``row . x >= rhs`` rows.
 
-    Built from rational rows (ints, Fractions or strings; no floats) or,
-    by ``from_ratios``, from (numerator, denominator) pairs, and stored
+    Built from rational rows (ints, Fractions or strings; no floats), by
+    ``from_ratios`` from (numerator, denominator) pairs or by
+    ``from_scaled`` from integer rows already in their form, and stored
     only as ``_scaled``: equalities then inequalities as ``(s*row, s*rhs,
     s)``, the unique integer form of each row, which ``eq`` and ``hash``
     compare.
@@ -264,8 +266,14 @@ class LinearProgram:
         ``(numerator, denominator)`` of ints, denominators positive."""
         eqs = [_ratio_row(row, rhs) for row, rhs in equalities]
         ineqs = [_ratio_row(row, rhs) for row, rhs in inequalities]
+        return cls.from_scaled(n_vars, eqs + ineqs, len(eqs))
+
+    @classmethod
+    def from_scaled(cls, n_vars: int, rows, n_eq: int) -> "LinearProgram":
+        """The program of integer rows ``(s*row, s*rhs, s)``, equalities
+        first, each already in its unique form: ``s > 0`` and gcd 1."""
         lp = object.__new__(cls)
-        lp._store(n_vars, eqs + ineqs, len(eqs))
+        lp._store(n_vars, rows, n_eq)
         return lp
 
     def _store(self, n_vars, rows, n_eq):

@@ -1,0 +1,199 @@
+"""Integer constructors of every LP that a report claim is about.
+
+A claim about an LP names the arguments of its constructor here, never
+the program itself.  The engine decides with these programs, and
+``report.verify_report`` rebuilds them from the report's embedded theory
+and the claim's arguments, then checks the claim's witness or Farkas
+certificate against the rebuilt program.  So a certificate is checked
+against the input, the theory, and not against a program that the
+report supplies.
+
+- ``compatibility``: the joint-observable LP of a pair on a polytope K.
+  Its unknowns are the coefficients of the grid functionals W_ab (block
+  ``(a * n_b + b) * (dim + 1)``, the constant last, ``grid_unknowns``);
+  the marginal identities hold coefficient-wise, and every W_ab is >= 0
+  at every vertex.
+- ``marginal_program``: the marginal identities alone.  The Farkas
+  certificate of a pair whose effect sums differ lives on them.
+- ``surjectivity``: convex weights of the vertices of K at which one
+  effect takes the value 1.
+- ``channel_system`` and ``channel_program``: the facet-form LP of an
+  affine map ``m(x) = M x + t`` from a polytope into a polytope with
+  ``g(m(x)) = h(x)`` for every equation ``(g, h)``.  The system holds one
+  integer row per equation and per equality of the target's hull, with
+  one right-hand side per point of the source's affine basis; the
+  program has that system at every basis point, and one inequality per
+  source vertex and target facet.
+- ``permutation_equations``: the equations of the channel that permutes
+  the outcome statistics as a pair of outcome permutations does.
+- ``transport_equations``: the equations of a channel that completes the
+  square of a lifted phase-point map, given by its table.
+
+Each constructor writes its rows straight in the integer form of
+``LinearProgram`` (``LinearProgram.from_scaled``): a row ``r . x (= or
+>=) rhs`` as ``(s*r, s*rhs, s)`` with ``s > 0`` and gcd 1, in the same
+row order as the rational construction, so the program equals it and
+the simplex pivots the same.  There is no LP here and no elimination
+beyond the affine basis and facets that the state space keeps.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+from .exact import LinearProgram
+from .geometry import affine_basis, signed_sums, values_at
+
+
+def grid_unknowns(n_a: int, n_b: int, dim: int):
+    """``(n_vars, idx)``: the unknowns of a grid of affine functionals on
+    R^dim, and ``idx(a, b, k)``, the index of coefficient k of W_ab."""
+    width = dim + 1
+
+    def idx(a: int, b: int, k: int) -> int:
+        return (a * n_b + b) * width + k
+
+    return n_a * n_b * width, idx
+
+
+def _reduced(row, rhs: int, s: int) -> tuple[tuple[int, ...], int, int]:
+    """``(row, rhs, s)`` over their gcd."""
+    g = math.gcd(s, rhs, *row)
+    if g > 1:
+        return tuple(a // g for a in row), rhs // g, s // g
+    return tuple(row), rhs, s
+
+
+def _ints(p) -> tuple[list[int], int]:
+    """The point ``p`` as ``(q * p, q)``, q the lcm of its denominators."""
+    q = math.lcm(*(v.denominator for v in p))
+    return [v.numerator * (q // v.denominator) for v in p], q
+
+
+def _marginal_rows(obs_a, obs_b) -> tuple[int, list]:
+    """The row-sum identities of A, then the column-sums of B, one per
+    coefficient: sum_b W_ab[k] = A_a[k] and sum_a W_ab[k] = B_b[k]."""
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    n_vars, idx = grid_unknowns(n_a, n_b, obs_a.effects[0].dim)
+    rows = []
+    for obs, cells in ((obs_a, lambda i: [(i, b) for b in range(n_b)]),
+                       (obs_b, lambda i: [(a, i) for a in range(n_a)])):
+        for i, f in enumerate(obs.effects):
+            for k, c in enumerate(f.coefficients()):
+                s = c.denominator
+                row = [0] * n_vars
+                for a, b in cells(i):
+                    row[idx(a, b, k)] = s
+                rows.append((tuple(row), c.numerator, s))
+    return n_vars, rows
+
+
+def marginal_program(obs_a, obs_b) -> LinearProgram:
+    """The marginal identities of a grid for the pair, with no inequality."""
+    n_vars, rows = _marginal_rows(obs_a, obs_b)
+    return LinearProgram.from_scaled(n_vars, rows, len(rows))
+
+
+def compatibility(obs_a, obs_b, space) -> LinearProgram:
+    """The joint-observable LP of the pair on the polytope ``space``: the
+    marginal identities, then W_ab(v) >= 0 for each vertex v, a and b."""
+    n_vars, rows = _marginal_rows(obs_a, obs_b)
+    n_eq = len(rows)
+    width = obs_a.effects[0].dim + 1
+    cells = obs_a.n_outcomes * obs_b.n_outcomes
+    for v in space.vertices:
+        xs, q = _ints(v)
+        point = xs + [q]
+        for cell in range(cells):
+            row = [0] * n_vars
+            row[cell * width:(cell + 1) * width] = point
+            rows.append((tuple(row), 0, q))
+    return LinearProgram.from_scaled(n_vars, rows, n_eq)
+
+
+def surjectivity(f, space) -> LinearProgram:
+    """Convex weights ``w`` of the vertices of the polytope ``space`` with
+    ``sum_i w_i f(v_i) = 1``: that row, then ``sum_i w_i = 1``, then
+    ``w_i >= 0``."""
+    (values,), den = values_at([f], space.vertices)
+    n = len(values)
+    rows = [_reduced(values, den, den), ((1,) * n, 1, 1)]
+    rows += [(tuple(int(i == j) for j in range(n)), 0, 1) for i in range(n)]
+    return LinearProgram.from_scaled(n, rows, 2)
+
+
+def channel_system(source, target, equations) -> list[tuple[list[int], int]]:
+    """The system ``c . y_i = rhs[i]`` on the images ``y_i`` of the affine
+    basis ``p_i`` of ``source``, as int rows ``([s*c | s*rhs], s)`` with
+    ``s > 0``: ``g . y_i = h(p_i) - g0`` per equation ``(g, h)``, then the
+    equalities ``c . (scale * y) = e`` of the target's hull."""
+    basis = affine_basis(source)
+    hvals, den = values_at([h for _, h in equations], basis)
+    ints = []
+    for (g, _), hv in zip(equations, hvals):
+        t = math.lcm(*(a.denominator for a in g.coefficients()))
+        *c, g0 = (a.numerator * (t // a.denominator) for a in g.coefficients())
+        ints.append(([den * a for a in c] + [t * v - den * g0 for v in hv], den * t))
+    hrep = target._facets
+    ints += [([hrep.scale * a for a in c] + [e] * len(basis), hrep.scale)
+             for c, e in hrep.equalities]
+    return ints
+
+
+def channel_program(source, target, system) -> LinearProgram:
+    """The facet-form LP over ``M`` and ``t`` of ``m(x) = M x + t``, with
+    unknown ``k * d1 + j`` for M[k][j] and ``d2 * d1 + k`` for t[k]: each
+    row of ``system`` (``channel_system``) at each basis point, then
+    ``a . (scale * m(v)[coords]) >= b`` per source vertex and target facet."""
+    d1, d2 = source.ambient_dim, target.ambient_dim
+    n_vars = d2 * d1 + d2
+
+    def image_row(xs: Sequence[int], q: int, c: Sequence[int], coords) -> list[int]:
+        """``c . (M x + t)[coords]`` times q, for x = xs / q."""
+        row = [0] * n_vars
+        for k, ck in zip(coords, c):
+            if ck:
+                row[k * d1:(k + 1) * d1] = [ck * x for x in xs]
+                row[d2 * d1 + k] = ck * q
+        return row
+
+    basis = [_ints(p) for p in affine_basis(source)]
+    rows = []
+    for row, s in system:
+        c = row[:d2]
+        for (xs, q), r in zip(basis, row[d2:]):
+            rows.append(_reduced(image_row(xs, q, c, range(d2)), r * q, s * q))
+    n_eq = len(rows)
+    hrep = target._facets
+    s = hrep.scale
+    for v in source.vertices:
+        xs, q = _ints(v)
+        xs = [s * x for x in xs]
+        for a, b in hrep.facets:
+            # a . m(v)[coords] >= b / s, times s * q
+            rows.append(_reduced(image_row(xs, s * q, a, hrep.coords), b * q, s * q))
+    return LinearProgram.from_scaled(n_vars, rows, n_eq)
+
+
+def permutation_equations(obs_a, obs_b, perm_a: Sequence[int], perm_b: Sequence[int]):
+    """``(A_a, A_(g^-1 a))`` for every a, then likewise for B: the channel
+    F of g = (perm_a, perm_b) has A_a(F x) = A_(g^-1 a)(x)."""
+    inv_a, inv_b = [0] * len(perm_a), [0] * len(perm_b)
+    for i, t in enumerate(perm_a):
+        inv_a[t] = i
+    for i, t in enumerate(perm_b):
+        inv_b[t] = i
+    return ([(obs_a.effects[a], obs_a.effects[inv_a[a]]) for a in range(obs_a.n_outcomes)]
+            + [(obs_b.effects[b], obs_b.effects[inv_b[b]]) for b in range(obs_b.n_outcomes)])
+
+
+def transport_equations(rep, table: Sequence[int]):
+    """``(W_i, sum of the W_j with table[j] = i)`` for every flat phase
+    point i: the channel F completes the square of the lifted map,
+    W_i(F x) = (lift(table) W(x))_i."""
+    funcs = rep.functionals()
+    terms = [[] for _ in funcs]
+    for j, i in enumerate(table):
+        terms[i].append((1, funcs[j]))
+    return list(zip(funcs, signed_sums(terms, rep.state_space.ambient_dim)))

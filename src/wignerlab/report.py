@@ -1,19 +1,33 @@
 """Report documents and their re-verification.
 
-Every analysis command emits a JSON report whose verdict-bearing claims
-carry the data needed to re-check them: LP witnesses and Farkas
+Every analysis command emits a JSON report, format ``wignerlab-report/2``,
+that embeds its theory, and whose verdict-bearing claims carry the data
+needed to re-check them against that theory: LP witnesses and Farkas
 certificates are replayed by plain multiplier arithmetic (never by
 re-running the solver), rank claims by exact elimination, and
-covariance identities by evaluation at the affine basis of the
-report's state space.  A claim passes only if its data proves its
-``verdict``: an ``lp_feasible`` claim says true and an ``lp_infeasible``
-one false, and a ``rank`` claim says whether the rank is dim(K) + 1 for
-the report's K, of a matrix that must be the effects of the report's
-observable pair at the affine basis of K (``theory.effect_span``).
-Witnesses are about the report's theory: a ``negative_entry`` functional
-is an entry of the embedded grid at a state of K, and ``ball_entry_min``
-and ``ball_max_one`` carry K's own center and radius, with a grid entry
-or an effect of the pair as their functional.
+covariance identities by evaluation at the affine basis of the report's
+state space.  A claim passes only if its data proves its ``verdict``: an
+``lp_feasible`` claim says true and an ``lp_infeasible`` one false, and a
+``rank`` claim says whether the rank of the effects of the report's
+observable pair at the affine basis of K (``theory.effect_span``) is
+dim(K) + 1.  Witnesses are about the report's theory: a
+``negative_entry`` functional is an entry of the embedded grid at a
+state of K, with its value there, and ``ball_entry_min`` and
+``ball_max_one`` carry K's own center and radius, with a grid entry (and
+the minimum in normal form) or the effect that the id names as their
+functional.
+
+No claim carries an LP program.  An LP claim's id says which program of
+``programs`` it is about, and the claim names the rest of the
+constructor's arguments (``observable`` and ``outcome``; ``perm_a`` and
+``perm_b``; ``rep`` and ``table``); ``verify`` rebuilds the program from
+the embedded theory, requires the id to be the one the engine gives
+those arguments, and checks the witness or certificate against the
+rebuilt program, multiplier counts included (``_program``).  Format-1
+reports (``wignerlab-report/1``) still verify: their LP claims carry a
+program and name their arguments by their id alone (``_legacy_args``),
+and a carried program must equal the rebuilt one, as a carried rank
+matrix must equal the rebuilt effects.
 
 Generators decide covariance.  Covariance identities compose, so a
 ``covariant`` report that embeds a representation needs a
@@ -34,8 +48,10 @@ Not every LP answer comes from the simplex.  Surjectivity witnesses and
 certificates are built from the vertex values of each effect, and the
 certificate of a channel that its equations fix but that leaves the
 target (``no_covariant``, ``no_transport``) from the violated facet by
-elimination; every one passes the same guard as a simplex answer, and
-``verify`` cannot tell them apart.
+elimination, and that of effect sums that differ (``no_covariant``
+without a generator) on the marginal identities in closed form; every
+one passes the same guard as a simplex answer, and ``verify`` cannot
+tell them apart.
 
 ``dump_report`` writes ``{``, then one line per top-level key, in the
 report's order, then ``}``.  The ``claims`` list spans lines of its own:
@@ -47,9 +63,10 @@ JSON from ``json.dumps``.  ``load_report`` reads any JSON layout, an
 from __future__ import annotations
 
 import json
-import math
+import re
 from typing import Optional
 
+from . import programs
 from .errors import ParseError
 from .exact import QQ, Infeasible, LinearProgram, Matrix, vec_dot, verify_certificate
 from .geometry import (
@@ -73,7 +90,8 @@ from .wigner import (
     is_positive,
 )
 
-FORMAT = "wignerlab-report/1"
+FORMAT = "wignerlab-report/2"
+FORMAT_1 = "wignerlab-report/1"  # LP claims carry their program and name it by their id
 
 
 def ser_map(m: AffineMap) -> dict:
@@ -86,24 +104,6 @@ def ser_violation(v) -> dict:
         "kind": v.kind,
         "message": v.message,
         "witness": ser_vec(v.witness) if v.witness else None,
-    }
-
-
-def _ser_ratio(a: int, s: int) -> str:
-    """``a/s`` in lowest terms, as ``rational_to_str`` writes it."""
-    g = math.gcd(a, s)
-    return str(a // g) if g == s else f"{a // g}/{s // g}"
-
-
-def ser_program(lp: LinearProgram) -> dict:
-    """The program written straight from its integer rows ``(s*row, s*rhs, s)``."""
-    rows = [
-        [[_ser_ratio(a, s) for a in row], _ser_ratio(rhs, s)] for row, rhs, s in lp._scaled
-    ]
-    return {
-        "n_vars": lp.n_vars,
-        "equalities": rows[:lp._n_eq],
-        "inequalities": rows[lp._n_eq:],
     }
 
 
@@ -163,12 +163,9 @@ def _de_certificate(obj, path="certificate") -> Infeasible:
     )
 
 
-def _de_extremal(obj, path="value"):
-    return ExtremalValue(
-        parse_rational(obj["rational"], path),
-        parse_rational(obj["radical"], path),
-        parse_rational(obj["radicand"], path),
-    )
+def _de_extremal(obj, path="value") -> tuple:
+    """The three parts of an ``ExtremalValue`` as written, not normalized."""
+    return tuple(parse_rational(obj[k], path) for k in ("rational", "radical", "radicand"))
 
 
 def make_report(command: str, theory_dict: Optional[dict], claims: list[dict],
@@ -205,8 +202,8 @@ def load_report(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
-    if not isinstance(data, dict) or data.get("format") != FORMAT:
-        raise ParseError(f"not a {FORMAT} document")
+    if not isinstance(data, dict) or data.get("format") not in (FORMAT, FORMAT_1):
+        raise ParseError(f"not a {FORMAT} (or {FORMAT_1}) document")
     claims = data.get("claims")
     if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
         raise ParseError("expected a list of claim objects", path="claims")
@@ -224,10 +221,13 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
     returns (claim id, ok, detail) rows."""
     theory, wigner = theory_from_dict(report["theory"])
     wigner_reps: dict[str, WignerRep] = dict([wigner]) if wigner is not None else {}
+    legacy = report["format"] == FORMAT_1
     rows = []
     for claim in report["claims"]:
         cid = claim["id"]
         try:
+            if legacy and claim["kind"] in ("lp_feasible", "lp_infeasible"):
+                claim = {**_legacy_args(claim, report, theory, wigner_reps), **claim}
             ok = _verify_claim(claim, theory, wigner_reps)
             rows.append((cid, ok, "" if ok else "claim data does not re-verify"))
         except Exception as exc:  # noqa: BLE001 - report must not crash
@@ -256,6 +256,79 @@ def _covariance_id(perm_a, perm_b) -> str:
     return f"covariance[(A:{tuple(perm_a)}, B:{tuple(perm_b)})]"
 
 
+def _surjective_id(observable: str, outcome) -> str:
+    return f"surjective[{observable}][{outcome}]"
+
+
+def _transport_id(n_b: int, table) -> str:
+    """``no_transport[...]`` with ``PhasePointMap.describe`` of the table."""
+    moved = [f"{divmod(i, n_b)}->{divmod(t, n_b)}" for i, t in enumerate(table) if i != t]
+    return f"no_transport[{', '.join(moved) or 'id'}]"
+
+
+_MOVE = re.compile(r"\((\d+), (\d+)\)->\((\d+), (\d+)\)")
+
+
+def _surjective_args(cid: str, theory) -> dict:
+    """The observable of the pair and the outcome that ``cid`` names."""
+    return next(({"observable": obs.name, "outcome": outcome}
+                 for obs in (theory.obs_a, theory.obs_b) for outcome in obs.outcomes
+                 if cid == _surjective_id(obs.name, outcome)), {})
+
+
+def _legacy_args(claim: dict, report: dict, theory, wigner_reps) -> dict:
+    """The constructor arguments of a format-1 LP claim, which names them
+    only by its id and, for ``no_covariant``, the report's
+    ``offending_element``."""
+    cid = claim["id"]
+    if cid.startswith("surjective["):
+        return _surjective_args(cid, theory)
+    if cid.startswith("no_transport["):
+        (name, rep), = wigner_reps.items()  # a symmetries report embeds one
+        n_b = rep.shape[1]
+        table = list(range(rep.shape[0] * n_b))
+        for a, b, a2, b2 in _MOVE.findall(cid):
+            table[int(a) * n_b + int(b)] = int(a2) * n_b + int(b2)
+        return {"rep": name, "table": table}
+    if cid == "no_covariant":
+        return dict(report.get("offending_element") or {})
+    return {}
+
+
+def _program(claim: dict, theory, wigner_reps) -> Optional[LinearProgram]:
+    """The program an LP claim is about, rebuilt by ``programs`` from the
+    report's theory and the arguments the claim names; None when they
+    name no permutation or the id is not the one the engine gives them."""
+    cid = claim["id"]
+    space = theory.state_space
+    obs_a, obs_b = theory.obs_a, theory.obs_b
+    if cid == "compatibility":
+        return programs.compatibility(obs_a, obs_b, space)
+    if cid == "no_covariant" and "perm_a" not in claim:
+        # the effect sums differ: the certificate lives on the marginals
+        return programs.marginal_program(obs_a, obs_b)
+    if cid == "no_covariant":
+        perm_a, perm_b = claim["perm_a"], claim["perm_b"]
+        if [sorted(perm_a), sorted(perm_b)] != [list(range(obs_a.n_outcomes)),
+                                                 list(range(obs_b.n_outcomes))]:
+            return None
+        equations = programs.permutation_equations(obs_a, obs_b, perm_a, perm_b)
+    elif cid.startswith("surjective["):
+        name, outcome = claim["observable"], claim["outcome"]
+        if cid != _surjective_id(name, outcome):
+            return None
+        return programs.surjectivity(theory.observable(name).effect(outcome), space)
+    elif cid.startswith("no_transport["):
+        rep, table = wigner_reps[claim["rep"]], claim["table"]
+        if sorted(table) != list(range(len(rep.functionals()))) or cid != _transport_id(
+                rep.shape[1], table):
+            return None
+        equations = programs.transport_equations(rep, table)
+    else:
+        raise ParseError(f"no program for claim {cid!r}")
+    return programs.channel_program(space, space, programs.channel_system(space, space, equations))
+
+
 # Claim builders: one per claim kind, from the engine's results, in the
 # order of the ``_verify_claim`` branches that replay them.
 
@@ -265,22 +338,26 @@ def _claim(cid: str, kind: str, statement: str, verdict: bool, **data) -> dict:
     return {"id": cid, "kind": kind, "statement": statement, "verdict": verdict, **data}
 
 
-def lp_claim(cid: str, statement: str, program: LinearProgram, result, **extra) -> dict:
+def lp_claim(cid: str, statement: str, result, joint=None, **args) -> dict:
     """``lp_infeasible`` with the Farkas certificate when ``result`` is an
-    ``Infeasible``, else ``lp_feasible`` with ``result.witness``; the
-    ``extra`` keys follow."""
+    ``Infeasible``, else ``lp_feasible`` with ``result.witness`` and then
+    the ``joint`` grid it holds, if given.  The ``args`` keys name the
+    arguments of the program's constructor in ``programs``, beyond what
+    the id and the report's theory say; ``verify`` rebuilds the program
+    from them."""
     if isinstance(result, Infeasible):
-        return _claim(cid, "lp_infeasible", statement, False, program=ser_program(program),
-                      certificate=ser_certificate(result), **extra)
-    return _claim(cid, "lp_feasible", statement, True, program=ser_program(program),
-                  witness=ser_vec(result.witness), **extra)
+        return _claim(cid, "lp_infeasible", statement, False, **args,
+                      certificate=ser_certificate(result))
+    claim = _claim(cid, "lp_feasible", statement, True, **args, witness=ser_vec(result.witness))
+    if joint is not None:
+        claim["joint"] = joint
+    return claim
 
 
-def rank_claim(cid: str, statement: str, verdict: bool, rows, den: int, matrix_rank: int) -> dict:
-    """The rank of ``rows / den``: integer rows over one positive
-    denominator, as ``values_at`` returns them."""
-    matrix = [[_ser_ratio(a, den) for a in row] for row in rows]
-    return _claim(cid, "rank", statement, verdict, matrix=matrix, rank=matrix_rank)
+def rank_claim(cid: str, statement: str, verdict: bool, matrix_rank: int) -> dict:
+    """The rank of the effects of the report's pair at the affine basis of
+    its K (``theory.effect_span``), which ``verify`` rebuilds."""
+    return _claim(cid, "rank", statement, verdict, rank=matrix_rank)
 
 
 def negativity_claim(rep, witness) -> dict:
@@ -308,13 +385,13 @@ def ball_max_one_claim(cid: str, statement: str, f: AffineFunctional, ball,
                   expect=reaches)
 
 
-def covariance_claim(element, channel: AffineMap, rep_name: str, basis) -> dict:
+def covariance_claim(element, channel: AffineMap, rep_name: str) -> dict:
     """The grid of ``rep_name`` permutes with ``channel`` as ``element``
-    permutes the outcomes, checked at each point of ``basis``."""
+    permutes the outcomes; ``verify`` checks it at the affine basis of K."""
     return _claim(_covariance_id(element.perm_a, element.perm_b), "covariance_identity",
                   "grid entries permute with the channel", True, rep=rep_name,
                   perm_a=list(element.perm_a), perm_b=list(element.perm_b),
-                  channel=ser_map(channel), basis=[ser_vec(p) for p in basis])
+                  channel=ser_map(channel))
 
 
 def recompute_claim(what: str, statement: str, verdict, pair=None, rep=None, **extra) -> dict:
@@ -335,19 +412,22 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
     """Does the claim's data prove what its ``verdict`` says?"""
     kind = claim["kind"]
     verdict = claim["verdict"]
-    if kind == "lp_infeasible":
-        lp = _de_program(claim["program"])
-        cert = _de_certificate(claim["certificate"])
-        return verdict is False and verify_certificate(lp, cert)
-    if kind == "lp_feasible":
-        lp = _de_program(claim["program"])
-        return verdict is True and lp.check(_de_vec(claim["witness"], "witness"))
+    if kind in ("lp_feasible", "lp_infeasible"):
+        lp = _program(claim, theory, wigner_reps)
+        # a format-1 claim carries its program, which must be the rebuilt one
+        if lp is None or ("program" in claim and _de_program(claim["program"]) != lp):
+            return False
+        if kind == "lp_infeasible":
+            return verdict is False and verify_certificate(lp, _de_certificate(claim["certificate"]))
+        witness = _de_vec(claim["witness"], "witness")
+        return (verdict is True and lp.check(witness)
+                and ("joint" not in claim or _is_joint(claim["joint"], witness, theory)))
     if kind == "rank":
-        # the matrix must be the effects of the theory's pair at aff(K)'s
-        # basis, whose exact rank effect_span computes
-        matrix = [_de_vec(row, "matrix") for row in claim["matrix"]]
+        # the rank of the effects of the theory's pair at aff(K)'s basis;
+        # a format-1 claim also carries those effects as its matrix
         rows, den, span = effect_span(theory.obs_a, theory.obs_b, theory.state_space)
-        if matrix != [tuple(QQ(a, den) for a in row) for row in rows]:
+        if "matrix" in claim and [_de_vec(row, "matrix") for row in claim["matrix"]] != [
+                tuple(QQ(a, den) for a in row) for row in rows]:
             return False
         full = span == dimension(theory.state_space) + 1
         return int(claim["rank"]) == span and verdict is full
@@ -356,13 +436,19 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
     if kind == "negative_entry":
         f = _de_functional(claim["functional"], "functional")
         state = _de_vec(claim["state"], "state")
+        value = parse_rational(claim["value"], "value")
         return (verdict is True and _is_entry(f, wigner_reps)
-                and contains(theory.state_space, state) and f(state) < 0)
+                and contains(theory.state_space, state) and f(state) == value < 0)
     if kind in ("ball_entry_min", "ball_max_one"):
         f = _de_functional(claim["functional"], "functional")
         ball = theory.state_space
-        bound = (f in theory.obs_a.effects + theory.obs_b.effects if kind == "ball_max_one"
-                 else _is_entry(f, wigner_reps))
+        if kind == "ball_max_one":
+            # the effect of the outcome that the id names
+            args = _surjective_args(claim["id"], theory)
+            bound = bool(args) and f == theory.observable(args["observable"]).effect(
+                args["outcome"])
+        else:
+            bound = _is_entry(f, wigner_reps)
         if not (bound and isinstance(ball, Ball)
                 and _de_vec(claim["center"], "center") == ball.center
                 and parse_rational(claim["radius"], "radius") == ball.radius):
@@ -372,7 +458,9 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
             reaches = ExtremalValue(f(ball.center), ball.radius, norm_sq).compare(1) == 0
             return verdict is reaches and bool(claim["expect"]) == reaches
         actual = ExtremalValue(f(ball.center), -ball.radius, norm_sq)
-        if verdict is not True or actual != _de_extremal(claim["min"]):
+        # the minimum as written must be the normal form of the actual one
+        written = (actual.rational_part, actual.radical_part, actual.radicand)
+        if verdict is not True or written != _de_extremal(claim["min"]):
             return False
         if "negative" in claim:
             return (actual < 0) == bool(claim["negative"])
@@ -397,6 +485,17 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
 
 def _is_entry(f: AffineFunctional, wigner_reps) -> bool:
     return any(f in row for rep in wigner_reps.values() for row in rep.grid)
+
+
+def _is_joint(joint, witness, theory) -> bool:
+    """Is ``joint`` the grid of functionals whose coefficients, block by
+    block (``programs.grid_unknowns``), are the witness?"""
+    n_a, n_b = theory.obs_a.n_outcomes, theory.obs_b.n_outcomes
+    width = len(witness) // (n_a * n_b)
+    if [len(row) for row in joint] != [n_b] * n_a:
+        return False
+    flat = [_de_functional(f, "joint").coefficients() for row in joint for f in row]
+    return all(f == witness[i * width:(i + 1) * width] for i, f in enumerate(flat))
 
 
 def _verify_recompute(claim: dict, theory, wigner_reps) -> bool:

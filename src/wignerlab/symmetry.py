@@ -73,22 +73,20 @@ from .geometry import (
     contains,
     dimension,
     map_into,
-    signed_sums,
     values_at,
 )
+from .programs import grid_unknowns, marginal_program, permutation_equations, transport_equations
 from .theory import (
     Channel,
     ChannelInfeasible,
     Observable,
     _functional_from_block,
-    _grid_unknown_layout,
-    _marginal_equalities,
     are_complementary,
     find_channel,
     is_surjective,
     jointly_info_complete,
 )
-from .wigner import SignedGrid, WignerRep, evaluate, is_faithful
+from .wigner import SignedGrid, WignerRep, evaluate
 
 # phase points; 8! permutations is the ceiling.  A permutation has finite
 # order, so it is a symmetry iff it fixes an invariant of W(K) built once
@@ -254,11 +252,11 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
             if mapped not in known and not contains(hull, mapped):
                 return SymmetryCheck(False, v, _grid_of_flat(mapped, rep.shape))
         return SymmetryCheck(True)
-    if not is_faithful(rep):
+    chart = _chart(rep)
+    if chart is None:
         raise UnsupportedGeometryError(
             "unsupported: ball symmetry testing needs a faithful representation"
         )
-    chart = _chart(rep)
     pulled = _pull_back(chart, m)
     if pulled is None:
         # some mapped image point left the affine hull of W(K)
@@ -296,10 +294,14 @@ class _Chart(NamedTuple):
         return [tuple(QQ(v, self.den) for v in w) for w in self.images]
 
 
-def _chart(rep: WignerRep) -> _Chart:
+def _chart(rep: WignerRep) -> Optional[_Chart]:
+    """The chart of W, or None when W is not faithful: faithful means
+    that its values at the basis have rank dim(K) + 1 (``is_faithful``)."""
     basis = affine_basis(rep.state_space)
     vals, den = values_at(rep.functionals(), basis)
     images = list(zip(*vals))
+    if bareiss_rank(vals) != len(basis):  # it eliminates vals in place
+        return None
     cols = [[a - b for a, b in zip(w, images[0])] for w in images[1:]]
     # [G^T G | G^T] times den^2 and den reduces to [I | G+ / den]
     aug = [[sum(map(operator.mul, u, v)) for v in cols] + u for u in cols]
@@ -375,11 +377,11 @@ def _permutation_test(
 
         return fixes_ext
     if chart is None:
-        if not is_faithful(rep):
+        chart = _chart(rep)
+        if chart is None:
             raise UnsupportedGeometryError(
                 "unsupported: ball symmetry testing needs a faithful representation"
             )
-        chart = _chart(rep)
     g0 = chart.images[0]
     gplus_cols = list(zip(*chart.gplus))
     # G H^-2 G^T = G+^T G+, times (gden / den)^2
@@ -429,15 +431,12 @@ def find_transported_channel(
     space = rep.state_space
     if not isinstance(space, Polytope):
         raise UnsupportedGeometryError("transported-channel solving needs a polytope")
-    funcs = rep.functionals()
     if isinstance(psi, LiftedMap):
-        terms = [[] for _ in funcs]
-        for j, i in enumerate(psi.phase_map.table):
-            terms[i].append((1, funcs[j]))
-        targets = signed_sums(terms, space.ambient_dim)
+        equations = transport_equations(rep, psi.phase_map.table)
     else:
-        targets = composed_with_rep(rep, psi)
-    return find_channel(space, space, list(zip(funcs, targets)))
+        funcs = rep.functionals()
+        equations = list(zip(funcs, composed_with_rep(rep, psi)))
+    return find_channel(space, space, equations)
 
 
 @record
@@ -481,9 +480,9 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
     """
     if not phi.is_permutation:
         raise PreconditionError("induced actions need permutation phase maps")
-    if not is_faithful(rep):
-        raise PreconditionError("induced actions need a faithful representation")
     chart = _chart(rep)
+    if chart is None:
+        raise PreconditionError("induced actions need a faithful representation")
     if not _permutation_test(rep, chart)(phi.table):
         raise PreconditionError("the lifted map is not a symmetry of W")
     m = _pull_back(chart, lift(phi).as_affine_map())
@@ -590,21 +589,6 @@ def product_group_generators(n_a: int, n_b: int) -> list[ProductGroupElement]:
             + [ProductGroupElement(id_a, t) for t in swaps(n_b)])
 
 
-def _permutation_equations(
-    obs_a: Observable, obs_b: Observable, element: ProductGroupElement
-) -> list[tuple[AffineFunctional, AffineFunctional]]:
-    inv = element.inverse()
-    eqs = [
-        (obs_a.effects[a], obs_a.effects[inv.perm_a[a]])
-        for a in range(obs_a.n_outcomes)
-    ]
-    eqs += [
-        (obs_b.effects[b], obs_b.effects[inv.perm_b[b]])
-        for b in range(obs_b.n_outcomes)
-    ]
-    return eqs
-
-
 @record
 class PermutationAction:
     """One channel per generator of the translation group, keyed by the
@@ -647,7 +631,7 @@ def find_permutation_channels(
         # a bad supplied map raises, so only a solved generator is infeasible
         cand = (supplied or {}).get(gen)
         result = find_channel(
-            space, space, _permutation_equations(obs_a, obs_b, gen),
+            space, space, permutation_equations(obs_a, obs_b, gen.perm_a, gen.perm_b),
             candidate=cand.map if isinstance(cand, Channel) else cand,
         )
         if isinstance(result, ChannelInfeasible):
@@ -699,7 +683,9 @@ def solve_covariant(
     Stage 2 runs no LP.  Both marginals sum to the grid's total, so if
     S_A = sum_a A_a and S_B = sum_b B_b differ at a first coefficient k,
     +1 on the row and -1 on the column marginals at k (negated if needed)
-    is a Farkas certificate with gap |S_A[k] - S_B[k]|.  If S_A = S_B = S,
+    is a Farkas certificate with gap |S_A[k] - S_B[k]| for the marginal
+    system alone (``programs.marginal_program``), which is the reported
+    program: the covariance rows need the solved channels.  If S_A = S_B = S,
     W0_ab = A_a/n_b + B_b/n_a - S/(n_a n_b) has both marginals, and it is
     covariant: stage 1 imposes A_a(F p) = A_(g^-1 a)(p) and likewise for B
     at the basis points, so S(F p) = S(p) and W0_ab(F p) = W0_(g^-1(a,
@@ -731,8 +717,18 @@ def solve_covariant(
         )
     n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
     dim = space.ambient_dim
-    n_vars, idx = _grid_unknown_layout(n_a, n_b, dim)
-    eqs = _marginal_equalities(obs_a, obs_b, n_vars, idx)
+    n_vars, idx = grid_unknowns(n_a, n_b, dim)
+    marginals = marginal_program(obs_a, obs_b)
+    sum_a, sum_b = (sum(o.effects[1:], o.effects[0]).coefficients() for o in (obs_a, obs_b))
+    if sum_a != sum_b:
+        k = next(k for k, (x, y) in enumerate(zip(sum_a, sum_b)) if x != y)
+        sign = 1 if sum_a[k] > sum_b[k] else -1
+        mults = [QQ(0)] * (n_a + n_b) * (dim + 1)  # row i at coefficient k is i * (dim + 1) + k
+        for i in range(n_a + n_b):
+            mults[i * (dim + 1) + k] = QQ(sign if i < n_a else -sign)
+        cert = checked(marginals, Infeasible(tuple(mults), (), abs(sum_a[k] - sum_b[k])))
+        return CovariantResult("none", hyps, certificate=cert, program=marginals)
+    eqs = list(marginals.equalities)
     basis = affine_basis(space)
     for gen, chan in stage1.channels.items():
         inv = gen.inverse()
@@ -748,16 +744,6 @@ def solve_covariant(
                     row[idx(a, b, dim)] += QQ(1)
                     row[idx(src[0], src[1], dim)] -= QQ(1)
                     eqs.append((tuple(row), QQ(0)))
-    sum_a, sum_b = (sum(o.effects[1:], o.effects[0]).coefficients() for o in (obs_a, obs_b))
-    if sum_a != sum_b:
-        k = next(k for k, (x, y) in enumerate(zip(sum_a, sum_b)) if x != y)
-        sign = 1 if sum_a[k] > sum_b[k] else -1
-        mults = [QQ(0)] * len(eqs)  # marginal row i at coefficient k is row i * (dim + 1) + k
-        for i in range(n_a + n_b):
-            mults[i * (dim + 1) + k] = QQ(sign if i < n_a else -sign)
-        program = LinearProgram(n_vars, tuple(eqs), ())
-        cert = checked(program, Infeasible(tuple(mults), (), abs(sum_a[k] - sum_b[k])))
-        return CovariantResult("none", hyps, certificate=cert, program=program)
     sol = solve_affine([row for row, _ in eqs], [rhs for _, rhs in eqs])
 
     def grid_from(coeffs) -> WignerRep:

@@ -4,31 +4,33 @@ An observable is a finite outcome list with one affine effect per
 outcome; validity on a state space means every effect stays in [0, 1]
 and the effects sum to the constant-one functional coefficient-wise.
 Compatibility of two observables is an exact LP feasibility question,
-and so is channel existence unless the channel's equations fix the map
-on the source's hull: one integer elimination then fixes the images of
-the source's affine basis, ``_fixed_map`` interpolates them with the
-integer rows of ``geometry.basis_interpolation`` (one ``Fraction`` per
-coefficient, no second elimination), and if that map leaves the target
-the Farkas certificate of the channel LP is built from the violated
-facet.  ``are_compatible`` and ``find_channel`` are the only
-callers of ``lp_feasible`` in the engine; a positive Wigner
+on the program of ``programs.compatibility``, and so is channel
+existence (``programs.channel_program``) unless the channel's equations
+fix the map on the source's hull: one integer elimination then fixes
+the images of the source's affine basis, ``_fixed_map`` interpolates
+them with the integer rows of ``geometry.basis_interpolation`` (one
+``Fraction`` per coefficient, no second elimination), and if that map
+leaves the target the Farkas certificate of the channel LP is built
+from the violated facet.  ``are_compatible`` and ``find_channel`` are
+the only callers of ``lp_feasible`` in the engine; a positive Wigner
 representation is a joint observable, so ``wigner.positive_member``
 reads the compatibility LP.  Surjectivity is decided by the effects'
-values at the vertices, and its convex-weights LP gets a witness or
-certificate in closed form.  Every LP answer built without the simplex
-passes the same guard as ``lp_feasible``'s (``exact.checked``).  Joint
-informational completeness and complementarity reduce to exact rank
+values at the vertices, and its convex-weights LP
+(``programs.surjectivity``) gets a witness or certificate in closed
+form.  Every LP answer built without the simplex passes the same guard
+as ``lp_feasible``'s (``exact.checked``).  Joint informational
+completeness and complementarity reduce to exact rank
 and face computations.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, rref
 from ._record import record
+from . import programs
 from .errors import ContainmentError, DomainError, PreconditionError, UnsupportedGeometryError
 from .exact import (
     QQ,
@@ -216,39 +218,6 @@ class Incompatible:
     certificate: Infeasible
 
 
-def _grid_unknown_layout(n_a: int, n_b: int, dim: int):
-    width = dim + 1
-
-    def idx(a: int, b: int, k: int) -> int:
-        return (a * n_b + b) * width + k
-
-    return n_a * n_b * width, idx
-
-
-def _marginal_equalities(
-    obs_a: Observable, obs_b: Observable, n_vars: int, idx
-) -> list[tuple[Vec, QQ]]:
-    """Coefficient-wise row-sum and column-sum identities."""
-    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    dim = obs_a.effects[0].dim
-    eqs = []
-    for a in range(n_a):
-        coeffs = obs_a.effects[a].coefficients()
-        for k in range(dim + 1):
-            row = [QQ(0)] * n_vars
-            for b in range(n_b):
-                row[idx(a, b, k)] = QQ(1)
-            eqs.append((tuple(row), coeffs[k]))
-    for b in range(n_b):
-        coeffs = obs_b.effects[b].coefficients()
-        for k in range(dim + 1):
-            row = [QQ(0)] * n_vars
-            for a in range(n_a):
-                row[idx(a, b, k)] = QQ(1)
-            eqs.append((tuple(row), coeffs[k]))
-    return eqs
-
-
 def _functional_from_block(witness: Vec, idx, a: int, b: int, dim: int) -> AffineFunctional:
     return AffineFunctional(
         tuple(witness[idx(a, b, k)] for k in range(dim)), witness[idx(a, b, dim)]
@@ -270,18 +239,8 @@ def are_compatible(
         )
     n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
     dim = space.ambient_dim
-    n_vars, idx = _grid_unknown_layout(n_a, n_b, dim)
-    eqs = _marginal_equalities(obs_a, obs_b, n_vars, idx)
-    ineqs = []
-    for v in space.vertices:
-        point = v + (QQ(1),)
-        for a in range(n_a):
-            for b in range(n_b):
-                row = [QQ(0)] * n_vars
-                for k in range(dim + 1):
-                    row[idx(a, b, k)] = point[k]
-                ineqs.append((tuple(row), QQ(0)))
-    lp = LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
+    _, idx = programs.grid_unknowns(n_a, n_b, dim)
+    lp = programs.compatibility(obs_a, obs_b, space)
     result = lp_feasible(lp)
     if isinstance(result, Infeasible):
         return Incompatible(lp, result)
@@ -377,12 +336,9 @@ def surjectivity_details(obs: Observable, space: StateSpace) -> list[tuple]:
             _, hi = extremal_range(space, f)
             rows.append((outcome, None, hi.compare(1) == 0))
         return rows
-    n = len(space.vertices)
     for outcome, f in zip(obs.outcomes, obs.effects):
-        values = tuple(f(v) for v in space.vertices)
-        eqs = [(values, QQ(1)), ((QQ(1),) * n, QQ(1))]
-        ineqs = [(unit(n, i), QQ(0)) for i in range(n)]
-        lp = LinearProgram(n, tuple(eqs), tuple(ineqs))
+        lp = programs.surjectivity(f, space)
+        values, _ = lp.equalities[0]
         rows.append((outcome, lp, checked(lp, _reach_one(values))))
     return rows
 
@@ -481,9 +437,9 @@ def find_channel(
     h(p_i)`` per equation and the target's hull equalities.  If one rref
     of it, with a right-hand side per basis point, fixes them and their
     map sends the source into the target, that map is the channel.
-    The claim's program is one LP in facet form, over ``M`` and ``t`` of
-    ``m(x) = M x + t``: the system at the basis and one inequality per
-    source vertex and target facet.  If the fixed map leaves the target,
+    The claim's program is ``programs.channel_program``, one LP in facet
+    form over ``M`` and ``t`` of ``m(x) = M x + t``: the system at the
+    basis and one inequality per source vertex and target facet.  If the fixed map leaves the target,
     its Farkas certificate is built from the violated facet at the
     leaving vertex (``_leaving_certificate``).  Free maps and
     inconsistent equations solve the LP, and a feasible LP's channel is
@@ -501,18 +457,7 @@ def find_channel(
         return _verify_candidate(source, target, equations, candidate)
     basis = affine_basis(source)
     d1, d2 = source.ambient_dim, target.ambient_dim
-    n_vars = d2 * d1 + d2
-    hrep = target._facets
-    # c . y_i = rhs[i] as int rows [s*c | s*rhs] with s > 0: g . y_i =
-    # h(p_i) - g0 times den * t per equation, then the hull's c . (scale*y) = e
-    hvals, den = values_at([h for _, h in equations], basis)
-    ints = []
-    for (g, _), hv in zip(equations, hvals):
-        t = math.lcm(*(a.denominator for a in g.coefficients()))
-        *c, g0 = (a.numerator * (t // a.denominator) for a in g.coefficients())
-        ints.append(([den * a for a in c] + [t * v - den * g0 for v in hv], den * t))
-    ints += [([hrep.scale * a for a in c] + [e] * len(basis), hrep.scale)
-             for c, e in hrep.equalities]
+    ints = programs.channel_system(source, target, equations)
     fixed = _fixed_map(source, ints, d2)
     leaves = None
     if fixed is not None:
@@ -520,32 +465,12 @@ def find_channel(
             return Channel(fixed, source, target)
         except ContainmentError as exc:
             leaves = exc  # the fixed map leaves the target: certified below
-    # the LP's rows are the rational system
-    system = [(tuple(QQ(a, s) for a in row[:d2]), [QQ(b, s) for b in row[d2:]])
-              for row, s in ints]
-
-    def image_row(p: Vec, c: Sequence, coords=range(d2)) -> tuple:
-        """Coefficients of ``c . (M p + t)[coords]`` in the unknowns."""
-        row = [QQ(0)] * n_vars
-        for k, ck in zip(coords, c):
-            if ck:
-                row[k * d1:(k + 1) * d1] = [ck * x for x in p]
-                row[d2 * d1 + k] = ck
-        return tuple(row)
-
-    eqs = [(image_row(p, c), r) for c, rhs in system for p, r in zip(basis, rhs)]
-    # a . (scale * y[coords]) >= b at every vertex image
-    ineqs = [
-        (image_row(v, a, hrep.coords), QQ(b, hrep.scale))
-        for v in source.vertices
-        for a, b in hrep.facets
-    ]
-    lp = LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
+    lp = programs.channel_program(source, target, ints)
     if leaves is None:
         result = lp_feasible(lp)
     else:
         v, img = leaves.witness_point, leaves.witness_image
-        result = checked(lp, _leaving_certificate(source, hrep, basis, system, v, img))
+        result = checked(lp, _leaving_certificate(source, target._facets, basis, ints, v, img))
     if isinstance(result, Infeasible):
         wp, wi = _unconstrained_witness(source, target, ints[:len(equations)])
         return ChannelInfeasible(lp, result, wp, wi)
@@ -583,10 +508,11 @@ def _fixed_map(source: Polytope, ints, d2) -> Optional[AffineMap]:
     return AffineMap(matrix, tuple(r[d1] for r in rows))
 
 
-def _leaving_certificate(source, hrep, basis, system, v, img) -> Infeasible:
-    """Farkas multipliers for the facet-form LP of a map that ``system``
-    fixes and that sends the source vertex ``v`` to ``img``, outside the
-    target.
+def _leaving_certificate(source, hrep, basis, ints, v, img) -> Infeasible:
+    """Farkas multipliers for the facet-form LP of a map that the rows
+    ``ints`` of ``programs.channel_system`` fix, the system of rational
+    rows ``c_j``, and that sends the source vertex ``v`` to ``img``,
+    outside the target.
 
     Take the first facet ``(a, b)`` that ``img`` violates, the barycentric
     coordinates ``lam`` of ``v`` over the basis and coefficients ``mu``
@@ -597,6 +523,7 @@ def _leaving_certificate(source, hrep, basis, system, v, img) -> Infeasible:
     a . img[coords] > 0``.
     """
     coords, n_facets = hrep.coords, len(hrep.facets)
+    system = [[QQ(a, s) for a in row[:len(img)]] for row, s in ints]
     xs = [img[k] for k in coords]
     at, (a, b) = next(
         (at, (a, b)) for at, (a, b) in enumerate(hrep.facets)
@@ -608,7 +535,7 @@ def _leaving_certificate(source, hrep, basis, system, v, img) -> Infeasible:
     lifted = [0] * len(img)
     for k, ak in zip(coords, a):
         lifted[k] = ak
-    mu = solve_affine([[c[k] for c, _ in system] for k in range(len(img))], lifted).particular
+    mu = solve_affine([[c[k] for c in system] for k in range(len(img))], lifted).particular
     ineq = [QQ(0)] * (len(source.vertices) * n_facets)
     ineq[source.vertices.index(v) * n_facets + at] = QQ(1)
     return Infeasible(

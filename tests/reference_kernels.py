@@ -64,6 +64,15 @@ matrix of vertex images is checked.
 ``geometry.membership_weights``, the oracle of membership that the
 facet walk is checked against.
 
+``compatibility_program``, ``marginal_equalities``,
+``surjectivity_program`` and ``channel_program`` are the former
+``Fraction``-row constructions of the compatibility LP, the marginal
+identities, the convex-weights LP of one effect and the facet-form
+channel LP, inline in ``theory`` and ``symmetry`` before
+``wignerlab.programs`` wrote integer rows; the constructors are checked
+equal to them.  ``ser_program`` is the former ``report.ser_program``,
+the writer of a format-1 report's programs.
+
 ``dataclass_twin`` rebuilds a record class (``wignerlab._record``) as the
 ``@dataclass(frozen=True)`` it replaced, the oracle of the record
 methods.
@@ -920,3 +929,99 @@ def dataclass_twin(cls):
         twin, frozen=True, slots=bool(slots), init="__init__" not in body,
         repr="__repr__" not in body, eq="__eq__" not in body,
     )
+
+
+def marginal_equalities(obs_a: Observable, obs_b: Observable) -> list[tuple[Vec, QQ]]:
+    """Coefficient-wise row-sum and column-sum identities."""
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    dim = obs_a.effects[0].dim
+    width = dim + 1
+    n_vars = n_a * n_b * width
+    eqs = []
+    for a in range(n_a):
+        coeffs = obs_a.effects[a].coefficients()
+        for k in range(dim + 1):
+            row = [QQ(0)] * n_vars
+            for b in range(n_b):
+                row[(a * n_b + b) * width + k] = QQ(1)
+            eqs.append((tuple(row), coeffs[k]))
+    for b in range(n_b):
+        coeffs = obs_b.effects[b].coefficients()
+        for k in range(dim + 1):
+            row = [QQ(0)] * n_vars
+            for a in range(n_a):
+                row[(a * n_b + b) * width + k] = QQ(1)
+            eqs.append((tuple(row), coeffs[k]))
+    return eqs
+
+
+def compatibility_program(obs_a: Observable, obs_b: Observable, space: Polytope) -> LinearProgram:
+    """The marginal identities, then nonnegativity of every grid entry at
+    every vertex."""
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    dim = space.ambient_dim
+    width = dim + 1
+    n_vars = n_a * n_b * width
+    ineqs = []
+    for v in space.vertices:
+        point = v + (QQ(1),)
+        for a in range(n_a):
+            for b in range(n_b):
+                row = [QQ(0)] * n_vars
+                for k in range(dim + 1):
+                    row[(a * n_b + b) * width + k] = point[k]
+                ineqs.append((tuple(row), QQ(0)))
+    return LinearProgram(n_vars, tuple(marginal_equalities(obs_a, obs_b)), tuple(ineqs))
+
+
+def surjectivity_program(f: AffineFunctional, space: Polytope) -> LinearProgram:
+    """Convex vertex weights at which ``f`` takes the value 1."""
+    n = len(space.vertices)
+    eqs = [(tuple(f(v) for v in space.vertices), QQ(1)), ((QQ(1),) * n, QQ(1))]
+    ineqs = [(unit(n, i), QQ(0)) for i in range(n)]
+    return LinearProgram(n, tuple(eqs), tuple(ineqs))
+
+
+def channel_program(source: Polytope, target: Polytope, equations) -> LinearProgram:
+    """The facet-form LP over ``M`` and ``t`` of ``m(x) = M x + t``: ``g .
+    m(p) = h(p)`` per equation and the target's hull equalities at every
+    basis point ``p``, then every facet of the target at every source
+    vertex image."""
+    basis = affine_basis(source)
+    d1, d2 = source.ambient_dim, target.ambient_dim
+    n_vars = d2 * d1 + d2
+    hrep = target._facets
+    system = [(g.linear, [h(p) - g.constant for p in basis]) for g, h in equations]
+    system += [(tuple(QQ(a) for a in c), [QQ(e, hrep.scale)] * len(basis))
+               for c, e in hrep.equalities]
+
+    def image_row(p: Vec, c, coords=range(d2)) -> tuple:
+        """Coefficients of ``c . (M p + t)[coords]`` in the unknowns."""
+        row = [QQ(0)] * n_vars
+        for k, ck in zip(coords, c):
+            if ck:
+                row[k * d1:(k + 1) * d1] = [ck * x for x in p]
+                row[d2 * d1 + k] = ck
+        return tuple(row)
+
+    eqs = [(image_row(p, c), r) for c, rhs in system for p, r in zip(basis, rhs)]
+    ineqs = [
+        (image_row(v, a, hrep.coords), QQ(b, hrep.scale))
+        for v in source.vertices
+        for a, b in hrep.facets
+    ]
+    return LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
+
+
+def ser_program(lp: LinearProgram) -> dict:
+    """The program as a format-1 report writes it, from its integer rows."""
+    def ratio(a, s):
+        g = math.gcd(a, s)
+        return str(a // g) if g == s else f"{a // g}/{s // g}"
+
+    rows = [[[ratio(a, s) for a in row], ratio(rhs, s)] for row, rhs, s in lp._scaled]
+    return {
+        "n_vars": lp.n_vars,
+        "equalities": rows[:lp._n_eq],
+        "inequalities": rows[lp._n_eq:],
+    }

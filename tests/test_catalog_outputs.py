@@ -12,7 +12,13 @@ Python the suite runs on.  The ``covariant`` rows of ``boxworld``,
 ``qubit_xz`` and ``rebit_diamond`` were rewritten when reports came to
 carry one covariance claim per generator of the translation group: each
 output is the former one without its line for the composed element
-``(A:(1, 0), B:(1, 0))``.  A command added to the catalog needs its row.
+``(A:(1, 0), B:(1, 0))``.  Every row was rewritten for report format 2:
+each output is the former one with ``"format": "wignerlab-report/2"``,
+without the ``program`` of its LP claims, the ``matrix`` of its rank
+claims and the ``basis`` of its covariance claims, and with the
+constructor arguments that its LP claims name (``observable`` and
+``outcome``, or ``perm_a`` and ``perm_b``).  A command added to the
+catalog needs its row.
 """
 
 import hashlib
@@ -25,58 +31,58 @@ from wignerlab import catalog, cli
 from wignerlab.wigner import free_slots
 
 DIGESTS = {
-    "analyze boxworld": "76699e782d1b918f6c4dd4ca400edc6c5183980bce7c28334c7e92dadbab8aef",
-    "analyze cube": "03b2798c73e91b3fc95aeb63175049ebc162a154ff27302b5b9d9e9b6d3d5603",
-    "analyze deformed_12gon": "94396e8aaf28468c91a9d6138de23ce0af4a3e868b3a977166688b1331f57b39",
-    "analyze qubit_ball": "bbad6c42d13a099d666fa796910d97c70a39612941d07221cbc177a5e113156e",
-    "analyze qubit_xz": "97f8bffb79b4b7474f4ce9493954d62613c79e8b32a57731859b71524a1735f6",
-    "analyze rebit_diamond": "d467cefd4b985cf91cce74927f6ed08f97f702eb48e1f40146f75db2b765823e",
-    "analyze trit": "4e8314d29b81fca11391313c7d29d81340b68e01224d416ea769cf6f1667c1a7",
-    "covariant boxworld": "5d01e2fea0e06d324a8c48ee64204d5a063880517233ee3de7f3d2839046b38c",
-    "covariant cube": "2c526434702a477db7371fdbfbab1750bd8883ed220a860dea0479c48d830ae1",
-    "covariant deformed_12gon": "ee16767b5b3c3e346bc956354fb7b6c5fb0adf7f8412e143b092d1af19b8469e",
-    "covariant qubit_ball": "0de8e13a76740f9cf408d66d91785b895674b52adaa4916e4c7f7f2fef6c6304",
-    "covariant qubit_xz": "04e5d7d530c8aec01e8af6519d042acb5be40e04b2ce20b976791c83ee43c997",
-    "covariant rebit_diamond": "ddb3746e9886f3de2de2700cca29e9194a07ff1cc2ca93368cfb0216391b5881",
-    "covariant trit": "cc37528deafe624363384c244415f1183084d9dde4f4771ae7054ddf7f580737",
-    "symmetries boxworld W_+": "cffde66419204ffd5679e99d40a9b0ea053dbc0065f8dd3e4b7871463656ac24",
-    "symmetries boxworld W_0": "1702da0117d1dae2c83046bd6ba39b6f3811c83ec41d4abcd188abd81a530b83",
-    "symmetries boxworld W_1/2": "0413627d96363505c306028410195fc3b43230890663924ec953098df39c4b0e",
-    "symmetries cube W_0 --no-transport": "f615801e00aa58b46ee395c84d9435c5b449fe1713735eb6d9ba6e4de88263f4",
-    "symmetries cube W_0": "fb26fe67f7ff47fcf5ff5e9ff427927cc75181e292612a7bb42ac69f2e8ed867",
-    "symmetries cube W_z --no-transport": "3834db928e285c6894ac7d293ab42fdb1aff15d6153b4383c67a7e3dd93dbdec",
-    "symmetries cube W_z": "80d32dd0f22a4ec4acec03709edd1faba2ed09f7e1af6cb1658fc5fd84aadfd2",
-    "symmetries qubit_ball W": "541c3ea1154a85d4eda3588282cb1cf57eae48792ffa77a38c2d91f6b80282ec",
-    "symmetries qubit_xz W": "c85d8e109ca2817eb345ef4bf1145fba65c3a585017248c4caea1ca693730161",
-    "symmetries rebit_diamond W": "a18f893a9057e00ba2a78309f57f879e939ed244173af3fc853d1a997c158387",
-    "symmetries trit W": "42c7f797f161051227a515b05333ab7a75e3ddf1667e65198d120edde90e35c9",
-    "validate boxworld": "fa8a634dbbca7c15dc8f71f28d52de358ea2fa36ce36e74d4e60aae7c59202c5",
-    "validate cube": "ed56d89793c3fe0d5f52a6595f48f6d82751629816b85dbb14e76686318e2eee",
-    "validate deformed_12gon": "15d5a616a714289dd49bf72981cf0f80f22b6038b3bc82500983292871792a24",
-    "validate qubit_ball": "49b124fb0e9d7718d8d51d7e95157314e589d6e3975797be06339106bfecbece",
-    "validate qubit_xz": "6291ae4c2b7c4144a993823516ff1e50c61b9e83c1b8843b7661302954434ec8",
-    "validate rebit_diamond": "9293d752cfecae32a32823fc02daeaa81824e2db2f499bc1de9804f4b1d27e4a",
-    "validate trit": "28401297d367304ae009d6d6c6dd1edc8c9d5bee6328ecac2b5516e86ac6173a",
-    "wigner boxworld --degenerate": "4128019716b7379222e1b81b0d4fdd96f692272c6d23af66b2d68426646ed3c9",
-    "wigner boxworld --faithful": "c72ceee3f045d93556394914d5fbf8e89170f1dd799e848f56c456d8da0523af",
-    "wigner boxworld --free 1/2 x0": "14a4052302c33dbc194b7d97e5866a26e52d5f2a79ee39ed1233c9e4f99e8d1e",
-    "wigner cube --degenerate": "b430a2efe41de443567f25653eb5f8f1bb54ffe533cf5e9628399f86eb327047",
-    "wigner cube --faithful": "5c33c85171728abfe09b40f2ac59e74f13822f8a3008d1bcce51008ce4c21308",
-    "wigner cube --free 1/2 x0": "53154f6d44fb26d427590a8a2059c844c648e096273b9236ece024134a3a1aa0",
-    "wigner deformed_12gon --degenerate": "fc94cfbc59ea298f8477f150676f810a113e144ea201a5612fe93a76536e8f5e",
-    "wigner deformed_12gon --faithful": "13f87dc5f38be7bd44ed069e41f8c98e67b53d46440fcaedfcc79b6af611cd7b",
-    "wigner deformed_12gon --free 1/2 x0": "37b25f447b0be4c30dc5326a6f465fa2ab1ac3d1455863c2f7f9a4b3c478fa94",
-    "wigner qubit_ball --degenerate": "c0171f373b1f29d8375ec1b0d1a4579aab9ff001554a36f96c708251e02e7bc7",
-    "wigner qubit_ball --faithful": "ef60b79fdcdb53a7cd15544991435feb6e87229623326769ce9edf0c181c0ec1",
-    "wigner qubit_ball --free 1/2 x0": "479fb64727514bf9cb6f7aa4706df0ec15d7b921dd53c8c293cccb976163ff9d",
-    "wigner qubit_xz --degenerate": "25eac503927f992e1cebc330a40ceb6990821437d24257d3bf7e993268e81c5c",
-    "wigner qubit_xz --faithful": "98fcf351de66a11576fae22fc3ddeffe0c14e1d4b824f4936a3fedd4fd5817da",
-    "wigner qubit_xz --free 1/2 x0": "b70bed3d457ae75b3a135aff5462379967f24c7140d3070e673c2316c3fae24b",
-    "wigner rebit_diamond --degenerate": "2b0f5f6212cfb830465acfd9296cb91c653efb8725f31d427413299ce326154f",
-    "wigner rebit_diamond --faithful": "ae5178f6d8574931ed42465cd28b0e0f3ff9e062b95bc2d5301baa56f0a0fef1",
-    "wigner rebit_diamond --free 1/2 x0": "dc6725939488595bdd4eda9aa4e09ddcc98f6f5cb202795efc8f510dfb2c19aa",
-    "wigner trit --degenerate": "d4aef6c4eb8d615a8806221f968e85c6fed75237ebb2ea34382e995a8c7633d5",
-    "wigner trit --faithful": "117b104e739e83b8e3dd0454c8d429763ee00331c86a5f70ea027eefa37bba9c",
+    "analyze boxworld": "66d2a5d4b55a0c0700f7bd12258e59f75e362536078f73ec8bb30b7036018072",
+    "analyze cube": "e9256cbe4e8d933b3b227dc5213dd5b1529a928b4e23c0a9c4ffe04a597fd963",
+    "analyze deformed_12gon": "fcb80b6c391af2654411f0e948321c973ae952fd5f00a60f8588c6ffef26ba66",
+    "analyze qubit_ball": "9e22852c6a68b55062c0ac559a8262dbd8e23cafe1c3558872109d7bedfce656",
+    "analyze qubit_xz": "db1ecdb0329494826903d55063ba07ff66edc3234cc2c4cc14cfcb6ba32abf1e",
+    "analyze rebit_diamond": "92e449cad6ec98eba69f02d3925d05c7ec0a6649039b52b0d7e6e2d8cf1f3b7f",
+    "analyze trit": "91c6a6eeb637e1ed8caa85c495424fc391593924a4dfa12f986899c305558428",
+    "covariant boxworld": "9d31c5ebc13ecb5cb6386423a128faddc0d05f9e863f48e63adf35810afc6ce6",
+    "covariant cube": "cf6fb04b373c6da4f605fff4bbb6b53a0c6e2c2c2622a499b105585d0cc3f642",
+    "covariant deformed_12gon": "218028673d29d7c41c32a608ebc28318cc0fe555afc2375e8cf2c5a885b5b783",
+    "covariant qubit_ball": "808c35c98ad704bdfb590cb73733263a0a7d429cd06bb9bcfd13ac189796ca04",
+    "covariant qubit_xz": "88b2fbd330a8db3a9963a8c78a996ca5fddb302510546af2ed766719c3ac56ec",
+    "covariant rebit_diamond": "6825aec3719c197f95605cda0ddb623578a12b95a8b2bfc4bab0621b320dbfc7",
+    "covariant trit": "a26a05dfa29c28de94e50954cde82702384ccbde3ce493d9f0767a49df67600b",
+    "symmetries boxworld W_+": "0e40f7f96cfc3d228d51d635f32aeb3603017f1990a1456315a961312a47a29d",
+    "symmetries boxworld W_0": "d640623be3203fd058880b3c6a5d519bae329bc90e64ca7ff6d1bfaa567e6327",
+    "symmetries boxworld W_1/2": "a7bf248ec6b1abcf5cd76c6ebf02c96326715fe18c6e6e6c05d7af4b47724396",
+    "symmetries cube W_0 --no-transport": "15bc1ff4d259fee9d0d0fc0a985d0565528b0a45da16a7e19de73f6e43e88d50",
+    "symmetries cube W_0": "ed6804e9436425e8df28f844bb95bbee1122de841201c79e6c359a97c2bb88a3",
+    "symmetries cube W_z --no-transport": "439e1642bb2374b9fefc0763c59ebe1715583d98c6274c65b02f0ec0b18ea5ac",
+    "symmetries cube W_z": "5022019169877f75f1c7106e37b87393d53bf2b50165cc929bdbc93ec0be22a1",
+    "symmetries qubit_ball W": "aba62f87972f4432bb9221c557f984dcb4bd5fd2f512d7ae80275e6013228b3b",
+    "symmetries qubit_xz W": "8ddd5af79d219109b4ce8bcb063e9f8cfdac837778eea04d2859e5a50378670e",
+    "symmetries rebit_diamond W": "befd7176b1d45f1cc51c5ccbaa0e1af5456fc71990bbc9e5c9e1139d4ef380cb",
+    "symmetries trit W": "36140b21f79d6fb505d772b469b6a39a473a3487ee9034d035a46ddfe359ea51",
+    "validate boxworld": "0ac1743ab6f3fdc4785e9fefb281178995525b6449680808a1c4221a574fdf0e",
+    "validate cube": "dc8417c6ab501e5af5d6f604689572a295c3a2463abea6eb0d298a5a5e469830",
+    "validate deformed_12gon": "f7d68547e0c934d002d74a3703f165437e7aa3465b6097fe5f4aecc084454296",
+    "validate qubit_ball": "1a18bd537321ed400c45e0fb80d04c52a37c89c1d906bf2a2ab7b00aee17ee19",
+    "validate qubit_xz": "05d4cb564cf81ad6a23ab77968b014915cff74cb18a63c2385389395aae75d19",
+    "validate rebit_diamond": "f8924d036520829449818d75df014c02622a10e5caa7993df10f3768cf9cf16e",
+    "validate trit": "1e1cb75beb069aee6cdb0fea19c33036f543601926a390d6de673739d739b05f",
+    "wigner boxworld --degenerate": "e6f431c097f72decd6c73df7010cc0a8f491af8dc80e1549e5dd6dee1a6b380c",
+    "wigner boxworld --faithful": "07b10395879683f6dea37d154117a7429523a6325472ca1d7d4b82d710bc0553",
+    "wigner boxworld --free 1/2 x0": "b36cc889be1974bee4ea95662c9848920d76955e3124dab532d8b76ef4ef80b1",
+    "wigner cube --degenerate": "7e4d73bcf79c0142a4eb3b1d0af5f14d44f9c449ab9a1ed0e3e51f3814a0dbf0",
+    "wigner cube --faithful": "82f7bde9a1b4f6d3258644b5108f502ae2daa152ffbad1c093c0394bf9ec693e",
+    "wigner cube --free 1/2 x0": "2903f42cd1c66197df36b005517e71e48d1196a6b5c7e6267448f03539cfd975",
+    "wigner deformed_12gon --degenerate": "a8c7f0297e1018dae0cd5706f707adda3433e0c0f147fa9d203a3e62360e81c4",
+    "wigner deformed_12gon --faithful": "be4b31f8a6cabf57ebe6dd0a98a2959ad9c8373059781aa4c31b26187cc985f2",
+    "wigner deformed_12gon --free 1/2 x0": "a6025ce01d49eb68108f6fba1a02c7a7bb0a7210ebf6d151e264245e9af6b0d1",
+    "wigner qubit_ball --degenerate": "a842e1ba5e3fc550215b8112b50abcb76127bfb7a883e302273bd8bc5d3cc99a",
+    "wigner qubit_ball --faithful": "c5e2b921d273b933b2a0de81ca112602f029508000cbae9adf38e24b434da9f8",
+    "wigner qubit_ball --free 1/2 x0": "fd30f8ac34bc77b719f83bbe6cdd3f38a2b6ea6f1a5a0cfd8d1c286c00823b0e",
+    "wigner qubit_xz --degenerate": "42bf82842d48570172c3e41ad932f881c6434dc721c41dd74ecb0aa21bffe5a4",
+    "wigner qubit_xz --faithful": "78075509db93254ba4d3dbe078fe745d4ad5c5e8d308da4995e5c173bb012621",
+    "wigner qubit_xz --free 1/2 x0": "902f9f4e7c09dd72d84c1de7323754a8bd58261cc331665e924b32a097f6c7bd",
+    "wigner rebit_diamond --degenerate": "d1361b28e5e05d314a200af1b118fab00d263c093e159ad2a89ca62a7e9c40bd",
+    "wigner rebit_diamond --faithful": "3740ca32a1dd468775a12f606bdb2c78bfaa911917e1866e086b85fc7d45b31e",
+    "wigner rebit_diamond --free 1/2 x0": "9a48f1f6dc6bdc55400b842261d07c675d85127ad6f206e5840f74ee3ed63ec1",
+    "wigner trit --degenerate": "24597049230bc6298d774a8dcf45cfbd2e94dc2a5e22567d72803136e28c0e29",
+    "wigner trit --faithful": "eaea8d9f69e88a74664721f3d9cac8b6cb5952ba29ee52e90b864ea4bf201578",
 }
 
 

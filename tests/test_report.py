@@ -1,32 +1,52 @@
-"""Report claims: LP programs parsed to integer rows, and their replay."""
+"""Report claims: programs rebuilt from the theory, and their replay.
+
+Format-2 reports carry no LP program: each LP claim names the arguments
+of its constructor in ``wignerlab.programs`` and ``verify`` rebuilds the
+program from the embedded theory.  Format-1 reports, whose LP claims
+carry their programs, still verify, and a carried program must be the
+rebuilt one.
+"""
 
 import copy
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import generalized_boxworld
-from wignerlab import catalog, exact
+from reference_kernels import ser_program
+from wignerlab import catalog, exact, programs
 from wignerlab.cli import main
 from wignerlab.exact import LinearProgram
 from wignerlab.geometry import AffineFunctional, ExtremalValue, Polytope, affine_basis
-from wignerlab.symmetry import ProductGroupElement, product_group_generators
-from wignerlab.theory import Observable, Theory, jointly_info_complete
-from wignerlab.theoryfile import dumps
-from wignerlab.wigner import grid_rank
+from wignerlab.symmetry import (
+    PhasePointMap, ProductGroupElement, find_transported_channel, lift, product_group_generators,
+    solve_covariant,
+)
+from wignerlab.theory import Observable, Theory, effect_span, jointly_info_complete
+from wignerlab.theoryfile import dumps, ser_vec, theory_from_dict
+from wignerlab.wigner import free_slots, grid_rank
 from wignerlab.report import (
+    FORMAT,
+    FORMAT_1,
     _de_map,
     _de_program,
     _generators,
+    _program,
+    _transport_id,
     covariance_claim,
     dump_report,
     load_report,
+    lp_claim,
     ser_extremal,
     ser_map,
-    ser_program,
     verify_report,
 )
+
+DATA = Path(__file__).parent / "data"
+ARGS = ("observable", "outcome", "rep", "table", "perm_a", "perm_b")
 
 
 def _report(capsys, argv):
@@ -51,14 +71,38 @@ def _catalog_reports(tmp_path, capsys):
     return reports
 
 
+def _format_1(report):
+    """The report as the format-1 engine wrote it: each LP claim carries
+    its program and names its arguments only by its id (and, for
+    ``no_covariant``, the report's ``offending_element``), each rank
+    claim carries its matrix and each covariance claim the basis."""
+    theory, wigner = theory_from_dict(report["theory"])
+    reps = dict([wigner]) if wigner is not None else {}
+    old = copy.deepcopy(report)
+    old["format"] = FORMAT_1
+    for claim in old["claims"]:
+        if claim["kind"] in ("lp_feasible", "lp_infeasible"):
+            claim["program"] = ser_program(_program(claim, theory, reps))
+            for key in ARGS:
+                claim.pop(key, None)
+        elif claim["kind"] == "rank":
+            rows, den, _ = effect_span(theory.obs_a, theory.obs_b, theory.state_space)
+            claim["matrix"] = [ser_vec([Fraction(a, den) for a in row]) for row in rows]
+        elif claim["kind"] == "covariance_identity":
+            claim["basis"] = [ser_vec(p) for p in affine_basis(theory.state_space)]
+    return old
+
+
 def _programs(report):
     return [c["program"] for c in report["claims"] if "program" in c]
 
 
 def test_parsed_programs_write_back_byte_for_byte(tmp_path, capsys):
-    programs = [p for r in _catalog_reports(tmp_path, capsys) for p in _programs(r)]
-    assert len(programs) >= 20
-    for program in programs:
+    """The programs of format-1 copies of the catalog reports parse to
+    integer rows that write back as they were read."""
+    programs_ = [p for r in _catalog_reports(tmp_path, capsys) for p in _programs(_format_1(r))]
+    assert len(programs_) >= 20
+    for program in programs_:
         lp = _de_program(program)
         assert json.dumps(ser_program(lp)) == json.dumps(program)
         rational = LinearProgram(lp.n_vars, lp.equalities, lp.inequalities)
@@ -97,7 +141,8 @@ def _boxworld_analyze(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage", ["malformed_entry", "short_row", "zero_denominator"])
 def test_bad_program_fails_only_its_claim(tmp_path, capsys, damage):
-    report = _boxworld_analyze(tmp_path, capsys)
+    """A format-1 program that does not parse fails its claim alone."""
+    report = _format_1(_boxworld_analyze(tmp_path, capsys))
     clean = verify_report(report)
     assert all(ok for _, ok, _ in clean)
     lp_claims = [i for i, c in enumerate(report["claims"]) if "program" in c]
@@ -218,13 +263,21 @@ def test_a_flipped_verdict_fails_only_its_claim(tmp_path, capsys, cid):
 
 
 def test_a_rank_matrix_must_be_the_theory_effects(tmp_path, capsys):
-    """On ``trit`` the effect span has rank 2, not dim(K) + 1 = 3.  The
-    3x3 identity with rank 3 and a true verdict is a consistent rank
-    claim, but not about the report's theory, so ``info_complete`` fails
-    and only it; so does a matrix of the same rank with one row doubled."""
+    """On ``trit`` the effect span has rank 2, not dim(K) + 1 = 3.  A rank
+    claim names no matrix, so rank 3 with a true verdict fails.  A
+    format-1 claim carries the matrix: the 3x3 identity with rank 3 and a
+    true verdict is a consistent rank claim, but not about the report's
+    theory, so ``info_complete`` fails and only it; so does a matrix of
+    the same rank with one row doubled."""
     report = _example_report(tmp_path, capsys, "trit", "analyze")
     claim = next(c for c in report["claims"] if c["id"] == "info_complete")
     assert claim["rank"] == 2 and claim["verdict"] is False and _failed(report) == []
+    assert "matrix" not in claim
+    claim["rank"], claim["verdict"] = 3, True
+    assert _failed(report) == ["info_complete"]
+    report = _format_1(_example_report(tmp_path, capsys, "trit", "analyze"))
+    claim = next(c for c in report["claims"] if c["id"] == "info_complete")
+    assert _failed(report) == []
     matrix = claim["matrix"]
     assert any(Fraction(x) for x in matrix[0])
     claim["matrix"] = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
@@ -252,9 +305,9 @@ def test_verdicts_of_witness_claims_are_bound(tmp_path, capsys, kind):
 
 
 def test_covariance_claims_are_checked_against_the_theory(tmp_path, capsys):
-    """A covariance claim with an empty basis and a channel of 7s fails:
-    the identity is checked at the affine basis of the report's K, for a
-    channel that maps K into K."""
+    """A covariance claim with an empty basis (which format 1 carried and
+    nothing reads) and a channel of 7s fails: the identity is checked at
+    the affine basis of the report's K, for a channel that maps K into K."""
     report = _example_report(tmp_path, capsys, "boxworld", "covariant")
     assert _failed(report) == []
     claim = report["claims"][0]
@@ -395,10 +448,9 @@ def _both_swap_claim(claims):
     """The claim for the composed element (A:(1, 0), B:(1, 0)) that the
     engine wrote before it reported generators only, with its true
     channel: the composition of the two generator channels."""
-    box = catalog.load("boxworld").theory.state_space
     swap_a, swap_b = (_de_map(c["channel"], "channel.") for c in claims[:2])
     both = ProductGroupElement((1, 0), (1, 0))
-    return covariance_claim(both, swap_a.compose(swap_b), "W_covariant", affine_basis(box))
+    return covariance_claim(both, swap_a.compose(swap_b), "W_covariant")
 
 
 @pytest.mark.parametrize("tamper,failing", [
@@ -469,3 +521,348 @@ def test_generalized_boxworld_4x4_reports_its_six_generators(tmp_path, capsys):
                    for g in product_group_generators(4, 4)]
     rows = verify_report(report)
     assert len(rows) == 7 and all(ok for _, ok, _ in rows)
+
+
+def test_format_2_reports_carry_no_program(tmp_path, capsys):
+    """No claim carries a program, a rank matrix or a covariance basis."""
+    reports = _catalog_reports(tmp_path, capsys)
+    claims = [c for r in reports for c in r["claims"]]
+    assert {r["format"] for r in reports} == {FORMAT}
+    assert not [c["id"] for c in claims if {"program", "matrix", "basis"} & set(c)]
+    assert sum(c["kind"].startswith("lp_") for c in claims) >= 20
+
+
+def _trit_forgery(report):
+    """The program swap: ``compatibility`` of ``trit`` turned into an
+    infeasibility claim about the one-variable program 0 x = 1."""
+    claim = next(c for c in report["claims"] if c["id"] == "compatibility")
+    for key in ("witness", "joint"):
+        claim.pop(key)
+    claim.update(kind="lp_infeasible", verdict=False,
+                 program={"n_vars": 1, "equalities": [[["0"], "1"]], "inequalities": []},
+                 certificate={"eq_multipliers": ["1"], "ineq_multipliers": [], "gap": "1"})
+    return report
+
+
+@pytest.mark.parametrize("fmt", [FORMAT_1, FORMAT])
+def test_the_program_swap_forgery_fails_only_compatibility(tmp_path, capsys, fmt):
+    """The format-1 forgery that once verified 7/7: the carried program is
+    not the compatibility LP of the theory, and the certificate does not
+    prove the rebuilt one infeasible.  A format-2 report is held to the
+    same rule."""
+    report = _example_report(tmp_path, capsys, "trit", "analyze")
+    if fmt == FORMAT_1:
+        report = _format_1(report)
+    assert _failed(report) == []
+    assert _failed(_trit_forgery(report)) == ["compatibility"]
+
+
+@pytest.mark.parametrize("name", ["format1-analyze-trit.json",
+                                  "format1-covariant-deformed_12gon.json"])
+def test_reports_of_the_format_1_engine_verify(name):
+    """Reports that the engine wrote in format 1 verify in full, each
+    carried program equal to the rebuilt one, and the program swap fails."""
+    report = load_report((DATA / name).read_text())
+    assert report["format"] == FORMAT_1 and len(_programs(report)) >= 1
+    rows = verify_report(report)
+    assert rows and all(ok for _, ok, _ in rows)
+    if "trit" in name:
+        assert _failed(_trit_forgery(report)) == ["compatibility"]
+
+
+def test_format_1_copies_verify_and_a_swapped_program_fails_only_its_claim(tmp_path, capsys):
+    """Every format-1 copy of a catalog report verifies as the report does;
+    with another claim's program swapped in, that claim fails and only it."""
+    originals = _catalog_reports(tmp_path, capsys)
+    reports = [_format_1(r) for r in originals]
+    programs_ = [json.dumps(p) for r in reports for p in _programs(r)]
+    swapped = 0
+    for original, report in zip(originals, reports):
+        assert verify_report(report) == verify_report(original)
+        assert _failed(report) == []
+        for k, claim in enumerate(report["claims"]):
+            if "program" not in claim:
+                continue
+            other = next(p for p in programs_ if p != json.dumps(claim["program"]))
+            bad = copy.deepcopy(report)
+            bad["claims"][k]["program"] = json.loads(other)
+            assert _failed(bad) == [claim["id"]]
+            swapped += 1
+    assert swapped >= 20
+
+
+@pytest.mark.parametrize("key", ["eq_multipliers", "ineq_multipliers"])
+def test_multiplier_counts_must_match_the_rebuilt_program(tmp_path, capsys, key):
+    """The ``no_covariant`` certificate of ``deformed_12gon`` with one more
+    zero multiplier combines the same rows, and fails: the rebuilt
+    program has one row fewer."""
+    report = _gon_covariant(tmp_path, capsys)
+    claim = report["claims"][0]
+    assert (claim["perm_a"], claim["perm_b"]) == ([1, 0], [0, 1])
+    claim["certificate"][key].append("0")
+    assert _failed(report) == ["no_covariant"]
+
+
+def _unequal_sums_theory(tmp_path):
+    """A = (y, 1 - y) and V = x/2 + 1/2 on the segment x = 1: the swap of
+    A's outcomes has a channel, (1, y) -> (1, 1 - y), but the effect sums
+    1 and x/2 + 1/2 agree on K and not coefficient-wise."""
+    segment = Polytope([(1, 0), (1, 1)])
+    fy = AffineFunctional((0, 1), 0)
+    one = AffineFunctional.one(2)
+    obs_a = Observable("A", (0, 1), (fy, one - fy))
+    obs_v = Observable("V", (0,), (AffineFunctional((Fraction(1, 2), 0), Fraction(1, 2)),))
+    path = tmp_path / "sums.json"
+    path.write_text(dumps(Theory(segment, (obs_a, obs_v))))
+    channels = tmp_path / "none.json"
+    channels.write_text("[]")
+    return obs_a, obs_v, segment, ["covariant", str(path), "--channels", str(channels)]
+
+
+def test_the_effect_sums_certificate_lives_on_the_marginal_system(tmp_path, capsys):
+    """Stage 2's "none" program is the marginal system alone: the 9
+    marginal rows, without the 4 covariance rows of the swap's channel,
+    which ``verify`` could not rebuild.  The claim names no generator,
+    its certificate weighs the first coefficient's marginals, and it
+    verifies; a weight on a row past the marginals cannot be given."""
+    obs_a, obs_v, segment, argv = _unequal_sums_theory(tmp_path)
+    result = solve_covariant(obs_a, obs_v, segment, channels={})
+    assert result.kind == "none" and result.obstruction is None
+    assert result.program == programs.marginal_program(obs_a, obs_v)
+    assert result.certificate.eq_multipliers == (-1, 0, 0, -1, 0, 0, 1, 0, 0)
+    assert main(argv) == 1
+    report = load_report(capsys.readouterr().out)
+    claim, = report["claims"]
+    assert claim["id"] == "no_covariant" and not set(ARGS) & set(claim)
+    assert _failed(report) == [] and _failed(_format_1(report)) == []
+    claim["certificate"]["eq_multipliers"].append("0")
+    assert _failed(report) == ["no_covariant"]
+
+
+def _with_no_transport(tmp_path, capsys):
+    """The symmetries report of boxworld's W_1/2 with a ``no_transport``
+    claim for the table (0, 1, 3, 2): a relabelling of phase points that
+    is no symmetry, and that no channel realizes."""
+    path = str(tmp_path / "box_half.json")
+    main(["example", "boxworld", "--rep", "W_1/2", "--out", path])
+    capsys.readouterr()
+    report = _report(capsys, ["symmetries", path])
+    rep = catalog.load("boxworld").representations["W_1/2"]
+    phi = PhasePointMap(rep.shape, (0, 1, 3, 2))
+    result = find_transported_channel(rep, lift(phi))
+    report["claims"].append(lp_claim(f"no_transport[{phi.describe()}]", "no channel",
+                                     result.certificate, rep="W_1/2", table=list(phi.table)))
+    return report
+
+
+def test_a_no_transport_claim_is_rebuilt_from_its_table(tmp_path, capsys):
+    """The transport program is rebuilt from the embedded representation
+    and the claim's table, whose id is ``PhasePointMap.describe``; another
+    table, or another id, fails."""
+    report = _with_no_transport(tmp_path, capsys)
+    cid = "no_transport[(1, 0)->(1, 1), (1, 1)->(1, 0)]"
+    assert report["claims"][-1]["id"] == cid
+    assert _failed(report) == [] and _failed(_format_1(report)) == []
+    for table, id_ in (([0, 2, 3, 1], cid), ([0, 1, 3, 2], "no_transport[id]"),
+                       ([0, 1, 3, 3], "no_transport[(1, 1)->(1, 1)]")):
+        bad = copy.deepcopy(report)
+        bad["claims"][-1].update(table=table, id=id_)
+        assert _failed(bad) == [id_]
+
+
+def test_verify_writes_the_transport_ids_that_the_engine_writes():
+    for shape in ((1, 1), (2, 2), (2, 3), (3, 2)):
+        n = shape[0] * shape[1]
+        rng = random.Random(n)
+        for _ in range(10):
+            table = rng.sample(range(n), n)
+            phi = PhasePointMap(shape, tuple(table))
+            assert _transport_id(shape[1], table) == f"no_transport[{phi.describe()}]"
+
+
+def _every_catalog_report(tmp_path, capsys):
+    """``(label, report)`` of the catalog commands of
+    ``test_catalog_outputs`` (the ``--no-transport`` runs carry no claim),
+    of stage 2's "none" and of a ``no_transport`` claim, so that every
+    claim kind is there."""
+    reports = []
+    for name in catalog.CATALOG_NAMES:
+        entry = catalog.load(name)
+        path = str(tmp_path / f"{name}.json")
+        export = ["example", name, "--out", path]
+        covariant = ["covariant", path]
+        if entry.channels:
+            export += ["--channels-out", str(tmp_path / f"{name}.channels.json")]
+            covariant += ["--channels", export[-1]]
+        main(export)
+        commands = {f"{argv[0]} {name} {' '.join(argv[2:3])}".strip(): argv for argv in (
+            ["validate", path], ["analyze", path], ["wigner", path, "--faithful"],
+            ["wigner", path, "--degenerate"], covariant)}
+        if free_slots(entry.theory.obs_a, entry.theory.obs_b)[1]:
+            commands[f"wigner {name} --free"] = ["wigner", path, "--free", "1/2 x0"]
+        for rep in entry.representations:
+            rep_path = str(tmp_path / f"{name}.{rep.replace('/', '_')}.json")
+            main(["example", name, "--rep", rep, "--out", rep_path])
+            commands[f"symmetries {name} {rep}"] = ["symmetries", rep_path]
+        capsys.readouterr()
+        for label, argv in commands.items():
+            main(argv)
+            out = capsys.readouterr().out
+            if out.strip():
+                reports.append((label, load_report(out)))
+    *_, argv = _unequal_sums_theory(tmp_path)
+    reports.append(("covariant unequal sums", _report(capsys, argv)))
+    reports.append(("symmetries boxworld W_1/2 + no_transport", _with_no_transport(tmp_path, capsys)))
+    return reports
+
+
+TEXT = ("id", "kind", "statement", "what", "verdict")
+# the data that proves a claim of each kind, which another claim's may replace
+EVIDENCE = {
+    "lp_feasible": ("witness",), "lp_infeasible": ("certificate",), "rank": ("rank",),
+    "negative_entry": ("functional", "state", "value"),
+    "ball_entry_min": ("functional", "min", "negative"), "ball_max_one": ("functional",),
+    "covariance_identity": ("channel",),
+}
+# mutations that have nothing to act on, so cannot change what the claim
+# asserts: a recompute claim is its verdict, which ``verify`` decides by
+# running the check again, with no numbers, lists or certificate beyond
+# the pair and the faithful-choice counts; a rank claim names no list
+UNMUTABLE = {
+    *((f"recompute {what}", m) for what in ("validate", "faithful", "positive", "marginals")
+      for m in ("number", "drop", "swap")),
+    ("recompute complementary", "number"), ("recompute complementary", "swap"),
+    ("recompute faithful_choice", "swap"), ("rank", "drop"),
+}
+# mutations, drawn with the test's seed, that replace a witness by another
+# witness of the same statement, so cannot change what the claim asserts
+REWITNESSED = {
+    # the state (1, 1, 0) moves along z, which the entry 1 - x - y ignores,
+    # to the vertex (1, 1, 1), where the entry is -1 too
+    ("wigner cube --degenerate", "negativity_witness", "number"),
+    # the donors' unit weights sit on the vertex (1, 1), where x = 1 = A_0,
+    # and on (1, 0), where y = 0, so B_1 = 1 - y = 1
+    ("analyze boxworld", "surjective[A][0]", "swap"),
+    ("analyze boxworld", "surjective[B][1]", "swap"),
+    # the donor's witness is the same entry -x/2 - y/2 at the vertex (0, 1),
+    # where it is -1/2 as at (1, 0)
+    ("wigner rebit_diamond --degenerate", "negativity_witness", "swap"),
+}
+
+
+def _paths(value, keep, path=()):
+    """The paths of the parts of ``value`` that ``keep`` accepts, outside
+    the text keys of a claim, depth first."""
+    out = [path] if keep(value) else []
+    if isinstance(value, list):
+        out += [p for i, v in enumerate(value) for p in _paths(v, keep, path + (i,))]
+    elif isinstance(value, dict):
+        out += [p for k, v in value.items() if k not in TEXT for p in _paths(v, keep, path + (k,))]
+    return out
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        return False
+    try:
+        Fraction(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _mutated(claim, mutation, donors, rng):
+    """A copy of ``claim`` with ``mutation`` applied, or None when it has
+    nothing to act on."""
+    claim = copy.deepcopy(claim)
+    if mutation == "verdict":
+        claim["verdict"] = not claim["verdict"]
+        return claim
+    if mutation == "swap":
+        keys = EVIDENCE.get(claim["kind"], ())
+        others = [d for d in donors if d["kind"] == claim["kind"]
+                  and [d.get(k) for k in keys] != [claim.get(k) for k in keys]]
+        if not keys or not others:
+            return None
+        donor = rng.choice(others)
+        claim.update({k: copy.deepcopy(donor[k]) for k in keys if k in donor})
+        return claim
+    keep = _is_number if mutation == "number" else (lambda v: isinstance(v, list) and v)
+    paths = _paths(claim, keep)
+    if not paths:
+        return None
+    *where, last = rng.choice(paths)
+    parent = claim
+    for key in where:
+        parent = parent[key]
+    if mutation == "drop":
+        del parent[last][rng.randrange(len(parent[last]))]
+    elif isinstance(parent[last], int):
+        parent[last] += 1
+    else:
+        parent[last] = str(Fraction(parent[last]) + 1)
+    return claim
+
+
+def test_every_mutation_of_a_catalog_claim_fails_that_claim_alone(tmp_path, capsys):
+    """For each claim of each catalog report: flip its verdict, change one
+    number, drop one list entry, swap in another claim's certificate (the
+    data that proves a claim of its kind).  Each mutation fails that
+    claim, and no other, or is one of ``UNMUTABLE``."""
+    reports = _every_catalog_report(tmp_path, capsys)
+    donors = [c for _, r in reports for c in r["claims"]]
+    kinds = {c["kind"] for c in donors}
+    assert kinds == set(EVIDENCE) | {"recompute"}
+    rng = random.Random(18)
+    escaped, unmutable, applied = [], set(), 0
+    for name, report in reports:
+        assert _failed(report) == []
+        for k, claim in enumerate(report["claims"]):
+            label = claim["kind"] if claim["kind"] != "recompute" else f"recompute {claim['what']}"
+            for mutation in ("verdict", "number", "drop", "swap"):
+                bad = _mutated(claim, mutation, donors, rng)
+                if bad is None:
+                    unmutable.add((label, mutation))
+                    continue
+                tampered = dict(report, claims=report["claims"][:k] + [bad]
+                                + report["claims"][k + 1:])
+                applied += 1
+                failed = set(_failed(tampered))
+                if failed != {claim["id"]}:
+                    assert not failed, (name, claim["id"], mutation, failed)
+                    escaped.append((name, claim["id"], mutation))
+    assert set(escaped) == REWITNESSED and len(escaped) == len(REWITNESSED)
+    assert unmutable == UNMUTABLE
+    assert applied > 300
+
+
+def test_a_format_1_effect_sums_claim_with_covariance_rows_fails():
+    """The format-1 engine wrote stage 2's "none" with the covariance rows
+    of the solved swap channel in its program (13 rows, 4 of them
+    covariance rows), which ``verify`` cannot rebuild: the claim fails.
+    The certificate weighed only the marginal rows, and the format-2 claim
+    carries those weights alone."""
+    report = load_report((DATA / "format1-covariant-unequal-sums.json").read_text())
+    claim, = report["claims"]
+    assert len(claim["program"]["equalities"]) == 13
+    assert not any(Fraction(m) for m in claim["certificate"]["eq_multipliers"][9:])
+    assert _failed(report) == ["no_covariant"]
+    claim["certificate"]["eq_multipliers"][9:] = []
+    del claim["program"]
+    assert _failed(report) == []
+
+
+def test_an_lp_claim_is_about_what_its_id_names(tmp_path, capsys):
+    """A claim's id names its program: the true claim that boxworld's A
+    reaches outcome 1, filed under the id of outcome 0, fails, and so
+    does the ``no_covariant`` certificate of the swap (1, 0) filed under
+    (0, 0), which is no permutation although its equations are the swap's."""
+    report = _example_report(tmp_path, capsys, "boxworld", "analyze")
+    ids = [c["id"] for c in report["claims"]]
+    k = ids.index("surjective[A][1]")
+    report["claims"][k]["id"] = "surjective[A][0]"
+    del report["claims"][ids.index("surjective[A][0]")]
+    assert _failed(report) == ["surjective[A][0]"]
+    report = _gon_covariant(tmp_path, capsys)
+    report["claims"][0]["perm_a"] = [0, 0]
+    assert _failed(report) == ["no_covariant"]

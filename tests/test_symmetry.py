@@ -20,7 +20,7 @@ from helpers import (
     random_polygon,
     random_theory,
 )
-from wignerlab import catalog, exact, geometry, symmetry, theory, wigner
+from wignerlab import catalog, exact, geometry, programs, symmetry, theory, wigner
 from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import verify_certificate
 from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope, dimension
@@ -271,7 +271,8 @@ def test_find_permutation_channels_boxworld():
     chan = result.channels[swap_a]
     assert chan((0, 0)) == (F(1), F(0))
     both = result.channels[swap_a].map.compose(result.channels[swap_b].map)
-    equations = symmetry._permutation_equations(OBS_A, OBS_B, swap_a.compose(swap_b))
+    both_swap = swap_a.compose(swap_b)
+    equations = programs.permutation_equations(OBS_A, OBS_B, both_swap.perm_a, both_swap.perm_b)
     assert theory._solves(equations, both, geometry.affine_basis(SQUARE))
 
 
@@ -298,7 +299,7 @@ def test_composed_generator_channels_permute_every_group_element(shape):
     assert len(maps) == math.factorial(shape[0]) * math.factorial(shape[1])
     basis = geometry.affine_basis(space)
     for element, m in maps.items():
-        equations = symmetry._permutation_equations(t.obs_a, t.obs_b, element)
+        equations = programs.permutation_equations(t.obs_a, t.obs_b, element.perm_a, element.perm_b)
         assert theory._solves(equations, m, basis)
         Channel(m, space, space)
 
@@ -727,12 +728,13 @@ def test_enumeration_on_a_polytope_makes_only_the_hull_lps(lp_calls):
 
 
 def test_induced_action_builds_the_chart_once(monkeypatch):
-    """On a ball the precondition and the pull-back share one chart and
-    one faithfulness test."""
+    """On a ball the precondition and the pull-back share one chart, and
+    the chart's own values decide faithfulness: ``is_faithful`` is not
+    called."""
     entry = catalog.load("qubit_ball")
     rep = entry.representations["W"]
     calls = {"chart": 0, "faithful": 0}
-    chart, faithful = symmetry._chart, symmetry.is_faithful
+    chart, faithful = symmetry._chart, wigner.is_faithful
 
     def counted_chart(r):
         calls["chart"] += 1
@@ -743,12 +745,36 @@ def test_induced_action_builds_the_chart_once(monkeypatch):
         return faithful(r)
 
     monkeypatch.setattr(symmetry, "_chart", counted_chart)
-    monkeypatch.setattr(symmetry, "is_faithful", counted_faithful)
+    monkeypatch.setattr(wigner, "is_faithful", counted_faithful)
     chan = induced_action(rep, entry.named_maps["phi01"])
-    assert calls == {"chart": 1, "faithful": 1}
+    # the chart's own values decide faithfulness
+    assert calls == {"chart": 1, "faithful": 0}
     assert chan.map.matrix.entries == (
         (F(0), F(-1), F(0)), (F(-1), F(0), F(0)), (F(0), F(0), F(1))
     )
+
+
+def test_ball_enumeration_evaluates_the_grid_at_the_basis_once(monkeypatch):
+    """``_permutation_test`` on a ball decides faithfulness from the
+    chart's values (Bareiss rank dim + 1), so enumerating evaluates the
+    grid once, and a lossy representation is still refused."""
+    entry = catalog.load("qubit_ball")
+    rep = entry.representations["W"]
+    expected = enumerate_lifted_symmetries(rep)
+    calls = []
+    values_at = symmetry.values_at
+
+    def counted(funcs, points):
+        calls.append(len(points))
+        return values_at(funcs, points)
+
+    monkeypatch.setattr(symmetry, "values_at", counted)
+    assert enumerate_lifted_symmetries(rep) == expected and len(expected) > 1
+    assert calls == [4]
+    lossy = wigner.degenerate_rep(entry.theory.obs_a, entry.theory.obs_b, rep.state_space)
+    assert not wigner.is_faithful(lossy)
+    with pytest.raises(UnsupportedGeometryError, match="faithful"):
+        enumerate_lifted_symmetries(lossy)
 
 
 def test_transport_of_a_faithful_symmetry_is_its_induced_action(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from helpers import random_fraction, random_polygon, random_theory
 from reference_kernels import surjectivity_details as lp_surjectivity_details
 from reference_kernels import unconstrained_witness, vertex_image_channel
-from wignerlab import catalog, cli, exact, symmetry
+from wignerlab import catalog, cli, exact, programs, symmetry
 from wignerlab.errors import DomainError, PreconditionError, UnsupportedGeometryError
 from wignerlab.exact import Feasible, solve_affine, verify_certificate
 from wignerlab.geometry import (
@@ -649,7 +649,8 @@ def _hand_infeasible_cases():
     gon = catalog.load("deformed_12gon").theory
     obstruction = symmetry.find_permutation_channels(gon.obs_a, gon.obs_b, gon.state_space)
     assert obstruction.element.perm_a == (1, 0) and obstruction.element.perm_b == (0, 1)
-    gon_equations = symmetry._permutation_equations(gon.obs_a, gon.obs_b, obstruction.element)
+    gon_equations = programs.permutation_equations(
+        gon.obs_a, gon.obs_b, obstruction.element.perm_a, obstruction.element.perm_b)
     hand.append((gon.state_space, gon.state_space, gon_equations,
                  ((F(3, 5), F(-4, 5)), (F(3, 5), F(4, 5)))))
     return hand
