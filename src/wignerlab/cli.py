@@ -195,7 +195,7 @@ def _cmd_validate(args) -> int:
 def _cmd_analyze(args) -> int:
     from .exact import Infeasible
     from .report import (
-        ball_max_one_claim, lp_claim, make_report, rank_claim, recompute_claim,
+        ball_max_one_claim, lp_claim, make_report, rank_claim, recompute_claim, surjective_id,
     )
     from .theory import (
         Compatible, are_compatible, are_complementary, effect_span_rank, surjectivity_details,
@@ -237,7 +237,7 @@ def _cmd_analyze(args) -> int:
         notes.append(f"complementarity: {exc}")
     for obs in (obs_a, obs_b):
         for outcome, lp, result in surjectivity_details(obs, space):
-            cid = f"surjective[{obs.name}][{outcome}]"
+            cid = surjective_id(obs.name, outcome)
             reaches = f"{obs.name} reaches outcome {outcome} sharply"
             if lp is None:
                 claims.append(ball_max_one_claim(
@@ -257,7 +257,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-_TERM = re.compile(r"^([+-]?[0-9./]*)\s*\*?\s*(?:x([0-9]+))?$")
+# a sign, a coefficient, a coordinate: one of the last two may be missing
+_TERM = re.compile(r"([+-]?)\s*([0-9./]*)\s*\*?\s*(?:x([0-9]+))?")
 
 
 def _parse_free_expression(text: str, dim: int) -> AffineFunctional:
@@ -269,17 +270,18 @@ def _parse_free_expression(text: str, dim: int) -> AffineFunctional:
     text = text.strip()
     if not text:
         raise ParseError("empty functional expression")
-    chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
+    # each sign starts a term, so the terms cover the text exactly
+    chunks = [chunk.strip() for chunk in re.split(r"(?=[+-])", text)]
+    if not chunks[0]:
+        del chunks[0]  # the text starts with a sign
     linear = [QQ(0)] * dim
     constant = QQ(0)
     for chunk in chunks:
-        m = _TERM.match(chunk)
-        if not m or (not m.group(1) and m.group(2) is None):
+        m = _TERM.fullmatch(chunk)
+        if not m or not (m[2] or m[3]):
             raise ParseError(f"cannot parse term {chunk!r}")
-        coeff_text, var = m.group(1), m.group(2)
-        if coeff_text in ("", "+", "-"):
-            coeff_text += "1"
-        coeff = parse_rational(coeff_text, "free")
+        sign, coeff_text, var = m.groups()
+        coeff = parse_rational(sign + (coeff_text or "1"), "free")
         if var is None:
             constant += coeff
         else:
@@ -365,7 +367,7 @@ def _cmd_wigner(args) -> int:
 
 def _cmd_symmetries(args) -> int:
     from . import symmetry
-    from .report import lp_claim, make_report, ser_map
+    from .report import lp_claim, make_report, ser_map, transport_id
     from .theory import Channel
     from .theoryfile import theory_to_dict
 
@@ -396,7 +398,7 @@ def _cmd_symmetries(args) -> int:
                 row["channel"] = ser_map(result.map)
             else:
                 row["transported"] = False
-                claims.append(lp_claim(f"no_transport[{phi.describe()}]",
+                claims.append(lp_claim(transport_id(phi.shape[1], phi.table),
                                        "no channel completes the square", result.certificate,
                                        rep=name, table=list(phi.table)))
         entries.append(row)

@@ -27,13 +27,12 @@ feasible; with no artificial, ``x = 0`` is the witness.
 ``LinearProgram`` has one storage: each row once over the integers,
 times the lcm ``s`` of its reduced denominators (so the row, its
 right-hand side and ``s`` have gcd 1 and the form is unique).  It is
-built from rational rows, from (numerator, denominator) pairs (the
-program a format-1 report carries) or, by the constructors of
-``programs``, straight from integer rows; the rational rows
-``equalities`` and ``inequalities`` are views built on demand, which the
-solver and the guards never read.  The tableau is built from these rows with
-each starting basic column kept at coefficient 1 (rescaled by ``s``), so
-the starting basis is the identity, and the objective is the unscaled
+built from rational rows or, by the constructors of ``programs``,
+straight from integer rows; the rational rows ``equalities`` and
+``inequalities`` are views built on demand, which the solver and the
+guards never read.  The tableau is built from these rows with each
+starting basic column kept at coefficient 1 (rescaled by ``s``), so the
+starting basis is the identity, and the objective is the unscaled
 phase-1 reduced-cost row times its own lcm ``L``.  These scalings are
 positive and per row or per column, so Bland's choices, and hence the
 pivots, witnesses and multipliers, are those of the rational tableau;
@@ -205,10 +204,6 @@ class AffineSolution:
     particular: Vec
     nullspace: tuple[Vec, ...]
 
-    @property
-    def unique(self) -> bool:
-        return not self.nullspace
-
 
 def solve_affine(a: Union[Matrix, Sequence[Sequence]], b: Sequence) -> Optional[AffineSolution]:
     """Solve ``A x = b`` exactly; ``None`` when inconsistent."""
@@ -243,12 +238,11 @@ def solve_affine(a: Union[Matrix, Sequence[Sequence]], b: Sequence) -> Optional[
 class LinearProgram:
     """Feasibility program: ``row . x = rhs`` and ``row . x >= rhs`` rows.
 
-    Built from rational rows (ints, Fractions or strings; no floats), by
-    ``from_ratios`` from (numerator, denominator) pairs or by
-    ``from_scaled`` from integer rows already in their form, and stored
-    only as ``_scaled``: equalities then inequalities as ``(s*row, s*rhs,
-    s)``, the unique integer form of each row, which ``eq`` and ``hash``
-    compare.
+    Built from rational rows (ints, Fractions or strings; no floats) or,
+    by ``programs``, with ``from_scaled`` from integer rows already in
+    their form, and stored only as ``_scaled``: equalities then
+    inequalities as ``(s*row, s*rhs, s)``, the unique integer form of each
+    row, which ``eq`` and ``hash`` compare.
     """
 
     n_vars: int
@@ -259,14 +253,6 @@ class LinearProgram:
         eqs = [_scaled_row(row, rhs) for row, rhs in equalities]
         ineqs = [_scaled_row(row, rhs) for row, rhs in inequalities]
         self._store(n_vars, eqs + ineqs, len(eqs))
-
-    @classmethod
-    def from_ratios(cls, n_vars: int, equalities=(), inequalities=()) -> "LinearProgram":
-        """The program of rows ``(row, rhs)`` whose entries are pairs
-        ``(numerator, denominator)`` of ints, denominators positive."""
-        eqs = [_ratio_row(row, rhs) for row, rhs in equalities]
-        ineqs = [_ratio_row(row, rhs) for row, rhs in inequalities]
-        return cls.from_scaled(n_vars, eqs + ineqs, len(eqs))
 
     @classmethod
     def from_scaled(cls, n_vars: int, rows, n_eq: int) -> "LinearProgram":
@@ -319,21 +305,6 @@ def _scaled_row(row, rhs) -> tuple[tuple[int, ...], int, int]:
         rhs.numerator * (scale // rhs.denominator),
         scale,
     )
-
-
-def _ratio_row(row, rhs) -> tuple[tuple[int, ...], int, int]:
-    """``_scaled_row`` of a row of (numerator, denominator) pairs, which
-    need not be in lowest terms: scale by the lcm, then divide out the gcd."""
-    nums, dens = zip(rhs, *row)
-    if min(dens) <= 0:
-        raise ValueError("denominators must be positive")
-    scale = math.lcm(*dens)
-    if scale > 1:
-        nums = [n * (scale // d) for n, d in zip(nums, dens)]
-        g = math.gcd(scale, *nums)
-        nums = [n // g for n in nums]
-        scale //= g
-    return tuple(nums[1:]), nums[0], scale
 
 
 def _rational_rows(rows) -> tuple[tuple[Vec, QQ], ...]:

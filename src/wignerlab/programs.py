@@ -29,6 +29,10 @@ report supplies.
 - ``transport_equations``: the equations of a channel that completes the
   square of a lifted phase-point map, given by its table.
 
+Two helpers name these arguments for the engine and ``verify`` alike:
+``generators``, the outcome permutations of the generators of S_m x S_n,
+and ``moved_points``, the text of a phase table in a ``no_transport`` id.
+
 Each constructor writes its rows straight in the integer form of
 ``LinearProgram`` (``LinearProgram.from_scaled``): a row ``r . x (= or
 >=) rhs`` as ``(s*r, s*rhs, s)`` with ``s > 0`` and gcd 1, in the same
@@ -186,6 +190,23 @@ def permutation_equations(obs_a, obs_b, perm_a: Sequence[int], perm_b: Sequence[
         inv_b[t] = i
     return ([(obs_a.effects[a], obs_a.effects[inv_a[a]]) for a in range(obs_a.n_outcomes)]
             + [(obs_b.effects[b], obs_b.effects[inv_b[b]]) for b in range(obs_b.n_outcomes)])
+
+
+def generators(n_a: int, n_b: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(perm_a, perm_b)`` of the adjacent transpositions of A's outcomes,
+    then of B's: they generate the translation group S_m x S_n."""
+    def swaps(n):
+        return [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
+
+    id_a, id_b = tuple(range(n_a)), tuple(range(n_b))
+    return [(t, id_b) for t in swaps(n_a)] + [(id_a, t) for t in swaps(n_b)]
+
+
+def moved_points(n_b: int, table: Sequence[int]) -> str:
+    """The points that a phase table over flat indices ``a * n_b + b``
+    moves, as ``(a, b)->(a', b')`` joined by ``, ``; ``id`` if none."""
+    moved = [f"{divmod(i, n_b)}->{divmod(t, n_b)}" for i, t in enumerate(table) if i != t]
+    return ", ".join(moved) or "id"
 
 
 def transport_equations(rep, table: Sequence[int]):

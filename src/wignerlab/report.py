@@ -9,7 +9,7 @@ covariance identities by evaluation at the affine basis of the report's
 state space.  A claim passes only if its data proves its ``verdict``: an
 ``lp_feasible`` claim says true and an ``lp_infeasible`` one false, and a
 ``rank`` claim says whether the rank of the effects of the report's
-observable pair at the affine basis of K (``theory.effect_span``) is
+observable pair at the affine basis of K (``theory.effect_span_rank``) is
 dim(K) + 1.  Witnesses are about the report's theory: a
 ``negative_entry`` functional is an entry of the embedded grid at a
 state of K, with its value there, and ``ball_entry_min`` and
@@ -23,11 +23,7 @@ constructor's arguments (``observable`` and ``outcome``; ``perm_a`` and
 ``perm_b``; ``rep`` and ``table``); ``verify`` rebuilds the program from
 the embedded theory, requires the id to be the one the engine gives
 those arguments, and checks the witness or certificate against the
-rebuilt program, multiplier counts included (``_program``).  Format-1
-reports (``wignerlab-report/1``) still verify: their LP claims carry a
-program and name their arguments by their id alone (``_legacy_args``),
-and a carried program must equal the rebuilt one, as a carried rank
-matrix must equal the rebuilt effects.
+rebuilt program, multiplier counts included (``_program``).
 
 Generators decide covariance.  Covariance identities compose, so a
 ``covariant`` report that embeds a representation needs a
@@ -63,25 +59,16 @@ JSON from ``json.dumps``.  ``load_report`` reads any JSON layout, an
 from __future__ import annotations
 
 import json
-import re
 from typing import Optional
 
 from . import programs
 from .errors import ParseError
-from .exact import QQ, Infeasible, LinearProgram, Matrix, vec_dot, verify_certificate
+from .exact import Infeasible, LinearProgram, Matrix, vec_dot, verify_certificate
 from .geometry import (
     AffineFunctional, AffineMap, Ball, ExtremalValue, affine_basis, contains, dimension, map_into,
 )
-from .theory import are_complementary, effect_span, validate
-from .theoryfile import (
-    parse_ratio,
-    parse_ratios,
-    parse_rational,
-    rational_to_str,
-    ser_functional,
-    ser_vec,
-    theory_from_dict,
-)
+from .theory import are_complementary, effect_span_rank, validate
+from .theoryfile import parse_rational, rational_to_str, ser_functional, ser_vec, theory_from_dict
 from .wigner import (
     WignerRep,
     check_marginals,
@@ -91,7 +78,6 @@ from .wigner import (
 )
 
 FORMAT = "wignerlab-report/2"
-FORMAT_1 = "wignerlab-report/1"  # LP claims carry their program and name it by their id
 
 
 def ser_map(m: AffineMap) -> dict:
@@ -143,18 +129,6 @@ def _de_map(obj, path="") -> AffineMap:
     )
 
 
-def _de_program(obj, path="program") -> LinearProgram:
-    def rows(key):
-        return [
-            (parse_ratios(row, f"{path}.{key}[{k}]"), parse_ratio(rhs, f"{path}.{key}[{k}]"))
-            for k, (row, rhs) in enumerate(obj.get(key, []))
-        ]
-
-    return LinearProgram.from_ratios(
-        int(obj["n_vars"]), rows("equalities"), rows("inequalities")
-    )
-
-
 def _de_certificate(obj, path="certificate") -> Infeasible:
     return Infeasible(
         _de_vec(obj["eq_multipliers"], path),
@@ -202,8 +176,9 @@ def load_report(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
-    if not isinstance(data, dict) or data.get("format") not in (FORMAT, FORMAT_1):
-        raise ParseError(f"not a {FORMAT} (or {FORMAT_1}) document")
+    found = data.get("format") if isinstance(data, dict) else None
+    if found != FORMAT:
+        raise ParseError(f"not a {FORMAT} document (found {found!r})")
     claims = data.get("claims")
     if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
         raise ParseError("expected a list of claim objects", path="claims")
@@ -221,13 +196,10 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
     returns (claim id, ok, detail) rows."""
     theory, wigner = theory_from_dict(report["theory"])
     wigner_reps: dict[str, WignerRep] = dict([wigner]) if wigner is not None else {}
-    legacy = report["format"] == FORMAT_1
     rows = []
     for claim in report["claims"]:
         cid = claim["id"]
         try:
-            if legacy and claim["kind"] in ("lp_feasible", "lp_infeasible"):
-                claim = {**_legacy_args(claim, report, theory, wigner_reps), **claim}
             ok = _verify_claim(claim, theory, wigner_reps)
             rows.append((cid, ok, "" if ok else "claim data does not re-verify"))
         except Exception as exc:  # noqa: BLE001 - report must not crash
@@ -238,61 +210,30 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
         claimed = [(c.get("perm_a"), c.get("perm_b")) for c in report["claims"]
                    if c["kind"] == "covariance_identity" and c.get("rep") == name]
         rows += [(_covariance_id(a, b), False, "no covariance claim for this generator")
-                 for a, b in _generators(*rep.shape) if (list(a), list(b)) not in claimed]
+                 for a, b in programs.generators(*rep.shape)
+                 if (list(a), list(b)) not in claimed]
     return rows
-
-
-def _generators(n_a: int, n_b: int) -> list[tuple[tuple, tuple]]:
-    """(perm_a, perm_b) of each element of ``symmetry.product_group_generators``:
-    the adjacent transpositions of A's outcomes, then of B's."""
-    def swaps(n):
-        return [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
-
-    id_a, id_b = tuple(range(n_a)), tuple(range(n_b))
-    return [(t, id_b) for t in swaps(n_a)] + [(id_a, t) for t in swaps(n_b)]
 
 
 def _covariance_id(perm_a, perm_b) -> str:
     return f"covariance[(A:{tuple(perm_a)}, B:{tuple(perm_b)})]"
 
 
-def _surjective_id(observable: str, outcome) -> str:
+def surjective_id(observable: str, outcome) -> str:
+    """The id of the claim that ``observable`` reaches ``outcome`` sharply."""
     return f"surjective[{observable}][{outcome}]"
 
 
-def _transport_id(n_b: int, table) -> str:
-    """``no_transport[...]`` with ``PhasePointMap.describe`` of the table."""
-    moved = [f"{divmod(i, n_b)}->{divmod(t, n_b)}" for i, t in enumerate(table) if i != t]
-    return f"no_transport[{', '.join(moved) or 'id'}]"
-
-
-_MOVE = re.compile(r"\((\d+), (\d+)\)->\((\d+), (\d+)\)")
+def transport_id(n_b: int, table) -> str:
+    """The id of the claim that no channel transports the phase table."""
+    return f"no_transport[{programs.moved_points(n_b, table)}]"
 
 
 def _surjective_args(cid: str, theory) -> dict:
     """The observable of the pair and the outcome that ``cid`` names."""
     return next(({"observable": obs.name, "outcome": outcome}
                  for obs in (theory.obs_a, theory.obs_b) for outcome in obs.outcomes
-                 if cid == _surjective_id(obs.name, outcome)), {})
-
-
-def _legacy_args(claim: dict, report: dict, theory, wigner_reps) -> dict:
-    """The constructor arguments of a format-1 LP claim, which names them
-    only by its id and, for ``no_covariant``, the report's
-    ``offending_element``."""
-    cid = claim["id"]
-    if cid.startswith("surjective["):
-        return _surjective_args(cid, theory)
-    if cid.startswith("no_transport["):
-        (name, rep), = wigner_reps.items()  # a symmetries report embeds one
-        n_b = rep.shape[1]
-        table = list(range(rep.shape[0] * n_b))
-        for a, b, a2, b2 in _MOVE.findall(cid):
-            table[int(a) * n_b + int(b)] = int(a2) * n_b + int(b2)
-        return {"rep": name, "table": table}
-    if cid == "no_covariant":
-        return dict(report.get("offending_element") or {})
-    return {}
+                 if cid == surjective_id(obs.name, outcome)), {})
 
 
 def _program(claim: dict, theory, wigner_reps) -> Optional[LinearProgram]:
@@ -315,12 +256,12 @@ def _program(claim: dict, theory, wigner_reps) -> Optional[LinearProgram]:
         equations = programs.permutation_equations(obs_a, obs_b, perm_a, perm_b)
     elif cid.startswith("surjective["):
         name, outcome = claim["observable"], claim["outcome"]
-        if cid != _surjective_id(name, outcome):
+        if cid != surjective_id(name, outcome):
             return None
         return programs.surjectivity(theory.observable(name).effect(outcome), space)
     elif cid.startswith("no_transport["):
         rep, table = wigner_reps[claim["rep"]], claim["table"]
-        if sorted(table) != list(range(len(rep.functionals()))) or cid != _transport_id(
+        if sorted(table) != list(range(len(rep.functionals()))) or cid != transport_id(
                 rep.shape[1], table):
             return None
         equations = programs.transport_equations(rep, table)
@@ -356,7 +297,7 @@ def lp_claim(cid: str, statement: str, result, joint=None, **args) -> dict:
 
 def rank_claim(cid: str, statement: str, verdict: bool, matrix_rank: int) -> dict:
     """The rank of the effects of the report's pair at the affine basis of
-    its K (``theory.effect_span``), which ``verify`` rebuilds."""
+    its K (``theory.effect_span_rank``), which ``verify`` rebuilds."""
     return _claim(cid, "rank", statement, verdict, rank=matrix_rank)
 
 
@@ -414,8 +355,7 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
     verdict = claim["verdict"]
     if kind in ("lp_feasible", "lp_infeasible"):
         lp = _program(claim, theory, wigner_reps)
-        # a format-1 claim carries its program, which must be the rebuilt one
-        if lp is None or ("program" in claim and _de_program(claim["program"]) != lp):
+        if lp is None:
             return False
         if kind == "lp_infeasible":
             return verdict is False and verify_certificate(lp, _de_certificate(claim["certificate"]))
@@ -423,12 +363,8 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
         return (verdict is True and lp.check(witness)
                 and ("joint" not in claim or _is_joint(claim["joint"], witness, theory)))
     if kind == "rank":
-        # the rank of the effects of the theory's pair at aff(K)'s basis;
-        # a format-1 claim also carries those effects as its matrix
-        rows, den, span = effect_span(theory.obs_a, theory.obs_b, theory.state_space)
-        if "matrix" in claim and [_de_vec(row, "matrix") for row in claim["matrix"]] != [
-                tuple(QQ(a, den) for a in row) for row in rows]:
-            return False
+        # the rank of the effects of the theory's pair at aff(K)'s basis
+        span = effect_span_rank(theory.obs_a, theory.obs_b, theory.state_space)
         full = span == dimension(theory.state_space) + 1
         return int(claim["rank"]) == span and verdict is full
     # a witness functional is a grid entry of the report's representation

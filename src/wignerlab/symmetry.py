@@ -75,7 +75,10 @@ from .geometry import (
     map_into,
     values_at,
 )
-from .programs import grid_unknowns, marginal_program, permutation_equations, transport_equations
+from .programs import (
+    generators, grid_unknowns, marginal_program, moved_points, permutation_equations,
+    transport_equations,
+)
 from .theory import (
     Channel,
     ChannelInfeasible,
@@ -161,13 +164,7 @@ class PhasePointMap:
         return PhasePointMap(self.shape, tuple(inv))
 
     def describe(self) -> str:
-        n_b = self.shape[1]
-        moved = [
-            f"{divmod(i, n_b)}->{divmod(t, n_b)}"
-            for i, t in enumerate(self.table)
-            if i != t
-        ]
-        return "id" if not moved else ", ".join(moved)
+        return moved_points(self.shape[1], self.table)
 
 
 @record
@@ -579,14 +576,9 @@ class ProductGroupElement:
 
 
 def product_group_generators(n_a: int, n_b: int) -> list[ProductGroupElement]:
-    """Adjacent transpositions of A's outcomes, then of B's: they generate
-    the translation group S_m x S_n."""
-    def swaps(n):
-        return [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
-
-    id_a, id_b = tuple(range(n_a)), tuple(range(n_b))
-    return ([ProductGroupElement(t, id_b) for t in swaps(n_a)]
-            + [ProductGroupElement(id_a, t) for t in swaps(n_b)])
+    """Adjacent transpositions of A's outcomes, then of B's
+    (``programs.generators``): they generate the translation group S_m x S_n."""
+    return [ProductGroupElement(a, b) for a, b in generators(n_a, n_b)]
 
 
 @record

@@ -105,10 +105,6 @@ class Distribution:
         if sum(self.values) != 1:
             raise ValueError("probabilities must sum to one")
 
-    @classmethod
-    def uniform(cls, n: int) -> "Distribution":
-        return cls((QQ(1, n),) * n)
-
 
 @record
 class Violation:
@@ -251,19 +247,11 @@ def are_compatible(
     return Compatible(joint, lp, result.witness)
 
 
-def effect_span(
-    obs_a: Observable, obs_b: Observable, space: StateSpace
-) -> tuple[list[list[int]], int, int]:
-    """All effects of both observables at the affine basis of K, as the
-    ``values_at`` rows over ``den``, and the rank of those rows: the
-    dimension of the effect span restricted to aff(K)."""
-    rows, den = values_at(obs_a.effects + obs_b.effects, affine_basis(space))
-    return rows, den, bareiss_rank([row[:] for row in rows])  # it eliminates in place
-
-
 def effect_span_rank(obs_a: Observable, obs_b: Observable, space: StateSpace) -> int:
-    """Rank of all effects of both observables restricted to aff(K)."""
-    return effect_span(obs_a, obs_b, space)[2]
+    """Rank of all effects of both observables restricted to aff(K): of
+    their ``values_at`` rows at the affine basis of K."""
+    rows, _ = values_at(obs_a.effects + obs_b.effects, affine_basis(space))
+    return bareiss_rank(rows)
 
 
 def jointly_info_complete(

@@ -10,18 +10,15 @@ The engine writes every rational as ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+``;
 ``parse_rational`` reads these ASCII forms with two ``int`` calls and
 hands every other string to ``Fraction``, so the language it accepts and
 the errors it raises are ``Fraction``'s on the running interpreter.
-``parse_ratios`` reads a list of them as integer pairs, for callers that
-go straight to integer rows.  ``ser_vec`` and ``ser_functional`` write
-vectors and functionals, for theory files and reports alike.
+``ser_vec`` and ``ser_functional`` write vectors and functionals, for
+theory files and reports alike.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import re
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional
 
 from .errors import ParseError
@@ -45,31 +42,17 @@ def ser_functional(f: AffineFunctional) -> dict:
     return {"linear": ser_vec(f.linear), "constant": rational_to_str(f.constant)}
 
 
-_split = operator.methodcaller("partition", "/")
-
-# one or more rationals in the canonical forms, joined by commas
-_CANONICAL_LIST = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
-
-
-def _canonical_ratios(values) -> Optional[list[tuple[int, int]]]:
-    """(numerator, denominator) of each entry when every entry is a
-    string in a canonical form, else None."""
-    try:
-        text = ",".join(values)
-        if not _CANONICAL_LIST.fullmatch(text):
-            return None
-        if "/" not in text:
-            return list(zip(map(int, values), repeat(1)))
-        ratios = [(int(num), int(den or 1)) for num, _, den in map(_split, values)]
-    except (TypeError, ValueError):  # a non-string entry, or past the digit limit
-        return None
-    return ratios if all(d for _, d in ratios) else None
+# a rational in one of the canonical forms
+_CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value, path: str) -> QQ:
-    ratios = _canonical_ratios((value,))
-    if ratios is not None:
-        return Fraction(*ratios[0])
+    if isinstance(value, str) and _CANONICAL.fullmatch(value):
+        num, _, den = value.partition("/")
+        try:
+            return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):  # past the digit limit, or over 0
+            pass  # Fraction(value) below raises the error
     if isinstance(value, bool):
         raise ParseError("expected a rational, got a boolean", path=path)
     if isinstance(value, int):
@@ -83,22 +66,6 @@ def parse_rational(value, path: str) -> QQ:
             raise ParseError(f"malformed rational {value!r}: {exc}", path=path) from None
         return q
     raise ParseError(f"expected a rational string, got {type(value).__name__}", path=path)
-
-
-def parse_ratio(value, path: str) -> tuple[int, int]:
-    """``parse_rational`` as (numerator, denominator) in lowest terms."""
-    q = parse_rational(value, path)
-    return q.numerator, q.denominator
-
-
-def parse_ratios(values, path: str) -> list[tuple[int, int]]:
-    """(numerator, denominator > 0) of each entry of a list, not always in
-    lowest terms: in one pass when all entries are canonical, otherwise
-    by ``parse_ratio`` entry by entry, naming the bad entry's path."""
-    ratios = _canonical_ratios(values)
-    if ratios is None:
-        ratios = [parse_ratio(v, f"{path}[{i}]") for i, v in enumerate(values)]
-    return ratios
 
 
 def _reject_float(literal: str):

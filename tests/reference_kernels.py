@@ -70,8 +70,7 @@ facet walk is checked against.
 identities, the convex-weights LP of one effect and the facet-form
 channel LP, inline in ``theory`` and ``symmetry`` before
 ``wignerlab.programs`` wrote integer rows; the constructors are checked
-equal to them.  ``ser_program`` is the former ``report.ser_program``,
-the writer of a format-1 report's programs.
+equal to them.
 
 ``dataclass_twin`` rebuilds a record class (``wignerlab._record``) as the
 ``@dataclass(frozen=True)`` it replaced, the oracle of the record
@@ -1012,16 +1011,3 @@ def channel_program(source: Polytope, target: Polytope, equations) -> LinearProg
     ]
     return LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
 
-
-def ser_program(lp: LinearProgram) -> dict:
-    """The program as a format-1 report writes it, from its integer rows."""
-    def ratio(a, s):
-        g = math.gcd(a, s)
-        return str(a // g) if g == s else f"{a // g}/{s // g}"
-
-    rows = [[[ratio(a, s) for a in row], ratio(rhs, s)] for row, rhs, s in lp._scaled]
-    return {
-        "n_vars": lp.n_vars,
-        "equalities": rows[:lp._n_eq],
-        "inequalities": rows[lp._n_eq:],
-    }

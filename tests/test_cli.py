@@ -85,10 +85,25 @@ def test_verify_subcommand_and_tamper_detection(tmp_path, capsys):
 @pytest.mark.parametrize("claims", [[1], {"a": 1}, {}], ids=["int", "object", "empty_object"])
 def test_verify_rejects_claims_that_are_not_a_list_of_objects(tmp_path, capsys, claims):
     path = tmp_path / "report.json"
-    path.write_text(json.dumps({"format": "wignerlab-report/1", "claims": claims}))
+    path.write_text(json.dumps({"format": "wignerlab-report/2", "claims": claims}))
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2 and out == ""
     assert "expected a list of claim objects (at claims)" in err
+
+
+def test_verify_refuses_a_format_1_report(tmp_path, capsys):
+    """A report of any format but ``wignerlab-report/2`` is a parse error
+    that names the format it found."""
+    path = tmp_path / "trit.json"
+    run(capsys, "example", "trit", "--out", str(path))
+    _, out, _ = run(capsys, "analyze", str(path))
+    report = json.loads(out)
+    report["format"] = "wignerlab-report/1"
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify", str(report_path))
+    assert code == 2 and out == ""
+    assert "not a wignerlab-report/2 document (found 'wignerlab-report/1')" in err
 
 
 @pytest.mark.parametrize("edit, where", [
@@ -360,6 +375,12 @@ def test_wigner_flag_errors_are_usage_errors(tmp_path, capsys):
     assert code == 2 and "free slots" in err
     code, _, err = run(capsys, "wigner", str(box), "--free", "x9")
     assert code == 2 and "ambient dimension" in err
+    # a stray sign, or numbers apart, is no term: it is named, not dropped,
+    # read as 0 or glued to its neighbour ('x0 1' is not x01 = x1)
+    for text, term in (("x0 - - x1", "-"), ("1/2 x0 +", "+"), ("+", "+"), ("-", "-"),
+                       ("x0 1", "x0 1"), ("1 2 x0", "1 2 x0")):
+        code, _, err = run(capsys, "wigner", str(box), "--free", text)
+        assert code == 2 and f"cannot parse term {term!r}" in err
     code, _, err = run(capsys, "wigner", str(box), "--free", "0", "--anchor", "9,9")
     assert code == 2 and "out of range" in err
 

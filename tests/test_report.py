@@ -1,51 +1,41 @@
 """Report claims: programs rebuilt from the theory, and their replay.
 
-Format-2 reports carry no LP program: each LP claim names the arguments
-of its constructor in ``wignerlab.programs`` and ``verify`` rebuilds the
-program from the embedded theory.  Format-1 reports, whose LP claims
-carry their programs, still verify, and a carried program must be the
-rebuilt one.
+Reports carry no LP program: each LP claim names the arguments of its
+constructor in ``wignerlab.programs`` and ``verify`` rebuilds the
+program from the embedded theory.
 """
 
 import copy
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from helpers import generalized_boxworld
-from reference_kernels import ser_program
 from wignerlab import catalog, exact, programs
 from wignerlab.cli import main
-from wignerlab.exact import LinearProgram
-from wignerlab.geometry import AffineFunctional, ExtremalValue, Polytope, affine_basis
+from wignerlab.geometry import AffineFunctional, ExtremalValue, Polytope
 from wignerlab.symmetry import (
     PhasePointMap, ProductGroupElement, find_transported_channel, lift, product_group_generators,
     solve_covariant,
 )
-from wignerlab.theory import Observable, Theory, effect_span, jointly_info_complete
-from wignerlab.theoryfile import dumps, ser_vec, theory_from_dict
+from wignerlab.theory import Observable, Theory, jointly_info_complete
+from wignerlab.theoryfile import dumps
 from wignerlab.wigner import free_slots, grid_rank
 from wignerlab.report import (
     FORMAT,
-    FORMAT_1,
     _de_map,
-    _de_program,
-    _generators,
-    _program,
-    _transport_id,
     covariance_claim,
     dump_report,
     load_report,
     lp_claim,
     ser_extremal,
     ser_map,
+    transport_id,
     verify_report,
 )
 
-DATA = Path(__file__).parent / "data"
 ARGS = ("observable", "outcome", "rep", "table", "perm_a", "perm_b")
 
 
@@ -71,47 +61,6 @@ def _catalog_reports(tmp_path, capsys):
     return reports
 
 
-def _format_1(report):
-    """The report as the format-1 engine wrote it: each LP claim carries
-    its program and names its arguments only by its id (and, for
-    ``no_covariant``, the report's ``offending_element``), each rank
-    claim carries its matrix and each covariance claim the basis."""
-    theory, wigner = theory_from_dict(report["theory"])
-    reps = dict([wigner]) if wigner is not None else {}
-    old = copy.deepcopy(report)
-    old["format"] = FORMAT_1
-    for claim in old["claims"]:
-        if claim["kind"] in ("lp_feasible", "lp_infeasible"):
-            claim["program"] = ser_program(_program(claim, theory, reps))
-            for key in ARGS:
-                claim.pop(key, None)
-        elif claim["kind"] == "rank":
-            rows, den, _ = effect_span(theory.obs_a, theory.obs_b, theory.state_space)
-            claim["matrix"] = [ser_vec([Fraction(a, den) for a in row]) for row in rows]
-        elif claim["kind"] == "covariance_identity":
-            claim["basis"] = [ser_vec(p) for p in affine_basis(theory.state_space)]
-    return old
-
-
-def _programs(report):
-    return [c["program"] for c in report["claims"] if "program" in c]
-
-
-def test_parsed_programs_write_back_byte_for_byte(tmp_path, capsys):
-    """The programs of format-1 copies of the catalog reports parse to
-    integer rows that write back as they were read."""
-    programs_ = [p for r in _catalog_reports(tmp_path, capsys) for p in _programs(_format_1(r))]
-    assert len(programs_) >= 20
-    for program in programs_:
-        lp = _de_program(program)
-        assert json.dumps(ser_program(lp)) == json.dumps(program)
-        rational = LinearProgram(lp.n_vars, lp.equalities, lp.inequalities)
-        assert rational == lp and hash(rational) == hash(lp)
-        assert rational._scaled == lp._scaled
-        assert rational.equalities == lp.equalities
-        assert rational.inequalities == lp.inequalities
-
-
 def test_parsed_channels_write_back_byte_for_byte(tmp_path, capsys):
     channels = [
         c["channel"] for r in _catalog_reports(tmp_path, capsys) for c in r["claims"]
@@ -122,49 +71,11 @@ def test_parsed_channels_write_back_byte_for_byte(tmp_path, capsys):
         assert json.dumps(ser_map(_de_map(channel, "channel."))) == json.dumps(channel)
 
 
-def test_unreduced_and_json_int_entries_parse_to_the_same_program():
-    program = {"n_vars": 2, "equalities": [[["2/4", 3], "-6/8"]],
-               "inequalities": [[["0", "10/5"], "1"]]}
-    canonical = {"n_vars": 2, "equalities": [[["1/2", "3"], "-3/4"]],
-                 "inequalities": [[["0", "2"], "1"]]}
-    lp = _de_program(program)
-    assert lp == _de_program(canonical)
-    assert ser_program(lp) == canonical
-
-
 def _boxworld_analyze(tmp_path, capsys):
     path = str(tmp_path / "box.json")
     main(["example", "boxworld", "--out", path])
     capsys.readouterr()
     return _report(capsys, ["analyze", path])
-
-
-@pytest.mark.parametrize("damage", ["malformed_entry", "short_row", "zero_denominator"])
-def test_bad_program_fails_only_its_claim(tmp_path, capsys, damage):
-    """A format-1 program that does not parse fails its claim alone."""
-    report = _format_1(_boxworld_analyze(tmp_path, capsys))
-    clean = verify_report(report)
-    assert all(ok for _, ok, _ in clean)
-    lp_claims = [i for i, c in enumerate(report["claims"]) if "program" in c]
-    assert len(lp_claims) >= 2
-    target = lp_claims[-1]
-    bad = copy.deepcopy(report)
-    program = bad["claims"][target]["program"]
-    rows = program["inequalities"] or program["equalities"]
-    if damage == "malformed_entry":
-        rows[0][0][0] = "1/2x"
-    elif damage == "short_row":
-        rows[0][0].pop()
-    else:
-        rows[0][1] = "3/0"
-    checked = verify_report(bad)
-    for i, (row, before) in enumerate(zip(checked, clean)):
-        if i == target:
-            cid, ok, detail = row
-            assert cid == before[0] and not ok
-            assert detail.startswith("verification error")
-        else:
-            assert row == before
 
 
 def test_verify_runs_no_lp(tmp_path, capsys, monkeypatch):
@@ -264,27 +175,12 @@ def test_a_flipped_verdict_fails_only_its_claim(tmp_path, capsys, cid):
 
 def test_a_rank_matrix_must_be_the_theory_effects(tmp_path, capsys):
     """On ``trit`` the effect span has rank 2, not dim(K) + 1 = 3.  A rank
-    claim names no matrix, so rank 3 with a true verdict fails.  A
-    format-1 claim carries the matrix: the 3x3 identity with rank 3 and a
-    true verdict is a consistent rank claim, but not about the report's
-    theory, so ``info_complete`` fails and only it; so does a matrix of
-    the same rank with one row doubled."""
+    claim names no matrix, so rank 3 with a true verdict fails."""
     report = _example_report(tmp_path, capsys, "trit", "analyze")
     claim = next(c for c in report["claims"] if c["id"] == "info_complete")
     assert claim["rank"] == 2 and claim["verdict"] is False and _failed(report) == []
     assert "matrix" not in claim
     claim["rank"], claim["verdict"] = 3, True
-    assert _failed(report) == ["info_complete"]
-    report = _format_1(_example_report(tmp_path, capsys, "trit", "analyze"))
-    claim = next(c for c in report["claims"] if c["id"] == "info_complete")
-    assert _failed(report) == []
-    matrix = claim["matrix"]
-    assert any(Fraction(x) for x in matrix[0])
-    claim["matrix"] = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
-    claim["rank"], claim["verdict"] = 3, True
-    assert _failed(report) == ["info_complete"]
-    claim["matrix"] = [[str(2 * Fraction(x)) for x in matrix[0]]] + matrix[1:]
-    claim["rank"], claim["verdict"] = 2, False
     assert _failed(report) == ["info_complete"]
 
 
@@ -305,9 +201,9 @@ def test_verdicts_of_witness_claims_are_bound(tmp_path, capsys, kind):
 
 
 def test_covariance_claims_are_checked_against_the_theory(tmp_path, capsys):
-    """A covariance claim with an empty basis (which format 1 carried and
-    nothing reads) and a channel of 7s fails: the identity is checked at
-    the affine basis of the report's K, for a channel that maps K into K."""
+    """A covariance claim with an empty basis (a key that nothing reads)
+    and a channel of 7s fails: the identity is checked at the affine basis
+    of the report's K, for a channel that maps K into K."""
     report = _example_report(tmp_path, capsys, "boxworld", "covariant")
     assert _failed(report) == []
     claim = report["claims"][0]
@@ -501,12 +397,25 @@ def test_a_covariance_claim_must_permute_every_outcome(tmp_path, capsys):
 
 
 def test_verify_lists_the_generators_that_the_engine_solves():
-    """``verify`` may not load ``symmetry``, so ``report`` restates
-    ``product_group_generators``; both give the same list."""
+    """``programs.generators``, which ``verify`` and
+    ``product_group_generators`` both read: the adjacent transpositions
+    of A's outcomes, then of B's, m + n - 2 of them."""
+    assert programs.generators(1, 1) == []
+    assert programs.generators(3, 2) == [((1, 0, 2), (0, 1)), ((0, 2, 1), (0, 1)),
+                                         ((0, 1, 2), (1, 0))]
     for m in range(1, 6):
         for n in range(1, 6):
-            assert _generators(m, n) == [(g.perm_a, g.perm_b)
-                                         for g in product_group_generators(m, n)]
+            moved = []
+            for perm_a, perm_b in programs.generators(m, n):
+                for side, perm in (("A", perm_a), ("B", perm_b)):
+                    swapped = [i for i, t in enumerate(perm) if i != t]
+                    if swapped:
+                        i, j = swapped
+                        assert j == i + 1 and (perm[i], perm[j]) == (j, i)
+                        moved.append((side, i))
+            assert moved == [("A", i) for i in range(m - 1)] + [("B", j) for j in range(n - 1)]
+            assert [(g.perm_a, g.perm_b) for g in product_group_generators(m, n)] == (
+                programs.generators(m, n))
 
 
 def test_generalized_boxworld_4x4_reports_its_six_generators(tmp_path, capsys):
@@ -532,63 +441,20 @@ def test_format_2_reports_carry_no_program(tmp_path, capsys):
     assert sum(c["kind"].startswith("lp_") for c in claims) >= 20
 
 
-def _trit_forgery(report):
-    """The program swap: ``compatibility`` of ``trit`` turned into an
-    infeasibility claim about the one-variable program 0 x = 1."""
+def test_the_program_swap_forgery_fails_only_compatibility(tmp_path, capsys):
+    """The forgery that once verified 7/7, when reports carried their
+    programs: ``compatibility`` of ``trit`` turned into an infeasibility
+    claim whose one multiplier proves the one-variable program 0 x = 1
+    infeasible.  It does not prove the rebuilt compatibility LP
+    infeasible."""
+    report = _example_report(tmp_path, capsys, "trit", "analyze")
+    assert _failed(report) == []
     claim = next(c for c in report["claims"] if c["id"] == "compatibility")
     for key in ("witness", "joint"):
         claim.pop(key)
     claim.update(kind="lp_infeasible", verdict=False,
-                 program={"n_vars": 1, "equalities": [[["0"], "1"]], "inequalities": []},
                  certificate={"eq_multipliers": ["1"], "ineq_multipliers": [], "gap": "1"})
-    return report
-
-
-@pytest.mark.parametrize("fmt", [FORMAT_1, FORMAT])
-def test_the_program_swap_forgery_fails_only_compatibility(tmp_path, capsys, fmt):
-    """The format-1 forgery that once verified 7/7: the carried program is
-    not the compatibility LP of the theory, and the certificate does not
-    prove the rebuilt one infeasible.  A format-2 report is held to the
-    same rule."""
-    report = _example_report(tmp_path, capsys, "trit", "analyze")
-    if fmt == FORMAT_1:
-        report = _format_1(report)
-    assert _failed(report) == []
-    assert _failed(_trit_forgery(report)) == ["compatibility"]
-
-
-@pytest.mark.parametrize("name", ["format1-analyze-trit.json",
-                                  "format1-covariant-deformed_12gon.json"])
-def test_reports_of_the_format_1_engine_verify(name):
-    """Reports that the engine wrote in format 1 verify in full, each
-    carried program equal to the rebuilt one, and the program swap fails."""
-    report = load_report((DATA / name).read_text())
-    assert report["format"] == FORMAT_1 and len(_programs(report)) >= 1
-    rows = verify_report(report)
-    assert rows and all(ok for _, ok, _ in rows)
-    if "trit" in name:
-        assert _failed(_trit_forgery(report)) == ["compatibility"]
-
-
-def test_format_1_copies_verify_and_a_swapped_program_fails_only_its_claim(tmp_path, capsys):
-    """Every format-1 copy of a catalog report verifies as the report does;
-    with another claim's program swapped in, that claim fails and only it."""
-    originals = _catalog_reports(tmp_path, capsys)
-    reports = [_format_1(r) for r in originals]
-    programs_ = [json.dumps(p) for r in reports for p in _programs(r)]
-    swapped = 0
-    for original, report in zip(originals, reports):
-        assert verify_report(report) == verify_report(original)
-        assert _failed(report) == []
-        for k, claim in enumerate(report["claims"]):
-            if "program" not in claim:
-                continue
-            other = next(p for p in programs_ if p != json.dumps(claim["program"]))
-            bad = copy.deepcopy(report)
-            bad["claims"][k]["program"] = json.loads(other)
-            assert _failed(bad) == [claim["id"]]
-            swapped += 1
-    assert swapped >= 20
+    assert _failed(report) == ["compatibility"]
 
 
 @pytest.mark.parametrize("key", ["eq_multipliers", "ineq_multipliers"])
@@ -634,7 +500,7 @@ def test_the_effect_sums_certificate_lives_on_the_marginal_system(tmp_path, caps
     report = load_report(capsys.readouterr().out)
     claim, = report["claims"]
     assert claim["id"] == "no_covariant" and not set(ARGS) & set(claim)
-    assert _failed(report) == [] and _failed(_format_1(report)) == []
+    assert _failed(report) == []
     claim["certificate"]["eq_multipliers"].append("0")
     assert _failed(report) == ["no_covariant"]
 
@@ -650,19 +516,19 @@ def _with_no_transport(tmp_path, capsys):
     rep = catalog.load("boxworld").representations["W_1/2"]
     phi = PhasePointMap(rep.shape, (0, 1, 3, 2))
     result = find_transported_channel(rep, lift(phi))
-    report["claims"].append(lp_claim(f"no_transport[{phi.describe()}]", "no channel",
+    report["claims"].append(lp_claim(transport_id(phi.shape[1], phi.table), "no channel",
                                      result.certificate, rep="W_1/2", table=list(phi.table)))
     return report
 
 
 def test_a_no_transport_claim_is_rebuilt_from_its_table(tmp_path, capsys):
     """The transport program is rebuilt from the embedded representation
-    and the claim's table, whose id is ``PhasePointMap.describe``; another
-    table, or another id, fails."""
+    and the claim's table, whose id is ``transport_id``; another table,
+    or another id, fails."""
     report = _with_no_transport(tmp_path, capsys)
     cid = "no_transport[(1, 0)->(1, 1), (1, 1)->(1, 0)]"
     assert report["claims"][-1]["id"] == cid
-    assert _failed(report) == [] and _failed(_format_1(report)) == []
+    assert _failed(report) == []
     for table, id_ in (([0, 2, 3, 1], cid), ([0, 1, 3, 2], "no_transport[id]"),
                        ([0, 1, 3, 3], "no_transport[(1, 1)->(1, 1)]")):
         bad = copy.deepcopy(report)
@@ -671,13 +537,15 @@ def test_a_no_transport_claim_is_rebuilt_from_its_table(tmp_path, capsys):
 
 
 def test_verify_writes_the_transport_ids_that_the_engine_writes():
-    for shape in ((1, 1), (2, 2), (2, 3), (3, 2)):
-        n = shape[0] * shape[1]
-        rng = random.Random(n)
-        for _ in range(10):
-            table = rng.sample(range(n), n)
-            phi = PhasePointMap(shape, tuple(table))
-            assert _transport_id(shape[1], table) == f"no_transport[{phi.describe()}]"
+    """``transport_id`` names a table over flat indices a * n_b + b by the
+    points (a, b) it moves (``programs.moved_points``), in index order, as
+    ``PhasePointMap.describe`` does."""
+    assert transport_id(2, [0, 1, 3, 2]) == "no_transport[(1, 0)->(1, 1), (1, 1)->(1, 0)]"
+    assert transport_id(3, [2, 1, 0, 3, 4, 5]) == "no_transport[(0, 0)->(0, 2), (0, 2)->(0, 0)]"
+    assert transport_id(2, [1, 2, 0, 3]) == (
+        "no_transport[(0, 0)->(0, 1), (0, 1)->(1, 0), (1, 0)->(0, 0)]")
+    assert transport_id(1, [0]) == transport_id(3, range(6)) == "no_transport[id]"
+    assert PhasePointMap((3, 2), (1, 0, 2, 3, 4, 5)).describe() == "(0, 0)->(0, 1), (0, 1)->(0, 0)"
 
 
 def _every_catalog_report(tmp_path, capsys):
@@ -834,22 +702,6 @@ def test_every_mutation_of_a_catalog_claim_fails_that_claim_alone(tmp_path, caps
     assert set(escaped) == REWITNESSED and len(escaped) == len(REWITNESSED)
     assert unmutable == UNMUTABLE
     assert applied > 300
-
-
-def test_a_format_1_effect_sums_claim_with_covariance_rows_fails():
-    """The format-1 engine wrote stage 2's "none" with the covariance rows
-    of the solved swap channel in its program (13 rows, 4 of them
-    covariance rows), which ``verify`` cannot rebuild: the claim fails.
-    The certificate weighed only the marginal rows, and the format-2 claim
-    carries those weights alone."""
-    report = load_report((DATA / "format1-covariant-unequal-sums.json").read_text())
-    claim, = report["claims"]
-    assert len(claim["program"]["equalities"]) == 13
-    assert not any(Fraction(m) for m in claim["certificate"]["eq_multipliers"][9:])
-    assert _failed(report) == ["no_covariant"]
-    claim["certificate"]["eq_multipliers"][9:] = []
-    del claim["program"]
-    assert _failed(report) == []
 
 
 def test_an_lp_claim_is_about_what_its_id_names(tmp_path, capsys):

@@ -113,27 +113,17 @@ def test_parse_rational_matches_fraction_on_this_interpreter(text):
     if expected is None:
         with pytest.raises(ParseError, match="malformed rational"):
             theoryfile.parse_rational(text, "x")
-        with pytest.raises(ParseError, match=r"x\[1\]"):
-            theoryfile.parse_ratios(["1", text], "x")
         return
     got = theoryfile.parse_rational(text, "x")
     assert got == expected and type(got) is F
-    assert theoryfile.parse_ratio(text, "x") == (expected.numerator, expected.denominator)
-    (num, den), = theoryfile.parse_ratios([text], "x")
-    assert den > 0 and F(num, den) == expected
 
 
 def test_parse_rational_json_values():
     assert theoryfile.parse_rational(5, "x") == 5
     assert theoryfile.parse_rational(-10 ** 300, "x") == -10 ** 300
-    assert theoryfile.parse_ratios([2, "1/2", F(3, 9)], "x") == [(2, 1), (1, 2), (1, 3)]
-    assert theoryfile.parse_ratios(["1", "-2/4", "0", "7/1"], "x") == [(1, 1), (-2, 4), (0, 1), (7, 1)]
-    assert theoryfile.parse_ratios([], "x") == []
     for bad in (True, False, 0.5, 2.0, None, ["1"]):
         with pytest.raises(ParseError):
             theoryfile.parse_rational(bad, "x")
-        with pytest.raises(ParseError):
-            theoryfile.parse_ratios(["0", bad], "x")
 
 
 def test_rational_to_str_is_str_of_fraction():
