@@ -20,7 +20,7 @@ import functools
 import re
 import sys
 
-from .errors import ParseError, SizeGuardError, UnsupportedGeometryError, WignerlabError
+from .errors import PairError, ParseError, SizeGuardError, UnsupportedGeometryError, WignerlabError
 
 
 def main(argv=None) -> int:
@@ -31,7 +31,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, PairError) as exc:  # the input is at fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SizeGuardError, UnsupportedGeometryError, WignerlabError) as exc:

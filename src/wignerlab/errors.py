@@ -27,6 +27,11 @@ class ContainmentError(PreconditionError):
         self.witness_image = witness_image
 
 
+class PairError(PreconditionError):
+    """A theory has no designated pair of observables, or its ``pair``
+    does not name two of its observables."""
+
+
 class SizeGuardError(WignerlabError):
     """An enumeration would exceed its documented size guard."""
 

@@ -6,8 +6,7 @@ built once at construction: integer equalities cutting out the affine
 hull and integer facet inequalities on coordinates onto which the hull
 projects injectively (the double-description view of Fukuda and Prodon,
 1996).  Membership, irredundancy and polytope containment are integer
-dot products against it, and convex weights of a member come from a
-walk over its facets (``membership_weights``); this module runs no LP.
+dot products against it; this module runs no LP.
 ``map_into`` on polytopes does not apply the map vertex by vertex: it
 evaluates every vertex image as one int matrix of the map's rows, tests
 its columns against the target's integer facets, and builds
@@ -660,38 +659,6 @@ def contains(space: StateSpace, x: Sequence) -> bool:
         d = vec_sub(x, space.center)
         return vec_dot(d, d) <= space.radius * space.radius
     return space._facets.holds(x)
-
-
-def membership_weights(space: Polytope, x: Sequence) -> Optional[Vec]:
-    """Convex vertex weights of ``x`` (polytopes only), at most dim(K) + 1
-    of them positive, or ``None`` when ``x`` is outside.
-
-    The ray from the first vertex v0 through x leaves K at y = v0 + t (x -
-    v0) on the first facet with the least exit parameter t >= 1 (facets
-    tight at v0 never are the exit).  Then x = (1 - 1/t) v0 + (1/t) y, and
-    y gets its weights over that facet's vertices, one dimension down.
-    """
-    if not isinstance(space, Polytope):
-        raise UnsupportedGeometryError("membership weights need a polytope")
-    x, points, hrep = vec(x), space.vertices, space._facets
-    if not contains(space, x):
-        return None
-    v0, s, coords = points[0], hrep.scale, hrep.coords
-    if x == v0:
-        return unit(len(points), 0)
-    d = [x[k] - v0[k] for k in coords]
-    t, a, b = min(
-        (((b - s * vec_dot(a, [v0[k] for k in coords])) / slope, a, b)
-         for a, b in hrep.facets if (slope := s * vec_dot(a, d)) < 0),
-        key=operator.itemgetter(0),
-    )
-    on = [i for i, p in enumerate(points) if s * vec_dot(a, [p[k] for k in coords]) == b]
-    y = tuple(p + t * (q - p) for p, q in zip(v0, x))
-    weights = [QQ(0)] * len(points)
-    for i, w in zip(on, membership_weights(Polytope([points[i] for i in on]), y)):
-        weights[i] = w / t
-    weights[0] = 1 - 1 / t
-    return tuple(weights)
 
 
 def _polytope_extrema(space: Polytope, f: AffineFunctional):

@@ -68,7 +68,10 @@ from .geometry import (
     AffineFunctional, AffineMap, Ball, ExtremalValue, affine_basis, contains, dimension, map_into,
 )
 from .theory import are_complementary, effect_span_rank, validate
-from .theoryfile import parse_rational, rational_to_str, ser_functional, ser_vec, theory_from_dict
+from .theoryfile import (
+    parse_functional, parse_rational, parse_vector, rational_to_str, ser_functional, ser_vec,
+    theory_from_dict,
+)
 from .wigner import (
     WignerRep,
     check_marginals,
@@ -109,17 +112,6 @@ def ser_extremal(v: ExtremalValue) -> dict:
     }
 
 
-def _de_vec(values, path) -> tuple:
-    return tuple(parse_rational(x, f"{path}[{i}]") for i, x in enumerate(values))
-
-
-def _de_functional(obj, path) -> AffineFunctional:
-    return AffineFunctional(
-        _de_vec(obj["linear"], f"{path}.linear"),
-        parse_rational(obj["constant"], f"{path}.constant"),
-    )
-
-
 def _de_map(obj, path="") -> AffineMap:
     """The map ``ser_map`` wrote; its entries parse at ``{path}matrix``
     and ``{path}offset``, and a missing offset reads as empty."""
@@ -131,9 +123,9 @@ def _de_map(obj, path="") -> AffineMap:
 
 def _de_certificate(obj, path="certificate") -> Infeasible:
     return Infeasible(
-        _de_vec(obj["eq_multipliers"], path),
-        _de_vec(obj["ineq_multipliers"], path),
-        parse_rational(obj["gap"], path),
+        parse_vector(obj["eq_multipliers"], f"{path}.eq_multipliers"),
+        parse_vector(obj["ineq_multipliers"], f"{path}.ineq_multipliers"),
+        parse_rational(obj["gap"], f"{path}.gap"),
     )
 
 
@@ -359,7 +351,7 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
             return False
         if kind == "lp_infeasible":
             return verdict is False and verify_certificate(lp, _de_certificate(claim["certificate"]))
-        witness = _de_vec(claim["witness"], "witness")
+        witness = parse_vector(claim["witness"], "witness")
         return (verdict is True and lp.check(witness)
                 and ("joint" not in claim or _is_joint(claim["joint"], witness, theory)))
     if kind == "rank":
@@ -370,13 +362,13 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
     # a witness functional is a grid entry of the report's representation
     # (an effect of its pair for ball_max_one), on the report's own K
     if kind == "negative_entry":
-        f = _de_functional(claim["functional"], "functional")
-        state = _de_vec(claim["state"], "state")
+        f = parse_functional(claim["functional"], "functional", theory.state_space.ambient_dim)
+        state = parse_vector(claim["state"], "state")
         value = parse_rational(claim["value"], "value")
         return (verdict is True and _is_entry(f, wigner_reps)
                 and contains(theory.state_space, state) and f(state) == value < 0)
     if kind in ("ball_entry_min", "ball_max_one"):
-        f = _de_functional(claim["functional"], "functional")
+        f = parse_functional(claim["functional"], "functional", theory.state_space.ambient_dim)
         ball = theory.state_space
         if kind == "ball_max_one":
             # the effect of the outcome that the id names
@@ -386,7 +378,7 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
         else:
             bound = _is_entry(f, wigner_reps)
         if not (bound and isinstance(ball, Ball)
-                and _de_vec(claim["center"], "center") == ball.center
+                and parse_vector(claim["center"], "center") == ball.center
                 and parse_rational(claim["radius"], "radius") == ball.radius):
             return False
         norm_sq = vec_dot(f.linear, f.linear)
@@ -430,7 +422,8 @@ def _is_joint(joint, witness, theory) -> bool:
     width = len(witness) // (n_a * n_b)
     if [len(row) for row in joint] != [n_b] * n_a:
         return False
-    flat = [_de_functional(f, "joint").coefficients() for row in joint for f in row]
+    dim = theory.state_space.ambient_dim
+    flat = [parse_functional(f, "joint", dim).coefficients() for row in joint for f in row]
     return all(f == witness[i * width:(i + 1) * width] for i, f in enumerate(flat))
 
 

@@ -31,7 +31,9 @@ from typing import Optional, Sequence, Union
 from ._kernels import bareiss_rank, rref
 from ._record import record
 from . import programs
-from .errors import ContainmentError, DomainError, PreconditionError, UnsupportedGeometryError
+from .errors import (
+    ContainmentError, DomainError, PairError, PreconditionError, UnsupportedGeometryError,
+)
 from .exact import (
     QQ,
     Feasible,
@@ -132,6 +134,8 @@ class Theory:
             raise ValueError("duplicate observable names")
         if self.pair is None and len(self.observables) >= 2:
             object.__setattr__(self, "pair", (names[0], names[1]))
+        elif self.pair is not None and (len(self.pair) != 2 or not set(self.pair) <= set(names)):
+            raise PairError(f"pair {list(self.pair)} does not name two of the observables {names}")
 
     def observable(self, name: str) -> Observable:
         for obs in self.observables:
@@ -139,13 +143,18 @@ class Theory:
                 return obs
         raise KeyError(name)
 
+    def _paired(self, i: int) -> Observable:
+        if self.pair is None:
+            raise PairError(f"pair needs two observables, the theory has {len(self.observables)}")
+        return self.observable(self.pair[i])
+
     @property
     def obs_a(self) -> Observable:
-        return self.observable(self.pair[0])
+        return self._paired(0)
 
     @property
     def obs_b(self) -> Observable:
-        return self.observable(self.pair[1])
+        return self._paired(1)
 
 
 def validate_observable(obs: Observable, space: StateSpace) -> list[Violation]:

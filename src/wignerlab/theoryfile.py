@@ -10,8 +10,9 @@ The engine writes every rational as ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+``;
 ``parse_rational`` reads these ASCII forms with two ``int`` calls and
 hands every other string to ``Fraction``, so the language it accepts and
 the errors it raises are ``Fraction``'s on the running interpreter.
-``ser_vec`` and ``ser_functional`` write vectors and functionals, for
-theory files and reports alike.
+``ser_vec`` and ``ser_functional`` write vectors and functionals, and
+``parse_vector`` and ``parse_functional`` read them back, for theory
+files and reports alike.
 """
 
 from __future__ import annotations
@@ -74,16 +75,16 @@ def _reject_float(literal: str):
     )
 
 
-def _parse_vector(values, path: str) -> tuple:
+def parse_vector(values, path: str) -> tuple:
     if not isinstance(values, list):
         raise ParseError("expected a list of rationals", path=path)
     return tuple(parse_rational(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
-def _parse_functional(obj, path: str, dim: Optional[int] = None) -> AffineFunctional:
+def parse_functional(obj, path: str, dim: Optional[int] = None) -> AffineFunctional:
     if not isinstance(obj, dict):
         raise ParseError("expected an object with linear/constant", path=path)
-    linear = _parse_vector(obj.get("linear", []), f"{path}.linear")
+    linear = parse_vector(obj.get("linear", []), f"{path}.linear")
     constant = parse_rational(obj.get("constant", 0), f"{path}.constant")
     if dim is not None and len(linear) != dim:
         raise ParseError(
@@ -101,14 +102,14 @@ def _parse_state_space(obj, path: str) -> StateSpace:
         if not isinstance(raw, list) or not raw:
             raise ParseError("polytope needs a nonempty vertex list", path=f"{path}.vertices")
         vertices = [
-            _parse_vector(v, f"{path}.vertices[{i}]") for i, v in enumerate(raw)
+            parse_vector(v, f"{path}.vertices[{i}]") for i, v in enumerate(raw)
         ]
         try:
             return Polytope(tuple(vertices))
         except ValueError as exc:
             raise ParseError(str(exc), path=f"{path}.vertices") from None
     if kind == "ball":
-        center = _parse_vector(obj.get("center"), f"{path}.center")
+        center = parse_vector(obj.get("center"), f"{path}.center")
         radius = parse_rational(obj.get("radius"), f"{path}.radius")
         try:
             return Ball(center, radius)
@@ -142,7 +143,7 @@ def theory_from_dict(data: dict) -> tuple[Theory, Optional[tuple[str, WignerRep]
                 "need exactly one effect per outcome", path=f"{path}.effects"
             )
         parsed = tuple(
-            _parse_functional(e, f"{path}.effects[{j}]", dim)
+            parse_functional(e, f"{path}.effects[{j}]", dim)
             for j, e in enumerate(effects)
         )
         try:
@@ -195,7 +196,7 @@ def _parse_wigner(obj, theory: Theory) -> tuple[str, WignerRep]:
             )
         grid.append(
             tuple(
-                _parse_functional(
+                parse_functional(
                     cell, f"{path}.grid[{a}][{b}]", theory.state_space.ambient_dim
                 )
                 for b, cell in enumerate(row)

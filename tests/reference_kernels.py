@@ -60,9 +60,10 @@ checked.
 then ``_Facets.holds`` on the image, against which the one integer
 matrix of vertex images is checked.
 
-``_in_hull`` is the former convex-weights LP behind
-``geometry.membership_weights``, the oracle of membership that the
-facet walk is checked against.
+``membership_weights`` is the former ``geometry.membership_weights``,
+convex vertex weights of a member from a walk over the facets, with no
+LP; ``_in_hull`` is the convex-weights LP, the oracle of membership that
+the facet walk is checked against.
 
 ``compatibility_program``, ``marginal_equalities``,
 ``surjectivity_program`` and ``channel_program`` are the former
@@ -82,10 +83,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 
 from typing import Callable, Optional, Sequence, Union
 
-from wignerlab.errors import PreconditionError
+from wignerlab.errors import PreconditionError, UnsupportedGeometryError
 from wignerlab.exact import (
     QQ,
     Feasible,
@@ -538,6 +540,38 @@ def _in_hull(x: Vec, points: Sequence[Vec]) -> Optional[Vec]:
     ineqs = [(unit(n, i), QQ(0)) for i in range(n)]
     res = lp_feasible(LinearProgram(n, tuple(eqs), tuple(ineqs)))
     return res.witness if isinstance(res, Feasible) else None
+
+
+def membership_weights(space: Polytope, x: Sequence) -> Optional[Vec]:
+    """Convex vertex weights of ``x`` (polytopes only), at most dim(K) + 1
+    of them positive, or ``None`` when ``x`` is outside.
+
+    The ray from the first vertex v0 through x leaves K at y = v0 + t (x -
+    v0) on the first facet with the least exit parameter t >= 1 (facets
+    tight at v0 never are the exit).  Then x = (1 - 1/t) v0 + (1/t) y, and
+    y gets its weights over that facet's vertices, one dimension down.
+    """
+    if not isinstance(space, Polytope):
+        raise UnsupportedGeometryError("membership weights need a polytope")
+    x, points, hrep = vec(x), space.vertices, space._facets
+    if not contains(space, x):
+        return None
+    v0, s, coords = points[0], hrep.scale, hrep.coords
+    if x == v0:
+        return unit(len(points), 0)
+    d = [x[k] - v0[k] for k in coords]
+    t, a, b = min(
+        (((b - s * vec_dot(a, [v0[k] for k in coords])) / slope, a, b)
+         for a, b in hrep.facets if (slope := s * vec_dot(a, d)) < 0),
+        key=operator.itemgetter(0),
+    )
+    on = [i for i, p in enumerate(points) if s * vec_dot(a, [p[k] for k in coords]) == b]
+    y = tuple(p + t * (q - p) for p, q in zip(v0, x))
+    weights = [QQ(0)] * len(points)
+    for i, w in zip(on, membership_weights(Polytope([points[i] for i in on]), y)):
+        weights[i] = w / t
+    weights[0] = 1 - 1 / t
+    return tuple(weights)
 
 
 def surjectivity_details(obs: Observable, space: StateSpace) -> list[tuple]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from catalog_facts import FACTS, replay
 from wignerlab import catalog
 from wignerlab.errors import WignerlabError
 from wignerlab.theory import validate
@@ -13,14 +14,22 @@ def test_entry_replays_green(name):
     entry = catalog.load(name)
     failures = [
         f"{label} [{provenance}]"
-        for label, ok, provenance in catalog.replay(entry)
+        for label, ok, provenance in replay(entry)
         if not ok
     ]
     assert not failures, failures
 
 
+def test_every_entry_has_its_facts():
+    counts = {name: len(FACTS[name]) for name in catalog.CATALOG_NAMES}
+    assert counts == {"cube": 10, "trit": 4, "boxworld": 28, "qubit_ball": 11,
+                      "qubit_xz": 7, "rebit_diamond": 6, "deformed_12gon": 7}
+    assert set(FACTS) == set(catalog.CATALOG_NAMES)
+
+
 @pytest.mark.parametrize("name", catalog.CATALOG_NAMES)
 def test_entry_revalidates_at_load(name):
+    """``load`` builds an entry without checking it; this checks each."""
     entry = catalog.load(name)
     assert validate(entry.theory) == []
     for rep in entry.representations.values():

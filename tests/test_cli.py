@@ -126,6 +126,56 @@ def test_verify_rejects_malformed_reports(tmp_path, capsys, edit, where):
     assert f"(at {where})" in err
 
 
+def _edited_trit(tmp_path, capsys, edit) -> str:
+    path = tmp_path / "trit.json"
+    run(capsys, "example", "trit", "--out", str(path))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _one_observable(theory):
+    del theory["pair"], theory["observables"][1:]
+
+
+BAD_PAIRS = {
+    "one_observable": (_one_observable, "pair needs two observables, the theory has 1"),
+    "unknown_name": (lambda t: t.update(pair=["A", "Z"]),
+                     "pair ['A', 'Z'] does not name two of the observables ['A', 'unit']"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PAIRS)
+@pytest.mark.parametrize("argv", [["analyze"], ["covariant"], ["wigner", "--degenerate"]],
+                         ids=["analyze", "covariant", "wigner"])
+def test_a_theory_without_a_valid_pair_is_a_usage_error(tmp_path, capsys, case, argv):
+    edit, message = BAD_PAIRS[case]
+    path = _edited_trit(tmp_path, capsys, edit)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_validate_needs_no_pair_and_verify_reads_the_embedded_pair(tmp_path, capsys):
+    """``validate`` runs on one observable, and its report verifies; a
+    report whose theory has no pair fails the claims that read it, and
+    one whose pair names an unknown observable is a usage error."""
+    path = _edited_trit(tmp_path, capsys, _one_observable)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0 and verify_report(load_report(out)) == [("validate", True, "")]
+    _, out, _ = run(capsys, "analyze", _edited_trit(tmp_path, capsys, lambda t: None))
+    report = json.loads(out)
+    _one_observable(report["theory"])
+    failed = {cid: detail for cid, ok, detail in verify_report(report) if not ok}
+    assert failed["compatibility"] == "verification error: " + BAD_PAIRS["one_observable"][1]
+    report_path = tmp_path / "report.json"
+    report["theory"]["pair"] = ["A", "Z"]
+    report["theory"]["observables"] = json.loads(out)["theory"]["observables"]
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify", str(report_path))
+    assert (code, out, err) == (2, "", f"error: {BAD_PAIRS['unknown_name'][1]}\n")
+
+
 def test_wigner_free_and_degenerate_and_faithful(tmp_path, capsys):
     path = tmp_path / "box.json"
     run(capsys, "example", "boxworld", "--out", str(path))

@@ -23,7 +23,6 @@ from wignerlab.geometry import (
     dimension,
     extremal_range,
     map_into,
-    membership_weights,
     values_at,
 )
 
@@ -57,9 +56,24 @@ def test_contains_all_vertices_and_center():
     assert contains(BLOCH, BLOCH.center)
 
 
+def test_extremal_values_hash_and_order_as_the_numbers_they_are():
+    r = F(3, 7)
+    assert hash(ExtremalValue(r)) == hash(r) and hash(ExtremalValue(2)) == hash(2)
+    assert {ExtremalValue(r), r} == {r}
+    # (1 - sqrt 3)/4 = -0.183..., also written over sqrt 12 = 2 sqrt 3
+    v = ExtremalValue(F(1, 4), F(-1, 4), 3)
+    assert hash(v) == hash(ExtremalValue(F(1, 4), F(-1, 8), 12))
+    assert v >= F(-1, 5) and not v >= F(-1, 6) and v >= v
+    others = [F(-1), F(-1, 5), F(-1, 6), 0, r, ExtremalValue(0, -1, 2),
+              ExtremalValue(F(1, 4), F(1, 4), 3), v, ExtremalValue(r)]
+    for u in (v, ExtremalValue(r), ExtremalValue(0, 1, 2)):
+        for w in others:
+            assert (u >= w) == (not u < w)
+
+
 def test_membership_weights_certify():
     x = (F(1, 3), F(2, 3))
-    weights = membership_weights(SQUARE, x)
+    weights = ref.membership_weights(SQUARE, x)
     assert weights is not None
     assert sum(weights) == 1 and all(w >= 0 for w in weights)
     combo = tuple(
@@ -190,7 +204,7 @@ def test_facets_agree_with_the_hull_lp_oracle(n, monkeypatch):
             assert contains(hull, x) == truth
             with monkeypatch.context() as m:
                 m.setattr(exact, "_phase_one", _no_simplex)
-                weights = membership_weights(hull, x)
+                weights = ref.membership_weights(hull, x)
             assert (weights is not None) == truth
             if weights is not None:
                 assert all(w >= 0 for w in weights) and sum(weights) == 1

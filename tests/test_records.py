@@ -14,10 +14,12 @@ from fractions import Fraction as F
 
 import pytest
 
+import catalog_facts
 import reference_kernels as ref
 from wignerlab import catalog, exact, geometry, symmetry, theory, wigner
 
-MODULES = (exact, geometry, theory, wigner, symmetry, catalog)
+# the engine's modules, and the record of the catalog's facts
+MODULES = (exact, geometry, theory, wigner, symmetry, catalog, catalog_facts)
 
 
 def _installed(cls, method: str) -> bool:
@@ -69,6 +71,7 @@ def _cases() -> dict:
     and valid values for the rest."""
     cases = {
         exact.LinearProgram: [(2, [((1, 1), 1)], [((1, 0), 0)]), (1, [], [((1,), F(1, 3))])],
+        geometry.ExtremalValue: [(F(1, 4), F(-1, 4), 3), (F(1, 2), F(1, 3), 2)],
         theory.Distribution: [((F(1, 2), F(1, 2)),), ((1, 0, 0),)],
         wigner.SignedGrid: [(((F(1, 2), 0), (0, F(1, 2))),), (((1, 0), (0, 0)),)],
     }
@@ -184,3 +187,28 @@ def test_catalog_entries_get_fresh_empty_named_dicts():
     assert cube.named_channels == {} and cube.named_maps == {} and trit.named_maps == {}
     assert cube.named_maps is not trit.named_maps
     assert set(trit.named_channels) == {"rotation"}
+
+
+def test_truthiness_is_the_verdict():
+    """``if result:`` reads the verdict of every result record, true and false."""
+    box, trit, gon = (catalog.load(name) for name in ("boxworld", "trit", "deformed_12gon"))
+    w0, whalf, wplus = (box.representations[name] for name in ("W_0", "W_1/2", "W_+"))
+    # B's outcomes swapped in every row: the column sums no longer give B
+    swapped = wigner.WignerRep(w0.state_space, w0.obs_a, w0.obs_b,
+                               tuple(row[::-1] for row in w0.grid))
+    space = gon.theory.state_space
+    results = [
+        geometry.map_into(space, geometry.AffineMap.from_rows([[1, 0], [0, 1]], [0, 0]), space),
+        geometry.map_into(space, geometry.AffineMap.from_rows([[1, 0], [0, -1]], [0, 0]), space),
+        *(symmetry.is_symmetry(whalf, symmetry.lift(symmetry.PhasePointMap.transposition(
+            (2, 2), (0, 1), q))) for q in ((1, 0), (0, 0))),
+        wigner.check_marginals(w0), wigner.check_marginals(swapped),
+        wigner.is_positive(wplus), wigner.is_positive(w0),
+    ]
+    verdicts = [r.ok for r in results]
+    assert verdicts == [True, False] * 4
+    assert [bool(r) for r in results] == verdicts
+    choices = [wigner.faithful_choice_possible(t.obs_a, t.obs_b, t.state_space)
+               for t in (box.theory, trit.theory)]
+    assert [c.possible for c in choices] == [True, False]
+    assert [bool(c) for c in choices] == [True, False]

@@ -718,3 +718,23 @@ def test_an_lp_claim_is_about_what_its_id_names(tmp_path, capsys):
     report = _gon_covariant(tmp_path, capsys)
     report["claims"][0]["perm_a"] = [0, 0]
     assert _failed(report) == ["no_covariant"]
+
+
+@pytest.mark.parametrize("name, argv, cid, field", [
+    ("trit", ["analyze"], "surjective[A][0]", ("witness",)),
+    ("boxworld", ["analyze"], "compatibility", ("certificate", "eq_multipliers")),
+    ("boxworld", ["wigner", "--faithful"], "negativity_witness", ("state",)),
+    ("boxworld", ["wigner", "--faithful"], "negativity_witness", ("functional", "linear")),
+    ("qubit_ball", ["analyze"], "surjective[A][0]", ("center",)),
+], ids=["witness", "multipliers", "state", "functional", "center"])
+def test_a_string_where_a_list_belongs_fails_its_claim(tmp_path, capsys, name, argv, cid, field):
+    """The list ["1", "0", "0"] written as the string "100" is no vector,
+    although its characters are the same rationals."""
+    report = _example_report(tmp_path, capsys, name, *argv)
+    claim = next(c for c in report["claims"] if c["id"] == cid)
+    *where, last = field
+    for key in where:
+        claim = claim[key]
+    claim[last] = "".join(claim[last])
+    rows = [(c, detail) for c, ok, detail in verify_report(report) if not ok]
+    assert rows == [(cid, f"verification error: expected a list of rationals (at {'.'.join(field)})")]

@@ -12,6 +12,7 @@ import random
 import pytest
 
 import reference_kernels as ref
+from catalog_facts import FACTS, _replay_one
 from helpers import (
     generalized_boxworld,
     qubit_ball_image,
@@ -194,6 +195,15 @@ def test_induced_action_preconditions():
         induced_action(WHALF, SWAP_0001)
 
 
+def test_a_phase_point_map_reads_its_table():
+    perm_a, perm_b = (1, 0), (2, 0, 1)
+    phi = PhasePointMap.product((2, 3), perm_a, perm_b)
+    assert [phi((a, b)) for a in range(2) for b in range(3)] == [
+        (perm_a[a], perm_b[b]) for a in range(2) for b in range(3)]
+    swap = PhasePointMap.transposition(SHAPE, (0, 0), (1, 1))
+    assert [swap(p) for p in ((0, 0), (0, 1), (1, 0), (1, 1))] == [(1, 1), (0, 1), (1, 0), (0, 0)]
+
+
 def test_induced_action_on_bloch_ball():
     bloch = Ball((0, 0, 0), 1)
     fz = AffineFunctional((0, 0, F(1, 2)), F(1, 2))
@@ -234,9 +244,9 @@ def test_induced_action_precondition_needs_no_is_symmetry(monkeypatch):
         raise AssertionError("is_symmetry called")
 
     monkeypatch.setattr(symmetry, "is_symmetry", forbidden)
-    for ex in entry.expected:
+    for ex in FACTS["qubit_ball"]:
         if ex.kind == "induced_action":
-            assert catalog._replay_one(entry, ex)
+            assert _replay_one(entry, ex)
     for (i, phi), ok in verdicts.items():
         rep = cases[i]
         if not ok:

@@ -11,7 +11,7 @@ from helpers import random_fraction, random_polygon, random_theory
 from reference_kernels import surjectivity_details as lp_surjectivity_details
 from reference_kernels import unconstrained_witness, vertex_image_channel
 from wignerlab import catalog, cli, exact, programs, symmetry
-from wignerlab.errors import DomainError, PreconditionError, UnsupportedGeometryError
+from wignerlab.errors import DomainError, PairError, PreconditionError, UnsupportedGeometryError
 from wignerlab.exact import Feasible, solve_affine, verify_certificate
 from wignerlab.geometry import (
     AffineFunctional,
@@ -62,6 +62,20 @@ def _xz_pair():
 
 def test_validate_boxworld_ok():
     assert validate(Theory(SQUARE, (OBS_A, OBS_B, OBS_C, OBS_D))) == []
+
+
+def test_a_theory_without_a_valid_pair_raises_a_pair_error():
+    """One observable leaves the pair unset, which ``validate`` does not
+    need; a pair must name two of the theory's observables."""
+    single = Theory(SQUARE, (OBS_A,))
+    assert single.pair is None and validate(single) == []
+    for read in (lambda t: t.obs_a, lambda t: t.obs_b):
+        with pytest.raises(PairError, match="pair needs two observables, the theory has 1"):
+            read(single)
+    for pair in (("A", "Z"), ("A",), ("A", "B", "C")):
+        with pytest.raises(PairError, match=r"pair \[.*\] does not name two of the observables"):
+            Theory(SQUARE, (OBS_A, OBS_B, OBS_C), pair=pair)
+    assert Theory(SQUARE, (OBS_A, OBS_B, OBS_C), pair=("C", "A")).obs_a is OBS_C
 
 
 def test_validate_range_violation_with_witness():
