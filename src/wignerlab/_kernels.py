@@ -42,6 +42,13 @@ from __future__ import annotations
 import math
 
 
+def integer_rows(rows):
+    """``(ints, q)``: rows of ints or Fractions as int lists times the lcm
+    ``q > 0`` of all their denominators; the engine's one such scaling."""
+    q = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (q // x.denominator) for x in row] for row in rows], q
+
+
 def rref(rows, ncols):
     """Reduce ``rows`` in place to reduced row echelon form.
 
@@ -58,11 +65,8 @@ def rref(rows, ncols):
     if m == 0:
         return []
     # row i is nums[i] / dens[i], with gcd(dens[i], *nums[i]) == 1
-    nums, dens = [], []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        nums.append([x.numerator * (den // x.denominator) for x in row])
-        dens.append(den)
+    scaled = [integer_rows([row]) for row in rows]
+    nums, dens = [num for (num,), _ in scaled], [den for _, den in scaled]
     pivots = []
     r = 0
     for c in range(ncols):

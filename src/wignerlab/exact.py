@@ -10,9 +10,9 @@ witnesses or Farkas infeasibility certificates.
 The hot arithmetic runs on ints over one denominator (Edmonds'
 fraction-free arithmetic) and builds a ``Fraction`` only for a value the
 public API returns or a report writes: ``vec_dot`` sums one integer
-numerator over the product of the terms' denominators, ``rank`` scales
-each row to integers by its denominator lcm, ``_kernels.rref`` returns
-primitive integer rows, and ``geometry.values_at`` evaluates functionals.
+numerator over the product of the terms' denominators, ``rank``, the
+program rows and the guards scale by ``_kernels.integer_rows``, and
+``geometry`` evaluates functionals at each polytope's kept int vertices.
 
 Feasibility is decided by a phase-1 simplex with Bland's anti-cycling
 rule.  A row ``c * x_j >= 0`` (one nonzero ``c > 0``, rhs 0) is taken as
@@ -64,7 +64,7 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._kernels import bareiss_rank, rref, simplex_phase1
+from ._kernels import bareiss_rank, integer_rows, rref, simplex_phase1
 from ._record import record
 
 QQ = Fraction
@@ -186,15 +186,11 @@ class Matrix:
 def rank(m: Union[Matrix, Sequence[Sequence]]) -> int:
     """Exact rank by fraction-free Gaussian elimination.
 
-    Each row is scaled to integers by its denominator lcm (row scaling
-    preserves rank) and eliminated with the Bareiss update.
+    The rows are scaled to integers over one denominator (a positive
+    factor preserves rank) and eliminated with the Bareiss update.
     """
     rows = m.entries if isinstance(m, Matrix) else [vec(r) for r in m]
-    int_rows = []
-    for r in rows:
-        scale = math.lcm(*(f.denominator for f in r)) if r else 1
-        int_rows.append([f.numerator * (scale // f.denominator) for f in r])
-    return bareiss_rank(int_rows)
+    return bareiss_rank(integer_rows(rows)[0])
 
 
 @record
@@ -288,8 +284,7 @@ class LinearProgram:
         x = vec(x)
         if len(x) != self.n_vars:
             return False
-        q = math.lcm(*(v.denominator for v in x))
-        xq = [v.numerator * (q // v.denominator) for v in x]
+        (xq,), q = integer_rows([x])
         excess = [sum(map(operator.mul, row, xq)) - rhs * q for row, rhs, _ in self._scaled]
         n_eq = self._n_eq
         return not any(excess[:n_eq]) and all(e >= 0 for e in excess[n_eq:])
@@ -297,14 +292,8 @@ class LinearProgram:
 
 def _scaled_row(row, rhs) -> tuple[tuple[int, ...], int, int]:
     """``(s*row, s*rhs, s)``, s the lcm of the reduced denominators."""
-    entries = [qq(a) for a in row]
-    rhs = qq(rhs)
-    scale = math.lcm(rhs.denominator, *(a.denominator for a in entries))
-    return (
-        tuple(a.numerator * (scale // a.denominator) for a in entries),
-        rhs.numerator * (scale // rhs.denominator),
-        scale,
-    )
+    ((*ints, r),), scale = integer_rows([[*map(qq, row), qq(rhs)]])
+    return tuple(ints), r, scale
 
 
 def _rational_rows(rows) -> tuple[tuple[Vec, QQ], ...]:
@@ -346,12 +335,11 @@ def verify_certificate(lp: LinearProgram, cert: Infeasible) -> bool:
     if any(m < 0 for m in cert.ineq_multipliers) or not cert.gap > 0:
         return False
     mults = (*cert.eq_multipliers, *cert.ineq_multipliers)
-    weights = [(QQ(m, s), row, rhs) for m, (row, rhs, s) in zip(mults, lp._scaled) if m]
-    q = math.lcm(*(w.denominator for w, _, _ in weights))
+    used = [(QQ(m, s), row, rhs) for m, (row, rhs, s) in zip(mults, lp._scaled) if m]
+    (weights,), q = integer_rows([[w for w, _, _ in used]])
     combo = [0] * lp.n_vars
     total = 0
-    for w, row, rhs in weights:
-        wq = w.numerator * (q // w.denominator)
+    for wq, (_, row, rhs) in zip(weights, used):
         combo = [c + wq * a for c, a in zip(combo, row)]
         total += wq * rhs
     return total == cert.gap * q and not any(combo)

@@ -16,8 +16,11 @@ functionals over balls are irrational in general, so they are carried
 symbolically as ``rational + rational * sqrt(radicand)`` and compared by
 exact sign analysis, never through floats.
 
-``values_at`` evaluates functionals at points as one int matrix over one
-positive denominator, so signs, equalities and ranks are read off ints.
+A polytope keeps the int vertex rows that ``_describe`` builds over the
+facet scale (``vertex_ints``), and its affine basis as indices into them
+(``basis_ints``).  ``int_values`` evaluates functionals at int points as
+one int matrix over one positive denominator, so signs, equalities and
+ranks are read off ints; ``values_at`` scales arbitrary rational points.
 ``signed_sums`` adds signed functionals the same way, one ``Fraction``
 per coefficient of each sum, and ``basis_interpolation`` keeps, once
 per polytope, the integer rows that turn images of its affine basis into
@@ -33,7 +36,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._kernels import bareiss_rank, rref
+from ._kernels import bareiss_rank, integer_rows, rref
 from ._record import record
 from .errors import UnsupportedGeometryError
 from .exact import (
@@ -124,25 +127,18 @@ def _functional(linear: Vec, constant: QQ) -> AffineFunctional:
 
 
 def values_at(funcs: Sequence[AffineFunctional], points: Sequence[Sequence]):
-    """``(rows, den)``: the ints ``rows[i][j] = den * funcs[i](points[j])``
+    """``int_values`` at arbitrary points of ints or Fractions."""
+    return int_values(funcs, *integer_rows(points))
+
+
+def int_values(funcs: Sequence[AffineFunctional], xs: Sequence[Sequence[int]], q: int):
+    """``(rows, den)``: the ints ``rows[i][j] = den * funcs[i](xs[j] / q)``
     over one positive ``den``, one integer dot product each (Edmonds'
-    fraction-free arithmetic).  Entries are ints or Fractions."""
-    if len({f.dim for f in funcs} | {len(p) for p in points}) > 1:
+    fraction-free arithmetic), for int points ``xs`` over ``q > 0``."""
+    if len({f.dim for f in funcs} | {len(x) for x in xs}) > 1:
         raise ValueError("dimension mismatch")
-    return _values([f.coefficients() for f in funcs], points)
-
-
-def _values(coefficients: Sequence[Sequence], points: Sequence[Sequence]):
-    """``values_at`` of the functionals with the given coefficient rows
-    (linear part, then the constant)."""
-    q = math.lcm(*(v.denominator for p in points for v in p))
-    xs = [[v.numerator * (q // v.denominator) for v in p] for p in points]
-    s = math.lcm(*(a.denominator for row in coefficients for a in row))
-    rows = []
-    for row in coefficients:
-        *lin, c = (a.numerator * (s // a.denominator) for a in row)
-        rows.append([sum(map(operator.mul, lin, x), c * q) for x in xs])
-    return rows, s * q
+    ints, s = integer_rows([f.coefficients() for f in funcs])
+    return [[sum(map(operator.mul, lin, x), c * q) for x in xs] for *lin, c in ints], s * q
 
 
 def signed_sums(entries: Sequence[Sequence[tuple[int, AffineFunctional]]],
@@ -156,8 +152,8 @@ def signed_sums(entries: Sequence[Sequence[tuple[int, AffineFunctional]]],
     s = 1
     if any(len(terms) != 1 or terms[0][0] != 1 for terms in entries):
         funcs = {id(f): f.coefficients() for terms in entries for _, f in terms}
-        s = math.lcm(*(a.denominator for row in funcs.values() for a in row))
-        ints = {k: [a.numerator * (s // a.denominator) for a in row] for k, row in funcs.items()}
+        rows, s = integer_rows(list(funcs.values()))
+        ints = dict(zip(funcs, rows))
     out = []
     for terms in entries:
         if len(terms) == 1 and terms[0][0] == 1:
@@ -198,6 +194,10 @@ class AffineMap:
     @property
     def target_dim(self) -> int:
         return self.matrix.rows
+
+    def functionals(self) -> list[AffineFunctional]:
+        """The coordinate functionals of the map, one per row."""
+        return [_functional(r, c) for r, c in zip(self.matrix.entries, self.offset)]
 
     def __call__(self, point: Sequence) -> Vec:
         x = vec(point)
@@ -245,11 +245,10 @@ def affine_map_from_points(
     )
 
 
-def independent_affine_subset(points: Sequence[Vec]) -> list[int]:
+def independent_affine_subset(points: Sequence[Sequence]) -> list[int]:
     """Indices of a greedy maximal affinely independent subset: the first
     point and each later one whose difference from it is independent of
     the earlier differences, i.e. the pivot columns of their matrix."""
-    points = [vec(p) for p in points]
     if not points:
         return []
     p0 = points[0]
@@ -456,8 +455,8 @@ class _Facets(NamedTuple):
 
     def holds(self, x: Vec) -> bool:
         """Is the rational point ``x`` in K?"""
-        q = math.lcm(*(v.denominator for v in x))
-        return self.holds_ints([v.numerator * (q // v.denominator) for v in x], q)
+        (xq,), q = integer_rows([x])
+        return self.holds_ints(xq, q)
 
     def holds_ints(self, xq: Sequence[int], q: int) -> bool:
         """Is the point ``xq / q`` in K, for ints ``xq`` and ``q > 0``?
@@ -484,11 +483,11 @@ def _normal(spans: list[list[int]]) -> list[int]:
     return complement[0] if len(complement) == 1 else [0] * (len(spans) + 1)
 
 
-def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
-    """The facet description of conv(points), and for each point whether
-    it is a vertex that occurs once.
+def _describe(points: Sequence[Sequence]) -> tuple[_Facets, tuple, list[bool]]:
+    """The facet description of conv(points), the points as ints over its
+    ``scale``, and for each point whether it is a vertex that occurs once.
 
-    The points are scaled to integers over one denominator; one rref of
+    The points are scaled to ints over one denominator; one rref of
     their differences gives the equalities of the affine hull (its
     nullspace) and d pivot coordinates.  There every d-subset of points
     spanning a hyperplane gives an integer normal (``_normal``), kept (with
@@ -496,8 +495,8 @@ def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
     point lies strictly on each side.  A point is a vertex iff the
     normals of its tight facets have rank d.
     """
-    scale = math.lcm(*(v.denominator for p in points for v in p))
-    ints = [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points]
+    ints, scale = integer_rows(points)
+    ints = tuple(map(tuple, ints))
     p0 = ints[0]
     diffs = [[a - b for a, b in zip(p, p0)] for p in ints[1:]]
     pivots, complement = _orthogonal_complement(diffs, len(p0))
@@ -530,22 +529,23 @@ def _describe(points: tuple[Vec, ...]) -> tuple[_Facets, list[bool]]:
         for p, t in zip(distinct, tight)
     }
     flags = [extreme[p] and ints.count(p) == 1 for p in ints]
-    return _Facets(scale, coords, tuple(equalities), tuple(facets)), flags
+    return _Facets(scale, coords, tuple(equalities), tuple(facets)), ints, flags
 
 
 @record
 class Polytope:
     """Convex hull of an irredundant vertex list, with its facet
-    description (``_facets``) and, once asked for, its affine basis
-    (``_basis``) and the interpolation over it (``_interp``); none is a
-    field, so ``eq``, ``hash`` and ``repr`` see only the vertices."""
+    description (``_facets``), its int vertex rows (``_ints``) and, once
+    asked for, its affine basis as indices into them (``_basis``) and the
+    interpolation over it (``_interp``); none is a field, so ``eq``,
+    ``hash`` and ``repr`` see only the vertices."""
 
     vertices: tuple[Vec, ...]
 
     def __post_init__(self):
         vertices = _points(self.vertices)
         object.__setattr__(self, "vertices", vertices)
-        facets, flags = _describe(vertices)
+        facets, ints, flags = _describe(vertices)
         for v, ok in zip(vertices, flags):
             if not ok:
                 raise ValueError(
@@ -553,16 +553,18 @@ class Polytope:
                     " of the remaining points)"
                 )
         object.__setattr__(self, "_facets", facets)
+        object.__setattr__(self, "_ints", ints)
 
     @classmethod
     def hull_of(cls, points: Sequence[Sequence]) -> "Polytope":
         """Polytope spanned by arbitrary points; redundant ones dropped,
         the vertices kept in input order."""
         points = tuple(dict.fromkeys(_points(points)))
-        facets, flags = _describe(points)
+        facets, ints, flags = _describe(points)
         hull = object.__new__(cls)
         object.__setattr__(hull, "vertices", tuple(p for p, ok in zip(points, flags) if ok))
         object.__setattr__(hull, "_facets", facets)
+        object.__setattr__(hull, "_ints", tuple(x for x, ok in zip(ints, flags) if ok))
         return hull
 
     @property
@@ -612,28 +614,45 @@ def affine_basis(space: StateSpace) -> tuple[Vec, ...]:
     """dim(space) + 1 affinely independent points of the space.
 
     For polytopes the points are the greedy choice among the vertices, in
-    vertex order (``independent_affine_subset``), found on the first call
-    and kept as ``_basis``; for balls the center plus the axis points
-    center + radius * e_i.
+    vertex order (``_basis_indices``); for balls the center plus the axis
+    points center + radius * e_i.
     """
     if isinstance(space, Ball):
         return (space.center,) + tuple(
             tuple(c + space.radius if k == i else c for k, c in enumerate(space.center))
             for i in range(space.ambient_dim)
         )
+    return tuple(space.vertices[i] for i in _basis_indices(space))
+
+
+def _basis_indices(space: Polytope) -> tuple[int, ...]:
+    """The affine basis as indices into the vertices, kept as ``_basis``."""
     basis = getattr(space, "_basis", None)
     if basis is None:
-        basis = tuple(space.vertices[i] for i in independent_affine_subset(space.vertices))
+        basis = tuple(independent_affine_subset(space._ints))
         object.__setattr__(space, "_basis", basis)
     return basis
+
+
+def vertex_ints(space: Polytope):
+    """``(xs, q)``: the kept int vertex rows ``xs = q * v``, q the facet scale."""
+    return space._ints, space._facets.scale
+
+
+def basis_ints(space: StateSpace):
+    """``(xs, q)``: ``affine_basis(space)`` as int rows ``xs = q * p``."""
+    if isinstance(space, Ball):
+        ((*c, r),), q = integer_rows([(*space.center, space.radius)])
+        return [c] + [[x + r * (k == i) for k, x in enumerate(c)] for i in range(len(c))], q
+    return [space._ints[i] for i in _basis_indices(space)], space._facets.scale
 
 
 def basis_interpolation(space: Polytope) -> tuple[tuple[int, int, list[int]], ...]:
     """How ``affine_map_from_points`` interpolates images of
     ``affine_basis(space)``, found on the first call and kept as ``_interp``.
 
-    One ``(c, lam, e)`` per reduced row of ``[p_i, 1 | I]``, a row per
-    basis point, with pivot column ``c``.  Given images ``y_i`` of the
+    One ``(c, lam, e)`` per reduced row of ``q [p_i, 1 | I]`` (q p_i the
+    int basis rows), with pivot column ``c``.  Given images ``y_i`` of the
     basis points, write row k of the interpolating map with its offset
     appended, at index d = the ambient dimension.  Its entry at each
     pivot column ``c`` is ``(e . y^k) / lam``, with ``y^k`` the k-th
@@ -642,9 +661,9 @@ def basis_interpolation(space: Polytope) -> tuple[tuple[int, int, list[int]], ..
     """
     interp = getattr(space, "_interp", None)
     if interp is None:
-        basis = affine_basis(space)
+        basis, q = basis_ints(space)
         n, src = len(basis), space.ambient_dim
-        rows = [list(p) + [1] + [int(i == j) for j in range(n)] for i, p in enumerate(basis)]
+        rows = [[*x, q] + [q * (i == j) for j in range(n)] for i, x in enumerate(basis)]
         pivots = rref(rows, src + 1)
         interp = tuple((c, row[c], row[src + 1:]) for c, row in zip(pivots, rows))
         object.__setattr__(space, "_interp", interp)
@@ -663,7 +682,7 @@ def contains(space: StateSpace, x: Sequence) -> bool:
 
 def _polytope_extrema(space: Polytope, f: AffineFunctional):
     """Min and max of ``f``, each with the first vertex attaining it."""
-    (values,), den = values_at([f], space.vertices)
+    (values,), den = int_values([f], *vertex_ints(space))
     lo, hi = min(values), max(values)
     vertices = space.vertices
     return QQ(lo, den), vertices[values.index(lo)], QQ(hi, den), vertices[values.index(hi)]
@@ -720,12 +739,9 @@ def map_into(source: StateSpace, m: AffineMap, target: StateSpace) -> Containmen
         raise ValueError("map dimensions disagree with the spaces")
     if isinstance(source, Polytope) and isinstance(target, Polytope):
         # every vertex image at once: column j of rows / den is m(v_j)
-        rows, den = _values(
-            [r + (c,) for r, c in zip(m.matrix.entries, m.offset)], source.vertices
-        )
+        rows, den = int_values(m.functionals(), *vertex_ints(source))
         holds = target._facets.holds_ints
-        for j, v in enumerate(source.vertices):
-            img = [row[j] for row in rows]
+        for v, img in zip(source.vertices, zip(*rows)):
             if not holds(img, den):
                 return Containment(False, v, tuple(QQ(x, den) for x in img))
         return Containment(True)

@@ -37,8 +37,10 @@ Each constructor writes its rows straight in the integer form of
 ``LinearProgram`` (``LinearProgram.from_scaled``): a row ``r . x (= or
 >=) rhs`` as ``(s*r, s*rhs, s)`` with ``s > 0`` and gcd 1, in the same
 row order as the rational construction, so the program equals it and
-the simplex pivots the same.  There is no LP here and no elimination
-beyond the affine basis and facets that the state space keeps.
+the simplex pivots the same: ``_reduced`` takes out the common
+denominator of the polytope's kept int points.  There is no LP here and
+no elimination beyond the affine basis and facets that the state space
+keeps.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from ._kernels import integer_rows
 from .exact import LinearProgram
-from .geometry import affine_basis, signed_sums, values_at
+from .geometry import basis_ints, int_values, signed_sums, vertex_ints
 
 
 def grid_unknowns(n_a: int, n_b: int, dim: int):
@@ -67,12 +70,6 @@ def _reduced(row, rhs: int, s: int) -> tuple[tuple[int, ...], int, int]:
     if g > 1:
         return tuple(a // g for a in row), rhs // g, s // g
     return tuple(row), rhs, s
-
-
-def _ints(p) -> tuple[list[int], int]:
-    """The point ``p`` as ``(q * p, q)``, q the lcm of its denominators."""
-    q = math.lcm(*(v.denominator for v in p))
-    return [v.numerator * (q // v.denominator) for v in p], q
 
 
 def _marginal_rows(obs_a, obs_b) -> tuple[int, list]:
@@ -106,13 +103,13 @@ def compatibility(obs_a, obs_b, space) -> LinearProgram:
     n_eq = len(rows)
     width = obs_a.effects[0].dim + 1
     cells = obs_a.n_outcomes * obs_b.n_outcomes
-    for v in space.vertices:
-        xs, q = _ints(v)
-        point = xs + [q]
+    xs, q = vertex_ints(space)
+    for x in xs:
+        point, _, s = _reduced((*x, q), 0, q)
         for cell in range(cells):
             row = [0] * n_vars
             row[cell * width:(cell + 1) * width] = point
-            rows.append((tuple(row), 0, q))
+            rows.append((tuple(row), 0, s))
     return LinearProgram.from_scaled(n_vars, rows, n_eq)
 
 
@@ -120,7 +117,7 @@ def surjectivity(f, space) -> LinearProgram:
     """Convex weights ``w`` of the vertices of the polytope ``space`` with
     ``sum_i w_i f(v_i) = 1``: that row, then ``sum_i w_i = 1``, then
     ``w_i >= 0``."""
-    (values,), den = values_at([f], space.vertices)
+    (values,), den = int_values([f], *vertex_ints(space))
     n = len(values)
     rows = [_reduced(values, den, den), ((1,) * n, 1, 1)]
     rows += [(tuple(int(i == j) for j in range(n)), 0, 1) for i in range(n)]
@@ -132,12 +129,11 @@ def channel_system(source, target, equations) -> list[tuple[list[int], int]]:
     basis ``p_i`` of ``source``, as int rows ``([s*c | s*rhs], s)`` with
     ``s > 0``: ``g . y_i = h(p_i) - g0`` per equation ``(g, h)``, then the
     equalities ``c . (scale * y) = e`` of the target's hull."""
-    basis = affine_basis(source)
-    hvals, den = values_at([h for _, h in equations], basis)
+    basis, q = basis_ints(source)
+    hvals, den = int_values([h for _, h in equations], basis, q)
     ints = []
     for (g, _), hv in zip(equations, hvals):
-        t = math.lcm(*(a.denominator for a in g.coefficients()))
-        *c, g0 = (a.numerator * (t // a.denominator) for a in g.coefficients())
+        ((*c, g0),), t = integer_rows([g.coefficients()])
         ints.append(([den * a for a in c] + [t * v - den * g0 for v in hv], den * t))
     hrep = target._facets
     ints += [([hrep.scale * a for a in c] + [e] * len(basis), hrep.scale)
@@ -162,18 +158,18 @@ def channel_program(source, target, system) -> LinearProgram:
                 row[d2 * d1 + k] = ck * q
         return row
 
-    basis = [_ints(p) for p in affine_basis(source)]
+    basis, q = basis_ints(source)
     rows = []
     for row, s in system:
         c = row[:d2]
-        for (xs, q), r in zip(basis, row[d2:]):
+        for xs, r in zip(basis, row[d2:]):
             rows.append(_reduced(image_row(xs, q, c, range(d2)), r * q, s * q))
     n_eq = len(rows)
     hrep = target._facets
     s = hrep.scale
-    for v in source.vertices:
-        xs, q = _ints(v)
-        xs = [s * x for x in xs]
+    vertices, q = vertex_ints(source)
+    for v in vertices:
+        xs = [s * x for x in v]
         for a, b in hrep.facets:
             # a . m(v)[coords] >= b / s, times s * q
             rows.append(_reduced(image_row(xs, s * q, a, hrep.coords), b * q, s * q))

@@ -113,12 +113,16 @@ def ser_extremal(v: ExtremalValue) -> dict:
 
 
 def _de_map(obj, path="") -> AffineMap:
-    """The map ``ser_map`` wrote; its entries parse at ``{path}matrix``
-    and ``{path}offset``, and a missing offset reads as empty."""
-    return AffineMap(
-        Matrix.from_rows([[parse_rational(x, f"{path}matrix") for x in r] for r in obj["matrix"]]),
-        tuple(parse_rational(x, f"{path}offset") for x in obj.get("offset", [])),
-    )
+    """The map ``ser_map`` wrote; its rows, its offset and their entries
+    parse at ``{path}matrix`` and ``{path}offset``, and a missing offset
+    reads as empty."""
+    def entries(values, at):
+        if not isinstance(values, list):
+            raise ParseError("expected a list of rationals", path=f"{path}{at}")
+        return [parse_rational(x, f"{path}{at}") for x in values]
+
+    return AffineMap(Matrix.from_rows([entries(r, "matrix") for r in obj["matrix"]]),
+                     tuple(entries(obj.get("offset", []), "offset")))
 
 
 def _de_certificate(obj, path="certificate") -> Infeasible:

@@ -31,12 +31,15 @@ a polytope the invariant is the set ext W(K) of extreme points.  When
 there are as many distinct vertex images as K has vertices and they
 affinely span dim(K), W is injective on aff(K), W(K) is an affine copy
 of K and every vertex image is extreme, so no hull search runs; other
-images go through the facet search of ``geometry._describe``.  On a
-ball with faithful W, W(K) is the ellipsoid {g0 + G t : |t| <= 1} with
-g0 = W(center) and columns W(center + r e_i) - g0 of G; P fixes it iff
-P g0 = g0 and P S P^T = S for S = G H^-2 G^T, H = G^T G.  S is the
-pseudo-inverse of G G^T, so its kernel is span(G)-perp and the second
-identity also says that P preserves span(G).
+images go through the facet search of ``geometry._describe``, which
+also gives ``is_symmetry`` the facets of W(K) from the integer vertex
+images.  The chart of a faithful W keeps its basis images as ints, and a
+pull-back maps them in ints.  On a ball with faithful W, W(K) is the
+ellipsoid {g0 + G t : |t| <= 1} with g0 = W(center) and columns
+W(center + r e_i) - g0 of G; P fixes it iff P g0 = g0 and P S P^T = S
+for S = G H^-2 G^T, H = G^T G.  S is the pseudo-inverse of G G^T, so its
+kernel is span(G)-perp and the second identity also says that P
+preserves span(G).
 """
 
 from __future__ import annotations
@@ -70,10 +73,12 @@ from .geometry import (
     _functional,
     affine_basis,
     affine_map_with_orthogonal_extension,
+    basis_ints,
     contains,
     dimension,
+    int_values,
     map_into,
-    values_at,
+    vertex_ints,
 )
 from .programs import (
     generators, grid_unknowns, marginal_program, moved_points, permutation_equations,
@@ -96,7 +101,6 @@ from .wigner import SignedGrid, WignerRep, evaluate
 # (ext W(K) on polytopes; the center and G H^-2 G^T on balls): each one
 # costs entry comparisons, no LP.
 ENUMERATION_GUARD = 8
-GROUP_GUARD = 10_000  # elements that close_group builds
 
 
 @record
@@ -233,21 +237,22 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     """Does ``lam`` send the image W(K) into itself?
 
     Polytopes: each mapped image vertex is tested against the facets of
-    W(K) (affine images of polytopes are hulls of vertex images).  Balls need
+    W(K) (affine images of polytopes are hulls of vertex images), in ints:
+    those of den * W(K), from ``_describe`` of the int images.  Balls need
     a faithful representation: the map is pulled back through the
     inverse of W and tested as a ball self-map.
     """
     space = rep.state_space
     m = _as_affine(lam)
     if isinstance(space, Polytope):
-        vals, den = values_at(rep.functionals(), space.vertices)
-        image_pts = [tuple(QQ(x, den) for x in col) for col in zip(*vals)]
-        known, hull = set(image_pts), Polytope.hull_of(image_pts)
-        for v, img in zip(space.vertices, image_pts):
-            mapped = m(img)
-            # vertex images are in W(K) by definition; facets only for new points
-            if mapped not in known and not contains(hull, mapped):
-                return SymmetryCheck(False, v, _grid_of_flat(mapped, rep.shape))
+        vals, den = int_values(rep.functionals(), *vertex_ints(space))
+        images = list(zip(*vals))
+        hull = _describe(images)[0]
+        rows, mden = int_values(m.functionals(), images, den)  # columns m(W(v_j)) * mden
+        for v, mapped in zip(space.vertices, zip(*rows)):
+            if not hull.holds_ints(mapped, mden // den):
+                image = tuple(QQ(x, mden) for x in mapped)
+                return SymmetryCheck(False, v, _grid_of_flat(image, rep.shape))
         return SymmetryCheck(True)
     chart = _chart(rep)
     if chart is None:
@@ -257,10 +262,11 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     pulled = _pull_back(chart, m)
     if pulled is None:
         # some mapped image point left the affine hull of W(K)
-        for p, w in zip(chart.basis, chart.points()):
-            target = m(w)
-            if _solve_state(chart, target) is None:
-                return SymmetryCheck(False, p, _grid_of_flat(target, rep.shape))
+        rows, q = int_values(m.functionals(), chart.images, chart.den)
+        for p, target in zip(chart.basis, zip(*rows)):
+            if _solve_state(chart, target, q) is None:
+                image = tuple(QQ(x, q) for x in target)
+                return SymmetryCheck(False, p, _grid_of_flat(image, rep.shape))
         raise ArithmeticError("pull-back failed without witness")  # pragma: no cover
     result = map_into(space, pulled, space)
     if result.ok:
@@ -287,15 +293,12 @@ class _Chart(NamedTuple):
     gplus: list[list[int]]
     gden: int
 
-    def points(self) -> list[Vec]:
-        return [tuple(QQ(v, self.den) for v in w) for w in self.images]
-
 
 def _chart(rep: WignerRep) -> Optional[_Chart]:
     """The chart of W, or None when W is not faithful: faithful means
     that its values at the basis have rank dim(K) + 1 (``is_faithful``)."""
     basis = affine_basis(rep.state_space)
-    vals, den = values_at(rep.functionals(), basis)
+    vals, den = int_values(rep.functionals(), *basis_ints(rep.state_space))
     images = list(zip(*vals))
     if bareiss_rank(vals) != len(basis):  # it eliminates vals in place
         return None
@@ -308,13 +311,12 @@ def _chart(rep: WignerRep) -> Optional[_Chart]:
     return _Chart(basis, den, images, gplus, gden)
 
 
-def _solve_state(chart: _Chart, target: Vec) -> Optional[Vec]:
-    """The state y in aff(K) with W(y) = target, or None.  Over ints,
-    ``rhs = q * den * (target - g0)`` and the coefficients are
+def _solve_state(chart: _Chart, target: Sequence[int], q: int) -> Optional[Vec]:
+    """The state y in aff(K) with W(y) = target / q, or None.  Over ints,
+    ``rhs = q * den * (W(y) - g0)`` and the coefficients are
     ``gplus . rhs = gden * q * c``."""
-    q = math.lcm(*(t.denominator for t in target))
     g0 = chart.images[0]
-    rhs = [chart.den * t.numerator * (q // t.denominator) - q * g for t, g in zip(target, g0)]
+    rhs = [chart.den * t - q * g for t, g in zip(target, g0)]
     coeffs = [sum(map(operator.mul, row, rhs)) for row in chart.gplus]
     cols = [[a - b for a, b in zip(w, g0)] for w in chart.images[1:]]
     if any(sum(map(operator.mul, coeffs, col)) != chart.gden * r
@@ -328,13 +330,9 @@ def _solve_state(chart: _Chart, target: Vec) -> Optional[Vec]:
 
 def _pull_back(chart: _Chart, m: AffineMap) -> Optional[AffineMap]:
     """The channel candidate W^-1 . m . W on the affine hull of K."""
-    images = []
-    for w in chart.points():
-        y = _solve_state(chart, m(w))
-        if y is None:
-            return None
-        images.append(y)
-    return affine_map_with_orthogonal_extension(chart.basis, images)
+    rows, q = int_values(m.functionals(), chart.images, chart.den)
+    images = [_solve_state(chart, target, q) for target in zip(*rows)]
+    return None if None in images else affine_map_with_orthogonal_extension(chart.basis, images)
 
 
 def _permutation_test(
@@ -351,7 +349,7 @@ def _permutation_test(
     funcs = rep.functionals()
     n = len(funcs)
     if isinstance(space, Polytope):
-        vals, _ = values_at(funcs, space.vertices)
+        vals, _ = int_values(funcs, *vertex_ints(space))
         images = tuple(dict.fromkeys(zip(*vals)))
         p0 = images[0]
         if len(images) == len(space.vertices) and bareiss_rank(
@@ -360,7 +358,7 @@ def _permutation_test(
             # W is injective on aff(K): every vertex image is extreme
             ext = set(images)
         else:
-            _, flags = _describe(images)
+            flags = _describe(images)[2]
             ext = {p for p, ok in zip(images, flags) if ok}
 
         def fixes_ext(perm: Sequence[int]) -> bool:
@@ -486,35 +484,6 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
     if m is None:  # pragma: no cover - symmetry guarantees solvability
         raise ArithmeticError("symmetric image left the representation span")
     return Channel(m, rep.state_space, rep.state_space)
-
-
-def close_group(
-    generators: Sequence[PhasePointMap], guard: int = GROUP_GUARD
-) -> set[PhasePointMap]:
-    """Closure of permutation phase maps under composition."""
-    for g in generators:
-        if not g.is_permutation:
-            raise PreconditionError("group generators must be permutations")
-    if not generators:
-        return set()
-    shape = generators[0].shape
-    identity = PhasePointMap.identity(shape)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in generators:
-            for h in frontier:
-                prod = g.compose(h)
-                if prod not in elements:
-                    elements.add(prod)
-                    nxt.append(prod)
-                    if len(elements) > guard:
-                        raise SizeGuardError(
-                            f"generated group exceeds the guard of {guard} elements"
-                        )
-        frontier = nxt
-    return elements
 
 
 def is_g_symmetric(rep: WignerRep, generators: Sequence[PhasePointMap]) -> bool:

@@ -60,11 +60,13 @@ from .geometry import (
     affine_basis,
     affine_map_from_points,
     basis_interpolation,
+    basis_ints,
     contains,
     dimension,
     extremal_range,
+    int_values,
     map_into,
-    values_at,
+    vertex_ints,
 )
 
 
@@ -258,9 +260,8 @@ def are_compatible(
 
 def effect_span_rank(obs_a: Observable, obs_b: Observable, space: StateSpace) -> int:
     """Rank of all effects of both observables restricted to aff(K): of
-    their ``values_at`` rows at the affine basis of K."""
-    rows, _ = values_at(obs_a.effects + obs_b.effects, affine_basis(space))
-    return bareiss_rank(rows)
+    their ``int_values`` rows at the affine basis of K."""
+    return bareiss_rank(int_values(obs_a.effects + obs_b.effects, *basis_ints(space))[0])
 
 
 def jointly_info_complete(
@@ -292,7 +293,7 @@ def _half_complementary(
 ) -> bool:
     if isinstance(space, Polytope):
         # over ints: f(v) = 1 is f = den, g(v) = 1/n is n * g = den
-        rows, den = values_at(first.effects + second.effects, space.vertices)
+        rows, den = int_values(first.effects + second.effects, *vertex_ints(space))
         n = second.n_outcomes
         face = [j for f in rows[:len(first.effects)] for j, x in enumerate(f) if x == den]
         return all(n * g[j] == den for g in rows[len(first.effects):] for j in face)
@@ -372,7 +373,7 @@ def is_surjective(obs: Observable, space: StateSpace) -> bool:
     reaches 1 iff its vertex values straddle it: ``min <= 1 <= max``.
     """
     if isinstance(space, Polytope):
-        rows, den = values_at(obs.effects, space.vertices)
+        rows, den = int_values(obs.effects, *vertex_ints(space))
         return all(min(row) <= den <= max(row) for row in rows)
     return all(reached for _, _, reached in surjectivity_details(obs, space))
 
@@ -540,14 +541,14 @@ def _leaving_certificate(source, hrep, basis, ints, v, img) -> Infeasible:
     )
 
 
-def _solves(equations, m: AffineMap, points) -> bool:
-    """Does g(m(p)) = h(p) hold for every equation ``(g, h)`` and point?"""
-    rows, _ = values_at([g.compose(m) - h for g, h in equations], points)
+def _solves(equations, m: AffineMap, space: StateSpace) -> bool:
+    """Does g(m(p)) = h(p) hold for every equation ``(g, h)`` and basis point?"""
+    rows, _ = int_values([g.compose(m) - h for g, h in equations], *basis_ints(space))
     return not any(map(any, rows))
 
 
 def _verify_candidate(source, target, equations, candidate) -> Channel:
-    if not _solves(equations, candidate, affine_basis(source)):
+    if not _solves(equations, candidate, source):
         raise PreconditionError("candidate map does not satisfy the requested equations")
     return Channel(candidate, source, target)
 

@@ -36,11 +36,13 @@ from .geometry import (
     StateSpace,
     affine_basis,
     affine_map_with_orthogonal_extension,
+    basis_ints,
     contains,
     dimension,
     extremal_range,
+    int_values,
     signed_sums,
-    values_at,
+    vertex_ints,
 )
 from .theory import Incompatible, Observable, are_compatible
 
@@ -281,7 +283,7 @@ def is_positive(rep: WignerRep) -> PositivityResult:
     n_b = rep.shape[1]
     funcs = rep.functionals()
     if isinstance(space, Polytope):
-        rows, den = values_at(funcs, space.vertices)
+        rows, den = int_values(funcs, *vertex_ints(space))
     for i, f in enumerate(funcs):
         point = (rep.obs_a.outcomes[i // n_b], rep.obs_b.outcomes[i % n_b])
         if isinstance(space, Polytope):
@@ -299,8 +301,7 @@ def is_positive(rep: WignerRep) -> PositivityResult:
 
 def grid_rank(rep: WignerRep) -> int:
     """Rank of the grid functionals restricted to the affine hull of K."""
-    rows, _ = values_at(rep.functionals(), affine_basis(rep.state_space))
-    return bareiss_rank(rows)
+    return bareiss_rank(int_values(rep.functionals(), *basis_ints(rep.state_space))[0])
 
 
 def is_faithful(rep: WignerRep) -> bool:
@@ -356,10 +357,10 @@ def faithful_member(
     anchor, slots = free_slots(obs_a, obs_b, anchor)
     funcs = degenerate_rep(obs_a, obs_b, space, anchor).functionals()
     n = len(funcs)
-    basis = affine_basis(space)
-    # the grid values' columns scaled by den: the same pivot columns
-    vals, _ = values_at(funcs, basis)
-    rows = [list(col) + list(p) for col, p in zip(zip(*vals), basis)]
+    basis, q = basis_ints(space)
+    # columns scaled by den and q: the same pivot columns
+    vals, _ = int_values(funcs, basis, q)
+    rows = [list(col) + list(x) for col, x in zip(zip(*vals), basis)]
     pivots = rref(rows, n + space.ambient_dim)
     coords = [c - n for c in pivots if c >= n][:len(slots)]
     if sum(c < n for c in pivots) + len(coords) < dimension(space) + 1:

@@ -47,8 +47,8 @@ of W(K), and g0 and S on balls) hold ``Fraction`` entries.
 
 ``is_g_symmetric_by_closure`` is the former ``symmetry.is_g_symmetric``,
 which ran the permutation test on every element of the group that
-``close_group`` builds, against which the test of the generators alone
-is checked.
+``close_group`` (the former ``symmetry.close_group``) builds, against
+which the test of the generators alone is checked.
 
 ``is_psd`` is the former PSD test of ball containment, the signs of all
 2^n principal minors by Bareiss determinants (``int_det``), against
@@ -87,7 +87,7 @@ import operator
 
 from typing import Callable, Optional, Sequence, Union
 
-from wignerlab.errors import PreconditionError, UnsupportedGeometryError
+from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import (
     QQ,
     Feasible,
@@ -119,6 +119,7 @@ from wignerlab.geometry import (
     independent_affine_subset,
 )
 from wignerlab import symmetry
+from wignerlab.symmetry import PhasePointMap
 from wignerlab.theory import Observable
 from wignerlab.wigner import (
     NoPositiveMember,
@@ -242,12 +243,41 @@ def fraction_permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]
     )
 
 
+def close_group(
+    generators: Sequence[PhasePointMap], guard: int = 10_000
+) -> set[PhasePointMap]:
+    """Closure of permutation phase maps under composition."""
+    for g in generators:
+        if not g.is_permutation:
+            raise PreconditionError("group generators must be permutations")
+    if not generators:
+        return set()
+    shape = generators[0].shape
+    identity = PhasePointMap.identity(shape)
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in generators:
+            for h in frontier:
+                prod = g.compose(h)
+                if prod not in elements:
+                    elements.add(prod)
+                    nxt.append(prod)
+                    if len(elements) > guard:
+                        raise SizeGuardError(
+                            f"generated group exceeds the guard of {guard} elements"
+                        )
+        frontier = nxt
+    return elements
+
+
 def is_g_symmetric_by_closure(rep: WignerRep, generators) -> bool:
     """Is the lift of every element of the closed group a symmetry?"""
     if not generators:
         return True
     test = symmetry._permutation_test(rep)
-    return all(test(element.table) for element in symmetry.close_group(generators))
+    return all(test(element.table) for element in close_group(generators))
 
 
 def check(lp: LinearProgram, x) -> bool:

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from wignerlab import exact, geometry
+from wignerlab import catalog, exact, geometry
 from wignerlab.errors import UnsupportedGeometryError
 from wignerlab.geometry import (
     AffineFunctional,
@@ -26,7 +26,7 @@ from wignerlab.geometry import (
     values_at,
 )
 
-from helpers import random_fraction, random_polygon
+from helpers import generalized_boxworld, random_fraction, random_polygon
 import reference_kernels as ref
 from reference_kernels import orthogonal_extension, per_column_affine_map, rank_greedy_subset
 
@@ -466,10 +466,42 @@ def test_affine_basis():
     assert affine_basis(DISK) == ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
 
 
+def _assert_integer_form(space):
+    """The kept vertex rows are ``scale * v``, row for row, and the basis
+    indices pick ``affine_basis(space)`` in order, as the rank greedy does."""
+    xs, q = geometry.vertex_ints(space)
+    assert q == space._facets.scale > 0
+    assert all(type(x) is int for row in xs for x in row)
+    assert list(xs) == [tuple(q * x for x in v) for v in space.vertices]
+    basis, bq = geometry.basis_ints(space)
+    assert bq == q and space._basis == tuple(rank_greedy_subset(space.vertices))
+    assert [space.vertices[i] for i in space._basis] == list(affine_basis(space))
+    assert list(basis) == [xs[i] for i in space._basis]
+
+
+def test_polytopes_keep_one_integer_form():
+    """Every catalog polytope, every random polytope of the helpers and
+    every ``Polytope.hull_of`` result holds its vertices and affine basis
+    as ints over its facet scale; a ball's basis is scaled on each call."""
+    spaces = [e.theory.state_space for e in map(catalog.load, catalog.CATALOG_NAMES)]
+    spaces += [generalized_boxworld(m, n).state_space for m in (2, 3) for n in (2, 3, 4)]
+    rng = random.Random(167)
+    spaces += [random_polygon(rng) for _ in range(40)]
+    spaces += [Polytope.hull_of(_random_point_set(rng, n)) for n in (1, 2, 3, 4) for _ in range(10)]
+    polytopes = [s for s in spaces if isinstance(s, Polytope)]
+    assert len(polytopes) == 5 + 6 + 40 + 40
+    for space in polytopes:
+        _assert_integer_form(space)
+    for ball in (DISK, BLOCH, Ball((F(1, 2), F(-1, 3)), F(3, 4))):
+        basis, q = geometry.basis_ints(ball)
+        assert [tuple(F(x, q) for x in row) for row in basis] == list(affine_basis(ball))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_affine_basis_is_the_rank_greedy_choice_and_is_kept(n, monkeypatch):
     """One rref's pivot columns pick the points the rank-per-point greedy
-    picks, in order; a polytope keeps its basis after the first call."""
+    picks, in order; a polytope keeps its basis, as indices into its
+    vertices, after the first call."""
     rng = random.Random(300 + n)
     spaces = []
     for _ in range(30):
@@ -478,6 +510,7 @@ def test_affine_basis_is_the_rank_greedy_choice_and_is_kept(n, monkeypatch):
         hull = Polytope.hull_of(points)
         expected = tuple(hull.vertices[i] for i in rank_greedy_subset(hull.vertices))
         assert affine_basis(hull) == expected and len(expected) == dimension(hull) + 1
+        _assert_integer_form(hull)
         spaces.append(hull)
 
     def forbidden(*args):
@@ -485,7 +518,8 @@ def test_affine_basis_is_the_rank_greedy_choice_and_is_kept(n, monkeypatch):
 
     monkeypatch.setattr(geometry, "rref", forbidden)
     for hull in spaces:
-        assert affine_basis(hull) is affine_basis(hull)
+        assert affine_basis(hull) == affine_basis(hull)
+        assert hull._basis == tuple(rank_greedy_subset(hull.vertices))
     assert geometry.independent_affine_subset([]) == []
 
 

@@ -726,10 +726,13 @@ def test_an_lp_claim_is_about_what_its_id_names(tmp_path, capsys):
     ("boxworld", ["wigner", "--faithful"], "negativity_witness", ("state",)),
     ("boxworld", ["wigner", "--faithful"], "negativity_witness", ("functional", "linear")),
     ("qubit_ball", ["analyze"], "surjective[A][0]", ("center",)),
-], ids=["witness", "multipliers", "state", "functional", "center"])
+    ("boxworld", ["covariant"], SWAP_A, ("channel", "matrix", 1)),
+    ("boxworld", ["covariant"], SWAP_A, ("channel", "offset")),
+], ids=["witness", "multipliers", "state", "functional", "center", "matrix_row", "offset"])
 def test_a_string_where_a_list_belongs_fails_its_claim(tmp_path, capsys, name, argv, cid, field):
     """The list ["1", "0", "0"] written as the string "100" is no vector,
-    although its characters are the same rationals."""
+    although its characters are the same rationals; likewise a channel's
+    matrix row or offset, reported at the matrix or the offset."""
     report = _example_report(tmp_path, capsys, name, *argv)
     claim = next(c for c in report["claims"] if c["id"] == cid)
     *where, last = field
@@ -737,4 +740,5 @@ def test_a_string_where_a_list_belongs_fails_its_claim(tmp_path, capsys, name, a
         claim = claim[key]
     claim[last] = "".join(claim[last])
     rows = [(c, detail) for c, ok, detail in verify_report(report) if not ok]
-    assert rows == [(cid, f"verification error: expected a list of rationals (at {'.'.join(field)})")]
+    at = ".".join(k for k in field if isinstance(k, str))
+    assert rows == [(cid, f"verification error: expected a list of rationals (at {at})")]

@@ -21,7 +21,7 @@ from helpers import (
     random_polygon,
     random_theory,
 )
-from wignerlab import catalog, exact, geometry, programs, symmetry, theory, wigner
+from wignerlab import _kernels, catalog, exact, geometry, programs, symmetry, theory, wigner
 from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import verify_certificate
 from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope, dimension
@@ -30,7 +30,6 @@ from wignerlab.symmetry import (
     PhasePointMap,
     ProductGroupElement,
     TransportObstruction,
-    close_group,
     enumerate_lifted_symmetries,
     find_permutation_channels,
     find_symmetry_for_channel,
@@ -262,7 +261,7 @@ def test_induced_action_precondition_needs_no_is_symmetry(monkeypatch):
 
 
 def test_group_closure_and_g_symmetry():
-    group = close_group([SWAP_0110, SWAP_0011])
+    group = ref.close_group([SWAP_0110, SWAP_0011])
     assert len(group) == 4
     assert is_g_symmetric(WHALF, [SWAP_0110, SWAP_0011])
     assert not is_g_symmetric(WHALF, [SWAP_0001])
@@ -283,7 +282,7 @@ def test_find_permutation_channels_boxworld():
     both = result.channels[swap_a].map.compose(result.channels[swap_b].map)
     both_swap = swap_a.compose(swap_b)
     equations = programs.permutation_equations(OBS_A, OBS_B, both_swap.perm_a, both_swap.perm_b)
-    assert theory._solves(equations, both, geometry.affine_basis(SQUARE))
+    assert theory._solves(equations, both, SQUARE)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
@@ -307,10 +306,9 @@ def test_composed_generator_channels_permute_every_group_element(shape):
                     nxt.append(composed)
         frontier = nxt
     assert len(maps) == math.factorial(shape[0]) * math.factorial(shape[1])
-    basis = geometry.affine_basis(space)
     for element, m in maps.items():
         equations = programs.permutation_equations(t.obs_a, t.obs_b, element.perm_a, element.perm_b)
-        assert theory._solves(equations, m, basis)
+        assert theory._solves(equations, m, space)
         Channel(m, space, space)
 
 
@@ -556,6 +554,8 @@ def test_enumeration_skips_the_hull_search_when_w_is_injective(monkeypatch):
     assert len(injective) >= 8 and len(other) >= 8
     assert not any(map(is_faithful, other))
     expected = [_symmetries_by_is_symmetry(rep) for rep in injective]
+    # is_symmetry reads W(K)'s facets from _describe too: decide it first
+    expected_other = [_symmetries_by_is_symmetry(rep) for rep in other]
     real = symmetry._describe
     calls = None  # a list once the hull search is allowed
 
@@ -568,9 +568,9 @@ def test_enumeration_skips_the_hull_search_when_w_is_injective(monkeypatch):
     monkeypatch.setattr(symmetry, "_describe", describe)
     for rep, want in zip(injective, expected):
         assert enumerate_lifted_symmetries(rep) == want
-    for rep in other:
+    for rep, want in zip(other, expected_other):
         calls = []
-        assert enumerate_lifted_symmetries(rep) == _symmetries_by_is_symmetry(rep)
+        assert enumerate_lifted_symmetries(rep) == want
         assert len(calls) == 1  # the fallback ran, once
 
 
@@ -639,7 +639,7 @@ def test_g_symmetric_is_is_symmetry_over_the_closed_group():
         n = rep.shape[0] * rep.shape[1]
         perms = [PhasePointMap(rep.shape, p) for p in itertools.permutations(range(n))]
         for gens in (found, rng.sample(found, 1) + rng.sample(perms, 1), rng.sample(perms, 2)):
-            expected = all(is_symmetry(rep, lift(g)).ok for g in close_group(gens))
+            expected = all(is_symmetry(rep, lift(g)).ok for g in ref.close_group(gens))
             assert is_g_symmetric(rep, gens) == expected
 
 
@@ -764,6 +764,51 @@ def test_induced_action_builds_the_chart_once(monkeypatch):
     )
 
 
+def _polytope_theories():
+    """Catalog polytope theories and random polygon theories, built anew."""
+    rng = random.Random(163)
+    names = ("trit", "boxworld", "rebit_diamond", "deformed_12gon")
+    return ([catalog.load(name).theory for name in names]
+            + [random_theory(rng, max_points=5, outcome_choices=(2, 2, 3)) for _ in range(10)])
+
+
+def _consumer_results(t):
+    """What the engine's consumers of vertex and basis points answer on
+    the theory ``t``."""
+    a, b, space = t.obs_a, t.obs_b, t.state_space
+    rep = construct_family(a, b, space, {})
+    member = wigner.faithful_member(a, b, space)
+    out = [rep, is_faithful(rep), member, theory.are_compatible(a, b, space),
+           theory.is_surjective(a, space), theory.is_surjective(b, space)]
+    for perm_a, perm_b in programs.generators(a.n_outcomes, b.n_outcomes):
+        equations = programs.permutation_equations(a, b, perm_a, perm_b)
+        out.append(theory.find_channel(space, space, equations))
+    for r in (rep, member):
+        if r is not None and r.shape[0] * r.shape[1] <= symmetry.ENUMERATION_GUARD:
+            found = enumerate_lifted_symmetries(r)
+            out += [found, *(find_transported_channel(r, lift(phi)) for phi in found[:3])]
+    return out
+
+
+def test_consumers_read_the_kept_integer_form(monkeypatch):
+    """With the scaling helper refusing a polytope's vertex points (which
+    are its basis points too), every consumer answers as before: each
+    reads the int rows that the polytope keeps, and none scales a vertex."""
+    expected = [_consumer_results(t) for t in _polytope_theories()]
+    theories = _polytope_theories()
+    vertices = {id(v) for t in theories for v in t.state_space.vertices}
+    integer_rows = _kernels.integer_rows
+
+    def refusing(rows):
+        if any(id(row) in vertices for row in rows):
+            raise AssertionError("a polytope vertex scaled again")
+        return integer_rows(rows)
+
+    for module in (_kernels, exact, geometry, programs, symmetry, theory, wigner):
+        monkeypatch.setattr(module, "integer_rows", refusing, raising=False)
+    assert [_consumer_results(t) for t in theories] == expected
+
+
 def test_ball_enumeration_evaluates_the_grid_at_the_basis_once(monkeypatch):
     """``_permutation_test`` on a ball decides faithfulness from the
     chart's values (Bareiss rank dim + 1), so enumerating evaluates the
@@ -772,13 +817,13 @@ def test_ball_enumeration_evaluates_the_grid_at_the_basis_once(monkeypatch):
     rep = entry.representations["W"]
     expected = enumerate_lifted_symmetries(rep)
     calls = []
-    values_at = symmetry.values_at
+    int_values = symmetry.int_values
 
-    def counted(funcs, points):
-        calls.append(len(points))
-        return values_at(funcs, points)
+    def counted(funcs, xs, q):
+        calls.append(len(xs))
+        return int_values(funcs, xs, q)
 
-    monkeypatch.setattr(symmetry, "values_at", counted)
+    monkeypatch.setattr(symmetry, "int_values", counted)
     assert enumerate_lifted_symmetries(rep) == expected and len(expected) > 1
     assert calls == [4]
     lossy = wigner.degenerate_rep(entry.theory.obs_a, entry.theory.obs_b, rep.state_space)
