@@ -433,12 +433,10 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
     chan = _parse_map(data, space.ambient_dim)
     inside = map_into(space, chan, space)
     if not inside.ok:
-        moved = ""
-        if inside.witness_point is not None:  # (a ball map may leave without one)
-            point, image = (", ".join(map(str, v))
-                            for v in (inside.witness_point, inside.witness_image))
-            moved = f": it sends ({point}) to ({image})"
-        raise ParseError(f"the map leaves the state space{moved}", path="--channel-matrix")
+        point, image = (", ".join(map(str, v))
+                        for v in (inside.witness_point, inside.witness_image))
+        raise ParseError(f"the map leaves the state space: it sends ({point}) to ({image})",
+                         path="--channel-matrix")
     result = symmetry.find_symmetry_for_channel(rep, chan)
     if isinstance(result, symmetry.TransportObstruction):
         payload = {}

@@ -14,7 +14,9 @@ its columns against the target's integer facets, and builds
 Balls are stored by center and radius.  Extremal values of affine
 functionals over balls are irrational in general, so they are carried
 symbolically as ``rational + rational * sqrt(radicand)`` and compared by
-exact sign analysis, never through floats.
+exact sign analysis, never through floats.  Ball images are decided by an
+S-lemma certificate at a rational multiplier or a rational point whose
+image leaves the target; no float enters any decision.
 
 A polytope keeps the int vertex rows that ``_describe`` builds over the
 facet scale (``vertex_ints``), and its affine basis as indices into them
@@ -38,7 +40,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, integer_rows, rref
 from ._record import record
-from .errors import UnsupportedGeometryError
+from .errors import SizeGuardError, UnsupportedGeometryError
 from .exact import (
     QQ,
     Matrix,
@@ -302,20 +304,40 @@ def affine_map_with_orthogonal_extension(
     )
 
 
+# Trial division in ``_squarefree`` stops below this bound: past it, a
+# radicand's square part would need factoring, and trial division up to
+# sqrt(n) can run for hours on one radicand.
+SQUAREFREE_TRIAL_BOUND = 2 ** 16
+
+
 def _squarefree(n: int) -> tuple[int, int]:
-    """Decompose n = k^2 * m with m squarefree (n > 0)."""
-    k, m = 1, 1
-    d = 2
-    while d * d <= n:
+    """Decompose n = k^2 * m with m squarefree (n > 0).
+
+    A square n is taken whole.  Else primes below B =
+    ``SQUAREFREE_TRIAL_BOUND`` are divided out, leaving a cofactor with no
+    prime factor below B: below B^3 it is 1, p, p^2 or p q, told apart by
+    ``isqrt``; a larger one raises ``SizeGuardError``.
+    """
+    root = math.isqrt(n)
+    if root * root == n:
+        return root, 1
+    radicand, bound = n, SQUAREFREE_TRIAL_BOUND
+    k, m, d = 1, 1, 2
+    while d < bound and d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
             e += 1
         k *= d ** (e // 2)
-        if e % 2:
-            m *= d
+        m *= d ** (e % 2)
         d += 1 if d == 2 else 2
-    return k, m * n
+    if d * d <= n and n >= bound ** 3:
+        raise SizeGuardError(
+            f"radicand {radicand} leaves a cofactor {n} of at least {bound}^3"
+            f" with no prime factor below {bound}; its square part is not computed"
+        )
+    root = math.isqrt(n)
+    return (k * root, m) if root * root == n else (k, m * n)
 
 
 @record
@@ -709,18 +731,13 @@ def extremal_range(
 
 @record
 class Containment:
-    """Outcome of an image-containment test.
-
-    ``exact`` is False only on the documented numeric fallback path for
-    off-center ball maps (tolerance 1e-12); every other verdict is an
-    exact-arithmetic fact.  On failure ``witness_point`` maps to
-    ``witness_image`` outside the target (when one could be produced).
-    """
+    """Outcome of an image-containment test, exact either way: on failure
+    ``witness_point`` is a source point that the map sends to
+    ``witness_image``, outside the target."""
 
     ok: bool
     witness_point: Optional[Vec] = None
     witness_image: Optional[Vec] = None
-    exact: bool = True
 
     def __bool__(self):
         return self.ok
@@ -730,10 +747,10 @@ def map_into(source: StateSpace, m: AffineMap, target: StateSpace) -> Containmen
     """Does ``m`` send ``source`` into ``target``?
 
     Supported pairs: polytope -> polytope (vertex images against the
-    target's facets; exact) and
-    ball -> ball (centered maps decided exactly through a rational PSD
-    test, off-center maps through an exact sufficient bound with a
-    numeric fallback).
+    target's facets) and ball -> ball (an S-lemma certificate at a
+    rational multiplier, or a rational source point whose image leaves
+    the target; ``_ball_map_into``).  Both are decided exactly; a ball map
+    that neither test settles raises ``UnsupportedGeometryError``.
     """
     if m.source_dim != source.ambient_dim or m.target_dim != target.ambient_dim:
         raise ValueError("map dimensions disagree with the spaces")
@@ -752,47 +769,117 @@ def map_into(source: StateSpace, m: AffineMap, target: StateSpace) -> Containmen
     )
 
 
+# Bisection steps on the S-lemma multiplier, so that deciding a map never
+# hangs: a map that none of the bisected multipliers certifies and that
+# yields no witness is tight or nearly so, and is refused.
+MULTIPLIER_STEPS = 64
+
+
 def _ball_map_into(source: Ball, m: AffineMap, target: Ball) -> Containment:
-    # centered coordinates: r -> A r + d with |r| <= R1, need image in |.| <= R2
-    a = m.matrix
-    d = vec_sub(m(source.center), target.center)
-    r1, r2 = source.radius, target.radius
+    """Ball -> ball containment by the S-lemma (Polik and Terlaky, 2007).
+
+    With |u| <= 1, m(c1 + R1 u) - c2 = M u + d for M = R1 A, d = m(c1) - c2.
+    The map is contained iff some lam >= 0 makes P(lam) = [[lam I - M^T M,
+    -M^T d], [-d^T M, R2^2 - |d|^2 - lam]] PSD, as then R2^2 - |M u + d|^2
+    >= lam (1 - |u|^2).  The first lam, R2 (R2 - rho) with rational rho >=
+    |d| (R2^2 when d = 0), certifies every map with sigma_max(M) + rho <= R2.
+    A failing lam gives (r, s) (``_negative_direction``) whose value is
+    affine in lam with slope |r|^2 - s^2, so all lam on one side fail too.
+    Past the top eigenvalue of M^T M, (r, s) = ((lam I - M^T M)^-1 M^T d, 1),
+    and the bisection drives r / s to the farthest point (Moré and Sorensen,
+    1983).  So r / s inside the ball is a witness candidate, and so are the
+    sphere points on the line from the last such point (at first the
+    center) along the last direction from below, a near top eigenvector
+    when the farthest point needs one.
+    """
+    r2 = target.radius
+    center_image = m(source.center)
+    d = vec_sub(center_image, target.center)
     d_sq = vec_dot(d, d)
-    if all(x == 0 for x in d):
-        # sup |A r| = sigma_max(A) R1; PSD test of (R2/R1)^2 I - A^T A
-        c = (r2 * r2) / (r1 * r1)
-        gram = a.transpose().matmul(a)
-        s = [
-            [
-                (c if i == j else QQ(0)) - gram.entries[i][j]
-                for j in range(gram.cols)
-            ]
-            for i in range(gram.rows)
-        ]
-        direction = _negative_direction(s)
+    if d_sq > r2 * r2:
+        return Containment(False, source.center, center_image)
+    cols = [vec_scale(source.radius, c) for c in zip(*m.matrix.entries)]
+    gram = [[vec_dot(a, b) for b in cols] for a in cols]
+    md = [vec_dot(a, d) for a in cols]
+    slack = r2 * r2 - d_sq
+    lo, hi = QQ(0), slack
+    lam = max(r2 * (r2 - _root(d_sq, 64, up=True)), lo)
+    below, inside = None, zeros(len(cols))
+    for _ in range(MULTIPLIER_STEPS):
+        p = [[lam * (i == j) - x for j, x in enumerate(row)] + [-md[i]]
+             for i, row in enumerate(gram)]
+        direction = _negative_direction(p + [[-x for x in md] + [slack - lam]])
         if direction is None:
             return Containment(True)
-        point, image = _ball_witness(source, m, target, direction)
-        if point is not None:
-            return Containment(False, point, image)
-        return Containment(False)
-    # sufficient bound: R1 * frobenius(A) + |d| <= R2 implies containment
-    frob_sq = sum(
-        (x * x for row in a.entries for x in row), QQ(0)
+        *r, s = direction
+        witness = None
+        if vec_dot(r, r) > s * s:
+            lo, below = lam, r
+        else:
+            hi, inside = lam, vec_scale(1 / s, r)
+            witness = _image_outside(source, m, target, inside)
+        if witness is None and below is not None:
+            witness = _sphere_witness(source, m, target, inside, below)
+        if witness is not None:
+            return Containment(False, *witness)
+        lam = (lo + hi) / 2
+    raise UnsupportedGeometryError(
+        f"unsupported: no multiplier of {MULTIPLIER_STEPS} bisection steps certifies"
+        " the ball map and no witness was found (it is tight or nearly so)"
     )
-    margin = r2 * r2 - r1 * r1 * frob_sq - d_sq
-    if margin >= 0 and 4 * r1 * r1 * frob_sq * d_sq <= margin * margin:
-        return Containment(True)
-    # documented numeric fallback at tolerance 1e-12
-    sigma = _operator_norm_float(a)
-    lhs = float(r1) * sigma + math.sqrt(float(d_sq))
-    if lhs <= float(r2) * (1 + 1e-12) + 1e-12:
-        return Containment(True, exact=False)
-    direction = _top_direction_float(a)
-    point, image = _ball_witness(source, m, target, direction)
-    if point is not None:
-        return Containment(False, point, image)
-    return Containment(False, exact=False)
+
+
+def _image_outside(source: Ball, m: AffineMap, target: Ball, u: Vec) -> Optional[tuple]:
+    """The point c1 + R1 u and its image, if that is outside the target."""
+    x = tuple(c + source.radius * a for c, a in zip(source.center, u))
+    image = m(x)
+    diff = vec_sub(image, target.center)
+    return (x, image) if vec_dot(diff, diff) > target.radius * target.radius else None
+
+
+def _sphere_witness(source: Ball, m: AffineMap, target: Ball, u0: Vec, v) -> Optional[tuple]:
+    """A point c1 + R1 (u0 + tau v), |u0| < 1, and its image outside the
+    target, or ``None``.
+
+    The line meets |u| = 1 at tau = (-b +- sqrt(D)) / n, n = |v|^2,
+    b = u0.v, D = b^2 - n (|u0|^2 - 1).  There the sphere's equation turns
+    |e + tau w|^2 - R2^2 (e, w the images of u0 and v, from c2) into
+    x + y sqrt(D), whose sign is that of x |x| + y |y| D.  An end that
+    maps outside is approached from inside, sqrt(D) rounded down at 16,
+    32, 64, ... bits; the violation is strict, so this ends.
+    """
+    n = vec_dot(v, v)
+    if not n:
+        return None
+    b, c = vec_dot(u0, v), vec_dot(u0, u0) - 1
+    disc = b * b - n * c
+    e = vec_sub(m(tuple(x + source.radius * a for x, a in zip(source.center, u0))),
+                target.center)
+    w = vec_scale(source.radius, m.matrix.matvec(v))
+    a1 = 2 * (vec_dot(e, w) - b * vec_dot(w, w) / n)
+    a0 = vec_dot(e, e) - target.radius * target.radius - c * vec_dot(w, w) / n
+    for sign in (1, -1):
+        x, y = a0 - a1 * b / n, sign * a1 / n
+        if x * abs(x) + y * abs(y) * disc <= 0:
+            continue
+        bits = 16
+        while True:
+            tau = (-b + sign * _root(disc, bits, up=False)) / n
+            found = _image_outside(source, m, target, vec_add(u0, vec_scale(tau, v)))
+            if found is not None:
+                return found
+            bits *= 2
+    return None
+
+
+def _root(x: QQ, bits: int, up: bool) -> QQ:
+    """sqrt(x) for rational x >= 0 within 2^-bits / den(x), from below or
+    (``up``) above; exact for rational squares.  sqrt(p/q) = sqrt(pq)/q."""
+    n = (x.numerator * x.denominator) << (2 * bits)
+    k = math.isqrt(n)
+    if up and k * k < n:
+        k += 1
+    return QQ(k, x.denominator << bits)
 
 
 def _negative_direction(s: list[list[QQ]]) -> Optional[Vec]:
@@ -825,71 +912,3 @@ def _negative_direction(s: list[list[QQ]]) -> Optional[Vec]:
                 a[i][k + 1:] = [x - f * y for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
                 t[i] = [x - f * y for x, y in zip(t[i], t[k])]
     return None
-
-
-def _ball_witness(source: Ball, m: AffineMap, target: Ball, direction) -> tuple:
-    """Scale ``direction`` into the source ball and check the image exactly.
-
-    The direction may come from float heuristics; it is rationalized
-    first, then shrunk until the point lies exactly inside the source
-    ball, and the image is tested exactly against the target.
-    """
-    if direction is None:
-        return None, None
-    d = vec(
-        qq(Fraction(x).limit_denominator(10**6)) if isinstance(x, float) else qq(x)
-        for x in direction
-    )
-    norm_sq = vec_dot(d, d)
-    if norm_sq == 0:
-        return None, None
-    t = Fraction(float(source.radius) / math.sqrt(float(norm_sq))).limit_denominator(10**9)
-    for _ in range(200):
-        if t <= 0:
-            return None, None
-        if t * t * norm_sq <= source.radius * source.radius:
-            break
-        t = t * Fraction(999999, 1000000)
-    else:
-        return None, None
-    point = tuple(c + t * x for c, x in zip(source.center, d))
-    image = m(point)
-    diff = vec_sub(image, target.center)
-    if vec_dot(diff, diff) > target.radius * target.radius:
-        return point, image
-    return None, None
-
-
-def _operator_norm_float(a: Matrix) -> float:
-    """Largest singular value, float power iteration (fallback only)."""
-    n = a.cols
-    if n == 0 or a.rows == 0:
-        return 0.0
-    gram = a.transpose().matmul(a)
-    g = [[float(x) for x in row] for row in gram.entries]
-    v = [1.0 / math.sqrt(n)] * n
-    lam = 0.0
-    for _ in range(200):
-        w = [sum(g[i][j] * v[j] for j in range(n)) for i in range(n)]
-        norm = math.sqrt(sum(x * x for x in w))
-        if norm == 0.0:
-            return 0.0
-        v = [x / norm for x in w]
-        lam = norm
-    return math.sqrt(lam)
-
-
-def _top_direction_float(a: Matrix) -> Optional[tuple]:
-    n = a.cols
-    if n == 0:
-        return None
-    gram = a.transpose().matmul(a)
-    g = [[float(x) for x in row] for row in gram.entries]
-    v = [1.0 / math.sqrt(n)] * n
-    for _ in range(200):
-        w = [sum(g[i][j] * v[j] for j in range(n)) for i in range(n)]
-        norm = math.sqrt(sum(x * x for x in w))
-        if norm == 0.0:
-            return None
-        v = [x / norm for x in w]
-    return tuple(v)

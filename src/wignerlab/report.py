@@ -403,7 +403,7 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
         chan = _de_map(claim["channel"], "channel.")
         inside = map_into(space, chan, space)
         perm_a, perm_b = claim["perm_a"], claim["perm_b"]
-        if (verdict is not True or not (inside.ok and inside.exact)
+        if (verdict is not True or not inside.ok
                 or [sorted(perm_a), sorted(perm_b)] != [list(range(n)) for n in rep.shape]):
             return False
         # W_g(a,b)(F p) = W_ab(p), the engine's W_ab(F p) = W_g^-1(a,b)(p)

@@ -74,7 +74,6 @@ from .geometry import (
     affine_basis,
     affine_map_with_orthogonal_extension,
     basis_ints,
-    contains,
     dimension,
     int_values,
     map_into,
@@ -239,8 +238,8 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     Polytopes: each mapped image vertex is tested against the facets of
     W(K) (affine images of polytopes are hulls of vertex images), in ints:
     those of den * W(K), from ``_describe`` of the int images.  Balls need
-    a faithful representation: the map is pulled back through the
-    inverse of W and tested as a ball self-map.
+    a faithful representation: the map is pulled back through the inverse
+    of W and decided exactly as a ball self-map (``map_into``).
     """
     space = rep.state_space
     m = _as_affine(lam)
@@ -271,11 +270,8 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     result = map_into(space, pulled, space)
     if result.ok:
         return SymmetryCheck(True)
-    witness = result.witness_point
-    image = None
-    if witness is not None and contains(space, witness):
-        image = _grid_of_flat(m(evaluate(rep, witness).flatten()), rep.shape)
-    return SymmetryCheck(False, witness, image)
+    image = m(evaluate(rep, result.witness_point).flatten())
+    return SymmetryCheck(False, result.witness_point, _grid_of_flat(image, rep.shape))
 
 
 class _Chart(NamedTuple):
@@ -611,6 +607,9 @@ class CovariantResult:
     surjectivity fail, tagging the result).  Only "none" sets
     ``program`` and ``certificate``; "unique" and "family" set
     ``channels``, the generator channels of ``find_permutation_channels``.
+    Their ``rep`` is G-symmetric without a test: W_g(a,b)(F_g p) = W_ab(p)
+    gives lift(g) W(p) = W(F_g p), and each ``Channel`` certifies
+    F_g(K) inside K.
     """
 
     kind: str
@@ -621,7 +620,6 @@ class CovariantResult:
     certificate: Optional[Infeasible] = None
     program: Optional[LinearProgram] = None
     channels: Optional[dict[ProductGroupElement, Channel]] = None
-    symmetries_verified: bool = False
 
 
 def solve_covariant(
@@ -720,10 +718,6 @@ def solve_covariant(
         if any(f(p) != 0 for f in rep_dir.functionals() for p in basis):
             genuine.append(rep_dir)
     rep = grid_from(sol.particular)
-    try:
-        verified = is_g_symmetric(rep, [gen.phase_point_map() for gen in stage1.channels])
-    except UnsupportedGeometryError:
-        verified = False
     if genuine:
         return CovariantResult(
             "family",
@@ -731,12 +725,5 @@ def solve_covariant(
             rep=rep,
             family_directions=tuple(genuine),
             channels=stage1.channels,
-            symmetries_verified=verified,
         )
-    return CovariantResult(
-        "unique",
-        hyps,
-        rep=rep,
-        channels=stage1.channels,
-        symmetries_verified=verified,
-    )
+    return CovariantResult("unique", hyps, rep=rep, channels=stage1.channels)

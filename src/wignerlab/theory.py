@@ -394,11 +394,6 @@ class Channel:
                 f" (witness {result.witness_point})",
                 result.witness_point, result.witness_image,
             )
-        if not result.exact:
-            raise PreconditionError(
-                "containment of the image was decided only by the numeric"
-                " fallback, not exactly"
-            )
 
     def __call__(self, x: Sequence) -> Vec:
         return self.map(x)

@@ -55,6 +55,10 @@ which the test of the generators alone is checked.
 which the symmetric elimination of ``geometry._negative_direction`` is
 checked.
 
+``squarefree_by_trial_division`` is the former ``geometry._squarefree``,
+trial division up to sqrt(n), against which the bounded decomposition is
+checked.
+
 ``map_into_by_vertices`` is the former polytope branch of
 ``geometry.map_into``: one ``AffineMap.__call__`` per source vertex,
 then ``_Facets.holds`` on the image, against which the one integer
@@ -956,6 +960,22 @@ def int_det(rows: list[list[int]]) -> int:
                 m[i][k] = (m[c][c] * m[i][k] - m[i][c] * m[c][k]) // prev
         prev = m[c][c]
     return sign * prev
+
+
+def squarefree_by_trial_division(n: int) -> tuple[int, int]:
+    """Decompose n = k^2 * m with m squarefree (n > 0)."""
+    k, m = 1, 1
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        k *= d ** (e // 2)
+        if e % 2:
+            m *= d
+        d += 1 if d == 2 else 2
+    return k, m * n
 
 
 def is_psd(s: list[list[QQ]]) -> bool:

@@ -300,6 +300,34 @@ def test_channel_matrix_that_leaves_the_state_space_is_a_usage_error(tmp_path, c
                    " (at --channel-matrix)\n")
 
 
+def test_channel_matrix_that_leaves_the_disk_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "xw.json"
+    run(capsys, "example", "qubit_xz", "--rep", "W", "--out", str(path))
+    code, out, err = run(
+        capsys, "symmetries", str(path), "--channel-matrix",
+        '{"matrix": [["1","-1"],["0","0"]], "offset": ["-1/2","0"]}',
+    )
+    assert code == 2 and out == ""
+    assert err == ("error: the map leaves the state space: it sends (-1, 0) to (-3/2, 0)"
+                   " (at --channel-matrix)\n")
+
+
+def test_analyze_decides_effects_with_a_large_prime_coefficient(tmp_path, capsys):
+    """A's effects 1/2 +- (1000000007/2000000018) x on the unit disk: the
+    radicand of their extrema is the square of a 61-bit number, which the
+    square-part decomposition takes whole instead of trial-dividing."""
+    xz = tmp_path / "xz.json"
+    run(capsys, "example", "qubit_xz", "--out", str(xz))
+    data = json.loads(xz.read_text())
+    b = "1000000007/2000000018"
+    data["observables"][0]["effects"] = [
+        {"linear": [b, "0"], "constant": "1/2"}, {"linear": ["-" + b, "0"], "constant": "1/2"}]
+    xz.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "analyze", str(xz))
+    assert code == 0
+    assert all(ok for _, ok, _ in verify_report(load_report(out)))
+
+
 @pytest.mark.parametrize("argv", [
     ("example", "trit", "--out", "{out}"),
     ("example", "qubit_xz", "--channels-out", "{out}"),

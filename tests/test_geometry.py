@@ -1,6 +1,7 @@
 """Geometry tests: state spaces, ranges, radical values, containment."""
 
 from fractions import Fraction as F
+import itertools
 import math
 import operator
 import random
@@ -9,7 +10,7 @@ import re
 import pytest
 
 from wignerlab import catalog, exact, geometry
-from wignerlab.errors import UnsupportedGeometryError
+from wignerlab.errors import SizeGuardError, UnsupportedGeometryError
 from wignerlab.geometry import (
     AffineFunctional,
     AffineMap,
@@ -372,8 +373,8 @@ def test_map_into_matches_the_vertex_loop():
             m = _random_map(rng, source, target)
             got = map_into(source, m, target)
             want = ref.map_into_by_vertices(source, m, target)
-            assert (got.ok, got.witness_point, got.witness_image, got.exact) == (
-                want.ok, want.witness_point, want.witness_image, want.exact)
+            assert (got.ok, got.witness_point, got.witness_image) == (
+                want.ok, want.witness_point, want.witness_image)
             if got.ok:
                 counts["ok"] += 1
             else:
@@ -408,12 +409,160 @@ def test_map_into_ball_isometries_and_failures():
     assert map_into(DISK, shrink, DISK).ok
     double = AffineMap.from_rows([[2, 0], [0, 2]], [0, 0])
     result = map_into(DISK, double, DISK)
-    assert not result.ok and result.exact
+    assert not result.ok and contains(DISK, result.witness_point)
+    assert double(result.witness_point) == result.witness_image
     dx = result.witness_image
     assert dx[0] ** 2 + dx[1] ** 2 > 1
-    # off-center shift decided by the exact sufficient bound
+    # an off-center shift, certified by the S-lemma
     shift = AffineMap.from_rows([[F(1, 4), 0], [0, F(1, 4)]], [F(1, 2), 0])
     assert map_into(DISK, shift, DISK).ok
+
+
+SHEAR = AffineMap.from_rows([[1, -1], [0, 0]], [F(-1, 2), 0])
+FLAT = AffineMap.from_rows([[F(3, 4), 0], [0, 0]], [0, F(5, 8)])
+DAMPING = AffineMap.from_rows(  # amplitude damping at gamma = 3/4
+    [[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 4)]], [0, 0, F(3, 4)])
+
+
+@pytest.mark.parametrize("space, m, want", [
+    (DISK, SHEAR, ((-1, 0), (F(-3, 2), 0))),
+    (DISK, FLAT, None),  # sup |m(x)|^2 = 61/64
+    (BLOCH, DAMPING, None),  # tight: m(0, 0, 1) = (0, 0, 1)
+], ids=["shear", "flat", "amplitude damping"])
+def test_ball_containment_is_decided_exactly(space, m, want):
+    result = map_into(space, m, space)
+    if want is None:
+        assert result == geometry.Containment(True)
+    else:
+        assert not result.ok
+        assert (result.witness_point, result.witness_image) == want
+
+
+def test_a_tight_ball_map_no_bisection_multiplier_certifies_is_refused():
+    """x -> (3x/5, 3y/13 + 48/65) reaches |.|^2 = 1 exactly, at (sqrt(56)/9,
+    5/9) with multiplier 9/25, which no bisection step reaches: the map is
+    refused with a typed error.  Scaled by 1 -+ 10^-6 it is decided."""
+    m = AffineMap.from_rows([[F(3, 5), 0], [0, F(3, 13)]], [0, F(48, 65)])
+    assert F(9, 25) * (1 - F(25, 81)) + m((0, F(5, 9)))[1] ** 2 == 1
+    with pytest.raises(UnsupportedGeometryError, match="bisection steps"):
+        map_into(DISK, m, DISK)
+    for k, ok in ((1 - F(1, 10 ** 6), True), (1 + F(1, 10 ** 6), False)):
+        scaled = AffineMap.from_rows([[k * x for x in row] for row in m.matrix.entries],
+                                     [k * x for x in m.offset])
+        assert map_into(DISK, scaled, DISK).ok is ok
+
+
+def test_squarefree_matches_trial_division_and_guards_large_cofactors():
+    """Below the trial bound B = 2^16 the cofactor is 1, p, p^2 or p q;
+    at or above B^3 with no prime below B it is refused, not factored."""
+    rng = random.Random(307)
+    big = [65537, 65539, 65543, 131071]
+    cases = [rng.randrange(1, 10 ** rng.randint(1, 8)) * rng.choice([1, rng.randrange(1, 99) ** 2])
+             for _ in range(2000)]
+    cases += [p * q * c for p in big for q in big for c in (1, 12, 63)]
+    for n in cases:
+        assert geometry._squarefree(n) == ref.squarefree_by_trial_division(n), n
+    square = (1000000007 * 2000000018) ** 2
+    assert geometry._squarefree(square) == (1000000007 * 2000000018, 1)
+    with pytest.raises(SizeGuardError, match="radicand 563044446765098"):
+        geometry._squarefree(2 * 65537 * 65539 * 65543)
+
+
+def _sphere_points(rng: random.Random, dim: int, count: int) -> list[tuple]:
+    """Rational points of the unit sphere in R^dim: the axis points and
+    inverse stereographic images (2t, |t|^2 - 1) / (1 + |t|^2) of random
+    rational t in R^(dim - 1)."""
+    points = [tuple(F(s * (i == k)) for k in range(dim)) for i in range(dim) for s in (1, -1)]
+    for _ in range(count):
+        t = [random_fraction(rng, -4, 4, 7) for _ in range(dim - 1)]
+        n = sum(x * x for x in t)
+        points.append(tuple(2 * x / (1 + n) for x in t) + ((n - 1) / (1 + n),))
+    return points
+
+
+def _rotation(rng: random.Random, dim: int) -> list[list[F]]:
+    """A rational orthogonal matrix: a product of plane rotations by
+    ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)) for random rational t."""
+    q = exact.Matrix.identity(dim)
+    for i, j in itertools.combinations(range(dim), 2):
+        t = random_fraction(rng, -2, 2, 3)
+        c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        g = [[F(int(a == b)) for b in range(dim)] for a in range(dim)]
+        g[i][i], g[i][j], g[j][i], g[j][j] = c, -s, s, c
+        q = exact.Matrix.from_rows(g).matmul(q)
+    return [list(row) for row in q.entries]
+
+
+def _unit_ball_map(rng: random.Random, shape: str, samples: list[tuple]) -> AffineMap:
+    """A map of the unit ball of one of four shapes, scaled to within
+    1/16 of leaving it at the sampled points.  Amplitude damping
+    (s x, s y, s^2 z + 1 - s^2) is tight as it is, so it is scaled by
+    1 - 1/64, 1 or 1 + 1/64."""
+    dim = len(samples[0])
+    if shape == "damping":
+        s = F(rng.randint(1, 8), 8)
+        diag = [s] * (dim - 1) + [s * s]
+        rows = [[diag[i] * (i == j) for j in range(dim)] for i in range(dim)]
+        offset = [F(0)] * (dim - 1) + [1 - s * s]
+        scale = rng.choice([1 - F(1, 64), 1, 1 + F(1, 64)])
+        return AffineMap.from_rows([[scale * x for x in row] for row in rows], offset)
+    if shape == "random":
+        rows = [[random_fraction(rng, -1, 1, 5) for _ in range(dim)] for _ in range(dim)]
+    else:
+        q = _rotation(rng, dim)
+        diag = ([random_fraction(rng, 1, 4, 4)] * dim if shape == "isotropic"
+                else [random_fraction(rng, -4, 4, 4) for _ in range(dim)])
+        rows = [[diag[i] * x for x in row] for i, row in enumerate(q)]
+    offset = [random_fraction(rng, -1, 1, 8) for _ in range(dim)]
+    m = AffineMap.from_rows(rows, offset)
+    top = max(sum(x * x for x in m(p)) for p in samples)
+    # about 1 / sqrt(top): the sampled images then reach radius about 1
+    scale = F(math.isqrt((top.denominator << 40) // top.numerator), 1 << 20)
+    scale *= rng.choice([1 - F(1, 16), 1 - F(1, 1000), 1, 1 + F(1, 1000)])
+    return AffineMap.from_rows([[scale * x for x in row] for row in rows],
+                               [scale * x for x in offset])
+
+
+def test_ball_containment_agrees_with_exact_boundary_samples():
+    """Seeded maps of isotropic, anisotropic, amplitude-damping and random
+    shapes, moved onto random source and target balls: an accepted map
+    sends no sampled boundary point outside, a rejected one comes with a
+    source point whose image is outside, and a refusal happens only where
+    no sample leaves.  Each shape is decided both ways, with few refusals."""
+    rng = random.Random(601)
+    counts = {}
+    for shape in ("isotropic", "anisotropic", "damping", "random"):
+        for dim in (2, 3):
+            samples = _sphere_points(rng, dim, 30)
+            for _ in range(30):
+                unit_map = _unit_ball_map(rng, shape, samples)
+                c1, c2 = ([random_fraction(rng) for _ in range(dim)] for _ in range(2))
+                r1, r2 = (random_fraction(rng, 1, 3, 4) for _ in range(2))
+                source, target = Ball(c1, r1), Ball(c2, r2)
+                # m = (x -> c2 + r2 x) . unit_map . (x -> (x - c1) / r1)
+                rows = [[r2 * x / r1 for x in row] for row in unit_map.matrix.entries]
+                shift = [c + r2 * o for c, o in zip(c2, unit_map.offset)]
+                offset = [s - sum(a * c for a, c in zip(row, c1)) for s, row in zip(shift, rows)]
+                m = AffineMap.from_rows(rows, offset)
+                leaves = any(not contains(target, m(tuple(c + r1 * x for c, x in zip(c1, p))))
+                             for p in samples)
+                try:
+                    result = map_into(source, m, target)
+                except UnsupportedGeometryError:
+                    assert not leaves
+                    counts[shape, "refused"] = counts.get((shape, "refused"), 0) + 1
+                    continue
+                if result.ok:
+                    assert not leaves
+                else:
+                    assert contains(source, result.witness_point)
+                    assert m(result.witness_point) == result.witness_image
+                    assert not contains(target, result.witness_image)
+                counts[shape, result.ok] = counts.get((shape, result.ok), 0) + 1
+    print(counts)
+    for shape in ("isotropic", "anisotropic", "damping", "random"):
+        assert counts.get((shape, True), 0) >= 10 and counts.get((shape, False), 0) >= 10, counts
+        assert counts.get((shape, "refused"), 0) <= 2, counts
 
 
 def _random_symmetric(rng: random.Random, n: int) -> list[list[F]]:

@@ -316,8 +316,9 @@ def test_generalized_boxworld_2x7_is_solved_by_its_generators():
     """S_2 x S_7 has 10,080 elements; the solver touches its 7 generators."""
     t = generalized_boxworld(2, 7)
     result = solve_covariant(t.obs_a, t.obs_b, t.state_space)
-    assert result.kind == "unique" and result.symmetries_verified
+    assert result.kind == "unique"
     assert list(result.channels) == symmetry.product_group_generators(2, 7)
+    assert is_g_symmetric(result.rep, [g.phase_point_map() for g in result.channels])
 
 
 def test_find_permutation_channels_needs_info_completeness():
@@ -329,7 +330,7 @@ def test_covariant_boxworld_unique():
     result = solve_covariant(OBS_A, OBS_B, SQUARE)
     assert result.kind == "unique"
     assert result.rep.grid[0][0] == AffineFunctional((F(1, 2), F(1, 2)), F(-1, 4))
-    assert result.symmetries_verified
+    assert is_g_symmetric(result.rep, [g.phase_point_map() for g in result.channels])
     assert result.hypotheses["jointly_info_complete"]
     assert not result.hypotheses["complementary"]
 
@@ -395,7 +396,8 @@ def test_covariant_family_when_symmetry_is_scarce():
     entry = catalog.load("cube")
     t = entry.theory
     result = solve_covariant(t.obs_a, t.obs_b, t.state_space, channels=CUBE_SWAPS)
-    assert result.kind == "family" and result.symmetries_verified
+    assert result.kind == "family"
+    assert is_g_symmetric(result.rep, [g.phase_point_map() for g in result.channels])
     assert not result.hypotheses["jointly_info_complete"]
     assert result.program is None and result.certificate is None
     (direction,) = result.family_directions
@@ -621,6 +623,24 @@ def test_permutation_invariants_hold_ints():
         assert all(type(x) is int for row in [g0, *s] for x in row)
         assert _primitive([g0]) == _primitive([frac["g0"]])
         assert _primitive(s) == _primitive(frac["s"])
+
+
+def test_is_symmetry_rejects_the_grid_map_of_a_disk_shear():
+    """x -> [[1, -1], [0, 0]] x + (-1/2, 0) sends (-1, 0) of the disk to
+    (-3/2, 0); its grid map for qubit_xz's W is no symmetry, with that
+    state as the counterexample."""
+    rep = catalog.load("qubit_xz").representations["W"]
+    shear = AffineMap.from_rows([[1, -1], [0, 0]], [F(-1, 2), 0])
+    basis = geometry.affine_basis(rep.state_space)
+
+    def w(x):
+        return tuple(f(x) for f in rep.functionals())
+
+    psi = geometry.affine_map_with_orthogonal_extension(
+        [w(p) for p in basis], [w(shear(p)) for p in basis])
+    check = is_symmetry(rep, psi)
+    assert not check.ok and check.counterexample == (-1, 0)
+    assert check.image.flatten() == psi(w((-1, 0))) == w((F(-3, 2), 0))
 
 
 def test_ball_witness_when_the_image_leaves_the_affine_hull():

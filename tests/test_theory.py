@@ -11,7 +11,9 @@ from helpers import random_fraction, random_polygon, random_theory
 from reference_kernels import surjectivity_details as lp_surjectivity_details
 from reference_kernels import unconstrained_witness, vertex_image_channel
 from wignerlab import catalog, cli, exact, programs, symmetry
-from wignerlab.errors import DomainError, PairError, PreconditionError, UnsupportedGeometryError
+from wignerlab.errors import (
+    ContainmentError, DomainError, PairError, PreconditionError, UnsupportedGeometryError,
+)
 from wignerlab.exact import Feasible, solve_affine, verify_certificate
 from wignerlab.geometry import (
     AffineFunctional,
@@ -434,19 +436,33 @@ def test_find_channel_candidate_verification_on_ball():
         find_channel(disk, disk, [])
 
 
-def test_channel_rejects_containment_decided_by_the_numeric_fallback():
-    """x -> x/2 + (1/2 + 10^-14, 0) sends (1, 0) outside the unit disk, but
-    the float fallback of the ball test accepts it; Channel must not."""
+def test_channel_rejects_the_map_that_leaves_the_disk_by_10_to_the_minus_14():
+    """x -> x/2 + (1/2 + 10^-14, 0) sends (1, 0) outside the unit disk;
+    map_into rejects it with that witness, and Channel with it."""
     disk = Ball((0, 0), 1)
     shift = F(1, 2) + F(1, 10 ** 14)
     m = AffineMap.from_rows([[F(1, 2), 0], [0, F(1, 2)]], [shift, 0])
-    assert m((1, 0)) == (1 + F(1, 10 ** 14), F(0))
     result = map_into(disk, m, disk)
-    assert result.ok and not result.exact
-    with pytest.raises(PreconditionError, match="numeric fallback"):
+    assert not result.ok
+    assert result.witness_point == (1, 0)
+    assert result.witness_image == (1 + F(1, 10 ** 14), 0)
+    with pytest.raises(ContainmentError) as raised:
         Channel(m, disk, disk)
-    # an exactly certified off-center map still passes
+    assert raised.value.witness_point == (1, 0)
+    # an off-center map inside the disk still passes
     Channel(AffineMap.from_rows([[F(1, 2), 0], [0, F(1, 2)]], [F(1, 4), 0]), disk, disk)
+
+
+def test_channel_accepts_off_center_ball_maps_that_stay_inside():
+    """x -> (3x/4, 5/8) reaches |.|^2 = 61/64 on the disk, and amplitude
+    damping at gamma = 3/4, (x/2, y/2, z/4 + 3/4), is a qubit channel that
+    touches the Bloch sphere at (0, 0, 1)."""
+    disk, bloch = Ball((0, 0), 1), Ball((0, 0, 0), 1)
+    Channel(AffineMap.from_rows([[F(3, 4), 0], [0, 0]], [0, F(5, 8)]), disk, disk)
+    damping = AffineMap.from_rows(
+        [[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 4)]], [0, 0, F(3, 4)])
+    assert damping((0, 0, 1)) == (0, 0, 1)
+    Channel(damping, bloch, bloch)
 
 
 def _fixed_on_hull(source, target, equations, hull=False) -> bool:
