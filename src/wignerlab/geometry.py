@@ -790,7 +790,7 @@ def _ball_map_into(source: Ball, m: AffineMap, target: Ball) -> Containment:
     1983).  So r / s inside the ball is a witness candidate, and so are the
     sphere points on the line from the last such point (at first the
     center) along the last direction from below, a near top eigenvector
-    when the farthest point needs one.
+    when the farthest point needs one, rounded short (``_image_outside``).
     """
     r2 = target.radius
     center_image = m(source.center)
@@ -798,9 +798,12 @@ def _ball_map_into(source: Ball, m: AffineMap, target: Ball) -> Containment:
     d_sq = vec_dot(d, d)
     if d_sq > r2 * r2:
         return Containment(False, source.center, center_image)
-    cols = [vec_scale(source.radius, c) for c in zip(*m.matrix.entries)]
-    gram = [[vec_dot(a, b) for b in cols] for a in cols]
-    md = [vec_dot(a, d) for a in cols]
+    # M^T M and M^T d from the int columns of q [A | d], M = R1 A
+    ints, q = integer_rows([(*row, x) for row, x in zip(m.matrix.entries, d)])
+    *cols, dq = zip(*ints)
+    rn, rd = source.radius.numerator, source.radius.denominator * q
+    gram = [[QQ(rn * rn * sum(map(operator.mul, a, b)), rd * rd) for b in cols] for a in cols]
+    md = [QQ(rn * sum(map(operator.mul, a, dq)), rd * q) for a in cols]
     slack = r2 * r2 - d_sq
     lo, hi = QQ(0), slack
     lam = max(r2 * (r2 - _root(d_sq, 64, up=True)), lo)
@@ -830,11 +833,22 @@ def _ball_map_into(source: Ball, m: AffineMap, target: Ball) -> Containment:
 
 
 def _image_outside(source: Ball, m: AffineMap, target: Ball, u: Vec) -> Optional[tuple]:
-    """The point c1 + R1 u and its image, if that is outside the target."""
-    x = tuple(c + source.radius * a for c, a in zip(source.center, u))
-    image = m(x)
-    diff = vec_sub(image, target.center)
-    return (x, image) if vec_dot(diff, diff) > target.radius * target.radius else None
+    """The point c1 + R1 u and its image, if that is outside the target,
+    with u rounded toward zero (so inside the ball) at the fewest of 8,
+    16, 32, ... bits that keep it outside; the violation is strict."""
+    def point(u):
+        x = tuple(c + source.radius * a for c, a in zip(source.center, u))
+        image = m(x)
+        diff = vec_sub(image, target.center)
+        return (x, image) if vec_dot(diff, diff) > target.radius * target.radius else None
+
+    found, bits = point(u), 8
+    while found and any(a.denominator > 1 << bits for a in u):
+        shorter = point(tuple(QQ(math.trunc(a * (1 << bits)), 1 << bits) for a in u))
+        if shorter is not None:
+            return shorter
+        bits *= 2
+    return found
 
 
 def _sphere_witness(source: Ball, m: AffineMap, target: Ball, u0: Vec, v) -> Optional[tuple]:

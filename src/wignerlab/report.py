@@ -4,18 +4,19 @@ Every analysis command emits a JSON report, format ``wignerlab-report/2``,
 that embeds its theory, and whose verdict-bearing claims carry the data
 needed to re-check them against that theory: LP witnesses and Farkas
 certificates are replayed by plain multiplier arithmetic (never by
-re-running the solver), rank claims by exact elimination, and
-covariance identities by evaluation at the affine basis of the report's
-state space.  A claim passes only if its data proves its ``verdict``: an
-``lp_feasible`` claim says true and an ``lp_infeasible`` one false, and a
-``rank`` claim says whether the rank of the effects of the report's
-observable pair at the affine basis of K (``theory.effect_span_rank``) is
-dim(K) + 1.  Witnesses are about the report's theory: a
-``negative_entry`` functional is an entry of the embedded grid at a
-state of K, with its value there, and ``ball_entry_min`` and
-``ball_max_one`` carry K's own center and radius, with a grid entry (and
-the minimum in normal form) or the effect that the id names as their
-functional.
+re-running the solver), rank claims by exact elimination, and a
+covariance identity W_g(a,b)(F p) = W_ab(p) as the transport square of
+g's phase table (``programs.transport_equations``, ``theory._solves``) at
+the affine basis of the report's state space.  A claim passes only if
+its data proves its ``verdict``: an ``lp_feasible`` claim says true and
+an ``lp_infeasible`` one false, and a ``rank`` claim says whether the
+rank of the effects of the report's observable pair at the affine basis
+of K (``theory.effect_span_rank``) is dim(K) + 1.  Witnesses are about
+the report's theory: a ``negative_entry`` functional is an entry of the
+embedded grid at a state of K, with its negative value there, and
+``ball_entry_min`` and ``ball_max_one`` carry K's own center and radius,
+with a grid entry (and its negative minimum in normal form) or the
+effect that the id names as their functional.
 
 No claim carries an LP program.  An LP claim's id says which program of
 ``programs`` it is about, and the claim names the rest of the
@@ -63,11 +64,12 @@ from typing import Optional
 
 from . import programs
 from .errors import ParseError
-from .exact import Infeasible, LinearProgram, Matrix, vec_dot, verify_certificate
+from .exact import Infeasible, LinearProgram, Matrix, verify_certificate
 from .geometry import (
-    AffineFunctional, AffineMap, Ball, ExtremalValue, affine_basis, contains, dimension, map_into,
+    AffineFunctional, AffineMap, Ball, ExtremalValue, contains, dimension, extremal_range,
+    map_into,
 )
-from .theory import are_complementary, effect_span_rank, validate
+from .theory import _solves, are_complementary, effect_span_rank, validate
 from .theoryfile import (
     parse_functional, parse_rational, parse_vector, rational_to_str, ser_functional, ser_vec,
     theory_from_dict,
@@ -324,7 +326,8 @@ def ball_max_one_claim(cid: str, statement: str, f: AffineFunctional, ball,
 
 def covariance_claim(element, channel: AffineMap, rep_name: str) -> dict:
     """The grid of ``rep_name`` permutes with ``channel`` as ``element``
-    permutes the outcomes; ``verify`` checks it at the affine basis of K."""
+    permutes the outcomes; ``verify`` checks the transport equations of
+    the element's phase table at the affine basis of K."""
     return _claim(_covariance_id(element.perm_a, element.perm_b), "covariance_identity",
                   "grid entries permute with the channel", True, rep=rep_name,
                   perm_a=list(element.perm_a), perm_b=list(element.perm_b),
@@ -385,18 +388,14 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
                 and parse_vector(claim["center"], "center") == ball.center
                 and parse_rational(claim["radius"], "radius") == ball.radius):
             return False
-        norm_sq = vec_dot(f.linear, f.linear)
+        low, high = extremal_range(ball, f)
         if kind == "ball_max_one":
-            reaches = ExtremalValue(f(ball.center), ball.radius, norm_sq).compare(1) == 0
+            reaches = high.compare(1) == 0
             return verdict is reaches and bool(claim["expect"]) == reaches
-        actual = ExtremalValue(f(ball.center), -ball.radius, norm_sq)
-        # the minimum as written must be the normal form of the actual one
-        written = (actual.rational_part, actual.radical_part, actual.radicand)
-        if verdict is not True or written != _de_extremal(claim["min"]):
-            return False
-        if "negative" in claim:
-            return (actual < 0) == bool(claim["negative"])
-        return True
+        # the written minimum is the normal form of the actual, negative one
+        written = (low.rational_part, low.radical_part, low.radicand)
+        return (verdict is True and claim.get("negative") is True and low < 0
+                and written == _de_extremal(claim["min"]))
     if kind == "covariance_identity":
         rep = wigner_reps[claim["rep"]]
         space = theory.state_space
@@ -406,10 +405,9 @@ def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
         if (verdict is not True or not inside.ok
                 or [sorted(perm_a), sorted(perm_b)] != [list(range(n)) for n in rep.shape]):
             return False
-        # W_g(a,b)(F p) = W_ab(p), the engine's W_ab(F p) = W_g^-1(a,b)(p)
-        basis = affine_basis(space)
-        return all(rep.grid[perm_a[a]][perm_b[b]](chan(p)) == rep.grid[a][b](p)
-                   for a in range(len(perm_a)) for b in range(len(perm_b)) for p in basis)
+        # W_g(a,b)(F p) = W_ab(p): the transport square of g's phase table
+        table = [i * len(perm_b) + j for i in perm_a for j in perm_b]
+        return _solves(programs.transport_equations(rep, table), chan, space)
     if kind == "recompute":
         return _verify_recompute(claim, theory, wigner_reps)
     raise ParseError(f"unknown claim kind {kind!r}")

@@ -6,13 +6,15 @@ itself.  Transported symmetries are the ones realized by a channel on
 the state space (the commuting square), and for faithful
 representations every symmetry is transported.  There the square fixes
 the channel on aff(K), F = W^-1 . Psi . W, so ``find_channel`` finds it
-by one elimination of the square's equations, with no LP.  For a lifted
-map, Psi . W is read off the phase table (a permutation reorders W's
-functionals), not multiplied out through the 0/1 transfer matrix.  The
-covariant solver combines two exact stages: permutation channels for
-the generators of the outcome translation group S_m x S_n, then the
-linear covariance system over the grid functionals, solved by
-elimination, with a closed-form certificate when it is inconsistent.
+by one elimination of the square's equations, with no LP.  A lifted
+map is its phase table, and transport reads Psi . W off it
+(``programs.transport_equations``; a permutation reorders W).  Covariance
+under g, W_g(a,b)(F_g p) = W_ab(p), is the same square for lift(g), and
+``verify`` checks it with the same equations.  The covariant solver
+combines two exact stages: permutation channels for the generators of
+the outcome translation group S_m x S_n, then the linear covariance
+system over the grid functionals, solved by elimination, with a
+closed-form certificate when it is inconsistent.
 This module never calls the simplex itself; the only LPs under it are
 ``find_channel``'s, for a map that its equations leave free (W forgets
 part of the state) or that no map satisfies.
@@ -64,13 +66,11 @@ from .exact import (
     zeros,
 )
 from .geometry import (
-    AffineFunctional,
     AffineMap,
     Ball,
     Polytope,
     StateSpace,
     _describe,
-    _functional,
     affine_basis,
     affine_map_with_orthogonal_extension,
     basis_ints,
@@ -136,12 +136,7 @@ class PhasePointMap:
     @classmethod
     def product(cls, shape, perm_a: Sequence[int], perm_b: Sequence[int]) -> "PhasePointMap":
         """(a, b) -> (perm_a[a], perm_b[b])."""
-        n_a, n_b = shape
-        table = [0] * (n_a * n_b)
-        for a in range(n_a):
-            for b in range(n_b):
-                table[a * n_b + b] = perm_a[a] * n_b + perm_b[b]
-        return cls(shape, tuple(table))
+        return cls(shape, tuple(i * shape[1] + j for i in perm_a for j in perm_b))
 
     def __call__(self, point: tuple[int, int]) -> tuple[int, int]:
         n_b = self.shape[1]
@@ -174,12 +169,12 @@ class PhasePointMap:
 class LiftedMap:
     """Push-forward of signed distributions along a phase-point map.
 
-    The transfer matrix has exactly one 1 per column (at row phi(j)), so
-    total mass is preserved and nonnegative grids stay nonnegative.
+    The map is its phase table: entry i of the image sums the entries j
+    with phi(j) = i, so total mass is preserved and nonnegative grids stay
+    nonnegative.  ``as_affine_map`` builds the 0/1 transfer matrix.
     """
 
     phase_map: PhasePointMap
-    matrix: Matrix
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -193,24 +188,22 @@ class LiftedMap:
         return SignedGrid.from_flat(out, self.shape)
 
     def as_affine_map(self) -> AffineMap:
-        return AffineMap(self.matrix, zeros(self.matrix.rows))
+        """The transfer matrix, with a zero offset."""
+        table = self.phase_map.table
+        n = len(table)
+        zero, one = QQ(0), QQ(1)
+        rows = [[zero] * n for _ in range(n)]
+        for j, i in enumerate(table):
+            rows[i][j] = one
+        return AffineMap(Matrix(tuple(map(tuple, rows)), n), zeros(n))
 
 
 def lift(phi: PhasePointMap) -> LiftedMap:
     """The linear action (phi^ nu)_i = sum over phi(j) = i of nu_j."""
-    n = len(phi.table)
-    zero, one = QQ(0), QQ(1)
-    rows = [[zero] * n for _ in range(n)]
-    for j, i in enumerate(phi.table):
-        rows[i][j] = one
-    return LiftedMap(phi, Matrix(tuple(map(tuple, rows)), n))
+    return LiftedMap(phi)
 
 
 GridMap = Union[LiftedMap, AffineMap]
-
-
-def _as_affine(lam: GridMap) -> AffineMap:
-    return lam.as_affine_map() if isinstance(lam, LiftedMap) else lam
 
 
 @record
@@ -242,7 +235,7 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     of W and decided exactly as a ball self-map (``map_into``).
     """
     space = rep.state_space
-    m = _as_affine(lam)
+    m = lam.as_affine_map() if isinstance(lam, LiftedMap) else lam
     if isinstance(space, Polytope):
         vals, den = int_values(rep.functionals(), *vertex_ints(space))
         images = list(zip(*vals))
@@ -400,34 +393,20 @@ def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
     )
 
 
-def composed_with_rep(rep: WignerRep, m: AffineMap) -> list[AffineFunctional]:
-    """The functionals of x -> m(flat(W(x))), one per phase point."""
-    *lin, const = zip(*(f.coefficients() for f in rep.functionals()))
-    return [
-        _functional(tuple(vec_dot(row, col) for col in lin), vec_dot(row, const, c))
-        for row, c in zip(m.matrix.entries, m.offset)
-    ]
-
-
 def find_transported_channel(
-    rep: WignerRep, psi: GridMap
+    rep: WignerRep, psi: LiftedMap
 ) -> Union[Channel, ChannelInfeasible]:
     """A channel F with psi . W = W . F, or an infeasibility certificate.
 
-    The equations are W's functionals paired with psi . W; for faithful W
-    they fix F on aff(K), and ``find_channel`` solves them without an LP.
-    For a lifted map, entry i of psi . W is read off the phase table: the
-    sum of the W_j with phi(j) = i, so a permutation only reorders W.
+    The equations are ``programs.transport_equations`` of psi's phase
+    table: entry i of psi . W is the sum of the W_j with phi(j) = i, so a
+    permutation only reorders W.  For faithful W they fix F on aff(K),
+    and ``find_channel`` solves them without an LP.
     """
     space = rep.state_space
     if not isinstance(space, Polytope):
         raise UnsupportedGeometryError("transported-channel solving needs a polytope")
-    if isinstance(psi, LiftedMap):
-        equations = transport_equations(rep, psi.phase_map.table)
-    else:
-        funcs = rep.functionals()
-        equations = list(zip(funcs, composed_with_rep(rep, psi)))
-    return find_channel(space, space, equations)
+    return find_channel(space, space, transport_equations(rep, psi.phase_map.table))
 
 
 @record

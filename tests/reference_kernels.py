@@ -77,6 +77,16 @@ channel LP, inline in ``theory`` and ``symmetry`` before
 ``wignerlab.programs`` wrote integer rows; the constructors are checked
 equal to them.
 
+``composed_with_rep`` is the former second construction of
+``symmetry.find_transported_channel``, for any affine grid map: the
+functionals of x -> m(flat(W(x))), the transfer matrix times W, against
+which the equations read off a phase table are checked.
+``transfer_matrix`` is the n x n 0/1 matrix that ``symmetry.lift`` built
+for every lifted map, and ``covariance_by_evaluation`` the former
+``covariance_identity`` branch of ``report._verify_claim``, which
+evaluated W_g(a,b)(F p) = W_ab(p) in ``Fraction``s at the affine basis
+instead of checking the transport equations of g's phase table.
+
 ``dataclass_twin`` rebuilds a record class (``wignerlab._record``) as the
 ``@dataclass(frozen=True)`` it replaced, the oracle of the record
 methods.
@@ -91,6 +101,7 @@ import operator
 
 from typing import Callable, Optional, Sequence, Union
 
+from wignerlab import exact
 from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import (
     QQ,
@@ -115,14 +126,17 @@ from wignerlab.geometry import (
     Containment,
     Polytope,
     StateSpace,
+    _functional,
     affine_basis,
     affine_map_from_points,
     contains,
     dimension,
     extremal_range,
     independent_affine_subset,
+    map_into,
 )
 from wignerlab import symmetry
+from wignerlab.report import _de_map
 from wignerlab.symmetry import PhasePointMap
 from wignerlab.theory import Observable
 from wignerlab.wigner import (
@@ -245,6 +259,43 @@ def fraction_permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]
         g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
         for i in range(n)
     )
+
+
+def composed_with_rep(rep: WignerRep, m: AffineMap) -> list[AffineFunctional]:
+    """The functionals of x -> m(flat(W(x))), one per phase point."""
+    *lin, const = zip(*(f.coefficients() for f in rep.functionals()))
+    return [
+        _functional(tuple(exact.vec_dot(row, col) for col in lin),
+                    exact.vec_dot(row, const, c))
+        for row, c in zip(m.matrix.entries, m.offset)
+    ]
+
+
+def transfer_matrix(phi: PhasePointMap) -> Matrix:
+    """The transfer matrix of lift(phi): one 1 per column j, at row phi(j)."""
+    n = len(phi.table)
+    zero, one = QQ(0), QQ(1)
+    rows = [[zero] * n for _ in range(n)]
+    for j, i in enumerate(phi.table):
+        rows[i][j] = one
+    return Matrix(tuple(map(tuple, rows)), n)
+
+
+def covariance_by_evaluation(claim: dict, theory, wigner_reps) -> bool:
+    """The verdict of a ``covariance_identity`` claim, every grid entry
+    evaluated at every affine basis point of K."""
+    rep = wigner_reps[claim["rep"]]
+    space = theory.state_space
+    chan = _de_map(claim["channel"], "channel.")
+    inside = map_into(space, chan, space)
+    perm_a, perm_b = claim["perm_a"], claim["perm_b"]
+    if (claim["verdict"] is not True or not inside.ok
+            or [sorted(perm_a), sorted(perm_b)] != [list(range(n)) for n in rep.shape]):
+        return False
+    # W_g(a,b)(F p) = W_ab(p), the engine's W_ab(F p) = W_g^-1(a,b)(p)
+    basis = affine_basis(space)
+    return all(rep.grid[perm_a[a]][perm_b[b]](chan(p)) == rep.grid[a][b](p)
+               for a in range(len(perm_a)) for b in range(len(perm_b)) for p in basis)
 
 
 def close_group(

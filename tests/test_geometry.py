@@ -528,9 +528,12 @@ def test_ball_containment_agrees_with_exact_boundary_samples():
     shapes, moved onto random source and target balls: an accepted map
     sends no sampled boundary point outside, a rejected one comes with a
     source point whose image is outside, and a refusal happens only where
-    no sample leaves.  Each shape is decided both ways, with few refusals."""
+    no sample leaves.  Each shape is decided both ways, with few refusals,
+    and every witness coordinate is short: at most 80 characters (the
+    largest is 23; unrounded witnesses of these maps reached 1191)."""
     rng = random.Random(601)
     counts = {}
+    longest = 0
     for shape in ("isotropic", "anisotropic", "damping", "random"):
         for dim in (2, 3):
             samples = _sphere_points(rng, dim, 30)
@@ -558,8 +561,10 @@ def test_ball_containment_agrees_with_exact_boundary_samples():
                     assert contains(source, result.witness_point)
                     assert m(result.witness_point) == result.witness_image
                     assert not contains(target, result.witness_image)
+                    longest = max(longest, *(len(str(x)) for x in result.witness_point))
                 counts[shape, result.ok] = counts.get((shape, result.ok), 0) + 1
-    print(counts)
+    print(counts, longest)
+    assert longest <= 80
     for shape in ("isotropic", "anisotropic", "damping", "random"):
         assert counts.get((shape, True), 0) >= 10 and counts.get((shape, False), 0) >= 10, counts
         assert counts.get((shape, "refused"), 0) <= 2, counts

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_kernels as ref
 from helpers import generalized_boxworld
 from wignerlab import catalog, exact, programs
 from wignerlab.cli import main
@@ -21,11 +22,12 @@ from wignerlab.symmetry import (
     solve_covariant,
 )
 from wignerlab.theory import Observable, Theory, jointly_info_complete
-from wignerlab.theoryfile import dumps
+from wignerlab.theoryfile import dumps, theory_from_dict
 from wignerlab.wigner import free_slots, grid_rank
 from wignerlab.report import (
     FORMAT,
     _de_map,
+    _verify_claim,
     covariance_claim,
     dump_report,
     load_report,
@@ -315,6 +317,25 @@ def test_ball_entry_min_is_a_grid_entry_on_the_theory_ball(tmp_path, capsys, for
     assert _failed(report) == ["negativity_witness"]
 
 
+@pytest.mark.parametrize("forgery", ["negative_dropped", "negative_false"])
+def test_a_ball_negativity_witness_must_be_negative(tmp_path, capsys, forgery):
+    """Entry (0, 1) of the qubit ball's degenerate grid is z/2 + 1/2, whose
+    true minimum over the ball is 0.  Named with that minimum, the claim
+    that the entry dips negative fails, whether ``negative`` is dropped
+    or false."""
+    report = _example_report(tmp_path, capsys, "qubit_ball", "wigner", "--degenerate")
+    assert _failed(report) == []
+    claim = next(c for c in report["claims"] if c["kind"] == "ball_entry_min")
+    assert claim["negative"] is True
+    claim["functional"] = {"linear": ["0", "0", "1/2"], "constant": "1/2"}
+    claim["min"] = {"rational": "0", "radical": "0", "radicand": "0"}
+    if forgery == "negative_dropped":
+        del claim["negative"]
+    else:
+        claim["negative"] = False
+    assert _failed(report) == ["negativity_witness"]
+
+
 @pytest.mark.parametrize("forgery", ["constant", "center", "radius", "smaller_ball"])
 def test_ball_max_one_is_an_effect_on_the_theory_ball(tmp_path, capsys, forgery):
     """The constant 1 reaches 1 on any ball; z/2 + 1/2 reaches 1 on the
@@ -394,6 +415,77 @@ def test_a_covariance_claim_must_permute_every_outcome(tmp_path, capsys):
                  channel={"matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]})
     report["claims"].append(extra)
     assert _failed(report) == ["extra"]
+
+
+def test_an_identity_covariance_channel_fails_its_claim(tmp_path, capsys):
+    """The identity keeps boxworld's square in itself, but no grid entry
+    is moved onto another by it, so the claim of the first generator
+    fails, and only it."""
+    report = _example_report(tmp_path, capsys, "boxworld", "covariant")
+    claim = report["claims"][0]
+    assert claim["kind"] == "covariance_identity"
+    claim["channel"] = {"matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]}
+    assert _failed(report) == [claim["id"]]
+
+
+def _covariant_reports(tmp_path, capsys):
+    """The ``covariant`` reports that carry covariance claims: those of
+    boxworld, rebit_diamond and qubit_xz (with its channels) and of
+    generalized boxworld from 2 x 2 to 3 x 3."""
+    reports = []
+    for name in ("boxworld", "rebit_diamond", "qubit_xz"):
+        path = str(tmp_path / f"{name}.json")
+        export, covariant = ["example", name, "--out", path], ["covariant", path]
+        if catalog.load(name).channels:
+            export += ["--channels-out", str(tmp_path / f"{name}.channels.json")]
+            covariant += ["--channels", export[-1]]
+        main(export)
+        capsys.readouterr()
+        reports.append(_report(capsys, covariant))
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        path = tmp_path / f"box{m}{n}.json"
+        path.write_text(dumps(generalized_boxworld(m, n)))
+        reports.append(_report(capsys, ["covariant", str(path)]))
+    return reports
+
+
+def test_covariance_replay_agrees_with_the_evaluation_oracle(tmp_path, capsys):
+    """``verify`` checks a covariance claim with the transport equations of
+    g's phase table; the former check evaluated every grid entry at every
+    basis point.  Both give the same verdict on every claim, and on seeded
+    copies with one entry of the channel's matrix or offset changed, or
+    with the identity or another claim's channel, which keep K in K."""
+    rng = random.Random(25)
+    verdicts, inside, n_claims = {True: 0, False: 0}, 0, 0
+    for report in _covariant_reports(tmp_path, capsys):
+        theory, wigner = theory_from_dict(report["theory"])
+        reps = dict([wigner])
+        claims = [c for c in report["claims"] if c["kind"] == "covariance_identity"]
+        n_claims += len(claims)
+        dim = theory.state_space.ambient_dim
+        identity = {"matrix": [[str(int(i == j)) for j in range(dim)] for i in range(dim)],
+                    "offset": ["0"] * dim}
+        for claim in claims:
+            variants = [claim, dict(claim, channel=identity)]
+            variants += [dict(claim, channel=other["channel"]) for other in claims
+                         if other is not claim]
+            inside += len(variants) - 1
+            for _ in range(6):
+                bad = copy.deepcopy(claim)
+                key = rng.choice(["matrix", "offset"])
+                values = bad["channel"][key]
+                if key == "matrix":
+                    values = values[rng.randrange(len(values))]
+                k = rng.randrange(len(values))
+                values[k] = str(Fraction(values[k]) + rng.choice([-1, 1]) * Fraction(
+                    1, rng.randint(1, 4)))
+                variants.append(bad)
+            for variant in variants:
+                want = ref.covariance_by_evaluation(variant, theory, reps)
+                assert _verify_claim(variant, theory, reps) is want
+                verdicts[want] += 1
+    # only the claims as written verify; 50 of the failures keep K in K
+    assert n_claims == verdicts[True] == 18 and verdicts[False] > 150 and inside == 50
 
 
 def test_verify_lists_the_generators_that_the_engine_solves():

@@ -26,6 +26,7 @@ from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeome
 from wignerlab.exact import verify_certificate
 from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope, dimension
 from wignerlab.symmetry import (
+    LiftedMap,
     PermutationAction,
     PhasePointMap,
     ProductGroupElement,
@@ -88,6 +89,19 @@ def test_lift_mass_preservation_and_order_random():
     squash = PhasePointMap(SHAPE, (0, 0, 0, 3))
     prob = SignedGrid.from_flat([F(1, 4)] * 4, SHAPE)
     assert lift(squash).apply(prob).is_nonnegative()
+
+
+def test_a_lift_is_its_phase_table():
+    """A lifted map holds its phase table alone, and ``as_affine_map``
+    builds the 0/1 transfer matrix that ``lift`` once stored, on every
+    table of 2 x 2 and 2 x 3, permutations and non-injective maps."""
+    assert list(LiftedMap.__annotations__) == ["phase_map"]  # the record's fields
+    for shape in ((2, 2), (2, 3)):
+        n = shape[0] * shape[1]
+        for table in itertools.product(range(n), repeat=n):
+            phi = PhasePointMap(shape, table)
+            assert lift(phi) == LiftedMap(phi)
+            assert lift(phi).as_affine_map() == AffineMap(ref.transfer_matrix(phi), exact.zeros(n))
 
 
 def test_is_symmetry_examples():
@@ -578,15 +592,16 @@ def test_enumeration_skips_the_hull_search_when_w_is_injective(monkeypatch):
 
 def test_lifted_transport_matches_the_composed_equations():
     """``find_transported_channel`` reads psi . W off a lift's phase table;
-    ``composed_with_rep`` builds it as the transfer matrix times W.  On
-    every permutation of every 2x2 representation both equations give
-    the same channel, or the same program, certificate and witness."""
+    ``reference_kernels.composed_with_rep`` builds it as the transfer
+    matrix times W.  On every permutation of every 2x2 representation
+    both equations give the same channel, or the same program,
+    certificate and witness."""
     found = {True: 0, False: 0}
     for rep in [rep for rep in _polygon_reps() if rep.shape == SHAPE]:
         space = rep.state_space
         for table in itertools.permutations(range(4)):
             psi = lift(PhasePointMap(SHAPE, table))
-            targets = symmetry.composed_with_rep(rep, psi.as_affine_map())
+            targets = ref.composed_with_rep(rep, psi.as_affine_map())
             want = theory.find_channel(space, space, list(zip(rep.functionals(), targets)))
             got = find_transported_channel(rep, psi)
             # records: a channel's map and spaces, or the program,

@@ -1,10 +1,13 @@
 """Theory file format: exact parsing, rejection rules, round-trips."""
 
+import copy
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from wignerlab import catalog, theoryfile
+from wignerlab.cli import main
 from wignerlab.errors import ParseError
 
 
@@ -130,3 +133,74 @@ def test_rational_to_str_is_str_of_fraction():
     for x in (F(0), F(-3, 4), F(10 ** 40, 3), 7, -2, True, "0.25", "6/4", F(5)):
         assert theoryfile.rational_to_str(x) == str(F(x))
     assert theoryfile.rational_to_str("0.25") == "1/4"
+
+
+# a valid theory file with a pair and a wigner block; each refusal below
+# changes one part of it
+VALID = {
+    "state_space": {"type": "polytope", "vertices": [["0"], ["1"]]},
+    "observables": [
+        {"name": "A", "outcomes": [0, 1],
+         "effects": [{"linear": ["1"], "constant": "0"}, {"linear": ["-1"], "constant": "1"}]},
+        {"name": "B", "outcomes": [0, 1],
+         "effects": [{"linear": ["-1"], "constant": "1"}, {"linear": ["1"], "constant": "0"}]},
+    ],
+    "pair": ["A", "B"],
+    "wigner": {"name": "W", "observables": ["A", "B"], "grid": [
+        [{"linear": ["0"], "constant": "0"}, {"linear": ["1"], "constant": "0"}],
+        [{"linear": ["-1"], "constant": "1"}, {"linear": ["0"], "constant": "0"}]]},
+}
+DROP = object()
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("observables", 0, "effects", 1), "1 - x",
+     "expected an object with linear/constant (at observables[0].effects[1])"),
+    (("state_space", "type"), DROP, "state_space needs a 'type' field (at state_space)"),
+    (("state_space", "vertices"), [],
+     "polytope needs a nonempty vertex list (at state_space.vertices)"),
+    (("state_space",), {"type": "ball", "center": ["0"], "radius": "0"},
+     "radius must be positive (at state_space.radius)"),
+    (("state_space", "type"), "simplex",
+     "unknown state space type 'simplex' (at state_space.type)"),
+    ((), [], "top level must be an object"),
+    (("observables",), DROP, "need a nonempty observables list (at observables)"),
+    (("observables",), [], "need a nonempty observables list (at observables)"),
+    (("observables", 1), "B", "observable must be an object (at observables[1])"),
+    (("observables", 1, "name"), 2, "observable needs a string name (at observables[1].name)"),
+    (("observables", 1, "outcomes"), DROP,
+     "observable needs outcomes (at observables[1].outcomes)"),
+    (("observables", 1, "outcomes"), [0, 1, 2],
+     "need exactly one effect per outcome (at observables[1].effects)"),
+    (("pair",), ["A"], "pair must be two observable names (at pair)"),
+    (("observables", 1, "name"), "A", "duplicate observable names"),
+    (("wigner",), ["W"], "wigner must be an object (at wigner)"),
+    (("wigner", "observables"), ["A", "C"], "unknown observable 'C' (at wigner.observables)"),
+    (("wigner", "grid"), [[]], "grid needs 2 rows (at wigner.grid)"),
+    (None, None, "[Errno 21] Is a directory: '{path}' (at {path})"),
+], ids=["functional", "no type", "no vertices", "radius", "unknown type", "top level",
+        "no observables", "empty observables", "observable", "name", "no outcomes",
+        "effect count", "pair", "duplicate names", "wigner", "wigner observables",
+        "grid rows", "unreadable"])
+def test_the_reader_refuses_malformed_theory_files(tmp_path, capsys, where, value, message):
+    """Each refusal of the theory-file reader is a usage error (exit 2)
+    with its message and, where it has one, the path of the bad part."""
+    path = tmp_path / "theory.json"
+    if where is None:
+        path.mkdir()  # a directory cannot be read as a file
+    else:
+        data = copy.deepcopy(VALID)
+        if where:
+            *outer, last = where
+            parent = data
+            for key in outer:
+                parent = parent[key]
+            if value is DROP:
+                del parent[last]
+            else:
+                parent[last] = value
+        else:
+            data = value
+        path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
