@@ -163,16 +163,9 @@ def _cmd_example(args) -> int:
 
         from .report import ser_map
 
-        data = [
-            {
-                "perm_a": list(el.perm_a),
-                "perm_b": list(el.perm_b),
-                **ser_map(chan.map),
-            }
-            for el, chan in sorted(
-                entry.channels.items(), key=lambda kv: (kv[0].perm_a, kv[0].perm_b)
-            )
-        ]
+        data = [{"perm_a": list(el.perm_a), "perm_b": list(el.perm_b), **ser_map(chan.map)}
+                for el, chan in sorted(entry.channels.items(),
+                                       key=lambda kv: (kv[0].perm_a, kv[0].perm_b))]
         _write(args.channels_out, json.dumps(data, indent=2) + "\n")
     return 0
 
@@ -324,15 +317,9 @@ def _cmd_wigner(args) -> int:
         how = "faithful"
         if rep is None:
             fc = faithful_choice_possible(obs_a, obs_b, space)
-            _emit(
-                make_report(
-                    "wigner", theory_to_dict(theory), [],
-                    [
-                        "no faithful representation exists:"
-                        f" {fc.free_slots} free slots < {fc.required} required"
-                    ],
-                )
-            )
+            _emit(make_report("wigner", theory_to_dict(theory), [], [
+                f"no faithful representation exists: {fc.free_slots} free slots"
+                f" < {fc.required} required"]))
             return 1
     else:
         _, slots = free_slots(obs_a, obs_b, anchor)
@@ -402,16 +389,8 @@ def _cmd_symmetries(args) -> int:
                                        "no channel completes the square", result.certificate,
                                        rep=name, table=list(phi.table)))
         entries.append(row)
-    _emit(
-        make_report(
-            "symmetries",
-            theory_to_dict(theory, wigner_block),
-            claims,
-            notes,
-            lifted_symmetries=entries,
-            group_order=len(found),
-        )
-    )
+    _emit(make_report("symmetries", theory_to_dict(theory, wigner_block), claims, notes,
+                      lifted_symmetries=entries, group_order=len(found)))
     return 0
 
 
@@ -420,7 +399,7 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
 
     from . import symmetry
     from .geometry import map_into
-    from .report import make_report, ser_map
+    from .report import make_report, read_map, ser_map
     from .theoryfile import ser_vec, theory_to_dict
 
     try:
@@ -430,7 +409,7 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
     if not isinstance(data, dict):
         raise ParseError("expected an object with matrix and offset", path="--channel-matrix")
     space = theory.state_space
-    chan = _parse_map(data, space.ambient_dim)
+    chan = read_map(data, space.ambient_dim)
     inside = map_into(space, chan, space)
     if not inside.ok:
         point, image = (", ".join(map(str, v))
@@ -442,42 +421,13 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
         payload = {}
         if result.pair is not None:
             payload["witness_pair"] = [ser_vec(p) for p in result.pair]
-        _emit(
-            make_report(
-                "symmetries",
-                theory_to_dict(theory, (name, rep)),
-                [],
-                ["no transported symmetry exists for the requested channel"],
-                obstruction=payload,
-            )
-        )
+        _emit(make_report("symmetries", theory_to_dict(theory, (name, rep)), [],
+                          ["no transported symmetry exists for the requested channel"],
+                          obstruction=payload))
         return 1
-    _emit(
-        make_report(
-            "symmetries",
-            theory_to_dict(theory, (name, rep)),
-            [],
-            [],
-            transported_symmetry=ser_map(result),
-        )
-    )
+    _emit(make_report("symmetries", theory_to_dict(theory, (name, rep)), [], [],
+                      transported_symmetry=ser_map(result)))
     return 0
-
-
-def _parse_map(obj: dict, dim: int, path: str = ""):
-    """The ``dim`` x ``dim`` affine map of a ``{matrix, offset}`` object,
-    whose entries parse at ``{path}matrix`` and ``{path}offset``."""
-    from .report import _de_map
-
-    matrix, offset = obj.get("matrix"), obj.get("offset", [])
-    if not isinstance(matrix, list) or len(matrix) != dim or any(
-        not isinstance(r, list) or len(r) != dim for r in matrix
-    ):
-        raise ParseError(f"expected {dim} rows of {dim} entries", path=f"{path}matrix")
-    if not isinstance(offset, list) or len(offset) != dim:
-        raise ParseError(f"offset length must equal matrix row count, {dim}",
-                         path=f"{path}offset")
-    return _de_map(obj, path)
 
 
 def _load_channels(path: str, theory):
@@ -485,6 +435,7 @@ def _load_channels(path: str, theory):
     pair, each an affine map of the theory's ambient space."""
     import json
 
+    from .report import read_map, read_permutation
     from .symmetry import ProductGroupElement
 
     try:
@@ -498,14 +449,10 @@ def _load_channels(path: str, theory):
     for i, row in enumerate(data):
         if not isinstance(row, dict):
             raise ParseError("expected an object", path=f"[{i}]")
-        for key, obs in (("perm_a", theory.obs_a), ("perm_b", theory.obs_b)):
-            n = obs.n_outcomes
-            if not isinstance(row.get(key), list):
-                raise ParseError("expected a list", path=f"[{i}].{key}")
-            if any(type(k) is not int for k in row[key]) or sorted(row[key]) != list(range(n)):
-                raise ParseError(f"expected a permutation of 0..{n - 1}", path=f"[{i}].{key}")
-        element = ProductGroupElement(tuple(row["perm_a"]), tuple(row["perm_b"]))
-        channels[element] = _parse_map(row, theory.state_space.ambient_dim, f"[{i}].")
+        perm_a, perm_b = (read_permutation(row.get(k), obs.n_outcomes, f"[{i}].{k}")
+                          for k, obs in (("perm_a", theory.obs_a), ("perm_b", theory.obs_b)))
+        channels[ProductGroupElement(perm_a, perm_b)] = read_map(
+            row, theory.state_space.ambient_dim, f"[{i}].")
     return channels
 
 
@@ -558,11 +505,7 @@ def _cmd_covariant(args) -> int:
             for d in result.family_directions
         ]
         notes.append("covariance leaves residual freedom; reporting a base point")
-    _emit(
-        make_report(
-            "covariant", theory_to_dict(theory, (name, rep)), claims, notes, **extra
-        )
-    )
+    _emit(make_report("covariant", theory_to_dict(theory, (name, rep)), claims, notes, **extra))
     return 0
 
 

@@ -453,11 +453,6 @@ class ExtremalValue:
     def __ge__(self, other):
         return self.compare(other) >= 0
 
-    def to_float(self) -> float:
-        return float(self.rational_part) + float(self.radical_part) * math.sqrt(
-            float(self.radicand)
-        )
-
     def __str__(self):
         if self.is_rational:
             return str(self.rational_part)

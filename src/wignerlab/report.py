@@ -7,48 +7,37 @@ certificates are replayed by plain multiplier arithmetic (never by
 re-running the solver), rank claims by exact elimination, and a
 covariance identity W_g(a,b)(F p) = W_ab(p) as the transport square of
 g's phase table (``programs.transport_equations``, ``theory._solves``) at
-the affine basis of the report's state space.  A claim passes only if
-its data proves its ``verdict``: an ``lp_feasible`` claim says true and
-an ``lp_infeasible`` one false, and a ``rank`` claim says whether the
-rank of the effects of the report's observable pair at the affine basis
-of K (``theory.effect_span_rank``) is dim(K) + 1.  Witnesses are about
-the report's theory: a ``negative_entry`` functional is an entry of the
-embedded grid at a state of K, with its negative value there, and
-``ball_entry_min`` and ``ball_max_one`` carry K's own center and radius,
-with a grid entry (and its negative minimum in normal form) or the
-effect that the id names as their functional.
+the affine basis of K.  A claim passes only if its data proves its
+``verdict``, and its witnesses are about the report's own theory: a
+grid entry of its representation, an effect of its pair, a state of its
+K, or K's own center and radius.
 
-No claim carries an LP program.  An LP claim's id says which program of
-``programs`` it is about, and the claim names the rest of the
-constructor's arguments (``observable`` and ``outcome``; ``perm_a`` and
-``perm_b``; ``rep`` and ``table``); ``verify`` rebuilds the program from
-the embedded theory, requires the id to be the one the engine gives
-those arguments, and checks the witness or certificate against the
-rebuilt program, multiplier counts included (``_program``).
+``CLAIM_KINDS`` is the claim format: a row per kind that lists the
+fields after ``id, kind, statement, verdict`` and the rule that derives
+the id from the claim's data, and ``READERS`` holds one typed reader per
+field.  The builders (``lp_claim`` and the others) write the fields in
+their row's order, and ``verify`` reads each claim once through the
+table: a verdict, ``expect`` or ``negative`` is a JSON boolean, a count
+or a permutation entry an int and never a bool, a ``pair`` the report's
+own pair, and a claim whose id is not one its data gives fails.  No
+claim carries an LP program: an LP claim names the arguments of its
+program's constructor in ``programs`` (``observable`` and ``outcome``;
+``perm_a`` and ``perm_b``; ``rep`` and ``table``), or none, and
+``verify`` rebuilds the program from the embedded theory
+(``_program``), multiplier counts included.
 
 Generators decide covariance.  Covariance identities compose, so a
-``covariant`` report that embeds a representation needs a
-``covariance_identity`` claim for each generator of S_m x S_n (the
-adjacent transpositions of A's outcomes, then of B's), and each missing
-one is a failing row under the id its claim would have had.  Claims for
-other elements are checked like the rest.  ``verify_report`` returns
-one (claim id, ok) row per claim and per missing generator, and is the
-engine behind the ``verify`` subcommand.
+report that carries a covariance claim, or a ``covariant`` report with a
+representation, needs a ``covariance_identity`` claim for each generator
+of S_m x S_n (the adjacent transpositions of A's outcomes, then of
+B's), and each missing one is a failing row under the id its claim
+would have had.  ``verify_report`` returns one (claim id, ok) row per
+claim and per missing generator, and is the engine behind ``verify``.
 
-Each claim kind is written here, by a builder that takes the engine's
-results (``lp_claim``, ``rank_claim``, ``negativity_claim``,
-``ball_max_one_claim``, ``covariance_claim``, ``recompute_claim``), and
-checked here, by its branch of ``_verify_claim``; ``cli`` writes no
-claim itself.
-
-Not every LP answer comes from the simplex.  Surjectivity witnesses and
-certificates are built from the vertex values of each effect, and the
-certificate of a channel that its equations fix but that leaves the
-target (``no_covariant``, ``no_transport``) from the violated facet by
-elimination, and that of effect sums that differ (``no_covariant``
-without a generator) on the marginal identities in closed form; every
-one passes the same guard as a simplex answer, and ``verify`` cannot
-tell them apart.
+Not every LP answer comes from the simplex (surjectivity from vertex
+values, a fixed channel that leaves the target from its violated facet,
+unequal effect sums in closed form), but each passes the same guard as
+a simplex answer, and ``verify`` cannot tell them apart.
 
 ``dump_report`` writes ``{``, then one line per top-level key, in the
 report's order, then ``}``.  The ``claims`` list spans lines of its own:
@@ -60,7 +49,7 @@ JSON from ``json.dumps``.  ``load_report`` reads any JSON layout, an
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import programs
 from .errors import ParseError
@@ -74,13 +63,7 @@ from .theoryfile import (
     parse_functional, parse_rational, parse_vector, rational_to_str, ser_functional, ser_vec,
     theory_from_dict,
 )
-from .wigner import (
-    WignerRep,
-    check_marginals,
-    faithful_choice_possible,
-    is_faithful,
-    is_positive,
-)
+from .wigner import check_marginals, faithful_choice_possible, is_faithful, is_positive
 
 FORMAT = "wignerlab-report/2"
 
@@ -90,67 +73,123 @@ def ser_map(m: AffineMap) -> dict:
 
 
 def ser_violation(v) -> dict:
-    return {
-        "observable": v.observable,
-        "kind": v.kind,
-        "message": v.message,
-        "witness": ser_vec(v.witness) if v.witness else None,
-    }
+    return {"observable": v.observable, "kind": v.kind, "message": v.message,
+            "witness": ser_vec(v.witness) if v.witness else None}
 
 
 def ser_certificate(cert: Infeasible) -> dict:
-    return {
-        "eq_multipliers": ser_vec(cert.eq_multipliers),
-        "ineq_multipliers": ser_vec(cert.ineq_multipliers),
-        "gap": rational_to_str(cert.gap),
-    }
+    return {"eq_multipliers": ser_vec(cert.eq_multipliers),
+            "ineq_multipliers": ser_vec(cert.ineq_multipliers), "gap": rational_to_str(cert.gap)}
 
 
 def ser_extremal(v: ExtremalValue) -> dict:
-    return {
-        "rational": rational_to_str(v.rational_part),
-        "radical": rational_to_str(v.radical_part),
-        "radicand": rational_to_str(v.radicand),
-    }
+    return {"rational": rational_to_str(v.rational_part),
+            "radical": rational_to_str(v.radical_part), "radicand": rational_to_str(v.radicand)}
 
 
-def _de_map(obj, path="") -> AffineMap:
-    """The map ``ser_map`` wrote; its rows, its offset and their entries
-    parse at ``{path}matrix`` and ``{path}offset``, and a missing offset
-    reads as empty."""
-    def entries(values, at):
+# Readers: a JSON value to a typed one, or a ParseError at ``at``.
+
+
+def _bool(value, at: str, *_) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError("expected a boolean", path=at)
+    return value
+
+
+def _count(value, at: str, *_) -> int:
+    if type(value) is not int:
+        raise ParseError("expected an integer", path=at)
+    return value
+
+
+def _named(value, names, at: str, what: str) -> str:
+    if not isinstance(value, str) or value not in names:
+        raise ParseError(f"unknown {what} {value!r}", path=at)
+    return value
+
+
+def read_permutation(value, n: int, at: str) -> tuple:
+    """A permutation of 0..n-1: a list of ints, none of them a bool."""
+    if (not isinstance(value, list) or any(type(k) is not int for k in value)
+            or sorted(value) != list(range(n))):
+        raise ParseError(f"expected a permutation of 0..{n - 1}", path=at)
+    return tuple(value)
+
+
+def read_map(obj, dim: int, at: str = "") -> AffineMap:
+    """The ``dim`` x ``dim`` affine map of a ``{matrix, offset}`` object,
+    as ``ser_map`` writes it; its rows and offset are lists of rationals,
+    read at ``{at}matrix`` and ``{at}offset``."""
+    def entries(values, key):
         if not isinstance(values, list):
-            raise ParseError("expected a list of rationals", path=f"{path}{at}")
-        return [parse_rational(x, f"{path}{at}") for x in values]
+            raise ParseError("expected a list of rationals", path=at + key)
+        return [parse_rational(x, at + key) for x in values]
 
-    return AffineMap(Matrix.from_rows([entries(r, "matrix") for r in obj["matrix"]]),
-                     tuple(entries(obj.get("offset", []), "offset")))
-
-
-def _de_certificate(obj, path="certificate") -> Infeasible:
-    return Infeasible(
-        parse_vector(obj["eq_multipliers"], f"{path}.eq_multipliers"),
-        parse_vector(obj["ineq_multipliers"], f"{path}.ineq_multipliers"),
-        parse_rational(obj["gap"], f"{path}.gap"),
-    )
+    matrix = obj.get("matrix")
+    rows = [entries(r, "matrix") for r in matrix] if isinstance(matrix, list) else []
+    if len(rows) != dim or any(len(r) != dim for r in rows):
+        raise ParseError(f"expected {dim} rows of {dim} entries", path=f"{at}matrix")
+    offset = entries(obj.get("offset", []), "offset")
+    if len(offset) != dim:
+        raise ParseError(f"offset length must equal matrix row count, {dim}", path=f"{at}offset")
+    return AffineMap(Matrix.from_rows(rows), tuple(offset))
 
 
-def _de_extremal(obj, path="value") -> tuple:
-    """The three parts of an ``ExtremalValue`` as written, not normalized."""
-    return tuple(parse_rational(obj[k], path) for k in ("rational", "radical", "radicand"))
+def _read_joint(value, at: str, theory, *_) -> list[AffineFunctional]:
+    """The n_a x n_b grid of functionals, row by row."""
+    n_a, n_b = theory.obs_a.n_outcomes, theory.obs_b.n_outcomes
+    if not isinstance(value, list) or [len(r) if isinstance(r, list) else -1
+                                       for r in value] != [n_b] * n_a:
+        raise ParseError(f"expected {n_a} rows of {n_b} functionals", path=at)
+    dim = theory.state_space.ambient_dim
+    return [parse_functional(f, at, dim) for row in value for f in row]
+
+
+def _read_pair(value, at: str, theory, *_) -> tuple:
+    if value != [theory.obs_a.name, theory.obs_b.name]:
+        raise ParseError("expected the report's observable pair", path=at)
+    return theory.obs_a, theory.obs_b
+
+
+# One typed reader per field: (value, at, theory, representations by
+# name, the claim's fields read so far) -> the field's value.
+READERS: dict[str, Callable] = {
+    "what": lambda v, at, *_: _named(v, RECOMPUTE, at, "recompute target"),
+    "pair": _read_pair,
+    "rep": lambda v, at, t, reps, _: reps[_named(v, reps, at, "representation")],
+    "observable": lambda v, at, t, *_: t.observable(
+        _named(v, (t.obs_a.name, t.obs_b.name), at, "observable of the pair")),
+    "outcome": lambda v, *_: v,  # any value; the id binds it
+    "perm_a": lambda v, at, t, *_: read_permutation(v, t.obs_a.n_outcomes, at),
+    "perm_b": lambda v, at, t, *_: read_permutation(v, t.obs_b.n_outcomes, at),
+    "table": lambda v, at, t, reps, got: read_permutation(
+        v, len(got["rep"].functionals()), at),
+    "witness": lambda v, at, *_: parse_vector(v, at),
+    "joint": _read_joint,
+    "certificate": lambda v, at, *_: Infeasible(
+        *(parse_vector(v[k], f"{at}.{k}") for k in ("eq_multipliers", "ineq_multipliers")),
+        parse_rational(v["gap"], f"{at}.gap")),
+    "rank": _count,
+    "free_slots": _count,
+    "required": _count,
+    "functional": lambda v, at, t, *_: parse_functional(v, at, t.state_space.ambient_dim),
+    "state": lambda v, at, *_: parse_vector(v, at),
+    "value": lambda v, at, *_: parse_rational(v, at),
+    "center": lambda v, at, *_: parse_vector(v, at),
+    "radius": lambda v, at, *_: parse_rational(v, at),
+    # the three parts of an ``ExtremalValue`` as written, not normalized
+    "min": lambda v, at, *_: tuple(parse_rational(v[k], at)
+                                   for k in ("rational", "radical", "radicand")),
+    "negative": _bool,
+    "expect": _bool,
+    "channel": lambda v, at, t, *_: read_map(v, t.state_space.ambient_dim, at + "."),
+}
 
 
 def make_report(command: str, theory_dict: Optional[dict], claims: list[dict],
                 notes: Optional[list[str]] = None, **extra) -> dict:
-    report = {
-        "format": FORMAT,
-        "command": command,
-        "theory": theory_dict,
-        "claims": claims,
-        "notes": notes or [],
-    }
-    report.update(extra)
-    return report
+    return {"format": FORMAT, "command": command, "theory": theory_dict, "claims": claims,
+            "notes": notes or [], **extra}
 
 
 def dump_report(report: dict) -> str:
@@ -193,23 +232,24 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
     """Re-check every claim of a report that ``load_report`` accepted;
     returns (claim id, ok, detail) rows."""
     theory, wigner = theory_from_dict(report["theory"])
-    wigner_reps: dict[str, WignerRep] = dict([wigner]) if wigner is not None else {}
-    rows = []
+    reps = dict([wigner]) if wigner is not None else {}
+    rows, covered = [], set()
     for claim in report["claims"]:
-        cid = claim["id"]
+        d = _Fields(id=claim["id"], kind=claim["kind"])
         try:
-            ok = _verify_claim(claim, theory, wigner_reps)
-            rows.append((cid, ok, "" if ok else "claim data does not re-verify"))
+            ok = _verify_claim(_read_claim(claim, theory, reps, d), theory, reps)
+            rows.append((d["id"], ok, "" if ok else "claim data does not re-verify"))
         except Exception as exc:  # noqa: BLE001 - report must not crash
-            rows.append((cid, False, f"verification error: {exc}"))
-    if report.get("command") == "covariant" and wigner is not None:
+            rows.append((d["id"], False, f"verification error: {exc}"))
+        if d["kind"] == "covariance_identity" and "perm_b" in d:
+            # a claim covers the generator its permutations name, if they read
+            covered.add((d["perm_a"], d["perm_b"]))
+    kinds = {c["kind"] for c in report["claims"]}
+    if wigner is not None and ("covariance_identity" in kinds
+                               or report.get("command") == "covariant"):
         # covariance under the generators is covariance under the group
-        name, rep = wigner
-        claimed = [(c.get("perm_a"), c.get("perm_b")) for c in report["claims"]
-                   if c["kind"] == "covariance_identity" and c.get("rep") == name]
         rows += [(_covariance_id(a, b), False, "no covariance claim for this generator")
-                 for a, b in programs.generators(*rep.shape)
-                 if (list(a), list(b)) not in claimed]
+                 for a, b in programs.generators(*wigner[1].shape) if (a, b) not in covered]
     return rows
 
 
@@ -227,44 +267,86 @@ def transport_id(n_b: int, table) -> str:
     return f"no_transport[{programs.moved_points(n_b, table)}]"
 
 
-def _surjective_args(cid: str, theory) -> dict:
-    """The observable of the pair and the outcome that ``cid`` names."""
-    return next(({"observable": obs.name, "outcome": outcome}
-                 for obs in (theory.obs_a, theory.obs_b) for outcome in obs.outcomes
-                 if cid == surjective_id(obs.name, outcome)), {})
+def _lp_ids(d, theory) -> set:
+    """The id of the program that an LP claim's arguments name, in
+    ``_program``'s order; with no arguments, the id names the program."""
+    if "observable" in d:
+        return {surjective_id(d["observable"].name, d["outcome"])}
+    if "perm_a" in d:
+        return {"no_covariant"}
+    if "table" in d:
+        return {transport_id(d["rep"].shape[1], d["table"])}
+    return {"compatibility", "no_covariant"}
 
 
-def _program(claim: dict, theory, wigner_reps) -> Optional[LinearProgram]:
+def _effect_ids(d, theory) -> set:
+    """The outcomes of the pair whose effect is the claim's functional."""
+    return {surjective_id(obs.name, outcome) for obs in (theory.obs_a, theory.obs_b)
+            for outcome, effect in zip(obs.outcomes, obs.effects) if effect == d["functional"]}
+
+
+class ClaimKind(NamedTuple):
+    fields: tuple  # after id, kind, statement and verdict, in written order
+    ids: Callable  # (the fields as read, theory) -> the ids the data allows
+    head: int = 0  # how many of the fields are written before the statement
+
+
+LP_ARGS = ("observable", "outcome", "perm_a", "perm_b", "rep", "table")
+CLAIM_KINDS = {
+    "lp_feasible": ClaimKind(LP_ARGS + ("witness", "joint"), _lp_ids),
+    "lp_infeasible": ClaimKind(LP_ARGS + ("certificate",), _lp_ids),
+    "rank": ClaimKind(("rank",), lambda d, t: {"info_complete"}),
+    "negative_entry": ClaimKind(("functional", "state", "value"),
+                                lambda d, t: {"negativity_witness"}),
+    "ball_entry_min": ClaimKind(("functional", "center", "radius", "min", "negative"),
+                                lambda d, t: {"negativity_witness"}),
+    "ball_max_one": ClaimKind(("functional", "center", "radius", "expect"), _effect_ids),
+    "covariance_identity": ClaimKind(("rep", "perm_a", "perm_b", "channel"),
+                                     lambda d, t: {_covariance_id(d["perm_a"], d["perm_b"])}),
+    "recompute": ClaimKind(("what", "pair", "rep", "free_slots", "required"),
+                           lambda d, t: {d["what"]}, head=3),
+}
+
+
+class _Fields(dict):
+    """A claim's fields as read; a missing one is a parse error."""
+
+    def __missing__(self, key):
+        raise ParseError("missing field", path=key)
+
+
+def _read_claim(claim: dict, theory, reps, got: Optional[_Fields] = None) -> _Fields:
+    """The claim's fields through ``READERS``, in its kind's order, into
+    ``got``; a ParseError when one does not read, or the id is not the
+    one its data gives."""
+    kind = claim["kind"]
+    if kind not in CLAIM_KINDS:
+        raise ParseError(f"unknown claim kind {kind!r}", path="kind")
+    got = _Fields(id=claim["id"], kind=kind) if got is None else got
+    for key in CLAIM_KINDS[kind].fields:
+        if key in claim:
+            got[key] = READERS[key](claim[key], key, theory, reps, got)
+    got["verdict"] = _bool(claim.get("verdict"), "verdict")
+    if got["id"] not in CLAIM_KINDS[kind].ids(got, theory):
+        raise ParseError("the claim's data gives another id", path="id")
+    return got
+
+
+def _program(d, theory) -> LinearProgram:
     """The program an LP claim is about, rebuilt by ``programs`` from the
-    report's theory and the arguments the claim names; None when they
-    name no permutation or the id is not the one the engine gives them."""
-    cid = claim["id"]
+    report's theory and the arguments the claim names (``_lp_ids``)."""
     space = theory.state_space
     obs_a, obs_b = theory.obs_a, theory.obs_b
-    if cid == "compatibility":
+    if "observable" in d:
+        return programs.surjectivity(d["observable"].effect(d["outcome"]), space)
+    if "perm_a" in d:
+        equations = programs.permutation_equations(obs_a, obs_b, d["perm_a"], d["perm_b"])
+    elif "table" in d:
+        equations = programs.transport_equations(d["rep"], d["table"])
+    elif d["id"] == "compatibility":
         return programs.compatibility(obs_a, obs_b, space)
-    if cid == "no_covariant" and "perm_a" not in claim:
-        # the effect sums differ: the certificate lives on the marginals
+    else:  # the effect sums differ: the certificate lives on the marginals
         return programs.marginal_program(obs_a, obs_b)
-    if cid == "no_covariant":
-        perm_a, perm_b = claim["perm_a"], claim["perm_b"]
-        if [sorted(perm_a), sorted(perm_b)] != [list(range(obs_a.n_outcomes)),
-                                                 list(range(obs_b.n_outcomes))]:
-            return None
-        equations = programs.permutation_equations(obs_a, obs_b, perm_a, perm_b)
-    elif cid.startswith("surjective["):
-        name, outcome = claim["observable"], claim["outcome"]
-        if cid != surjective_id(name, outcome):
-            return None
-        return programs.surjectivity(theory.observable(name).effect(outcome), space)
-    elif cid.startswith("no_transport["):
-        rep, table = wigner_reps[claim["rep"]], claim["table"]
-        if sorted(table) != list(range(len(rep.functionals()))) or cid != transport_id(
-                rep.shape[1], table):
-            return None
-        equations = programs.transport_equations(rep, table)
-    else:
-        raise ParseError(f"no program for claim {cid!r}")
     return programs.channel_program(space, space, programs.channel_system(space, space, equations))
 
 
@@ -273,8 +355,16 @@ def _program(claim: dict, theory, wigner_reps) -> Optional[LinearProgram]:
 
 
 def _claim(cid: str, kind: str, statement: str, verdict: bool, **data) -> dict:
-    """The keys every claim starts with, then the kind's data."""
-    return {"id": cid, "kind": kind, "statement": statement, "verdict": verdict, **data}
+    """``id`` and ``kind``, then the kind's fields that are not None in the
+    order of its ``CLAIM_KINDS`` row, with ``statement`` and ``verdict``
+    after the row's head."""
+    row = CLAIM_KINDS[kind]
+
+    def pick(keys):
+        return {k: data[k] for k in keys if data.get(k) is not None}
+
+    return {"id": cid, "kind": kind, **pick(row.fields[:row.head]), "statement": statement,
+            "verdict": verdict, **pick(row.fields[row.head:])}
 
 
 def lp_claim(cid: str, statement: str, result, joint=None, **args) -> dict:
@@ -287,10 +377,8 @@ def lp_claim(cid: str, statement: str, result, joint=None, **args) -> dict:
     if isinstance(result, Infeasible):
         return _claim(cid, "lp_infeasible", statement, False, **args,
                       certificate=ser_certificate(result))
-    claim = _claim(cid, "lp_feasible", statement, True, **args, witness=ser_vec(result.witness))
-    if joint is not None:
-        claim["joint"] = joint
-    return claim
+    return _claim(cid, "lp_feasible", statement, True, **args, witness=ser_vec(result.witness),
+                  joint=joint)
 
 
 def rank_claim(cid: str, statement: str, verdict: bool, matrix_rank: int) -> dict:
@@ -339,116 +427,80 @@ def recompute_claim(what: str, statement: str, verdict, pair=None, rep=None, **e
     engine's ``what`` check again.  ``pair`` (two observable names) or
     ``rep`` (a representation name) says what it is about; the ``extra``
     keys follow the verdict."""
-    claim = {"id": what, "kind": "recompute", "what": what}
-    if pair is not None:
-        claim["pair"] = list(pair)
-    if rep is not None:
-        claim["rep"] = rep
-    claim.update(statement=statement, verdict=verdict, **extra)
-    return claim
+    return _claim(what, "recompute", statement, verdict, what=what,
+                  pair=list(pair) if pair is not None else None, rep=rep, **extra)
 
 
-def _verify_claim(claim: dict, theory, wigner_reps) -> bool:
-    """Does the claim's data prove what its ``verdict`` says?"""
-    kind = claim["kind"]
-    verdict = claim["verdict"]
+def _verify_claim(d: _Fields, theory, reps) -> bool:
+    """Do the claim's fields, as ``_read_claim`` read them, prove what its
+    ``verdict`` says?"""
+    kind, verdict = d["kind"], d["verdict"]
+    space = theory.state_space
     if kind in ("lp_feasible", "lp_infeasible"):
-        lp = _program(claim, theory, wigner_reps)
-        if lp is None:
-            return False
+        lp = _program(d, theory)
         if kind == "lp_infeasible":
-            return verdict is False and verify_certificate(lp, _de_certificate(claim["certificate"]))
-        witness = parse_vector(claim["witness"], "witness")
+            return verdict is False and verify_certificate(lp, d["certificate"])
+        witness = d["witness"]
         return (verdict is True and lp.check(witness)
-                and ("joint" not in claim or _is_joint(claim["joint"], witness, theory)))
+                and ("joint" not in d or _is_joint(d["joint"], witness)))
     if kind == "rank":
         # the rank of the effects of the theory's pair at aff(K)'s basis
-        span = effect_span_rank(theory.obs_a, theory.obs_b, theory.state_space)
-        full = span == dimension(theory.state_space) + 1
-        return int(claim["rank"]) == span and verdict is full
+        span = effect_span_rank(theory.obs_a, theory.obs_b, space)
+        return d["rank"] == span and verdict is (span == dimension(space) + 1)
     # a witness functional is a grid entry of the report's representation
-    # (an effect of its pair for ball_max_one), on the report's own K
+    # (for ball_max_one, the effect its id names), on the report's own K
     if kind == "negative_entry":
-        f = parse_functional(claim["functional"], "functional", theory.state_space.ambient_dim)
-        state = parse_vector(claim["state"], "state")
-        value = parse_rational(claim["value"], "value")
-        return (verdict is True and _is_entry(f, wigner_reps)
-                and contains(theory.state_space, state) and f(state) == value < 0)
+        f, state = d["functional"], d["state"]
+        return (verdict is True and _is_entry(f, reps) and contains(space, state)
+                and f(state) == d["value"] < 0)
     if kind in ("ball_entry_min", "ball_max_one"):
-        f = parse_functional(claim["functional"], "functional", theory.state_space.ambient_dim)
-        ball = theory.state_space
-        if kind == "ball_max_one":
-            # the effect of the outcome that the id names
-            args = _surjective_args(claim["id"], theory)
-            bound = bool(args) and f == theory.observable(args["observable"]).effect(
-                args["outcome"])
-        else:
-            bound = _is_entry(f, wigner_reps)
-        if not (bound and isinstance(ball, Ball)
-                and parse_vector(claim["center"], "center") == ball.center
-                and parse_rational(claim["radius"], "radius") == ball.radius):
+        f = d["functional"]
+        if not (isinstance(space, Ball) and d["center"] == space.center
+                and d["radius"] == space.radius):
             return False
-        low, high = extremal_range(ball, f)
+        low, high = extremal_range(space, f)
         if kind == "ball_max_one":
             reaches = high.compare(1) == 0
-            return verdict is reaches and bool(claim["expect"]) == reaches
+            return verdict is reaches and d["expect"] is reaches
         # the written minimum is the normal form of the actual, negative one
-        written = (low.rational_part, low.radical_part, low.radicand)
-        return (verdict is True and claim.get("negative") is True and low < 0
-                and written == _de_extremal(claim["min"]))
+        return (verdict is True and d["negative"] is True and _is_entry(f, reps) and low < 0
+                and (low.rational_part, low.radical_part, low.radicand) == d["min"])
     if kind == "covariance_identity":
-        rep = wigner_reps[claim["rep"]]
-        space = theory.state_space
-        chan = _de_map(claim["channel"], "channel.")
-        inside = map_into(space, chan, space)
-        perm_a, perm_b = claim["perm_a"], claim["perm_b"]
-        if (verdict is not True or not inside.ok
-                or [sorted(perm_a), sorted(perm_b)] != [list(range(n)) for n in rep.shape]):
+        chan, perm_a, perm_b = d["channel"], d["perm_a"], d["perm_b"]
+        if verdict is not True or not map_into(space, chan, space).ok:
             return False
         # W_g(a,b)(F p) = W_ab(p): the transport square of g's phase table
         table = [i * len(perm_b) + j for i in perm_a for j in perm_b]
-        return _solves(programs.transport_equations(rep, table), chan, space)
-    if kind == "recompute":
-        return _verify_recompute(claim, theory, wigner_reps)
-    raise ParseError(f"unknown claim kind {kind!r}")
+        return _solves(programs.transport_equations(d["rep"], table), chan, space)
+    what = d["what"]
+    claimed = (verdict, d["free_slots"], d["required"]) if what == "faithful_choice" else verdict
+    return RECOMPUTE[what](d, theory) == claimed
 
 
-def _is_entry(f: AffineFunctional, wigner_reps) -> bool:
-    return any(f in row for rep in wigner_reps.values() for row in rep.grid)
+def _is_entry(f: AffineFunctional, reps) -> bool:
+    return any(f in row for rep in reps.values() for row in rep.grid)
 
 
-def _is_joint(joint, witness, theory) -> bool:
-    """Is ``joint`` the grid of functionals whose coefficients, block by
-    block (``programs.grid_unknowns``), are the witness?"""
-    n_a, n_b = theory.obs_a.n_outcomes, theory.obs_b.n_outcomes
-    width = len(witness) // (n_a * n_b)
-    if [len(row) for row in joint] != [n_b] * n_a:
-        return False
-    dim = theory.state_space.ambient_dim
-    flat = [parse_functional(f, "joint", dim).coefficients() for row in joint for f in row]
-    return all(f == witness[i * width:(i + 1) * width] for i, f in enumerate(flat))
+def _is_joint(joint: list[AffineFunctional], witness) -> bool:
+    """Are the coefficients of the ``joint`` grid, block by block
+    (``programs.grid_unknowns``), the witness?"""
+    width = len(witness) // len(joint)
+    return all(f.coefficients() == witness[i * width:(i + 1) * width]
+               for i, f in enumerate(joint))
 
 
-def _verify_recompute(claim: dict, theory, wigner_reps) -> bool:
-    what = claim["what"]
-    expect = claim["verdict"]
-    if what == "validate":
-        return (not validate(theory)) == bool(expect)
-    if what == "complementary":
-        a, b = (theory.observable(n) for n in claim["pair"])
-        return are_complementary(a, b, theory.state_space) == bool(expect)
-    if what == "faithful":
-        return is_faithful(wigner_reps[claim["rep"]]) == bool(expect)
-    if what == "positive":
-        return is_positive(wigner_reps[claim["rep"]]).ok == bool(expect)
-    if what == "marginals":
-        return check_marginals(wigner_reps[claim["rep"]]).ok == bool(expect)
-    if what == "faithful_choice":
-        a, b = (theory.observable(n) for n in claim["pair"])
-        fc = faithful_choice_possible(a, b, theory.state_space)
-        return (
-            fc.possible == bool(expect)
-            and fc.free_slots == int(claim["free_slots"])
-            and fc.required == int(claim["required"])
-        )
-    raise ParseError(f"unknown recompute target {what!r}")
+def _faithful_choice(d, theory) -> tuple:
+    fc = faithful_choice_possible(*d["pair"], theory.state_space)
+    return fc.possible, fc.free_slots, fc.required
+
+
+# the value of each recompute target that the claim's verdict (and, for
+# faithful_choice, its counts) must equal
+RECOMPUTE: dict[str, Callable] = {
+    "validate": lambda d, t: not validate(t),
+    "complementary": lambda d, t: are_complementary(*d["pair"], t.state_space),
+    "faithful": lambda d, t: is_faithful(d["rep"]),
+    "positive": lambda d, t: is_positive(d["rep"]).ok,
+    "marginals": lambda d, t: check_marginals(d["rep"]).ok,
+    "faithful_choice": _faithful_choice,
+}

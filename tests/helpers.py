@@ -6,6 +6,7 @@ convex position, observables with effects in [0, 1] summing to one).
 """
 
 from fractions import Fraction as F
+import math
 import random
 
 from wignerlab import catalog
@@ -153,3 +154,9 @@ def qubit_ball_image(rng: random.Random, random_member: bool = False) -> WignerR
         return construct_family(obs_a, obs_b, space, {(0, 0): free})
     grid = tuple(tuple(push(f) for f in row) for row in entry.representations["W"].grid)
     return WignerRep(space, obs_a, obs_b, grid)
+
+
+def extremal_to_float(v) -> float:
+    """An ``ExtremalValue`` a + b sqrt(s) in floating point, to compare
+    the exact comparison against."""
+    return float(v.rational_part) + float(v.radical_part) * math.sqrt(float(v.radicand))

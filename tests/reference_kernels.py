@@ -136,7 +136,7 @@ from wignerlab.geometry import (
     map_into,
 )
 from wignerlab import symmetry
-from wignerlab.report import _de_map
+from wignerlab.report import read_map
 from wignerlab.symmetry import PhasePointMap
 from wignerlab.theory import Observable
 from wignerlab.wigner import (
@@ -286,7 +286,7 @@ def covariance_by_evaluation(claim: dict, theory, wigner_reps) -> bool:
     evaluated at every affine basis point of K."""
     rep = wigner_reps[claim["rep"]]
     space = theory.state_space
-    chan = _de_map(claim["channel"], "channel.")
+    chan = read_map(claim["channel"], space.ambient_dim, "channel.")
     inside = map_into(space, chan, space)
     perm_a, perm_b = claim["perm_a"], claim["perm_b"]
     if (claim["verdict"] is not True or not inside.ok

@@ -373,6 +373,34 @@ def test_bad_channels_files_are_parse_errors(tmp_path, capsys, shape, where):
     assert code == 2 and err.startswith("error: ") and err.rstrip().endswith(f"{where})")
 
 
+def test_a_permutation_of_booleans_is_refused_by_one_reader(tmp_path, capsys):
+    """[true, false] sorts as [0, 1], but no entry of a permutation is a
+    boolean: a ``--channels`` row and a covariance claim that carry it
+    fail in the same reader, with the same message."""
+    box = tmp_path / "box.json"
+    channels = tmp_path / "channels.json"
+    run(capsys, "example", "qubit_xz", "--out", str(box), "--channels-out", str(channels))
+    rows = json.loads(channels.read_text())
+    assert rows[1]["perm_a"] == [1, 0]
+    rows[1]["perm_a"] = [True, False]
+    channels.write_text(json.dumps(rows))
+    code, out, err = run(capsys, "covariant", str(box), "--channels", str(channels))
+    assert (code, out) == (2, "")
+    assert err == "error: expected a permutation of 0..1 (at [1].perm_a)\n"
+    run(capsys, "example", "boxworld", "--out", str(box))
+    _, out, _ = run(capsys, "covariant", str(box))
+    report = json.loads(out)
+    claim = report["claims"][0]
+    assert claim["perm_a"] == [1, 0]
+    claim["perm_a"] = [True, False]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "verify", str(forged))
+    assert code == 1
+    assert (f"FAIL  {claim['id']}: verification error: expected a permutation of 0..1"
+            " (at perm_a)") in out.splitlines()
+
+
 def test_covariant_unique_and_none(tmp_path, capsys):
     box = tmp_path / "box.json"
     run(capsys, "example", "boxworld", "--out", str(box))

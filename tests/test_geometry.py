@@ -27,7 +27,7 @@ from wignerlab.geometry import (
     values_at,
 )
 
-from helpers import generalized_boxworld, random_fraction, random_polygon
+from helpers import extremal_to_float, generalized_boxworld, random_fraction, random_polygon
 import reference_kernels as ref
 from reference_kernels import orthogonal_extension, per_column_affine_map, rank_greedy_subset
 
@@ -317,7 +317,7 @@ def test_extremal_value_vs_float_random():
         s = F(rng.randint(0, 30))
         t = F(rng.randint(-12, 12), rng.randint(1, 4))
         v = ExtremalValue(a, b, s)
-        approx = v.to_float() - float(t)
+        approx = extremal_to_float(v) - float(t)
         got = v.compare(t)
         if abs(approx) > 1e-9:
             assert got == (1 if approx > 0 else -1)

@@ -2,9 +2,8 @@
 
 Every engine module but ``plot.py`` (drawing only) is scanned for calls
 of ``float(...)``, ``math.sqrt``, ``.limit_denominator`` and
-``Fraction.from_float``, and for float literals.  ``ExtremalValue.to_float``
-is display only and allowed; ``isinstance(x, float)`` names the type
-without calling it.
+``Fraction.from_float``, and for float literals, with no exemption;
+``isinstance(x, float)`` names the type without calling it.
 """
 
 import ast
@@ -13,17 +12,12 @@ from pathlib import Path
 import wignerlab
 
 SRC = Path(wignerlab.__file__).parent
-ALLOWED = {("geometry.py", "ExtremalValue.to_float")}
 
 
 def _float_uses(path: Path) -> list[tuple[str, int, str]]:
     found = []
 
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-            if (path.name, scope) in ALLOWED:
-                return
+    def visit(node):
         what = None
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             what = f"float literal {node.value!r}"
@@ -39,9 +33,9 @@ def _float_uses(path: Path) -> list[tuple[str, int, str]]:
         if what is not None:
             found.append((path.name, node.lineno, what))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    visit(ast.parse(path.read_text(encoding="utf-8")))
     return found
 
 

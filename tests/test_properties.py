@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_free_block, random_theory
+from helpers import extremal_to_float, random_free_block, random_theory
 from reference_kernels import entrywise_positive_member
 from wignerlab.exact import Feasible, LinearProgram, lp_feasible, verify_certificate
 from wignerlab.geometry import (
@@ -188,7 +188,7 @@ def test_extremal_value_comparison_consistency(a, b, s, t):
     v = ExtremalValue(a, b, s)
     c = v.compare(t)
     assert c in (-1, 0, 1)
-    approx = v.to_float() - float(t)
+    approx = extremal_to_float(v) - float(t)
     if abs(approx) > 1e-8:
         assert c == (1 if approx > 0 else -1)
     # antisymmetry against the exact rational embedding

@@ -25,20 +25,23 @@ from wignerlab.theory import Observable, Theory, jointly_info_complete
 from wignerlab.theoryfile import dumps, theory_from_dict
 from wignerlab.wigner import free_slots, grid_rank
 from wignerlab.report import (
+    CLAIM_KINDS,
     FORMAT,
-    _de_map,
+    LP_ARGS,
+    RECOMPUTE,
+    _read_claim,
     _verify_claim,
     covariance_claim,
     dump_report,
     load_report,
     lp_claim,
+    read_map,
     ser_extremal,
     ser_map,
     transport_id,
     verify_report,
 )
 
-ARGS = ("observable", "outcome", "rep", "table", "perm_a", "perm_b")
 
 
 def _report(capsys, argv):
@@ -70,7 +73,8 @@ def test_parsed_channels_write_back_byte_for_byte(tmp_path, capsys):
     ]
     assert len(channels) >= 5
     for channel in channels:
-        assert json.dumps(ser_map(_de_map(channel, "channel."))) == json.dumps(channel)
+        read = read_map(channel, len(channel["offset"]), "channel.")
+        assert json.dumps(ser_map(read)) == json.dumps(channel)
 
 
 def _boxworld_analyze(tmp_path, capsys):
@@ -365,7 +369,7 @@ def _both_swap_claim(claims):
     """The claim for the composed element (A:(1, 0), B:(1, 0)) that the
     engine wrote before it reported generators only, with its true
     channel: the composition of the two generator channels."""
-    swap_a, swap_b = (_de_map(c["channel"], "channel.") for c in claims[:2])
+    swap_a, swap_b = (read_map(c["channel"], 2, "channel.") for c in claims[:2])
     both = ProductGroupElement((1, 0), (1, 0))
     return covariance_claim(both, swap_a.compose(swap_b), "W_covariant")
 
@@ -415,6 +419,97 @@ def test_a_covariance_claim_must_permute_every_outcome(tmp_path, capsys):
                  channel={"matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]})
     report["claims"].append(extra)
     assert _failed(report) == ["extra"]
+
+
+def _claim_of(report, key, value):
+    return next(c for c in report["claims"] if c[key] == value)
+
+
+def _swap_covariance_ids(report):
+    first, second = report["claims"][:2]
+    first["id"], second["id"] = second["id"], first["id"]
+
+
+def _bool_permutation(report):
+    report["claims"][0]["perm_a"] = [True, False]
+
+
+def _command_wigner_one_dropped(report):
+    report["command"] = "wigner"
+    del report["claims"][1]
+
+
+def _expect_as_string(report):
+    claim = _claim_of(report, "kind", "ball_max_one")
+    assert claim["expect"] is True
+    claim["expect"] = "false"
+
+
+def _verdict_as_int(report):
+    claim = _claim_of(report, "id", "complementary")
+    assert claim["verdict"] is True
+    claim["verdict"] = 1
+
+
+def _rank_as_string(report):
+    claim = _claim_of(report, "id", "info_complete")
+    assert claim["rank"] == 3
+    claim["rank"] = "3"
+
+
+def _positive_as_marginals(report):
+    claim = _claim_of(report, "id", "positive")
+    assert claim["verdict"] is False
+    claim.update(verdict=True, what="marginals")
+
+
+def _faithful_choice_of_another_pair(report):
+    claim = _claim_of(report, "id", "faithful_choice")
+    assert (claim["pair"], claim["required"]) == (["A", "B"], 0)
+    claim.update(pair=["A", "C"], required=1)
+
+
+@pytest.mark.parametrize("name, argv, forge, failing", [
+    ("boxworld", ["covariant"], _swap_covariance_ids, [SWAP_B, SWAP_A]),
+    ("boxworld", ["covariant"], _bool_permutation, [SWAP_A, SWAP_A]),
+    ("boxworld", ["covariant"], _command_wigner_one_dropped, [SWAP_B]),
+    ("qubit_xz", ["analyze"], _expect_as_string, ["surjective[A][0]"]),
+    ("qubit_xz", ["analyze"], _verdict_as_int, ["complementary"]),
+    ("qubit_xz", ["analyze"], _rank_as_string, ["info_complete"]),
+    ("boxworld --rep W_0", ["wigner", "--degenerate"], _positive_as_marginals, ["positive"]),
+    ("boxworld", ["analyze"], _faithful_choice_of_another_pair, ["faithful_choice"]),
+], ids=["covariance_ids_swapped", "bool_permutation", "command_wigner_one_dropped",
+        "expect_as_string", "verdict_as_int", "rank_as_string", "positive_as_marginals",
+        "faithful_choice_of_another_pair"])
+def test_a_claim_is_bound_to_its_id_types_and_pair(tmp_path, capsys, name, argv, forge, failing):
+    """Edits that once verified in full: swapped covariance ids, a
+    permutation of booleans (which sorts as [0, 1]), a covariant report
+    relabelled ``wigner`` that lacks a generator's claim, a string for a
+    boolean or a count, an int for a boolean verdict, a ``positive``
+    claim that checks the marginals instead, and a faithful-choice claim
+    about boxworld's pair (A, C).  Each fails its own claim, or the
+    coverage row of the generator whose claim is gone, and nothing else."""
+    entry, *export = name.split()
+    path = str(tmp_path / f"{entry}.json")
+    main(["example", entry, *export, "--out", path])
+    capsys.readouterr()
+    report = _report(capsys, [argv[0], path, *argv[1:]])
+    assert _failed(report) == []
+    forge(report)
+    rows = [(cid, detail) for cid, ok, detail in verify_report(report) if not ok]
+    assert [cid for cid, _ in rows] == failing
+    if forge is _bool_permutation:
+        assert rows == [(SWAP_A, "verification error: expected a permutation of 0..1 (at perm_a)"),
+                        (SWAP_A, "no covariance claim for this generator")]
+
+
+def test_a_wigner_report_relabelled_covariant_needs_every_generator(tmp_path, capsys):
+    """A representation with no covariance claims, in a report that says
+    it is ``covariant``, fails one coverage row per generator."""
+    report = _example_report(tmp_path, capsys, "boxworld", "wigner", "--faithful")
+    assert _failed(report) == []
+    report["command"] = "covariant"
+    assert _failed(report) == [SWAP_A, SWAP_B]
 
 
 def test_an_identity_covariance_channel_fails_its_claim(tmp_path, capsys):
@@ -482,7 +577,7 @@ def test_covariance_replay_agrees_with_the_evaluation_oracle(tmp_path, capsys):
                 variants.append(bad)
             for variant in variants:
                 want = ref.covariance_by_evaluation(variant, theory, reps)
-                assert _verify_claim(variant, theory, reps) is want
+                assert _verify_claim(_read_claim(variant, theory, reps), theory, reps) is want
                 verdicts[want] += 1
     # only the claims as written verify; 50 of the failures keep K in K
     assert n_claims == verdicts[True] == 18 and verdicts[False] > 150 and inside == 50
@@ -591,7 +686,7 @@ def test_the_effect_sums_certificate_lives_on_the_marginal_system(tmp_path, caps
     assert main(argv) == 1
     report = load_report(capsys.readouterr().out)
     claim, = report["claims"]
-    assert claim["id"] == "no_covariant" and not set(ARGS) & set(claim)
+    assert claim["id"] == "no_covariant" and not set(LP_ARGS) & set(claim)
     assert _failed(report) == []
     claim["certificate"]["eq_multipliers"].append("0")
     assert _failed(report) == ["no_covariant"]
@@ -676,48 +771,49 @@ def _every_catalog_report(tmp_path, capsys):
     return reports
 
 
-TEXT = ("id", "kind", "statement", "what", "verdict")
-# the data that proves a claim of each kind, which another claim's may replace
-EVIDENCE = {
-    "lp_feasible": ("witness",), "lp_infeasible": ("certificate",), "rank": ("rank",),
-    "negative_entry": ("functional", "state", "value"),
-    "ball_entry_min": ("functional", "min", "negative"), "ball_max_one": ("functional",),
-    "covariance_identity": ("channel",),
-}
 # mutations that have nothing to act on, so cannot change what the claim
 # asserts: a recompute claim is its verdict, which ``verify`` decides by
-# running the check again, with no numbers, lists or certificate beyond
-# the pair and the faithful-choice counts; a rank claim names no list
+# running the check again, with no numbers, lists or ints beyond the pair
+# and the faithful-choice counts, and every validate claim is the same; a
+# rank claim names no list; the other kinds write rationals as strings;
+# rank and negativity witnesses have one id each; and trit's
+# ``surjective[unit][*]`` and the one ``no_transport`` claim share their
+# id with no other claim
 UNMUTABLE = {
     *((f"recompute {what}", m) for what in ("validate", "faithful", "positive", "marginals")
-      for m in ("number", "drop", "swap")),
-    ("recompute complementary", "number"), ("recompute complementary", "swap"),
-    ("recompute faithful_choice", "swap"), ("rank", "drop"),
+      for m in ("number", "drop", "pair", "bool_for_int")),
+    ("recompute complementary", "number"), ("recompute complementary", "bool_for_int"),
+    ("recompute validate", "swap"), ("rank", "drop"),
+    *((kind, "bool_for_int") for kind in ("lp_feasible", "lp_infeasible", "negative_entry",
+                                          "ball_entry_min", "ball_max_one")),
+    ("rank", "id"), ("negative_entry", "id"), ("ball_entry_min", "id"),
+    ("lp_feasible", "swap"), ("lp_infeasible", "swap"),
 }
 # mutations, drawn with the test's seed, that replace a witness by another
 # witness of the same statement, so cannot change what the claim asserts
 REWITNESSED = {
-    # the state (1, 1, 0) moves along z, which the entry 1 - x - y ignores,
-    # to the vertex (1, 1, 1), where the entry is -1 too
-    ("wigner cube --degenerate", "negativity_witness", "number"),
-    # the donors' unit weights sit on the vertex (1, 1), where x = 1 = A_0,
-    # and on (1, 0), where y = 0, so B_1 = 1 - y = 1
-    ("analyze boxworld", "surjective[A][0]", "swap"),
-    ("analyze boxworld", "surjective[B][1]", "swap"),
     # the donor's witness is the same entry -x/2 - y/2 at the vertex (0, 1),
     # where it is -1/2 as at (1, 0)
     ("wigner rebit_diamond --degenerate", "negativity_witness", "swap"),
 }
+MUTATIONS = ("verdict", "number", "drop", "swap", "id", "what", "pair", "bool_for_int",
+             "string_for_bool")
+
+
+def _fields(claim) -> list:
+    """The claim's fields after id, kind, statement and verdict, from the
+    row of its kind in ``CLAIM_KINDS``."""
+    return [k for k in CLAIM_KINDS[claim["kind"]].fields if k in claim]
 
 
 def _paths(value, keep, path=()):
-    """The paths of the parts of ``value`` that ``keep`` accepts, outside
-    the text keys of a claim, depth first."""
+    """The paths of the parts of ``value`` that ``keep`` accepts, depth
+    first."""
     out = [path] if keep(value) else []
     if isinstance(value, list):
         out += [p for i, v in enumerate(value) for p in _paths(v, keep, path + (i,))]
     elif isinstance(value, dict):
-        out += [p for k, v in value.items() if k not in TEXT for p in _paths(v, keep, path + (k,))]
+        out += [p for k, v in value.items() for p in _paths(v, keep, path + (k,))]
     return out
 
 
@@ -731,69 +827,113 @@ def _is_number(value) -> bool:
     return True
 
 
-def _mutated(claim, mutation, donors, rng):
-    """A copy of ``claim`` with ``mutation`` applied, or None when it has
-    nothing to act on."""
+def _replaced(claim, path, value):
     claim = copy.deepcopy(claim)
-    if mutation == "verdict":
-        claim["verdict"] = not claim["verdict"]
-        return claim
-    if mutation == "swap":
-        keys = EVIDENCE.get(claim["kind"], ())
-        others = [d for d in donors if d["kind"] == claim["kind"]
-                  and [d.get(k) for k in keys] != [claim.get(k) for k in keys]]
-        if not keys or not others:
-            return None
-        donor = rng.choice(others)
-        claim.update({k: copy.deepcopy(donor[k]) for k in keys if k in donor})
-        return claim
-    keep = _is_number if mutation == "number" else (lambda v: isinstance(v, list) and v)
-    paths = _paths(claim, keep)
-    if not paths:
-        return None
-    *where, last = rng.choice(paths)
+    *where, last = path
     parent = claim
     for key in where:
         parent = parent[key]
-    if mutation == "drop":
-        del parent[last][rng.randrange(len(parent[last]))]
-    elif isinstance(parent[last], int):
-        parent[last] += 1
-    else:
-        parent[last] = str(Fraction(parent[last]) + 1)
+    parent[last] = value(parent[last])
     return claim
+
+
+def _mutated(claim, mutation, donors, rng) -> list:
+    """Copies of ``claim`` with ``mutation`` applied: one for a seeded
+    mutation, one per target for a typed one, none when it has nothing to
+    act on."""
+    if mutation == "verdict":
+        return [dict(claim, verdict=not claim["verdict"])]
+    if mutation in ("swap", "id"):
+        # another claim's data under this id, or this data under another id
+        fields = CLAIM_KINDS[claim["kind"]].fields
+        others = [d for d in donors if d["kind"] == claim["kind"]
+                  and (d["id"] == claim["id"]) == (mutation == "swap")
+                  and [d.get(k) for k in fields] != [claim.get(k) for k in fields]]
+        if not others:
+            return []
+        donor = rng.choice(others)
+        if mutation == "id":
+            return [dict(claim, id=donor["id"])]
+        kept = {k: v for k, v in claim.items() if k not in fields}
+        return [{**kept, **copy.deepcopy({k: donor[k] for k in _fields(donor)})}]
+    if mutation == "what":
+        return [dict(claim, what=w) for w in RECOMPUTE if w != claim["what"]]
+    if mutation == "pair":
+        return [dict(claim, pair=claim["pair"][::-1])] if "pair" in claim else []
+    if mutation in ("bool_for_int", "string_for_bool"):
+        # every int (never a bool) becomes a bool, every bool its JSON text
+        wanted = int if mutation == "bool_for_int" else bool
+        paths = [p for k in _fields(claim) + ["verdict"]
+                 for p in _paths(claim[k], lambda v: type(v) is wanted, (k,))]
+        return [_replaced(claim, p, bool if wanted is int else json.dumps) for p in paths]
+    keep = _is_number if mutation == "number" else (lambda v: isinstance(v, list) and v)
+    paths = [p for k in _fields(claim) for p in _paths(claim[k], keep, (k,))]
+    if not paths:
+        return []
+    path = rng.choice(paths)
+    if mutation == "drop":
+        def drop(values):
+            del values[rng.randrange(len(values))]
+            return values
+
+        return [_replaced(claim, path, drop)]
+    return [_replaced(claim, path, lambda v: v + 1 if isinstance(v, int)
+                      else str(Fraction(v) + 1))]
 
 
 def test_every_mutation_of_a_catalog_claim_fails_that_claim_alone(tmp_path, capsys):
     """For each claim of each catalog report: flip its verdict, change one
-    number, drop one list entry, swap in another claim's certificate (the
-    data that proves a claim of its kind).  Each mutation fails that
-    claim, and no other, or is one of ``UNMUTABLE``."""
+    number, drop one list entry, give it another claim's data under its
+    id or its data under another claim's id (of its kind), name another
+    recompute target or swap its pair, and write each int as a bool and
+    each bool as a string.  Each mutation fails the mutated claim, and no
+    other, or is one of ``UNMUTABLE``; the claim's fields are those of
+    its kind's row in ``CLAIM_KINDS``."""
     reports = _every_catalog_report(tmp_path, capsys)
     donors = [c for _, r in reports for c in r["claims"]]
-    kinds = {c["kind"] for c in donors}
-    assert kinds == set(EVIDENCE) | {"recompute"}
+    assert {c["kind"] for c in donors} == set(CLAIM_KINDS)
     rng = random.Random(18)
-    escaped, unmutable, applied = [], set(), 0
+    escaped, unmutable, applied = [], set(), {m: 0 for m in MUTATIONS}
     for name, report in reports:
         assert _failed(report) == []
         for k, claim in enumerate(report["claims"]):
             label = claim["kind"] if claim["kind"] != "recompute" else f"recompute {claim['what']}"
-            for mutation in ("verdict", "number", "drop", "swap"):
-                bad = _mutated(claim, mutation, donors, rng)
-                if bad is None:
-                    unmutable.add((label, mutation))
+            fields = CLAIM_KINDS[claim["kind"]].fields
+            for mutation in MUTATIONS:
+                if mutation in ("what", "pair") and mutation not in fields:
                     continue
-                tampered = dict(report, claims=report["claims"][:k] + [bad]
-                                + report["claims"][k + 1:])
-                applied += 1
-                failed = set(_failed(tampered))
-                if failed != {claim["id"]}:
-                    assert not failed, (name, claim["id"], mutation, failed)
-                    escaped.append((name, claim["id"], mutation))
+                bads = _mutated(claim, mutation, donors, rng)
+                if not bads:
+                    unmutable.add((label, mutation))
+                for bad in bads:
+                    tampered = dict(report, claims=report["claims"][:k] + [bad]
+                                    + report["claims"][k + 1:])
+                    applied[mutation] += 1
+                    failed = set(_failed(tampered))
+                    if failed != {bad["id"]}:
+                        assert not failed, (name, claim["id"], mutation, bad, failed)
+                        escaped.append((name, claim["id"], mutation))
     assert set(escaped) == REWITNESSED and len(escaped) == len(REWITNESSED)
     assert unmutable == UNMUTABLE
-    assert applied > 300
+    assert all(applied.values()) and sum(applied.values()) > 1000
+
+
+def test_no_top_level_edit_lifts_the_coverage_check(tmp_path, capsys):
+    """A covariance claim of a catalog report, dropped, fails under its id
+    whatever the report's ``command`` and ``result`` say: any covariance
+    claim calls for one per generator."""
+    reports = [r for _, r in _every_catalog_report(tmp_path, capsys)
+               if any(c["kind"] == "covariance_identity" for c in r["claims"])]
+    assert len(reports) == 3
+    for report in reports:
+        for k, claim in enumerate(report["claims"]):
+            if claim["kind"] != "covariance_identity":
+                continue
+            for command in ("analyze", "wigner", "symmetries", "validate", "covariant"):
+                for result in ("unique", "none", "hypothesis_failure"):
+                    tampered = dict(report, command=command, result=result,
+                                    claims=report["claims"][:k] + report["claims"][k + 1:])
+                    assert _failed(tampered) == [claim["id"]]
 
 
 def test_an_lp_claim_is_about_what_its_id_names(tmp_path, capsys):
