@@ -163,9 +163,16 @@ def _cmd_example(args) -> int:
 
         from .report import ser_map
 
-        data = [{"perm_a": list(el.perm_a), "perm_b": list(el.perm_b), **ser_map(chan.map)}
-                for el, chan in sorted(entry.channels.items(),
-                                       key=lambda kv: (kv[0].perm_a, kv[0].perm_b))]
+        data = [
+            {
+                "perm_a": list(el.perm_a),
+                "perm_b": list(el.perm_b),
+                **ser_map(chan.map),
+            }
+            for el, chan in sorted(
+                entry.channels.items(), key=lambda kv: (kv[0].perm_a, kv[0].perm_b)
+            )
+        ]
         _write(args.channels_out, json.dumps(data, indent=2) + "\n")
     return 0
 
@@ -317,9 +324,15 @@ def _cmd_wigner(args) -> int:
         how = "faithful"
         if rep is None:
             fc = faithful_choice_possible(obs_a, obs_b, space)
-            _emit(make_report("wigner", theory_to_dict(theory), [], [
-                f"no faithful representation exists: {fc.free_slots} free slots"
-                f" < {fc.required} required"]))
+            _emit(
+                make_report(
+                    "wigner", theory_to_dict(theory), [],
+                    [
+                        "no faithful representation exists:"
+                        f" {fc.free_slots} free slots < {fc.required} required"
+                    ],
+                )
+            )
             return 1
     else:
         _, slots = free_slots(obs_a, obs_b, anchor)
@@ -389,8 +402,16 @@ def _cmd_symmetries(args) -> int:
                                        "no channel completes the square", result.certificate,
                                        rep=name, table=list(phi.table)))
         entries.append(row)
-    _emit(make_report("symmetries", theory_to_dict(theory, wigner_block), claims, notes,
-                      lifted_symmetries=entries, group_order=len(found)))
+    _emit(
+        make_report(
+            "symmetries",
+            theory_to_dict(theory, wigner_block),
+            claims,
+            notes,
+            lifted_symmetries=entries,
+            group_order=len(found),
+        )
+    )
     return 0
 
 
@@ -421,12 +442,25 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
         payload = {}
         if result.pair is not None:
             payload["witness_pair"] = [ser_vec(p) for p in result.pair]
-        _emit(make_report("symmetries", theory_to_dict(theory, (name, rep)), [],
-                          ["no transported symmetry exists for the requested channel"],
-                          obstruction=payload))
+        _emit(
+            make_report(
+                "symmetries",
+                theory_to_dict(theory, (name, rep)),
+                [],
+                ["no transported symmetry exists for the requested channel"],
+                obstruction=payload,
+            )
+        )
         return 1
-    _emit(make_report("symmetries", theory_to_dict(theory, (name, rep)), [], [],
-                      transported_symmetry=ser_map(result)))
+    _emit(
+        make_report(
+            "symmetries",
+            theory_to_dict(theory, (name, rep)),
+            [],
+            [],
+            transported_symmetry=ser_map(result),
+        )
+    )
     return 0
 
 
@@ -505,7 +539,11 @@ def _cmd_covariant(args) -> int:
             for d in result.family_directions
         ]
         notes.append("covariance leaves residual freedom; reporting a base point")
-    _emit(make_report("covariant", theory_to_dict(theory, (name, rep)), claims, notes, **extra))
+    _emit(
+        make_report(
+            "covariant", theory_to_dict(theory, (name, rep)), claims, notes, **extra
+        )
+    )
     return 0
 
 

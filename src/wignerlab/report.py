@@ -18,8 +18,9 @@ the id from the claim's data, and ``READERS`` holds one typed reader per
 field.  The builders (``lp_claim`` and the others) write the fields in
 their row's order, and ``verify`` reads each claim once through the
 table: a verdict, ``expect`` or ``negative`` is a JSON boolean, a count
-or a permutation entry an int and never a bool, a ``pair`` the report's
-own pair, and a claim whose id is not one its data gives fails.  No
+or a permutation entry an int and never a bool, an ``outcome`` one of
+its observable's, a ``pair`` the report's own pair, and a claim whose id
+is not one its data gives fails.  No
 claim carries an LP program: an LP claim names the arguments of its
 program's constructor in ``programs`` (``observable`` and ``outcome``;
 ``perm_a`` and ``perm_b``; ``rep`` and ``table``), or none, and
@@ -31,8 +32,10 @@ report that carries a covariance claim, or a ``covariant`` report with a
 representation, needs a ``covariance_identity`` claim for each generator
 of S_m x S_n (the adjacent transpositions of A's outcomes, then of
 B's), and each missing one is a failing row under the id its claim
-would have had.  ``verify_report`` returns one (claim id, ok) row per
-claim and per missing generator, and is the engine behind ``verify``.
+would have had.  A claim covers the generator its id names; its own row
+fails unless its permutations name that generator too.  ``verify_report``
+returns one (claim id, ok) row per claim and per missing generator, and
+is the engine behind ``verify``.
 
 Not every LP answer comes from the simplex (surjectivity from vertex
 values, a fixed channel that leaves the target from its violated facet,
@@ -63,7 +66,12 @@ from .theoryfile import (
     parse_functional, parse_rational, parse_vector, rational_to_str, ser_functional, ser_vec,
     theory_from_dict,
 )
-from .wigner import check_marginals, faithful_choice_possible, is_faithful, is_positive
+from .wigner import (
+    check_marginals,
+    faithful_choice_possible,
+    is_faithful,
+    is_positive,
+)
 
 FORMAT = "wignerlab-report/2"
 
@@ -73,33 +81,43 @@ def ser_map(m: AffineMap) -> dict:
 
 
 def ser_violation(v) -> dict:
-    return {"observable": v.observable, "kind": v.kind, "message": v.message,
-            "witness": ser_vec(v.witness) if v.witness else None}
+    return {
+        "observable": v.observable,
+        "kind": v.kind,
+        "message": v.message,
+        "witness": ser_vec(v.witness) if v.witness else None,
+    }
 
 
 def ser_certificate(cert: Infeasible) -> dict:
-    return {"eq_multipliers": ser_vec(cert.eq_multipliers),
-            "ineq_multipliers": ser_vec(cert.ineq_multipliers), "gap": rational_to_str(cert.gap)}
+    return {
+        "eq_multipliers": ser_vec(cert.eq_multipliers),
+        "ineq_multipliers": ser_vec(cert.ineq_multipliers),
+        "gap": rational_to_str(cert.gap),
+    }
 
 
 def ser_extremal(v: ExtremalValue) -> dict:
-    return {"rational": rational_to_str(v.rational_part),
-            "radical": rational_to_str(v.radical_part), "radicand": rational_to_str(v.radicand)}
+    return {
+        "rational": rational_to_str(v.rational_part),
+        "radical": rational_to_str(v.radical_part),
+        "radicand": rational_to_str(v.radicand),
+    }
 
 
 # Readers: a JSON value to a typed one, or a ParseError at ``at``.
 
 
-def _bool(value, at: str, *_) -> bool:
-    if not isinstance(value, bool):
-        raise ParseError("expected a boolean", path=at)
-    return value
+def _exactly(kind: type, what: str) -> Callable:
+    """The reader of a value of type ``kind`` and no other: a bool is no int."""
+    def read(value, at: str, *_):
+        if type(value) is not kind:
+            raise ParseError(f"expected {what}", path=at)
+        return value
+    return read
 
 
-def _count(value, at: str, *_) -> int:
-    if type(value) is not int:
-        raise ParseError("expected an integer", path=at)
-    return value
+_bool, _count = _exactly(bool, "a boolean"), _exactly(int, "an integer")
 
 
 def _named(value, names, at: str, what: str) -> str:
@@ -151,6 +169,13 @@ def _read_pair(value, at: str, theory, *_) -> tuple:
     return theory.obs_a, theory.obs_b
 
 
+def _read_outcome(value, at: str, theory, reps, got):
+    """An outcome of the claim's observable, of the type its theory gives it."""
+    if not any(type(value) is type(o) and value == o for o in got["observable"].outcomes):
+        raise ParseError(f"unknown outcome {value!r}", path=at)
+    return value
+
+
 # One typed reader per field: (value, at, theory, representations by
 # name, the claim's fields read so far) -> the field's value.
 READERS: dict[str, Callable] = {
@@ -159,7 +184,7 @@ READERS: dict[str, Callable] = {
     "rep": lambda v, at, t, reps, _: reps[_named(v, reps, at, "representation")],
     "observable": lambda v, at, t, *_: t.observable(
         _named(v, (t.obs_a.name, t.obs_b.name), at, "observable of the pair")),
-    "outcome": lambda v, *_: v,  # any value; the id binds it
+    "outcome": _read_outcome,
     "perm_a": lambda v, at, t, *_: read_permutation(v, t.obs_a.n_outcomes, at),
     "perm_b": lambda v, at, t, *_: read_permutation(v, t.obs_b.n_outcomes, at),
     "table": lambda v, at, t, reps, got: read_permutation(
@@ -188,8 +213,15 @@ READERS: dict[str, Callable] = {
 
 def make_report(command: str, theory_dict: Optional[dict], claims: list[dict],
                 notes: Optional[list[str]] = None, **extra) -> dict:
-    return {"format": FORMAT, "command": command, "theory": theory_dict, "claims": claims,
-            "notes": notes or [], **extra}
+    report = {
+        "format": FORMAT,
+        "command": command,
+        "theory": theory_dict,
+        "claims": claims,
+        "notes": notes or [],
+    }
+    report.update(extra)
+    return report
 
 
 def dump_report(report: dict) -> str:
@@ -233,23 +265,21 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
     returns (claim id, ok, detail) rows."""
     theory, wigner = theory_from_dict(report["theory"])
     reps = dict([wigner]) if wigner is not None else {}
-    rows, covered = [], set()
+    rows = []
     for claim in report["claims"]:
-        d = _Fields(id=claim["id"], kind=claim["kind"])
         try:
-            ok = _verify_claim(_read_claim(claim, theory, reps, d), theory, reps)
-            rows.append((d["id"], ok, "" if ok else "claim data does not re-verify"))
+            ok = _verify_claim(_read_claim(claim, theory, reps), theory, reps)
+            rows.append((claim["id"], ok, "" if ok else "claim data does not re-verify"))
         except Exception as exc:  # noqa: BLE001 - report must not crash
-            rows.append((d["id"], False, f"verification error: {exc}"))
-        if d["kind"] == "covariance_identity" and "perm_b" in d:
-            # a claim covers the generator its permutations name, if they read
-            covered.add((d["perm_a"], d["perm_b"]))
-    kinds = {c["kind"] for c in report["claims"]}
-    if wigner is not None and ("covariance_identity" in kinds
-                               or report.get("command") == "covariant"):
-        # covariance under the generators is covariance under the group
-        rows += [(_covariance_id(a, b), False, "no covariance claim for this generator")
-                 for a, b in programs.generators(*wigner[1].shape) if (a, b) not in covered]
+            rows.append((claim["id"], False, f"verification error: {exc}"))
+    # covariance under the generators is covariance under the group; a claim
+    # covers the generator its id names, and its own row fails unless its
+    # permutations name that generator too
+    covered = {c["id"] for c in report["claims"] if c["kind"] == "covariance_identity"}
+    if wigner is not None and (covered or report.get("command") == "covariant"):
+        ids = (_covariance_id(a, b) for a, b in programs.generators(*wigner[1].shape))
+        rows += [(cid, False, "no covariance claim for this generator")
+                 for cid in ids if cid not in covered]
     return rows
 
 
@@ -288,7 +318,6 @@ def _effect_ids(d, theory) -> set:
 class ClaimKind(NamedTuple):
     fields: tuple  # after id, kind, statement and verdict, in written order
     ids: Callable  # (the fields as read, theory) -> the ids the data allows
-    head: int = 0  # how many of the fields are written before the statement
 
 
 LP_ARGS = ("observable", "outcome", "perm_a", "perm_b", "rep", "table")
@@ -304,7 +333,7 @@ CLAIM_KINDS = {
     "covariance_identity": ClaimKind(("rep", "perm_a", "perm_b", "channel"),
                                      lambda d, t: {_covariance_id(d["perm_a"], d["perm_b"])}),
     "recompute": ClaimKind(("what", "pair", "rep", "free_slots", "required"),
-                           lambda d, t: {d["what"]}, head=3),
+                           lambda d, t: {d["what"]}),
 }
 
 
@@ -315,14 +344,14 @@ class _Fields(dict):
         raise ParseError("missing field", path=key)
 
 
-def _read_claim(claim: dict, theory, reps, got: Optional[_Fields] = None) -> _Fields:
-    """The claim's fields through ``READERS``, in its kind's order, into
-    ``got``; a ParseError when one does not read, or the id is not the
-    one its data gives."""
+def _read_claim(claim: dict, theory, reps) -> _Fields:
+    """The claim's fields through ``READERS``, in its kind's order; a
+    ParseError when one does not read, or the id is not the one its data
+    gives."""
     kind = claim["kind"]
     if kind not in CLAIM_KINDS:
         raise ParseError(f"unknown claim kind {kind!r}", path="kind")
-    got = _Fields(id=claim["id"], kind=kind) if got is None else got
+    got = _Fields(id=claim["id"], kind=kind)
     for key in CLAIM_KINDS[kind].fields:
         if key in claim:
             got[key] = READERS[key](claim[key], key, theory, reps, got)
@@ -355,16 +384,11 @@ def _program(d, theory) -> LinearProgram:
 
 
 def _claim(cid: str, kind: str, statement: str, verdict: bool, **data) -> dict:
-    """``id`` and ``kind``, then the kind's fields that are not None in the
-    order of its ``CLAIM_KINDS`` row, with ``statement`` and ``verdict``
-    after the row's head."""
-    row = CLAIM_KINDS[kind]
-
-    def pick(keys):
-        return {k: data[k] for k in keys if data.get(k) is not None}
-
-    return {"id": cid, "kind": kind, **pick(row.fields[:row.head]), "statement": statement,
-            "verdict": verdict, **pick(row.fields[row.head:])}
+    """The keys every claim starts with, then the kind's data that is not
+    None, which each builder passes in the order of its kind's
+    ``CLAIM_KINDS`` row."""
+    return {"id": cid, "kind": kind, "statement": statement, "verdict": verdict,
+            **{k: v for k, v in data.items() if v is not None}}
 
 
 def lp_claim(cid: str, statement: str, result, joint=None, **args) -> dict:
@@ -427,8 +451,13 @@ def recompute_claim(what: str, statement: str, verdict, pair=None, rep=None, **e
     engine's ``what`` check again.  ``pair`` (two observable names) or
     ``rep`` (a representation name) says what it is about; the ``extra``
     keys follow the verdict."""
-    return _claim(what, "recompute", statement, verdict, what=what,
-                  pair=list(pair) if pair is not None else None, rep=rep, **extra)
+    claim = {"id": what, "kind": "recompute", "what": what}
+    if pair is not None:
+        claim["pair"] = list(pair)
+    if rep is not None:
+        claim["rep"] = rep
+    claim.update(statement=statement, verdict=verdict, **extra)
+    return claim
 
 
 def _verify_claim(d: _Fields, theory, reps) -> bool:
