@@ -20,7 +20,7 @@ import functools
 import re
 import sys
 
-from .errors import PairError, ParseError, SizeGuardError, UnsupportedGeometryError, WignerlabError
+from .errors import PairError, ParseError, UnsupportedGeometryError, WignerlabError
 
 
 def main(argv=None) -> int:
@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     except (ParseError, PairError) as exc:  # the input is at fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SizeGuardError, UnsupportedGeometryError, WignerlabError) as exc:
+    except WignerlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -137,11 +137,7 @@ def _cmd_example(args) -> int:
     wigner_block = None
     if args.rep is not None:
         if args.rep not in entry.representations:
-            print(
-                f"error: {args.name} has representations"
-                f" {sorted(entry.representations)}", file=sys.stderr,
-            )
-            return 2
+            raise ParseError(f"{args.name} has representations {sorted(entry.representations)}")
         rep = entry.representations[args.rep]
         from .theory import Theory
 
@@ -157,8 +153,7 @@ def _cmd_example(args) -> int:
         sys.stdout.write(text)
     if args.channels_out:
         if not entry.channels:
-            print(f"error: {args.name} carries no channels", file=sys.stderr)
-            return 2
+            raise ParseError(f"{args.name} carries no channels")
         import json
 
         from .report import ser_map
@@ -373,8 +368,7 @@ def _cmd_symmetries(args) -> int:
 
     theory, wigner_block = _load_theory(args.file)
     if wigner_block is None:
-        print("error: the theory file carries no wigner block", file=sys.stderr)
-        return 2
+        raise ParseError("the theory file carries no wigner block")
     name, rep = wigner_block
     if args.channel_matrix:
         return _symmetry_for_channel(args, theory, name, rep)
@@ -550,16 +544,10 @@ def _cmd_covariant(args) -> int:
 def _cmd_plot(args) -> int:
     from . import plot
 
-    theory, wigner_block = _load_theory(args.file)
+    _, wigner_block = _load_theory(args.file)
     if wigner_block is None:
-        print("error: the theory file carries no wigner block", file=sys.stderr)
-        return 2
-    try:
-        svg = plot.render_svg(wigner_block[1])
-    except plot.PlotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write(args.out, svg)
+        raise ParseError("the theory file carries no wigner block")
+    _write(args.out, plot.render_svg(wigner_block[1]))
     return 0
 
 

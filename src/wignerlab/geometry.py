@@ -22,7 +22,7 @@ A polytope keeps the int vertex rows that ``_describe`` builds over the
 facet scale (``vertex_ints``), and its affine basis as indices into them
 (``basis_ints``).  ``int_values`` evaluates functionals at int points as
 one int matrix over one positive denominator, so signs, equalities and
-ranks are read off ints; ``values_at`` scales arbitrary rational points.
+ranks are read off ints; ``integer_rows`` scales other rational points to them.
 ``signed_sums`` adds signed functionals the same way, one ``Fraction``
 per coefficient of each sum, and ``basis_interpolation`` keeps, once
 per polytope, the integer rows that turn images of its affine basis into
@@ -126,11 +126,6 @@ def _functional(linear: Vec, constant: QQ) -> AffineFunctional:
     f = object.__new__(AffineFunctional)
     f.__dict__.update(linear=linear, constant=constant)
     return f
-
-
-def values_at(funcs: Sequence[AffineFunctional], points: Sequence[Sequence]):
-    """``int_values`` at arbitrary points of ints or Fractions."""
-    return int_values(funcs, *integer_rows(points))
 
 
 def int_values(funcs: Sequence[AffineFunctional], xs: Sequence[Sequence[int]], q: int):

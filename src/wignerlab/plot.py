@@ -1,31 +1,43 @@
 """Deterministic SVG figures of a representation's image in phase space.
 
 Draws the projected outcome-simplex vertices as labeled reference
-points, the simplex outline, and the image W(K) (a polygon for polytope
-state spaces, an ellipse for balls).  The projection plane is the
-affine hull of the image; the basis comes from exact Gram-Schmidt over
-the first two independent edge vectors in lexicographic vertex order,
-so the output is byte-identical across runs on the same input.
+points, the simplex outline, and the image W(K): a polygon for polytope
+state spaces, an ellipse for balls.  The projection plane is the affine
+hull of the image, with axes from exact Gram-Schmidt over the first two
+independent directions (the image's edge vectors in lexicographic vertex
+order on polytopes, the grid's coefficient columns on balls).
+
+Every coordinate is an exact rational until it is printed.  Points sit
+along the unnormalized axes: scaling an axis by a positive constant
+keeps the hull and its vertex order, so the outlines come from Andrew's
+monotone chain on rationals, and the ratio of the two axis norms enters
+only the view transform, rounded by ``geometry._root``.  A ball of
+radius r maps onto the unit disk under r L, where L L^T = M is the
+Cholesky factor of the image's Gram matrix M along the same axes; it is
+drawn as four cubic arcs whose control points r L maps, and framed by its
+extents r sqrt(M_00) and r sqrt(M_11).  Each coordinate is rounded to
+four decimals when printed, so the output is byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import WignerlabError
 from .exact import QQ, rank, vec_dot, vec_sub
-from .geometry import Polytope
+from .geometry import Polytope, _root
 from .wigner import WignerRep, evaluate
 
 VIEWPORT = 800
-PAD_FRACTION = 0.08
+PAD_FRACTION = QQ(2, 25)
+BITS = 64  # of each rounded square root, far below the printed 10^-4
+# the control points (1, KAPPA), (KAPPA, 1) of a quarter circle's cubic arc
+KAPPA = 4 * (_root(QQ(2), BITS, up=False) - 1) / 3
 
 
 class PlotError(WignerlabError):
     """The image cannot be drawn in the plane."""
 
 
-def _projection_basis(origin, candidates):
+def _projection_basis(candidates):
     """Exact Gram-Schmidt over the first two independent directions."""
     u1 = None
     u2 = None
@@ -37,8 +49,6 @@ def _projection_basis(origin, candidates):
         elif rank([u1, d]) == 2:
             u2 = d
             break
-    if u1 is None:
-        return None, None
     if u2 is None:
         return u1, None
     coeff = vec_dot(u2, u1) / vec_dot(u1, u1)
@@ -46,21 +56,8 @@ def _projection_basis(origin, candidates):
     return u1, w2
 
 
-def _project_factory(origin, u1, w2):
-    n1 = math.sqrt(float(vec_dot(u1, u1))) if u1 is not None else 1.0
-    n2 = math.sqrt(float(vec_dot(w2, w2))) if w2 is not None else 1.0
-
-    def project(point):
-        d = vec_sub(point, origin)
-        x = float(vec_dot(d, u1)) / n1 if u1 is not None else 0.0
-        y = float(vec_dot(d, w2)) / n2 if w2 is not None else 0.0
-        return (x, y)
-
-    return project
-
-
 def _convex_hull_2d(points):
-    """Andrew monotone chain on floats; returns hull in CCW order."""
+    """Andrew monotone chain on rationals; returns hull in CCW order."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -85,87 +82,70 @@ def render_svg(rep: WignerRep) -> str:
     n_a, n_b = rep.shape
     n = n_a * n_b
     if isinstance(space, Polytope):
-        image_pts = [evaluate(rep, v).flatten() for v in space.vertices]
-        pts_sorted = sorted(set(image_pts))
-        origin = pts_sorted[0]
-        dirs = [vec_sub(p, origin) for p in pts_sorted[1:]]
-        if dirs and rank(dirs) > 2:
-            raise PlotError("the image spans more than two dimensions")
-        ellipse_axes = None
+        image = sorted(set(evaluate(rep, v).flatten() for v in space.vertices))
+        origin = image[0]
+        dirs = [vec_sub(p, origin) for p in image[1:]]
     else:
-        center_grid = evaluate(rep, space.center).flatten()
-        cols = [
-            tuple(f.linear[j] for f in rep.functionals())
-            for j in range(space.ambient_dim)
-        ]
-        if rank(cols) > 2:
-            raise PlotError("the image spans more than two dimensions")
-        origin = center_grid
-        dirs = cols
-        image_pts = [center_grid]
-        ellipse_axes = cols
-    u1, w2 = _projection_basis(origin, dirs)
-    project = _project_factory(origin, u1, w2)
+        origin = evaluate(rep, space.center).flatten()
+        dirs = [tuple(f.linear[j] for f in rep.functionals())
+                for j in range(space.ambient_dim)]
+    if dirs and rank(dirs) > 2:
+        raise PlotError("the image spans more than two dimensions")
+    axes = _projection_basis(dirs)
+
+    def coords(d):
+        return tuple(vec_dot(d, u) if u is not None else QQ(0) for u in axes)
 
     deltas = []
     for a in range(n_a):
         for b in range(n_b):
             flat = tuple(QQ(1) if k == a * n_b + b else QQ(0) for k in range(n))
             label = f"{rep.obs_a.outcomes[a]},{rep.obs_b.outcomes[b]}"
-            deltas.append((label, project(flat)))
+            deltas.append((label, coords(vec_sub(flat, origin))))
+    world = [p for _, p in deltas]
 
-    simplex_outline = _convex_hull_2d([p for _, p in deltas])
-    world_points = [p for _, p in deltas]
-
+    ring = []
     if isinstance(space, Polytope):
-        projected_image = [project(p) for p in image_pts]
-        image_outline = _convex_hull_2d(projected_image)
-        world_points += projected_image
-        ellipse = None
+        image = [coords(vec_sub(p, origin)) for p in image]
+        world += image
     else:
-        cx, cy = project(origin)
-        b_rows = []
-        for e, nrm in ((u1, None), (w2, None)):
-            if e is None:
-                b_rows.append([0.0] * space.ambient_dim)
-                continue
-            norm = math.sqrt(float(vec_dot(e, e)))
-            b_rows.append(
-                [float(vec_dot(e, col)) / norm for col in ellipse_axes]
-            )
-        r = float(space.radius)
-        m00 = sum(x * x for x in b_rows[0])
-        m01 = sum(x * y for x, y in zip(b_rows[0], b_rows[1]))
-        m11 = sum(y * y for y in b_rows[1])
-        trace, det = m00 + m11, m00 * m11 - m01 * m01
-        disc = math.sqrt(max(trace * trace / 4 - det, 0.0))
-        lam1, lam2 = trace / 2 + disc, max(trace / 2 - disc, 0.0)
-        angle = 0.5 * math.atan2(2 * m01, m00 - m11) if (m00 != m11 or m01) else 0.0
-        ellipse = (cx, cy, r * math.sqrt(lam1), r * math.sqrt(lam2), math.degrees(angle))
-        world_points += [
-            (cx + r * math.sqrt(lam1), cy + r * math.sqrt(lam1)),
-            (cx - r * math.sqrt(lam1), cy - r * math.sqrt(lam1)),
-        ]
-        image_outline = None
-        projected_image = []
+        image = []
+        cols = [coords(d) for d in dirs]  # B, the image of the unit directions
+        m00 = sum((c[0] * c[0] for c in cols), QQ(0))  # M = B B^T
+        m01 = sum((c[0] * c[1] for c in cols), QQ(0))
+        m11 = sum((c[1] * c[1] for c in cols), QQ(0))
+        r2 = space.radius ** 2
+        l00 = _root(r2 * m00, BITS, up=False)
+        l10 = l11 = QQ(0)
+        if m00:
+            l10 = r2 * m01 / l00
+            l11 = _root(r2 * (m11 - m01 * m01 / m00), BITS, up=False)
+        extent = (l00, _root(r2 * m11, BITS, up=False))
+        world += [extent, (-extent[0], -extent[1])]
+        arc = [(QQ(1), QQ(0)), (QQ(1), KAPPA), (KAPPA, QQ(1))]
+        for _ in range(4):
+            ring += [(l00 * x, l10 * x + l11 * y) for x, y in arc]
+            arc = [(-y, x) for x, y in arc]
+        ring.append(ring[0])
 
-    xs = [p[0] for p in world_points]
-    ys = [p[1] for p in world_points]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
-    pad = span * PAD_FRACTION
-    span += 2 * pad
-    scale = VIEWPORT / span
+    # the view sees the axes at their norms' ratio, the world padded and centered
+    u1, w2 = axes
+    ratio = QQ(1) if w2 is None else _root(vec_dot(u1, u1) / vec_dot(w2, w2), BITS, up=False)
+    xs, ys = zip(*world)
+    mid_x, mid_y = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
+    span = max(max(xs) - min(xs), (max(ys) - min(ys)) * ratio) or QQ(1)
+    scale = VIEWPORT / (span * (1 + 2 * PAD_FRACTION))
 
     def to_view(p):
-        x = (p[0] - lo_x + pad + (span - 2 * pad - (hi_x - lo_x)) / 2) * scale
-        y = (p[1] - lo_y + pad + (span - 2 * pad - (hi_y - lo_y)) / 2) * scale
-        return (x, VIEWPORT - y)
+        return (VIEWPORT // 2 + (p[0] - mid_x) * scale,
+                VIEWPORT // 2 - (p[1] - mid_y) * ratio * scale)
 
-    def fmt(v: float) -> str:
-        out = f"{v:.4f}"
-        return "0.0000" if out == "-0.0000" else out
+    def fmt(v) -> str:
+        n = round(v * 10000)
+        return f"{'-' if n < 0 else ''}{abs(n) // 10000}.{abs(n) % 10000:04d}"
+
+    def point(p) -> str:
+        return " ".join(map(fmt, to_view(p)))
 
     def path(points, close=True) -> str:
         cmds = [f"{'M' if i == 0 else 'L'} {fmt(x)} {fmt(y)}"
@@ -177,33 +157,33 @@ def render_svg(rep: WignerRep) -> str:
         f' height="{VIEWPORT}" viewBox="0 0 {VIEWPORT} {VIEWPORT}">',
         f'<rect x="0" y="0" width="{VIEWPORT}" height="{VIEWPORT}" fill="#ffffff"/>',
     ]
+    simplex_outline = _convex_hull_2d([p for _, p in deltas])
     if len(simplex_outline) >= 2:
         lines.append(
             f'<path d="{path(simplex_outline)}" fill="none" stroke="#888888"'
             ' stroke-width="1.5" stroke-dasharray="8 5"/>'
         )
-    if image_outline is not None:
-        if len(image_outline) >= 3:
-            lines.append(
-                f'<path d="{path(image_outline)}" fill="#4477aa" fill-opacity="0.25"'
-                ' stroke="#4477aa" stroke-width="2"/>'
-            )
-        elif len(image_outline) == 2:
-            lines.append(
-                f'<path d="{path(image_outline, close=False)}" fill="none"'
-                ' stroke="#4477aa" stroke-width="2"/>'
-            )
-        for p in sorted(set(projected_image)):
-            x, y = to_view(p)
-            lines.append(
-                f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="4" fill="#4477aa"/>'
-            )
-    if ellipse is not None:
-        cx, cy, rx, ry, deg = ellipse
-        vx, vy = to_view((cx, cy))
+    image_outline = _convex_hull_2d(image)
+    if len(image_outline) >= 3:
         lines.append(
-            f'<ellipse cx="0" cy="0" rx="{fmt(rx * scale)}" ry="{fmt(ry * scale)}"'
-            f' transform="translate({fmt(vx)} {fmt(vy)}) rotate({fmt(-deg)})"'
+            f'<path d="{path(image_outline)}" fill="#4477aa" fill-opacity="0.25"'
+            ' stroke="#4477aa" stroke-width="2"/>'
+        )
+    elif len(image_outline) == 2:
+        lines.append(
+            f'<path d="{path(image_outline, close=False)}" fill="none"'
+            ' stroke="#4477aa" stroke-width="2"/>'
+        )
+    for p in sorted(set(image)):
+        x, y = to_view(p)
+        lines.append(
+            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="4" fill="#4477aa"/>'
+        )
+    if ring:
+        arcs = [f"C {point(a)} {point(b)} {point(c)}"
+                for a, b, c in zip(ring[1::3], ring[2::3], ring[3::3])]
+        lines.append(
+            f'<path d="M {point(ring[0])} {" ".join(arcs)} Z"'
             ' fill="#4477aa" fill-opacity="0.25" stroke="#4477aa" stroke-width="2"/>'
         )
     for label, p in deltas:

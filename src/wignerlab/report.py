@@ -33,9 +33,16 @@ representation, needs a ``covariance_identity`` claim for each generator
 of S_m x S_n (the adjacent transpositions of A's outcomes, then of
 B's), and each missing one is a failing row under the id its claim
 would have had.  A claim covers the generator its id names; its own row
-fails unless its permutations name that generator too.  ``verify_report``
-returns one (claim id, ok) row per claim and per missing generator, and
-is the engine behind ``verify``.
+fails unless its permutations name that generator too.
+
+A report's ``result``, which every ``covariant`` report must have, names
+what the report carries (``RESULTS``): ``unique`` and ``family`` a
+representation, ``none`` a ``no_covariant`` claim, ``hypothesis_failure``
+neither.  Only their presence is read, not whether they verify, so a
+tampered claim fails alone; a result that names something else is a
+failing ``result`` row.  ``unique`` and ``family`` are not told apart.  ``verify_report`` returns one
+(claim id, ok) row per claim, per missing generator and per wrong
+result, and is the engine behind ``verify``.
 
 Not every LP answer comes from the simplex (surjectivity from vertex
 values, a fixed channel that leaves the target from its violated facet,
@@ -74,6 +81,9 @@ from .wigner import (
 )
 
 FORMAT = "wignerlab-report/2"
+# a covariant result -> whether the report carries (a representation, a no_covariant claim)
+RESULTS = {"unique": (True, False), "family": (True, False), "none": (False, True),
+           "hypothesis_failure": (False, False)}
 
 
 def ser_map(m: AffineMap) -> dict:
@@ -280,6 +290,11 @@ def verify_report(report: dict) -> list[tuple[str, bool, str]]:
         ids = (_covariance_id(a, b) for a, b in programs.generators(*wigner[1].shape))
         rows += [(cid, False, "no covariance claim for this generator")
                  for cid in ids if cid not in covered]
+    if "result" in report or report.get("command") == "covariant":
+        carried = (wigner is not None, any(c["id"] == "no_covariant" for c in report["claims"]))
+        result = report.get("result")
+        if not (isinstance(result, str) and RESULTS.get(result) == carried):
+            rows.append(("result", False, "the result does not name what the report carries"))
     return rows
 
 

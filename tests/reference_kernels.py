@@ -38,7 +38,7 @@ which solves the convex-weights LP of every effect on a polytope with
 ``Fraction`` operation per entry, against which the integer ``rref``
 with per-row denominators and the integer ``vec_dot`` are checked.
 ``values_at`` is the per-entry evaluation ``f(p)`` that
-``geometry.values_at`` replaces with one integer matrix, and
+``geometry.int_values`` replaces with one integer matrix, and
 ``hull_equalities`` the former equalities of ``geometry._describe``,
 read off the ``Fraction`` rref of the points' integer differences.
 ``fraction_permutation_test`` is the former

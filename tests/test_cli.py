@@ -452,6 +452,25 @@ def test_plot_subcommand(tmp_path, capsys):
     assert code == 1 and "two dimensions" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("example", "boxworld", "--rep", "W_9"),
+     "boxworld has representations ['W_+', 'W_0', 'W_1/2']"),
+    (("example", "trit", "--channels-out", "{out}"), "trit carries no channels"),
+    (("symmetries", "{theory}"), "the theory file carries no wigner block"),
+    (("plot", "{theory}", "--out", "{out}"), "the theory file carries no wigner block"),
+], ids=["example --rep", "example --channels-out", "symmetries", "plot"])
+def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    """An unknown representation, channels of an entry that has none, and
+    a command that needs a wigner block on a file without one are usage
+    errors: exit 2 and one ``error:`` line."""
+    theory = tmp_path / "trit.json"
+    run(capsys, "example", "trit", "--out", str(theory))
+    out = tmp_path / "out"
+    argv = [a.format(theory=theory, out=out) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
 def test_analyze_ball_notes_unsupported_compatibility(tmp_path, capsys):
     xz = tmp_path / "xz.json"
     run(capsys, "example", "qubit_xz", "--out", str(xz))

@@ -10,6 +10,7 @@ import re
 import pytest
 
 from wignerlab import catalog, exact, geometry
+from wignerlab._kernels import integer_rows
 from wignerlab.errors import SizeGuardError, UnsupportedGeometryError
 from wignerlab.geometry import (
     AffineFunctional,
@@ -23,8 +24,8 @@ from wignerlab.geometry import (
     contains,
     dimension,
     extremal_range,
+    int_values,
     map_into,
-    values_at,
 )
 
 from helpers import extremal_to_float, generalized_boxworld, random_fraction, random_polygon
@@ -787,8 +788,9 @@ def test_orthogonal_extension_solves_no_system_per_point(monkeypatch):
 
 
 def test_values_at_matches_per_entry_evaluation():
-    """One int matrix over one positive denominator, entry for entry the
-    value f(p); for int, Fraction and mixed entries, negative and unequal
+    """``int_values`` at points scaled by ``integer_rows``: one int matrix
+    over one positive denominator, entry for entry the value f(p); for
+    int, Fraction and mixed entries, negative and unequal
     denominators, zero functionals, and no points or no functionals."""
     rng = random.Random(151)
     kinds = set()
@@ -805,7 +807,7 @@ def test_values_at_matches_per_entry_evaluation():
                  AffineFunctional([entry(kind) for _ in range(dim)], entry(kind))
                  for _ in range(n_f)]
         points = [tuple(entry(kind) for _ in range(dim)) for _ in range(n_p)]
-        rows, den = values_at(funcs, points)
+        rows, den = int_values(funcs, *integer_rows(points))
         assert type(den) is int and den > 0
         assert all(type(x) is int for row in rows for x in row)
         assert [[F(x, den) for x in row] for row in rows] == ref.values_at(funcs, points)
@@ -813,7 +815,7 @@ def test_values_at_matches_per_entry_evaluation():
         kinds.update({"zero"} if any(f.is_constant() and not f.constant for f in funcs) else ())
     assert len(kinds) == 13
     with pytest.raises(ValueError):
-        values_at([AffineFunctional.zero(2)], [(1, 2, 3)])
+        int_values([AffineFunctional.zero(2)], *integer_rows([(1, 2, 3)]))
 
 
 def test_functional_arithmetic_keeps_the_constructor_form():

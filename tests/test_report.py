@@ -515,11 +515,12 @@ def test_an_outcome_is_one_of_its_observable_with_its_type(tmp_path, capsys, out
 
 def test_a_wigner_report_relabelled_covariant_needs_every_generator(tmp_path, capsys):
     """A representation with no covariance claims, in a report that says
-    it is ``covariant``, fails one coverage row per generator."""
+    it is ``covariant``, fails one coverage row per generator, and the
+    ``result`` row, since it has no ``result``."""
     report = _example_report(tmp_path, capsys, "boxworld", "wigner", "--faithful")
     assert _failed(report) == []
     report["command"] = "covariant"
-    assert _failed(report) == [SWAP_A, SWAP_B]
+    assert _failed(report) == [SWAP_A, SWAP_B, "result"]
 
 
 def test_an_identity_covariance_channel_fails_its_claim(tmp_path, capsys):
@@ -926,7 +927,8 @@ def test_every_mutation_of_a_catalog_claim_fails_that_claim_alone(tmp_path, caps
     target or swap its pair, and write each int as a bool and each bool
     as a string.  Each mutation fails the mutated claim, and no
     other (but for the coverage row of a generator whose claim it moves
-    to another id), or is one of ``UNMUTABLE``; the claim's fields are those of
+    to another id, or the ``result`` row of a ``none`` report whose
+    ``no_covariant`` claim it moves), or is one of ``UNMUTABLE``; the claim's fields are those of
     its kind's row in ``CLAIM_KINDS``."""
     reports = _every_catalog_report(tmp_path, capsys)
     donors = [c for _, r in reports for c in r["claims"]]
@@ -952,9 +954,13 @@ def test_every_mutation_of_a_catalog_claim_fails_that_claim_alone(tmp_path, caps
                     applied[mutation] += 1
                     failed = set(_failed(tampered))
                     # a generator's claim moved off its id leaves the
-                    # generator uncovered (the catalog claims generators only)
-                    moved = mutation == "id" and claim["kind"] == "covariance_identity"
-                    if failed != {bad["id"]} | ({claim["id"]} if moved else set()):
+                    # generator uncovered (the catalog claims generators
+                    # only), and the no_covariant claim moved off its id
+                    # leaves the result "none" without it
+                    moved = {claim["id"]} if claim["kind"] == "covariance_identity" else set()
+                    if claim["id"] == "no_covariant":
+                        moved = {"result"}
+                    if failed != {bad["id"]} | (moved if mutation == "id" else set()):
                         assert not failed, (name, claim["id"], mutation, bad, failed)
                         escaped.append((name, claim["id"], mutation))
     assert set(escaped) == REWITNESSED and len(escaped) == len(REWITNESSED)
@@ -965,7 +971,8 @@ def test_every_mutation_of_a_catalog_claim_fails_that_claim_alone(tmp_path, caps
 def test_no_top_level_edit_lifts_the_coverage_check(tmp_path, capsys):
     """A covariance claim of a catalog report, dropped, fails under its id
     whatever the report's ``command`` and ``result`` say: any covariance
-    claim calls for one per generator."""
+    claim calls for one per generator.  A result that denies the
+    representation the report carries fails its own row as well."""
     reports = [r for _, r in _every_catalog_report(tmp_path, capsys)
                if any(c["kind"] == "covariance_identity" for c in r["claims"])]
     assert len(reports) == 3
@@ -977,7 +984,39 @@ def test_no_top_level_edit_lifts_the_coverage_check(tmp_path, capsys):
                 for result in ("unique", "none", "hypothesis_failure"):
                     tampered = dict(report, command=command, result=result,
                                     claims=report["claims"][:k] + report["claims"][k + 1:])
-                    assert _failed(tampered) == [claim["id"]]
+                    denied = ["result"] if result != "unique" else []
+                    assert _failed(tampered) == [claim["id"], *denied]
+
+
+@pytest.mark.parametrize("name, result", [
+    ("boxworld", "unique"), ("deformed_12gon", "none"), ("trit", "hypothesis_failure"),
+])
+def test_a_covariant_result_names_what_the_report_carries(tmp_path, capsys, name, result):
+    """A ``covariant`` report's ``result`` is bound to what it carries:
+    ``unique`` and ``family`` a representation, ``none`` a
+    ``no_covariant`` claim, ``hypothesis_failure`` neither.  Each edit to
+    another value fails the ``result`` row and nothing else, but
+    ``unique`` and ``family``, which no claim tells apart; a missing or
+    non-string result fails too.  ``result: "none"`` on boxworld once
+    verified 3/3."""
+    report = _example_report(tmp_path, capsys, name, "covariant")
+    assert report["result"] == result and _failed(report) == []
+    represented = ("unique", "family")
+    for other in ("unique", "family", "none", "hypothesis_failure", None, ["none"]):
+        unbound = other == result or (other in represented and result in represented)
+        assert _failed(dict(report, result=other)) == ([] if unbound else ["result"])
+    del report["result"]
+    assert [row for row in verify_report(report) if not row[1]] == [
+        ("result", False, "the result does not name what the report carries")]
+
+
+def test_the_result_reads_presence_not_validity(tmp_path, capsys):
+    """The ``result`` rule reads only whether the representation and the
+    ``no_covariant`` claim are there, so a tampered ``no_covariant``
+    certificate fails its own claim and nothing else."""
+    report = _gon_covariant(tmp_path, capsys)
+    report["claims"][0]["certificate"]["gap"] = "7"
+    assert _failed(report) == ["no_covariant"]
 
 
 def test_an_lp_claim_is_about_what_its_id_names(tmp_path, capsys):

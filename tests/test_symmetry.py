@@ -623,7 +623,7 @@ def _primitive(rows):
 
 def test_permutation_invariants_hold_ints():
     """The invariants are the Fraction invariants times one positive
-    factor (the denominator of ``values_at`` and of the chart), held as
+    factor (the denominator of ``int_values`` and of the chart), held as
     ints, so lookups hash ints, not Fractions."""
     for rep in _polygon_reps():
         ext = inspect.getclosurevars(symmetry._permutation_test(rep)).nonlocals["ext"]
