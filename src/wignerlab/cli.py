@@ -133,11 +133,14 @@ def _cmd_example(args) -> int:
             print(name)
         return 0
     entry = catalog.load(args.name)
+    # usage errors come before any output
+    if args.rep is not None and args.rep not in entry.representations:
+        raise ParseError(f"{args.name} has representations {sorted(entry.representations)}")
+    if args.channels_out and not entry.channels:
+        raise ParseError(f"{args.name} carries no channels")
     theory = entry.theory
     wigner_block = None
     if args.rep is not None:
-        if args.rep not in entry.representations:
-            raise ParseError(f"{args.name} has representations {sorted(entry.representations)}")
         rep = entry.representations[args.rep]
         from .theory import Theory
 
@@ -152,8 +155,6 @@ def _cmd_example(args) -> int:
     else:
         sys.stdout.write(text)
     if args.channels_out:
-        if not entry.channels:
-            raise ParseError(f"{args.name} carries no channels")
         import json
 
         from .report import ser_map

@@ -659,9 +659,10 @@ def basis_ints(space: StateSpace):
     return [space._ints[i] for i in _basis_indices(space)], space._facets.scale
 
 
-def basis_interpolation(space: Polytope) -> tuple[tuple[int, int, list[int]], ...]:
+def basis_interpolation(space: StateSpace) -> tuple[tuple[int, int, list[int]], ...]:
     """How ``affine_map_from_points`` interpolates images of
-    ``affine_basis(space)``, found on the first call and kept as ``_interp``.
+    ``affine_basis(space)``, a polytope's or a ball's, found on the first
+    call and kept as ``_interp``.
 
     One ``(c, lam, e)`` per reduced row of ``q [p_i, 1 | I]`` (q p_i the
     int basis rows), with pivot column ``c``.  Given images ``y_i`` of the

@@ -21,7 +21,8 @@ report supplies.
   affine map ``m(x) = M x + t`` from a polytope into a polytope with
   ``g(m(x)) = h(x)`` for every equation ``(g, h)``.  The system holds one
   integer row per equation and per equality of the target's hull, with
-  one right-hand side per point of the source's affine basis; the
+  one right-hand side per point of the source's affine basis, and takes
+  balls too (the symmetry layer's pull-backs through W); the
   program has that system at every basis point, and one inequality per
   source vertex and target facet.
 - ``permutation_equations``: the equations of the channel that permutes
@@ -50,7 +51,7 @@ from typing import Sequence
 
 from ._kernels import integer_rows
 from .exact import LinearProgram
-from .geometry import basis_ints, int_values, signed_sums, vertex_ints
+from .geometry import Polytope, basis_ints, int_values, signed_sums, vertex_ints
 
 
 def grid_unknowns(n_a: int, n_b: int, dim: int):
@@ -128,16 +129,19 @@ def channel_system(source, target, equations) -> list[tuple[list[int], int]]:
     """The system ``c . y_i = rhs[i]`` on the images ``y_i`` of the affine
     basis ``p_i`` of ``source``, as int rows ``([s*c | s*rhs], s)`` with
     ``s > 0``: ``g . y_i = h(p_i) - g0`` per equation ``(g, h)``, then the
-    equalities ``c . (scale * y) = e`` of the target's hull."""
+    equalities ``c . (scale * y) = e`` of the target's hull.  Either space
+    may be a ball: its basis is the center and the axis points, and a
+    ball target has no hull equality."""
     basis, q = basis_ints(source)
     hvals, den = int_values([h for _, h in equations], basis, q)
     ints = []
     for (g, _), hv in zip(equations, hvals):
         ((*c, g0),), t = integer_rows([g.coefficients()])
         ints.append(([den * a for a in c] + [t * v - den * g0 for v in hv], den * t))
-    hrep = target._facets
-    ints += [([hrep.scale * a for a in c] + [e] * len(basis), hrep.scale)
-             for c, e in hrep.equalities]
+    if isinstance(target, Polytope):
+        hrep = target._facets
+        ints += [([hrep.scale * a for a in c] + [e] * len(basis), hrep.scale)
+                 for c, e in hrep.equalities]
     return ints
 
 

@@ -5,10 +5,15 @@ space; a lifted symmetry keeps the representation's image inside
 itself.  Transported symmetries are the ones realized by a channel on
 the state space (the commuting square), and for faithful
 representations every symmetry is transported.  There the square fixes
-the channel on aff(K), F = W^-1 . Psi . W, so ``find_channel`` finds it
-by one elimination of the square's equations, with no LP.  A lifted
-map is its phase table, and transport reads Psi . W off it
-(``programs.transport_equations``; a permutation reorders W).  Covariance
+the channel on aff(K), F = W^-1 . Psi . W, and every map is pulled back
+through W by the square's equations W_i(F x) = (Psi W(x))_i at the
+affine basis of K, solved by one integer elimination
+(``programs.channel_system``, then ``theory._fixed_map``), with no LP, on
+a polytope or a ball.  A lifted map is its phase table, and transport
+reads Psi . W off it (``programs.transport_equations``; a permutation
+reorders W); ``induced_action`` solves the same equations for a lifted
+symmetry, and ``is_symmetry`` on a ball those of (W_i, g_i . W) for the
+coordinate functionals g_i of any grid map.  Covariance
 under g, W_g(a,b)(F_g p) = W_ab(p), is the same square for lift(g), and
 ``verify`` checks it with the same equations.  The covariant solver
 combines two exact stages: permutation channels for the generators of
@@ -35,21 +40,19 @@ affinely span dim(K), W is injective on aff(K), W(K) is an affine copy
 of K and every vertex image is extreme, so no hull search runs; other
 images go through the facet search of ``geometry._describe``, which
 also gives ``is_symmetry`` the facets of W(K) from the integer vertex
-images.  The chart of a faithful W keeps its basis images as ints, and a
-pull-back maps them in ints.  On a ball with faithful W, W(K) is the
-ellipsoid {g0 + G t : |t| <= 1} with g0 = W(center) and columns
-W(center + r e_i) - g0 of G; P fixes it iff P g0 = g0 and P S P^T = S
-for S = G H^-2 G^T, H = G^T G.  S is the pseudo-inverse of G G^T, so its
-kernel is span(G)-perp and the second identity also says that P
-preserves span(G).
+images.  On a ball with faithful W, W(K) is the ellipsoid
+{g0 + G u : |u| <= 1} with g0 = W(center) and columns
+W(center + r e_i) - g0 of G.  Its support function y . g0 + |G^T y|
+depends on G only through the shape matrix G G^T, so P fixes W(K) iff
+P g0 = g0 and P G G^T P^T = G G^T; both are ints read off W's values at
+the basis, with no elimination.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, rref
 from ._record import record
@@ -62,7 +65,6 @@ from .exact import (
     Vec,
     checked,
     solve_affine,
-    vec_dot,
     zeros,
 )
 from .geometry import (
@@ -80,25 +82,27 @@ from .geometry import (
     vertex_ints,
 )
 from .programs import (
-    generators, grid_unknowns, marginal_program, moved_points, permutation_equations,
-    transport_equations,
+    channel_system, generators, grid_unknowns, marginal_program, moved_points,
+    permutation_equations, transport_equations,
 )
 from .theory import (
     Channel,
     ChannelInfeasible,
     Observable,
+    _fixed_map,
     _functional_from_block,
     are_complementary,
     find_channel,
     is_surjective,
     jointly_info_complete,
 )
-from .wigner import SignedGrid, WignerRep, evaluate
+from .wigner import SignedGrid, WignerRep, evaluate, is_faithful
 
 # phase points; 8! permutations is the ceiling.  A permutation has finite
 # order, so it is a symmetry iff it fixes an invariant of W(K) built once
-# (ext W(K) on polytopes; the center and G H^-2 G^T on balls): each one
-# costs entry comparisons, no LP.
+# (ext W(K) on polytopes; on balls the center g0 and the shape matrix
+# G G^T, which fix the ellipsoid because its support function is
+# y . g0 + |G^T y|): each one costs entry comparisons, no LP.
 ENUMERATION_GUARD = 8
 
 
@@ -231,8 +235,11 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     Polytopes: each mapped image vertex is tested against the facets of
     W(K) (affine images of polytopes are hulls of vertex images), in ints:
     those of den * W(K), from ``_describe`` of the int images.  Balls need
-    a faithful representation: the map is pulled back through the inverse
-    of W and decided exactly as a ball self-map (``map_into``).
+    a faithful representation: the map m is pulled back through W by the
+    equations ``(W_i, g_i . W)`` for its coordinate functionals g_i, and
+    decided exactly as a ball self-map (``map_into``).  If they have no
+    solution, the first basis point p whose column is inconsistent has
+    m(W(p)) outside aff W(K).
     """
     space = rep.state_space
     m = lam.as_affine_map() if isinstance(lam, LiftedMap) else lam
@@ -246,20 +253,21 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
                 image = tuple(QQ(x, mden) for x in mapped)
                 return SymmetryCheck(False, v, _grid_of_flat(image, rep.shape))
         return SymmetryCheck(True)
-    chart = _chart(rep)
-    if chart is None:
+    if not is_faithful(rep):
         raise UnsupportedGeometryError(
             "unsupported: ball symmetry testing needs a faithful representation"
         )
-    pulled = _pull_back(chart, m)
+    funcs = rep.functionals()
+    w = AffineMap.from_rows([f.linear for f in funcs], [f.constant for f in funcs])
+    ints = channel_system(space, space, list(zip(funcs, m.compose(w).functionals())))
+    d = space.ambient_dim
+    pulled = _fixed_map(space, ints, d)
     if pulled is None:
-        # some mapped image point left the affine hull of W(K)
-        rows, q = int_values(m.functionals(), chart.images, chart.den)
-        for p, target in zip(chart.basis, zip(*rows)):
-            if _solve_state(chart, target, q) is None:
-                image = tuple(QQ(x, q) for x in target)
-                return SymmetryCheck(False, p, _grid_of_flat(image, rep.shape))
-        raise ArithmeticError("pull-back failed without witness")  # pragma: no cover
+        # W is faithful, so its rows have rank d: some column is inconsistent
+        aug = [list(row) for row, _ in ints]
+        rref(aug, d)
+        p = affine_basis(space)[next(j for j in range(d + 1) if any(r[d + j] for r in aug[d:]))]
+        return SymmetryCheck(False, p, _grid_of_flat(m(evaluate(rep, p).flatten()), rep.shape))
     result = map_into(space, pulled, space)
     if result.ok:
         return SymmetryCheck(True)
@@ -267,72 +275,12 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     return SymmetryCheck(False, result.witness_point, _grid_of_flat(image, rep.shape))
 
 
-class _Chart(NamedTuple):
-    """W on aff(K) over an affine basis: W(p0 + sum c_i (p_i - p0)) = g0 + G c.
-
-    In integers: ``images`` are ``den * W(p_i)`` (so g0 and the columns
-    W(p_i) - g0 of G are over ``den``), and ``gplus`` the rows of the
-    left inverse G+ = (G^T G)^-1 G^T times ``gden / den``.  Valid for
-    faithful representations, where G has full column rank.
-    """
-
-    basis: tuple[Vec, ...]
-    den: int
-    images: list[tuple[int, ...]]
-    gplus: list[list[int]]
-    gden: int
-
-
-def _chart(rep: WignerRep) -> Optional[_Chart]:
-    """The chart of W, or None when W is not faithful: faithful means
-    that its values at the basis have rank dim(K) + 1 (``is_faithful``)."""
-    basis = affine_basis(rep.state_space)
-    vals, den = int_values(rep.functionals(), *basis_ints(rep.state_space))
-    images = list(zip(*vals))
-    if bareiss_rank(vals) != len(basis):  # it eliminates vals in place
-        return None
-    cols = [[a - b for a, b in zip(w, images[0])] for w in images[1:]]
-    # [G^T G | G^T] times den^2 and den reduces to [I | G+ / den]
-    aug = [[sum(map(operator.mul, u, v)) for v in cols] + u for u in cols]
-    rref(aug, len(cols))
-    gden = math.lcm(*(row[r] for r, row in enumerate(aug)))
-    gplus = [[a * (gden // row[r]) for a in row[len(cols):]] for r, row in enumerate(aug)]
-    return _Chart(basis, den, images, gplus, gden)
-
-
-def _solve_state(chart: _Chart, target: Sequence[int], q: int) -> Optional[Vec]:
-    """The state y in aff(K) with W(y) = target / q, or None.  Over ints,
-    ``rhs = q * den * (W(y) - g0)`` and the coefficients are
-    ``gplus . rhs = gden * q * c``."""
-    g0 = chart.images[0]
-    rhs = [chart.den * t - q * g for t, g in zip(target, g0)]
-    coeffs = [sum(map(operator.mul, row, rhs)) for row in chart.gplus]
-    cols = [[a - b for a, b in zip(w, g0)] for w in chart.images[1:]]
-    if any(sum(map(operator.mul, coeffs, col)) != chart.gden * r
-           for col, r in zip(zip(*cols), rhs)):
-        return None
-    p0 = chart.basis[0]
-    c = [QQ(x, chart.gden * q) for x in coeffs]
-    return tuple(vec_dot(c, [p[k] - p0[k] for p in chart.basis[1:]], p0[k])
-                 for k in range(len(p0)))
-
-
-def _pull_back(chart: _Chart, m: AffineMap) -> Optional[AffineMap]:
-    """The channel candidate W^-1 . m . W on the affine hull of K."""
-    rows, q = int_values(m.functionals(), chart.images, chart.den)
-    images = [_solve_state(chart, target, q) for target in zip(*rows)]
-    return None if None in images else affine_map_with_orthogonal_extension(chart.basis, images)
-
-
-def _permutation_test(
-    rep: WignerRep, chart: Optional[_Chart] = None
-) -> Callable[[Sequence[int]], bool]:
+def _permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
     """Exact predicate on permutation tables: is the lift a symmetry of W?
 
     Builds the invariant of W(K) from the module docstring once, in ints
     (a positive scaling); each call then only compares entries under the
-    relabelling.  Balls need a faithful representation; a caller that has
-    already checked that and built the chart passes it in.
+    relabelling.  Balls need a faithful representation.
     """
     space = rep.state_space
     funcs = rep.functionals()
@@ -360,16 +308,15 @@ def _permutation_test(
             return True
 
         return fixes_ext
-    if chart is None:
-        chart = _chart(rep)
-        if chart is None:
-            raise UnsupportedGeometryError(
-                "unsupported: ball symmetry testing needs a faithful representation"
-            )
-    g0 = chart.images[0]
-    gplus_cols = list(zip(*chart.gplus))
-    # G H^-2 G^T = G+^T G+, times (gden / den)^2
-    s = [[sum(map(operator.mul, u, v)) for v in gplus_cols] for u in gplus_cols]
+    # den * W at the center and the axis points: g0 and the rows of G
+    vals, _ = int_values(funcs, *basis_ints(space))
+    g0 = [row[0] for row in vals]
+    g = [[x - row[0] for x in row[1:]] for row in vals]
+    s = [[sum(map(operator.mul, u, v)) for v in g] for u in g]  # G G^T times den^2
+    if bareiss_rank(vals) != len(vals[0]):  # it eliminates vals in place
+        raise UnsupportedGeometryError(
+            "unsupported: ball symmetry testing needs a faithful representation"
+        )
     return lambda perm: all(
         g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
         for i in range(n)
@@ -446,19 +393,18 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
 
     Requires a faithful representation and that ``lift(phi)`` is a
     symmetry; the result is the unique channel making the square
-    commute.
+    commute, solved from ``programs.transport_equations`` as
+    ``find_transported_channel`` solves them, on a polytope or a ball.
     """
     if not phi.is_permutation:
         raise PreconditionError("induced actions need permutation phase maps")
-    chart = _chart(rep)
-    if chart is None:
+    if not is_faithful(rep):
         raise PreconditionError("induced actions need a faithful representation")
-    if not _permutation_test(rep, chart)(phi.table):
+    if not _permutation_test(rep)(phi.table):
         raise PreconditionError("the lifted map is not a symmetry of W")
-    m = _pull_back(chart, lift(phi).as_affine_map())
-    if m is None:  # pragma: no cover - symmetry guarantees solvability
-        raise ArithmeticError("symmetric image left the representation span")
-    return Channel(m, rep.state_space, rep.state_space)
+    space = rep.state_space
+    ints = channel_system(space, space, transport_equations(rep, phi.table))
+    return Channel(_fixed_map(space, ints, space.ambient_dim), space, space)
 
 
 def is_g_symmetric(rep: WignerRep, generators: Sequence[PhasePointMap]) -> bool:

@@ -478,12 +478,13 @@ def find_channel(
     return Channel(m, source, target)
 
 
-def _fixed_map(source: Polytope, ints, d2) -> Optional[AffineMap]:
+def _fixed_map(source: StateSpace, ints, d2) -> Optional[AffineMap]:
     """The map whose images ``y_i`` in Q^d2 of the affine basis of
-    ``source`` solve ``c . y_i = rhs[i]`` for every int row ``([c | rhs],
-    s)``, if there is exactly one: the ``c`` have rank d2 and each
-    right-hand side is consistent.  It is the map ``affine_map_from_points``
-    interpolates, built from ints by ``basis_interpolation``."""
+    ``source``, a polytope's or a ball's, solve ``c . y_i = rhs[i]`` for
+    every int row ``([c | rhs], s)``, if there is exactly one: the ``c``
+    have rank d2 and each right-hand side is consistent.  It is the map
+    ``affine_map_from_points`` interpolates, built from ints by
+    ``basis_interpolation``."""
     aug = [list(row) for row, _ in ints]
     if len(rref(aug, d2)) < d2 or any(any(row[d2:]) for row in aug[d2:]):
         return None

@@ -43,7 +43,17 @@ with per-row denominators and the integer ``vec_dot`` are checked.
 read off the ``Fraction`` rref of the points' integer differences.
 ``fraction_permutation_test`` is the former
 ``symmetry._permutation_test``, whose invariants (the extreme points
-of W(K), and g0 and S on balls) hold ``Fraction`` entries.
+of W(K), and g0 and S = G (G^T G)^-2 G^T on balls) hold ``Fraction``
+entries.
+
+``chart_is_symmetry`` and ``chart_induced_action`` are the former
+pull-back of a grid map through the chart of a faithful W: the integer
+left inverse G+ = (G^T G)^-1 G^T of its basis images (``_chart``), one
+state per mapped basis image (``_solve_state``) and the interpolant of
+those states extended orthogonally off aff(K) (``_pull_back``), kept
+verbatim but for module-qualified kernel names.  The engine solves the
+square's equations at the affine basis instead, and is checked against
+them on balls and polytopes.
 
 ``is_g_symmetric_by_closure`` is the former ``symmetry.is_g_symmetric``,
 which ran the permutation test on every element of the group that
@@ -99,9 +109,9 @@ import itertools
 import math
 import operator
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from wignerlab import exact
+from wignerlab import _kernels, exact
 from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import (
     QQ,
@@ -129,20 +139,24 @@ from wignerlab.geometry import (
     _functional,
     affine_basis,
     affine_map_from_points,
+    affine_map_with_orthogonal_extension,
+    basis_ints,
     contains,
     dimension,
     extremal_range,
     independent_affine_subset,
+    int_values,
     map_into,
 )
 from wignerlab import symmetry
 from wignerlab.report import read_map
 from wignerlab.symmetry import PhasePointMap
-from wignerlab.theory import Observable
+from wignerlab.theory import Channel, Observable
 from wignerlab.wigner import (
     NoPositiveMember,
     PositiveFound,
     WignerRep,
+    evaluate,
     grid_rank,
     is_faithful,
     is_positive,
@@ -259,6 +273,106 @@ def fraction_permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]
         g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
         for i in range(n)
     )
+
+
+class _Chart(NamedTuple):
+    """W on aff(K) over an affine basis: W(p0 + sum c_i (p_i - p0)) = g0 + G c.
+
+    In integers: ``images`` are ``den * W(p_i)`` (so g0 and the columns
+    W(p_i) - g0 of G are over ``den``), and ``gplus`` the rows of the
+    left inverse G+ = (G^T G)^-1 G^T times ``gden / den``.  Valid for
+    faithful representations, where G has full column rank.
+    """
+
+    basis: tuple[Vec, ...]
+    den: int
+    images: list[tuple[int, ...]]
+    gplus: list[list[int]]
+    gden: int
+
+
+def _chart(rep: WignerRep) -> Optional[_Chart]:
+    """The chart of W, or None when W is not faithful: faithful means
+    that its values at the basis have rank dim(K) + 1 (``is_faithful``)."""
+    basis = affine_basis(rep.state_space)
+    vals, den = int_values(rep.functionals(), *basis_ints(rep.state_space))
+    images = list(zip(*vals))
+    if _kernels.bareiss_rank(vals) != len(basis):  # it eliminates vals in place
+        return None
+    cols = [[a - b for a, b in zip(w, images[0])] for w in images[1:]]
+    # [G^T G | G^T] times den^2 and den reduces to [I | G+ / den]
+    aug = [[sum(map(operator.mul, u, v)) for v in cols] + u for u in cols]
+    _kernels.rref(aug, len(cols))
+    gden = math.lcm(*(row[r] for r, row in enumerate(aug)))
+    gplus = [[a * (gden // row[r]) for a in row[len(cols):]] for r, row in enumerate(aug)]
+    return _Chart(basis, den, images, gplus, gden)
+
+
+def _solve_state(chart: _Chart, target: Sequence[int], q: int) -> Optional[Vec]:
+    """The state y in aff(K) with W(y) = target / q, or None.  Over ints,
+    ``rhs = q * den * (W(y) - g0)`` and the coefficients are
+    ``gplus . rhs = gden * q * c``."""
+    g0 = chart.images[0]
+    rhs = [chart.den * t - q * g for t, g in zip(target, g0)]
+    coeffs = [sum(map(operator.mul, row, rhs)) for row in chart.gplus]
+    cols = [[a - b for a, b in zip(w, g0)] for w in chart.images[1:]]
+    if any(sum(map(operator.mul, coeffs, col)) != chart.gden * r
+           for col, r in zip(zip(*cols), rhs)):
+        return None
+    p0 = chart.basis[0]
+    c = [QQ(x, chart.gden * q) for x in coeffs]
+    return tuple(exact.vec_dot(c, [p[k] - p0[k] for p in chart.basis[1:]], p0[k])
+                 for k in range(len(p0)))
+
+
+def _pull_back(chart: _Chart, m: AffineMap) -> Optional[AffineMap]:
+    """The channel candidate W^-1 . m . W on the affine hull of K."""
+    rows, q = int_values(m.functionals(), chart.images, chart.den)
+    images = [_solve_state(chart, target, q) for target in zip(*rows)]
+    return None if None in images else affine_map_with_orthogonal_extension(chart.basis, images)
+
+
+def chart_is_symmetry(rep: WignerRep, lam) -> symmetry.SymmetryCheck:
+    """The ball branch of the former ``symmetry.is_symmetry``: the map
+    pulled back through the chart, then decided as a ball self-map."""
+    space = rep.state_space
+    m = lam.as_affine_map() if isinstance(lam, symmetry.LiftedMap) else lam
+    chart = _chart(rep)
+    if chart is None:
+        raise UnsupportedGeometryError(
+            "unsupported: ball symmetry testing needs a faithful representation"
+        )
+    pulled = _pull_back(chart, m)
+    if pulled is None:
+        # some mapped image point left the affine hull of W(K)
+        rows, q = int_values(m.functionals(), chart.images, chart.den)
+        for p, target in zip(chart.basis, zip(*rows)):
+            if _solve_state(chart, target, q) is None:
+                image = tuple(QQ(x, q) for x in target)
+                return symmetry.SymmetryCheck(False, p, symmetry._grid_of_flat(image, rep.shape))
+        raise ArithmeticError("pull-back failed without witness")  # pragma: no cover
+    result = map_into(space, pulled, space)
+    if result.ok:
+        return symmetry.SymmetryCheck(True)
+    image = m(evaluate(rep, result.witness_point).flatten())
+    return symmetry.SymmetryCheck(
+        False, result.witness_point, symmetry._grid_of_flat(image, rep.shape))
+
+
+def chart_induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
+    """The former ``symmetry.induced_action``: W^-1 . lift(phi) . W
+    through the chart, extended off aff(K) orthogonally."""
+    if not phi.is_permutation:
+        raise PreconditionError("induced actions need permutation phase maps")
+    chart = _chart(rep)
+    if chart is None:
+        raise PreconditionError("induced actions need a faithful representation")
+    if not fraction_permutation_test(rep)(phi.table):
+        raise PreconditionError("the lifted map is not a symmetry of W")
+    m = _pull_back(chart, symmetry.lift(phi).as_affine_map())
+    if m is None:  # pragma: no cover - symmetry guarantees solvability
+        raise ArithmeticError("symmetric image left the representation span")
+    return Channel(m, rep.state_space, rep.state_space)
 
 
 def composed_with_rep(rep: WignerRep, m: AffineMap) -> list[AffineFunctional]:

@@ -455,20 +455,98 @@ def test_plot_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (("example", "boxworld", "--rep", "W_9"),
      "boxworld has representations ['W_+', 'W_0', 'W_1/2']"),
+    (("example", "boxworld", "--rep", "W_9", "--out", "{written}"),
+     "boxworld has representations ['W_+', 'W_0', 'W_1/2']"),
     (("example", "trit", "--channels-out", "{out}"), "trit carries no channels"),
+    (("example", "trit", "--out", "{written}", "--channels-out", "{out}"),
+     "trit carries no channels"),
     (("symmetries", "{theory}"), "the theory file carries no wigner block"),
     (("plot", "{theory}", "--out", "{out}"), "the theory file carries no wigner block"),
-], ids=["example --rep", "example --channels-out", "symmetries", "plot"])
+], ids=["example --rep", "example --rep --out", "example --channels-out",
+        "example --out --channels-out", "symmetries", "plot"])
 def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, argv, message):
     """An unknown representation, channels of an entry that has none, and
     a command that needs a wigner block on a file without one are usage
-    errors: exit 2 and one ``error:`` line."""
+    errors: exit 2 and one ``error:`` line, with nothing on stdout and no
+    file written."""
     theory = tmp_path / "trit.json"
     run(capsys, "example", "trit", "--out", str(theory))
-    out = tmp_path / "out"
-    argv = [a.format(theory=theory, out=out) for a in argv]
-    code, _, err = run(capsys, *argv)
-    assert (code, err) == (2, f"error: {message}\n")
+    out, written = tmp_path / "out", tmp_path / "t.json"
+    argv = [a.format(theory=theory, out=out, written=written) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not out.exists() and not written.exists()
+
+
+def test_no_subcommand_prints_the_help(capsys):
+    code, out, err = run(capsys)
+    assert (code, err) == (2, "") and out.startswith("usage: wignerlab")
+    assert "verify              re-check a report's claims" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("wigner", "{box}", "--free", " "), "empty functional expression"),
+    (("wigner", "{box}", "--degenerate", "--anchor", "0;1"),
+     "anchor must be 'a,b' with integer indices"),
+    (("symmetries", "{w0}", "--channel-matrix", "{{"),
+     "bad --channel-matrix: Expecting property name enclosed in double quotes:"
+     " line 1 column 2 (char 1)"),
+    (("covariant", "{box}", "--channels", "{missing}"),
+     "cannot read channels file: [Errno 2] No such file or directory: '{missing}'"
+     " (at {missing})"),
+    (("covariant", "{box}", "--channels", "{rows}"), "expected an object (at [0])"),
+    (("verify", "{missing}"), "[Errno 2] No such file or directory: '{missing}' (at {missing})"),
+], ids=["empty --free", "--anchor", "--channel-matrix", "--channels missing",
+        "--channels row", "verify missing"])
+def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, argv, message):
+    """An empty free functional, a malformed anchor or channel matrix, a
+    channels file that cannot be read or has a row that is no object, and
+    a report that cannot be read are usage errors."""
+    box, w0, rows = tmp_path / "box.json", tmp_path / "w0.json", tmp_path / "rows.json"
+    run(capsys, "example", "boxworld", "--out", str(box))
+    run(capsys, "example", "boxworld", "--rep", "W_0", "--out", str(w0))
+    rows.write_text("[1]")
+    names = {"box": box, "w0": w0, "rows": rows, "missing": tmp_path / "missing.json"}
+    argv = [a.format(**names) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(**names)}\n")
+
+
+def test_an_anchor_moves_the_degenerate_cross(tmp_path, capsys):
+    """The free slot of boxworld's degenerate grid, set to zero, is (0, 0)
+    with the default anchor (1, 1), and (1, 1) with ``--anchor 0,0``; both
+    reports verify."""
+    box = tmp_path / "box.json"
+    run(capsys, "example", "boxworld", "--out", str(box))
+    grids = []
+    for extra in ((), ("--anchor", "0,0")):
+        code, out, _ = run(capsys, "wigner", str(box), "--degenerate", *extra)
+        report = load_report(out)
+        assert code == 0 and all(ok for _, ok, _ in verify_report(report))
+        grids.append(report["theory"]["wigner"]["grid"])
+    zero = {"linear": ["0", "0"], "constant": "0"}
+    assert grids[0][0][0] == zero != grids[0][1][1]
+    assert grids[1][1][1] == zero != grids[1][0][0]
+
+
+def test_analyze_ball_notes_a_constant_one_effect(tmp_path, capsys):
+    """On a ball, an effect that is 1 everywhere makes the whole ball its
+    face, so complementarity is unsupported: ``analyze`` notes it, keeps
+    the other claims, and the report verifies."""
+    data = {"state_space": {"type": "ball", "center": ["0", "0"], "radius": "1"},
+            "observables": [
+                {"name": "A", "outcomes": [0, 1], "effects": [
+                    {"linear": ["0", "0"], "constant": "1"},
+                    {"linear": ["0", "0"], "constant": "0"}]},
+                {"name": "B", "outcomes": [0, 1], "effects": [
+                    {"linear": ["1/2", "0"], "constant": "1/2"},
+                    {"linear": ["-1/2", "0"], "constant": "1/2"}]}]}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "analyze", str(path))
+    report = load_report(out)
+    assert code == 0 and ("complementarity: unsupported degenerate face: a constant-one"
+                          " effect makes the whole ball extremal") in report["notes"]
+    assert "complementary" not in {c["id"] for c in report["claims"]}
+    assert report["claims"] and all(ok for _, ok, _ in verify_report(report))
 
 
 def test_analyze_ball_notes_unsupported_compatibility(tmp_path, capsys):
@@ -518,6 +596,30 @@ def test_symmetries_on_ball_rep_skips_transport(tmp_path, capsys):
     report = json.loads(out)
     assert report["group_order"] == 8
     assert any("transport" in note for note in report["notes"])
+
+
+def test_symmetries_certify_the_symmetries_that_no_channel_realizes(tmp_path, capsys):
+    """K is the tetrahedron conv{(0,0,0), (1,1,0), (1,0,1), (0,1,1)} with
+    the apex (1/2, 1/2, 2), and W reads x and y only, so W(K) is a square
+    with all 8 of its symmetries.  A channel that completes the square
+    of a quarter turn permutes the tetrahedron's vertices, and so sends
+    the apex to (1/2, 1/2, -1), outside K: four of the eight symmetries
+    get a ``no_transport`` claim, and the report verifies."""
+    x, y = ["1", "0", "0"], ["0", "1", "0"]
+    theory = _theory_file(
+        tmp_path, "apex",
+        [["0", "0", "0"], ["1", "1", "0"], ["1", "0", "1"], ["0", "1", "1"], ["1/2", "1/2", "2"]],
+        [("A", [(x, "0"), (["-1", "0", "0"], "1")]), ("B", [(y, "0"), (["0", "-1", "0"], "1")])])
+    rep = tmp_path / "apex_w.json"
+    run(capsys, "wigner", str(theory), "--free", "1/2 x0 + 1/2 x1 - 1/4", "--out", str(rep))
+    code, out, _ = run(capsys, "symmetries", str(rep))
+    report = load_report(out)
+    assert code == 0 and report["group_order"] == 8
+    moved = [row["map"] for row in report["lifted_symmetries"] if not row["transported"]]
+    assert [c["id"] for c in report["claims"]] == [f"no_transport[{m}]" for m in moved]
+    assert len(moved) == 4 and all(c["kind"] == "lp_infeasible" for c in report["claims"])
+    assert _verified(capsys, tmp_path, out) == (0, "".join(
+        f"ok    no_transport[{m}]\n" for m in moved) + "4/4 claims verified\n")
 
 
 def test_wigner_requires_block_for_symmetries(tmp_path, capsys):

@@ -5,6 +5,7 @@ constructor in ``wignerlab.programs`` and ``verify`` rebuilds the
 program from the embedded theory.
 """
 
+import collections
 import copy
 import json
 import random
@@ -29,6 +30,7 @@ from wignerlab.report import (
     FORMAT,
     LP_ARGS,
     RECOMPUTE,
+    RESULTS,
     _read_claim,
     _verify_claim,
     covariance_claim,
@@ -820,6 +822,46 @@ REWITNESSED = {
 MUTATIONS = ("verdict", "number", "drop", "swap", "evidence", "id", "what", "pair",
              "bool_for_int", "string_for_bool")
 HEAD = ("id", "kind", "statement", "verdict")
+COMMANDS = ("validate", "analyze", "wigner", "symmetries", "covariant")
+# what each covariant result says the report carries: (a representation,
+# a no_covariant claim)
+CARRIES = {"unique": (True, False), "family": (True, False), "none": (False, True),
+           "hypothesis_failure": (False, False)}
+
+
+def _top_level_edits(report) -> list:
+    """Copies of ``report`` with ``command`` set to every other command,
+    with ``result`` set to every other ``RESULTS`` key, to null and to a
+    list, and with ``result`` deleted."""
+    edits = [dict(report, command=c) for c in COMMANDS if c != report["command"]]
+    edits += [dict(report, result=r) for r in (*RESULTS, None, ["none"])
+              if r != report.get("result")]
+    if "result" in report:
+        edits.append({k: v for k, v in report.items() if k != "result"})
+    return edits
+
+
+def _top_level_rows(report) -> list:
+    """The rows that a report with honest claims fails.  With a
+    representation, and a covariance claim or ``command: "covariant"``,
+    each generator without a covariance claim fails its coverage row.
+    With a ``result``, or ``command: "covariant"``, the ``result`` row
+    fails unless the result names what the report carries: ``unique`` or
+    ``family`` a representation, ``none`` a ``no_covariant`` claim,
+    ``hypothesis_failure`` neither."""
+    wigner = theory_from_dict(report["theory"])[1]
+    covariant = report["command"] == "covariant"
+    covered = {c["id"] for c in report["claims"] if c["kind"] == "covariance_identity"}
+    rows = []
+    if wigner is not None and (covered or covariant):
+        ids = (f"covariance[(A:{a}, B:{b})]" for a, b in programs.generators(*wigner[1].shape))
+        rows += [cid for cid in ids if cid not in covered]
+    carried = (wigner is not None, any(c["id"] == "no_covariant" for c in report["claims"]))
+    result = report.get("result")
+    named = isinstance(result, str) and CARRIES.get(result) == carried
+    if ("result" in report or covariant) and not named:
+        rows.append("result")
+    return rows
 
 
 def _fields(claim) -> list:
@@ -929,12 +971,16 @@ def test_every_mutation_of_a_catalog_claim_fails_that_claim_alone(tmp_path, caps
     other (but for the coverage row of a generator whose claim it moves
     to another id, or the ``result`` row of a ``none`` report whose
     ``no_covariant`` claim it moves), or is one of ``UNMUTABLE``; the claim's fields are those of
-    its kind's row in ``CLAIM_KINDS``."""
+    its kind's row in ``CLAIM_KINDS``.  Each report's top-level fields
+    are edited too (``_top_level_edits``): every claim still verifies,
+    and the report fails exactly the coverage and ``result`` rows of
+    ``_top_level_rows``."""
     reports = _every_catalog_report(tmp_path, capsys)
     donors = [c for _, r in reports for c in r["claims"]]
     assert {c["kind"] for c in donors} == set(CLAIM_KINDS)
     rng = random.Random(18)
     escaped, unmutable, applied = [], set(), {m: 0 for m in MUTATIONS}
+    top_level = collections.Counter()
     for name, report in reports:
         assert _failed(report) == []
         for k, claim in enumerate(report["claims"]):
@@ -963,9 +1009,14 @@ def test_every_mutation_of_a_catalog_claim_fails_that_claim_alone(tmp_path, caps
                     if failed != {bad["id"]} | (moved if mutation == "id" else set()):
                         assert not failed, (name, claim["id"], mutation, bad, failed)
                         escaped.append((name, claim["id"], mutation))
+        for tampered in _top_level_edits(report):
+            rows = _top_level_rows(tampered)
+            assert _failed(tampered) == rows, (name, tampered["command"], tampered.get("result"))
+            top_level["coverage" if set(rows) - {"result"} else "result" if rows else "ok"] += 1
     assert set(escaped) == REWITNESSED and len(escaped) == len(REWITNESSED)
     assert unmutable == UNMUTABLE
     assert all(applied.values()) and sum(applied.values()) > 1000
+    assert min(top_level.values()) > 10 and len(top_level) == 3, top_level
 
 
 def test_no_top_level_edit_lifts_the_coverage_check(tmp_path, capsys):

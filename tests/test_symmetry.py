@@ -2,6 +2,7 @@
 actions, permutation channels and the covariant solver."""
 
 import ast
+import collections
 from fractions import Fraction as F
 import inspect
 import itertools
@@ -16,9 +17,11 @@ from catalog_facts import FACTS, _replay_one
 from helpers import (
     generalized_boxworld,
     qubit_ball_image,
+    random_fraction,
     random_free_block,
     random_observable,
     random_polygon,
+    random_rotation,
     random_theory,
 )
 from wignerlab import _kernels, catalog, exact, geometry, programs, symmetry, theory, wigner
@@ -622,9 +625,13 @@ def _primitive(rows):
 
 
 def test_permutation_invariants_hold_ints():
-    """The invariants are the Fraction invariants times one positive
-    factor (the denominator of ``int_values`` and of the chart), held as
-    ints, so lookups hash ints, not Fractions."""
+    """The invariants are held as ints, so lookups hash ints, not
+    Fractions.  The extreme points of W(K) and a ball's g0 are the
+    Fraction invariants times one positive factor (the denominator of
+    ``int_values``).  A ball's shape matrix is G G^T times a positive
+    factor, and the former invariant S = G (G^T G)^-2 G^T is its
+    pseudo-inverse: G G^T S G G^T = G G^T, so the two fix the same
+    permutations."""
     for rep in _polygon_reps():
         ext = inspect.getclosurevars(symmetry._permutation_test(rep)).nonlocals["ext"]
         frac = inspect.getclosurevars(ref.fraction_permutation_test(rep)).nonlocals["ext"]
@@ -637,7 +644,14 @@ def test_permutation_invariants_hold_ints():
         g0, s = invariants["g0"], invariants["s"]
         assert all(type(x) is int for row in [g0, *s] for x in row)
         assert _primitive([g0]) == _primitive([frac["g0"]])
-        assert _primitive(s) == _primitive(frac["s"])
+        images = [evaluate(rep, p).flatten() for p in geometry.affine_basis(rep.state_space)]
+        g = [[x - y for x, y in zip(w, images[0])] for w in images[1:]]  # columns of G
+        ggt = [[sum(col[i] * col[j] for col in g) for j in range(len(g0))]
+               for i in range(len(g0))]
+        assert _primitive(s) == _primitive(ggt)
+        ggt_s = [[sum(a * b for a, b in zip(row, col)) for col in zip(*frac["s"])] for row in ggt]
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*ggt)]
+                for row in ggt_s] == ggt
 
 
 def test_is_symmetry_rejects_the_grid_map_of_a_disk_shear():
@@ -707,14 +721,112 @@ def test_g_symmetric_generators_must_permute_the_phase_space():
         is_g_symmetric(W0, [PhasePointMap.identity((1, 4))])
 
 
+def _outcome(f, *args):
+    """``f(*args)``, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (PreconditionError, UnsupportedGeometryError) as exc:
+        return type(exc), str(exc)
+
+
 def test_non_faithful_ball_is_still_unsupported():
+    """A lossy ball representation is refused as before: ``is_symmetry``
+    and ``induced_action`` raise the chart route's errors and messages."""
     rep = qubit_ball_image(random.Random(3))
     lossy = degenerate_rep(rep.obs_a, rep.obs_b, rep.state_space)
     assert not is_faithful(lossy)
-    with pytest.raises(UnsupportedGeometryError):
+    with pytest.raises(UnsupportedGeometryError, match="needs a faithful representation"):
         enumerate_lifted_symmetries(lossy)
-    with pytest.raises(UnsupportedGeometryError):
+    with pytest.raises(UnsupportedGeometryError, match="needs a faithful representation"):
         is_g_symmetric(lossy, [PhasePointMap.identity(lossy.shape)])
+    for phi in (PhasePointMap.identity(SHAPE), SWAP_0011, PhasePointMap(SHAPE, (0, 0, 2, 3))):
+        for engine, oracle in ((is_symmetry, ref.chart_is_symmetry),
+                               (induced_action, ref.chart_induced_action)):
+            arg = phi if engine is induced_action else lift(phi)
+            got = _outcome(engine, lossy, arg)
+            assert got == _outcome(oracle, lossy, arg) and isinstance(got, tuple)
+
+
+def _ball_grid_maps(rng, rep, count):
+    """Affine grid maps for ``rep``: ``count`` of the form W . A . W^-1 on
+    aff W(K), A a random scaled rotation plus a shift of the state space
+    (some keep K inside K, some do not), and ``count`` with random
+    entries, which leave aff W(K)."""
+    space = rep.state_space
+    basis = geometry.affine_basis(space)
+    d, n = space.ambient_dim, rep.shape[0] * rep.shape[1]
+
+    def w(x):
+        return tuple(f(x) for f in rep.functionals())
+
+    maps = []
+    for _ in range(count):
+        q = random_rotation(rng) if d == 3 else ((F(3, 5), F(-4, 5)), (F(4, 5), F(3, 5)))
+        c = F(rng.randint(1, 5), 4)
+        t = [random_fraction(rng, -1, 1) * space.radius / 4 for _ in range(d)]
+        a = AffineMap.from_rows([[c * x for x in row] for row in q],
+                                [x - sum(c * y * z for y, z in zip(row, space.center)) + z0
+                                 for row, x, z0 in zip(q, space.center, t)])
+        maps.append(geometry.affine_map_with_orthogonal_extension(
+            [w(p) for p in basis], [w(a(p)) for p in basis]))
+    for _ in range(count):
+        maps.append(AffineMap.from_rows(
+            [[random_fraction(rng, -1, 1) for _ in range(n)] for _ in range(n)],
+            [random_fraction(rng, -1, 1) for _ in range(n)]))
+    return maps
+
+
+def test_ball_pull_backs_match_the_chart_route(monkeypatch):
+    """The square's equations replace the chart on balls.  On the catalog
+    ball representations and 40 seeded ball images: the GG^T invariant
+    gives ``fraction_permutation_test``'s verdict on every permutation;
+    ``is_symmetry`` returns exactly the chart route's check (verdict,
+    counterexample and image) on every lifted permutation, on seeded
+    non-permutation tables and on seeded affine grid maps, some of which
+    leave aff W(K), with the same refusal of a tight map; and
+    ``induced_action`` returns exactly its channel, or its error.  No
+    path solves an LP."""
+
+    def forbidden(lp):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(exact, "_phase_one", forbidden)
+    rng = random.Random(181)
+    reps = [catalog.load(name).representations["W"] for name in ("qubit_ball", "qubit_xz")]
+    reps += [qubit_ball_image(rng, random_member=k % 2 == 1) for k in range(40)]
+    seen = collections.Counter()
+    for rep in reps:
+        assert is_faithful(rep)
+        n = rep.shape[0] * rep.shape[1]
+        test, oracle = symmetry._permutation_test(rep), ref.fraction_permutation_test(rep)
+        tables = list(itertools.permutations(range(n)))
+        tables += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(4)]
+        for table in tables:
+            phi = PhasePointMap(rep.shape, table)
+            check = _outcome(is_symmetry, rep, lift(phi))
+            assert check == _outcome(ref.chart_is_symmetry, rep, lift(phi))
+            if phi.is_permutation:
+                assert test(table) == oracle(table) == check.ok
+            assert (_outcome(induced_action, rep, phi)
+                    == _outcome(ref.chart_induced_action, rep, phi))
+            seen["permutation" if phi.is_permutation else "table", _verdict(check)] += 1
+        for m in _ball_grid_maps(rng, rep, 3):
+            check = _outcome(is_symmetry, rep, m)
+            assert check == _outcome(ref.chart_is_symmetry, rep, m)
+            seen["map", _verdict(check)] += 1
+    # a table that merges phase points collapses W(K): never a symmetry here
+    wanted = [("permutation", True), ("permutation", False), ("table", False),
+              ("map", True), ("map", False), ("map", "off aff")]
+    assert all(seen[key] > 0 for key in wanted), seen
+
+
+def _verdict(check):
+    """True, False, "off aff" for an image outside aff W(K) (its
+    counterexample is a basis point whose image is not a grid: the mass
+    changed), or "refused" for a tight ball map."""
+    if isinstance(check, tuple):
+        return "refused"
+    return "off aff" if not check.ok and check.image is None else check.ok
 
 
 @pytest.fixture
@@ -772,28 +884,31 @@ def test_enumeration_on_a_polytope_makes_only_the_hull_lps(lp_calls):
         assert lp_calls == []
 
 
-def test_induced_action_builds_the_chart_once(monkeypatch):
-    """On a ball the precondition and the pull-back share one chart, and
-    the chart's own values decide faithfulness: ``is_faithful`` is not
-    called."""
+def test_induced_action_solves_the_square_once(monkeypatch):
+    """On a ball, ``induced_action`` pulls lift(phi) back through W by
+    one ``channel_system`` of the transport equations and one
+    ``_fixed_map``, with no LP."""
     entry = catalog.load("qubit_ball")
-    rep = entry.representations["W"]
-    calls = {"chart": 0, "faithful": 0}
-    chart, faithful = symmetry._chart, wigner.is_faithful
+    rep, phi = entry.representations["W"], entry.named_maps["phi01"]
+    calls = []
+    channel_system, fixed_map = symmetry.channel_system, symmetry._fixed_map
 
-    def counted_chart(r):
-        calls["chart"] += 1
-        return chart(r)
+    def counted_system(source, target, equations):
+        calls.append(("system", equations))
+        return channel_system(source, target, equations)
 
-    def counted_faithful(r):
-        calls["faithful"] += 1
-        return faithful(r)
+    def counted_fixed(source, ints, d2):
+        calls.append(("fixed", d2))
+        return fixed_map(source, ints, d2)
 
-    monkeypatch.setattr(symmetry, "_chart", counted_chart)
-    monkeypatch.setattr(wigner, "is_faithful", counted_faithful)
-    chan = induced_action(rep, entry.named_maps["phi01"])
-    # the chart's own values decide faithfulness
-    assert calls == {"chart": 1, "faithful": 0}
+    def forbidden(lp):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(symmetry, "channel_system", counted_system)
+    monkeypatch.setattr(symmetry, "_fixed_map", counted_fixed)
+    monkeypatch.setattr(exact, "_phase_one", forbidden)
+    chan = induced_action(rep, phi)
+    assert calls == [("system", programs.transport_equations(rep, phi.table)), ("fixed", 3)]
     assert chan.map.matrix.entries == (
         (F(0), F(-1), F(0)), (F(-1), F(0), F(0)), (F(0), F(0), F(1))
     )
@@ -868,11 +983,15 @@ def test_ball_enumeration_evaluates_the_grid_at_the_basis_once(monkeypatch):
 
 
 def test_transport_of_a_faithful_symmetry_is_its_induced_action(monkeypatch):
-    """Two independent routes to W^-1 . P . W on faithful polytope
-    representations: ``find_transported_channel`` solves the commuting
-    square's equations, ``induced_action`` pulls P back through W's
-    chart.  The maps agree (off aff(K) they extend differently), and
-    neither route solves an LP."""
+    """On faithful polytope representations ``induced_action`` returns
+    exactly ``find_transported_channel``'s channel: both solve the
+    commuting square's equations.  The former chart route
+    (``reference_kernels.chart_induced_action``) gives the same map on
+    K's vertices, and the same map whenever K is full-dimensional.  Off a
+    lower-dimensional aff(K) the chart extends orthogonally and the
+    equations with free unknowns 0, so there the maps differ (on these
+    representations, for every symmetry but the identity).  No route
+    solves an LP."""
     rng = random.Random(113)
     reps = [rep for rep in _polygon_reps() if is_faithful(rep)]
     while len(reps) < 14:
@@ -891,16 +1010,16 @@ def test_transport_of_a_faithful_symmetry_is_its_induced_action(monkeypatch):
         raise AssertionError("LP solved")
 
     monkeypatch.setattr(exact, "_phase_one", forbidden)
-    compared = {True: 0, False: 0}
+    compared = collections.Counter()
     for rep in reps:
         space = rep.state_space
         full = dimension(space) == space.ambient_dim
         for phi in enumerate_lifted_symmetries(rep):
-            chan = find_transported_channel(rep, lift(phi))
             induced = induced_action(rep, phi)
+            assert induced == find_transported_channel(rep, lift(phi))
+            chart = ref.chart_induced_action(rep, phi)
+            assert all(induced(v) == chart(v) for v in space.vertices)
             if full:
-                assert chan.map == induced.map
-            else:
-                assert all(chan(v) == induced(v) for v in space.vertices)
-            compared[full] += 1
-    assert compared[True] > 20 and compared[False] > 0, compared
+                assert induced.map == chart.map
+            compared[full, induced.map == chart.map] += 1
+    assert compared[True, True] > 20 and compared[False, False] > 0, compared
