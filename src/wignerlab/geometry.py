@@ -24,10 +24,11 @@ facet scale (``vertex_ints``), and its affine basis as indices into them
 one int matrix over one positive denominator, so signs, equalities and
 ranks are read off ints; ``integer_rows`` scales other rational points to them.
 ``signed_sums`` adds signed functionals the same way, one ``Fraction``
-per coefficient of each sum, and ``basis_interpolation`` keeps, once
-per polytope, the integer rows that turn images of its affine basis into
-the map ``affine_map_from_points`` would interpolate.  Functional
-arithmetic reuses its ``Fraction`` entries (``_functional``).
+per coefficient of each sum.  Every affine map read off images of points
+comes from one fraction-free rref of ``q [p_i, 1 | I]`` (``interpolation``,
+kept per space for its affine basis by ``basis_interpolation``) and one
+reader of its rows (``interpolant``).  Functional arithmetic reuses its
+``Fraction`` entries (``_functional``).
 """
 
 from __future__ import annotations
@@ -213,35 +214,6 @@ class AffineMap:
         )
 
 
-def affine_map_from_points(
-    domain: Sequence[Sequence], images: Sequence[Sequence]
-) -> Optional[AffineMap]:
-    """Some affine map sending each domain point to its image, or ``None``.
-
-    Row k of the map and its offset solve ``[p, 1] . x = img[k]`` over
-    the domain points: one rref of ``[p, 1 | img]`` solves all of them.
-    When the domain points do not affinely span the ambient space the
-    problem is underdetermined and the free unknowns are set to 0.
-    """
-    domain = [vec(p) for p in domain]
-    images = [vec(p) for p in images]
-    if len(domain) != len(images) or not domain:
-        raise ValueError("need equally many domain and image points")
-    src = len(domain[0])
-    system = [list(p) + [1] + list(img) for p, img in zip(domain, images)]
-    pivots = rref(system, src + 1)
-    if any(any(row[src + 1:]) for row in system[len(pivots):]):
-        return None
-    sols = [[QQ(0)] * (src + 1) for _ in images[0]]
-    for row, c in zip(system, pivots):
-        for sol, value in zip(sols, row[src + 1:]):
-            sol[c] = QQ(value, row[c])
-    return AffineMap(
-        Matrix.from_rows([sol[:src] for sol in sols], cols=src),
-        tuple(sol[src] for sol in sols),
-    )
-
-
 def independent_affine_subset(points: Sequence[Sequence]) -> list[int]:
     """Indices of a greedy maximal affinely independent subset: the first
     point and each later one whose difference from it is independent of
@@ -271,6 +243,40 @@ def _orthogonal_complement(rows: list[list], n: int) -> tuple[list[int], list[li
     return pivots, basis
 
 
+def interpolation(xs: Sequence[Sequence[int]], q: int):
+    """The rref of ``q [p_i, 1 | I]`` for the points ``p_i = xs[i] / q``
+    (int rows, ``q > 0``), the engine's one elimination that reads affine
+    maps off images of points, as ``(d, pivots, dependencies)``: d the
+    points' dimension, one ``(c, lam, e)`` per reduced row with pivot
+    column ``c`` (``e`` combines the rows into ``lam`` times it), and the
+    ``e`` of each zero row, an affine dependency that images must keep."""
+    n, d = len(xs), len(xs[0])
+    rows = [[*x, q] + [q * (i == j) for j in range(n)] for i, x in enumerate(xs)]
+    pivots = rref(rows, d + 1)
+    return (d, tuple((c, row[c], row[d + 1:]) for c, row in zip(pivots, rows)),
+            tuple(row[d + 1:] for row in rows[len(pivots):]))
+
+
+def interpolant(
+    interp, coords: Sequence[Sequence[int]], dens: Sequence[int]
+) -> Optional[AffineMap]:
+    """The map sending the points of ``interp`` to images whose k-th
+    coordinates are ``coords[k] / dens[k]`` (ints, ``dens[k] > 0``), or
+    ``None`` if they break a dependency.  Row k with its offset at index
+    d is ``(e . coords[k]) / (lam dens[k])`` at each pivot column ``c`` and
+    0 at the free ones: the rref's solution, read off without eliminating."""
+    d, pivots, dependencies = interp
+    if any(sum(map(operator.mul, e, y)) for e in dependencies for y in coords):
+        return None
+    rows = []
+    for y, den in zip(coords, dens, strict=True):
+        row = [QQ(0)] * (d + 1)
+        for c, lam, e in pivots:
+            row[c] = QQ(sum(map(operator.mul, e, y)), lam * den)
+        rows.append(row)
+    return AffineMap(Matrix(tuple(tuple(r[:d]) for r in rows), d), tuple(r[d] for r in rows))
+
+
 def affine_map_with_orthogonal_extension(
     domain: Sequence[Sequence], images: Sequence[Sequence]
 ) -> Optional[AffineMap]:
@@ -281,22 +287,21 @@ def affine_map_with_orthogonal_extension(
     when source and target dimensions agree, as zero otherwise.  So for
     each vector c of a basis of that complement (the nullspace of the
     differences from p0 = domain[0]) the point p0 + c is added with image
-    y0 + c, or y0, and ``affine_map_from_points`` solves the now full
-    rank system.  Returns ``None`` when the required images violate an
-    affine dependency of the domain points, i.e. no affine interpolant
-    exists.
+    y0 + c, or y0, and ``interpolant`` reads the map off the now full
+    rank ``interpolation``.  Returns ``None`` when the required images
+    violate an affine dependency of the domain points, i.e. no affine
+    interpolant exists.
     """
-    domain = [vec(p) for p in domain]
-    images = [vec(p) for p in images]
     if len(domain) != len(images) or not domain:
         raise ValueError("need equally many domain and image points")
-    p0, y0 = domain[0], images[0]
-    same = len(p0) == len(y0)
-    _, complement = _orthogonal_complement([list(vec_sub(p, p0)) for p in domain[1:]], len(p0))
-    return affine_map_from_points(
-        domain + [vec_add(p0, c) for c in complement],
-        images + [vec_add(y0, c) if same else y0 for c in complement],
-    )
+    (xs, q), (ys, r) = integer_rows(list(map(vec, domain))), integer_rows(list(map(vec, images)))
+    x0, y0 = xs[0], ys[0]
+    same = len(x0) == len(y0)
+    _, complement = _orthogonal_complement(
+        [[a - b for a, b in zip(x, x0)] for x in xs[1:]], len(x0))
+    xs += [[a + q * b for a, b in zip(x0, c)] for c in complement]
+    ys += [[a + r * b for a, b in zip(y0, c)] if same else y0 for c in complement]
+    return interpolant(interpolation(xs, q), list(zip(*ys)), [r] * len(y0))
 
 
 # Trial division in ``_squarefree`` stops below this bound: past it, a
@@ -659,26 +664,13 @@ def basis_ints(space: StateSpace):
     return [space._ints[i] for i in _basis_indices(space)], space._facets.scale
 
 
-def basis_interpolation(space: StateSpace) -> tuple[tuple[int, int, list[int]], ...]:
-    """How ``affine_map_from_points`` interpolates images of
-    ``affine_basis(space)``, a polytope's or a ball's, found on the first
-    call and kept as ``_interp``.
-
-    One ``(c, lam, e)`` per reduced row of ``q [p_i, 1 | I]`` (q p_i the
-    int basis rows), with pivot column ``c``.  Given images ``y_i`` of the
-    basis points, write row k of the interpolating map with its offset
-    appended, at index d = the ambient dimension.  Its entry at each
-    pivot column ``c`` is ``(e . y^k) / lam``, with ``y^k`` the k-th
-    coordinates of the y_i, and every other entry is 0.  This is the
-    rref's solution with free unknowns 0, read off without eliminating.
-    """
+def basis_interpolation(space: StateSpace):
+    """``interpolation`` of ``affine_basis(space)``, a polytope's or a
+    ball's, found on the first call and kept as ``_interp``: the
+    ``interpolant`` of images of the basis points is the map they fix."""
     interp = getattr(space, "_interp", None)
     if interp is None:
-        basis, q = basis_ints(space)
-        n, src = len(basis), space.ambient_dim
-        rows = [[*x, q] + [q * (i == j) for j in range(n)] for i, x in enumerate(basis)]
-        pivots = rref(rows, src + 1)
-        interp = tuple((c, row[c], row[src + 1:]) for c, row in zip(pivots, rows))
+        interp = interpolation(*basis_ints(space))
         object.__setattr__(space, "_interp", interp)
     return interp
 

@@ -13,7 +13,10 @@ a polytope or a ball.  A lifted map is its phase table, and transport
 reads Psi . W off it (``programs.transport_equations``; a permutation
 reorders W); ``induced_action`` solves the same equations for a lifted
 symmetry, and ``is_symmetry`` on a ball those of (W_i, g_i . W) for the
-coordinate functionals g_i of any grid map.  Covariance
+coordinate functionals g_i of any grid map.  The other way round,
+``find_symmetry_for_channel`` pushes a channel phi forward: Psi with
+Psi(W(p)) = W(phi(p)) at the affine basis (``wigner._push_forward``, as
+in ``isomorphism``), on a polytope or a ball.  Covariance
 under g, W_g(a,b)(F_g p) = W_ab(p), is the same square for lift(g), and
 ``verify`` checks it with the same equations.  The covariant solver
 combines two exact stages: permutation channels for the generators of
@@ -74,7 +77,6 @@ from .geometry import (
     StateSpace,
     _describe,
     affine_basis,
-    affine_map_with_orthogonal_extension,
     basis_ints,
     dimension,
     int_values,
@@ -96,7 +98,7 @@ from .theory import (
     is_surjective,
     jointly_info_complete,
 )
-from .wigner import SignedGrid, WignerRep, evaluate, is_faithful
+from .wigner import SignedGrid, WignerRep, _push_forward, evaluate, is_faithful
 
 # phase points; 8! permutations is the ceiling.  A permutation has finite
 # order, so it is a symmetry iff it fixes an invariant of W(K) built once
@@ -360,9 +362,10 @@ def find_transported_channel(
 class TransportObstruction:
     """Why no grid map can complete the square for a channel.
 
-    ``pair`` holds two states with equal W-images that the channel
+    ``pair`` holds two vertices with equal W-images that the channel
     separates in image; when the obstruction is a higher-order affine
-    dependency instead, ``dependency`` names the vertices involved.
+    dependency instead, ``dependency`` names the basis points whose
+    images under W and W . phi disagree on it.
     """
 
     pair: Optional[tuple[Vec, Vec]] = None
@@ -372,19 +375,23 @@ class TransportObstruction:
 def find_symmetry_for_channel(
     rep: WignerRep, phi: Union[Channel, AffineMap]
 ) -> Union[AffineMap, TransportObstruction]:
-    """A grid map Psi with Psi . W = W . phi, or the obstruction."""
+    """A grid map Psi with Psi . W = W . phi, or the obstruction.
+
+    Psi is pushed forward at the affine basis of K (``_push_forward``),
+    on a polytope or a ball.  On a polytope, two vertices that W merges
+    and W . phi separates are reported first, as ``pair``.
+    """
     space = rep.state_space
-    if not isinstance(space, Polytope):
-        raise UnsupportedGeometryError("transported-symmetry solving needs a polytope")
     chan = phi.map if isinstance(phi, Channel) else phi
-    images = [evaluate(rep, v).flatten() for v in space.vertices]
-    mapped = [evaluate(rep, chan(v)).flatten() for v in space.vertices]
-    for i, j in itertools.combinations(range(len(images)), 2):
-        if images[i] == images[j] and mapped[i] != mapped[j]:
-            return TransportObstruction(pair=(space.vertices[i], space.vertices[j]))
-    psi = affine_map_with_orthogonal_extension(images, mapped)
+    if isinstance(space, Polytope):
+        images = [evaluate(rep, v).flatten() for v in space.vertices]
+        mapped = [evaluate(rep, chan(v)).flatten() for v in space.vertices]
+        for i, j in itertools.combinations(range(len(images)), 2):
+            if images[i] == images[j] and mapped[i] != mapped[j]:
+                return TransportObstruction(pair=(space.vertices[i], space.vertices[j]))
+    psi = _push_forward(rep, lambda p: evaluate(rep, chan(p)).flatten())
     if psi is None:
-        return TransportObstruction(dependency=tuple(space.vertices))
+        return TransportObstruction(dependency=affine_basis(space))
     return psi
 
 

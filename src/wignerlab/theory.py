@@ -7,11 +7,12 @@ Compatibility of two observables is an exact LP feasibility question,
 on the program of ``programs.compatibility``, and so is channel
 existence (``programs.channel_program``) unless the channel's equations
 fix the map on the source's hull: one integer elimination then fixes
-the images of the source's affine basis, ``_fixed_map`` interpolates
-them with the integer rows of ``geometry.basis_interpolation`` (one
-``Fraction`` per coefficient, no second elimination), and if that map
-leaves the target the Farkas certificate of the channel LP is built
-from the violated facet.  ``are_compatible`` and ``find_channel`` are
+the images of the source's affine basis, and if their map leaves the
+target the Farkas certificate of the channel LP is built from the
+violated facet.  That map, an LP channel rebuilt from its basis images
+and the leaving vertex's barycentric weights are each one
+``geometry.interpolant`` of ``basis_interpolation``'s rows, with no
+second elimination.  ``are_compatible`` and ``find_channel`` are
 the only callers of ``lp_feasible`` in the engine; a positive Wigner
 representation is a joint observable, so ``wigner.positive_member``
 reads the compatibility LP.  Surjectivity is decided by the effects'
@@ -25,10 +26,9 @@ and face computations.
 
 from __future__ import annotations
 
-import operator
 from typing import Optional, Sequence, Union
 
-from ._kernels import bareiss_rank, rref
+from ._kernels import bareiss_rank, integer_rows, rref
 from ._record import record
 from . import programs
 from .errors import (
@@ -40,7 +40,6 @@ from .exact import (
     FeasibilityResult,
     Infeasible,
     LinearProgram,
-    Matrix,
     Vec,
     checked,
     lp_feasible,
@@ -58,13 +57,13 @@ from .geometry import (
     StateSpace,
     _polytope_extrema,
     affine_basis,
-    affine_map_from_points,
     basis_interpolation,
     basis_ints,
     contains,
     dimension,
     extremal_range,
     int_values,
+    interpolant,
     map_into,
     vertex_ints,
 )
@@ -468,38 +467,25 @@ def find_channel(
         wp, wi = _unconstrained_witness(source, target, ints[:len(equations)])
         return ChannelInfeasible(lp, result, wp, wi)
     w = result.witness
-    images = [
-        tuple(vec_dot(w[k * d1:(k + 1) * d1], p, w[d2 * d1 + k]) for k in range(d2))
-        for p in basis
-    ]
-    m = affine_map_from_points(basis, images)
-    if m is None:
-        raise ArithmeticError("inconsistent channel reconstruction")  # pragma: no cover
-    return Channel(m, source, target)
+    images, den = integer_rows([
+        [vec_dot(w[k * d1:(k + 1) * d1], p, w[d2 * d1 + k]) for k in range(d2)] for p in basis
+    ])
+    return Channel(interpolant(basis_interpolation(source), list(zip(*images)), [den] * d2),
+                   source, target)
 
 
 def _fixed_map(source: StateSpace, ints, d2) -> Optional[AffineMap]:
     """The map whose images ``y_i`` in Q^d2 of the affine basis of
     ``source``, a polytope's or a ball's, solve ``c . y_i = rhs[i]`` for
     every int row ``([c | rhs], s)``, if there is exactly one: the ``c``
-    have rank d2 and each right-hand side is consistent.  It is the map
-    ``affine_map_from_points`` interpolates, built from ints by
-    ``basis_interpolation``."""
+    have rank d2 and each right-hand side is consistent.  It is the
+    ``interpolant`` of those images through ``basis_interpolation``."""
     aug = [list(row) for row, _ in ints]
     if len(rref(aug, d2)) < d2 or any(any(row[d2:]) for row in aug[d2:]):
         return None
     # pivot row k is aug[k][k] times (e_k | the k-th coordinates of the y_i)
-    d1 = source.ambient_dim
-    interp = basis_interpolation(source)
-    rows = []
-    for k, row in enumerate(aug[:d2]):
-        out = [QQ(0)] * (d1 + 1)
-        ys = row[d2:]
-        for c, lam, e in interp:
-            out[c] = QQ(sum(map(operator.mul, e, ys)), lam * row[k])
-        rows.append(out)
-    matrix = Matrix(tuple(tuple(r[:d1]) for r in rows), d1)
-    return AffineMap(matrix, tuple(r[d1] for r in rows))
+    return interpolant(basis_interpolation(source), [row[d2:] for row in aug[:d2]],
+                       [row[k] for k, row in enumerate(aug[:d2])])
 
 
 def _leaving_certificate(source, hrep, basis, ints, v, img) -> Infeasible:
@@ -509,7 +495,8 @@ def _leaving_certificate(source, hrep, basis, ints, v, img) -> Infeasible:
     outside the target.
 
     Take the first facet ``(a, b)`` that ``img`` violates, the barycentric
-    coordinates ``lam`` of ``v`` over the basis and coefficients ``mu``
+    coordinates ``lam`` of ``v`` over the basis (the ``interpolant`` of
+    the unit vectors e_i at the basis points p_i, at ``v``), and ``mu``
     with ``sum_j mu_j c_j = a`` (``a`` lifted to the target's coordinates;
     the rows ``c_j`` span them).  Then the inequality row of ``(v, a)``
     equals ``sum_ij mu_j lam_i`` times the equality row of ``(c_j, p_i)``,
@@ -523,9 +510,8 @@ def _leaving_certificate(source, hrep, basis, ints, v, img) -> Infeasible:
         (at, (a, b)) for at, (a, b) in enumerate(hrep.facets)
         if hrep.scale * vec_dot(a, xs) < b
     )
-    lam = solve_affine(
-        [[p[k] for p in basis] for k in range(len(v))] + [[1] * len(basis)], v + (1,)
-    ).particular
+    identity = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+    lam = interpolant(basis_interpolation(source), identity, [1] * len(basis))(v)
     lifted = [0] * len(img)
     for k, ak in zip(coords, a):
         lifted[k] = ak

@@ -14,15 +14,17 @@ constant one, free functionals) and adds them once, one integer
 numerator per coefficient over one denominator
 (``geometry.signed_sums``), not by chained functional additions;
 ``faithful_member`` needs one elimination, not a rank test per slot and
-coordinate.  A positive member is a joint observable, so
-``positive_member`` reads the compatibility LP of
-``theory.are_compatible`` and runs no LP of its own; this module never
-calls the simplex.
+coordinate.  ``isomorphism`` pushes W1 forward to W2 at the affine
+basis of K (``_push_forward``, one ``geometry.interpolation``, which
+also gives a channel's transported symmetry), on a polytope or a ball.
+A positive member is a joint observable, so ``positive_member`` reads
+the compatibility LP of ``theory.are_compatible`` and runs no LP of its
+own; this module never calls the simplex.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, rref
 from ._record import record
@@ -404,21 +406,29 @@ def positive_member(
     return PositiveFound(rep, compat.program, compat.witness)
 
 
+def _push_forward(rep: WignerRep, image: Callable[[Vec], Vec]) -> Optional[AffineMap]:
+    """The grid map L with L(W(p)) = image(p) at the affine basis of K,
+    extended off aff W(K) by ``affine_map_with_orthogonal_extension``, or
+    ``None`` if the images break an affine dependency of the W(p).  For
+    an affine ``image`` the basis decides: every point of aff(K) is an
+    affine combination of it."""
+    basis = affine_basis(rep.state_space)
+    return affine_map_with_orthogonal_extension(
+        [evaluate(rep, p).flatten() for p in basis], [image(p) for p in basis])
+
+
 def isomorphism(rep1: WignerRep, rep2: WignerRep) -> AffineMap:
     """Affine bijection between the image hulls with L(W1(x)) = W2(x).
 
     Off the hull of W1(K) the map acts as the identity on the orthogonal
     complement when both grids have the same size, and as zero
-    otherwise; either extension keeps total mass 1.
+    otherwise; either extension keeps total mass 1 (``_push_forward``).
     """
     if rep1.state_space != rep2.state_space:
         raise PreconditionError("representations live on different state spaces")
     if not is_faithful(rep1) or not is_faithful(rep2):
         raise PreconditionError("isomorphism needs faithful representations")
-    basis = affine_basis(rep1.state_space)
-    u = [evaluate(rep1, p).flatten() for p in basis]
-    w = [evaluate(rep2, p).flatten() for p in basis]
-    lam = affine_map_with_orthogonal_extension(u, w)
+    lam = _push_forward(rep1, lambda p: evaluate(rep2, p).flatten())
     if lam is None:  # pragma: no cover - faithful images are independent
         raise ArithmeticError("interpolation failed on a faithful image")
     return lam

@@ -16,13 +16,18 @@ polytope pairs, over vertex images and convex weights, against which
 the facet form is checked.  ``unconstrained_witness`` is the former
 diagnosis of an infeasible channel, one block system over all basis
 images; ``per_column_affine_map`` the former ``affine_map_from_points``,
-one ``solve_affine`` per target coordinate; ``rank_greedy_subset`` the
-former greedy affine basis, one exact rank per point.
+one ``solve_affine`` per target coordinate, against which
+``geometry.interpolant`` of the one ``geometry.interpolation`` rref is
+checked (free unknowns 0); ``rank_greedy_subset`` the former greedy
+affine basis, one exact rank per point.
 
 ``orthogonal_extension`` (with ``projection_matrix``) is the former
 ``geometry.affine_map_with_orthogonal_extension``: one ``solve_affine``
 per point off a greedy affine basis, then the interpolant composed with
-the orthogonal projection onto the domain's difference span.
+the orthogonal projection onto the domain's difference span.  Over the
+W-images of every vertex it is also the former interpolation of
+``symmetry.find_symmetry_for_channel``, which now pushes a channel
+forward at the affine basis alone.
 ``closed_form_family`` is the former ``wigner.construct_family``,
 ``greedy_faithful_member`` the former ``wigner.faithful_member`` (one
 ``construct_family`` and ``grid_rank`` per slot and coordinate trial)
@@ -138,7 +143,6 @@ from wignerlab.geometry import (
     StateSpace,
     _functional,
     affine_basis,
-    affine_map_from_points,
     affine_map_with_orthogonal_extension,
     basis_ints,
     contains,
@@ -717,7 +721,7 @@ def vertex_image_channel(source, target, equations):
     if isinstance(result, Infeasible):
         return lp, result, None
     images = [tuple(result.witness[idx_y(i, k)] for k in range(d2)) for i in basis_idx]
-    return lp, result, affine_map_from_points(basis, images)
+    return lp, result, per_column_affine_map(basis, images)
 
 
 def map_into_by_vertices(source: Polytope, m: AffineMap, target: Polytope) -> Containment:
@@ -906,7 +910,7 @@ def orthogonal_extension(
         )
         if predicted != images[j]:
             return None
-    interp = affine_map_from_points(base_dom, base_img)
+    interp = per_column_affine_map(base_dom, base_img)
     if interp is None:  # pragma: no cover - basis is affinely independent
         raise ArithmeticError("interpolation failed on an affine basis")
     m0, t0 = interp.matrix, interp.offset

@@ -495,17 +495,21 @@ def test_no_subcommand_prints_the_help(capsys):
      " (at {missing})"),
     (("covariant", "{box}", "--channels", "{rows}"), "expected an object (at [0])"),
     (("verify", "{missing}"), "[Errno 2] No such file or directory: '{missing}' (at {missing})"),
+    (("verify", "{text}"), "Expecting value (line 1)"),
 ], ids=["empty --free", "--anchor", "--channel-matrix", "--channels missing",
-        "--channels row", "verify missing"])
+        "--channels row", "verify missing", "verify not json"])
 def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, argv, message):
     """An empty free functional, a malformed anchor or channel matrix, a
     channels file that cannot be read or has a row that is no object, and
-    a report that cannot be read are usage errors."""
+    a report that cannot be read or is not JSON are usage errors."""
     box, w0, rows = tmp_path / "box.json", tmp_path / "w0.json", tmp_path / "rows.json"
     run(capsys, "example", "boxworld", "--out", str(box))
     run(capsys, "example", "boxworld", "--rep", "W_0", "--out", str(w0))
     rows.write_text("[1]")
-    names = {"box": box, "w0": w0, "rows": rows, "missing": tmp_path / "missing.json"}
+    text = tmp_path / "report.txt"
+    text.write_text("ok    claims verified\n")
+    names = {"box": box, "w0": w0, "rows": rows, "missing": tmp_path / "missing.json",
+             "text": text}
     argv = [a.format(**names) for a in argv]
     assert run(capsys, *argv) == (2, "", f"error: {message.format(**names)}\n")
 

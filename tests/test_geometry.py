@@ -19,12 +19,13 @@ from wignerlab.geometry import (
     ExtremalValue,
     Polytope,
     affine_basis,
-    affine_map_from_points,
     affine_map_with_orthogonal_extension,
     contains,
     dimension,
     extremal_range,
     int_values,
+    interpolant,
+    interpolation,
     map_into,
 )
 
@@ -701,14 +702,16 @@ def _random_interpolation(rng, kind):
 
 @pytest.mark.parametrize("kind", ["square", "under", "over", "inconsistent"])
 def test_affine_map_from_points_matches_per_column_solves(kind):
-    """One rref with a right-hand side per target coordinate gives the
-    map of one ``solve_affine`` per coordinate (free unknowns 0), and
-    ``None`` exactly when one of them is inconsistent."""
+    """``interpolant`` of the one rref ``interpolation`` (the reader
+    that replaced ``affine_map_from_points``) gives the map of one
+    ``solve_affine`` per coordinate (free unknowns 0), and ``None``
+    exactly when one of them is inconsistent."""
     rng = random.Random({"square": 41, "under": 42, "over": 43, "inconsistent": 44}[kind])
     found = 0
     for _ in range(40):
         domain, images = _random_interpolation(rng, kind)
-        m = affine_map_from_points(domain, images)
+        (xs, q), (ys, r) = integer_rows(domain), integer_rows(images)
+        m = interpolant(interpolation(xs, q), list(zip(*ys)), [r] * len(ys[0]))
         assert m == per_column_affine_map(domain, images)
         if m is not None:
             found += 1

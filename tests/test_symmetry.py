@@ -6,6 +6,7 @@ import collections
 from fractions import Fraction as F
 import inspect
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -24,7 +25,9 @@ from helpers import (
     random_rotation,
     random_theory,
 )
-from wignerlab import _kernels, catalog, exact, geometry, programs, symmetry, theory, wigner
+from wignerlab import (
+    _kernels, catalog, cli, exact, geometry, programs, symmetry, theory, theoryfile, wigner,
+)
 from wignerlab.errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from wignerlab.exact import verify_certificate
 from wignerlab.geometry import AffineFunctional, AffineMap, Ball, Polytope, dimension
@@ -175,6 +178,71 @@ def test_trit_identity_and_swap():
         assert psi(evaluate(rep, v).flatten()) == evaluate(rep, v).flatten()
     swap = PhasePointMap((2, 1), (1, 0))
     assert isinstance(find_transported_channel(rep, lift(swap)), Channel)
+
+
+def _skew_triangle():
+    """conv{(0,0), (1,0), (0,1)} with both observables' effects
+    ((x+2y)/2, 1 - (x+2y)/2), its degenerate representation and the swap
+    (x, y) -> (y, x).  W takes the values of t = (x+2y)/2, 0, 1/2 and 1
+    at the vertices, so no two vertex images collide, and W . swap breaks
+    their midpoint dependency."""
+    tri = Polytope([(0, 0), (1, 0), (0, 1)])
+    t = AffineFunctional((F(1, 2), 1), 0)
+    obs_a, obs_b = Observable("A", (0, 1), (t, ONE2 - t)), Observable("B", (0, 1), (t, ONE2 - t))
+    return tri, obs_a, obs_b, degenerate_rep(obs_a, obs_b, tri), AffineMap.from_rows(
+        [[0, 1], [1, 0]], [0, 0])
+
+
+def test_a_higher_order_dependency_obstructs_transport():
+    """No vertex pair collides, so the obstruction is the dependency, named
+    by the affine basis; the former interpolation over every vertex
+    (``orthogonal_extension``) fails there too."""
+    tri, _, _, rep, swap = _skew_triangle()
+    images = [evaluate(rep, v).flatten() for v in tri.vertices]
+    assert len(set(images)) == 3
+    assert ref.orthogonal_extension(images, [evaluate(rep, swap(v)).flatten()
+                                             for v in tri.vertices]) is None
+    assert find_symmetry_for_channel(rep, Channel(swap, tri, tri)) == TransportObstruction(
+        dependency=geometry.affine_basis(tri))
+
+
+def test_symmetries_channel_matrix_reports_the_dependency(tmp_path, capsys):
+    """Through the CLI: exit 1, the obstruction note and no witness pair."""
+    tri, obs_a, obs_b, rep, _ = _skew_triangle()
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(theoryfile.theory_to_dict(
+        theory.Theory(tri, (obs_a, obs_b)), ("W", rep))))
+    code = cli.main(["symmetries", str(path), "--channel-matrix",
+                     '{"matrix": [["0","1"],["1","0"]], "offset": ["0","0"]}'])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["obstruction"] == {}
+    assert report["notes"] == ["no transported symmetry exists for the requested channel"]
+
+
+def test_transported_symmetries_of_induced_actions_are_their_lifts():
+    """Round trip on balls and polytopes: for every lifted symmetry phi of
+    qubit_ball W, qubit_xz W, boxworld W_1/2 and rebit_diamond W, the grid
+    map pushed forward from ``induced_action(rep, phi)`` is lift(phi) at
+    W's basis images; on a polytope it is the map the former interpolation
+    over every vertex gives (``orthogonal_extension``)."""
+    orders = []
+    for name, rep_name in (("qubit_ball", "W"), ("qubit_xz", "W"), ("boxworld", "W_1/2"),
+                           ("rebit_diamond", "W")):
+        rep = catalog.load(name).representations[rep_name]
+        space = rep.state_space
+        found = enumerate_lifted_symmetries(rep)
+        for phi in found:
+            chan = induced_action(rep, phi)
+            psi = find_symmetry_for_channel(rep, chan)
+            for p in geometry.affine_basis(space):
+                at_p = evaluate(rep, p)
+                assert psi(at_p.flatten()) == lift(phi).apply(at_p).flatten()
+            if isinstance(space, Polytope):
+                assert psi == ref.orthogonal_extension(
+                    [evaluate(rep, v).flatten() for v in space.vertices],
+                    [evaluate(rep, chan(v)).flatten() for v in space.vertices])
+        orders.append(len(found))
+    assert orders == [24, 8, 4, 8]
 
 
 def test_faithful_channel_always_transports_back():

@@ -9,8 +9,9 @@ import pytest
 
 from helpers import random_fraction, random_polygon, random_theory
 from reference_kernels import surjectivity_details as lp_surjectivity_details
-from reference_kernels import unconstrained_witness, vertex_image_channel
+from reference_kernels import per_column_affine_map, unconstrained_witness, vertex_image_channel
 from wignerlab import catalog, cli, exact, programs, symmetry
+from wignerlab._kernels import integer_rows
 from wignerlab.errors import (
     ContainmentError, DomainError, PairError, PreconditionError, UnsupportedGeometryError,
 )
@@ -21,7 +22,8 @@ from wignerlab.geometry import (
     Ball,
     Polytope,
     affine_basis,
-    affine_map_from_points,
+    basis_interpolation,
+    interpolant,
     map_into,
 )
 from wignerlab.theory import (
@@ -97,6 +99,19 @@ def test_validate_range_violation_with_witness():
         ("effect for outcome 1 goes above 1 (max 3/2)", (0, 0)),
     ]
     assert [v.witness for v in validate_observable(bad, Ball((0, 0), 1))] == [None] * 4
+
+
+def test_validate_names_effects_of_the_wrong_dimension():
+    """Effects on R^3 over the square (or the disk): one ``dimension``
+    violation per effect, and no range check, although 2x leaves [0, 1];
+    the effects still sum to the unit effect."""
+    f = AffineFunctional((2, 0, 0), 0)
+    wide = Observable("wide", (0, 1), (f, AffineFunctional.one(3) - f))
+    for space in (SQUARE, Ball((0, 0), 1)):
+        assert [(v.kind, v.message) for v in validate_observable(wide, space)] == [
+            ("dimension", f"effect for outcome {k} has dimension 3, space has 2")
+            for k in (0, 1)
+        ]
 
 
 def test_validate_normalization():
@@ -629,8 +644,9 @@ def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, cap
 
 
 def test_fixed_map_is_the_interpolation_of_its_basis_images():
-    """``_fixed_map`` builds from ints the map that ``affine_map_from_points``
-    interpolates through the basis images its rows fix, on random
+    """``_fixed_map`` builds the ``interpolant`` of the basis images its
+    rows fix, which is the map of one ``solve_affine`` per coordinate
+    (``per_column_affine_map``, free unknowns 0), on random
     polygons (points and segments included) and on the same polygons at
     z = 0 in R^3, and gives ``None`` when the rows leave the images free."""
     rng = random.Random(163)
@@ -652,7 +668,9 @@ def test_fixed_map_is_the_interpolation_of_its_basis_images():
         if exact.rank(coeffs) < d2:
             assert got is None
             continue
-        assert got == affine_map_from_points(basis, images)
+        ys, den = integer_rows(images)
+        assert got == interpolant(basis_interpolation(source), list(zip(*ys)), [den] * d2)
+        assert got == per_column_affine_map(basis, images)
         fixed += 1
     assert fixed > 60
 
