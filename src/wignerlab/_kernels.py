@@ -56,17 +56,27 @@ def rref(rows, ncols):
     trailing columns (augmented right-hand sides) are carried along by
     the row operations.  Returns the list of pivot column indices.
 
-    Entries may be ints or Fractions.  On return each row holds the ints
-    of the primitive vector (gcd 1) along its reduced row, so a pivot
-    row's entry at its pivot column is its denominator.  The elimination
-    runs on ints (see the module docstring).
+    Entries may be ints or Fractions.  A row of ints is taken as it is
+    (over 1), and any other row is scaled by ``integer_rows``, which
+    would leave the ints unchanged, so both give the same pivots and
+    rows.  On return each row holds the ints of the primitive vector
+    (gcd 1) along its reduced row, so a pivot row's entry at its pivot
+    column is its denominator.  The elimination runs on ints (see the
+    module docstring).
     """
     m = len(rows)
     if m == 0:
         return []
     # row i is nums[i] / dens[i], with gcd(dens[i], *nums[i]) == 1
-    scaled = [integer_rows([row]) for row in rows]
-    nums, dens = [num for (num,), _ in scaled], [den for _, den in scaled]
+    nums, dens = [], []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            nums.append(list(row))
+            dens.append(1)
+        else:
+            (num,), den = integer_rows([row])
+            nums.append(num)
+            dens.append(den)
     pivots = []
     r = 0
     for c in range(ncols):

@@ -434,9 +434,10 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
                          path="--channel-matrix")
     result = symmetry.find_symmetry_for_channel(rep, chan)
     if isinstance(result, symmetry.TransportObstruction):
-        payload = {}
         if result.pair is not None:
-            payload["witness_pair"] = [ser_vec(p) for p in result.pair]
+            payload = {"witness_pair": [ser_vec(p) for p in result.pair]}
+        else:
+            payload = {"dependency": [ser_vec(p) for p in result.dependency]}
         _emit(
             make_report(
                 "symmetries",

@@ -620,11 +620,19 @@ def _points(points: Sequence[Sequence]) -> tuple[Vec, ...]:
     return pts
 
 
+def hull_coords(space: StateSpace) -> tuple[int, ...]:
+    """The coordinates onto which aff(space) projects injectively: a
+    polytope's facet coordinates, every coordinate of a ball.  On
+    aff(space) every affine functional is one of these coordinates and
+    the constant alone."""
+    if isinstance(space, Ball):
+        return tuple(range(space.ambient_dim))
+    return space._facets.coords
+
+
 def dimension(space: StateSpace) -> int:
     """Dimension of the affine hull."""
-    if isinstance(space, Ball):
-        return space.ambient_dim
-    return len(space._facets.coords)
+    return len(hull_coords(space))
 
 
 def affine_basis(space: StateSpace) -> tuple[Vec, ...]:

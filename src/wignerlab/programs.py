@@ -12,7 +12,12 @@ report supplies.
   Its unknowns are the coefficients of the grid functionals W_ab (block
   ``(a * n_b + b) * (dim + 1)``, the constant last, ``grid_unknowns``);
   the marginal identities hold coefficient-wise, and every W_ab is >= 0
-  at every vertex.
+  at every vertex.  It is the claim's program, but not the one the
+  engine pivots: that is ``free_block_compatibility``, over the free
+  slots' functionals on aff(K) and with no equality, whose rows are
+  this program's inequality rows with the marginals solved (W = X + D).
+  ``theory.are_compatible`` lifts its witness or Farkas certificate back
+  to this program, where ``exact.checked`` and ``verify`` check it.
 - ``marginal_program``: the marginal identities alone.  The Farkas
   certificate of a pair whose effect sums differ lives on them.
 - ``surjectivity``: convex weights of the vertices of K at which one
@@ -33,6 +38,11 @@ report supplies.
 Two helpers name these arguments for the engine and ``verify`` alike:
 ``generators``, the outcome permutations of the generators of S_m x S_n,
 and ``moved_points``, the text of a phase table in a ``no_transport`` id.
+Others describe the free block of a grid, for the engine alone: the
+completion rule (``free_slots`` and ``_slot_signs``, as cells and signs
+``slot_terms``) and two grids with both marginals for a pair whose
+effects have one sum, one on the anchored cross (``cross_terms``) and
+the covariant W0 (``base_grid``).
 
 Each constructor writes its rows straight in the integer form of
 ``LinearProgram`` (``LinearProgram.from_scaled``): a row ``r . x (= or
@@ -47,11 +57,13 @@ keeps.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ._kernels import integer_rows
-from .exact import LinearProgram
-from .geometry import Polytope, basis_ints, int_values, signed_sums, vertex_ints
+from .exact import QQ, LinearProgram
+from .geometry import (
+    Polytope, _functional, basis_ints, hull_coords, int_values, signed_sums, vertex_ints,
+)
 
 
 def grid_unknowns(n_a: int, n_b: int, dim: int):
@@ -91,6 +103,74 @@ def _marginal_rows(obs_a, obs_b) -> tuple[int, list]:
     return n_vars, rows
 
 
+def free_slots(obs_a, obs_b, anchor: Optional[tuple[int, int]] = None):
+    """The anchor (alpha, beta), by default the last outcome of each
+    observable, and the free slots (a, b) with a != alpha and b != beta in
+    row-major order, the order in which members list their free block."""
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    alpha, beta = anchor if anchor is not None else (n_a - 1, n_b - 1)
+    if not (0 <= alpha < n_a and 0 <= beta < n_b):
+        raise ValueError("anchor out of range")
+    slots = [(a, b) for a in range(n_a) for b in range(n_b) if a != alpha and b != beta]
+    return (alpha, beta), slots
+
+
+def _slot_signs(slot: tuple[int, int], anchor: tuple[int, int]):
+    """The completion rule: a free slot's functional enters its own entry
+    and the corner with sign +1, and (a, beta) and (alpha, b) with -1."""
+    (a, b), (alpha, beta) = slot, anchor
+    return (((a, b), 1), ((a, beta), -1), ((alpha, b), -1), ((alpha, beta), 1))
+
+
+def slot_terms(obs_a, obs_b) -> list[list[tuple[int, int]]]:
+    """Per cell ``a * n_b + b``, the ``(s, sign)`` of each free slot s (its
+    index in ``free_slots``, default anchor) that enters the cell by the
+    completion rule: the zero-marginal grid D of slot functionals f_s has
+    D_ab = sum of sign * f_s over them."""
+    anchor, slots = free_slots(obs_a, obs_b)
+    n_b = obs_b.n_outcomes
+    terms = [[] for _ in range(obs_a.n_outcomes * n_b)]
+    for s, slot in enumerate(slots):
+        for (a, b), sign in _slot_signs(slot, anchor):
+            terms[a * n_b + b].append((s, sign))
+    return terms
+
+
+def cross_terms(obs_a, obs_b) -> list[list]:
+    """Per cell ``a * n_b + b``, the signed effects ``(sign, f)`` of a
+    member on the anchored cross (default anchor): A_a at (a, beta), B_b
+    at (alpha, b) for b != beta, and A_alpha minus those B_b at the
+    corner.  Its rows sum to the A_a, and its columns to the B_b whenever
+    the effects of A and B have one sum; where that sum is the unit
+    effect, it is ``wigner.degenerate_rep``."""
+    n_b = obs_b.n_outcomes
+    (alpha, beta), _ = free_slots(obs_a, obs_b)
+    terms = [[] for _ in range(obs_a.n_outcomes * n_b)]
+    for a, f in enumerate(obs_a.effects):
+        terms[a * n_b + beta].append((1, f))
+    for b, f in enumerate(obs_b.effects):
+        if b != beta:
+            terms[alpha * n_b + b].append((1, f))
+            terms[alpha * n_b + beta].append((-1, f))
+    return terms
+
+
+def base_grid(obs_a, obs_b) -> list:
+    """W0_ab = A_a/n_b + B_b/n_a - S/(n_a n_b), flat in cell order
+    ``a * n_b + b``, for a pair whose effects have one sum S: its rows sum
+    to the A_a and its columns to the B_b, coefficient-wise."""
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    rows, q = integer_rows([f.coefficients() for f in obs_a.effects + obs_b.effects])
+    total = [sum(col) for col in zip(*rows[:n_a])]
+    den = n_a * n_b * q
+    grid = []
+    for x in rows[:n_a]:
+        for y in rows[n_a:]:
+            *lin, c = (QQ(n_a * u + n_b * v - t, den) for u, v, t in zip(x, y, total))
+            grid.append(_functional(tuple(lin), c))
+    return grid
+
+
 def marginal_program(obs_a, obs_b) -> LinearProgram:
     """The marginal identities of a grid for the pair, with no inequality."""
     n_vars, rows = _marginal_rows(obs_a, obs_b)
@@ -112,6 +192,33 @@ def compatibility(obs_a, obs_b, space) -> LinearProgram:
             row[cell * width:(cell + 1) * width] = point
             rows.append((tuple(row), 0, s))
     return LinearProgram.from_scaled(n_vars, rows, n_eq)
+
+
+def free_block_compatibility(obs_a, obs_b, space) -> LinearProgram:
+    """The program the engine pivots for ``compatibility``, for a pair
+    whose effects have one sum: W = X + D, X the member on the anchored
+    cross (``cross_terms``) and D the zero-marginal grid of the free slots'
+    functionals f_s (``slot_terms``), has both marginals.  On aff(K) each
+    f_s is its coefficients on ``geometry.hull_coords`` and its constant,
+    dim K + 1 numbers, and unknown ``s * w + i`` is the i-th of them; there
+    is no equality.  Its rows are X_ab(v) + sum of sign * f_s(v) >= 0 per
+    vertex v and cell, in the row order of ``compatibility``, each the
+    same rational row as that program's W_ab(v) >= 0 once W = X + D."""
+    terms = slot_terms(obs_a, obs_b)
+    coords = hull_coords(space)
+    xs, q = vertex_ints(space)
+    base, den = int_values(signed_sums(cross_terms(obs_a, obs_b), space.ambient_dim), xs, q)
+    w = len(coords) + 1
+    n_vars = w * (obs_a.n_outcomes - 1) * (obs_b.n_outcomes - 1)
+    rows = []
+    for j, x in enumerate(xs):
+        point = [den * x[k] for k in coords] + [den * q]
+        for values, entries in zip(base, terms):
+            row = [0] * n_vars
+            for s, sign in entries:
+                row[s * w:(s + 1) * w] = [sign * c for c in point]
+            rows.append(_reduced(row, -q * values[j], q * den))
+    return LinearProgram.from_scaled(n_vars, rows, 0)
 
 
 def surjectivity(f, space) -> LinearProgram:

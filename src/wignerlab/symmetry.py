@@ -20,9 +20,10 @@ in ``isomorphism``), on a polytope or a ball.  Covariance
 under g, W_g(a,b)(F_g p) = W_ab(p), is the same square for lift(g), and
 ``verify`` checks it with the same equations.  The covariant solver
 combines two exact stages: permutation channels for the generators of
-the outcome translation group S_m x S_n, then the linear covariance
-system over the grid functionals, solved by elimination, with a
-closed-form certificate when it is inconsistent.
+the outcome translation group S_m x S_n, then the covariance system of
+the free block, the zero-marginal part D of W = W0 + D on aff(K),
+solved by one integer elimination at the affine basis; effect sums that differ get a
+closed-form certificate.
 This module never calls the simplex itself; the only LPs under it are
 ``find_channel``'s, for a map that its equations leave free (W forgets
 part of the state) or that no map satisfies.
@@ -67,7 +68,6 @@ from .exact import (
     Matrix,
     Vec,
     checked,
-    solve_affine,
     zeros,
 )
 from .geometry import (
@@ -79,22 +79,24 @@ from .geometry import (
     affine_basis,
     basis_ints,
     dimension,
+    hull_coords,
     int_values,
     map_into,
     vertex_ints,
 )
 from .programs import (
-    channel_system, generators, grid_unknowns, marginal_program, moved_points,
-    permutation_equations, transport_equations,
+    base_grid, channel_system, generators, marginal_program, moved_points,
+    permutation_equations, slot_terms, transport_equations,
 )
 from .theory import (
     Channel,
     ChannelInfeasible,
     Observable,
     _fixed_map,
-    _functional_from_block,
     are_complementary,
+    effect_sums_certificate,
     find_channel,
+    free_block_grid,
     is_surjective,
     jointly_info_complete,
 )
@@ -554,6 +556,11 @@ class CovariantResult:
     channels: Optional[dict[ProductGroupElement, Channel]] = None
 
 
+def _grid(flat: Sequence, n_b: int) -> tuple:
+    """The rows of a flat grid in cell order ``a * n_b + b``."""
+    return tuple(tuple(flat[i:i + n_b]) for i in range(0, len(flat), n_b))
+
+
 def solve_covariant(
     obs_a: Observable,
     obs_b: Observable,
@@ -566,22 +573,27 @@ def solve_covariant(
     module docstring), and the group is never closed.  Stage 1 builds
     their permutation channels (outcome translations acting on states);
     an infeasible generator yields a machine-checkable Farkas
-    certificate that no covariant representation exists.  Stage 2
-    solves the linear system of marginal identities plus the covariance
-    identities for the generators and classifies the solution set by
-    the dimension of its restriction to aff(K).
+    certificate that no covariant representation exists.  Stage 2 runs
+    no LP.
 
-    Stage 2 runs no LP.  Both marginals sum to the grid's total, so if
-    S_A = sum_a A_a and S_B = sum_b B_b differ at a first coefficient k,
-    +1 on the row and -1 on the column marginals at k (negated if needed)
-    is a Farkas certificate with gap |S_A[k] - S_B[k]| for the marginal
-    system alone (``programs.marginal_program``), which is the reported
-    program: the covariance rows need the solved channels.  If S_A = S_B = S,
-    W0_ab = A_a/n_b + B_b/n_a - S/(n_a n_b) has both marginals, and it is
-    covariant: stage 1 imposes A_a(F p) = A_(g^-1 a)(p) and likewise for B
-    at the basis points, so S(F p) = S(p) and W0_ab(F p) = W0_(g^-1(a,
-    b))(p).  So ``solve_affine`` succeeds; its particular solution is the
-    reported member.
+    If the effect sums S_A and S_B differ, no grid has both marginals:
+    ``theory.effect_sums_certificate`` is the Farkas certificate of the
+    marginal system alone (``programs.marginal_program``), the reported
+    program, since covariance rows would need the solved channels.  If
+    S_A = S_B = S, W0_ab = A_a/n_b + B_b/n_a - S/(n_a n_b)
+    (``programs.base_grid``) has both marginals, and it is covariant:
+    stage 1 imposes A_a(F p) = A_(g^-1 a)(p) and likewise for B at the
+    basis points, so S(F p) = S(p) and W0_g(a,b)(F_g p) = W0_ab(p).  Every
+    grid with the marginals is W0 + D for a zero-marginal D of free-slot
+    functionals (``programs.slot_terms``), so stage 2 solves only
+    D_g(a,b)(F_g p_j) = D_ab(p_j) for each generator g, cell and point
+    p_j of the affine basis.  The unknowns are the slots' functionals on
+    aff(K), their coefficients on ``geometry.hull_coords`` and constants,
+    (m-1)(n-1)(dim K+1) of them, so the system is one integer ``rref`` of
+    the coordinates of p_j and F_g p_j.  A trivial nullspace gives
+    "unique" with W0; otherwise the result is "family" with base point
+    W0, and each nullspace vector is a direction, the D of
+    ``theory.free_block_grid``, which is nonzero on aff(K).
     """
     hyps = {
         "jointly_info_complete": jointly_info_complete(obs_a, obs_b, space),
@@ -606,56 +618,51 @@ def solve_covariant(
             certificate=stage1.detail.certificate,
             program=stage1.detail.program,
         )
+    cert = effect_sums_certificate(obs_a, obs_b)
+    if cert is not None:
+        marginals = marginal_program(obs_a, obs_b)
+        return CovariantResult("none", hyps, certificate=checked(marginals, cert),
+                               program=marginals)
     n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    dim = space.ambient_dim
-    n_vars, idx = grid_unknowns(n_a, n_b, dim)
-    marginals = marginal_program(obs_a, obs_b)
-    sum_a, sum_b = (sum(o.effects[1:], o.effects[0]).coefficients() for o in (obs_a, obs_b))
-    if sum_a != sum_b:
-        k = next(k for k, (x, y) in enumerate(zip(sum_a, sum_b)) if x != y)
-        sign = 1 if sum_a[k] > sum_b[k] else -1
-        mults = [QQ(0)] * (n_a + n_b) * (dim + 1)  # row i at coefficient k is i * (dim + 1) + k
-        for i in range(n_a + n_b):
-            mults[i * (dim + 1) + k] = QQ(sign if i < n_a else -sign)
-        cert = checked(marginals, Infeasible(tuple(mults), (), abs(sum_a[k] - sum_b[k])))
-        return CovariantResult("none", hyps, certificate=cert, program=marginals)
-    eqs = list(marginals.equalities)
-    basis = affine_basis(space)
+    terms = slot_terms(obs_a, obs_b)
+    coords = hull_coords(space)
+    w = len(coords) + 1
+    n = w * (n_a - 1) * (n_b - 1)
+    xs, q = basis_ints(space)
+    rows = []
     for gen, chan in stage1.channels.items():
-        inv = gen.inverse()
-        for a in range(n_a):
-            for b in range(n_b):
-                src = (inv.perm_a[a], inv.perm_b[b])
-                for p in basis:
-                    img = chan(p)
-                    row = [QQ(0)] * n_vars
-                    for k in range(dim):
-                        row[idx(a, b, k)] += img[k]
-                        row[idx(src[0], src[1], k)] -= p[k]
-                    row[idx(a, b, dim)] += QQ(1)
-                    row[idx(src[0], src[1], dim)] -= QQ(1)
-                    eqs.append((tuple(row), QQ(0)))
-    sol = solve_affine([row for row, _ in eqs], [rhs for _, rhs in eqs])
-
-    def grid_from(coeffs) -> WignerRep:
-        return WignerRep(space, obs_a, obs_b, tuple(
-            tuple(_functional_from_block(coeffs, idx, a, b, dim) for b in range(n_b))
-            for a in range(n_a)
-        ))
-
-    # directions that vanish on aff(K) are coefficient gauge, not freedom
-    genuine = []
-    for direction in sol.nullspace:
-        rep_dir = grid_from(direction)
-        if any(f(p) != 0 for f in rep_dir.functionals() for p in basis):
-            genuine.append(rep_dir)
-    rep = grid_from(sol.particular)
-    if genuine:
+        images, den = int_values(chan.map.functionals(), xs, q)
+        for j, x in enumerate(xs):
+            # (F p_j, 1) and (p_j, 1) on the coordinates, times q * den
+            image = [q * images[k][j] for k in coords] + [q * den]
+            point = [den * x[k] for k in coords] + [q * den]
+            for cell, entries in enumerate(terms):
+                a, b = divmod(cell, n_b)
+                row = [0] * n
+                # D_g(a,b)(F p_j) - D_ab(p_j)
+                for s, sign in terms[gen.perm_a[a] * n_b + gen.perm_b[b]]:
+                    for i, c in enumerate(image):
+                        row[s * w + i] += sign * c
+                for s, sign in entries:
+                    for i, c in enumerate(point):
+                        row[s * w + i] -= sign * c
+                rows.append(row)
+    pivots = rref(rows, n)
+    rep = WignerRep(space, obs_a, obs_b, _grid(base_grid(obs_a, obs_b), n_b))
+    if len(pivots) < n:
+        directions = []
+        for free in (k for k in range(n) if k not in pivots):
+            values = [QQ(0)] * n
+            values[free] = QQ(1)
+            for row, c in zip(rows, pivots):
+                values[c] = QQ(-row[free], row[c])
+            flat = free_block_grid(space, terms, values, [[] for _ in terms])
+            directions.append(WignerRep(space, obs_a, obs_b, _grid(flat, n_b)))
         return CovariantResult(
             "family",
             hyps,
             rep=rep,
-            family_directions=tuple(genuine),
+            family_directions=tuple(directions),
             channels=stage1.channels,
         )
     return CovariantResult("unique", hyps, rep=rep, channels=stage1.channels)

@@ -12,7 +12,10 @@ target the Farkas certificate of the channel LP is built from the
 violated facet.  That map, an LP channel rebuilt from its basis images
 and the leaving vertex's barycentric weights are each one
 ``geometry.interpolant`` of ``basis_interpolation``'s rows, with no
-second elimination.  ``are_compatible`` and ``find_channel`` are
+second elimination.  The compatibility simplex runs on the free block
+(``programs.free_block_compatibility``: W = X + D, no equality row),
+and its witness or Farkas certificate is lifted back to the claim's
+program in closed form.  ``are_compatible`` and ``find_channel`` are
 the only callers of ``lp_feasible`` in the engine; a positive Wigner
 representation is a joint observable, so ``wigner.positive_member``
 reads the compatibility LP.  Surjectivity is decided by the effects'
@@ -47,6 +50,7 @@ from .exact import (
     unit,
     vec,
     vec_dot,
+    zeros,
 )
 from .geometry import (
     AffineFunctional,
@@ -62,9 +66,11 @@ from .geometry import (
     contains,
     dimension,
     extremal_range,
+    hull_coords,
     int_values,
     interpolant,
     map_into,
+    signed_sums,
     vertex_ints,
 )
 
@@ -224,10 +230,82 @@ class Incompatible:
     certificate: Infeasible
 
 
-def _functional_from_block(witness: Vec, idx, a: int, b: int, dim: int) -> AffineFunctional:
-    return AffineFunctional(
-        tuple(witness[idx(a, b, k)] for k in range(dim)), witness[idx(a, b, dim)]
-    )
+def effect_sums_certificate(obs_a: Observable, obs_b: Observable) -> Optional[Infeasible]:
+    """The Farkas certificate of ``programs.marginal_program`` when the
+    effect sums differ, else ``None``.
+
+    Both marginals sum to the grid's total, so if S_A = sum_a A_a and
+    S_B = sum_b B_b differ at a first coefficient k, +1 on the row and -1
+    on the column marginals at k (negated if needed) combine to 0 = S_A[k]
+    - S_B[k], a certificate with gap |S_A[k] - S_B[k]|.
+    """
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    sum_a, sum_b = (sum(o.effects[1:], o.effects[0]).coefficients() for o in (obs_a, obs_b))
+    if sum_a == sum_b:
+        return None
+    width = len(sum_a)
+    k = next(k for k, (x, y) in enumerate(zip(sum_a, sum_b)) if x != y)
+    sign = 1 if sum_a[k] > sum_b[k] else -1
+    mults = [QQ(0)] * (n_a + n_b) * width  # row i at coefficient k is i * width + k
+    for i in range(n_a + n_b):
+        mults[i * width + k] = QQ(sign if i < n_a else -sign)
+    return Infeasible(tuple(mults), (), abs(sum_a[k] - sum_b[k]))
+
+
+def free_block_grid(space: StateSpace, terms, values, entries) -> list[AffineFunctional]:
+    """The flat grid of the signed terms ``entries`` of each cell plus D,
+    for the free slots' values ``values[s * w:(s + 1) * w]``: f_s's
+    coefficients on ``geometry.hull_coords`` and its constant, as in
+    ``programs.free_block_compatibility``.  Each f_s enters its cells with
+    the signs of ``programs.slot_terms``, and ``signed_sums`` adds every
+    cell's terms once."""
+    coords = hull_coords(space)
+    w = len(coords) + 1
+    slots = []
+    for s in range(0, len(values), w):
+        linear = [QQ(0)] * space.ambient_dim
+        for k, c in zip(coords, values[s:s + w]):
+            linear[k] = c
+        slots.append(AffineFunctional(tuple(linear), values[s + w - 1]))
+    for entry, cell in zip(entries, terms):
+        entry += [(sign, slots[s]) for s, sign in cell]
+    return signed_sums(entries, space.ambient_dim)
+
+
+def _lifted_certificate(obs_a, obs_b, space: Polytope, y: Vec) -> Infeasible:
+    """The Farkas certificate of ``programs.compatibility`` whose
+    inequality multipliers are ``y``, those of the free block's program
+    (Farkas' lemma: y >= 0 combines its rows to 0 >= gap > 0).
+
+    Write the claim's program as E x = e, G x >= 0, and x0 for the
+    coefficients of X (``programs.cross_terms``).  Row (v, a, b) of the
+    free block is row (v, a, b) of G at x = x0 + D(t), with slot
+    functionals f_s of coefficients t_s on ``hull_coords`` and 0 on the
+    other coordinates.  Let u = y G, u(a,b,k) = sum_v y (v, 1)[k].  Any
+    affine g equals on aff(K) a g' of that form, so u against the
+    zero-marginal grid of g in slot s is the free block's combination
+    against g''s coefficients in slot s, which is 0.  Those grids span the
+    kernel of E, so u(a,b) - u(a,0) - u(0,b) + u(0,0) = 0, and the
+    marginal multipliers z_row(a,k) = -u(a,0,k), z_col(b,k) = u(0,0,k) -
+    u(0,b,k) give z E = -u.  Their gap z . e = z E x0 = -y G x0 is the
+    free block's gap.
+    """
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    cells = n_a * n_b
+    xs, q = vertex_ints(space)
+    (yq,), yden = integer_rows([y])
+    u = [[0] * (len(xs[0]) + 1) for _ in range(cells)]
+    for j, x in enumerate(xs):
+        point = (*x, q)
+        for cell in range(cells):
+            m = yq[j * cells + cell]
+            if m:
+                u[cell] = [a + m * p for a, p in zip(u[cell], point)]
+    z = [[-x for x in u[a * n_b]] for a in range(n_a)]
+    z += [[x - y for x, y in zip(u[0], u[b])] for b in range(n_b)]
+    eq = tuple(QQ(x, yden * q) for row in z for x in row)
+    rhs = [c for f in obs_a.effects + obs_b.effects for c in f.coefficients()]
+    return Infeasible(eq, y, vec_dot(eq, rhs))
 
 
 def are_compatible(
@@ -235,26 +313,40 @@ def are_compatible(
 ) -> Union[Compatible, Incompatible]:
     """Joint-measurability as exact LP feasibility.
 
-    Unknowns are the affine functionals of a candidate joint observable
-    on the product outcome set; the LP imposes the two marginal
-    identities coefficient-wise and nonnegativity at every vertex.
+    The claim's program is ``programs.compatibility``: the affine
+    functionals of a candidate joint observable on the product outcome
+    set, the two marginal identities coefficient-wise and nonnegativity
+    at every vertex.  The simplex runs on the free block instead
+    (``programs.free_block_compatibility``): W = X + D, the free slots'
+    functionals on aff(K) as unknowns, one row per vertex and cell and
+    no equality.  Its answer is lifted back: a witness becomes the grid's
+    coefficients (``free_block_grid``), and a Farkas vector keeps its
+    multipliers on the same rows, with marginal multipliers in closed
+    form (``_lifted_certificate``).  Effect sums that differ get the
+    closed-form certificate of ``effect_sums_certificate`` on the
+    marginal rows.  Every answer passes ``exact.checked`` on the claim's
+    program.
     """
     if not isinstance(space, Polytope):
         raise UnsupportedGeometryError(
             "compatibility LP needs a polytope state space"
         )
-    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    dim = space.ambient_dim
-    _, idx = programs.grid_unknowns(n_a, n_b, dim)
     lp = programs.compatibility(obs_a, obs_b, space)
-    result = lp_feasible(lp)
+    cert = effect_sums_certificate(obs_a, obs_b)
+    if cert is not None:
+        n_ineq = len(space.vertices) * obs_a.n_outcomes * obs_b.n_outcomes
+        return Incompatible(lp, checked(lp, Infeasible(cert.eq_multipliers, zeros(n_ineq),
+                                                       cert.gap)))
+    result = lp_feasible(programs.free_block_compatibility(obs_a, obs_b, space))
     if isinstance(result, Infeasible):
-        return Incompatible(lp, result)
-    joint = tuple(
-        tuple(_functional_from_block(result.witness, idx, a, b, dim) for b in range(n_b))
-        for a in range(n_a)
-    )
-    return Compatible(joint, lp, result.witness)
+        return Incompatible(lp, checked(lp, _lifted_certificate(
+            obs_a, obs_b, space, result.ineq_multipliers)))
+    flat = free_block_grid(space, programs.slot_terms(obs_a, obs_b), result.witness,
+                           programs.cross_terms(obs_a, obs_b))
+    witness = tuple(c for f in flat for c in f.coefficients())
+    n_b = obs_b.n_outcomes
+    joint = tuple(tuple(flat[a * n_b:(a + 1) * n_b]) for a in range(obs_a.n_outcomes))
+    return Compatible(joint, lp, checked(lp, Feasible(witness)).witness)
 
 
 def effect_span_rank(obs_a: Observable, obs_b: Observable, space: StateSpace) -> int:

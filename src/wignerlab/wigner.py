@@ -6,9 +6,10 @@ whose column sums reproduce the second's.  The whole family for a fixed
 pair of observables is parametrized by the free block of
 (|A|-1)(|B|-1) functionals: the anchored row, column and corner are
 then forced by the marginal identities.  That completion rule is
-written once (``free_slots`` for the slot order and default anchor,
-``_slot_signs`` for where a free functional enters), and
-``construct_family`` and ``faithful_member`` build on it.
+written once, in ``programs`` (``free_slots`` for the slot order and
+default anchor, ``_slot_signs`` for where a free functional enters), and
+``construct_family`` and ``faithful_member`` build on it, as do the
+compatibility and covariance solvers over the free block.
 ``construct_family`` lists the signed terms of each entry (effects, the
 constant one, free functionals) and adds them once, one integer
 numerator per coefficient over one denominator
@@ -46,6 +47,7 @@ from .geometry import (
     signed_sums,
     vertex_ints,
 )
+from .programs import _slot_signs, free_slots
 from .theory import Incompatible, Observable, are_compatible
 
 
@@ -160,27 +162,6 @@ def check_marginals(rep: WignerRep) -> MarginalReport:
         if total != rep.obs_b.effects[b]:
             violations.append(MarginalViolation("column", b, rep.obs_b.effects[b], total))
     return MarginalReport(tuple(violations))
-
-
-def free_slots(
-    obs_a: Observable, obs_b: Observable, anchor: Optional[tuple[int, int]] = None
-) -> tuple[tuple[int, int], list[tuple[int, int]]]:
-    """The anchor (alpha, beta), by default the last outcome of each
-    observable, and the free slots (a, b) with a != alpha and b != beta in
-    row-major order, the order in which members list their free block."""
-    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
-    alpha, beta = anchor if anchor is not None else (n_a - 1, n_b - 1)
-    if not (0 <= alpha < n_a and 0 <= beta < n_b):
-        raise ValueError("anchor out of range")
-    slots = [(a, b) for a in range(n_a) for b in range(n_b) if a != alpha and b != beta]
-    return (alpha, beta), slots
-
-
-def _slot_signs(slot: tuple[int, int], anchor: tuple[int, int]):
-    """The completion rule: a free slot's functional enters its own entry
-    and the corner with sign +1, and (a, beta) and (alpha, b) with -1."""
-    (a, b), (alpha, beta) = slot, anchor
-    return (((a, b), 1), ((a, beta), -1), ((alpha, b), -1), ((alpha, beta), 1))
 
 
 def construct_family(

@@ -102,6 +102,14 @@ for every lifted map, and ``covariance_by_evaluation`` the former
 evaluated W_g(a,b)(F p) = W_ab(p) in ``Fraction``s at the affine basis
 instead of checking the transport equations of g's phase table.
 
+``full_grid_compatibility`` is the former ``theory.are_compatible``, the
+simplex on the whole compatibility program (every grid coefficient an
+unknown, the marginal identities as equality rows), and
+``full_grid_covariant`` the former ``symmetry.solve_covariant``, whose
+stage 2 solved the marginal identities and every covariance row over all
+grid coefficients with ``solve_affine``; the solvers over the free
+block are checked against them.
+
 ``dataclass_twin`` rebuilds a record class (``wignerlab._record``) as the
 ``@dataclass(frozen=True)`` it replaced, the oracle of the record
 methods.
@@ -152,10 +160,13 @@ from wignerlab.geometry import (
     int_values,
     map_into,
 )
-from wignerlab import symmetry
+from wignerlab import programs, symmetry
 from wignerlab.report import read_map
 from wignerlab.symmetry import PhasePointMap
-from wignerlab.theory import Channel, Observable
+from wignerlab.theory import (
+    Channel, Compatible, Incompatible, Observable, are_complementary, is_surjective,
+    jointly_info_complete,
+)
 from wignerlab.wigner import (
     NoPositiveMember,
     PositiveFound,
@@ -1264,3 +1275,108 @@ def channel_program(source: Polytope, target: Polytope, equations) -> LinearProg
     ]
     return LinearProgram(n_vars, tuple(eqs), tuple(ineqs))
 
+
+
+def _functional_from_block(witness: Vec, idx, a: int, b: int, dim: int) -> AffineFunctional:
+    return AffineFunctional(
+        tuple(witness[idx(a, b, k)] for k in range(dim)), witness[idx(a, b, dim)]
+    )
+
+
+def full_grid_compatibility(obs_a: Observable, obs_b: Observable, space: StateSpace):
+    """The former ``theory.are_compatible``: the simplex on the whole of
+    ``programs.compatibility``, every coefficient of every grid entry an
+    unknown and the marginal identities as equality rows."""
+    if not isinstance(space, Polytope):
+        raise UnsupportedGeometryError(
+            "compatibility LP needs a polytope state space"
+        )
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    dim = space.ambient_dim
+    _, idx = programs.grid_unknowns(n_a, n_b, dim)
+    lp = programs.compatibility(obs_a, obs_b, space)
+    result = lp_feasible(lp)
+    if isinstance(result, Infeasible):
+        return Incompatible(lp, result)
+    joint = tuple(
+        tuple(_functional_from_block(result.witness, idx, a, b, dim) for b in range(n_b))
+        for a in range(n_a)
+    )
+    return Compatible(joint, lp, result.witness)
+
+
+def full_grid_covariant(obs_a, obs_b, space, channels=None) -> symmetry.CovariantResult:
+    """The former ``symmetry.solve_covariant``: stage 2 hands
+    ``solve_affine`` the marginal identities and every covariance row of
+    every generator, cell and basis point as ``Fraction`` rows over all
+    grid coefficients, and keeps the nullspace directions that do not
+    vanish on aff(K)."""
+    hyps = {
+        "jointly_info_complete": jointly_info_complete(obs_a, obs_b, space),
+        "complementary": are_complementary(obs_a, obs_b, space),
+        "surjective_a": is_surjective(obs_a, space),
+        "surjective_b": is_surjective(obs_b, space),
+    }
+    if not hyps["jointly_info_complete"] and channels is None:
+        return symmetry.CovariantResult("hypothesis_failure", hyps)
+    if isinstance(space, Ball) and channels is None:
+        raise UnsupportedGeometryError(
+            "channels required for ball backends: supply the generator channels"
+        )
+    stage1 = symmetry.find_permutation_channels(obs_a, obs_b, space, supplied=channels)
+    if isinstance(stage1, symmetry.PermutationObstruction):
+        return symmetry.CovariantResult(
+            "none",
+            hyps,
+            obstruction=stage1,
+            certificate=stage1.detail.certificate,
+            program=stage1.detail.program,
+        )
+    n_a, n_b = obs_a.n_outcomes, obs_b.n_outcomes
+    dim = space.ambient_dim
+    n_vars, idx = programs.grid_unknowns(n_a, n_b, dim)
+    marginals = programs.marginal_program(obs_a, obs_b)
+    sum_a, sum_b = (sum(o.effects[1:], o.effects[0]).coefficients() for o in (obs_a, obs_b))
+    if sum_a != sum_b:
+        k = next(k for k, (x, y) in enumerate(zip(sum_a, sum_b)) if x != y)
+        sign = 1 if sum_a[k] > sum_b[k] else -1
+        mults = [QQ(0)] * (n_a + n_b) * (dim + 1)
+        for i in range(n_a + n_b):
+            mults[i * (dim + 1) + k] = QQ(sign if i < n_a else -sign)
+        cert = exact.checked(marginals, Infeasible(tuple(mults), (), abs(sum_a[k] - sum_b[k])))
+        return symmetry.CovariantResult("none", hyps, certificate=cert, program=marginals)
+    eqs = list(marginals.equalities)
+    basis = affine_basis(space)
+    for gen, chan in stage1.channels.items():
+        inv = gen.inverse()
+        for a in range(n_a):
+            for b in range(n_b):
+                src = (inv.perm_a[a], inv.perm_b[b])
+                for p in basis:
+                    img = chan(p)
+                    row = [QQ(0)] * n_vars
+                    for k in range(dim):
+                        row[idx(a, b, k)] += img[k]
+                        row[idx(src[0], src[1], k)] -= p[k]
+                    row[idx(a, b, dim)] += QQ(1)
+                    row[idx(src[0], src[1], dim)] -= QQ(1)
+                    eqs.append((tuple(row), QQ(0)))
+    sol = solve_affine([row for row, _ in eqs], [rhs for _, rhs in eqs])
+
+    def grid_from(coeffs) -> WignerRep:
+        return WignerRep(space, obs_a, obs_b, tuple(
+            tuple(_functional_from_block(coeffs, idx, a, b, dim) for b in range(n_b))
+            for a in range(n_a)
+        ))
+
+    genuine = []
+    for direction in sol.nullspace:
+        rep_dir = grid_from(direction)
+        if any(f(p) != 0 for f in rep_dir.functionals() for p in basis):
+            genuine.append(rep_dir)
+    rep = grid_from(sol.particular)
+    if genuine:
+        return symmetry.CovariantResult(
+            "family", hyps, rep=rep, family_directions=tuple(genuine),
+            channels=stage1.channels)
+    return symmetry.CovariantResult("unique", hyps, rep=rep, channels=stage1.channels)

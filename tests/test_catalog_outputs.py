@@ -12,7 +12,11 @@ Python the suite runs on.  The ``covariant`` rows of ``boxworld``,
 ``qubit_xz`` and ``rebit_diamond`` were rewritten when reports came to
 carry one covariance claim per generator of the translation group: each
 output is the former one without its line for the composed element
-``(A:(1, 0), B:(1, 0))``.  Every row was rewritten for report format 2:
+``(A:(1, 0), B:(1, 0))``.  The ``analyze`` rows of ``boxworld``, ``cube``
+and ``deformed_12gon`` were rewritten when the compatibility simplex came
+to run over the free block: each output is the former one with the
+lifted Farkas certificate of its ``compatibility`` claim, with the same
+verdict.  Every row was rewritten for report format 2:
 each output is the former one with ``"format": "wignerlab-report/2"``,
 without the ``program`` of its LP claims, the ``matrix`` of its rank
 claims and the ``basis`` of its covariance claims, and with the
@@ -31,9 +35,9 @@ from wignerlab import catalog, cli
 from wignerlab.wigner import free_slots
 
 DIGESTS = {
-    "analyze boxworld": "66d2a5d4b55a0c0700f7bd12258e59f75e362536078f73ec8bb30b7036018072",
-    "analyze cube": "e9256cbe4e8d933b3b227dc5213dd5b1529a928b4e23c0a9c4ffe04a597fd963",
-    "analyze deformed_12gon": "fcb80b6c391af2654411f0e948321c973ae952fd5f00a60f8588c6ffef26ba66",
+    "analyze boxworld": "007a42d22f9748876f562a7efb28f87a0f145b4865fd8591f00e50ead5e18f61",
+    "analyze cube": "4998aca21d4ae2aaddf218d0ba0d9f42bb2b18637017e22ab93d59cbba824df1",
+    "analyze deformed_12gon": "fc34584abfab9431a0685b7c0091eb159a93d96d8fc3da900bf6871dd172d81e",
     "analyze qubit_ball": "9e22852c6a68b55062c0ac559a8262dbd8e23cafe1c3558872109d7bedfce656",
     "analyze qubit_xz": "db1ecdb0329494826903d55063ba07ff66edc3234cc2c4cc14cfcb6ba32abf1e",
     "analyze rebit_diamond": "92e449cad6ec98eba69f02d3925d05c7ec0a6649039b52b0d7e6e2d8cf1f3b7f",

@@ -254,6 +254,27 @@ def test_symmetries_channel_query_trit(tmp_path, capsys):
     assert sorted(report["obstruction"]["witness_pair"]) == [["0", "0"], ["0", "1"]]
 
 
+def test_symmetries_channel_matrix_names_the_broken_dependency(tmp_path, capsys):
+    """On conv{(0,0), (1,0), (0,1)} with both effects ((x+2y)/2, 1 -
+    (x+2y)/2), no two vertex images of the degenerate W collide, and the
+    swap (x, y) -> (y, x) breaks their midpoint dependency: the obstruction
+    names the affine basis it breaks, not an empty object."""
+    t = {"linear": ["1/2", "1"], "constant": "0"}
+    rest = {"linear": ["-1/2", "-1"], "constant": "1"}
+    theory = {"state_space": {"type": "polytope", "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+              "observables": [{"name": name, "outcomes": [0, 1], "effects": [t, rest]}
+                              for name in ("A", "B")]}
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(theory))
+    rep = tmp_path / "skew.w.json"
+    assert run(capsys, "wigner", str(path), "--degenerate", "--out", str(rep))[0] == 0
+    code, out, _ = run(capsys, "symmetries", str(rep), "--channel-matrix",
+                       '{"matrix": [["0","1"],["1","0"]], "offset": ["0","0"]}')
+    assert code == 1
+    assert load_report(out)["obstruction"] == {"dependency": [["0", "0"], ["1", "0"], ["0", "1"]]}
+    assert _verified(capsys, tmp_path, out) == (0, "0/0 claims verified\n")
+
+
 def test_channel_maps_parse_errors_name_their_field(tmp_path, capsys):
     path = tmp_path / "trit.json"
     run(capsys, "example", "trit", "--rep", "W", "--out", str(path))

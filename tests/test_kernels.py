@@ -18,6 +18,7 @@ import random
 import pytest
 
 import reference_kernels as ref
+import wignerlab._kernels as kernels_mod
 import wignerlab.exact as exact_mod
 from wignerlab import catalog
 from wignerlab._kernels import bareiss_rank, rref, simplex_phase1
@@ -298,8 +299,11 @@ def test_bound_edge_cases():
 
 
 def test_deformed_12gon_compatibility_lp_work():
-    """12 equalities and 32 rows p.x >= 0: the slack start skips most of
-    the 444 pivots that an artificial on every row took."""
+    """The free block's program: 3 unknowns (one slot's coefficients on
+    the plane's two coordinates and its constant), no equality and the 32
+    rows W_ab(v) >= 0.  Its 32-row tableau takes 5 pivots; the full
+    grid's (12 marginal equalities and 32 rows, 44 in the tableau) took
+    20, and 444 with an artificial on every row."""
     theory = catalog.load("deformed_12gon").theory
     calls = []
     saved = exact_mod.simplex_phase1
@@ -310,7 +314,7 @@ def test_deformed_12gon_compatibility_lp_work():
         exact_mod.simplex_phase1 = saved
     assert isinstance(result, Incompatible)
     (tab, _, _, npiv, _), = calls
-    assert len(tab) == 44 and npiv <= 40
+    assert len(tab) == 32 and npiv <= 5
 
 
 def test_bareiss_equivalence_and_rank_vs_rref():
@@ -394,6 +398,38 @@ def test_rref_matches_the_fraction_oracle():
         seen["mixed denominators"] += any(
             len({x.denominator for x in r if x}) > 1 for r in rows)
     assert min(seen.values()) > 500, seen
+
+
+def test_rref_takes_int_rows_as_their_fractions(monkeypatch):
+    """A row of ints skips the ``integer_rows`` scaling, and gives the
+    pivots and rows of the same row as ``Fraction``s: on int matrices,
+    some with augmented columns, and on int rows mixed with rows that
+    hold a non-integral ``Fraction``."""
+    scaled = []
+    saved = kernels_mod.integer_rows
+
+    def counting(rows):
+        scaled.append(rows)
+        return saved(rows)
+
+    monkeypatch.setattr(kernels_mod, "integer_rows", counting)
+    rng = random.Random(139)
+    mixed = 0
+    for _ in range(3000):
+        m, n, extra = rng.randint(1, 6), rng.randint(0, 6), rng.randint(0, 2)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n + extra)]
+                for _ in range(m)]
+        if rng.random() < 0.3:
+            i = rng.randrange(m)
+            rows[i] = [F(x, 2) for x in rows[i]]
+        fractions = [[F(x) for x in row] for row in rows]
+        not_ints = sum(not all(type(x) is int for x in row) for row in rows)
+        scaled.clear()
+        pivots = rref(rows, n)
+        assert len(scaled) == not_ints
+        mixed += bool(scaled)
+        assert pivots == rref(fractions, n) and rows == fractions
+    assert mixed > 500
 
 
 def test_vec_dot_matches_the_fraction_oracle():

@@ -207,7 +207,8 @@ def test_a_higher_order_dependency_obstructs_transport():
 
 
 def test_symmetries_channel_matrix_reports_the_dependency(tmp_path, capsys):
-    """Through the CLI: exit 1, the obstruction note and no witness pair."""
+    """Through the CLI: exit 1, the obstruction note, and the affine basis
+    as the dependency, with no witness pair."""
     tri, obs_a, obs_b, rep, _ = _skew_triangle()
     path = tmp_path / "skew.json"
     path.write_text(json.dumps(theoryfile.theory_to_dict(
@@ -215,7 +216,8 @@ def test_symmetries_channel_matrix_reports_the_dependency(tmp_path, capsys):
     code = cli.main(["symmetries", str(path), "--channel-matrix",
                      '{"matrix": [["0","1"],["1","0"]], "offset": ["0","0"]}'])
     report = json.loads(capsys.readouterr().out)
-    assert code == 1 and report["obstruction"] == {}
+    assert code == 1 and report["obstruction"] == {
+        "dependency": [["0", "0"], ["1", "0"], ["0", "1"]]}
     assert report["notes"] == ["no transported symmetry exists for the requested channel"]
 
 
