@@ -1,9 +1,11 @@
-"""Exact pivot kernels, pure Python.
+"""Exact integer kernels, pure Python.
 
-These three loops are where the engine spends essentially all of its
-time: reduced row echelon form, fraction-free (Bareiss) integer
-elimination, and the Bland-rule phase-1 simplex iteration.  All three
-run on Python ints.
+Three pivot loops are where the engine spends most of its time: reduced
+row echelon form, fraction-free (Bareiss) integer elimination, and the
+Bland-rule phase-1 simplex iteration.  Beside them sit the helpers
+built on ``rref`` (the greedy affine basis and the orthogonal
+complement) and ``hull``, the exact convex hull of int points from which
+``geometry`` reads every polytope's facets.  All run on Python ints.
 
 ``rref`` holds each row as ints over its own positive denominator, in
 lowest terms (the gcd of the row and its denominator is 1).  A pivot
@@ -40,6 +42,7 @@ format of the rational simplex and re-check with the same
 from __future__ import annotations
 
 import math
+import operator
 
 
 def integer_rows(rows):
@@ -117,6 +120,135 @@ def rref(rows, ncols):
         g = math.gcd(*num) if i >= r else 1
         row[:] = [a // g for a in num] if g > 1 else num
     return pivots
+
+
+def independent_affine_subset(points):
+    """Indices of a greedy maximal affinely independent subset: the first
+    point and each later one whose difference from it is independent of
+    the earlier differences, i.e. the pivot columns of their matrix."""
+    if not points:
+        return []
+    p0 = points[0]
+    diffs = [[p[k] - p0[k] for p in points[1:]] for k in range(len(p0))]
+    return [0] + [j + 1 for j in rref(diffs, len(points) - 1)]
+
+
+def orthogonal_complement(rows, n):
+    """The pivot columns of ``rows`` (reduced in place by ``rref``) and a
+    basis of the vectors in Q^n orthogonal to every row, one per free
+    column: the primitive ints along 1 there, minus the reduced rows'."""
+    pivots = rref(rows, n)
+    dens = [row[j] for row, j in zip(rows, pivots)]
+    scale = math.lcm(*dens)
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        c = [0] * n
+        c[free] = scale
+        for row, j, d in zip(rows, pivots, dens):
+            c[j] = -row[free] * (scale // d)
+        g = math.gcd(*c)
+        basis.append([a // g for a in c])
+    return pivots, basis
+
+
+def hull(ys):
+    """The facets of the convex hull of int points ``ys`` that affinely
+    span Z^d, d >= 1, as a set of primitive ``(a, b)`` with ``a . y >= b``
+    on every point and equality on a facet, and the indices of the points
+    the boundary keeps: in the plane exactly the vertices, else a
+    superset of them (points on a face that were extreme when inserted).
+
+    The plane takes Andrew's monotone chain (IPL 9, 1979), with collinear
+    points dropped.  Higher d takes beneath-beyond (Edelsbrunner,
+    *Algorithms in Combinatorial Geometry*, 1987, ch. 8): a simplicial
+    boundary starts at the greedy affine basis, and each later point, in
+    input order, replaces the simplices it lies strictly beyond by cones
+    from it over their horizon ridges.  A point on a simplex's hyperplane
+    does not see it, so coplanar simplices share one primitive key, and
+    the set of keys is the set of facets.  Each hyperplane is oriented by
+    ``c``, the sum of the basis points, (d + 1) times an interior point.
+    """
+    d = len(ys[0])
+    if d == 2:
+        return _chain(ys)
+    base = independent_affine_subset(ys)
+    c = [sum(col) for col in zip(*(ys[i] for i in base))]
+    facets, ridges = {}, {}
+
+    def add(s):
+        y0 = ys[s[0]]
+        a = _normal([[u - v for u, v in zip(ys[i], y0)] for i in s[1:]])
+        g = math.gcd(*a)
+        b = sum(map(operator.mul, a, y0))
+        if sum(map(operator.mul, a, c)) < (d + 1) * b:
+            g = -g
+        facets[s] = tuple(x // g for x in a), b // g
+        for k in range(d):
+            ridges.setdefault(s[:k] + s[k + 1:], []).append(s)
+
+    for k in range(d + 1):
+        add(tuple(base[:k] + base[k + 1:]))
+    inserted = set(base)
+    for i, y in enumerate(ys):
+        if i in inserted:
+            continue
+        visible = [s for s, (a, b) in facets.items() if sum(map(operator.mul, a, y)) < b]
+        if not visible:
+            continue
+        seen = set(visible)
+        cones = []
+        for s in visible:
+            del facets[s]
+            for k in range(d):
+                r = s[:k] + s[k + 1:]
+                pair = ridges[r]
+                pair.remove(s)
+                if not pair:
+                    del ridges[r]
+                elif pair[0] not in seen:
+                    cones.append(tuple(sorted(r + (i,))))
+        for s in cones:
+            add(s)
+    return set(facets.values()), {i for s in facets for i in s}
+
+
+def _chain(ys):
+    """``hull`` in the plane: the counterclockwise ring of strict turns,
+    whose interior lies left of each edge p -> q, so the edge's inward
+    normal is (p_y - q_y, q_x - p_x)."""
+    def half(order):
+        ring = []
+        for i in order:
+            x, y = ys[i]
+            while len(ring) > 1:
+                (ox, oy), (px, py) = ys[ring[-2]], ys[ring[-1]]
+                if (px - ox) * (y - oy) - (py - oy) * (x - ox) > 0:
+                    break
+                ring.pop()
+            ring.append(i)
+        return ring[:-1]
+
+    order = sorted(range(len(ys)), key=ys.__getitem__)
+    ring = half(order) + half(reversed(order))
+    planes = set()
+    for i, j in zip(ring, ring[1:] + ring[:1]):
+        (px, py), (qx, qy) = ys[i], ys[j]
+        a0, a1 = py - qy, qx - px
+        g = math.gcd(a0, a1)
+        planes.add(((a0 // g, a1 // g), (a0 * px + a1 * py) // g))
+    return planes, set(ring)
+
+
+def _normal(spans):
+    """A nonzero integer vector orthogonal to d-1 independent integer rows
+    in Z^d: 1 for d = 1, the cross product for d = 3, else the one
+    vector of their ``orthogonal_complement``."""
+    if not spans:
+        return [1]
+    if len(spans) == 2:
+        (a0, a1, a2), (b0, b1, b2) = spans
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    return orthogonal_complement(spans, len(spans) + 1)[1][0]
 
 
 def bareiss_rank(rows):

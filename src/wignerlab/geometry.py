@@ -5,8 +5,12 @@ every listed point is extreme) together with an exact facet description
 built once at construction: integer equalities cutting out the affine
 hull and integer facet inequalities on coordinates onto which the hull
 projects injectively (the double-description view of Fukuda and Prodon,
-1996).  Membership, irredundancy and polytope containment are integer
-dot products against it; this module runs no LP.
+1996).  The facets come from an exact integer hull whose time grows
+with its facets, not with the d-subsets of the points (``_describe``,
+on ``_kernels.hull``: a monotone chain in the plane, beneath-beyond
+above it), listed in a fixed order that reports depend on.
+Membership, irredundancy and polytope containment are integer dot
+products against the description; this module runs no LP.
 ``map_into`` on polytopes does not apply the map vertex by vertex: it
 evaluates every vertex image as one int matrix of the map's rows, tests
 its columns against the target's integer facets, and builds
@@ -33,13 +37,14 @@ reader of its rows (``interpolant``).  Functional arithmetic reuses its
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._kernels import bareiss_rank, integer_rows, rref
+from ._kernels import (
+    bareiss_rank, hull, independent_affine_subset, integer_rows, orthogonal_complement, rref,
+)
 from ._record import record
 from .errors import SizeGuardError, UnsupportedGeometryError
 from .exact import (
@@ -214,35 +219,6 @@ class AffineMap:
         )
 
 
-def independent_affine_subset(points: Sequence[Sequence]) -> list[int]:
-    """Indices of a greedy maximal affinely independent subset: the first
-    point and each later one whose difference from it is independent of
-    the earlier differences, i.e. the pivot columns of their matrix."""
-    if not points:
-        return []
-    p0 = points[0]
-    diffs = [[p[k] - p0[k] for p in points[1:]] for k in range(len(p0))]
-    return [0] + [j + 1 for j in rref(diffs, len(points) - 1)]
-
-
-def _orthogonal_complement(rows: list[list], n: int) -> tuple[list[int], list[list[int]]]:
-    """The pivot columns of ``rows`` (reduced in place by ``rref``) and a
-    basis of the vectors in Q^n orthogonal to every row, one per free
-    column: the primitive ints along 1 there, minus the reduced rows'."""
-    pivots = rref(rows, n)
-    dens = [row[j] for row, j in zip(rows, pivots)]
-    scale = math.lcm(*dens)
-    basis = []
-    for free in (j for j in range(n) if j not in pivots):
-        c = [0] * n
-        c[free] = scale
-        for row, j, d in zip(rows, pivots, dens):
-            c[j] = -row[free] * (scale // d)
-        g = math.gcd(*c)
-        basis.append([a // g for a in c])
-    return pivots, basis
-
-
 def interpolation(xs: Sequence[Sequence[int]], q: int):
     """The rref of ``q [p_i, 1 | I]`` for the points ``p_i = xs[i] / q``
     (int rows, ``q > 0``), the engine's one elimination that reads affine
@@ -297,7 +273,7 @@ def affine_map_with_orthogonal_extension(
     (xs, q), (ys, r) = integer_rows(list(map(vec, domain))), integer_rows(list(map(vec, images)))
     x0, y0 = xs[0], ys[0]
     same = len(x0) == len(y0)
-    _, complement = _orthogonal_complement(
+    _, complement = orthogonal_complement(
         [[a - b for a, b in zip(x, x0)] for x in xs[1:]], len(x0))
     xs += [[a + q * b for a, b in zip(x0, c)] for c in complement]
     ys += [[a + r * b for a, b in zip(y0, c)] if same else y0 for c in complement]
@@ -485,68 +461,54 @@ class _Facets(NamedTuple):
         return all(s * sum(map(operator.mul, a, xs)) >= b * q for a, b in self.facets)
 
 
-def _normal(spans: list[list[int]]) -> list[int]:
-    """A nonzero integer vector orthogonal to d-1 independent integer rows
-    in Z^d (the cross product for d = 3), and zero if they are dependent."""
-    if not spans:
-        return [1]
-    if len(spans) == 1:
-        (a, b), = spans
-        return [b, -a]
-    if len(spans) == 2:
-        (a0, a1, a2), (b0, b1, b2) = spans
-        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
-    _, complement = _orthogonal_complement(spans, len(spans) + 1)
-    return complement[0] if len(complement) == 1 else [0] * (len(spans) + 1)
-
-
 def _describe(points: Sequence[Sequence]) -> tuple[_Facets, tuple, list[bool]]:
     """The facet description of conv(points), the points as ints over its
     ``scale``, and for each point whether it is a vertex that occurs once.
 
     The points are scaled to ints over one denominator; one rref of
     their differences gives the equalities of the affine hull (its
-    nullspace) and d pivot coordinates.  There every d-subset of points
-    spanning a hyperplane gives an integer normal (``_normal``), kept (with
-    the sign that makes it >= on every point, over its gcd) when no
-    point lies strictly on each side.  A point is a vertex iff the
-    normals of its tight facets have rank d.
+    nullspace) and d pivot coordinates.  There the exact integer hull of
+    ``_kernels.hull`` (a monotone chain in the plane, beneath-beyond
+    above it) gives the facets as primitive normals with the sign that
+    makes them >= on every point, and the points its boundary keeps.
+    Facets are listed by the lexicographically first d-subset of their
+    tight points that spans them, the order in which a scan of every
+    d-subset meets them (``tests/reference_kernels.subset_scan_describe``).
+    The order is kept because ``programs.channel_program`` writes its
+    rows in facet order and reports carry those programs, so it fixes
+    their bytes.  Affine independence is a matroid, so that subset is
+    the greedy basis of the tight points.  A point is a vertex iff the hull kept it and
+    the normals of its tight facets have rank d; in the plane the chain
+    keeps the vertices alone.
     """
     ints, scale = integer_rows(points)
     ints = tuple(map(tuple, ints))
     p0 = ints[0]
     diffs = [[a - b for a, b in zip(p, p0)] for p in ints[1:]]
-    pivots, complement = _orthogonal_complement(diffs, len(p0))
+    pivots, complement = orthogonal_complement(diffs, len(p0))
     coords = tuple(pivots)
     equalities = [(tuple(c), sum(map(operator.mul, c, p0))) for c in complement]
     d = len(coords)
     distinct = list(dict.fromkeys(ints))
     ys = [tuple(p[j] for j in coords) for p in distinct]
-    facets: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for subset in itertools.combinations(range(len(ys)), d) if d else ():
-        base = ys[subset[0]]
-        normal = _normal([[a - b for a, b in zip(ys[i], base)] for i in subset[1:]])
-        if not any(normal):
-            continue
-        offset = sum(map(operator.mul, normal, base))
-        side = [sum(map(operator.mul, normal, y)) - offset for y in ys]
-        lo, hi = min(side), max(side)
-        if lo < 0 < hi:
-            continue
-        g = math.gcd(*normal) if lo >= 0 else -math.gcd(*normal)
-        key = (tuple(a // g for a in normal), offset // g)
-        if key not in facets:
-            facets[key] = [i for i, v in enumerate(side) if not v]
+    planes, kept = hull(ys) if d else ((), {0})
+    facets = []
+    for a, b in planes:
+        on = [i for i, y in enumerate(ys) if sum(map(operator.mul, a, y)) == b]
+        first = on if len(on) == d or d == 2 else [
+            on[j] for j in independent_affine_subset([ys[i] for i in on])]
+        facets.append((first[:d], (a, b), on))
+    facets.sort(key=operator.itemgetter(0))
     tight: list[list[tuple[int, ...]]] = [[] for _ in ys]
-    for (a, _), on in facets.items():
+    for _, (a, _), on in facets:
         for i in on:
             tight[i].append(a)
     extreme = {
-        p: len(t) >= d and bareiss_rank([list(a) for a in t]) == d
-        for p, t in zip(distinct, tight)
+        p: i in kept and (d <= 2 or len(t) >= d and bareiss_rank([list(a) for a in t]) == d)
+        for i, (p, t) in enumerate(zip(distinct, tight))
     }
     flags = [extreme[p] and ints.count(p) == 1 for p in ints]
-    return _Facets(scale, coords, tuple(equalities), tuple(facets)), ints, flags
+    return _Facets(scale, coords, tuple(equalities), tuple(f for _, f, _ in facets)), ints, flags
 
 
 @record

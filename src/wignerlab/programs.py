@@ -122,12 +122,12 @@ def _slot_signs(slot: tuple[int, int], anchor: tuple[int, int]):
     return (((a, b), 1), ((a, beta), -1), ((alpha, b), -1), ((alpha, beta), 1))
 
 
-def slot_terms(obs_a, obs_b) -> list[list[tuple[int, int]]]:
+def slot_terms(obs_a, obs_b, anchor: Optional[tuple[int, int]] = None) -> list:
     """Per cell ``a * n_b + b``, the ``(s, sign)`` of each free slot s (its
-    index in ``free_slots``, default anchor) that enters the cell by the
-    completion rule: the zero-marginal grid D of slot functionals f_s has
-    D_ab = sum of sign * f_s over them."""
-    anchor, slots = free_slots(obs_a, obs_b)
+    index in ``free_slots``) that enters the cell by the completion rule:
+    the zero-marginal grid D of slot functionals f_s has D_ab = sum of
+    sign * f_s over them."""
+    anchor, slots = free_slots(obs_a, obs_b, anchor)
     n_b = obs_b.n_outcomes
     terms = [[] for _ in range(obs_a.n_outcomes * n_b)]
     for s, slot in enumerate(slots):
@@ -136,15 +136,14 @@ def slot_terms(obs_a, obs_b) -> list[list[tuple[int, int]]]:
     return terms
 
 
-def cross_terms(obs_a, obs_b) -> list[list]:
+def cross_terms(obs_a, obs_b, anchor: Optional[tuple[int, int]] = None) -> list[list]:
     """Per cell ``a * n_b + b``, the signed effects ``(sign, f)`` of a
-    member on the anchored cross (default anchor): A_a at (a, beta), B_b
-    at (alpha, b) for b != beta, and A_alpha minus those B_b at the
-    corner.  Its rows sum to the A_a, and its columns to the B_b whenever
-    the effects of A and B have one sum; where that sum is the unit
-    effect, it is ``wigner.degenerate_rep``."""
+    member on the anchored cross: A_a at (a, beta), B_b at (alpha, b) for
+    b != beta, and A_alpha minus those B_b at the corner.  Its rows sum
+    to the A_a, and its columns to the B_b whenever the effects of A and
+    B have one sum; it is ``wigner.degenerate_rep``."""
     n_b = obs_b.n_outcomes
-    (alpha, beta), _ = free_slots(obs_a, obs_b)
+    (alpha, beta), _ = free_slots(obs_a, obs_b, anchor)
     terms = [[] for _ in range(obs_a.n_outcomes * n_b)]
     for a, f in enumerate(obs_a.effects):
         terms[a * n_b + beta].append((1, f))

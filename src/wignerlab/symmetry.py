@@ -41,8 +41,9 @@ representation (``_permutation_test``), with no LP per permutation.  On
 a polytope the invariant is the set ext W(K) of extreme points.  When
 there are as many distinct vertex images as K has vertices and they
 affinely span dim(K), W is injective on aff(K), W(K) is an affine copy
-of K and every vertex image is extreme, so no hull search runs; other
-images go through the facet search of ``geometry._describe``, which
+of K and every vertex image is extreme, so no hull runs; other images
+go through the exact integer hull of ``geometry._describe``, in time
+that grows with its facets, not with the d-subsets of the images, which
 also gives ``is_symmetry`` the facets of W(K) from the integer vertex
 images.  On a ball with faithful W, W(K) is the ellipsoid
 {g0 + G u : |u| <= 1} with g0 = W(center) and columns
@@ -171,6 +172,14 @@ class PhasePointMap:
 
     def describe(self) -> str:
         return moved_points(self.shape[1], self.table)
+
+
+def _phase_map(shape: tuple[int, int], table: tuple[int, ...]) -> PhasePointMap:
+    """The map of a table known to be valid, without checking it again."""
+    phi = object.__new__(PhasePointMap)
+    object.__setattr__(phi, "shape", shape)
+    object.__setattr__(phi, "table", table)
+    return phi
 
 
 @record
@@ -330,7 +339,8 @@ def _permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
 def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
     """All phase-space permutations whose lifts are symmetries of W.
 
-    Guarded at 8 phase points (40320 permutations).
+    Guarded at 8 phase points (40320 permutations).  Each table comes
+    from ``itertools.permutations``, so it is built unchecked.
     """
     shape = rep.shape
     n = shape[0] * shape[1]
@@ -340,7 +350,7 @@ def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
         )
     test = _permutation_test(rep)
     return tuple(
-        PhasePointMap(shape, perm) for perm in itertools.permutations(range(n)) if test(perm)
+        _phase_map(shape, perm) for perm in itertools.permutations(range(n)) if test(perm)
     )
 
 

@@ -12,11 +12,16 @@ hands every other string to ``Fraction``, so the language it accepts and
 the errors it raises are ``Fraction``'s on the running interpreter.
 ``ser_vec`` and ``ser_functional`` write vectors and functionals, and
 ``parse_vector`` and ``parse_functional`` read them back, for theory
-files and reports alike.
+files and reports alike: each canonical string is one ``Fraction``,
+built once per process (``_canonical``) and handed to the functional
+without coercing it again (``geometry._functional``); a list with any
+other element is read again element by element, so an element's path
+is built only there.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -24,7 +29,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .exact import QQ
-from .geometry import AffineFunctional, Ball, Polytope, StateSpace
+from .geometry import AffineFunctional, Ball, Polytope, StateSpace, _functional
 from .theory import Observable, Theory
 from .wigner import WignerRep
 
@@ -47,13 +52,32 @@ def ser_functional(f: AffineFunctional) -> dict:
 _CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
+# Reports and theory files repeat a few hundred short rationals ("0",
+# "1", "1/2", ...); each is built once per process, as Fractions are
+# immutable, and the bound keeps the cache small.
+@functools.lru_cache(maxsize=1024)
+def _canonical(value) -> QQ:
+    """The ``Fraction`` of a rational in a canonical form; ``ValueError``
+    or ``ZeroDivisionError`` for any other value, ``TypeError`` for an
+    unhashable one."""
+    if not (isinstance(value, str) and _CANONICAL.fullmatch(value)):
+        raise ValueError(value)
+    num, _, den = value.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
+def _rationals(values) -> tuple:
+    """The ``Fraction``s of a list of canonical rationals, as ``_canonical``."""
+    if not isinstance(values, list):
+        raise ValueError(values)
+    return tuple(map(_canonical, values))
+
+
 def parse_rational(value, path: str) -> QQ:
-    if isinstance(value, str) and _CANONICAL.fullmatch(value):
-        num, _, den = value.partition("/")
-        try:
-            return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError):  # past the digit limit, or over 0
-            pass  # Fraction(value) below raises the error
+    try:
+        return _canonical(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass  # not canonical, past the digit limit or over 0: Fraction(value) decides
     if isinstance(value, bool):
         raise ParseError("expected a rational, got a boolean", path=path)
     if isinstance(value, int):
@@ -76,6 +100,10 @@ def _reject_float(literal: str):
 
 
 def parse_vector(values, path: str) -> tuple:
+    try:
+        return _rationals(values)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass  # an element that is not canonical is read, or refused, with its path
     if not isinstance(values, list):
         raise ParseError("expected a list of rationals", path=path)
     return tuple(parse_rational(v, f"{path}[{i}]") for i, v in enumerate(values))
@@ -84,13 +112,17 @@ def parse_vector(values, path: str) -> tuple:
 def parse_functional(obj, path: str, dim: Optional[int] = None) -> AffineFunctional:
     if not isinstance(obj, dict):
         raise ParseError("expected an object with linear/constant", path=path)
-    linear = parse_vector(obj.get("linear", []), f"{path}.linear")
-    constant = parse_rational(obj.get("constant", 0), f"{path}.constant")
+    linear, constant = obj.get("linear", []), obj.get("constant", 0)
+    try:
+        linear, constant = _rationals(linear), _canonical(constant)
+    except (TypeError, ValueError, ZeroDivisionError):
+        linear = parse_vector(linear, f"{path}.linear")
+        constant = parse_rational(constant, f"{path}.constant")
     if dim is not None and len(linear) != dim:
         raise ParseError(
             f"linear part has length {len(linear)}, expected {dim}", path=path
         )
-    return AffineFunctional(linear, constant)
+    return _functional(linear, constant)
 
 
 def _parse_state_space(obj, path: str) -> StateSpace:

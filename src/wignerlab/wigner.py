@@ -7,17 +7,19 @@ pair of observables is parametrized by the free block of
 (|A|-1)(|B|-1) functionals: the anchored row, column and corner are
 then forced by the marginal identities.  That completion rule is
 written once, in ``programs`` (``free_slots`` for the slot order and
-default anchor, ``_slot_signs`` for where a free functional enters), and
-``construct_family`` and ``faithful_member`` build on it, as do the
-compatibility and covariance solvers over the free block.
-``construct_family`` lists the signed terms of each entry (effects, the
-constant one, free functionals) and adds them once, one integer
-numerator per coefficient over one denominator
-(``geometry.signed_sums``), not by chained functional additions;
-``faithful_member`` needs one elimination, not a rank test per slot and
-coordinate.  ``isomorphism`` pushes W1 forward to W2 at the affine
-basis of K (``_push_forward``, one ``geometry.interpolation``, which
-also gives a channel's transported symmetry), on a polytope or a ball.
+default anchor, ``_slot_signs`` for where a free functional enters, as
+cells and signs ``slot_terms``), and ``construct_family`` and
+``faithful_member`` build on it, as do the compatibility and covariance
+solvers over the free block.  ``construct_family`` is the member on the
+anchored cross (``programs.cross_terms``, the effects there and A_alpha
+minus the other B_b at the corner) plus the free functionals, each
+entry's signed terms added once, one integer numerator per coefficient
+over one denominator (``geometry.signed_sums``), not by chained
+functional additions; ``faithful_member`` needs one elimination, not a
+rank test per slot and coordinate.  ``isomorphism`` pushes W1 forward
+to W2 at the affine basis of K (``_push_forward``, one
+``geometry.interpolation``, which also gives a channel's transported
+symmetry), on a polytope or a ball.
 A positive member is a joint observable, so ``positive_member`` reads
 the compatibility LP of ``theory.are_compatible`` and runs no LP of its
 own; this module never calls the simplex.
@@ -47,7 +49,7 @@ from .geometry import (
     signed_sums,
     vertex_ints,
 )
-from .programs import _slot_signs, free_slots
+from .programs import cross_terms, free_slots, slot_terms
 from .theory import Incompatible, Observable, are_compatible
 
 
@@ -176,34 +178,26 @@ def construct_family(
     ``free`` maps index pairs (a, b) with a != anchor_a, b != anchor_b
     to arbitrary affine functionals (missing slots default to zero);
     the anchored row, column and corner are filled by the closed-form
-    completion, so the result always passes ``check_marginals``: the
-    degenerate member (the effects on the anchored cross, one minus the
-    other effects at the corner) plus each free functional with the
-    signs of ``_slot_signs``.  Each entry lists its signed terms and
-    ``signed_sums`` adds them once, over one denominator.
+    completion, so the result passes ``check_marginals`` whenever the
+    effects of A and B have one sum: the member on the anchored cross
+    (``programs.cross_terms``) plus each free functional with the signs
+    of the completion rule (``programs.slot_terms``).  Each entry lists
+    its signed terms and ``signed_sums`` adds them once, over one
+    denominator.
     """
-    (alpha, beta), slots = free_slots(obs_a, obs_b, anchor)
+    _, slots = free_slots(obs_a, obs_b, anchor)
     free = dict(free or {})
     for slot in free:
         if slot not in slots:
             raise ValueError(f"slot {slot} is not in the free block")
-    dim = space.ambient_dim
+    funcs = [free.get(slot) for slot in slots]
+    terms = cross_terms(obs_a, obs_b, anchor)
+    for cell, entering in zip(terms, slot_terms(obs_a, obs_b, anchor)):
+        for s, sign in entering:
+            if funcs[s] is not None:
+                cell.append((sign, funcs[s]))
+    flat = signed_sums(terms, space.ambient_dim)
     n_b = obs_b.n_outcomes
-    terms = [[] for _ in range(obs_a.n_outcomes * n_b)]
-    corner = terms[alpha * n_b + beta]
-    corner.append((1, AffineFunctional.one(dim)))
-    for a, f in enumerate(obs_a.effects):
-        if a != alpha:
-            terms[a * n_b + beta].append((1, f))
-            corner.append((-1, f))
-    for b, f in enumerate(obs_b.effects):
-        if b != beta:
-            terms[alpha * n_b + b].append((1, f))
-            corner.append((-1, f))
-    for slot, f in free.items():
-        for (a, b), sign in _slot_signs(slot, (alpha, beta)):
-            terms[a * n_b + b].append((sign, f))
-    flat = signed_sums(terms, dim)
     grid = tuple(tuple(flat[a * n_b:(a + 1) * n_b]) for a in range(obs_a.n_outcomes))
     return WignerRep(space, obs_a, obs_b, grid)
 

@@ -28,12 +28,15 @@ the orthogonal projection onto the domain's difference span.  Over the
 W-images of every vertex it is also the former interpolation of
 ``symmetry.find_symmetry_for_channel``, which now pushes a channel
 forward at the affine basis alone.
-``closed_form_family`` is the former ``wigner.construct_family``,
-``greedy_faithful_member`` the former ``wigner.faithful_member`` (one
+``closed_form_family`` is the former ``wigner.construct_family``, with
+the unit effect minus the other effects at the anchored corner, and
+``cross_corner_family`` the same with A_alpha minus the other B_b there,
+the closed form of the constructor on the anchored cross;
+``greedy_faithful_member`` is the former ``wigner.faithful_member`` (one
 ``construct_family`` and ``grid_rank`` per slot and coordinate trial)
 and ``entrywise_positive_member`` the former ``wigner.positive_member``,
 whose LP rows restate the completion rule entry by entry; the last two
-build their members with ``closed_form_family``.
+build their members with ``cross_corner_family``.
 
 ``surjectivity_details`` is the former ``theory.surjectivity_details``,
 which solves the convex-weights LP of every effect on a polytope with
@@ -46,6 +49,10 @@ with per-row denominators and the integer ``vec_dot`` are checked.
 ``geometry.int_values`` replaces with one integer matrix, and
 ``hull_equalities`` the former equalities of ``geometry._describe``,
 read off the ``Fraction`` rref of the points' integer differences.
+``subset_scan_describe`` is the former ``geometry._describe``, which
+tried every d-subset of the points as a facet against every point
+(C(n, d) n work), against which the integer hull is checked, facet
+order included.
 ``fraction_permutation_test`` is the former
 ``symmetry._permutation_test``, whose invariants (the extreme points
 of W(K), and g0 and S = G (G^T G)^-2 G^T on balls) hold ``Fraction``
@@ -149,6 +156,7 @@ from wignerlab.geometry import (
     Containment,
     Polytope,
     StateSpace,
+    _Facets,
     _functional,
     affine_basis,
     affine_map_with_orthogonal_extension,
@@ -243,6 +251,70 @@ def hull_equalities(points, scale: int) -> tuple:
         c = tuple(a // math.gcd(*c) for a in c)
         out.append((c, sum(a * b for a, b in zip(c, p0))))
     return tuple(out)
+
+
+def _normal(spans: list[list[int]]) -> list[int]:
+    """A nonzero integer vector orthogonal to d-1 independent integer rows
+    in Z^d (the cross product for d = 3), and zero if they are dependent."""
+    if not spans:
+        return [1]
+    if len(spans) == 1:
+        (a, b), = spans
+        return [b, -a]
+    if len(spans) == 2:
+        (a0, a1, a2), (b0, b1, b2) = spans
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    _, complement = _kernels.orthogonal_complement(spans, len(spans) + 1)
+    return complement[0] if len(complement) == 1 else [0] * (len(spans) + 1)
+
+
+def subset_scan_describe(points: Sequence[Sequence]) -> tuple[_Facets, tuple, list[bool]]:
+    """The facet description of conv(points), the points as ints over its
+    ``scale``, and for each point whether it is a vertex that occurs once.
+
+    The points are scaled to ints over one denominator; one rref of
+    their differences gives the equalities of the affine hull (its
+    nullspace) and d pivot coordinates.  There every d-subset of points
+    spanning a hyperplane gives an integer normal (``_normal``), kept (with
+    the sign that makes it >= on every point, over its gcd) when no
+    point lies strictly on each side.  A point is a vertex iff the
+    normals of its tight facets have rank d.
+    """
+    ints, scale = _kernels.integer_rows(points)
+    ints = tuple(map(tuple, ints))
+    p0 = ints[0]
+    diffs = [[a - b for a, b in zip(p, p0)] for p in ints[1:]]
+    pivots, complement = _kernels.orthogonal_complement(diffs, len(p0))
+    coords = tuple(pivots)
+    equalities = [(tuple(c), sum(map(operator.mul, c, p0))) for c in complement]
+    d = len(coords)
+    distinct = list(dict.fromkeys(ints))
+    ys = [tuple(p[j] for j in coords) for p in distinct]
+    facets: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for subset in itertools.combinations(range(len(ys)), d) if d else ():
+        base = ys[subset[0]]
+        normal = _normal([[a - b for a, b in zip(ys[i], base)] for i in subset[1:]])
+        if not any(normal):
+            continue
+        offset = sum(map(operator.mul, normal, base))
+        side = [sum(map(operator.mul, normal, y)) - offset for y in ys]
+        lo, hi = min(side), max(side)
+        if lo < 0 < hi:
+            continue
+        g = math.gcd(*normal) if lo >= 0 else -math.gcd(*normal)
+        key = (tuple(a // g for a in normal), offset // g)
+        if key not in facets:
+            facets[key] = [i for i, v in enumerate(side) if not v]
+    tight: list[list[tuple[int, ...]]] = [[] for _ in ys]
+    for (a, _), on in facets.items():
+        for i in on:
+            tight[i].append(a)
+    extreme = {
+        p: len(t) >= d and _kernels.bareiss_rank([list(a) for a in t]) == d
+        for p, t in zip(distinct, tight)
+    }
+    flags = [extreme[p] and ints.count(p) == 1 for p in ints]
+    return _Facets(scale, coords, tuple(equalities), tuple(facets)), ints, flags
 
 
 def vec_dot(u: Vec, v: Vec) -> QQ:
@@ -1013,6 +1085,27 @@ def closed_form_family(
     return WignerRep(space, obs_a, obs_b, tuple(tuple(row) for row in grid))
 
 
+def cross_corner_family(
+    obs_a: Observable,
+    obs_b: Observable,
+    space: StateSpace,
+    free: Optional[dict[tuple[int, int], AffineFunctional]] = None,
+    anchor: Optional[tuple[int, int]] = None,
+) -> WignerRep:
+    """``closed_form_family`` with A_alpha minus the other B_b at the
+    anchored corner, where it has the unit effect minus the other
+    effects: the corner moves by S_A - 1, S_A the sum of A's effects,
+    so both marginals hold whenever the effects of A and B have one sum.
+    This is the closed form of ``wigner.construct_family``."""
+    rep = closed_form_family(obs_a, obs_b, space, free, anchor)
+    alpha, beta = anchor if anchor is not None else (obs_a.n_outcomes - 1, obs_b.n_outcomes - 1)
+    dim = space.ambient_dim
+    shift = sum(obs_a.effects, AffineFunctional.zero(dim)) - AffineFunctional.one(dim)
+    grid = [list(row) for row in rep.grid]
+    grid[alpha][beta] = grid[alpha][beta] + shift
+    return WignerRep(space, obs_a, obs_b, tuple(map(tuple, grid)))
+
+
 def greedy_faithful_member(
     obs_a: Observable,
     obs_b: Observable,
@@ -1031,7 +1124,7 @@ def greedy_faithful_member(
     target = dimension(space) + 1
     pool = [AffineFunctional.coordinate(dim_ambient, i) for i in range(dim_ambient)]
     free: dict[tuple[int, int], AffineFunctional] = {}
-    rep = closed_form_family(obs_a, obs_b, space, free, (alpha, beta))
+    rep = cross_corner_family(obs_a, obs_b, space, free, (alpha, beta))
     best = grid_rank(rep)
     for a in range(n_a):
         for b in range(n_b):
@@ -1040,7 +1133,7 @@ def greedy_faithful_member(
             for g in pool:
                 trial = dict(free)
                 trial[(a, b)] = g
-                candidate = closed_form_family(obs_a, obs_b, space, trial, (alpha, beta))
+                candidate = cross_corner_family(obs_a, obs_b, space, trial, (alpha, beta))
                 r = grid_rank(candidate)
                 if r > best:
                     free, rep, best = trial, candidate, r
@@ -1119,7 +1212,7 @@ def entrywise_positive_member(
         free[slot] = AffineFunctional(
             result.witness[base : base + dim], result.witness[base + dim]
         )
-    rep = closed_form_family(obs_a, obs_b, space, free, (alpha, beta))
+    rep = cross_corner_family(obs_a, obs_b, space, free, (alpha, beta))
     if not is_positive(rep).ok:  # pragma: no cover - internal guard
         raise ArithmeticError("LP returned a non-positive member")
     return PositiveFound(rep, lp, result.witness)

@@ -202,6 +202,29 @@ def test_wigner_free_and_degenerate_and_faithful(tmp_path, capsys):
     assert all(ok for _, ok, _ in rows)
 
 
+def test_degenerate_member_of_a_common_sum_has_the_marginals(tmp_path, capsys):
+    """On the unit square with A = (x, 2 - x) and B = (y, 2 - y), whose
+    effects both sum to 2, ``wigner --degenerate`` gives a member with
+    both marginals, and its report verifies."""
+    def effects(k):
+        return [{"linear": ["1" if i == k else "0" for i in range(2)], "constant": "0"},
+                {"linear": ["-1" if i == k else "0" for i in range(2)], "constant": "2"}]
+
+    doc = {
+        "state_space": {"type": "polytope",
+                        "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]},
+        "observables": [{"name": "A", "outcomes": [0, 1], "effects": effects(0)},
+                        {"name": "B", "outcomes": [0, 1], "effects": effects(1)}],
+    }
+    path = tmp_path / "sum2.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "wigner", str(path), "--degenerate")
+    report = load_report(out)
+    verdicts = {c["id"]: c["verdict"] for c in report["claims"]}
+    assert code == 0 and verdicts["marginals"] is True
+    assert all(ok for _, ok, _ in verify_report(report))
+
+
 def test_wigner_faithful_failure_exit(tmp_path, capsys):
     # a 4-dimensional hypercube with two binary observables cannot be faithful
     verts = [

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import time
 
 import pytest
 
@@ -848,3 +849,83 @@ def test_functional_arithmetic_keeps_the_constructor_form():
                 lambda: f.scale(0.5), lambda: f.shift(0.5)):
         with pytest.raises(TypeError):
             bad()
+
+
+def _cube(d):
+    return list(itertools.product((0, 1), repeat=d))
+
+
+def _cyclic(d, n):
+    """n points on the moment curve (t, t^2, ..., t^d), t = 1..n."""
+    return [tuple(t ** k for k in range(1, d + 1)) for t in range(1, n + 1)]
+
+
+def _integer_cloud(rng, d):
+    """Small integer points in Z^d, so that many are coplanar, collinear
+    or inside, with duplicates mixed in."""
+    points = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, 9))]
+    points += [rng.choice(points) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(points)
+    return points
+
+
+def _embedded(rng, points):
+    """The points under an injective affine map into a higher dimension:
+    each keeps its coordinates and gains integer combinations of them."""
+    d = len(points[0])
+    extra = [[rng.randint(-2, 2) for _ in range(d + 1)] for _ in range(rng.randint(1, 2))]
+    return [tuple(sum(c * x for c, x in zip(row, (*p, 1))) for row in extra) + p for p in points]
+
+
+def _hull_families():
+    """The point sets on which ``_describe`` is checked against the
+    d-subset scan: every catalog polytope, random polygons, generalized
+    boxworld from 2x2 to 3x4, the d-cubes with and without their center,
+    cyclic polytopes, and integer clouds in d = 2..4 with duplicate,
+    interior and coplanar points, alone and embedded in higher dimension."""
+    for name in catalog.CATALOG_NAMES:
+        space = catalog.load(name).theory.state_space
+        if isinstance(space, Polytope):
+            yield space.vertices
+    rng = random.Random(211)
+    for _ in range(300):
+        yield random_polygon(rng).vertices
+    for m, n in itertools.product((2, 3), (2, 3, 4)):
+        yield generalized_boxworld(m, n).state_space.vertices
+    for d in range(1, 5):
+        yield _cube(d)
+        yield _cube(d) + [(F(1, 2),) * d]
+        yield [(F(1, 2),) * d] + _cube(d)
+    yield _cube(5) + [(F(1, 2),) * 5]
+    for d, n in itertools.product((2, 3, 4), (6, 9, 12)):
+        yield _cyclic(d, n)
+    for _ in range(200):
+        points = _integer_cloud(rng, rng.choice((2, 3, 4)))
+        yield points
+        yield _embedded(rng, points)
+
+
+def test_the_integer_hull_matches_the_subset_scan():
+    """``_describe`` gives the subset scan's facets, in its order, and its
+    equalities, int points and vertex flags."""
+    count = 0
+    for points in _hull_families():
+        assert geometry._describe(points) == ref.subset_scan_describe(points)
+        count += 1
+    assert count >= 700
+
+
+@pytest.mark.parametrize("points, facets", [
+    (_cyclic(3, 200), 396), (_cube(6), 12), (None, 10),
+], ids=["cyclic-200-3", "6-cube", "boxworld-5x5"])
+def test_the_integer_hull_scales_with_its_facets(points, facets):
+    """Sizes whose d-subsets the scan could not try within minutes: the
+    cyclic polytope with n = 200 in d = 3 has 2(n - 2) facets, the 6-cube
+    12 and 5x5 generalized boxworld 10; each takes under a second."""
+    start = time.perf_counter()
+    if points is None:
+        space = generalized_boxworld(5, 5).state_space
+    else:
+        space = Polytope(points)
+    assert len(space._facets.facets) == facets
+    assert time.perf_counter() - start < 1

@@ -663,6 +663,25 @@ def test_enumeration_skips_the_hull_search_when_w_is_injective(monkeypatch):
         assert len(calls) == 1  # the fallback ran, once
 
 
+def test_enumerated_maps_equal_the_checked_constructor():
+    """``enumerate_lifted_symmetries`` builds its maps without the table
+    check; each equals, hashes and prints as ``PhasePointMap`` built with
+    it, and the public constructor still refuses a bad table."""
+    rng = random.Random(151)
+    reps = _polygon_reps() + _random_polygon_reps(rng, (2, 3), 2) + _ball_reps()
+    found = 0
+    for rep in reps:
+        for phi in enumerate_lifted_symmetries(rep):
+            checked = PhasePointMap(phi.shape, phi.table)
+            assert phi == checked and hash(phi) == hash(checked) and repr(phi) == repr(checked)
+            assert type(phi) is PhasePointMap and type(phi.table) is tuple
+            found += 1
+    assert found > 50
+    for table in ((0, 1, 2), (0, 1, 2, 4), (0, 1, 2, -1)):
+        with pytest.raises(ValueError, match="table must map the phase space into itself"):
+            PhasePointMap(SHAPE, table)
+
+
 def test_lifted_transport_matches_the_composed_equations():
     """``find_transported_channel`` reads psi . W off a lift's phase table;
     ``reference_kernels.composed_with_rep`` builds it as the transfer

@@ -9,6 +9,7 @@ import pytest
 from wignerlab import catalog, theoryfile
 from wignerlab.cli import main
 from wignerlab.errors import ParseError
+from wignerlab.geometry import AffineFunctional
 
 
 def test_round_trip_is_byte_identical_for_all_catalog_entries():
@@ -127,6 +128,43 @@ def test_parse_rational_json_values():
     for bad in (True, False, 0.5, 2.0, None, ["1"]):
         with pytest.raises(ParseError):
             theoryfile.parse_rational(bad, "x")
+
+
+def _outcome(read):
+    try:
+        return "read", read()
+    except ParseError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("value", RATIONAL_STRINGS + [5, -10 ** 300, True, None, 0.5, ["1"]])
+def test_vectors_and_functionals_read_as_element_by_element(value):
+    """``parse_vector`` and ``parse_functional`` give what reading each
+    element with ``parse_rational`` at its own path gives: the same
+    ``Fraction``s, or the same error with the same path."""
+    values = ["1/2", value, "-3"]
+    want = _outcome(lambda: tuple(
+        theoryfile.parse_rational(v, f"v[{i}]") for i, v in enumerate(values)))
+    got = _outcome(lambda: theoryfile.parse_vector(values, "v"))
+    assert got == want
+    if got[0] == "read":
+        assert all(type(x) is F for x in got[1])
+    want = _outcome(lambda: AffineFunctional(tuple(
+        theoryfile.parse_rational(v, f"f.linear[{i}]") for i, v in enumerate(values)),
+        theoryfile.parse_rational(value, "f.constant")))
+    got = _outcome(lambda: theoryfile.parse_functional(
+        {"linear": values, "constant": value}, "f", 3))
+    assert got == want
+    if got[0] == "read":
+        assert all(type(x) is F for x in (*got[1].linear, got[1].constant))
+
+
+def test_vectors_refuse_what_is_not_a_list():
+    for bad in ("1/2", {"0": "1"}, None, 3):
+        assert _outcome(lambda: theoryfile.parse_vector(bad, "v")) == (
+            "refused", "expected a list of rationals (at v)")
+    assert _outcome(lambda: theoryfile.parse_functional({"linear": "12"}, "f", 2)) == (
+        "refused", "expected a list of rationals (at f.linear)")
 
 
 def test_rational_to_str_is_str_of_fraction():

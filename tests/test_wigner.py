@@ -10,6 +10,7 @@ import pytest
 from helpers import random_fraction, random_free_block, random_polygon, random_theory
 from reference_kernels import (
     closed_form_family,
+    cross_corner_family,
     entrywise_positive_member,
     greedy_faithful_member,
 )
@@ -208,11 +209,31 @@ def _differential_cases():
 
 
 def test_construct_family_matches_the_closed_form():
+    """The constructor puts A_alpha minus the other B_b at the anchored
+    corner (``cross_corner_family``), where the former one put the unit
+    effect minus the other effects (``closed_form_family``); the two
+    agree when the effects sum to the unit effect."""
     rng = random.Random(809)
+    moved = 0
     for obs_a, obs_b, space, anchor in _differential_cases():
         free = random_free_block(rng, space, obs_a, obs_b, anchor)
         rep = construct_family(obs_a, obs_b, space, free, anchor)
-        assert rep == closed_form_family(obs_a, obs_b, space, free, anchor)
+        assert rep == cross_corner_family(obs_a, obs_b, space, free, anchor)
+        moved += rep != closed_form_family(obs_a, obs_b, space, free, anchor)
+    assert moved >= 20
+
+
+def test_construct_family_keeps_the_marginals_of_a_common_sum():
+    """Effects that share a sum S != 1 still give every member both
+    marginals: on the unit square, A = (x, 2 - x) and B = (y, 2 - y)."""
+    two = AffineFunctional.const(2, 2)
+    obs_a = Observable("A", (0, 1), (FX, two - FX))
+    obs_b = Observable("B", (0, 1), (FY, two - FY))
+    for anchor in (None, (0, 0), (1, 0)):
+        assert check_marginals(degenerate_rep(obs_a, obs_b, SQUARE, anchor)).ok
+        _, slots = wigner.free_slots(obs_a, obs_b, anchor)
+        free = {slot: (FX + FY).scale(F(1, 3)) for slot in slots}
+        assert check_marginals(construct_family(obs_a, obs_b, SQUARE, free, anchor)).ok
 
 
 def test_faithful_member_matches_the_greedy_search():
