@@ -3,9 +3,10 @@
 Three pivot loops are where the engine spends most of its time: reduced
 row echelon form, fraction-free (Bareiss) integer elimination, and the
 Bland-rule phase-1 simplex iteration.  Beside them sit the helpers
-built on ``rref`` (the greedy affine basis and the orthogonal
-complement) and ``hull``, the exact convex hull of int points from which
-``geometry`` reads every polytope's facets.  All run on Python ints.
+built on ``rref`` (its row operations, the greedy affine basis and the
+orthogonal complement) and ``hull``, the exact convex hull of int points
+from which ``geometry`` reads every polytope's facets.  All run on
+Python ints.
 
 ``rref`` holds each row as ints over its own positive denominator, in
 lowest terms (the gcd of the row and its denominator is 1).  A pivot
@@ -122,6 +123,22 @@ def rref(rows, ncols):
     return pivots
 
 
+def rref_ops(rows, ncols):
+    """``rref`` of ``[rows | I]``: reduces ``rows`` in place as ``rref``
+    does and returns ``(pivots, ops)``, where ``ops[r]`` is the identity
+    block beside reduced row r, the ints y with y . rows (as given) =
+    ``rows[r]``.  A reduced row that is zero on the first ``ncols``
+    columns but not after them is the Fredholm alternative's y: A x = b
+    has no solution iff some y has y A = 0 and y . b != 0 (Schrijver,
+    *Theory of Linear and Integer Programming*, 1986, Cor. 3.1b)."""
+    m = len(rows)
+    aug = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+    pivots = rref(aug, ncols)
+    w = len(aug[0]) - m if m else 0
+    rows[:] = [row[:w] for row in aug]
+    return pivots, [row[w:] for row in aug]
+
+
 def independent_affine_subset(points):
     """Indices of a greedy maximal affinely independent subset: the first
     point and each later one whose difference from it is independent of
@@ -135,8 +152,9 @@ def independent_affine_subset(points):
 
 def orthogonal_complement(rows, n):
     """The pivot columns of ``rows`` (reduced in place by ``rref``) and a
-    basis of the vectors in Q^n orthogonal to every row, one per free
-    column: the primitive ints along 1 there, minus the reduced rows'."""
+    basis of the vectors in Q^n orthogonal to every row's first n entries
+    (later ones, such as a right-hand side, are carried along), one per
+    free column: the primitive ints along 1 there, minus the reduced rows'."""
     pivots = rref(rows, n)
     dens = [row[j] for row, j in zip(rows, pivots)]
     scale = math.lcm(*dens)

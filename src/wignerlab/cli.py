@@ -434,30 +434,14 @@ def _symmetry_for_channel(args, theory, name, rep) -> int:
                          path="--channel-matrix")
     result = symmetry.find_symmetry_for_channel(rep, chan)
     if isinstance(result, symmetry.TransportObstruction):
-        if result.pair is not None:
-            payload = {"witness_pair": [ser_vec(p) for p in result.pair]}
-        else:
-            payload = {"dependency": [ser_vec(p) for p in result.dependency]}
-        _emit(
-            make_report(
-                "symmetries",
-                theory_to_dict(theory, (name, rep)),
-                [],
-                ["no transported symmetry exists for the requested channel"],
-                obstruction=payload,
-            )
-        )
-        return 1
-    _emit(
-        make_report(
-            "symmetries",
-            theory_to_dict(theory, (name, rep)),
-            [],
-            [],
-            transported_symmetry=ser_map(result),
-        )
-    )
-    return 0
+        key, points = (("witness_pair", result.pair) if result.pair is not None
+                       else ("dependency", result.dependency))
+        notes = ["no transported symmetry exists for the requested channel"]
+        extra = {"obstruction": {key: [ser_vec(p) for p in points]}}
+    else:
+        notes, extra = [], {"transported_symmetry": ser_map(result)}
+    _emit(make_report("symmetries", theory_to_dict(theory, (name, rep)), [], notes, **extra))
+    return 1 if notes else 0
 
 
 def _load_channels(path: str, theory):

@@ -5,7 +5,8 @@ holds them as Python ints over common denominators); nothing in a
 decision path ever touches floating point.  The module provides dense
 rational matrices, exact rank (fraction-free over integers), affine
 system solving with nullspace bases, and LP feasibility with verified
-witnesses or Farkas infeasibility certificates.
+witnesses or Farkas infeasibility certificates.  ``solve_affine`` is
+public API and a test oracle; the engine never calls it.
 
 The hot arithmetic runs on ints over one denominator (Edmonds'
 fraction-free arithmetic) and builds a ``Fraction`` only for a value the
@@ -64,7 +65,7 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._kernels import bareiss_rank, integer_rows, rref, simplex_phase1
+from ._kernels import bareiss_rank, integer_rows, orthogonal_complement, simplex_phase1
 from ._record import record
 
 QQ = Fraction
@@ -212,22 +213,18 @@ def solve_affine(a: Union[Matrix, Sequence[Sequence]], b: Sequence) -> Optional[
     else:
         n = a.cols if isinstance(a, Matrix) else 0
     aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots = rref(aug, n)
-    for row in aug[len(pivots):]:
-        if row[n]:
-            return None
+    pivots, complement = orthogonal_complement(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     # row r of aug is aug[r][c] times the reduced row of pivot c
     particular = [QQ(0)] * n
     for r, c in enumerate(pivots):
         particular[c] = QQ(aug[r][n], aug[r][c])
-    basis = []
-    for free in (j for j in range(n) if j not in pivots):
-        direction = [QQ(0)] * n
-        direction[free] = QQ(1)
-        for r, c in enumerate(pivots):
-            direction[c] = QQ(-aug[r][free], aug[r][c])
-        basis.append(tuple(direction))
-    return AffineSolution(tuple(particular), tuple(basis))
+    # each complement vector is a positive multiple of the direction that
+    # is 1 at its free column
+    frees = [j for j in range(n) if j not in pivots]
+    return AffineSolution(tuple(particular), tuple(
+        tuple(QQ(x, v[free]) for x in v) for v, free in zip(complement, frees)))
 
 
 @record

@@ -29,7 +29,7 @@ one int matrix over one positive denominator, so signs, equalities and
 ranks are read off ints; ``integer_rows`` scales other rational points to them.
 ``signed_sums`` adds signed functionals the same way, one ``Fraction``
 per coefficient of each sum.  Every affine map read off images of points
-comes from one fraction-free rref of ``q [p_i, 1 | I]`` (``interpolation``,
+comes from one fraction-free ``rref_ops`` of ``q [p_i, 1]`` (``interpolation``,
 kept per space for its affine basis by ``basis_interpolation``) and one
 reader of its rows (``interpolant``).  Functional arithmetic reuses its
 ``Fraction`` entries (``_functional``).
@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ._kernels import (
-    bareiss_rank, hull, independent_affine_subset, integer_rows, orthogonal_complement, rref,
+    bareiss_rank, hull, independent_affine_subset, integer_rows, orthogonal_complement, rref_ops,
 )
 from ._record import record
 from .errors import SizeGuardError, UnsupportedGeometryError
@@ -220,17 +220,18 @@ class AffineMap:
 
 
 def interpolation(xs: Sequence[Sequence[int]], q: int):
-    """The rref of ``q [p_i, 1 | I]`` for the points ``p_i = xs[i] / q``
+    """The ``rref_ops`` of ``q [p_i, 1]`` for the points ``p_i = xs[i] / q``
     (int rows, ``q > 0``), the engine's one elimination that reads affine
     maps off images of points, as ``(d, pivots, dependencies)``: d the
     points' dimension, one ``(c, lam, e)`` per reduced row with pivot
-    column ``c`` (``e`` combines the rows into ``lam`` times it), and the
-    ``e`` of each zero row, an affine dependency that images must keep."""
-    n, d = len(xs), len(xs[0])
-    rows = [[*x, q] + [q * (i == j) for j in range(n)] for i, x in enumerate(xs)]
-    pivots = rref(rows, d + 1)
-    return (d, tuple((c, row[c], row[d + 1:]) for c, row in zip(pivots, rows)),
-            tuple(row[d + 1:] for row in rows[len(pivots):]))
+    column ``c`` (``e`` combines the rows ``[p_i, 1]`` into ``lam`` times
+    it, so ``e`` is q times the row operations), and the row operations of
+    each zero row, an affine dependency that images must keep."""
+    d = len(xs[0])
+    rows = [[*x, q] for x in xs]
+    pivots, ops = rref_ops(rows, d + 1)
+    return (d, tuple((c, row[c], [q * a for a in e]) for c, row, e in zip(pivots, rows, ops)),
+            tuple(ops[len(pivots):]))
 
 
 def interpolant(

@@ -286,14 +286,15 @@ def channel_program(source, target, system) -> LinearProgram:
     return LinearProgram.from_scaled(n_vars, rows, n_eq)
 
 
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation table: its argsort."""
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
 def permutation_equations(obs_a, obs_b, perm_a: Sequence[int], perm_b: Sequence[int]):
     """``(A_a, A_(g^-1 a))`` for every a, then likewise for B: the channel
     F of g = (perm_a, perm_b) has A_a(F x) = A_(g^-1 a)(x)."""
-    inv_a, inv_b = [0] * len(perm_a), [0] * len(perm_b)
-    for i, t in enumerate(perm_a):
-        inv_a[t] = i
-    for i, t in enumerate(perm_b):
-        inv_b[t] = i
+    inv_a, inv_b = _inverse(perm_a), _inverse(perm_b)
     return ([(obs_a.effects[a], obs_a.effects[inv_a[a]]) for a in range(obs_a.n_outcomes)]
             + [(obs_b.effects[b], obs_b.effects[inv_b[b]]) for b in range(obs_b.n_outcomes)])
 

@@ -21,12 +21,14 @@ under g, W_g(a,b)(F_g p) = W_ab(p), is the same square for lift(g), and
 ``verify`` checks it with the same equations.  The covariant solver
 combines two exact stages: permutation channels for the generators of
 the outcome translation group S_m x S_n, then the covariance system of
-the free block, the zero-marginal part D of W = W0 + D on aff(K),
-solved by one integer elimination at the affine basis; effect sums that differ get a
-closed-form certificate.
-This module never calls the simplex itself; the only LPs under it are
-``find_channel``'s, for a map that its equations leave free (W forgets
-part of the state) or that no map satisfies.
+the free block, the zero-marginal part D of W = W0 + D on aff(K), whose
+nullspace at the affine basis is one ``_kernels.orthogonal_complement``;
+effect sums that differ get a closed-form certificate.  This module runs
+no elimination loop and never calls the simplex itself: the only LPs
+under it are ``find_channel``'s, for a map that its equations leave free
+(W forgets part of the state).  Equations that no map satisfies are
+certified by the row operations of their elimination, and
+``is_symmetry`` reads its counterexample off ``_fixed_map``'s.
 
 Generators decide, and no group is closed: covariance identities
 compose (W_g(a,b)(F_g p) = W_ab(p) for g and h gives it for gh and
@@ -59,7 +61,7 @@ import itertools
 import operator
 from typing import Callable, Optional, Sequence, Union
 
-from ._kernels import bareiss_rank, rref
+from ._kernels import bareiss_rank, orthogonal_complement
 from ._record import record
 from .errors import PreconditionError, SizeGuardError, UnsupportedGeometryError
 from .exact import (
@@ -86,7 +88,7 @@ from .geometry import (
     vertex_ints,
 )
 from .programs import (
-    base_grid, channel_system, generators, marginal_program, moved_points,
+    _inverse, base_grid, channel_system, generators, marginal_program, moved_points,
     permutation_equations, slot_terms, transport_equations,
 )
 from .theory import (
@@ -165,10 +167,7 @@ class PhasePointMap:
     def inverse(self) -> "PhasePointMap":
         if not self.is_permutation:
             raise ValueError("only permutations are invertible")
-        inv = [0] * len(self.table)
-        for i, t in enumerate(self.table):
-            inv[t] = i
-        return PhasePointMap(self.shape, tuple(inv))
+        return PhasePointMap(self.shape, _inverse(self.table))
 
     def describe(self) -> str:
         return moved_points(self.shape[1], self.table)
@@ -273,13 +272,10 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     funcs = rep.functionals()
     w = AffineMap.from_rows([f.linear for f in funcs], [f.constant for f in funcs])
     ints = channel_system(space, space, list(zip(funcs, m.compose(w).functionals())))
-    d = space.ambient_dim
-    pulled = _fixed_map(space, ints, d)
+    pulled, column = _fixed_map(space, ints, space.ambient_dim)
     if pulled is None:
         # W is faithful, so its rows have rank d: some column is inconsistent
-        aug = [list(row) for row, _ in ints]
-        rref(aug, d)
-        p = affine_basis(space)[next(j for j in range(d + 1) if any(r[d + j] for r in aug[d:]))]
+        p = affine_basis(space)[column]
         return SymmetryCheck(False, p, _grid_of_flat(m(evaluate(rep, p).flatten()), rep.shape))
     result = map_into(space, pulled, space)
     if result.ok:
@@ -423,7 +419,7 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
         raise PreconditionError("the lifted map is not a symmetry of W")
     space = rep.state_space
     ints = channel_system(space, space, transport_equations(rep, phi.table))
-    return Channel(_fixed_map(space, ints, space.ambient_dim), space, space)
+    return Channel(_fixed_map(space, ints, space.ambient_dim)[0], space, space)
 
 
 def is_g_symmetric(rep: WignerRep, generators: Sequence[PhasePointMap]) -> bool:
@@ -470,13 +466,7 @@ class ProductGroupElement:
         )
 
     def inverse(self) -> "ProductGroupElement":
-        inv_a = [0] * len(self.perm_a)
-        inv_b = [0] * len(self.perm_b)
-        for i, t in enumerate(self.perm_a):
-            inv_a[t] = i
-        for i, t in enumerate(self.perm_b):
-            inv_b[t] = i
-        return ProductGroupElement(tuple(inv_a), tuple(inv_b))
+        return ProductGroupElement(_inverse(self.perm_a), _inverse(self.perm_b))
 
     def phase_point_map(self) -> PhasePointMap:
         return PhasePointMap.product(
@@ -599,11 +589,12 @@ def solve_covariant(
     D_g(a,b)(F_g p_j) = D_ab(p_j) for each generator g, cell and point
     p_j of the affine basis.  The unknowns are the slots' functionals on
     aff(K), their coefficients on ``geometry.hull_coords`` and constants,
-    (m-1)(n-1)(dim K+1) of them, so the system is one integer ``rref`` of
-    the coordinates of p_j and F_g p_j.  A trivial nullspace gives
-    "unique" with W0; otherwise the result is "family" with base point
-    W0, and each nullspace vector is a direction, the D of
-    ``theory.free_block_grid``, which is nonzero on aff(K).
+    (m-1)(n-1)(dim K+1) of them, so the system is one integer
+    ``orthogonal_complement`` of the coordinates of p_j and F_g p_j.  A
+    trivial nullspace gives "unique" with W0; otherwise the result is
+    "family" with base point W0, and each nullspace vector, over its entry
+    at its free column (1 there, 0 at the other free columns), is a
+    direction, the D of ``theory.free_block_grid``, nonzero on aff(K).
     """
     hyps = {
         "jointly_info_complete": jointly_info_complete(obs_a, obs_b, space),
@@ -657,22 +648,11 @@ def solve_covariant(
                     for i, c in enumerate(point):
                         row[s * w + i] -= sign * c
                 rows.append(row)
-    pivots = rref(rows, n)
+    pivots, complement = orthogonal_complement(rows, n)
     rep = WignerRep(space, obs_a, obs_b, _grid(base_grid(obs_a, obs_b), n_b))
-    if len(pivots) < n:
-        directions = []
-        for free in (k for k in range(n) if k not in pivots):
-            values = [QQ(0)] * n
-            values[free] = QQ(1)
-            for row, c in zip(rows, pivots):
-                values[c] = QQ(-row[free], row[c])
-            flat = free_block_grid(space, terms, values, [[] for _ in terms])
-            directions.append(WignerRep(space, obs_a, obs_b, _grid(flat, n_b)))
-        return CovariantResult(
-            "family",
-            hyps,
-            rep=rep,
-            family_directions=tuple(directions),
-            channels=stage1.channels,
-        )
-    return CovariantResult("unique", hyps, rep=rep, channels=stage1.channels)
+    directions = []
+    for v, free in zip(complement, (k for k in range(n) if k not in pivots)):
+        flat = free_block_grid(space, terms, [QQ(x, v[free]) for x in v], [[] for _ in terms])
+        directions.append(WignerRep(space, obs_a, obs_b, _grid(flat, n_b)))
+    return CovariantResult("family" if directions else "unique", hyps, rep=rep,
+                           family_directions=tuple(directions), channels=stage1.channels)

@@ -5,17 +5,16 @@ outcome; validity on a state space means every effect stays in [0, 1]
 and the effects sum to the constant-one functional coefficient-wise.
 Compatibility of two observables is an exact LP feasibility question,
 on the program of ``programs.compatibility``, and so is channel
-existence (``programs.channel_program``) unless the channel's equations
-fix the map on the source's hull: one integer elimination then fixes
-the images of the source's affine basis, and if their map leaves the
-target the Farkas certificate of the channel LP is built from the
-violated facet.  That map, an LP channel rebuilt from its basis images
-and the leaving vertex's barycentric weights are each one
-``geometry.interpolant`` of ``basis_interpolation``'s rows, with no
-second elimination.  The compatibility simplex runs on the free block
-(``programs.free_block_compatibility``: W = X + D, no equality row),
-and its witness or Farkas certificate is lifted back to the claim's
-program in closed form.  ``are_compatible`` and ``find_channel`` are
+existence (``programs.channel_program``) when the channel's equations
+leave the map free.  Otherwise one integer elimination of the images of
+the source's affine basis decides: they fix a map into the target, a
+map that leaves it, or none, and the last two get the Farkas
+certificate of the channel LP from the row operations of one
+``_kernels.rref_ops``, with no LP.  A map is read off its basis images
+by ``geometry.interpolant``.  The compatibility simplex runs on the
+free block (``programs.free_block_compatibility``: W = X + D, no
+equality row), and its witness or Farkas certificate is lifted back to
+the claim's program in closed form.  ``are_compatible`` and ``find_channel`` are
 the only callers of ``lp_feasible`` in the engine; a positive Wigner
 representation is a joint observable, so ``wigner.positive_member``
 reads the compatibility LP.  Surjectivity is decided by the effects'
@@ -29,9 +28,10 @@ and face computations.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Union
 
-from ._kernels import bareiss_rank, integer_rows, rref
+from ._kernels import bareiss_rank, integer_rows, rref, rref_ops
 from ._record import record
 from . import programs
 from .errors import (
@@ -46,7 +46,6 @@ from .exact import (
     Vec,
     checked,
     lp_feasible,
-    solve_affine,
     unit,
     vec,
     vec_dot,
@@ -494,11 +493,11 @@ class Channel:
 class ChannelInfeasible:
     """No affine map satisfies the requested equations inside the target.
 
-    ``certificate`` is the Farkas proof for ``program``, from the
-    simplex or, for a map that the equations and the target's hull fix,
-    from elimination.  When the equations alone determine a unique
-    candidate map, the witness fields show a vertex that the candidate
-    sends outside the target.
+    ``certificate`` is the Farkas proof for ``program``: from the simplex
+    for a map that the equations and the target's hull leave free, else
+    from their elimination.  When the equations alone fix a candidate
+    map, the witness fields show a vertex that it sends outside the
+    target.
     """
 
     program: LinearProgram
@@ -518,17 +517,17 @@ def find_channel(
 
     On polytope pairs the images ``y_i`` of an affine basis ``p_i`` of
     the source decide the map, and each solves one system: ``g . y_i =
-    h(p_i)`` per equation and the target's hull equalities.  If one rref
-    of it, with a right-hand side per basis point, fixes them and their
-    map sends the source into the target, that map is the channel.
-    The claim's program is ``programs.channel_program``, one LP in facet
-    form over ``M`` and ``t`` of ``m(x) = M x + t``: the system at the
-    basis and one inequality per source vertex and target facet.  If the fixed map leaves the target,
-    its Farkas certificate is built from the violated facet at the
-    leaving vertex (``_leaving_certificate``).  Free maps and
-    inconsistent equations solve the LP, and a feasible LP's channel is
-    rebuilt from the basis images.  For ball backends a candidate map
-    must be supplied and is verified exactly.
+    h(p_i)`` per equation and the target's hull equalities.  One rref of
+    it, with a right-hand side per basis point, fixes them, finds them
+    inconsistent or leaves them free (``_fixed_map``).  A fixed map that
+    sends the source into the target is the channel.  The claim's program
+    is ``programs.channel_program``, in facet form over ``M`` and ``t`` of
+    ``m(x) = M x + t``: the system at the basis and one inequality per
+    source vertex and target facet.  A fixed map that leaves the target
+    and inconsistent equations get its Farkas certificate from the row
+    operations of one elimination (``_system_certificate``).  Only free
+    maps run the simplex, and a feasible LP's channel is rebuilt from the
+    basis images.  Ball backends need a candidate map, verified exactly.
     """
     if candidate is not None or not (
         isinstance(source, Polytope) and isinstance(target, Polytope)
@@ -538,11 +537,13 @@ def find_channel(
                 "channel solving needs polytopes; supply a candidate map"
                 " for ball backends"
             )
-        return _verify_candidate(source, target, equations, candidate)
+        if not _solves(equations, candidate, source):
+            raise PreconditionError("candidate map does not satisfy the requested equations")
+        return Channel(candidate, source, target)
     basis = affine_basis(source)
     d1, d2 = source.ambient_dim, target.ambient_dim
     ints = programs.channel_system(source, target, equations)
-    fixed = _fixed_map(source, ints, d2)
+    fixed, column = _fixed_map(source, ints, d2)
     leaves = None
     if fixed is not None:
         try:
@@ -550,11 +551,10 @@ def find_channel(
         except ContainmentError as exc:
             leaves = exc  # the fixed map leaves the target: certified below
     lp = programs.channel_program(source, target, ints)
-    if leaves is None:
+    if fixed is None and column is None:
         result = lp_feasible(lp)
     else:
-        v, img = leaves.witness_point, leaves.witness_image
-        result = checked(lp, _leaving_certificate(source, target._facets, basis, ints, v, img))
+        result = checked(lp, _system_certificate(source, target, ints, column, leaves))
     if isinstance(result, Infeasible):
         wp, wi = _unconstrained_witness(source, target, ints[:len(equations)])
         return ChannelInfeasible(lp, result, wp, wi)
@@ -566,50 +566,71 @@ def find_channel(
                    source, target)
 
 
-def _fixed_map(source: StateSpace, ints, d2) -> Optional[AffineMap]:
-    """The map whose images ``y_i`` in Q^d2 of the affine basis of
-    ``source``, a polytope's or a ball's, solve ``c . y_i = rhs[i]`` for
-    every int row ``([c | rhs], s)``, if there is exactly one: the ``c``
-    have rank d2 and each right-hand side is consistent.  It is the
-    ``interpolant`` of those images through ``basis_interpolation``."""
+def _fixed_map(source: StateSpace, ints, d2) -> tuple[Optional[AffineMap], Optional[int]]:
+    """``(map, column)`` from one ``rref`` of the int rows ``([c | rhs],
+    s)``, for the images ``y_i`` in Q^d2 of the affine basis of ``source``
+    (a polytope's or a ball's) with ``c . y_i = rhs[i]``.  ``map`` is the
+    ``interpolant`` of the y_i if the rows fix them (the c's have rank d2
+    and every rhs is consistent), else None; ``column`` is the first basis
+    point whose rhs the rows contradict, or None."""
     aug = [list(row) for row, _ in ints]
-    if len(rref(aug, d2)) < d2 or any(any(row[d2:]) for row in aug[d2:]):
-        return None
+    pivots = rref(aug, d2)
+    # rows past the pivots are zero on the c's
+    column = next((i - d2 for i, col in enumerate(zip(*aug[len(pivots):])) if any(col)), None)
+    if column is not None or len(pivots) < d2:
+        return None, column
     # pivot row k is aug[k][k] times (e_k | the k-th coordinates of the y_i)
     return interpolant(basis_interpolation(source), [row[d2:] for row in aug[:d2]],
-                       [row[k] for k, row in enumerate(aug[:d2])])
+                       [row[k] for k, row in enumerate(aug[:d2])]), None
 
 
-def _leaving_certificate(source, hrep, basis, ints, v, img) -> Infeasible:
-    """Farkas multipliers for the facet-form LP of a map that the rows
-    ``ints`` of ``programs.channel_system`` fix, the system of rational
-    rows ``c_j``, and that sends the source vertex ``v`` to ``img``,
-    outside the target.
+def _system_certificate(source, target, ints, column, leaves) -> Infeasible:
+    """The Farkas certificate of ``programs.channel_program`` for a system
+    that its elimination decides, from one ``rref_ops`` of its int rows
+    ``[c_j | R_j]`` over ``s_j`` (``programs.channel_system``), whose row
+    (j, i) in the program is ``c_j . y_i = R_ji`` over ``s_j``.
 
-    Take the first facet ``(a, b)`` that ``img`` violates, the barycentric
-    coordinates ``lam`` of ``v`` over the basis (the ``interpolant`` of
-    the unit vectors e_i at the basis points p_i, at ``v``), and ``mu``
-    with ``sum_j mu_j c_j = a`` (``a`` lifted to the target's coordinates;
-    the rows ``c_j`` span them).  Then the inequality row of ``(v, a)``
-    equals ``sum_ij mu_j lam_i`` times the equality row of ``(c_j, p_i)``,
-    and weight 1 on it with ``-mu_j lam_i`` on those leaves ``b/scale -
-    a . img[coords] > 0``.
+    Inconsistent at basis point ``column``: a reduced row that is zero on
+    the c's and ``g != 0`` there has row operations y with ``sum_j y_j c_j
+    = 0``, so ``sign(g) y_j s_j`` on the rows (j, column) and 0 elsewhere
+    combine to 0 = |g| (the Fredholm alternative), written over the gcd of
+    these ints.
+
+    A fixed map that ``leaves`` the target, sending the source vertex v to
+    ``img`` (the leaving certificate): take the first facet ``(a, b)``
+    that ``img`` violates, the barycentric coordinates ``lam`` of v over
+    the basis, and ``mu`` with ``sum_j mu_j c_j / s_j = a`` (lifted to the
+    target's coordinates).  Pivot row k is ``den_k e_k`` on the c's, so
+    ``mu_j = s_j sum_k a_k ops[k][j] / den_k``, an a-combination of the
+    pivot rows.  Row ``(v, a)`` is ``sum_ij mu_j lam_i`` times the rows (j,
+    i), so 1 on it and ``-mu_j lam_i`` on those leave ``b/scale - a .
+    img[coords] > 0``.
     """
-    coords, n_facets = hrep.coords, len(hrep.facets)
-    system = [[QQ(a, s) for a in row[:len(img)]] for row, s in ints]
-    xs = [img[k] for k in coords]
+    d2, hrep = target.ambient_dim, target._facets
+    rows = [list(row) for row, _ in ints]
+    pivots, ops = rref_ops(rows, d2)
+    nb = len(rows[0]) - d2
+    ineq = [QQ(0)] * (len(source.vertices) * len(hrep.facets))
+    if leaves is None:
+        g, y = next((row[d2 + column], y) for row, y in zip(rows[len(pivots):], ops[len(pivots):])
+                    if row[d2 + column])
+        eq = [QQ(0)] * (len(ints) * nb)
+        weights = [yj * s for yj, (_, s) in zip(y, ints)]
+        h = math.gcd(g, *weights) * (1 if g > 0 else -1)  # a positive factor leaves it valid
+        for j, w in enumerate(weights):
+            eq[j * nb + column] = QQ(w // h)
+        return Infeasible(tuple(eq), tuple(ineq), QQ(g // h))
+    v, img = leaves.witness_point, leaves.witness_image
+    xs = [img[k] for k in hrep.coords]
     at, (a, b) = next(
         (at, (a, b)) for at, (a, b) in enumerate(hrep.facets)
         if hrep.scale * vec_dot(a, xs) < b
     )
-    identity = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
-    lam = interpolant(basis_interpolation(source), identity, [1] * len(basis))(v)
-    lifted = [0] * len(img)
-    for k, ak in zip(coords, a):
-        lifted[k] = ak
-    mu = solve_affine([[c[k] for c in system] for k in range(len(img))], lifted).particular
-    ineq = [QQ(0)] * (len(source.vertices) * n_facets)
-    ineq[source.vertices.index(v) * n_facets + at] = QQ(1)
+    identity = [[int(i == j) for j in range(nb)] for i in range(nb)]
+    lam = interpolant(basis_interpolation(source), identity, [1] * nb)(v)
+    mu = [s * sum(QQ(ak * ops[k][j], rows[k][k]) for k, ak in zip(hrep.coords, a))
+          for j, (_, s) in enumerate(ints)]
+    ineq[source.vertices.index(v) * len(hrep.facets) + at] = QQ(1)
     return Infeasible(
         tuple(-m * l for m in mu for l in lam), tuple(ineq), QQ(b, hrep.scale) - vec_dot(a, xs)
     )
@@ -621,16 +642,10 @@ def _solves(equations, m: AffineMap, space: StateSpace) -> bool:
     return not any(map(any, rows))
 
 
-def _verify_candidate(source, target, equations, candidate) -> Channel:
-    if not _solves(equations, candidate, source):
-        raise PreconditionError("candidate map does not satisfy the requested equations")
-    return Channel(candidate, source, target)
-
-
 def _unconstrained_witness(source, target, ints):
     """Diagnose infeasibility: if the equations' int rows alone fix the
     map, report the first vertex whose image leaves the target."""
-    m = _fixed_map(source, ints, target.ambient_dim)
+    m = _fixed_map(source, ints, target.ambient_dim)[0]
     if m is None:
         return None, None
     result = map_into(source, m, target)

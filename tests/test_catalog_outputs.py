@@ -21,8 +21,12 @@ each output is the former one with ``"format": "wignerlab-report/2"``,
 without the ``program`` of its LP claims, the ``matrix`` of its rank
 claims and the ``basis`` of its covariance claims, and with the
 constructor arguments that its LP claims name (``observable`` and
-``outcome``, or ``perm_a`` and ``perm_b``).  A command added to the
-catalog needs its row.
+``outcome``, or ``perm_a`` and ``perm_b``).  The ``covariant
+deformed_12gon`` row was rewritten when the leaving map's multipliers mu
+came to be read off the row operations of the channel system's ``rref``:
+mu is the combination of its pivot rows, (0, 2, -2, 0) where the former
+greedy solve gave (-2, 0, -2, 0), with the same violated facet and gap.
+A command added to the catalog needs its row.
 """
 
 import hashlib
@@ -44,7 +48,7 @@ DIGESTS = {
     "analyze trit": "91c6a6eeb637e1ed8caa85c495424fc391593924a4dfa12f986899c305558428",
     "covariant boxworld": "9d31c5ebc13ecb5cb6386423a128faddc0d05f9e863f48e63adf35810afc6ce6",
     "covariant cube": "cf6fb04b373c6da4f605fff4bbb6b53a0c6e2c2c2622a499b105585d0cc3f642",
-    "covariant deformed_12gon": "218028673d29d7c41c32a608ebc28318cc0fe555afc2375e8cf2c5a885b5b783",
+    "covariant deformed_12gon": "a93959dd98e76b94cf25de6adbc9feb76290dfed480053ef45ebb2ff736f2554",
     "covariant qubit_ball": "808c35c98ad704bdfb590cb73733263a0a7d429cd06bb9bcfd13ac189796ca04",
     "covariant qubit_xz": "88b2fbd330a8db3a9963a8c78a996ca5fddb302510546af2ed766719c3ac56ec",
     "covariant rebit_diamond": "6825aec3719c197f95605cda0ddb623578a12b95a8b2bfc4bab0621b320dbfc7",

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from wignerlab import catalog, exact, geometry
+from wignerlab import _kernels, catalog, exact, geometry
 from wignerlab._kernels import integer_rows
 from wignerlab.errors import SizeGuardError, UnsupportedGeometryError
 from wignerlab.geometry import (
@@ -673,7 +673,7 @@ def test_affine_basis_is_the_rank_greedy_choice_and_is_kept(n, monkeypatch):
     def forbidden(*args):
         raise AssertionError("affine basis computed again")
 
-    monkeypatch.setattr(geometry, "rref", forbidden)
+    monkeypatch.setattr(_kernels, "rref", forbidden)
     for hull in spaces:
         assert affine_basis(hull) == affine_basis(hull)
         assert hull._basis == tuple(rank_greedy_subset(hull.vertices))

@@ -432,6 +432,33 @@ def test_rref_takes_int_rows_as_their_fractions(monkeypatch):
     assert mixed > 500
 
 
+def test_rref_ops_keeps_the_row_operations():
+    """``rref_ops`` takes ``rref``'s pivots, and each reduced row is a
+    positive multiple of ``rref``'s on the pivot-eligible columns, with
+    its identity block y reproducing it from the rows as given: y . A is
+    the reduced row, augmented columns included.  A zero row whose
+    augmented part is not zero is a Fredholm certificate: y A = 0 and
+    y . b != 0."""
+    rng = random.Random(137)
+    fredholm = 0
+    for _ in range(3000):
+        rows, n = _rref_case(rng)
+        given = _mixed(rows, rng)
+        plain = [list(r) for r in rows]
+        pivots = rref(plain, n)
+        reduced = [list(r) for r in given]
+        got, ops = kernels_mod.rref_ops(reduced, n)
+        assert got == pivots and len(ops) == len(rows)
+        for row, y, r in zip(reduced, ops, plain):
+            assert all(type(x) is int for x in row + y)
+            assert [sum(F(a) * b[k] for a, b in zip(y, rows)) for k in range(len(row))] == row
+            assert _primitive([F(x) for x in row[:n]]) == _primitive([F(x) for x in r[:n]])
+        for row, y in zip(reduced[len(pivots):], ops[len(pivots):]):
+            assert not any(row[:n]) and any(y)
+            fredholm += any(row[n:])
+    assert fredholm > 300
+
+
 def test_vec_dot_matches_the_fraction_oracle():
     rng = random.Random(137)
     kinds = set()

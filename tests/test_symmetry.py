@@ -909,6 +909,40 @@ def test_ball_pull_backs_match_the_chart_route(monkeypatch):
     assert all(seen[key] > 0 for key in wanted), seen
 
 
+def test_ball_counterexample_off_the_affine_hull_takes_one_elimination(monkeypatch):
+    """A grid map that sends W(K) of a ball off its affine hull has as
+    counterexample the first basis point p whose image m(W(p)) no state
+    reaches (a ``solve_affine`` per basis point finds it).
+    ``is_symmetry`` reads it off the ``rref`` of ``theory._fixed_map``,
+    the one elimination of each call; ``symmetry`` runs none of its own."""
+    assert not hasattr(symmetry, "rref")
+    calls = []
+    rref = theory.rref
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(theory, "rref", counted)
+    rng = random.Random(191)
+    reps = [catalog.load(name).representations["W"] for name in ("qubit_ball", "qubit_xz")]
+    off = 0
+    for rep in reps + _ball_reps():
+        funcs = rep.functionals()
+        basis = geometry.affine_basis(rep.state_space)
+        for m in _ball_grid_maps(rng, rep, 3):
+            calls.clear()
+            check = _outcome(is_symmetry, rep, m)
+            assert calls == [rep.state_space.ambient_dim]
+            unreached = [p for p in basis if exact.solve_affine(
+                [f.linear for f in funcs],
+                [y - f.constant for y, f in zip(m(evaluate(rep, p).flatten()), funcs)]) is None]
+            if unreached:
+                assert not check.ok and check.counterexample == unreached[0]
+                off += 1
+    assert off > 5
+
+
 def _verdict(check):
     """True, False, "off aff" for an image outside aff W(K) (its
     counterexample is a basis point whose image is not a grid: the mass

@@ -480,11 +480,13 @@ def test_channel_accepts_off_center_ball_maps_that_stay_inside():
     Channel(damping, bloch, bloch)
 
 
-def _fixed_on_hull(source, target, equations, hull=False) -> bool:
+def _system_kind(source, target, equations, hull=False) -> str:
     """Do the equations alone (with ``hull``, and the equalities of the
     target's affine hull) fix the images of an affine basis of the
-    source, hence the map on its affine hull?  That is, does their block
-    system over all basis images have exactly one solution?"""
+    source, hence the map on its affine hull, contradict one another, or
+    leave the map free?  That is, does their block system over all basis
+    images have exactly one solution ("fixed"), none ("inconsistent") or
+    more ("free")?"""
     basis = affine_basis(source)
     d2 = target.ambient_dim
     system = [(g.linear, [h(p) - g.constant for p in basis]) for g, h in equations]
@@ -499,9 +501,9 @@ def _fixed_on_hull(source, target, equations, hull=False) -> bool:
             rows.append(row)
             rhs.append(value)
     if not rows:
-        return False
+        return "free"
     sol = solve_affine(rows, rhs)
-    return sol is not None and not sol.nullspace
+    return "inconsistent" if sol is None else "free" if sol.nullspace else "fixed"
 
 
 def _assert_matches_vertex_image_lp(source, target, equations) -> tuple[bool, bool]:
@@ -516,7 +518,7 @@ def _assert_matches_vertex_image_lp(source, target, equations) -> tuple[bool, bo
         return False, False
     for g, h in equations:
         assert all(g(result(v)) == h(v) for v in source.vertices)
-    fixed = _fixed_on_hull(source, target, equations)
+    fixed = _system_kind(source, target, equations) == "fixed"
     if fixed:
         assert result.map == ref_map
     return True, fixed
@@ -596,20 +598,22 @@ def test_find_channel_matches_the_vertex_image_lp_on_every_catalog_call(
 
 
 def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, capsys):
-    """A call whose equations and target hull fix a map makes no LP: the
-    map is the channel, or it leaves the target and the Farkas
-    certificate comes from the violation, with the witness of the
-    equations alone.  Free maps and inconsistent equations still run
-    their LP, and more than five of them find a channel.  The
-    ``symmetries`` reports of the faithful boxworld and rebit_diamond
-    representations, all transports, come out the same with no LP."""
+    """Only a call whose equations leave the map free runs the simplex.
+    Where the equations and the target hull fix a map, the map is the
+    channel, or it leaves the target and the Farkas certificate comes
+    from the violation; where they contradict one another, the
+    certificate is the Fredholm row of one elimination; both with the
+    witness of the equations alone.  More than five free maps find a
+    channel.  The ``symmetries`` reports of the faithful boxworld and
+    rebit_diamond representations, all transports, come out the same
+    with no LP."""
     cases = []
     for source, target, equations in _random_channel_cases() + [
         case[:3] for case in _hand_infeasible_cases()
     ]:
         result = find_channel(source, target, equations)
-        fixed = _fixed_on_hull(source, target, equations, hull=True)
-        cases.append((source, target, equations, result, fixed))
+        kind = _system_kind(source, target, equations, hull=True)
+        cases.append((source, target, equations, result, kind))
     reports = {}
     for name in ("boxworld", "rebit_diamond"):
         for rep in catalog.load(name).representations:
@@ -624,9 +628,9 @@ def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, cap
 
     monkeypatch.setattr(exact, "_phase_one", forbidden)
     kinds = []
-    for source, target, equations, result, fixed in cases:
-        kinds.append((fixed, isinstance(result, Channel)))
-        if not fixed:
+    for source, target, equations, result, kind in cases:
+        kinds.append((kind, isinstance(result, Channel)))
+        if kind == "free":
             with pytest.raises(AssertionError, match="LP solved"):
                 find_channel(source, target, equations)
             continue
@@ -635,8 +639,9 @@ def test_find_channel_solves_fixed_maps_without_an_lp(monkeypatch, tmp_path, cap
             assert verify_certificate(result.program, result.certificate)
             witness = (result.witness_point, result.witness_image)
             assert witness == unconstrained_witness(source, target, equations)
-    assert kinds.count((True, True)) > 5 and kinds.count((True, False)) > 5
-    assert kinds.count((False, True)) > 5
+    assert kinds.count(("fixed", True)) > 5 and kinds.count(("fixed", False)) > 5
+    assert kinds.count(("free", True)) > 5 and kinds.count(("inconsistent", False)) >= 5
+    assert ("inconsistent", True) not in kinds
     for path, out in reports.items():
         assert cli.main(["symmetries", path]) == 0
         assert capsys.readouterr().out == out
@@ -664,7 +669,8 @@ def test_fixed_map_is_the_interpolation_of_its_basis_images():
             rhs = [sum(a * y for a, y in zip(c, img)) for img in images]
             s = math.lcm(*(x.denominator for x in rhs))
             ints.append(([s * a for a in c] + [int(x * s) for x in rhs], s))
-        got = _fixed_map(source, ints, d2)
+        got, column = _fixed_map(source, ints, d2)
+        assert column is None
         if exact.rank(coeffs) < d2:
             assert got is None
             continue
@@ -732,3 +738,62 @@ def test_fixed_maps_that_leave_the_target_keep_certificate_and_witness(monkeypat
     monkeypatch.setattr(exact, "_phase_one", lambda lp: pytest.fail("LP solved"))
     chan = find_channel(SQUARE, SEGMENT, [(FX, _const(F(1, 2)))])
     assert {chan(v) for v in SQUARE.vertices} == {(F(1, 2), F(1, 2))}
+
+
+UNIT_SEGMENT = Polytope([(0,), (1,)])
+ONE1 = AffineFunctional.one(1)
+X1 = AffineFunctional((1,), 0)
+
+
+def _inconsistent_calls(group):
+    """The ``find_channel`` calls of one source whose equations and target
+    hull contradict one another (the block-system oracle of
+    ``_system_kind``)."""
+    if group == "random":
+        calls = _random_channel_cases()
+    elif group == "hand":
+        calls = [case[:3] for case in _hand_infeasible_cases()]
+    elif group == "parity set generators":
+        from test_free_block import CASES
+        calls = [(t.state_space, t.state_space,
+                  programs.permutation_equations(t.obs_a, t.obs_b, perm_a, perm_b))
+                 for _, t, _ in CASES if isinstance(t.state_space, Polytope)
+                 for perm_a, perm_b in programs.generators(t.obs_a.n_outcomes, t.obs_b.n_outcomes)]
+    elif group == "boxworld W_1/2 (0, 1, 3, 2)":
+        rep = catalog.load("boxworld").representations["W_1/2"]
+        space = rep.state_space
+        calls = [(space, space, programs.transport_equations(rep, (0, 1, 3, 2)))]
+    else:
+        # A = B = (x, 1 - x): swapping A's outcomes asks x . F = 1 - x, and
+        # fixing B's asks x . F = x
+        obs = Observable("A", (0, 1), (X1, ONE1 - X1))
+        calls = [(UNIT_SEGMENT, UNIT_SEGMENT,
+                  programs.permutation_equations(obs, obs, (1, 0), (0, 1)))]
+    return [call for call in calls if _system_kind(*call, hull=True) == "inconsistent"]
+
+
+@pytest.mark.parametrize("group", ["random", "hand", "parity set generators",
+                                   "boxworld W_1/2 (0, 1, 3, 2)", "segment"])
+def test_inconsistent_equations_get_a_certificate_without_an_lp(group, monkeypatch):
+    """With the simplex patched to raise, every call whose equations are
+    inconsistent returns ``ChannelInfeasible`` with the Fredholm
+    certificate of one elimination: multipliers on the equality rows of
+    one basis point alone, none on a facet row, passing
+    ``verify_certificate``.  On the segment it is (1, -1) with gap 1."""
+    calls = _inconsistent_calls(group)
+    assert calls
+
+    def forbidden(lp):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(exact, "_phase_one", forbidden)
+    for source, target, equations in calls:
+        result = find_channel(source, target, equations)
+        assert isinstance(result, ChannelInfeasible)
+        cert = result.certificate
+        assert verify_certificate(result.program, cert)
+        assert not any(cert.ineq_multipliers)
+        n = len(affine_basis(source))
+        assert len({k % n for k, y in enumerate(cert.eq_multipliers) if y}) == 1
+    if group == "segment":
+        assert [y for y in cert.eq_multipliers if y] == [1, -1] and cert.gap == 1
