@@ -5,30 +5,38 @@ space; a lifted symmetry keeps the representation's image inside
 itself.  Transported symmetries are the ones realized by a channel on
 the state space (the commuting square), and for faithful
 representations every symmetry is transported.  There the square fixes
-the channel on aff(K), F = W^-1 . Psi . W, and every map is pulled back
-through W by the square's equations W_i(F x) = (Psi W(x))_i at the
-affine basis of K, solved by one integer elimination
-(``programs.channel_system``, then ``theory._fixed_map``), with no LP, on
-a polytope or a ball.  A lifted map is its phase table, and transport
-reads Psi . W off it (``programs.transport_equations``; a permutation
-reorders W); ``induced_action`` solves the same equations for a lifted
-symmetry, and ``is_symmetry`` on a ball those of (W_i, g_i . W) for the
-coordinate functionals g_i of any grid map.  The other way round,
-``find_symmetry_for_channel`` pushes a channel phi forward: Psi with
-Psi(W(p)) = W(phi(p)) at the affine basis (``wigner._push_forward``, as
-in ``isomorphism``), on a polytope or a ball.  Covariance
-under g, W_g(a,b)(F_g p) = W_ab(p), is the same square for lift(g), and
-``verify`` checks it with the same equations.  The covariant solver
-combines two exact stages: permutation channels for the generators of
-the outcome translation group S_m x S_n, then the covariance system of
-the free block, the zero-marginal part D of W = W0 + D on aff(K), whose
-nullspace at the affine basis is one ``_kernels.orthogonal_complement``;
-effect sums that differ get a closed-form certificate.  This module runs
-no elimination loop and never calls the simplex itself: the only LPs
-under it are ``find_channel``'s, for a map that its equations leave free
-(W forgets part of the state).  Equations that no map satisfies are
-certified by the row operations of their elimination, and
-``is_symmetry`` reads its counterexample off ``_fixed_map``'s.
+the channel on aff(K), F = W^-1 . Psi . W.  Every symmetry reads the
+representation's one integer table (``wigner._table``: den * W at K's
+vertices on a polytope, at its affine basis on a ball), built once.  On
+a polytope where W is injective on aff(K), a permutation whose
+relabelled vertex images are vertex images gives F by relabelling K's
+vertices (``_relabelled_channel``): the interpolant of the relabelled
+basis vertices, which permutes the vertices of K, so it needs no
+elimination and no ``map_into``.  Every other map is pulled back through
+W by the square's equations W_i(F x) = (Psi W(x))_i at the affine basis
+of K, solved by one integer elimination (``programs.channel_system``,
+then ``theory._fixed_map``), with no LP, on a polytope or a ball.  A
+lifted map is its phase table, and transport reads Psi . W off it
+(``programs.transport_equations``; a permutation reorders W);
+``induced_action`` relabels a polytope's vertices for a lifted symmetry
+and solves the same equations on a ball, and ``is_symmetry`` on a ball
+those of (W_i, g_i . W) for the coordinate functionals g_i of any grid
+map.  The other way round, ``find_symmetry_for_channel`` pushes a
+channel phi forward: Psi with Psi(W(p)) = W(phi(p)) at the affine basis
+(``wigner._push_forward``, as in ``isomorphism``), on a polytope or a
+ball.  Covariance under g, W_g(a,b)(F_g p) = W_ab(p), is the same square
+for lift(g), and ``verify`` checks it with the same equations.  The
+covariant solver combines two exact stages: permutation channels for
+the generators of the outcome translation group S_m x S_n, then the
+covariance system of the free block, the zero-marginal part D of W = W0
++ D on aff(K), whose nullspace at the affine basis is one
+``_kernels.orthogonal_complement``; effect sums that differ get a
+closed-form certificate.  This module runs no elimination loop and
+never calls the simplex itself: the only LPs under it are
+``find_channel``'s, for a map that its equations leave free (W forgets
+part of the state).  Equations that no map satisfies are certified by
+the row operations of their elimination, and ``is_symmetry`` reads its
+counterexample off ``_fixed_map``'s.
 
 Generators decide, and no group is closed: covariance identities
 compose (W_g(a,b)(F_g p) = W_ab(p) for g and h gives it for gh and
@@ -39,7 +47,7 @@ symmetries compose too, so ``is_g_symmetric`` tests each generator once.
 A lifted permutation P has finite order, so P(W(K)) inside W(K) already
 forces P(W(K)) = W(K): permutation symmetries are the relabellings of
 phase points that fix an invariant of W(K), built once per
-representation (``_permutation_test``), with no LP per permutation.  On
+representation (``_invariants``), with no LP per permutation.  On
 a polytope the invariant is the set ext W(K) of extreme points.  When
 there are as many distinct vertex images as K has vertices and they
 affinely span dim(K), W is injective on aff(K), W(K) is an affine copy
@@ -52,14 +60,19 @@ images.  On a ball with faithful W, W(K) is the ellipsoid
 W(center + r e_i) - g0 of G.  Its support function y . g0 + |G^T y|
 depends on G only through the shape matrix G G^T, so P fixes W(K) iff
 P g0 = g0 and P G G^T P^T = G G^T; both are ints read off W's values at
-the basis, with no elimination.
+the basis, with no elimination.  The enumeration builds only the
+relabellings that keep a per-point invariant of the same data (the
+multiset of a coordinate over ext W(K); g0, the diagonal entry and the
+multiset of a row of G G^T), by a depth-first search in the order of
+``itertools.permutations`` (``_candidates``), and each one still takes
+the full test.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from ._kernels import bareiss_rank, orthogonal_complement
 from ._record import record
@@ -78,12 +91,15 @@ from .geometry import (
     Ball,
     Polytope,
     StateSpace,
+    _basis_indices,
     _describe,
     affine_basis,
     basis_ints,
+    basis_interpolation,
     dimension,
     hull_coords,
     int_values,
+    interpolant,
     map_into,
     vertex_ints,
 )
@@ -103,13 +119,15 @@ from .theory import (
     is_surjective,
     jointly_info_complete,
 )
-from .wigner import SignedGrid, WignerRep, _push_forward, evaluate, is_faithful
+from .wigner import SignedGrid, WignerRep, _push_forward, _table, evaluate, is_faithful
 
 # phase points; 8! permutations is the ceiling.  A permutation has finite
 # order, so it is a symmetry iff it fixes an invariant of W(K) built once
 # (ext W(K) on polytopes; on balls the center g0 and the shape matrix
 # G G^T, which fix the ellipsoid because its support function is
-# y . g0 + |G^T y|): each one costs entry comparisons, no LP.
+# y . g0 + |G^T y|): each one costs entry comparisons, no LP.  Per-point
+# invariants prune the search below the guard, which still bounds its
+# worst case, a representation whose points all share one invariant.
 ENUMERATION_GUARD = 8
 
 
@@ -256,7 +274,7 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     space = rep.state_space
     m = lam.as_affine_map() if isinstance(lam, LiftedMap) else lam
     if isinstance(space, Polytope):
-        vals, den = int_values(rep.functionals(), *vertex_ints(space))
+        vals, den = _table(rep)
         images = list(zip(*vals))
         hull = _describe(images)[0]
         rows, mden = int_values(m.functionals(), images, den)  # columns m(W(v_j)) * mden
@@ -284,26 +302,52 @@ def is_symmetry(rep: WignerRep, lam: GridMap) -> SymmetryCheck:
     return SymmetryCheck(False, result.witness_point, _grid_of_flat(image, rep.shape))
 
 
-def _permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
-    """Exact predicate on permutation tables: is the lift a symmetry of W?
+def _injective_images(rep: WignerRep) -> Optional[tuple[tuple[int, ...], ...]]:
+    """On a polytope K, the columns of ``wigner._table``, den * W(v) for
+    each vertex v in vertex order, if W is injective on aff(K); else
+    None.  It is iff the vertex images are distinct and their differences
+    have rank dim K: then W maps aff(K) onto an affine space of its own
+    dimension.  Decided on the first call and kept on the representation
+    as ``_images`` (``()`` when not injective), beside its table."""
+    images = getattr(rep, "_images", None)
+    if images is None:
+        vals, _ = _table(rep)
+        images = tuple(zip(*vals))
+        p0 = images[0]
+        if len(set(images)) < len(images) or bareiss_rank(
+            [[a - b for a, b in zip(p, p0)] for p in images[1:]]
+        ) != dimension(rep.state_space):
+            images = ()
+        object.__setattr__(rep, "_images", images)
+    return images or None
 
-    Builds the invariant of W(K) from the module docstring once, in ints
-    (a positive scaling); each call then only compares entries under the
-    relabelling.  Balls need a faithful representation.
+
+def _invariants(rep: WignerRep) -> tuple[Callable[[Sequence[int]], bool], list]:
+    """``(test, keys)``: the exact predicate on permutation tables (is the
+    lift a symmetry of W?) and one invariant per phase point that every
+    symmetry keeps, so a symmetry sends point j to a point with the same
+    key.
+
+    ``test`` builds the invariant of W(K) from the module docstring once,
+    in ints (a positive scaling) read off ``wigner._table``; each call
+    then only compares entries under the relabelling.  On a polytope the
+    key of j is the multiset of coordinate j over ext W(K): a symmetry
+    permutes ext W(K), and coordinate perm[j] of a mapped point is
+    coordinate j of the point.  On a ball it is (g0[j], S[j][j], the
+    multiset of row j of S) for the shape matrix S: P g0 = g0 and
+    P S P^T = S send row j of S onto row perm[j], permuted.  Balls need a
+    faithful representation.
     """
     space = rep.state_space
-    funcs = rep.functionals()
-    n = len(funcs)
+    vals, _ = _table(rep)
+    n = len(vals)
     if isinstance(space, Polytope):
-        vals, _ = int_values(funcs, *vertex_ints(space))
-        images = tuple(dict.fromkeys(zip(*vals)))
-        p0 = images[0]
-        if len(images) == len(space.vertices) and bareiss_rank(
-            [[a - b for a, b in zip(p, p0)] for p in images[1:]]
-        ) == dimension(space):
+        images = _injective_images(rep)
+        if images is not None:
             # W is injective on aff(K): every vertex image is extreme
             ext = set(images)
         else:
+            images = tuple(dict.fromkeys(zip(*vals)))
             flags = _describe(images)[2]
             ext = {p for p, ok in zip(images, flags) if ok}
 
@@ -316,27 +360,59 @@ def _permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
                     return False
             return True
 
-        return fixes_ext
+        return fixes_ext, [tuple(sorted(p[j] for p in ext)) for j in range(n)]
     # den * W at the center and the axis points: g0 and the rows of G
-    vals, _ = int_values(funcs, *basis_ints(space))
     g0 = [row[0] for row in vals]
     g = [[x - row[0] for x in row[1:]] for row in vals]
     s = [[sum(map(operator.mul, u, v)) for v in g] for u in g]  # G G^T times den^2
-    if bareiss_rank(vals) != len(vals[0]):  # it eliminates vals in place
+    if bareiss_rank(list(map(list, vals))) != len(vals[0]):
         raise UnsupportedGeometryError(
             "unsupported: ball symmetry testing needs a faithful representation"
         )
-    return lambda perm: all(
+    return (lambda perm: all(
         g0[perm[i]] == g0[i] and all(s[perm[i]][perm[j]] == s[i][j] for j in range(n))
         for i in range(n)
-    )
+    )), [(g0[j], s[j][j], tuple(sorted(s[j]))) for j in range(n)]
+
+
+def _permutation_test(rep: WignerRep) -> Callable[[Sequence[int]], bool]:
+    """Exact predicate on permutation tables: is the lift a symmetry of W?
+    (``_invariants``)."""
+    return _invariants(rep)[0]
+
+
+def _candidates(keys: Sequence) -> Iterator[tuple[int, ...]]:
+    """The permutation tables that send every point to one with the same
+    key, in the lexicographic order of ``itertools.permutations``: a
+    depth-first search that tries the images of point j in increasing
+    order, among the points left."""
+    n = len(keys)
+    options = [[k for k in range(n) if keys[k] == key] for key in keys]
+    perm, free = [0] * n, [True] * n
+
+    def extend(j: int) -> Iterator[tuple[int, ...]]:
+        if j == n:
+            yield tuple(perm)
+            return
+        for k in options[j]:
+            if free[k]:
+                free[k] = False
+                perm[j] = k
+                yield from extend(j + 1)
+                free[k] = True
+
+    return extend(0)
 
 
 def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
-    """All phase-space permutations whose lifts are symmetries of W.
+    """All phase-space permutations whose lifts are symmetries of W, in
+    the order of ``itertools.permutations``.
 
-    Guarded at 8 phase points (40320 permutations).  Each table comes
-    from ``itertools.permutations``, so it is built unchecked.
+    Guarded at 8 phase points (40320 permutations).  The search is pruned
+    by per-point invariants (``_invariants``, after McKay and Piperno,
+    "Practical graph isomorphism, II", 2014): only tables that keep every
+    point's key are built (``_candidates``), and each of them still takes
+    the full test.  Each table is built unchecked.
     """
     shape = rep.shape
     n = shape[0] * shape[1]
@@ -344,10 +420,51 @@ def enumerate_lifted_symmetries(rep: WignerRep) -> tuple[PhasePointMap, ...]:
         raise SizeGuardError(
             f"{n} phase points exceed the enumeration guard of {ENUMERATION_GUARD}"
         )
-    test = _permutation_test(rep)
-    return tuple(
-        _phase_map(shape, perm) for perm in itertools.permutations(range(n)) if test(perm)
-    )
+    test, keys = _invariants(rep)
+    return tuple(_phase_map(shape, perm) for perm in _candidates(keys) if test(perm))
+
+
+def _relabelled_channel(rep: WignerRep, table: Sequence[int]) -> Optional[Channel]:
+    """The channel F with W . F = P . W for the permutation table P
+    (entry ``table[j]`` of P w is w_j), read off by relabelling the
+    vertices of the polytope K, or None where that does not apply.
+
+    It applies when W is injective on aff(K) (``_injective_images``) and
+    every relabelled vertex image P W(v) is the image W(v_s) of a vertex.
+    F is the ``interpolant`` over ``geometry.basis_interpolation(K)`` of
+    the images v_s of the basis points.  Proof: W . F and P . W are
+    affine on aff(K) and agree at its affine basis, so W(F x) = P W(x)
+    there, and F solves the transport equations.  W is injective on
+    aff(K), so the equations with the hull equalities of K fix the basis
+    images, and ``theory._fixed_map`` reads off the same interpolant of
+    the same points: F is ``find_channel``'s map.  At each vertex
+    W(F v) = P W(v) = W(v_s) with F v in aff(K), so F v = v_s; v -> v_s is
+    injective because P is and W is on the vertices, so F permutes the
+    vertices of K and F(K) = K.  So the channel needs no ``map_into``,
+    and it is built unchecked, as ``_phase_map`` builds a table.
+    """
+    images = _injective_images(rep)
+    if images is None:
+        return None
+    index = {p: k for k, p in enumerate(images)}
+    targets = []
+    for point in images:
+        mapped = [0] * len(point)
+        for j, value in enumerate(point):
+            mapped[table[j]] = value
+        k = index.get(tuple(mapped))
+        if k is None:
+            return None
+        targets.append(k)
+    space = rep.state_space
+    xs, q = vertex_ints(space)
+    coords = list(zip(*(xs[targets[i]] for i in _basis_indices(space))))
+    chan = object.__new__(Channel)
+    object.__setattr__(chan, "map", interpolant(
+        basis_interpolation(space), coords, [q] * space.ambient_dim))
+    object.__setattr__(chan, "source", space)
+    object.__setattr__(chan, "target", space)
+    return chan
 
 
 def find_transported_channel(
@@ -355,15 +472,24 @@ def find_transported_channel(
 ) -> Union[Channel, ChannelInfeasible]:
     """A channel F with psi . W = W . F, or an infeasibility certificate.
 
-    The equations are ``programs.transport_equations`` of psi's phase
-    table: entry i of psi . W is the sum of the W_j with phi(j) = i, so a
-    permutation only reorders W.  For faithful W they fix F on aff(K),
-    and ``find_channel`` solves them without an LP.
+    A permutation whose relabelled vertex images are vertex images, for
+    W injective on aff(K), gives F by relabelling K's vertices
+    (``_relabelled_channel``), with no elimination and no ``map_into``.
+    Every other table solves ``programs.transport_equations``: entry i of
+    psi . W is the sum of the W_j with phi(j) = i, so a permutation only
+    reorders W.  For faithful W they fix F on aff(K), and
+    ``find_channel`` solves them without an LP.  Both give the same
+    channel where both apply.
     """
     space = rep.state_space
     if not isinstance(space, Polytope):
         raise UnsupportedGeometryError("transported-channel solving needs a polytope")
-    return find_channel(space, space, transport_equations(rep, psi.phase_map.table))
+    phi = psi.phase_map
+    if phi.is_permutation:
+        chan = _relabelled_channel(rep, phi.table)
+        if chan is not None:
+            return chan
+    return find_channel(space, space, transport_equations(rep, phi.table))
 
 
 @record
@@ -408,8 +534,11 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
 
     Requires a faithful representation and that ``lift(phi)`` is a
     symmetry; the result is the unique channel making the square
-    commute, solved from ``programs.transport_equations`` as
-    ``find_transported_channel`` solves them, on a polytope or a ball.
+    commute, ``find_transported_channel``'s.  On a polytope it is read
+    off by relabelling K's vertices (``_relabelled_channel``): a faithful
+    W is injective on aff(K), and a symmetry permutes ext W(K), the
+    vertex images.  On a ball it is solved from
+    ``programs.transport_equations`` by one ``_fixed_map``.
     """
     if not phi.is_permutation:
         raise PreconditionError("induced actions need permutation phase maps")
@@ -418,6 +547,8 @@ def induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
     if not _permutation_test(rep)(phi.table):
         raise PreconditionError("the lifted map is not a symmetry of W")
     space = rep.state_space
+    if isinstance(space, Polytope):
+        return _relabelled_channel(rep, phi.table)
     ints = channel_system(space, space, transport_equations(rep, phi.table))
     return Channel(_fixed_map(space, ints, space.ambient_dim)[0], space, space)
 

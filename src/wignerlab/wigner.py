@@ -20,6 +20,12 @@ rank test per slot and coordinate.  ``isomorphism`` pushes W1 forward
 to W2 at the affine basis of K (``_push_forward``, one
 ``geometry.interpolation``, which also gives a channel's transported
 symmetry), on a polytope or a ball.
+A representation's integer values at K are one table, den * W_i at the
+vertices of a polytope or at the affine basis of a ball, built on the
+first call and kept on it (``_table``, as ``_values``): ``is_positive``
+reads its signs, ``grid_rank`` and ``is_faithful`` the rank of its
+columns at the affine basis, and ``symmetry`` its permutation test,
+``is_symmetry`` and the relabelling that transports a symmetry.
 A positive member is a joint observable, so ``positive_member`` reads
 the compatibility LP of ``theory.are_compatible`` and runs no LP of its
 own; this module never calls the simplex.
@@ -39,6 +45,7 @@ from .geometry import (
     ExtremalValue,
     Polytope,
     StateSpace,
+    _basis_indices,
     affine_basis,
     affine_map_with_orthogonal_extension,
     basis_ints,
@@ -96,7 +103,13 @@ class SignedGrid:
 
 @record
 class WignerRep:
-    """Grid of affine functionals tied to a state space and two observables."""
+    """Grid of affine functionals tied to a state space and two observables.
+
+    Once asked for, a representation keeps its integer table (``_values``,
+    built by ``_table``) and, on a polytope, its vertex images if W is
+    injective on aff(K) (``_images``, ``symmetry._injective_images``);
+    neither is a field, so ``eq``, ``hash`` and ``repr`` see only the grid
+    and what it is tied to."""
 
     state_space: StateSpace
     obs_a: Observable
@@ -254,13 +267,30 @@ class PositivityResult:
         return self.ok
 
 
+def _table(rep: WignerRep):
+    """``(rows, den)``: the ints ``rows[i][j] = den * W_i(x_j)`` over one
+    positive ``den``, at the vertices x_j of a polytope K or at the
+    affine basis of a ball (``int_values``).  Built on the first call and
+    kept on the representation as ``_values``, as a polytope keeps
+    ``_basis``; not a field, so ``eq``, ``hash`` and ``repr`` do not see
+    it.  The rows are tuples: callers that eliminate copy them."""
+    table = getattr(rep, "_values", None)
+    if table is None:
+        space = rep.state_space
+        points = vertex_ints(space) if isinstance(space, Polytope) else basis_ints(space)
+        rows, den = int_values(rep.functionals(), *points)
+        table = tuple(map(tuple, rows)), den
+        object.__setattr__(rep, "_values", table)
+    return table
+
+
 def is_positive(rep: WignerRep) -> PositivityResult:
     """Is the image inside the genuine probability simplex?"""
     space = rep.state_space
     n_b = rep.shape[1]
     funcs = rep.functionals()
     if isinstance(space, Polytope):
-        rows, den = int_values(funcs, *vertex_ints(space))
+        rows, den = _table(rep)
     for i, f in enumerate(funcs):
         point = (rep.obs_a.outcomes[i // n_b], rep.obs_b.outcomes[i % n_b])
         if isinstance(space, Polytope):
@@ -277,8 +307,14 @@ def is_positive(rep: WignerRep) -> PositivityResult:
 
 
 def grid_rank(rep: WignerRep) -> int:
-    """Rank of the grid functionals restricted to the affine hull of K."""
-    return bareiss_rank(int_values(rep.functionals(), *basis_ints(rep.state_space))[0])
+    """Rank of the grid functionals restricted to the affine hull of K:
+    of ``_table``'s columns at the affine basis (a ball's table is there)."""
+    rows, _ = _table(rep)
+    space = rep.state_space
+    if isinstance(space, Polytope):
+        basis = _basis_indices(space)
+        return bareiss_rank([[row[j] for j in basis] for row in rows])
+    return bareiss_rank(list(map(list, rows)))
 
 
 def is_faithful(rep: WignerRep) -> bool:

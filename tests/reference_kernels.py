@@ -56,7 +56,13 @@ order included.
 ``fraction_permutation_test`` is the former
 ``symmetry._permutation_test``, whose invariants (the extreme points
 of W(K), and g0 and S = G (G^T G)^-2 G^T on balls) hold ``Fraction``
-entries.
+entries.  ``unpruned_enumeration`` is the former
+``symmetry.enumerate_lifted_symmetries``, the permutation test over
+every table of ``itertools.permutations``, against which the search
+pruned by per-point invariants is checked, order included; and
+``equation_transport`` the former ``symmetry.find_transported_channel``,
+``find_channel`` of the transport equations for every table, against
+which the channel read off by relabelling K's vertices is checked.
 
 ``chart_is_symmetry`` and ``chart_induced_action`` are the former
 pull-back of a grid map through the chart of a faithful W: the integer
@@ -172,8 +178,8 @@ from wignerlab import programs, symmetry
 from wignerlab.report import read_map
 from wignerlab.symmetry import PhasePointMap
 from wignerlab.theory import (
-    Channel, Compatible, Incompatible, Observable, are_complementary, is_surjective,
-    jointly_info_complete,
+    Channel, ChannelInfeasible, Compatible, Incompatible, Observable, are_complementary,
+    find_channel, is_surjective, jointly_info_complete,
 )
 from wignerlab.wigner import (
     NoPositiveMember,
@@ -460,6 +466,30 @@ def chart_induced_action(rep: WignerRep, phi: PhasePointMap) -> Channel:
     if m is None:  # pragma: no cover - symmetry guarantees solvability
         raise ArithmeticError("symmetric image left the representation span")
     return Channel(m, rep.state_space, rep.state_space)
+
+
+def unpruned_enumeration(rep: WignerRep) -> tuple[PhasePointMap, ...]:
+    """The former ``symmetry.enumerate_lifted_symmetries``: every table of
+    ``itertools.permutations`` that ``symmetry._permutation_test`` accepts,
+    each tested, with no invariant pruning."""
+    n = rep.shape[0] * rep.shape[1]
+    if n > symmetry.ENUMERATION_GUARD:
+        raise SizeGuardError(
+            f"{n} phase points exceed the enumeration guard of {symmetry.ENUMERATION_GUARD}"
+        )
+    test = symmetry._permutation_test(rep)
+    return tuple(
+        PhasePointMap(rep.shape, perm) for perm in itertools.permutations(range(n)) if test(perm)
+    )
+
+
+def equation_transport(rep: WignerRep, psi) -> Union[Channel, ChannelInfeasible]:
+    """The former ``symmetry.find_transported_channel``: ``find_channel``
+    of the transport equations of every phase table, permutation or not."""
+    space = rep.state_space
+    if not isinstance(space, Polytope):
+        raise UnsupportedGeometryError("transported-channel solving needs a polytope")
+    return find_channel(space, space, programs.transport_equations(rep, psi.phase_map.table))
 
 
 def composed_with_rep(rep: WignerRep, m: AffineMap) -> list[AffineFunctional]:

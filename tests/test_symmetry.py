@@ -1084,20 +1084,24 @@ def test_consumers_read_the_kept_integer_form(monkeypatch):
 
 def test_ball_enumeration_evaluates_the_grid_at_the_basis_once(monkeypatch):
     """``_permutation_test`` on a ball decides faithfulness from the
-    chart's values (Bareiss rank dim + 1), so enumerating evaluates the
-    grid once, and a lossy representation is still refused."""
+    chart's values (Bareiss rank dim + 1), read off the representation's
+    one table (``wigner._table``), so enumerating evaluates the grid once,
+    a second enumeration and ``is_faithful`` not again, and a lossy
+    representation is still refused."""
     entry = catalog.load("qubit_ball")
-    rep = entry.representations["W"]
-    expected = enumerate_lifted_symmetries(rep)
+    w = entry.representations["W"]
+    expected = enumerate_lifted_symmetries(w)
+    rep = WignerRep(w.state_space, w.obs_a, w.obs_b, w.grid)  # no table yet
     calls = []
-    int_values = symmetry.int_values
+    int_values = wigner.int_values
 
     def counted(funcs, xs, q):
         calls.append(len(xs))
         return int_values(funcs, xs, q)
 
-    monkeypatch.setattr(symmetry, "int_values", counted)
+    monkeypatch.setattr(wigner, "int_values", counted)
     assert enumerate_lifted_symmetries(rep) == expected and len(expected) > 1
+    assert enumerate_lifted_symmetries(rep) == expected and wigner.is_faithful(rep)
     assert calls == [4]
     lossy = wigner.degenerate_rep(entry.theory.obs_a, entry.theory.obs_b, rep.state_space)
     assert not wigner.is_faithful(lossy)
@@ -1146,3 +1150,119 @@ def test_transport_of_a_faithful_symmetry_is_its_induced_action(monkeypatch):
                 assert induced.map == chart.map
             compared[full, induced.map == chart.map] += 1
     assert compared[True, True] > 20 and compared[False, False] > 0, compared
+
+def _differential_reps():
+    """Every catalog representation; seeded random 2x2 and 2x3 polygon
+    representations and their faithful members; faithful ones read at
+    (x, 0), which are not injective on aff(K); images of the qubit ball."""
+    rng = random.Random(211)
+    reps = [rep for name in catalog.CATALOG_NAMES
+            for rep in catalog.load(name).representations.values()]
+    randoms = _random_polygon_reps(rng, (2, 2), 12) + _random_polygon_reps(rng, (2, 3), 4)
+    members = [wigner.faithful_member(r.obs_a, r.obs_b, r.state_space) for r in randoms]
+    reps += randoms + [m for m in members if m is not None]
+    reps += [_flattened(rep) for rep in reps
+             if isinstance(rep.state_space, Polytope) and rep.state_space.ambient_dim == 2
+             and dimension(rep.state_space) == 2 and is_faithful(rep)][:6]
+    return reps + _ball_reps()
+
+
+def _merging_tables(rng, n, count):
+    """Random phase tables that send two points to one."""
+    tables = []
+    while len(tables) < count:
+        table = tuple(rng.randrange(n) for _ in range(n))
+        if len(set(table)) < n:
+            tables.append(table)
+    return tables
+
+
+def test_pruned_enumeration_matches_the_unpruned_filter():
+    """``enumerate_lifted_symmetries`` tests only the tables that keep
+    every phase point's invariant, and gives the tables of the unpruned
+    filter over ``itertools.permutations``
+    (``reference_kernels.unpruned_enumeration``), order included, on
+    catalog polytopes and balls, random polygons, W's that are not
+    injective on aff(K) and images of the qubit ball.  The candidates come
+    in lexicographic order, every symmetry keeps the keys, and the search
+    builds fewer than a quarter of the tables."""
+    reps = _differential_reps()
+    assert any(symmetry._injective_images(r) is None for r in reps
+               if isinstance(r.state_space, Polytope))
+    assert {r.shape for r in reps} >= {(2, 1), (2, 2), (2, 3)}
+    tried = full = 0
+    for rep in reps:
+        found = enumerate_lifted_symmetries(rep)
+        assert found == ref.unpruned_enumeration(rep)
+        _, keys = symmetry._invariants(rep)
+        candidates = list(symmetry._candidates(keys))
+        assert candidates == sorted(set(candidates))
+        for phi in found:
+            assert all(keys[t] == keys[j] for j, t in enumerate(phi.table))
+        tried += len(candidates)
+        full += math.factorial(len(keys))
+    assert tried < full / 4, (tried, full)
+
+
+def test_relabelled_transport_matches_the_equations():
+    """On every polytope representation of ``_differential_reps``,
+    ``find_transported_channel`` gives the result of
+    ``reference_kernels.equation_transport``, record for record, on every
+    symmetry, on permutations that are not symmetries and on tables that
+    merge phase points.  Relabelling (``_relabelled_channel``) applies
+    exactly to the symmetries of a W that is injective on aff(K); there
+    its F is that channel and permutes the vertices of K."""
+    rng = random.Random(223)
+    counts = collections.Counter()
+    for rep in [r for r in _differential_reps() if isinstance(r.state_space, Polytope)]:
+        space = rep.state_space
+        n = rep.shape[0] * rep.shape[1]
+        injective = symmetry._injective_images(rep) is not None
+        found = enumerate_lifted_symmetries(rep)
+        perms = list(itertools.permutations(range(n)))
+        others = [p for p in rng.sample(perms, min(len(perms), 8))
+                  if PhasePointMap(rep.shape, p) not in found]
+        for table in [phi.table for phi in found] + others + _merging_tables(rng, n, 3):
+            psi = lift(PhasePointMap(rep.shape, table))
+            got, want = find_transported_channel(rep, psi), ref.equation_transport(rep, psi)
+            assert type(got) is type(want) and got == want
+            symmetric = PhasePointMap(rep.shape, table) in found
+            if len(set(table)) == n:
+                relabelled = symmetry._relabelled_channel(rep, table)
+                assert (relabelled is not None) == (symmetric and injective)
+                if relabelled is not None:
+                    assert relabelled == want
+                    assert sorted(map(relabelled, space.vertices)) == sorted(space.vertices)
+            kind = "merging" if len(set(table)) < n else "symmetry" if symmetric else "other"
+            counts[kind, injective, isinstance(got, Channel)] += 1
+    assert counts["symmetry", True, True] > 20 and counts["symmetry", False, True] > 5
+    assert counts["other", True, False] > 20 and counts["other", False, False] > 5
+    assert counts["merging", True, False] + counts["merging", False, False] > 20
+    assert not any(found for (kind, _, found) in counts if kind == "other")
+
+
+def test_faithful_catalog_transport_solves_no_channel(monkeypatch):
+    """With ``find_channel``, ``map_into`` and ``_fixed_map``'s ``rref``
+    refusing, every symmetry of a faithful catalog polytope representation
+    is still transported, to the channel that the equations give, and
+    ``induced_action`` returns the same channel."""
+    reps = [rep for name in catalog.CATALOG_NAMES
+            for rep in catalog.load(name).representations.values()
+            if isinstance(rep.state_space, Polytope) and is_faithful(rep)]
+    expected = [[ref.equation_transport(rep, lift(phi)) for phi in enumerate_lifted_symmetries(rep)]
+                for rep in reps]
+    reps = [WignerRep(r.state_space, r.obs_a, r.obs_b, r.grid) for r in reps]  # no table yet
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("channel solved")
+
+    monkeypatch.setattr(symmetry, "find_channel", refusing)
+    for module in (geometry, symmetry, theory):
+        monkeypatch.setattr(module, "map_into", refusing)
+    monkeypatch.setattr(theory, "rref", refusing)
+    for rep, want in zip(reps, expected):
+        found = enumerate_lifted_symmetries(rep)
+        assert [find_transported_channel(rep, lift(phi)) for phi in found] == want
+        assert [induced_action(rep, phi) for phi in found] == want
+        assert all(isinstance(chan, Channel) for chan in want)
+    assert len(reps) >= 5 and sum(map(len, expected)) >= 15

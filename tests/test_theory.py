@@ -567,15 +567,33 @@ def test_find_channel_matches_the_vertex_image_lp_on_random_polygons():
 def test_find_channel_matches_the_vertex_image_lp_on_every_catalog_call(
     tmp_path, capsys, monkeypatch
 ):
+    """Every channel system that the catalog's commands pose: the calls
+    that reach ``find_channel``, and the transport system of every
+    ``find_transported_channel`` call, which a permutation may answer by
+    relabelling K's vertices without reaching it.  Each polytope system
+    is solved by ``find_channel`` directly against the vertex-image LP."""
     calls = []
-    solve = symmetry.find_channel
+    solve, transport = symmetry.find_channel, symmetry.find_transported_channel
+    transporting = False
 
     def recording(source, target, equations, candidate=None):
-        if candidate is None and isinstance(source, Polytope):
+        if candidate is None and isinstance(source, Polytope) and not transporting:
             calls.append((source, target, list(equations)))
         return solve(source, target, equations, candidate)
 
+    def recording_transport(rep, psi):
+        nonlocal transporting
+        space = rep.state_space
+        if isinstance(space, Polytope):
+            calls.append((space, space, programs.transport_equations(rep, psi.phase_map.table)))
+        transporting = True
+        try:
+            return transport(rep, psi)
+        finally:
+            transporting = False
+
     monkeypatch.setattr(symmetry, "find_channel", recording)
+    monkeypatch.setattr(symmetry, "find_transported_channel", recording_transport)
     for name in catalog.CATALOG_NAMES:
         entry = catalog.load(name)
         path = str(tmp_path / f"{name}.json")
